@@ -35,9 +35,9 @@ lint-fast:
 	echo "lint-fast: $$pkgs"; \
 	$(GO) run ./cmd/3sigma-lint $$pkgs
 
-# check runs the correctness suite: the static analyzer, the differential
-# solver oracle (200 pinned-seed MILPs, workers {1,2,8} vs the dense
-# reference), and the histogram/distribution invariant property tests
+# check runs the correctness suite: the static analyzer, the solver oracle
+# (200 pinned-seed MILPs: incumbent, warm-basis and exhaustive-enumeration
+# arms), and the histogram/distribution invariant property tests
 # (DESIGN.md §9–10).
 check: lint
 	THREESIGMA_ORACLE_MODELS=200 THREESIGMA_ORACLE_SEED=1 \
@@ -51,13 +51,14 @@ fuzz:
 	$(GO) test -fuzz '^FuzzConditional$$' -fuzztime 10s -run '^$$' ./internal/dist
 
 # verify is the CI gate: vet + lint + build + race-enabled tests + oracle +
-# fuzz smoke + determinism and service e2e gates.
+# fuzz smoke + determinism, pinned-outcome and service e2e gates.
 verify:
 	./scripts/ci.sh
 
-# bench runs the solver microbenchmarks (sparse simplex, parallel B&B).
+# bench runs the solver microbenchmarks: one node relaxation at the largest
+# model the benchmark workloads reach, and a budgeted cycle-sized solve.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimplexSparse|BenchmarkSolveParallel' -benchmem ./internal/milp
+	$(GO) test -run '^$$' -bench 'BenchmarkNodeLP|BenchmarkSolveSchedulingCycle' -benchmem ./internal/milp
 
 # bench-fig1 reproduces the medium-scale Fig 1 end-to-end benchmark.
 bench-fig1:

@@ -39,7 +39,6 @@ func main() {
 	digest := flag.Bool("digest", false, "print the run's outcome digest (hash of job fates; stable across identical runs, used by the CI determinism gate)")
 	forceRebuild := flag.Bool("forcerebuild", false, "disable the incremental model-patch path: recompile the MILP from scratch every cycle (outcome-identical by contract; used by the CI digest gate)")
 	shards := flag.Int("shards", 1, "number of scheduling domains; >1 runs per-shard MILP solves under the cross-shard coordinator (DESIGN.md §13)")
-	workers := flag.Int("workers", 0, "LP worker-pool size per solve (0 = GOMAXPROCS; outcome-identical at any value by contract)")
 	domains := flag.Int("domains", 0, "generate a domain-partitioned workload: SLO jobs prefer exactly one of this many contiguous partition domains (0 = paper's random-subset preferences)")
 	sloShare := flag.Float64("sloshare", 0, "fraction of offered load from SLO jobs (0 = default 0.5; 1 = all SLO)")
 	nonPref := flag.Float64("nonpref", 0, "runtime slowdown factor outside a job's preferred partitions (0 = default 1.5)")
@@ -111,7 +110,6 @@ func main() {
 		t0 := time.Now()
 		simCfg := threesigma.SimConfig{Seed: *seed, RealCluster: *rc, CycleInterval: *cycle, VirtualTime: *virtual, Faults: faultCfg, Shards: *shards}
 		simCfg.Scheduler.ForceRebuild = *forceRebuild
-		simCfg.Scheduler.SolverWorkers = *workers
 		if *verbose {
 			simCfg.Scheduler.OnDecision = func(e threesigma.DecisionEvent) { fmt.Println(e) }
 		}

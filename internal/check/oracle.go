@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"threesigma/internal/milp"
 	"threesigma/internal/stats"
@@ -15,13 +16,16 @@ import (
 // variables with gang-size link rows, and optional preemption credits with
 // negative objective and negative capacity coefficients.
 //
-// For each instance the oracle solves four configurations that the solver
-// contracts to be equivalent — the single-worker dense-LP reference, then
-// workers ∈ {1, 2, 8} on the default (auto dense/sparse) path — and demands
-// bitwise-identical status, objective, assignment vector, and node count,
-// plus a feasible incumbent whenever one is claimed. Solves are node-budget
-// bounded with no deadline, so they fall under the determinism guarantee of
-// milp.Options.Workers (deadline-terminated solves are exempt).
+// Each instance is checked three ways. The cold solve must return a real
+// incumbent (feasible, integral, objective consistent). A re-solve warmed
+// with that run's root basis — the exact feed 3σSched's incremental path
+// uses across cycles — may take a different simplex path but must reach the
+// same optimum. And where the instance is all-binary and small enough, an
+// exhaustive enumeration of every at-most-one choice gives the true optimum,
+// a reference that shares no code with the solver: Optimal must mean that
+// optimum, and a budget-truncated Feasible must bracket it between its
+// incumbent and its bound. Solves are node-budget bounded with no deadline,
+// so they are deterministic.
 
 // OracleOptions configures RunOracle.
 type OracleOptions struct {
@@ -136,9 +140,9 @@ func GenModel(rng stats.Rand) *milp.Model {
 	return m
 }
 
-// RunOracle generates opt.Models seeded instances and differentially checks
-// the solver configurations; it returns an error naming the first
-// divergence, or nil when every instance agrees.
+// RunOracle generates opt.Models seeded instances and checks the solver on
+// each; it returns an error naming the first failure, or nil when every
+// instance passes.
 func RunOracle(opt OracleOptions) error {
 	if opt.Models <= 0 {
 		opt.Models = 200
@@ -155,83 +159,160 @@ func RunOracle(opt OracleOptions) error {
 	for i := 0; i < opt.Models; i++ {
 		m := GenModel(rng)
 
-		// Reference: single worker, dense simplex forced.
-		prev := milp.DebugForceLP(milp.LPDense)
-		ref := milp.Solve(m, milp.Options{MaxNodes: opt.MaxNodes, Workers: 1})
-		milp.DebugForceLP(prev)
+		ref := milp.Solve(m, milp.Options{MaxNodes: opt.MaxNodes})
 		if err := checkIncumbent(m, &ref); err != nil {
-			return fmt.Errorf("model %d (dense reference): %v", i, err)
-		}
-
-		for _, w := range []int{1, 2, 8} {
-			got := milp.Solve(m, milp.Options{MaxNodes: opt.MaxNodes, Workers: w})
-			if err := checkIncumbent(m, &got); err != nil {
-				return fmt.Errorf("model %d (workers=%d): %v", i, w, err)
-			}
-			if got.Status != ref.Status {
-				return fmt.Errorf("model %d (workers=%d): status %v, reference %v", i, w, got.Status, ref.Status)
-			}
-			if math.Float64bits(got.Objective) != math.Float64bits(ref.Objective) {
-				return fmt.Errorf("model %d (workers=%d): objective %x (%g), reference %x (%g)",
-					i, w, math.Float64bits(got.Objective), got.Objective,
-					math.Float64bits(ref.Objective), ref.Objective)
-			}
-			if got.Nodes != ref.Nodes {
-				return fmt.Errorf("model %d (workers=%d): explored %d nodes, reference %d", i, w, got.Nodes, ref.Nodes)
-			}
-			if len(got.X) != len(ref.X) {
-				return fmt.Errorf("model %d (workers=%d): |X|=%d, reference %d", i, w, len(got.X), len(ref.X))
-			}
-			for v := range got.X {
-				if math.Float64bits(got.X[v]) != math.Float64bits(ref.X[v]) {
-					return fmt.Errorf("model %d (workers=%d): x[%s]=%g, reference %g",
-						i, w, m.VarName(v), got.X[v], ref.X[v])
-				}
-			}
+			return fmt.Errorf("model %d: %v", i, err)
 		}
 
 		// Warm-basis differential: re-solving with the reference run's root
-		// basis (the exact feed 3σSched's incremental path uses across
-		// cycles) may change the simplex path but never the answer. All warm
-		// worker counts must agree bitwise with each other, and when the
+		// basis may change the simplex path but never the answer. When the
 		// cold reference proved optimality the warm solve must reach the
 		// same optimum.
 		if len(ref.RootBasis) > 0 {
-			wref := milp.Solve(m, milp.Options{MaxNodes: opt.MaxNodes, Workers: 1, WarmBasis: ref.RootBasis})
-			if err := checkIncumbent(m, &wref); err != nil {
-				return fmt.Errorf("model %d (warm, workers=1): %v", i, err)
+			warm := milp.Solve(m, milp.Options{MaxNodes: opt.MaxNodes, WarmBasis: ref.RootBasis})
+			if err := checkIncumbent(m, &warm); err != nil {
+				return fmt.Errorf("model %d (warm): %v", i, err)
 			}
 			if ref.Status == milp.Optimal {
-				if wref.Status != milp.Optimal {
-					return fmt.Errorf("model %d (warm): status %v, cold reference Optimal", i, wref.Status)
+				if warm.Status != milp.Optimal {
+					return fmt.Errorf("model %d (warm): status %v, cold reference Optimal", i, warm.Status)
 				}
-				if !approxEq(wref.Objective, ref.Objective, 1e-6*math.Max(1, math.Abs(ref.Objective))) {
-					return fmt.Errorf("model %d (warm): objective %g, cold reference %g", i, wref.Objective, ref.Objective)
+				if !approxEq(warm.Objective, ref.Objective, 1e-6*math.Max(1, math.Abs(ref.Objective))) {
+					return fmt.Errorf("model %d (warm): objective %g, cold reference %g", i, warm.Objective, ref.Objective)
 				}
 			}
-			for _, w := range []int{2, 8} {
-				got := milp.Solve(m, milp.Options{MaxNodes: opt.MaxNodes, Workers: w, WarmBasis: ref.RootBasis})
-				if got.Status != wref.Status {
-					return fmt.Errorf("model %d (warm, workers=%d): status %v, warm reference %v", i, w, got.Status, wref.Status)
-				}
-				if math.Float64bits(got.Objective) != math.Float64bits(wref.Objective) {
-					return fmt.Errorf("model %d (warm, workers=%d): objective %x (%g), warm reference %x (%g)",
-						i, w, math.Float64bits(got.Objective), got.Objective,
-						math.Float64bits(wref.Objective), wref.Objective)
-				}
-				if got.Nodes != wref.Nodes {
-					return fmt.Errorf("model %d (warm, workers=%d): explored %d nodes, warm reference %d", i, w, got.Nodes, wref.Nodes)
-				}
-				for v := range got.X {
-					if math.Float64bits(got.X[v]) != math.Float64bits(wref.X[v]) {
-						return fmt.Errorf("model %d (warm, workers=%d): x[%s]=%g, warm reference %g",
-							i, w, m.VarName(v), got.X[v], wref.X[v])
-					}
-				}
+		}
+
+		// Exhaustive differential against the enumerated optimum.
+		if best, feasible, ok := enumerate(m, enumLimit); ok {
+			if err := checkAgainstOptimum(&ref, best, feasible); err != nil {
+				return fmt.Errorf("model %d (exhaustive): %v", i, err)
 			}
 		}
 	}
 	return nil
+}
+
+// enumLimit caps the exhaustive arm's search space per instance.
+const enumLimit = 200000
+
+// checkAgainstOptimum holds a solve to the enumerated truth: opt is the best
+// objective over every integral point (meaningful when feasible).
+func checkAgainstOptimum(s *milp.Solution, opt float64, feasible bool) error {
+	tol := 1e-6 * math.Max(1, math.Abs(opt))
+	switch s.Status {
+	case milp.Optimal:
+		if !feasible {
+			return fmt.Errorf("status Optimal (objective %g) but no integral point is feasible", s.Objective)
+		}
+		if !approxEq(s.Objective, opt, tol) {
+			return fmt.Errorf("status Optimal with objective %g, enumerated optimum %g", s.Objective, opt)
+		}
+	case milp.Feasible:
+		if !feasible {
+			return fmt.Errorf("status Feasible (objective %g) but no integral point is feasible", s.Objective)
+		}
+		if s.Objective > opt+tol || opt > s.Bound+tol {
+			return fmt.Errorf("status Feasible: objective %g, enumerated optimum %g, bound %g do not nest",
+				s.Objective, opt, s.Bound)
+		}
+	case milp.Infeasible:
+		if feasible {
+			return fmt.Errorf("status Infeasible but enumeration found objective %g", opt)
+		}
+	}
+	return nil
+}
+
+// enumerate computes the optimum of an all-binary GenModel draw by brute
+// force over its at-most-one structure: every variable sits in exactly one
+// Σx ≤ 1 row (a demand row or a credit bound), so an integral point is one
+// choice — a member or none — per such row. ok is false when the model has
+// continuous variables or more than limit combinations; otherwise feasible
+// reports whether any combination satisfies every row (within the solver's
+// own 1e-6 feasibility tolerance) and best is the largest objective among
+// those that do.
+func enumerate(m *milp.Model, limit int) (best float64, feasible, ok bool) {
+	n := m.NumVars()
+	rows := m.Rows()
+	group := make([]int, n) // variable → index into groups, -1 unassigned
+	for v := range group {
+		if m.Kind(v) != milp.Binary {
+			return 0, false, false
+		}
+		group[v] = -1
+	}
+	var groups [][]int
+	combos := 1
+	for _, r := range rows {
+		if !atMostOne(r) {
+			continue
+		}
+		for _, v := range r.Idx {
+			if group[v] >= 0 {
+				return 0, false, false // two at-most-one rows share a variable
+			}
+			group[v] = len(groups)
+		}
+		groups = append(groups, r.Idx)
+		if combos *= len(r.Idx) + 1; combos > limit {
+			return 0, false, false
+		}
+	}
+	for _, g := range group {
+		if g < 0 {
+			return 0, false, false
+		}
+	}
+	// Column index, so a choice updates only the rows it touches.
+	type entry struct {
+		row  int
+		coef float64
+	}
+	cols := make([][]entry, n)
+	for ri, r := range rows {
+		for k, v := range r.Idx {
+			cols[v] = append(cols[v], entry{ri, r.Coef[k]})
+		}
+	}
+	x := make([]float64, n)
+	lhs := make([]float64, len(rows))
+	best = math.Inf(-1)
+	var walk func(g int)
+	walk = func(g int) {
+		if g == len(groups) {
+			for ri, r := range rows {
+				if lhs[ri] > r.RHS+1e-6 {
+					return
+				}
+			}
+			feasible = true
+			if obj := m.Objective(x); obj > best {
+				best = obj
+			}
+			return
+		}
+		walk(g + 1) // choose none
+		for _, v := range groups[g] {
+			x[v] = 1
+			for _, e := range cols[v] {
+				lhs[e.row] += e.coef
+			}
+			walk(g + 1)
+			x[v] = 0
+			for _, e := range cols[v] {
+				lhs[e.row] -= e.coef
+			}
+		}
+	}
+	walk(0)
+	return best, feasible, true
+}
+
+// atMostOne reports whether r is one of GenModel's Σx ≤ 1 rows: a job's
+// demand row or a preemption credit's bound.
+func atMostOne(r milp.Row) bool {
+	return strings.HasPrefix(r.Name, "dem[") || strings.HasPrefix(r.Name, "ub[")
 }
 
 // checkIncumbent asserts that a claimed solution actually is one: feasible,

@@ -13,8 +13,9 @@ import (
 
 // TestDifferentialOracle is the CI gate: THREESIGMA_ORACLE_MODELS seeded
 // instances (default 200, seed THREESIGMA_ORACLE_SEED, default 1), each
-// solved at workers {1,2,8} and compared bitwise against the single-worker
-// dense reference. See scripts/ci.sh.
+// solved cold, re-solved from its own root basis, and — where small and
+// all-binary — held to the exhaustively enumerated optimum. See
+// scripts/ci.sh.
 func TestDifferentialOracle(t *testing.T) {
 	opt := OracleOptions{}
 	if v := os.Getenv("THREESIGMA_ORACLE_MODELS"); v != "" {
@@ -35,6 +36,43 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	if err := RunOracle(opt); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnumerateFindsOptimum pins the exhaustive reference on an instance
+// small enough to solve by eye, and its refusals.
+func TestEnumerateFindsOptimum(t *testing.T) {
+	m := &milp.Model{}
+	a := m.AddVar(milp.Binary, 5, "a")
+	b := m.AddVar(milp.Binary, 4, "b")
+	c := m.AddVar(milp.Binary, 3, "c")
+	p := m.AddVar(milp.Binary, -0.5, "p")
+	m.AddLE("dem[j0]", []int{a, b}, []float64{1, 1}, 1)
+	m.AddLE("dem[j1]", []int{c}, []float64{1}, 1)
+	m.AddLE("ub[P0]", []int{p}, []float64{1}, 1)
+	// b+c fits as it is and scores 7; a+c fits only once the credit p is
+	// bought, and still wins: 5+3-0.5.
+	m.AddLE("cap[p0,t0]", []int{a, b, c, p}, []float64{4, 2, 2, -2}, 4)
+	best, feasible, ok := enumerate(m, 1000)
+	if !ok || !feasible || best != 7.5 {
+		t.Fatalf("enumerate = (%v, %v, %v), want optimum 7.5", best, feasible, ok)
+	}
+	if _, _, ok := enumerate(m, 11); ok {
+		t.Error("12 combinations enumerated under a limit of 11")
+	}
+	m.AddVar(milp.Continuous, 0, "x")
+	if _, _, ok := enumerate(m, 1000); ok {
+		t.Error("a model with a continuous variable was enumerated")
+	}
+	// The oracle's use of it: the solver's claim against the truth.
+	if err := checkAgainstOptimum(&milp.Solution{Status: milp.Optimal, Objective: 6}, 7, true); err == nil {
+		t.Error("Optimal at 6 accepted against an optimum of 7")
+	}
+	if err := checkAgainstOptimum(&milp.Solution{Status: milp.Feasible, Objective: 6, Bound: 6.5}, 7, true); err == nil {
+		t.Error("Feasible with bound 6.5 accepted against an optimum of 7")
+	}
+	if err := checkAgainstOptimum(&milp.Solution{Status: milp.Feasible, Objective: 6, Bound: 8}, 7, true); err != nil {
+		t.Errorf("Feasible 6 <= 7 <= 8 rejected: %v", err)
 	}
 }
 

@@ -89,11 +89,6 @@ type Config struct {
 	SolverBudget time.Duration
 	// SolverMaxNodes bounds branch-and-bound nodes per solve (default 48).
 	SolverMaxNodes int
-	// SolverWorkers sets the MILP solver's LP worker-pool size; 0 uses
-	// GOMAXPROCS. The solver's result is identical for every worker count
-	// on budget- or optimality-terminated solves (extra workers only
-	// speculate on LP relaxations), so this is purely a latency knob.
-	SolverWorkers int
 
 	// Utility shaping.
 	SLOWeight     float64 // per-node utility of an SLO job (default 8)

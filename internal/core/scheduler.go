@@ -77,12 +77,15 @@ type Stats struct {
 	AllocFailures  int // chosen slot-0 options whose discrete allocation failed
 	Deferrals      int // chosen options planned for a later slot
 
-	// Solver counters (cumulative over cycles, except SolverWorkers).
+	// Solver counters (cumulative over cycles).
 	SolverNodes   int // branch-and-bound nodes explored
-	SolverLPIters int // simplex pivots of consumed node relaxations
-	SolverWorkers int // effective LP worker-pool size of the last solve
-	SpecLPs       int // node relaxations solved by speculation workers
-	SpecUsed      int // of those, consumed by the coordinator
+	SolverLPIters int // simplex pivots over all node relaxations
+	// SpecLPs and SpecUsed counted the speculative LP workers' relaxations.
+	// The workers are gone (the branch-and-bound is sequential, DESIGN.md
+	// §6); the fields are retired, always 0, and stay only because bench/
+	// reads them.
+	SpecLPs  int
+	SpecUsed int
 
 	// Model-builder memoization counters (cross-cycle expected-utility and
 	// survival-term cache; see memo.go).
@@ -494,7 +497,7 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 	if reused {
 		sol = s.inc.lastSol
 		// Work counters describe *this* cycle's solver effort: none.
-		sol.Nodes, sol.LPIters, sol.SpecLPs, sol.SpecUsed = 0, 0, 0, 0
+		sol.Nodes, sol.LPIters = 0, 0
 		sol.WarmPivots = 0
 		sol.SeedUsed = false
 		sol.Elapsed = 0
@@ -518,7 +521,6 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 			Gap:       1e-4,
 			Seed:      seed,
 			WarmBasis: warm,
-			Workers:   s.cfg.SolverWorkers,
 			Now:       s.cfg.Clock.Now,
 		})
 		s.inc.lastSol = sol
@@ -536,9 +538,6 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 	s.statsMu.Lock()
 	s.stats.SolverNodes += sol.Nodes
 	s.stats.SolverLPIters += sol.LPIters
-	s.stats.SolverWorkers = sol.Workers
-	s.stats.SpecLPs += sol.SpecLPs
-	s.stats.SpecUsed += sol.SpecUsed
 	s.stats.Cycles++
 	s.stats.SolveTime += solveTime
 	if solveTime > s.stats.MaxSolveTime {

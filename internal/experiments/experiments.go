@@ -66,11 +66,8 @@ type Scale struct {
 	// Shards > 1 partitions the cluster into that many scheduling domains
 	// driven by the internal/shard coordinator (DESIGN.md §13); 0 or 1 is
 	// the monolithic single-solve configuration.
-	Shards int
-	// SolverWorkers overrides the per-solve LP worker-pool size
-	// (core.Config.SolverWorkers); 0 uses GOMAXPROCS.
-	SolverWorkers int
-	TraceJobs     int // records per environment for the Fig. 2 analyses
+	Shards    int
+	TraceJobs int // records per environment for the Fig. 2 analyses
 	// Repeats averages every experiment point over this many workload
 	// seeds (default 1). The figure drivers report the averages.
 	Repeats int
@@ -124,7 +121,6 @@ func (s Scale) coreConfig() core.Config {
 		SolverBudget:   s.SolverBudget,
 		SolverMaxNodes: 24,
 		SolveQuantum:   s.SolveQuantum,
-		SolverWorkers:  s.SolverWorkers,
 	}
 }
 
@@ -134,9 +130,6 @@ func solverStatsFrom(st core.Stats) metrics.SolverStats {
 	return metrics.SolverStats{
 		Nodes:       st.SolverNodes,
 		LPIters:     st.SolverLPIters,
-		Workers:     st.SolverWorkers,
-		SpecLPs:     st.SpecLPs,
-		SpecUsed:    st.SpecUsed,
 		CacheHits:   st.CacheHits,
 		CacheMisses: st.CacheMisses,
 

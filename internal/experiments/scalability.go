@@ -19,16 +19,12 @@ import (
 // partition's capacity rows while eight per-domain solves run concurrently
 // over an eighth of the rows each. The workload is domain-partitioned (SLO
 // jobs prefer exactly one domain's partitions, best-effort jobs are flexible
-// and exercise the coordinator's rebalancing/stealing), and three arms run
+// and exercise the coordinator's rebalancing/stealing), and two arms run
 // on the identical workload:
 //
 //	monolithic    -shards 1: one cluster-wide MILP per cycle (the baseline
 //	              the ≥2× acceptance target is measured against)
-//	sharded-N     N scheduling domains, default solver workers
-//	sharded-N-w1  N domains, single-threaded solver. Outcome digests —
-//	              combined and per shard — MUST equal the sharded-N arm bit
-//	              for bit (determinism at any worker count); Scalability
-//	              returns an error if they diverge.
+//	sharded-N     N scheduling domains, their cycles run concurrently
 //
 // Latencies are wall-clock, so the scenario must run on an otherwise idle
 // machine (same caveat as Fig. 12 and the steady-state scenario).
@@ -52,7 +48,6 @@ func ScalabilityScale() Scale {
 type ScalabilityArm struct {
 	Arm         string  `json:"arm"`
 	Shards      int     `json:"shards"`
-	Workers     int     `json:"workers"` // 0 = GOMAXPROCS
 	Cycles      int     `json:"cycles"`
 	MeanCycleMS float64 `json:"mean_cycle_ms"`
 	P50CycleMS  float64 `json:"p50_cycle_ms"`
@@ -74,8 +69,7 @@ type ScalabilityArm struct {
 	SpeedupVsMono float64 `json:"speedup_vs_mono,omitempty"`
 }
 
-// Scalability runs the scenario's three arms on one generated workload and
-// enforces the worker-count digest invariant on the sharded arms.
+// Scalability runs the scenario's two arms on one generated workload.
 func Scalability(sc Scale, seed int64) ([]ScalabilityArm, error) {
 	shards := sc.Shards
 	if shards < 1 {
@@ -96,13 +90,11 @@ func Scalability(sc Scale, seed int64) ([]ScalabilityArm, error) {
 		Seed:          seed,
 	})
 	arms := []struct {
-		name    string
-		shards  int
-		workers int
+		name   string
+		shards int
 	}{
-		{"monolithic", 1, 0},
-		{fmt.Sprintf("sharded-%d", shards), shards, 0},
-		{fmt.Sprintf("sharded-%d-workers-1", shards), shards, 1},
+		{"monolithic", 1},
+		{fmt.Sprintf("sharded-%d", shards), shards},
 	}
 	out := make([]ScalabilityArm, 0, len(arms))
 	for _, a := range arms {
@@ -110,9 +102,7 @@ func Scalability(sc Scale, seed int64) ([]ScalabilityArm, error) {
 		for _, r := range w.Train {
 			pred.Observe(r.Job(), r.Runtime)
 		}
-		cfg := sc.coreConfig()
-		cfg.SolverWorkers = a.workers
-		sched := baselines.ThreeSigma(pred, cfg)
+		sched := baselines.ThreeSigma(pred, sc.coreConfig())
 		var impl simulator.Scheduler = sched
 		var coord *shard.Coordinator
 		if a.shards > 1 {
@@ -134,10 +124,9 @@ func Scalability(sc Scale, seed int64) ([]ScalabilityArm, error) {
 		}
 		res := sim.Run()
 		arm := ScalabilityArm{
-			Arm:     a.name,
-			Shards:  a.shards,
-			Workers: a.workers,
-			Digest:  metrics.OutcomeDigest(res),
+			Arm:    a.name,
+			Shards: a.shards,
+			Digest: metrics.OutcomeDigest(res),
 		}
 		if coord != nil {
 			st := coord.Stats()
@@ -156,18 +145,6 @@ func Scalability(sc Scale, seed int64) ([]ScalabilityArm, error) {
 		arm.MeanCycleMS, arm.P50CycleMS, arm.P95CycleMS, arm.P99CycleMS = latencyStats(res.CycleLatencies)
 		arm.MeanSolveMS, _, _, _ = latencyStats(res.SolverLatency)
 		out = append(out, arm)
-	}
-	// Determinism contract: the sharded schedule is a function of the model,
-	// never of the LP worker pool, so the single-threaded arm must reproduce
-	// the default arm bit for bit — combined digest and every shard digest.
-	if out[1].Digest != out[2].Digest {
-		return nil, fmt.Errorf("scalability: %s digest %s != %s digest %s (worker count changed outcomes)",
-			out[1].Arm, out[1].Digest, out[2].Arm, out[2].Digest)
-	}
-	for i := range out[1].ShardDigests {
-		if out[1].ShardDigests[i] != out[2].ShardDigests[i] {
-			return nil, fmt.Errorf("scalability: shard %d digest diverged across worker counts", i)
-		}
 	}
 	mono := out[0].MeanCycleMS
 	for i := range out {

@@ -50,7 +50,67 @@ func FuzzHistogramInvariants(f *testing.F) {
 			t.Fatalf("invariant violated after %d adds (maxBins=%d): %v",
 				int(h.Count()), maxBins, err)
 		}
+		// Sum serves its prefix Σ_{k<i} m_k from a table built on the first
+		// query and dropped by every mutation; the answer must be bit-equal
+		// to re-adding the counts — before the table exists, once it does,
+		// and after an Add has invalidated it.
+		sumsMatch := func(when string) {
+			bins := h.Bins()
+			for i, b := range bins {
+				qs := []float64{b.Value}
+				if i+1 < len(bins) {
+					qs = append(qs, b.Value+(bins[i+1].Value-b.Value)/2)
+				}
+				for _, q := range qs {
+					got, want := h.Sum(q), sumUncached(h, q)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: Sum(%g) = %x, uncached %x (maxBins=%d, %d bins)",
+							when, q, math.Float64bits(got), math.Float64bits(want), maxBins, len(bins))
+					}
+				}
+			}
+		}
+		sumsMatch("first pass")
+		sumsMatch("cached pass")
+		if h.Count() > 0 {
+			h.Add(h.Min() + (h.Max()-h.Min())/3)
+			sumsMatch("after invalidating Add")
+		}
 	})
+}
+
+// sumUncached is Histogram.Sum as it was before the prefix table: the
+// interior branch re-adds the counts of every bin left of the query. It
+// reads the sketch through its public accessors only.
+func sumUncached(h *histogram.Histogram, v float64) float64 {
+	bins := h.Bins()
+	nb := len(bins)
+	if nb == 0 || v < h.Min() {
+		return 0
+	}
+	if v >= h.Max() {
+		return h.Count()
+	}
+	if v < bins[0].Value || v >= bins[nb-1].Value {
+		return h.Sum(v) // edge halves never touch the prefix
+	}
+	i := 0
+	for i+1 < nb && bins[i+1].Value <= v {
+		i++
+	}
+	s := 0.0
+	for k := 0; k < i; k++ {
+		s += bins[k].Count
+	}
+	s += bins[i].Count / 2
+	gap := bins[i+1].Value - bins[i].Value
+	if gap <= 0 {
+		return s
+	}
+	t := (v - bins[i].Value) / gap
+	mb := bins[i].Count + (bins[i+1].Count-bins[i].Count)*t
+	s += (bins[i].Count + mb) / 2 * t
+	return s
 }
 
 // FuzzFromState feeds arbitrary (possibly corrupt) persisted states to

@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // DefaultMaxBins matches the paper's configuration of "a maximum of 80 bins".
@@ -35,6 +36,16 @@ type Histogram struct {
 	n       float64
 	min     float64
 	max     float64
+
+	// prefix, once a Sum has needed it, holds the running sums of the bin
+	// counts — (*prefix)[i] = Σ_{k<i} bins[k].Count, folded left to right as
+	// Sum itself would — so a CDF query costs a binary search instead of a
+	// pass over up to maxBins counts. The table is immutable once published
+	// and every mutation of bins drops it. It is published through an atomic
+	// pointer because queries are otherwise read-only and shard domains run
+	// them concurrently on one estimate's histogram; racing builders store
+	// identical tables.
+	prefix atomic.Pointer[[]float64]
 }
 
 // New returns a histogram holding at most maxBins bins (DefaultMaxBins when
@@ -68,6 +79,7 @@ func (h *Histogram) AddWeighted(v, w float64) {
 	if math.IsNaN(v) || w <= 0 {
 		return
 	}
+	h.prefix.Store(nil)
 	h.n += w
 	if v < h.min {
 		h.min = v
@@ -101,6 +113,7 @@ func (h *Histogram) mergeClosest() {
 	if best < 0 {
 		return
 	}
+	h.prefix.Store(nil)
 	a, b := h.bins[best], h.bins[best+1]
 	tot := a.Count + b.Count
 	v := (a.Value*a.Count + b.Value*b.Count) / tot
@@ -157,9 +170,28 @@ func (h *Histogram) Bins() []Bin { return append([]Bin(nil), h.bins...) }
 // a group's histogram at estimation time so later observations do not
 // mutate a distribution the scheduler is already planning with.
 func (h *Histogram) Clone() *Histogram {
-	cp := *h
-	cp.bins = append([]Bin(nil), h.bins...)
-	return &cp
+	return &Histogram{
+		maxBins: h.maxBins,
+		bins:    append([]Bin(nil), h.bins...),
+		n:       h.n,
+		min:     h.min,
+		max:     h.max,
+	}
+}
+
+// countsBefore returns the prefix table, building it on first use.
+func (h *Histogram) countsBefore() []float64 {
+	if p := h.prefix.Load(); p != nil {
+		return *p
+	}
+	tab := make([]float64, len(h.bins))
+	s := 0.0
+	for k, b := range h.bins {
+		tab[k] = s
+		s += b.Count
+	}
+	h.prefix.Store(&tab)
+	return tab
 }
 
 // Mean returns the weighted mean of the sketch (0 when empty).
@@ -228,11 +260,7 @@ func (h *Histogram) Sum(v float64) float64 {
 	// linearly interpolated bin mass at v.
 	i := sort.Search(nb, func(i int) bool { return h.bins[i].Value > v }) - 1
 	bi, bj := h.bins[i], h.bins[i+1]
-	s := 0.0
-	for k := 0; k < i; k++ {
-		s += h.bins[k].Count
-	}
-	s += bi.Count / 2
+	s := h.countsBefore()[i] + bi.Count/2
 	gap := bj.Value - bi.Value
 	if gap <= 0 {
 		return s

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -265,5 +266,40 @@ func BenchmarkCDF(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.CDF(float64(i % 5000))
+	}
+}
+
+// Shard domains query one estimate's histogram from several goroutines at
+// once, and the first Sum to need the prefix table builds and publishes it:
+// concurrent first queries must all read the sequential answer (run under
+// -race by scripts/ci.sh).
+func TestSumConcurrentFirstQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src := New(40)
+	for i := 0; i < 500; i++ {
+		src.Add(rng.ExpFloat64() * 100)
+	}
+	qs := make([]float64, 64)
+	want := make([]float64, len(qs))
+	ref := src.Clone()
+	for i := range qs {
+		qs[i] = src.Min() + (src.Max()-src.Min())*float64(i)/float64(len(qs))
+		want[i] = ref.Sum(qs[i])
+	}
+	for round := 0; round < 20; round++ {
+		h := src.Clone() // no table yet
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, q := range qs {
+					if got := h.Sum(q); math.Float64bits(got) != math.Float64bits(want[i]) {
+						t.Errorf("Sum(%g) = %v under concurrent readers, want %v", q, got, want[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -77,15 +77,12 @@ type Report struct {
 }
 
 // SolverStats carries the MILP solver's cumulative work counters: how much
-// branch-and-bound and simplex effort the run spent, how the parallel LP
-// workers were used, and how well the model builder's cross-cycle memo
-// performed. Filled by the experiment driver from the scheduler's stats.
+// branch-and-bound and simplex effort the run spent and how well the model
+// builder's cross-cycle memo performed. Filled by the experiment driver from
+// the scheduler's stats.
 type SolverStats struct {
 	Nodes       int // branch-and-bound nodes explored
-	LPIters     int // simplex pivots of consumed node relaxations
-	Workers     int // effective LP worker-pool size of the last solve
-	SpecLPs     int // node relaxations solved speculatively by extra workers
-	SpecUsed    int // of those, consumed by the coordinator
+	LPIters     int // simplex pivots over all node relaxations
 	CacheHits   int // builder memo lookups served from cache
 	CacheMisses int // builder memo lookups computed fresh
 
@@ -114,8 +111,8 @@ func (s SolverStats) CacheHitRate() float64 {
 
 // String renders the counters as one diagnostic line.
 func (s SolverStats) String() string {
-	return fmt.Sprintf("nodes=%d lp-iters=%d workers=%d spec=%d/%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
-		s.Nodes, s.LPIters, s.Workers, s.SpecUsed, s.SpecLPs, 100*s.CacheHitRate(),
+	return fmt.Sprintf("nodes=%d lp-iters=%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
+		s.Nodes, s.LPIters, 100*s.CacheHitRate(),
 		s.PatchedCycles, s.RebuildFallbacks, s.ReusedSolves, s.WarmBasisReuses, s.IncumbentSeedHits)
 }
 
@@ -237,8 +234,6 @@ func Average(rs []Report) Report {
 		avg.FailureLostHours += r.FailureLostHours / n
 		avg.Solver.Nodes += r.Solver.Nodes
 		avg.Solver.LPIters += r.Solver.LPIters
-		avg.Solver.SpecLPs += r.Solver.SpecLPs
-		avg.Solver.SpecUsed += r.Solver.SpecUsed
 		avg.Solver.CacheHits += r.Solver.CacheHits
 		avg.Solver.CacheMisses += r.Solver.CacheMisses
 		avg.Solver.PatchedCycles += r.Solver.PatchedCycles
@@ -248,9 +243,6 @@ func Average(rs []Report) Report {
 		avg.Solver.WarmBasisReuses += r.Solver.WarmBasisReuses
 		avg.Solver.IncumbentSeedHits += r.Solver.IncumbentSeedHits
 		avg.Solver.ReusedSolves += r.Solver.ReusedSolves
-		if r.Solver.Workers > avg.Solver.Workers {
-			avg.Solver.Workers = r.Solver.Workers
-		}
 	}
 	avg.SLOJobs = int(math.Round(float64(avg.SLOJobs) / n))
 	avg.BEJobs = int(math.Round(float64(avg.BEJobs) / n))
@@ -263,8 +255,6 @@ func Average(rs []Report) Report {
 	avg.RetriesExhausted = int(math.Round(float64(avg.RetriesExhausted) / n))
 	avg.Solver.Nodes = int(math.Round(float64(avg.Solver.Nodes) / n))
 	avg.Solver.LPIters = int(math.Round(float64(avg.Solver.LPIters) / n))
-	avg.Solver.SpecLPs = int(math.Round(float64(avg.Solver.SpecLPs) / n))
-	avg.Solver.SpecUsed = int(math.Round(float64(avg.Solver.SpecUsed) / n))
 	avg.Solver.CacheHits = int(math.Round(float64(avg.Solver.CacheHits) / n))
 	avg.Solver.CacheMisses = int(math.Round(float64(avg.Solver.CacheMisses) / n))
 	avg.Solver.PatchedCycles = int(math.Round(float64(avg.Solver.PatchedCycles) / n))

@@ -2,72 +2,58 @@ package milp
 
 import "sync"
 
-// lpArena is the reusable scratch memory for one LP relaxation solve: the
-// substituted objective and rows, the tableau backing, and the simplex work
-// vectors. Branch-and-bound solves thousands of structurally-similar
-// relaxations per cycle; without pooling, allocator and GC time dominate
-// the solver profile (the seed profile spent ~40% of Fig-1 wall time in
-// mallocgc/growslice). Arenas are pooled per solveRelaxation call, so the
-// coordinator and every speculation worker hold distinct arenas.
+// lpArena is the reusable working memory of one Solve: the tableau and
+// simplex work vectors every node relaxation refills, and the
+// branch-and-bound's own scratch (recycled nodes, the open heap, the greedy
+// rounding index). Branch-and-bound solves dozens of structurally similar
+// relaxations per cycle; without reuse, allocator and GC time dominate the
+// solver profile (the seed profile spent ~40% of Fig-1 wall time in
+// mallocgc/growslice). A Solve holds one arena from start to finish and
+// nothing in it outlives the call: everything returned to the caller
+// (Solution.X, RootBasis) is copied out. Concurrent Solves (one per shard
+// domain) hold distinct arenas.
 type lpArena struct {
-	c    []float64 // substituted objective
-	rows []Row     // substituted row headers
-	idx  []int     // backing for all substituted rows' Idx
-	coef []float64 // backing for all substituted rows' Coef
+	lp   simplexLP // the current node's relaxation
+	rhs  []float64 // substituted rhs per kept row
+	keep []int     // model row index per kept row
 
-	tab    []float64   // dense tableau backing (m × (cols+1)), zeroed on use
-	tabHdr [][]float64 // dense tableau row headers
-	zrow   []float64
-	basis  []int
-	cost   []float64
-	p1     []float64 // phase-1 objective
-	w      []float64 // Devex reference weights
+	tab   []float64 // tableau backing (m × (cols+1)), zeroed on use
+	zrow  []float64
+	basis []int
+	cost  []float64
+	p1    []float64 // phase-1 objective
+	w     []float64 // Devex reference weights
+	nz    []int32   // pivot row's nonzero columns
+	nzv   []float64 // and their scaled values
 
-	// Warm-restore revert snapshot (tableau + basis before forced pivots).
+	// Warm-restore scratch: revert snapshot (tableau + basis before forced
+	// pivots) and the desired/basic column flags.
 	save      []float64
 	saveBasis []int
+	flags     []bool
 
-	spRows []spRow   // sparse row headers
-	spIdx  []int32   // sparse entry backing
-	spVal  []float64 // sparse value backing
-	spDn   []float64 // densified-row backing (segments zeroed on grab)
-	srtIdx []int32   // per-row sort scratch
-	srtVal []float64
+	// Branch-and-bound scratch.
+	open   nodeHeap
+	free   []*bbNode // recycled nodes, fixed vectors attached
+	rfix   []int8    // roundFixAndSolve's fixing vector
+	greedy greedyCtx
 }
 
 var lpArenaPool = sync.Pool{New: func() interface{} { return &lpArena{} }}
 
-// f64 returns a length-n float slice from buf, growing it as needed. The
-// contents are unspecified; callers must overwrite (or request zeroing via
-// f64z) before reading.
-func f64(buf *[]float64, n int) []float64 {
+// grow returns a length-n slice from buf, reallocating only when its capacity
+// is short. The contents are unspecified; callers must overwrite (or ask
+// growz for zeroes) before reading.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
 
-// f64z returns a length-n zeroed float slice from buf.
-func f64z(buf *[]float64, n int) []float64 {
-	s := f64(buf, n)
-	for i := range s {
-		s[i] = 0
-	}
+// growz is grow with every element zeroed.
+func growz[T any](buf *[]T, n int) []T {
+	s := grow(buf, n)
+	clear(s)
 	return s
-}
-
-// ints returns a length-n int slice from buf (contents unspecified).
-func ints(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	return (*buf)[:n]
-}
-
-// i32s returns a length-n int32 slice from buf (contents unspecified).
-func i32s(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	return (*buf)[:n]
 }

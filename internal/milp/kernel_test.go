@@ -1,0 +1,353 @@
+package milp
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// This file is the kernel-vs-reference differential: the production simplex
+// (indexed pivot rows, fixings scattered straight into the tableau) against
+// refLP (full-row pivots, packed substituted rows) on scheduling-shaped LPs.
+// The two must agree decision for decision — pivot trace, basis, iteration
+// and crash-pivot counts — and value for value (== on x and the objective),
+// which is what lets every schedule digest and solver counter survive the
+// kernel change unmoved.
+
+// diffCoverage counts the solver paths a differential run went through, so
+// each test can assert it exercised what it claims to.
+type diffCoverage struct {
+	lps, phase1, infeasible, warmTaken, warmReverted, fixedOut int
+}
+
+// diffRelax solves one node relaxation with both implementations and fails
+// the test on any difference. It returns the production result.
+func diffRelax(t *testing.T, tag string, m *Model, fixed []int8, warm []int, cov *diffCoverage) (lpResult, error) {
+	t.Helper()
+	want, wantConst, wantTrace, wantErr := refRelaxation(m, fixed, warm)
+
+	var got lpResult
+	var gotTrace []pivotRec
+	ar := &lpArena{}
+	lp, gotConst, gotErr := newNodeLP(ar, m, fixed)
+	if gotErr == nil {
+		lp.trace, lp.warm, lp.wantBasis = &gotTrace, warm, true
+		got, gotErr = lp.solve(0)
+	}
+
+	cov.lps++
+	if gotErr != wantErr {
+		t.Fatalf("%s: error %v, reference %v", tag, gotErr, wantErr)
+	}
+	if len(gotTrace) != len(wantTrace) {
+		t.Fatalf("%s: %d pivots, reference %d", tag, len(gotTrace), len(wantTrace))
+	}
+	for i := range gotTrace {
+		if gotTrace[i] != wantTrace[i] {
+			t.Fatalf("%s: pivot %d is (enter %d, leave %d), reference (enter %d, leave %d)", tag, i,
+				gotTrace[i].enter, gotTrace[i].leave, wantTrace[i].enter, wantTrace[i].leave)
+		}
+	}
+	if gotErr != nil {
+		if gotErr == ErrInfeasible {
+			cov.infeasible++
+		}
+		return got, gotErr
+	}
+	if gotConst != wantConst {
+		t.Fatalf("%s: objective constant %v, reference %v", tag, gotConst, wantConst)
+	}
+	if got.iters != want.iters || got.warmed != want.warmed {
+		t.Fatalf("%s: iters/warmed %d/%d, reference %d/%d", tag, got.iters, got.warmed, want.iters, want.warmed)
+	}
+	if got.obj != want.obj {
+		t.Fatalf("%s: objective %v, reference %v", tag, got.obj, want.obj)
+	}
+	if len(got.basis) != len(want.basis) || len(got.x) != len(want.x) {
+		t.Fatalf("%s: |basis|/|x| %d/%d, reference %d/%d", tag, len(got.basis), len(got.x), len(want.basis), len(want.x))
+	}
+	for i := range got.basis {
+		if got.basis[i] != want.basis[i] {
+			t.Fatalf("%s: basis[%d] = %d, reference %d", tag, i, got.basis[i], want.basis[i])
+		}
+	}
+	for v := range got.x {
+		if got.x[v] != want.x[v] {
+			t.Fatalf("%s: x[%d] = %v, reference %v", tag, v, got.x[v], want.x[v])
+		}
+	}
+	if lp.nArt > 0 {
+		cov.phase1++
+	}
+	for _, f := range fixed {
+		if f >= 0 {
+			cov.fixedOut++
+			break
+		}
+	}
+	if lp.nArt == 0 && hasStructural(warm, lp.n) {
+		// A structural column is never in the slack basis the LP starts
+		// from, so the restore had a pivot to force: zero crash pivots
+		// means it forced them, found a negative rhs and reverted.
+		if got.warmed > 0 {
+			cov.warmTaken++
+		} else {
+			cov.warmReverted++
+		}
+	}
+	return got, nil
+}
+
+func hasStructural(basis []int, n int) bool {
+	for _, b := range basis {
+		if b >= 0 && b < n {
+			return true
+		}
+	}
+	return false
+}
+
+// preemptShaped is schedShapedModel plus what makes the scheduler's LPs hard
+// for a simplex: preemption credits (negative objective, negative capacity
+// coefficients, so fixing placements can push a row's rhs below zero) and,
+// when mustRun is set, "this job runs somewhere" rows −Σx ≤ −1, each added
+// twice so phase 1 meets redundant rows — the first pair 17 rows apart, where
+// the rhs perturbation repeats and the two tie exactly.
+func preemptShaped(rng *rand.Rand, jobs, opts, parts, slots int, mustRun bool) *Model {
+	m := schedShapedModel(rng, jobs, opts, parts, slots)
+	nRows := len(m.rows)
+	for p := 0; p < 1+rng.Intn(3); p++ {
+		pv := m.AddVar(Binary, -(0.5 + 4*rng.Float64()), "P")
+		credit := 1 + 4*rng.Float64()
+		for ri := jobs; ri < nRows; ri++ {
+			if rng.Float64() < 0.3 {
+				r := &m.rows[ri]
+				r.Idx, r.Coef = append(r.Idx, pv), append(r.Coef, -credit)
+			}
+		}
+		m.AddLE("ub", []int{pv}, []float64{1}, 1)
+	}
+	if mustRun {
+		neg := make([]float64, opts)
+		for o := range neg {
+			neg[o] = -1
+		}
+		m.AddLE("must", m.rows[0].Idx, neg, -1)
+		for k := 0; k < 16; k++ {
+			m.AddLE("ub", []int{k % m.NumVars()}, []float64{1}, 1)
+		}
+		m.AddLE("must", m.rows[0].Idx, neg, -1)
+		for j := 2; j < jobs; j += 2 {
+			m.AddLE("must", m.rows[j].Idx, neg, -1)
+			m.AddLE("must", m.rows[j].Idx, neg, -1)
+		}
+	}
+	return m
+}
+
+// withRHS returns a copy of m whose capacity rows' right-hand sides are
+// scaled by f (the at-most-one and bound rows keep theirs).
+func withRHS(m *Model, f float64) *Model {
+	cp := *m
+	cp.rows = append([]Row(nil), m.rows...)
+	for i := range cp.rows {
+		if cp.rows[i].Name == "cap" {
+			cp.rows[i].RHS *= f
+		}
+	}
+	return &cp
+}
+
+// TestSparseDensePivotsIdentical is the root-LP arm: the kernel that walks
+// the pivot row's sparse index against the dense full-row reference on 220
+// seeded scheduling-shaped models, each solved cold, then warm from its own
+// optimal basis after the capacities moved a little (the restore holds) and
+// a lot (the restored basis is infeasible and the restore reverts).
+func TestSparseDensePivotsIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7101))
+	var cov diffCoverage
+	for trial := 0; trial < 220; trial++ {
+		m := preemptShaped(rng, 2+rng.Intn(12), 1+rng.Intn(5), 1+rng.Intn(6), 1+rng.Intn(5), false)
+		free := freeFixing(m.NumVars())
+		cold, err := diffRelax(t, "cold", m, free, nil, &cov)
+		if err != nil {
+			t.Fatalf("trial %d: bounded feasible model failed: %v", trial, err)
+		}
+		diffRelax(t, "warm, same model", m, free, cold.basis, &cov)
+		diffRelax(t, "warm, capacities nudged", withRHS(m, 0.9+0.2*rng.Float64()), free, cold.basis, &cov)
+		diffRelax(t, "warm, capacities cut", withRHS(m, 0.2), free, cold.basis, &cov)
+	}
+	if cov.warmTaken == 0 || cov.warmReverted == 0 {
+		t.Fatalf("coverage: %+v — want restores both taken and reverted", cov)
+	}
+}
+
+// TestSparseDensePivotsIdenticalNegativeRHS is the phase-1 arm: >= rows from
+// negative right-hand sides, duplicated so that every model carries
+// redundant ones, on scheduling-shaped models and on unstructured continuous
+// LPs (where infeasible draws are common).
+func TestSparseDensePivotsIdenticalNegativeRHS(t *testing.T) {
+	rng := rand.New(rand.NewSource(7102))
+	var cov diffCoverage
+	for trial := 0; trial < 60; trial++ {
+		m := preemptShaped(rng, 2+rng.Intn(10), 1+rng.Intn(4), 1+rng.Intn(5), 1+rng.Intn(4), true)
+		diffRelax(t, "must-run", m, freeFixing(m.NumVars()), nil, &cov)
+	}
+	for trial := 0; trial < 60; trial++ {
+		var m Model
+		n := 3 + rng.Intn(6)
+		for v := 0; v < n; v++ {
+			m.AddVar(Continuous, rng.Float64()*5-1, "x")
+		}
+		for r := 0; r < 2+rng.Intn(5); r++ {
+			var idx []int
+			var coef []float64
+			for v := 0; v < n; v++ {
+				if rng.Float64() < 0.6 {
+					idx = append(idx, v)
+					coef = append(coef, rng.Float64()*4-1)
+				}
+			}
+			if len(idx) == 0 {
+				continue
+			}
+			rhs := rng.Float64()*10 - 3 // some negative
+			m.AddLE("r", idx, coef, rhs)
+			if rng.Float64() < 0.3 {
+				m.AddLE("r", idx, coef, rhs)
+			}
+		}
+		diffRelax(t, "continuous", &m, freeFixing(n), nil, &cov)
+	}
+	if cov.phase1 == 0 || cov.infeasible == 0 {
+		t.Fatalf("coverage: %+v — want phase 1 and infeasible LPs", cov)
+	}
+}
+
+// TestSparseSolveMatchesDenseSolve is the branch-and-bound arm: it walks the
+// node sequence of a dive — solve, fix the most fractional binary, solve
+// again — so the two implementations meet what Solve feeds them below the
+// root: columns fixed out, rows folded into their rhs or dropped, and
+// placements fixed to 1 past a capacity that only a preemption credit can
+// pay for (negative rhs, phase 1).
+func TestSparseSolveMatchesDenseSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(7103))
+	var cov diffCoverage
+	for trial := 0; trial < 40; trial++ {
+		m := preemptShaped(rng, 3+rng.Intn(10), 2+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4), trial%4 == 0)
+		fixed := freeFixing(m.NumVars())
+		for depth := 0; depth < 40; depth++ {
+			res, err := diffRelax(t, "dive", m, fixed, nil, &cov)
+			if err != nil {
+				break
+			}
+			for v, val := range fixed {
+				if val >= 0 {
+					res.x[v] = float64(val)
+				}
+			}
+			v := mostFractionalBinary(m, res.x, 1e-6)
+			if v < 0 {
+				// Integral: keep diving by forcing a placement the LP left out.
+				for v = 0; v < m.NumVars() && fixed[v] >= 0; v++ {
+				}
+				if v == m.NumVars() {
+					break
+				}
+			}
+			fixed[v] = int8(1 - depth%3/2) // mostly up, as the solver dives
+		}
+	}
+	if cov.fixedOut == 0 || cov.phase1 == 0 || cov.infeasible == 0 {
+		t.Fatalf("coverage: %+v — want fixed-out columns, phase 1 and infeasible nodes", cov)
+	}
+}
+
+// TestSparseMixedModelWithContinuous covers the exact-shares shape —
+// binaries linked to continuous allocation variables, the models
+// roundFixAndSolve re-solves with every binary fixed — under every fixing of
+// the binaries.
+func TestSparseMixedModelWithContinuous(t *testing.T) {
+	rng := rand.New(rand.NewSource(7105))
+	var cov diffCoverage
+	for trial := 0; trial < 12; trial++ {
+		m := mixedModel(rng, 2+rng.Intn(3), 2+rng.Intn(3))
+		var bins []int
+		for v, k := range m.kinds {
+			if k == Binary {
+				bins = append(bins, v)
+			}
+		}
+		combos := 1
+		for range bins {
+			combos *= 3
+		}
+		for c := 0; c < combos; c++ {
+			fixed := freeFixing(m.NumVars())
+			for i, k := 0, c; i < len(bins); i, k = i+1, k/3 {
+				fixed[bins[i]] = int8(k%3) - 1
+			}
+			diffRelax(t, "mixed", m, fixed, nil, &cov)
+		}
+	}
+	if cov.fixedOut == 0 {
+		t.Fatalf("coverage: %+v", cov)
+	}
+}
+
+// mixedModel builds an exact-shares-shaped instance: per group one binary
+// gang indicator linked to per-partition continuous allocations.
+func mixedModel(rng *rand.Rand, groups, parts int) *Model {
+	var m Model
+	for g := 0; g < groups; g++ {
+		I := m.AddVar(Binary, 1+rng.Float64()*9, "I")
+		m.AddLE("demand", []int{I}, []float64{1}, 1)
+		idx := []int{I}
+		coef := []float64{1 + rng.Float64()*3}
+		for p := 0; p < parts; p++ {
+			a := m.AddVar(Continuous, 0, "a")
+			idx = append(idx, a)
+			coef = append(coef, -1)
+			m.AddLE("cap", []int{a}, []float64{1}, 0.5+rng.Float64()*2)
+		}
+		m.AddLE("link", idx, coef, 0)
+	}
+	return &m
+}
+
+// A node relaxation allocates what it returns and nothing else: x, plus the
+// captured basis at the root. A 48-node Solve adds its incumbent.
+func TestNodeRelaxationAllocs(t *testing.T) {
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	fixed := freeFixing(m.NumVars())
+	ar := &lpArena{}
+	for _, c := range []struct {
+		name      string
+		wantBasis bool
+		max       float64
+	}{{"node", false, 1}, {"root", true, 2}} {
+		got := testing.AllocsPerRun(50, func() {
+			if _, _, err := solveRelaxationOpt(ar, m, fixed, nil, c.wantBasis); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%s relaxation: %v allocations, want <= %v", c.name, got, c.max)
+		}
+	}
+}
+
+func TestSolveAllocs(t *testing.T) {
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	nodes := 0
+	ar := &lpArena{} // not the pool's: the race detector makes sync.Pool drop arenas at random
+	got := testing.AllocsPerRun(20, func() {
+		nodes = solveIn(ar, m, Options{MaxNodes: 48}).Nodes
+	})
+	if nodes != 48 {
+		t.Fatalf("explored %d nodes, want the full budget of 48", nodes)
+	}
+	// One x per node, the root basis, the incumbent.
+	if max := float64(nodes + 2); got > max {
+		t.Errorf("48-node Solve: %v allocations, want <= %v", got, max)
+	}
+}

@@ -36,24 +36,45 @@ type lpResult struct {
 	warmed int
 }
 
-// denseLP is a dense two-phase primal simplex instance for
+// pivotRec records one simplex pivot (tests compare traces against the
+// full-row reference kernel).
+type pivotRec struct {
+	enter, leave int
+}
+
+// simplexLP is a two-phase primal simplex over a dense row-major tableau for
 //
 //	max c·x  s.t.  A·x <= b (b of any sign), x >= 0.
 //
 // Rows with negative rhs are negated into >= rows, given a surplus column
 // and an artificial; phase 1 drives artificials to zero.
-type denseLP struct {
+//
+// Scheduler tableaus are overwhelmingly zero — each placement indicator
+// appears in one demand row and a handful of capacity rows, and more than
+// half the columns are slacks — so a pivot collects the pivot row's nonzero
+// columns once, while scaling it, and every row update walks that list
+// instead of the whole row. Skipping an exact zero leaves every stored value
+// as it was (t − f·0 = t), so the pivot sequence is the one the plain
+// full-row pivot produces; reference_test.go keeps that kernel and
+// kernel_test.go compares the two trace for trace.
+type simplexLP struct {
 	m, n    int // constraint rows, structural columns
 	cols    int // total columns incl. slack/surplus + artificials
 	nArt    int
-	tab     [][]float64 // m rows × (cols+1); last column is rhs
-	zrow    []float64   // reduced costs, length cols+1 (last is -objective)
-	basis   []int       // basis[i] = column basic in row i
-	cost    []float64   // phase-2 cost per column (structural only nonzero)
-	artCol0 int         // first artificial column index
+	stride  int       // cols+1; the last column of a row is its rhs
+	tab     []float64 // m × stride, row-major
+	zrow    []float64 // reduced costs, length cols+1 (last is -objective)
+	basis   []int     // basis[i] = column basic in row i
+	cost    []float64 // phase-2 cost per column (structural only nonzero)
+	artCol0 int       // first artificial column index
 	iters   int
 	trace   *[]pivotRec // optional pivot trace (tests)
-	ar      *lpArena    // scratch backing for tab/zrow/basis/cost/w
+	ar      *lpArena    // scratch backing for everything here
+
+	// The pivot row's nonzero columns (ascending, rhs column included) and
+	// their scaled values, refilled by every pivot; capacity stride.
+	nz  []int32
+	nzv []float64
 
 	// warm, when non-nil, is a previous optimum's basis used to crash-start
 	// phase 2; wantBasis asks solve to capture the optimal basis into the
@@ -62,82 +83,25 @@ type denseLP struct {
 	wantBasis bool
 }
 
-// newDenseLP builds the tableau from fixed (substituted) model data:
-// objective c over n structural vars, sparse rows.
-func newDenseLP(c []float64, rows []Row) *denseLP {
-	return newDenseLPWith(c, rows, &lpArena{})
+// row returns tableau row i, rhs included.
+func (lp *simplexLP) row(i int) []float64 {
+	return lp.tab[i*lp.stride : (i+1)*lp.stride : (i+1)*lp.stride]
 }
 
-// newDenseLPWith is newDenseLP drawing all working memory from ar, which must
-// stay untouched by other LP instances until solve returns (the returned
-// lpResult.x is freshly allocated and safe to retain).
-func newDenseLPWith(c []float64, rows []Row, ar *lpArena) *denseLP {
-	m, n := len(rows), len(c)
-	lp := &denseLP{m: m, n: n, ar: ar}
-	// Count artificials: one per negative-rhs row.
-	for _, r := range rows {
-		if r.RHS < 0 {
-			lp.nArt++
-		}
-	}
-	lp.cols = n + m + lp.nArt
-	lp.artCol0 = n + m
-	stride := lp.cols + 1
-	bk := f64z(&ar.tab, m*stride)
-	if cap(ar.tabHdr) < m {
-		ar.tabHdr = make([][]float64, m)
-	}
-	lp.tab = ar.tabHdr[:m]
-	lp.basis = ints(&ar.basis, m)
-	lp.cost = f64(&ar.cost, lp.cols)
-	copy(lp.cost, c)
-	for j := n; j < lp.cols; j++ {
-		lp.cost[j] = 0
-	}
-	art := lp.artCol0
-	for i, r := range rows {
-		row := bk[i*stride : (i+1)*stride : (i+1)*stride]
-		neg := r.RHS < 0
-		sign := 1.0
-		if neg {
-			sign = -1
-		}
-		for k, id := range r.Idx {
-			row[id] += sign * r.Coef[k]
-		}
-		row[lp.cols] = sign * r.RHS
-		if neg {
-			// Negated row is >=: surplus with coefficient -1, artificial +1.
-			row[n+i] = -1
-			row[art] = 1
-			lp.basis[i] = art
-			art++
-		} else {
-			row[n+i] = 1
-			lp.basis[i] = n + i
-		}
-		// Deterministic RHS perturbation breaks degenerate ties that would
-		// otherwise stall the Dantzig rule; the error it introduces is far
-		// below the integrality and feasibility tolerances.
-		row[lp.cols] += perturb * float64(1+i%17)
-		lp.tab[i] = row
-	}
-	return lp
-}
-
-// solve runs both phases and returns the optimal structural solution.
-func (lp *denseLP) solve(maxIter int) (lpResult, error) {
+// solve runs both phases and returns the optimal structural solution. The
+// returned x (and basis) are freshly allocated and safe to retain.
+func (lp *simplexLP) solve(maxIter int) (lpResult, error) {
 	if maxIter <= 0 {
 		maxIter = 200 * (lp.m + lp.n + 10)
 	}
 	if lp.nArt > 0 {
 		// Phase 1: maximize -(sum of artificials).
-		p1 := f64z(&lp.ar.p1, lp.cols)
+		p1 := growz(&lp.ar.p1, lp.cols)
 		for j := lp.artCol0; j < lp.cols; j++ {
 			p1[j] = -1
 		}
 		lp.initZ(p1)
-		if err := lp.iterate(p1, maxIter, lp.cols); err != nil {
+		if err := lp.iterate(maxIter, lp.cols); err != nil {
 			if errors.Is(err, ErrUnbounded) {
 				// Phase-1 objective is bounded by construction; treat as numeric trouble.
 				return lpResult{}, ErrIterLimit
@@ -157,13 +121,13 @@ func (lp *denseLP) solve(maxIter int) (lpResult, error) {
 		warmed = lp.restore(lp.warm)
 	}
 	lp.initZ(lp.cost)
-	if err := lp.iterate(lp.cost, maxIter, lp.artCol0); err != nil {
+	if err := lp.iterate(maxIter, lp.artCol0); err != nil {
 		return lpResult{}, err
 	}
 	x := make([]float64, lp.n)
 	for i, b := range lp.basis {
 		if b < lp.n {
-			x[b] = lp.tab[i][lp.cols]
+			x[b] = lp.tab[i*lp.stride+lp.cols]
 		}
 	}
 	obj := 0.0
@@ -197,10 +161,10 @@ const restoreTol = 1e-7
 // the solve then proceeds cold from the slack basis it started with.
 // Fully deterministic: columns enter in ascending index order, the pivot row
 // maximizes |element| with lowest-index tie-break, and the feasibility
-// verdict is a pure function of the (tableau, warm) pair — so every worker
-// count sees the same pivots.
-func (lp *denseLP) restore(warm []int) int {
-	desired := make([]bool, lp.cols)
+// verdict is a pure function of the (tableau, warm) pair.
+func (lp *simplexLP) restore(warm []int) int {
+	flags := growz(&lp.ar.flags, 2*lp.cols)
+	desired, basic := flags[:lp.cols], flags[lp.cols:]
 	cnt := 0
 	for _, v := range warm {
 		// Structural and slack columns only; artificial entries (redundant
@@ -213,14 +177,10 @@ func (lp *denseLP) restore(warm []int) int {
 	if cnt == 0 {
 		return 0
 	}
-	m, stride := lp.m, lp.cols+1
-	save := f64(&lp.ar.save, m*stride)
-	for i := 0; i < m; i++ {
-		copy(save[i*stride:(i+1)*stride], lp.tab[i])
-	}
-	saveBasis := ints(&lp.ar.saveBasis, m)
+	save := grow(&lp.ar.save, len(lp.tab))
+	copy(save, lp.tab)
+	saveBasis := grow(&lp.ar.saveBasis, lp.m)
 	copy(saveBasis, lp.basis)
-	basic := make([]bool, lp.cols)
 	for _, b := range lp.basis {
 		basic[b] = true
 	}
@@ -231,11 +191,11 @@ func (lp *denseLP) restore(warm []int) int {
 		}
 		leave := -1
 		best := restoreTol
-		for i := 0; i < m; i++ {
+		for i := 0; i < lp.m; i++ {
 			if desired[lp.basis[i]] {
 				continue // never evict a column the warm basis keeps
 			}
-			if a := math.Abs(lp.tab[i][j]); a > best {
+			if a := math.Abs(lp.tab[i*lp.stride+j]); a > best {
 				best, leave = a, i
 			}
 		}
@@ -247,13 +207,11 @@ func (lp *denseLP) restore(warm []int) int {
 		basic[j] = true
 		pivots++
 	}
-	for i := 0; i < m; i++ {
-		if lp.tab[i][lp.cols] < -feasTol {
+	for i := 0; i < lp.m; i++ {
+		if lp.tab[i*lp.stride+lp.cols] < -feasTol {
 			// The restored basis is infeasible for this cycle's values:
 			// revert to the pristine slack basis and solve cold.
-			for r := 0; r < m; r++ {
-				copy(lp.tab[r], save[r*stride:(r+1)*stride])
-			}
+			copy(lp.tab, save)
 			copy(lp.basis, saveBasis)
 			return 0
 		}
@@ -262,37 +220,63 @@ func (lp *denseLP) restore(warm []int) int {
 	return pivots
 }
 
-// forcePivot is pivot without the reduced-cost row update: restore runs
-// before initZ prices the basis, so there is no zrow to maintain yet.
-func (lp *denseLP) forcePivot(r, e int) {
-	row := lp.tab[r]
-	p := row[e]
-	inv := 1 / p
-	for j := 0; j <= lp.cols; j++ {
-		row[j] *= inv
+// forcePivot performs a Gauss-Jordan pivot on (row r, column e) over the
+// constraint rows and returns the pivot row's nonzero columns and their
+// scaled values, for pivot to finish the reduced-cost row with. restore
+// calls it directly: it runs before initZ prices the basis, so there is no
+// zrow to maintain yet.
+func (lp *simplexLP) forcePivot(r, e int) ([]int32, []float64) {
+	row := lp.row(r)
+	inv := 1 / row[e]
+	nz, nzv := lp.nz[:len(row)], lp.nzv[:len(row)]
+	k := 0
+	for j, v := range row {
+		if v == 0 {
+			continue
+		}
+		v *= inv
+		if j == e {
+			v = 1 // exact
+		}
+		row[j] = v
+		nz[k], nzv[k] = int32(j), v
+		k++
 	}
-	row[e] = 1 // exact
+	nz, nzv = nz[:k], nzv[:k]
 	for i := 0; i < lp.m; i++ {
 		if i == r {
 			continue
 		}
-		f := lp.tab[i][e]
+		ti := lp.row(i)
+		f := ti[e]
 		if f == 0 {
 			continue
 		}
-		ti := lp.tab[i]
-		for j := 0; j <= lp.cols; j++ {
-			ti[j] -= f * row[j]
+		for k, j := range nz {
+			ti[j] -= f * nzv[k]
 		}
 		ti[e] = 0
 	}
 	lp.basis[r] = e
+	return nz, nzv
+}
+
+// pivot is forcePivot plus the reduced-cost row update.
+func (lp *simplexLP) pivot(r, e int) ([]int32, []float64) {
+	nz, nzv := lp.forcePivot(r, e)
+	if f := lp.zrow[e]; f != 0 {
+		for k, j := range nz {
+			lp.zrow[j] -= f * nzv[k]
+		}
+		lp.zrow[e] = 0
+	}
+	return nz, nzv
 }
 
 // initZ recomputes the reduced-cost row for the given column costs by
 // pricing out the current basis: z_j = c_B·T_j − c_j.
-func (lp *denseLP) initZ(c []float64) {
-	lp.zrow = f64(&lp.ar.zrow, lp.cols+1)
+func (lp *simplexLP) initZ(c []float64) {
+	lp.zrow = grow(&lp.ar.zrow, lp.cols+1)
 	for j := 0; j < lp.cols; j++ {
 		lp.zrow[j] = -c[j]
 	}
@@ -302,9 +286,10 @@ func (lp *denseLP) initZ(c []float64) {
 		if cb == 0 {
 			continue
 		}
-		row := lp.tab[i]
-		for j := 0; j <= lp.cols; j++ {
-			lp.zrow[j] += cb * row[j]
+		for j, v := range lp.row(i) {
+			if v != 0 {
+				lp.zrow[j] += cb * v
+			}
 		}
 	}
 }
@@ -313,11 +298,11 @@ func (lp *denseLP) initZ(c []float64) {
 // >= colLimit are barred from entering (used to freeze artificials in
 // phase 2). Devex pricing (a steepest-edge approximation) with a Bland
 // fallback for anti-cycling.
-func (lp *denseLP) iterate(c []float64, maxIter, colLimit int) error {
+func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 	noImprove := 0
 	lastObj := math.Inf(-1)
 	// Devex reference weights.
-	w := f64(&lp.ar.w, lp.cols)
+	w := grow(&lp.ar.w, lp.cols)
 	for j := range w {
 		w[j] = 1
 	}
@@ -334,8 +319,7 @@ func (lp *denseLP) iterate(c []float64, maxIter, colLimit int) error {
 			}
 		} else {
 			best := 0.0
-			for j := 0; j < colLimit; j++ {
-				d := lp.zrow[j]
+			for j, d := range lp.zrow[:colLimit] {
 				if d >= -zeroTol {
 					continue
 				}
@@ -355,11 +339,11 @@ func (lp *denseLP) iterate(c []float64, maxIter, colLimit int) error {
 		bestRatio := math.Inf(1)
 		bestPiv := 0.0
 		for i := 0; i < lp.m; i++ {
-			a := lp.tab[i][enter]
+			a := lp.tab[i*lp.stride+enter]
 			if a <= pivTol {
 				continue
 			}
-			ratio := lp.tab[i][lp.cols] / a
+			ratio := lp.tab[i*lp.stride+lp.cols] / a
 			switch {
 			case ratio < bestRatio-1e-12:
 				bestRatio, bestPiv, leave = ratio, a, i
@@ -380,17 +364,21 @@ func (lp *denseLP) iterate(c []float64, maxIter, colLimit int) error {
 			*lp.trace = append(*lp.trace, pivotRec{enter, leave})
 		}
 		oldBasic := lp.basis[leave]
-		pivVal := lp.tab[leave][enter]
-		lp.pivot(leave, enter)
-		// Devex weight update using the normalized pivot row.
+		pivVal := lp.tab[leave*lp.stride+enter]
+		nz, nzv := lp.pivot(leave, enter)
+		// Devex weight update using the normalized pivot row (nz ascends, so
+		// the barred columns and the rhs sit at its tail).
 		we := w[enter]
-		row := lp.tab[leave]
 		maxW := 1.0
-		for j := 0; j < colLimit; j++ {
-			if j == enter || row[j] == 0 {
+		for k, j32 := range nz {
+			j := int(j32)
+			if j >= colLimit {
+				break
+			}
+			if j == enter {
 				continue
 			}
-			if t := row[j] * row[j] * we; t > w[j] {
+			if t := nzv[k] * nzv[k] * we; t > w[j] {
 				w[j] = t
 				if t > maxW {
 					maxW = t
@@ -416,48 +404,15 @@ func (lp *denseLP) iterate(c []float64, maxIter, colLimit int) error {
 	return ErrIterLimit
 }
 
-// pivot performs a Gauss-Jordan pivot on (row r, column e).
-func (lp *denseLP) pivot(r, e int) {
-	row := lp.tab[r]
-	p := row[e]
-	inv := 1 / p
-	for j := 0; j <= lp.cols; j++ {
-		row[j] *= inv
-	}
-	row[e] = 1 // exact
-	for i := 0; i < lp.m; i++ {
-		if i == r {
-			continue
-		}
-		f := lp.tab[i][e]
-		if f == 0 {
-			continue
-		}
-		ti := lp.tab[i]
-		for j := 0; j <= lp.cols; j++ {
-			ti[j] -= f * row[j]
-		}
-		ti[e] = 0
-	}
-	f := lp.zrow[e]
-	if f != 0 {
-		for j := 0; j <= lp.cols; j++ {
-			lp.zrow[j] -= f * row[j]
-		}
-		lp.zrow[e] = 0
-	}
-	lp.basis[r] = e
-}
-
 // purgeArtificials pivots any artificial still basic (at value ~0) out of
 // the basis where possible; rows where no pivot exists are redundant and
 // are zeroed so they cannot affect phase 2.
-func (lp *denseLP) purgeArtificials() {
+func (lp *simplexLP) purgeArtificials() {
 	for i := 0; i < lp.m; i++ {
 		if lp.basis[i] < lp.artCol0 {
 			continue
 		}
-		row := lp.tab[i]
+		row := lp.row(i)
 		done := false
 		for j := 0; j < lp.artCol0 && !done; j++ {
 			if math.Abs(row[j]) > pivTol {
@@ -467,7 +422,7 @@ func (lp *denseLP) purgeArtificials() {
 		}
 		if !done {
 			// Redundant row: neutralize it.
-			for j := 0; j <= lp.cols; j++ {
+			for j := range row {
 				row[j] = 0
 			}
 			row[lp.basis[i]] = 1

@@ -3,10 +3,7 @@ package milp
 import (
 	"container/heap"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -65,35 +62,23 @@ type Options struct {
 	// column basic in LP row i, slacks at NumVars+i) used to crash-start the
 	// root relaxation. The scheduler carries each cycle's root basis into the
 	// next cycle's solve when the model structure is unchanged (DESIGN.md
-	// §12). The crash is deterministic and applied identically by whichever
-	// worker solves the root LP, so the any-worker-count reproducibility
-	// guarantee below is preserved; a stale or mismatched basis degrades to
-	// extra simplex pivots, never to an incorrect result.
+	// §12). The crash is deterministic; a stale or mismatched basis degrades
+	// to extra simplex pivots, never to an incorrect result.
 	WarmBasis []int
-	// Workers sets the LP worker-pool size (default GOMAXPROCS). Workers
-	// beyond the first speculatively solve the LP relaxations of open
-	// nodes; the exploration itself — node order, pruning, incumbent
-	// updates, branching — is committed by a single coordinator in the
-	// exact order a sequential run would use, so for runs that terminate
-	// on the node budget or on proved optimality the returned solution is
-	// identical for every worker count (see DESIGN.md "Solver
-	// architecture"). Deadline-terminated runs stop at a timing-dependent
-	// node and are exempt from that guarantee (with any worker count).
-	Workers int
 }
 
-// Solution is the result of Solve.
+// Solution is the result of Solve. The search is sequential and a pure
+// function of the model and options, so runs that terminate on the node
+// budget or on proved optimality return the identical Solution every time;
+// deadline-terminated runs stop at a timing-dependent node and are exempt.
 type Solution struct {
 	Status     Status
 	X          []float64 // length NumVars; binaries are exact 0/1
 	Objective  float64
 	Nodes      int           // branch-and-bound nodes explored
-	LPIters    int           // simplex pivots of consumed node relaxations (deterministic)
+	LPIters    int           // simplex pivots over all node relaxations
 	Bound      float64       // best remaining upper bound at stop time
 	Elapsed    time.Duration // wall-clock solve time
-	Workers    int           // effective worker-pool size
-	SpecLPs    int           // node relaxations solved by speculation workers
-	SpecUsed   int           // of those, consumed by the coordinator
 	RootBasis  []int         // root relaxation's optimal basis (warm-start feed for the next solve)
 	WarmPivots int           // crash pivots applied from Options.WarmBasis (0 = cold root solve)
 	SeedUsed   bool          // Options.Seed was feasible and installed as the initial incumbent
@@ -107,40 +92,36 @@ func (s *Solution) Value(v int) float64 {
 	return s.X[v]
 }
 
-// LP computation states of a node (atomic).
-const (
-	lpUnclaimed int32 = iota
-	lpInFlight
-	lpDone
-)
-
+// bbNode is one open subproblem. Nodes and their fixed vectors are recycled
+// through the arena's free list: one lives from the push that creates it to
+// the pop that expands or prunes it.
 type bbNode struct {
 	fixed  []int8  // per-var fixing: -1 free, 0/1 fixed
 	bound  float64 // parent LP bound (upper bound on this subtree)
 	depth  int
 	branch int8 // value this node fixed at its branching variable
-
-	// LP relaxation result, computed once — inline by the coordinator or
-	// speculatively by a worker. state transitions lpUnclaimed →
-	// lpInFlight (CAS by whoever claims it) → lpDone; done is closed when
-	// res/objC/err are published.
-	state int32
-	done  chan struct{}
-	res   lpResult
-	objC  float64
-	err   error
-	spec  bool // solved by a speculation worker
-
-	// Root-only warm-start plumbing: warm is the crash basis hint and
-	// wantBasis requests capture of the optimal basis. Kept on the node (not
-	// read from Options at solve time) so a speculation worker that claims
-	// the root produces bitwise-identical results to the coordinator.
-	warm      []int
-	wantBasis bool
 }
 
-func newBBNode(fixed []int8, bound float64, depth int, branch int8) *bbNode {
-	return &bbNode{fixed: fixed, bound: bound, depth: depth, branch: branch, done: make(chan struct{})}
+// node returns a recycled (or new) node whose fixed vector is a copy of
+// fixed with variable v set to val (v < 0: all free, the root).
+func (ar *lpArena) node(n int, fixed []int8, v int, val int8, bound float64, depth int) *bbNode {
+	var nd *bbNode
+	if k := len(ar.free); k > 0 {
+		nd, ar.free = ar.free[k-1], ar.free[:k-1]
+	} else {
+		nd = &bbNode{}
+	}
+	nd.fixed = grow(&nd.fixed, n)
+	if v < 0 {
+		for i := range nd.fixed {
+			nd.fixed[i] = -1
+		}
+	} else {
+		copy(nd.fixed, fixed)
+		nd.fixed[v] = val
+	}
+	nd.bound, nd.depth, nd.branch = bound, depth, val
+	return nd
 }
 
 // nodeHeap orders nodes depth-first (deepest first, "1" children pushed
@@ -171,23 +152,17 @@ func (h *nodeHeap) Pop() interface{} {
 	return it
 }
 
-// bbState is the search state shared between the coordinator and the
-// speculation workers.
-type bbState struct {
-	m  *Model
-	mu sync.Mutex
-	// cond signals workers when nodes are pushed or the search stops.
-	cond    *sync.Cond
-	open    nodeHeap // guarded by mu
-	incObj  float64  // guarded by mu; workers read for advisory pruning only
-	stopped bool     // guarded by mu
-
-	specLPs int64 // atomic
-}
-
 // Solve optimizes the model. It never panics on well-formed input; numeric
 // trouble degrades to the best incumbent with Status Feasible/NoSolution.
+// Safe for concurrent use on distinct or shared (read-only) models.
 func Solve(m *Model, opts Options) Solution {
+	ar := lpArenaPool.Get().(*lpArena)
+	defer lpArenaPool.Put(ar)
+	return solveIn(ar, m, opts)
+}
+
+// solveIn is Solve with all working memory drawn from ar.
+func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 	if opts.Now == nil {
 		//lint:allow wallclock default time source for standalone solves; deterministic callers inject a virtual clock via Options.Now
 		opts.Now = time.Now
@@ -211,10 +186,6 @@ func Solve(m *Model, opts Options) Solution {
 	if opts.IntTol <= 0 {
 		opts.IntTol = 1e-6
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	sol.Workers = opts.Workers
 
 	var incumbent []float64
 	incObj := math.Inf(-1)
@@ -227,8 +198,8 @@ func Solve(m *Model, opts Options) Solution {
 	// better objectives always win; objective ties (within 1e-12) go to the
 	// lexicographically smallest solution vector, so the final incumbent
 	// does not depend on the order in which equal-quality leaves were
-	// discovered.
-	updateIncumbent := func(st *bbState, x []float64, obj float64) {
+	// discovered. x is copied: callers pass scratch.
+	updateIncumbent := func(x []float64, obj float64) {
 		better := obj > incObj+1e-12
 		tie := !better && incumbent != nil && obj >= incObj-1e-12 && lexLess(x, incumbent)
 		if !better && !tie {
@@ -237,70 +208,41 @@ func Solve(m *Model, opts Options) Solution {
 		if obj > incObj {
 			incObj = obj
 		}
-		incumbent = append(incumbent[:0:0], x...)
-		st.mu.Lock()
-		st.incObj = incObj
-		st.mu.Unlock()
+		incumbent = append(incumbent[:0], x...)
 	}
 
 	deadline := func() bool {
 		return !opts.Deadline.IsZero() && opts.Now().After(opts.Deadline)
 	}
 
-	st := &bbState{m: m, incObj: incObj}
-	st.cond = sync.NewCond(&st.mu)
-	rootFixed := make([]int8, n)
-	for i := range rootFixed {
-		rootFixed[i] = -1
-	}
-	root := newBBNode(rootFixed, math.Inf(1), 0, 0)
-	root.warm = opts.WarmBasis
-	root.wantBasis = true
-	st.open = nodeHeap{root}
-	heap.Init(&st.open)
-	greedy := newGreedyCtx(m)
-
-	// Speculation workers: each repeatedly claims the most promising
-	// unclaimed open node and solves its LP relaxation ahead of the
-	// coordinator. They influence only wall-clock time, never the result.
-	var wg sync.WaitGroup
-	for w := 1; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st.speculate()
-		}()
-	}
-	stopWorkers := func() {
-		st.mu.Lock()
-		st.stopped = true
-		st.mu.Unlock()
-		st.cond.Broadcast()
-		wg.Wait()
-	}
+	open := ar.open[:0]
+	heap.Push(&open, ar.node(n, nil, -1, 0, math.Inf(1), 0))
+	greedy := &ar.greedy
+	greedy.reset(m)
 
 	provedOpt := false
-	var pending *bbNode // popped but not yet expanded when the search stops
+	pendingBound := math.Inf(-1) // bound of a node popped but not expanded when the search stops
 	gapTerm := func() float64 { return incObj + opts.Gap*math.Max(1, math.Abs(incObj)) }
 
+	var node *bbNode
 	for {
-		st.mu.Lock()
-		if st.open.Len() == 0 {
-			st.mu.Unlock()
+		if node != nil {
+			ar.free = append(ar.free, node) // the previous iteration's, now dead
+			node = nil
+		}
+		if open.Len() == 0 {
 			provedOpt = true
 			break
 		}
 		if sol.Nodes >= opts.MaxNodes {
-			st.mu.Unlock()
 			break
 		}
-		node := heap.Pop(&st.open).(*bbNode)
-		st.mu.Unlock()
+		node = heap.Pop(&open).(*bbNode)
 		if deadline() {
-			// Popped but not expanded: remember it so its bound still
+			// Popped but not expanded: remember its bound so it still
 			// counts toward sol.Bound (a drained heap must not make a
 			// budget-truncated solve look proved-optimal).
-			pending = node
+			pendingBound = node.bound
 			break
 		}
 		if node.bound <= gapTerm() {
@@ -310,24 +252,26 @@ func Solve(m *Model, opts Options) Solution {
 			continue
 		}
 		sol.Nodes++
-		ensureLP(m, node)
-		sol.LPIters += node.res.iters
-		if node.spec {
-			sol.SpecUsed++
+		root := node.depth == 0
+		var warm []int
+		if root {
+			warm = opts.WarmBasis
 		}
-		if node.wantBasis && node.err == nil {
-			sol.RootBasis = node.res.basis
-			sol.WarmPivots = node.res.warmed
-		}
-		if node.err != nil {
+		res, objC, err := solveRelaxationOpt(ar, m, node.fixed, warm, root)
+		sol.LPIters += res.iters
+		if err != nil {
 			continue // infeasible or numerically dead subtree: prune
 		}
-		lpObj := node.res.obj + node.objC
+		if root {
+			sol.RootBasis = res.basis
+			sol.WarmPivots = res.warmed
+		}
+		lpObj := res.obj + objC
 		if lpObj <= gapTerm() {
 			continue
 		}
 		// Patch fixed values into the relaxation solution.
-		x := append([]float64(nil), node.res.x...)
+		x := res.x
 		for v, val := range node.fixed {
 			if val >= 0 {
 				x[v] = float64(val)
@@ -346,9 +290,9 @@ func Solve(m *Model, opts Options) Solution {
 				}
 			}
 			if obj := m.Objective(x); m.Feasible(x, feasTol) {
-				updateIncumbent(st, x, obj)
-			} else if rx, ok := roundFixAndSolve(m, x); ok {
-				updateIncumbent(st, rx, m.Objective(rx))
+				updateIncumbent(x, obj)
+			} else if rx, ok := roundFixAndSolve(ar, m, x); ok {
+				updateIncumbent(rx, m.Objective(rx))
 			}
 			continue
 		}
@@ -356,25 +300,28 @@ func Solve(m *Model, opts Options) Solution {
 		// selection for all-binary models, fix-and-solve for mixed models
 		// (round every binary to its nearest integer, then let one more LP
 		// set the continuous variables).
-		if rx, ok := roundGreedy(m, x, node.fixed, greedy); ok {
-			updateIncumbent(st, rx, m.Objective(rx))
-		} else if rx, ok := roundFixAndSolve(m, x); ok {
-			updateIncumbent(st, rx, m.Objective(rx))
+		if rx, ok := greedy.round(m, x, node.fixed); ok {
+			updateIncumbent(rx, m.Objective(rx))
+		} else if rx, ok := roundFixAndSolve(ar, m, x); ok {
+			updateIncumbent(rx, m.Objective(rx))
 		}
-		st.mu.Lock()
-		for _, val := range []int8{0, 1} {
-			fixed := make([]int8, n)
-			copy(fixed, node.fixed)
-			fixed[frac] = val
-			heap.Push(&st.open, newBBNode(fixed, lpObj, node.depth+1, val))
+		for val := int8(0); val <= 1; val++ {
+			heap.Push(&open, ar.node(n, node.fixed, frac, val, lpObj, node.depth+1))
 		}
-		st.mu.Unlock()
-		st.cond.Broadcast()
 	}
-	stopWorkers()
-	sol.SpecLPs = int(atomic.LoadInt64(&st.specLPs))
+	if node != nil {
+		ar.free = append(ar.free, node)
+	}
 
 	sol.Elapsed = opts.Now().Sub(start)
+	best := math.Max(incObj, pendingBound)
+	for _, nd := range open {
+		if nd.bound > best {
+			best = nd.bound
+		}
+	}
+	ar.free = append(ar.free, open...)
+	ar.open = open[:0]
 	if incumbent == nil {
 		if provedOpt {
 			sol.Status = Infeasible
@@ -388,81 +335,9 @@ func Solve(m *Model, opts Options) Solution {
 		sol.Bound = incObj
 	} else {
 		sol.Status = Feasible
-		best := incObj
-		for _, nd := range st.open {
-			if nd.bound > best {
-				best = nd.bound
-			}
-		}
-		if pending != nil && pending.bound > best {
-			best = pending.bound
-		}
 		sol.Bound = best
 	}
 	return sol
-}
-
-// ensureLP produces node's LP relaxation result: the caller solves it inline
-// if no worker has claimed the node, otherwise it waits for the in-flight
-// speculative solve. Either way node.res/objC/err are valid on return.
-func ensureLP(m *Model, node *bbNode) {
-	if atomic.CompareAndSwapInt32(&node.state, lpUnclaimed, lpInFlight) {
-		node.res, node.objC, node.err = solveRelaxationOpt(m, node.fixed, node.warm, node.wantBasis)
-		atomic.StoreInt32(&node.state, lpDone)
-		close(node.done)
-		return
-	}
-	<-node.done
-}
-
-// speculate is the worker loop: claim the most promising unclaimed open
-// node, solve its relaxation, publish, repeat. Claims skip nodes already
-// dominated by the shared incumbent — an advisory read that saves work but
-// cannot change what the coordinator commits.
-func (st *bbState) speculate() {
-	for {
-		st.mu.Lock()
-		var node *bbNode
-		for {
-			if st.stopped {
-				st.mu.Unlock()
-				return
-			}
-			node = st.claimLocked()
-			if node != nil {
-				break
-			}
-			st.cond.Wait()
-		}
-		st.mu.Unlock()
-		node.spec = true
-		node.res, node.objC, node.err = solveRelaxationOpt(st.m, node.fixed, node.warm, node.wantBasis)
-		atomic.AddInt64(&st.specLPs, 1)
-		atomic.StoreInt32(&node.state, lpDone)
-		close(node.done)
-	}
-}
-
-// claimLocked picks the unclaimed open node the coordinator is most likely
-// to pop next (heap order) and marks it in-flight. Caller holds st.mu.
-func (st *bbState) claimLocked() *bbNode {
-	var best *bbNode
-	var bestAt int
-	for i, nd := range st.open {
-		if atomic.LoadInt32(&nd.state) != lpUnclaimed {
-			continue
-		}
-		if nd.bound <= st.incObj { // advisory: will be pruned anyway
-			continue
-		}
-		if best == nil || st.open.Less(i, bestAt) {
-			best, bestAt = nd, i
-		}
-	}
-	if best != nil && atomic.CompareAndSwapInt32(&best.state, lpUnclaimed, lpInFlight) {
-		return best
-	}
-	return nil
 }
 
 // lexLess reports whether a is lexicographically smaller than b (the
@@ -480,130 +355,122 @@ func lexLess(a, b []float64) bool {
 	return len(a) < len(b)
 }
 
-// lpSizeSparseCutoff is the tableau footprint (rows × columns) above which
-// solveRelaxation switches from the dense tableau to the sparse-row simplex.
-// Below it the dense path's contiguous arrays win on constant factors.
-const lpSizeSparseCutoff = 8192
-
-// lpForce overrides the dense/sparse choice in tests and microbenchmarks:
-// 0 = auto, 1 = always dense, 2 = always sparse.
-var lpForce int32
-
-// LP-representation override modes for DebugForceLP.
-const (
-	LPAuto   int32 = 0
-	LPDense  int32 = 1
-	LPSparse int32 = 2
-)
-
-// DebugForceLP overrides the dense/sparse LP-representation choice for every
-// subsequent relaxation solve and returns the previous mode. It exists for
-// the differential solver oracle (internal/check), which cross-checks the
-// hybrid auto-selected path against a forced dense reference; restore the
-// returned mode when done. Not for production use.
-func DebugForceLP(mode int32) int32 { return atomic.SwapInt32(&lpForce, mode) }
-
-// useSparseLP decides the representation for one relaxation: sparse when the
-// tableau is big and the structural matrix thin (scheduler instances: every
-// indicator sits in one demand row plus a few capacity rows), dense
-// otherwise.
-func useSparseLP(n int, rows []Row) bool {
-	switch atomic.LoadInt32(&lpForce) {
-	case 1:
-		return false
-	case 2:
-		return true
-	}
-	m := len(rows)
-	if m == 0 || n == 0 || m*(n+m) < lpSizeSparseCutoff {
-		return false
-	}
-	nnz := 0
-	for _, r := range rows {
-		nnz += len(r.Idx)
-	}
-	return nnz*3 <= m*n
-}
-
 // solveRelaxation builds and solves the LP relaxation of m with the given
 // variables fixed (substituted out). fixed is indexed by variable: -1 free,
 // 0/1 fixed; it must have length NumVars. Returns the LP result plus the
 // objective constant contributed by fixed variables and the model constant.
-// It is safe for concurrent use: every call draws its working memory from a
-// pooled arena, so parallel speculation workers never share LP state.
 func solveRelaxation(m *Model, fixed []int8) (lpResult, float64, error) {
-	return solveRelaxationOpt(m, fixed, nil, false)
-}
-
-// solveRelaxationOpt is solveRelaxation with root-LP warm-start plumbing:
-// warm, when non-nil, crash-starts the simplex from a previous optimum's
-// basis (this forces the dense representation, whose pivot sequence the
-// sparse path reproduces bitwise anyway, so the choice cannot change the
-// result); wantBasis captures the optimal basis into the lpResult.
-func solveRelaxationOpt(m *Model, fixed []int8, warm []int, wantBasis bool) (lpResult, float64, error) {
-	n := m.NumVars()
 	ar := lpArenaPool.Get().(*lpArena)
 	defer lpArenaPool.Put(ar)
-	c := f64(&ar.c, n)
-	copy(c, m.obj)
+	return solveRelaxationOpt(ar, m, fixed, nil, false)
+}
+
+// solveRelaxationOpt is solveRelaxation on the caller's arena with root-LP
+// warm-start plumbing: warm, when non-nil, crash-starts the simplex from a
+// previous optimum's basis; wantBasis captures the optimal basis into the
+// lpResult.
+func solveRelaxationOpt(ar *lpArena, m *Model, fixed []int8, warm []int, wantBasis bool) (lpResult, float64, error) {
+	lp, objConst, err := newNodeLP(ar, m, fixed)
+	if err != nil {
+		return lpResult{}, 0, err
+	}
+	lp.warm, lp.wantBasis = warm, wantBasis
+	res, err := lp.solve(0)
+	return res, objConst, err
+}
+
+// newNodeLP assembles a node's relaxation in ar: the fixings are substituted
+// straight into the zeroed tableau. The returned LP lives in ar and is valid
+// until the arena's next relaxation.
+func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error) {
+	n := m.NumVars()
+	// Pass 1: fold the fixed variables into each row's rhs. A row left with
+	// no free variable is trivially satisfied (dropped) or proves the node
+	// infeasible; the survivors size the tableau.
+	rhs := grow(&ar.rhs, len(m.rows))
+	keep := grow(&ar.keep, len(m.rows))
+	rows, nArt := 0, 0
+	for ri := range m.rows {
+		r := &m.rows[ri]
+		b := r.RHS
+		free := false
+		for k, id := range r.Idx {
+			switch fixed[id] {
+			case 1:
+				b -= r.Coef[k]
+			case 0:
+			default:
+				free = true
+			}
+		}
+		if !free {
+			if b < -feasTol {
+				return nil, 0, ErrInfeasible
+			}
+			continue
+		}
+		if b < 0 {
+			nArt++ // one artificial per negative-rhs row
+		}
+		rhs[rows], keep[rows] = b, ri
+		rows++
+	}
+	lp := &ar.lp
+	*lp = simplexLP{m: rows, n: n, nArt: nArt, ar: ar}
+	lp.cols = n + rows + nArt
+	lp.artCol0 = n + rows
+	lp.stride = lp.cols + 1
+	lp.tab = growz(&ar.tab, rows*lp.stride)
+	lp.basis = grow(&ar.basis, rows)
+	lp.nz = grow(&ar.nz, lp.stride)
+	lp.nzv = grow(&ar.nzv, lp.stride)
+	lp.cost = grow(&ar.cost, lp.cols)
+	copy(lp.cost, m.obj)
+	for j := n; j < lp.cols; j++ {
+		lp.cost[j] = 0
+	}
 	objConst := m.objConst
 	for v, val := range fixed {
 		if val < 0 {
 			continue
 		}
 		if val == 1 {
-			objConst += c[v]
+			objConst += lp.cost[v]
 		}
-		c[v] = 0
+		lp.cost[v] = 0
 	}
-	// Substitute the fixings out of every row, packing the surviving entries
-	// into one arena-backed span per row.
-	nnz := 0
-	for _, r := range m.rows {
-		nnz += len(r.Idx)
-	}
-	idxBk := ints(&ar.idx, nnz)
-	coefBk := f64(&ar.coef, nnz)
-	if cap(ar.rows) < len(m.rows) {
-		ar.rows = make([]Row, 0, len(m.rows))
-	}
-	rows := ar.rows[:0]
-	off := 0
-	for _, r := range m.rows {
-		start := off
-		rhs := r.RHS
+	// Pass 2: scatter the free entries of each surviving row.
+	art := lp.artCol0
+	for i, ri := range keep[:rows] {
+		r := &m.rows[ri]
+		row := lp.row(i)
+		neg := rhs[i] < 0
+		sign := 1.0
+		if neg {
+			sign = -1
+		}
 		for k, id := range r.Idx {
-			if val := fixed[id]; val >= 0 {
-				if val == 1 {
-					rhs -= r.Coef[k]
-				}
-				continue
+			if fixed[id] < 0 {
+				row[id] += sign * r.Coef[k]
 			}
-			idxBk[off], coefBk[off] = id, r.Coef[k]
-			off++
 		}
-		if off == start {
-			if rhs < -feasTol {
-				ar.rows = rows
-				return lpResult{}, 0, ErrInfeasible
-			}
-			continue // trivially satisfied row: prune
+		row[lp.cols] = sign * rhs[i]
+		if neg {
+			// Negated row is >=: surplus with coefficient -1, artificial +1.
+			row[n+i] = -1
+			row[art] = 1
+			lp.basis[i] = art
+			art++
+		} else {
+			row[n+i] = 1
+			lp.basis[i] = n + i
 		}
-		rows = append(rows, Row{Name: r.Name, RHS: rhs,
-			Idx: idxBk[start:off:off], Coef: coefBk[start:off:off]})
+		// Deterministic RHS perturbation breaks degenerate ties that would
+		// otherwise stall the Dantzig rule; the error it introduces is far
+		// below the integrality and feasibility tolerances.
+		row[lp.cols] += perturb * float64(1+i%17)
 	}
-	ar.rows = rows
-	if warm == nil && useSparseLP(n, rows) {
-		sp := newSparseLPWith(c, rows, ar)
-		sp.wantBasis = wantBasis
-		res, err := sp.solve(0)
-		return res, objConst, err
-	}
-	dl := newDenseLPWith(c, rows, ar)
-	dl.warm = warm
-	dl.wantBasis = wantBasis
-	res, err := dl.solve(0)
-	return res, objConst, err
+	return lp, objConst, nil
 }
 
 // mostFractionalBinary returns the binary variable whose value is farthest
@@ -627,8 +494,8 @@ func mostFractionalBinary(m *Model, x []float64, tol float64) int {
 // solves the remaining LP over the continuous variables. Used for mixed
 // models (e.g. the exact-shares scheduling formulation), where greedy
 // row-checking cannot assign the continuous allocation variables.
-func roundFixAndSolve(m *Model, x []float64) ([]float64, bool) {
-	fixed := make([]int8, len(m.kinds))
+func roundFixAndSolve(ar *lpArena, m *Model, x []float64) ([]float64, bool) {
+	fixed := grow(&ar.rfix, len(m.kinds))
 	nBin := 0
 	for v, k := range m.kinds {
 		if k != Binary {
@@ -645,7 +512,7 @@ func roundFixAndSolve(m *Model, x []float64) ([]float64, bool) {
 	if nBin == 0 || nBin == len(m.kinds) {
 		return nil, false // pure-continuous or pure-binary: other paths apply
 	}
-	res, _, err := solveRelaxation(m, fixed)
+	res, _, err := solveRelaxationOpt(ar, m, fixed, nil, false)
 	if err != nil {
 		return nil, false
 	}
@@ -661,14 +528,17 @@ func roundFixAndSolve(m *Model, x []float64) ([]float64, bool) {
 	return out, true
 }
 
-// greedyCtx holds the model-wide structures roundGreedy needs — the
-// column-to-rows index and per-call scratch — built once per Solve instead of
-// once per node.
+// greedyCtx holds the model-wide structures the greedy rounding needs — the
+// column-to-rows index (compressed: column v's entries are
+// entries[colStart[v]:colStart[v+1]], in row order) and per-call scratch —
+// rebuilt once per Solve in the arena instead of once per node.
 type greedyCtx struct {
 	allBinary bool
-	colRows   [][]greedyEntry
+	colStart  []int32
+	entries   []greedyEntry
 	activity  []float64
-	cands     []greedyCand
+	out       []float64
+	order     greedyOrder
 }
 
 type greedyEntry struct {
@@ -681,81 +551,110 @@ type greedyCand struct {
 	val float64
 }
 
-func newGreedyCtx(m *Model) *greedyCtx {
-	g := &greedyCtx{allBinary: true}
+// greedyOrder sorts candidates by LP value descending, ties (within 1e-12)
+// on objective coefficient descending.
+type greedyOrder struct {
+	cands []greedyCand
+	obj   []float64
+}
+
+func (o *greedyOrder) Len() int      { return len(o.cands) }
+func (o *greedyOrder) Swap(i, j int) { o.cands[i], o.cands[j] = o.cands[j], o.cands[i] }
+func (o *greedyOrder) Less(i, j int) bool {
+	a, b := o.cands[i], o.cands[j]
+	if math.Abs(a.val-b.val) > 1e-12 {
+		return a.val > b.val
+	}
+	return o.obj[a.v] > o.obj[b.v]
+}
+
+// reset points the context at m.
+func (g *greedyCtx) reset(m *Model) {
+	g.allBinary = true
 	for _, k := range m.kinds {
 		if k != Binary {
 			g.allBinary = false
-			return g
+			return
 		}
 	}
-	g.colRows = make([][]greedyEntry, m.NumVars())
+	n := m.NumVars()
+	start := growz(&g.colStart, n+1)
+	nnz := 0
+	for _, r := range m.rows {
+		for _, id := range r.Idx {
+			start[id+1]++
+		}
+		nnz += len(r.Idx)
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	g.entries = grow(&g.entries, nnz)
+	// Fill in row order, using start[v] as column v's cursor; the shift
+	// below puts the offsets back.
 	for ri, r := range m.rows {
 		for k, id := range r.Idx {
-			g.colRows[id] = append(g.colRows[id], greedyEntry{ri, r.Coef[k]})
+			g.entries[start[id]] = greedyEntry{ri, r.Coef[k]}
+			start[id]++
 		}
 	}
-	g.activity = make([]float64, len(m.rows))
-	return g
+	copy(start[1:], start[:n])
+	start[0] = 0
+	g.activity = grow(&g.activity, len(m.rows))
+	g.out = grow(&g.out, n)
+	g.order.obj = m.obj
 }
 
-// roundGreedy builds an integral solution from an LP point for all-binary
-// models: binaries are considered in decreasing LP value and switched on
-// whenever doing so keeps every row feasible. Returns ok=false for models
-// with continuous variables. Not safe for concurrent use (shared g scratch);
-// only the coordinator calls it.
-func roundGreedy(m *Model, x []float64, fixed []int8, g *greedyCtx) ([]float64, bool) {
+// apply switches variable v on in g.out when every row stays feasible.
+func (g *greedyCtx) apply(m *Model, v int) bool {
+	col := g.entries[g.colStart[v]:g.colStart[v+1]]
+	for _, e := range col {
+		if g.activity[e.row]+e.coef > m.rows[e.row].RHS+feasTol {
+			return false
+		}
+	}
+	for _, e := range col {
+		g.activity[e.row] += e.coef
+	}
+	g.out[v] = 1
+	return true
+}
+
+// round builds an integral solution from an LP point for all-binary models:
+// binaries are considered in decreasing LP value and switched on whenever
+// doing so keeps every row feasible. Returns ok=false for models with
+// continuous variables. The returned slice is g's scratch, valid until the
+// next call.
+func (g *greedyCtx) round(m *Model, x []float64, fixed []int8) ([]float64, bool) {
 	if !g.allBinary {
 		return nil, false
 	}
-	n := m.NumVars()
-	cands := g.cands[:0]
-	out := make([]float64, n)
-	activity := g.activity
-	for i := range activity {
-		activity[i] = 0
+	for i := range g.out {
+		g.out[i] = 0
 	}
-	apply := func(v int) bool {
-		for _, e := range g.colRows[v] {
-			if activity[e.row]+e.coef > m.rows[e.row].RHS+feasTol {
-				return false
-			}
-		}
-		for _, e := range g.colRows[v] {
-			activity[e.row] += e.coef
-		}
-		out[v] = 1
-		return true
+	for i := range g.activity {
+		g.activity[i] = 0
 	}
 	// Honor fixings first; a forced x=1 that is infeasible kills the heuristic.
 	for v, val := range fixed {
-		if val == 1 {
-			if !apply(v) {
-				return nil, false
-			}
+		if val == 1 && !g.apply(m, v) {
+			return nil, false
 		}
 	}
-	for v := 0; v < n; v++ {
-		if fixed[v] >= 0 {
-			continue
+	cands := g.order.cands[:0]
+	for v, val := range fixed {
+		if val < 0 {
+			cands = append(cands, greedyCand{v, x[v]})
 		}
-		cands = append(cands, greedyCand{v, x[v]})
 	}
-	defer func() { g.cands = cands }()
-	// Sort by LP value desc, tie-break on objective coefficient desc.
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if math.Abs(a.val-b.val) > 1e-12 {
-			return a.val > b.val
-		}
-		return m.obj[a.v] > m.obj[b.v]
-	})
+	g.order.cands = cands
+	sort.Sort(&g.order)
 	// Relaxing variables (negative objective, e.g. preemption indicators)
 	// that the LP chose enable placements that would otherwise violate
 	// capacity; apply them first when the LP leaned on them.
 	for _, cd := range cands {
 		if m.obj[cd.v] < 0 && cd.val >= 0.5 {
-			apply(cd.v)
+			g.apply(m, cd.v)
 		}
 	}
 	for _, cd := range cands {
@@ -765,12 +664,12 @@ func roundGreedy(m *Model, x []float64, fixed []int8, g *greedyCtx) ([]float64, 
 		if m.obj[cd.v] <= 0 {
 			continue
 		}
-		apply(cd.v)
+		g.apply(m, cd.v)
 	}
-	if !m.Feasible(out, feasTol) {
+	if !m.Feasible(g.out, feasTol) {
 		return nil, false
 	}
-	return out, true
+	return g.out, true
 }
 
 // DebugSolveRoot solves the bare LP relaxation and surfaces the raw solver

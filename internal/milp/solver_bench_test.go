@@ -48,58 +48,30 @@ func schedShapedModel(rng *rand.Rand, jobs, opts, parts, slots int) *Model {
 	return &m
 }
 
-// BenchmarkSimplexSparse isolates the LP-core change: one root-relaxation
-// solve of a scheduler-shaped model, dense tableau vs compressed sparse
-// rows. Run with -bench BenchmarkSimplexSparse to see the per-backend split.
-func BenchmarkSimplexSparse(b *testing.B) {
-	for _, size := range []struct {
-		name                     string
-		jobs, opts, parts, slots int
-	}{
-		{"32jobs", 32, 10, 8, 5},
-		{"96jobs", 96, 12, 8, 6},
-	} {
-		m := schedShapedModel(rand.New(rand.NewSource(11)), size.jobs, size.opts, size.parts, size.slots)
-		c, rows := relaxationRows(m)
-		b.Run(size.name+"/dense", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := newDenseLP(c, rows).solve(0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(size.name+"/sparse", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := newSparseLP(c, rows).solve(0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// freeFixing returns the all-free fixing vector of a root relaxation.
+func freeFixing(n int) []int8 {
+	fixed := make([]int8, n)
+	for i := range fixed {
+		fixed[i] = -1
 	}
+	return fixed
 }
 
-// BenchmarkSolveParallel isolates the branch-and-bound change: a full Solve
-// of one scheduler-shaped model at workers=1 vs workers=GOMAXPROCS (and a
-// fixed 8 for cross-host comparability). Node budget replaces the deadline
-// so both variants do identical committed work.
-func BenchmarkSolveParallel(b *testing.B) {
-	m := schedShapedModel(rand.New(rand.NewSource(13)), 64, 12, 8, 6)
-	for _, w := range []int{1, 0, 8} {
-		name := "workers=gomaxprocs"
-		switch w {
-		case 1:
-			name = "workers=1"
-		case 8:
-			name = "workers=8"
+// BenchmarkNodeLP is one node relaxation — assembly into the arena's
+// tableau plus the simplex — at the largest model size the bench workloads
+// reach (85 variables × 108 rows).
+func BenchmarkNodeLP(b *testing.B) {
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	if m.NumVars() != 85 || m.NumRows() != 108 {
+		b.Fatalf("model is %d × %d, want 85 × 108", m.NumVars(), m.NumRows())
+	}
+	fixed := freeFixing(m.NumVars())
+	ar := &lpArena{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := solveRelaxationOpt(ar, m, fixed, nil, false); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sol := Solve(m, Options{MaxNodes: 48, Workers: w})
-				if sol.X == nil {
-					b.Fatal("no solution")
-				}
-			}
-		})
 	}
 }
 

@@ -182,3 +182,38 @@ func TestAbandonedJobFullySwept(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictorSHATracksCompletions pins the metrics hash to the live
+// predictor: a completion feeds its runtime to 3σPredict through the
+// scheduler, so a scrape after it must not serve the hash cached by the
+// scrape before it (the benchmark's restart check compares exactly these).
+func TestPredictorSHATracksCompletions(t *testing.T) {
+	cfg := detConfig()
+	svc := mustService(t, cfg)
+	svc.Start()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	before := svc.Metrics().PredictorSHA
+	if before == "" {
+		t.Fatal("no predictor SHA before any job")
+	}
+	resp, body := postJSON(t, ts, "/v1/jobs", jobRequest{
+		ID: 1, Name: "train", User: "alice", Tasks: 2, Runtime: 2, SubmitAt: 0.5,
+	})
+	if resp.StatusCode != 202 {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	waitPhase(t, ts, 1, PhaseCompleted)
+	svc.BeginDrain()
+	if err := svc.Stop(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	after := svc.Metrics().PredictorSHA
+	if after == before {
+		t.Fatalf("predictor SHA %q unchanged by a completion", after)
+	}
+	if live := predictorSHA(cfg.Predictor); after != live {
+		t.Fatalf("scraped predictor SHA %q, live predictor hashes to %q", after, live)
+	}
+}

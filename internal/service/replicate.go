@@ -120,8 +120,8 @@ func predictorSHA(p *predictor.Predictor) string {
 }
 
 // predictorSHALocked is predictorSHA(s.cfg.Predictor) through a cache that
-// recomputes only after a mutation (train feed, replayed train record)
-// marked it dirty — metrics scrapes between mutations reuse the hash
+// recomputes only after a mutation (train feed, replayed train record, a
+// completion's observed runtime, snapshot install) marked it dirty — metrics scrapes between mutations reuse the hash
 // instead of serializing the whole history under s.mu each time.
 func (s *Service) predictorSHALocked() string {
 	if s.predSHA == "" || s.predSHADirty {

@@ -346,7 +346,7 @@ type Service struct {
 	// with every /v1/train observation), so it recomputes only after a
 	// predictor mutation marks it dirty.
 	predSHA      string // guarded by mu; "" = never computed
-	predSHADirty bool   // guarded by mu; predictor observed since last hash
+	predSHADirty bool   // guarded by mu; predictor observed (train feed, completion, snapshot install) since last hash
 
 	started   bool
 	stopped   bool // stop channel closed (Stop called)
@@ -784,6 +784,7 @@ func (s *Service) cycleTopLocked(now float64, comps []compEv, agentOps []agentOp
 		s.dropDesiredLocked(c.ID, false)
 		s.counters.Completed++
 		s.cfg.Scheduler.JobCompleted(j, base, c.At)
+		s.predSHADirty = true // the completion's runtime just reached the predictor
 	}
 
 	// Replay the chaos schedule up to virtual now: node failures evict

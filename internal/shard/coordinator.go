@@ -359,11 +359,6 @@ func (c *Coordinator) Stats() core.Stats {
 		out.Deferrals += st.Deferrals
 		out.SolverNodes += st.SolverNodes
 		out.SolverLPIters += st.SolverLPIters
-		if st.SolverWorkers > out.SolverWorkers {
-			out.SolverWorkers = st.SolverWorkers
-		}
-		out.SpecLPs += st.SpecLPs
-		out.SpecUsed += st.SpecUsed
 		out.CacheHits += st.CacheHits
 		out.CacheMisses += st.CacheMisses
 		out.PatchedCycles += st.PatchedCycles

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"runtime"
 	"testing"
 
 	"threesigma/internal/baselines"
@@ -44,15 +45,13 @@ func domainWorkload(t *testing.T, cluster simulator.Cluster, domains int, sloSha
 
 // runSharded simulates the workload under a coordinator with n shards
 // (n=0: the raw monolithic scheduler) and returns the result + coordinator.
-func runSharded(t *testing.T, w *workload.Workload, n, workers int, seed int64) (*simulator.Result, *shard.Coordinator) {
+func runSharded(t *testing.T, w *workload.Workload, n int, seed int64) (*simulator.Result, *shard.Coordinator) {
 	t.Helper()
 	pred := predictor.New(predictor.Config{})
 	for _, r := range w.Train {
 		pred.Observe(r.Job(), r.Runtime)
 	}
-	cfg := testConfig()
-	cfg.SolverWorkers = workers
-	sched := baselines.ThreeSigma(pred, cfg)
+	sched := baselines.ThreeSigma(pred, testConfig())
 	var impl simulator.Scheduler = sched
 	var coord *shard.Coordinator
 	if n > 0 {
@@ -79,10 +78,10 @@ func runSharded(t *testing.T, w *workload.Workload, n, workers int, seed int64) 
 func TestShardedMatchesMonolithic(t *testing.T) {
 	cluster := simulator.NewCluster(64, 8)
 	w := domainWorkload(t, cluster, 4, 1, 3)
-	mono, _ := runSharded(t, w, 0, 0, 3)
+	mono, _ := runSharded(t, w, 0, 3)
 	want := metrics.OutcomeDigest(mono)
 	for _, n := range []int{1, 2, 4} {
-		res, _ := runSharded(t, w, n, 0, 3)
+		res, _ := runSharded(t, w, n, 3)
 		if got := metrics.OutcomeDigest(res); got != want {
 			t.Errorf("shards=%d digest %s != monolithic %s", n, got, want)
 		}
@@ -96,24 +95,36 @@ func TestSingleShardPassthrough(t *testing.T) {
 	w := workload.Generate(workload.Config{
 		Cluster: cluster, DurationHours: 0.1, Load: 1.2, Seed: 5,
 	})
-	mono, _ := runSharded(t, w, 0, 0, 5)
-	one, _ := runSharded(t, w, 1, 0, 5)
+	mono, _ := runSharded(t, w, 0, 5)
+	one, _ := runSharded(t, w, 1, 5)
 	if a, b := metrics.OutcomeDigest(mono), metrics.OutcomeDigest(one); a != b {
 		t.Errorf("single-shard coordinator digest %s != monolithic %s", b, a)
 	}
 }
 
-// Determinism: same inputs → same outcome, regardless of LP worker-pool
-// size, including every per-shard digest.
+// onOneProc runs f with GOMAXPROCS 1, so the per-domain cycle goroutines
+// take turns on a single processor instead of running side by side.
+func onOneProc(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+}
+
+// Determinism: same inputs → same outcome, however many processors the
+// domain cycles' worker goroutines are spread over, including every
+// per-shard digest.
 func TestWorkerCountInvariance(t *testing.T) {
 	cluster := simulator.NewCluster(64, 8)
 	w := domainWorkload(t, cluster, 4, 1, 11)
-	resA, coordA := runSharded(t, w, 4, 0, 11)
-	resB, coordB := runSharded(t, w, 4, 1, 11)
-	resC, _ := runSharded(t, w, 4, 1, 11)
+	resA, coordA := runSharded(t, w, 4, 11)
+	var resB, resC *simulator.Result
+	var coordB *shard.Coordinator
+	onOneProc(func() {
+		resB, coordB = runSharded(t, w, 4, 11)
+		resC, _ = runSharded(t, w, 4, 11)
+	})
 	a := metrics.OutcomeDigest(resA)
 	if b := metrics.OutcomeDigest(resB); a != b {
-		t.Fatalf("digest changed with worker count: %s vs %s", a, b)
+		t.Fatalf("digest changed with processor count: %s vs %s", a, b)
 	}
 	if c := metrics.OutcomeDigest(resC); a != c {
 		t.Fatalf("digest changed across identical runs: %s vs %s", a, c)
@@ -122,20 +133,22 @@ func TestWorkerCountInvariance(t *testing.T) {
 	db := metrics.ShardOutcomeDigests(resB, 4, coordB.DigestShard)
 	for i := range da {
 		if da[i] != db[i] {
-			t.Errorf("shard %d digest changed with worker count", i)
+			t.Errorf("shard %d digest changed with processor count", i)
 		}
 	}
 }
 
 // A mixed SLO/BE workload (flexible BE jobs routed by ID, rebalanced and
-// stolen between shards) must still be deterministic across worker counts.
+// stolen between shards) must still be deterministic across processor
+// counts.
 func TestMixedWorkloadDeterminism(t *testing.T) {
 	cluster := simulator.NewCluster(64, 8)
 	w := domainWorkload(t, cluster, 4, 0.5, 7)
-	resA, _ := runSharded(t, w, 4, 0, 7)
-	resB, _ := runSharded(t, w, 4, 1, 7)
+	resA, _ := runSharded(t, w, 4, 7)
+	var resB *simulator.Result
+	onOneProc(func() { resB, _ = runSharded(t, w, 4, 7) })
 	if a, b := metrics.OutcomeDigest(resA), metrics.OutcomeDigest(resB); a != b {
-		t.Fatalf("mixed workload digest changed with worker count: %s vs %s", a, b)
+		t.Fatalf("mixed workload digest changed with processor count: %s vs %s", a, b)
 	}
 }
 
@@ -265,7 +278,7 @@ func TestStealAndRebalance(t *testing.T) {
 func TestCombinedStats(t *testing.T) {
 	cluster := simulator.NewCluster(64, 8)
 	w := domainWorkload(t, cluster, 4, 1, 3)
-	res, coord := runSharded(t, w, 4, 0, 3)
+	res, coord := runSharded(t, w, 4, 3)
 	st := coord.Stats()
 	// Result.Cycles counts idle-skipped cycles the scheduler never saw, so
 	// the coordinator's count is bounded by it, not equal.
