@@ -3,7 +3,8 @@
 // deterministic packages, no wall-clock reads outside simulator/clock.go,
 // no math/rand outside internal/stats, no exact float equality, no mutex
 // copies, no unguarded access to "// guarded by <mu>" fields, no discarded
-// durability errors — and, interprocedurally, no lock-order cycles, no
+// durability errors, no time.Sleep polling loops under internal/ — and,
+// interprocedurally, no lock-order cycles, no
 // *Locked call without its guard, and no blocking work under a hot mutex.
 //
 // Usage:

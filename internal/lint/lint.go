@@ -20,6 +20,7 @@
 //	mutexcopy    a sync.Mutex/RWMutex copied by value
 //	guardedfield a "// guarded by <mu>" field accessed without the lock
 //	erraudit     a discarded error from the durability call set
+//	sleeppoll    time.Sleep inside a loop in non-test code under internal/
 //
 // Interprocedural rules, built on a conservative module-wide call graph
 // and mutex model (interproc.go):
@@ -101,6 +102,7 @@ var rules = []rule{
 	{"mutexcopy", "sync.Mutex/RWMutex must not be copied by value", true, runMutexCopy},
 	{"guardedfield", "'guarded by' fields are only touched under their mutex", true, runGuardedField},
 	{"erraudit", "durability-path error returns must not be discarded", false, runErrAudit},
+	{"sleeppoll", "no time.Sleep in a loop in non-test code under internal/", false, runSleepPoll},
 }
 
 // modRules is the interprocedural catalog. These rules see base (non-test)

@@ -25,6 +25,7 @@ var goldenCases = []struct {
 	{"mutexcopy", []string{"mutexcopy"}},
 	{"guardedfield", []string{"guardedfield"}},
 	{"erraudit", []string{"erraudit"}},
+	{"sleeppoll", []string{"sleeppoll"}},
 	{"lockorder", []string{"lockorder"}},
 	{"lockedcall", []string{"lockedcall"}},
 	{"suppress", nil},
@@ -133,7 +134,7 @@ func TestRepoIsClean(t *testing.T) {
 
 func TestRuleNamesStable(t *testing.T) {
 	want := []string{"detrange", "wallclock", "globalrand", "floateq", "mutexcopy",
-		"guardedfield", "erraudit", "lockorder", "lockedcall"}
+		"guardedfield", "erraudit", "sleeppoll", "lockorder", "lockedcall"}
 	got := RuleNames()
 	if len(got) != len(want) {
 		t.Fatalf("RuleNames() = %v, want %v", got, want)

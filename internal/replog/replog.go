@@ -103,7 +103,7 @@ var genesisHash = hex.EncodeToString(make([]byte, sha256.Size))
 // Compaction header layout: magic, one version byte, the 8-byte big-endian
 // base sequence (records 1..base are compacted away), and the raw 32-byte
 // hash of record base (the Prev the first retained record chains from).
-// The magic reads as a ~860 MB length prefix — far beyond maxRecordBytes —
+// The magic reads as a ~860 MB length prefix — far beyond MaxRecordBytes —
 // so it can never collide with a legacy headerless log's first record.
 var headerMagic = []byte("3SRL")
 
@@ -149,6 +149,10 @@ type logFile interface {
 // Log is a file-backed decision log. Safe for concurrent use.
 type Log struct {
 	path string // backing file path ("" for an in-memory log)
+
+	// cmu serializes Compact calls, which drop mu while they write the
+	// replacement file. Taken before mu, never under it.
+	cmu sync.Mutex
 
 	mu   sync.Mutex
 	f    logFile  // guarded by mu; nil for an in-memory log
@@ -222,7 +226,7 @@ func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 			return good, nil // clean EOF or torn length prefix
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxRecordBytes {
+		if n == 0 || n > MaxRecordBytes {
 			return good, nil // garbage length: treat as torn tail
 		}
 		body := make([]byte, n)
@@ -248,10 +252,11 @@ func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 	}
 }
 
-// maxRecordBytes bounds one record; a length prefix beyond it is treated as
+// MaxRecordBytes bounds one record; a length prefix beyond it is treated as
 // a torn tail rather than an allocation request, and appends refuse to
-// persist a record the loader could not read back.
-const maxRecordBytes = 16 << 20
+// persist a record the loader could not read back. Exported so that the
+// replication endpoints can bound the bodies they read by the same number.
+const MaxRecordBytes = 16 << 20
 
 // Close closes the backing file.
 func (l *Log) Close() error {
@@ -416,8 +421,8 @@ func frameRecords(recs []Record) (*bytes.Buffer, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(body) > maxRecordBytes {
-			return nil, fmt.Errorf("replog: record %d is %d bytes, beyond the %d-byte record bound", recs[i].Seq, len(body), maxRecordBytes)
+		if len(body) > MaxRecordBytes {
+			return nil, fmt.Errorf("replog: record %d is %d bytes, beyond the %d-byte record bound", recs[i].Seq, len(body), MaxRecordBytes)
 		}
 		var lenBuf [4]byte
 		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(body)))
@@ -472,7 +477,13 @@ func (l *Log) rollbackLocked() error {
 // copyRecords deep-copies records, including each Data payload. Callers of
 // Since/Records hand records to replication senders and JSON encoders on
 // other goroutines; sharing the RawMessage backing array with the live log
-// would let one side observe the other's mutations.
+// would let one side observe the other's mutations. Committed records are
+// never mutated by the log itself, so sharing Data read-only would be sound
+// as long as every caller kept to it — but what it would save is small: on a
+// 1.67 MB serve-group snapshot the copy takes 1.0 ms, against 9.5 ms for the
+// JSON encoding of the same record that the sender does next, once per
+// follower per compaction (two seconds apart on that workload). The copy
+// stays, and with it a guarantee the type system cannot give a shared slice.
 func copyRecords(src []Record) []Record {
 	out := make([]Record, len(src))
 	copy(out, src)
@@ -542,27 +553,78 @@ func (l *Log) lastOfType(typ string) (Record, bool) {
 // rewritten atomically — header plus retained records into a temp file,
 // fsync, rename — so a crash mid-compaction leaves the old log intact.
 // After Compact the log's base is keepSeq-1 and Len is unchanged.
+//
+// The rewrite of the retained records — a multi-megabyte snapshot among
+// them — runs without mu: committed records are never mutated, so appends
+// and reads proceed meanwhile, and only the records appended during the
+// rewrite are added, and the files swapped, under the lock.
 func (l *Log) Compact(keepSeq uint64) error {
+	l.cmu.Lock()
+	defer l.cmu.Unlock()
+
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	end := l.base + uint64(len(l.recs))
-	if keepSeq <= l.base+1 {
-		return nil // nothing below keepSeq left to drop
-	}
-	if keepSeq > end {
-		return fmt.Errorf("replog: compact to %d beyond log end %d", keepSeq, end)
-	}
-	anchor := l.recs[keepSeq-1-l.base]
-	if anchor.Type != TypeSnapshot {
-		return fmt.Errorf("replog: compact anchor %d is %q, want %q", keepSeq, anchor.Type, TypeSnapshot)
-	}
-	retained := append([]Record(nil), l.recs[keepSeq-1-l.base:]...)
-	if err := l.rewriteLocked(keepSeq-1, anchor.Prev, retained); err != nil {
+	base, n, onDisk := l.base, len(l.recs), l.f != nil
+	retained, err := l.retainedFromLocked(keepSeq)
+	l.mu.Unlock()
+	if err != nil || retained == nil {
 		return err
 	}
+
+	var tmp *os.File
+	var size int64
+	if onDisk {
+		if tmp, size, err = l.writeCompacted(keepSeq-1, retained[0].Prev, retained); err != nil {
+			return err
+		}
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.base != base {
+		discard(tmp)
+		return nil // a snapshot install moved the log past keepSeq meanwhile
+	}
+	tail := l.recs[n:]
+	if onDisk {
+		if l.f == nil {
+			discard(tmp)
+			return fmt.Errorf("replog: log closed during compaction to %d", keepSeq)
+		}
+		buf, err := frameRecords(tail)
+		if err == nil && buf.Len() > 0 {
+			if _, err = tmp.Write(buf.Bytes()); err == nil {
+				err = tmp.Sync()
+			}
+		}
+		if err == nil {
+			err = l.swapInLocked(tmp, size+int64(buf.Len()))
+		}
+		if err != nil {
+			discard(tmp)
+			return err
+		}
+	}
 	l.base = keepSeq - 1
-	l.recs = retained
+	l.recs = append(append([]Record(nil), retained...), tail...)
 	return nil
+}
+
+// retainedFromLocked returns the records a compaction to keepSeq keeps — the
+// snapshot record at keepSeq and everything after it, capped so that nothing
+// can be appended through the slice — or nil when nothing below keepSeq is
+// left to drop.
+func (l *Log) retainedFromLocked(keepSeq uint64) ([]Record, error) {
+	if keepSeq <= l.base+1 {
+		return nil, nil
+	}
+	if end := l.base + uint64(len(l.recs)); keepSeq > end {
+		return nil, fmt.Errorf("replog: compact to %d beyond log end %d", keepSeq, end)
+	}
+	retained := l.recs[keepSeq-1-l.base : len(l.recs) : len(l.recs)]
+	if retained[0].Type != TypeSnapshot {
+		return nil, fmt.Errorf("replog: compact anchor %d is %q, want %q", keepSeq, retained[0].Type, TypeSnapshot)
+	}
+	return retained, nil
 }
 
 // InstallSnapshot resets the log to hold exactly the given snapshot record,
@@ -586,8 +648,15 @@ func (l *Log) InstallSnapshot(rec Record) error {
 		return fmt.Errorf("replog: snapshot %d does not advance log of length %d", rec.Seq, end)
 	}
 	recs := []Record{rec}
-	if err := l.rewriteLocked(rec.Seq-1, rec.Prev, recs); err != nil {
-		return err
+	if l.f != nil {
+		tmp, size, err := l.writeCompacted(rec.Seq-1, rec.Prev, recs)
+		if err != nil {
+			return err
+		}
+		if err := l.swapInLocked(tmp, size); err != nil {
+			discard(tmp)
+			return err
+		}
 	}
 	l.base = rec.Seq - 1
 	l.recs = recs
@@ -595,16 +664,13 @@ func (l *Log) InstallSnapshot(rec Record) error {
 	return nil
 }
 
-// rewriteLocked atomically replaces the backing file with a compaction
-// header (base, resume hash) followed by the given records, then swings the
-// open handle to the new file. In-memory logs skip the file work.
-func (l *Log) rewriteLocked(base uint64, prevHash string, recs []Record) error {
-	if l.f == nil {
-		return nil
-	}
+// writeCompacted writes a compaction header (base, resume hash) followed by
+// the given records to a fresh, fsync'd temp file next to the log, and
+// returns it open at its end with its size. It touches no guarded state.
+func (l *Log) writeCompacted(base uint64, prevHash string, recs []Record) (*os.File, int64, error) {
 	prev, err := hex.DecodeString(prevHash)
 	if err != nil || len(prev) != sha256.Size {
-		return fmt.Errorf("replog: rewrite with malformed resume hash %.8s", prevHash)
+		return nil, 0, fmt.Errorf("replog: rewrite with malformed resume hash %.8s", prevHash)
 	}
 	var hdr [headerSize]byte
 	copy(hdr[:4], headerMagic)
@@ -613,44 +679,43 @@ func (l *Log) rewriteLocked(base uint64, prevHash string, recs []Record) error {
 	copy(hdr[13:headerSize], prev)
 	buf, err := frameRecords(recs)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(l.path)+".compact*")
+	tmp, err := os.CreateTemp(filepath.Dir(l.path), filepath.Base(l.path)+".compact*")
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return err
+	if _, err = tmp.Write(hdr[:]); err == nil {
+		_, err = tmp.Write(buf.Bytes())
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		//lint:allow lockedcall a snapshot install rewrites the log under the lock on purpose (the replica serves nothing until it lands) and the file must be durable before the rename swaps it in; Compact calls this off every lock
+		err = tmp.Sync()
 	}
-	//lint:allow lockedcall compaction runs at the cycle boundary while pushes are fenced; the rewrite must be durable before the rename swaps it in
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if err != nil {
+		discard(tmp)
+		return nil, 0, err
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
+	return tmp, int64(headerSize) + int64(buf.Len()), nil
+}
+
+// swapInLocked renames the fully written tmp over the log's path and adopts
+// its handle (positioned at size, its end) as the backing file.
+func (l *Log) swapInLocked(tmp *os.File, size int64) error {
 	if err := os.Rename(tmp.Name(), l.path); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("replog: reopen after rewrite: %w", err)
-	}
-	newSize := int64(headerSize) + int64(buf.Len())
-	if _, err := f.Seek(newSize, io.SeekStart); err != nil {
-		f.Close()
-		return err
-	}
 	l.f.Close()
-	l.f = f
-	l.size = newSize
+	l.f = tmp
+	l.size = size
 	return nil
+}
+
+// discard closes and removes a temp file that will not be swapped in (nil:
+// none was written).
+func discard(tmp *os.File) {
+	if tmp != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+	}
 }

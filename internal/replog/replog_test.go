@@ -391,6 +391,63 @@ func TestCompactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompactRunsBesideAppends: Compact writes the replacement file without
+// the log's lock, so appends land in the old file meanwhile; they must all
+// be in the new one when it is swapped in. Appenders and compactions run
+// against each other (a large snapshot payload keeps the rewrite slow enough
+// to overlap), then the file must reopen to exactly the chain the live log
+// ended with.
+func TestCompactRunsBesideAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decision.log")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, perRound = 4, 40
+	state := map[string]string{"state": strings.Repeat("s", 1<<20)}
+	for r := 0; r < rounds; r++ {
+		snap := mustAppend(t, l, 1, TypeSnapshot, int64(r), state)
+		done := make(chan error, 1)
+		go func() {
+			for i := 0; i < perRound; i++ {
+				if _, err := l.Append(1, TypeAdmit, int64(r), map[string]int{"id": r*perRound + i}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		if err := l.Compact(snap.Seq); err != nil {
+			t.Fatal(err)
+		}
+		if l.Base() != snap.Seq-1 {
+			t.Fatalf("round %d: base %d after compacting to %d", r, l.Base(), snap.Seq)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("append beside a compaction: %v", err)
+		}
+	}
+	want, head, base := l.Len(), l.Head(), l.Base()
+	if want != rounds*(perRound+1) {
+		t.Fatalf("log length %d, want %d", want, rounds*(perRound+1))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if l2.Len() != want || l2.Head() != head || l2.Base() != base {
+		t.Fatalf("reopened log: len=%d base=%d head=%.8s, the live log ended at %d/%d/%.8s",
+			l2.Len(), l2.Base(), l2.Head(), want, base, head)
+	}
+	if left, _ := filepath.Glob(path + ".compact*"); len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
+	}
+}
+
 // TestInstallSnapshot covers the far-behind-standby path: a log (empty or
 // holding a stale prefix) resets to hold exactly the fetched snapshot and
 // then accepts the leader's suffix records.

@@ -10,10 +10,12 @@
 // Replication is push-based: the leader runs one sender goroutine per peer,
 // streaming log records in batches over POST /v1/replog/append. Senders are
 // woken by notifyFollowers after every append and heartbeat at lease/2 so a
-// quiet leader still refreshes its lease. A follower acks its log length;
-// gaps rewind the sender, and a push from a stale epoch is rejected with
-// the current one so a deposed leader standing in a network partition
-// learns its fate from the first peer it reaches.
+// quiet leader still refreshes its lease. A follower acks its log length,
+// and the ack wakes whoever waits on it — a submit blocked in
+// waitReplicated, a compaction held back for this follower; gaps rewind the
+// sender, and a push from a stale epoch is rejected with the current one so
+// a deposed leader standing in a network partition learns its fate from the
+// first peer it reaches.
 package service
 
 import (
@@ -53,6 +55,28 @@ func newFollowerConn(id int, addr string, timeout time.Duration) *followerConn {
 	}
 }
 
+// progress returns the highest seq the peer confirmed and the instant its
+// liveness lease runs out: a follower that has not acked anything for a full
+// lease is presumed down (a peer never heard from expired long ago).
+func (fc *followerConn) progress(lease time.Duration) (acked uint64, expires time.Time) {
+	fc.fmu.Lock()
+	defer fc.fmu.Unlock()
+	return fc.acked, fc.lastOK.Add(lease)
+}
+
+const (
+	// maxReplBody bounds what the replication endpoints read from a peer: a
+	// push body and a fetched snapshot. One record is at most
+	// replog.MaxRecordBytes and a sender cuts its batches to that many
+	// payload bytes, so twice the record bound leaves room for the envelope
+	// and nothing honest is ever refused.
+	maxReplBody = 2 * replog.MaxRecordBytes
+	// pushBudget and pushRecords cap one push: payload bytes (cutBatch) and
+	// records.
+	pushBudget  = replog.MaxRecordBytes
+	pushRecords = 256
+)
+
 // notifyFollowers wakes every sender goroutine (non-blocking; senders
 // coalesce). Must be called without s.mu held — it takes the lock to
 // snapshot the follower list; callers already inside the lock use
@@ -80,9 +104,16 @@ func (s *Service) notifyFollowersLocked() {
 	}
 }
 
+// wakeWaitersLocked releases every goroutine blocked in waitReplicated to
+// look again. Closing a channel never blocks, so this is safe under s.mu.
+func (s *Service) wakeWaitersLocked() {
+	close(s.ackWake)
+	s.ackWake = make(chan struct{})
+}
+
 // waitReplicated blocks until the record at seq is quorum-durable — fsync'd
 // on at least Config.Quorum replica logs, the leader's own included — the
-// replica is deposed, or SubmitSyncTimeout elapses (counted in
+// replica is deposed or stopped, or SubmitSyncTimeout elapses (counted in
 // ControlCounters.ReplLagTimeouts). It reports whether quorum was reached:
 // false means the record survives only a minority of the group and is lost
 // if that minority dies before another replica catches up. Called without
@@ -90,13 +121,21 @@ func (s *Service) notifyFollowersLocked() {
 // full LeaseInterval is presumed down; once every follower still short of
 // seq is presumed down the wait resolves immediately instead of burning the
 // timeout — a dead minority must not add latency to every submit.
+//
+// The wait is driven by events, not by polling: a sender's ack, a step-down,
+// a takeover and Stop all fire wakeWaitersLocked, and the only things time
+// alone can change — the deadline passing, a lagging follower's lease running
+// out — are covered by one timer armed for the earlier of the two.
 func (s *Service) waitReplicated(seq uint64) bool {
 	need := s.cfg.Quorum
 	deadline := s.cfg.Clock.Now().Add(s.cfg.SubmitSyncTimeout)
 	for {
 		s.mu.Lock()
-		leading := s.role == RoleLeader
+		leading := s.role == RoleLeader && !s.stopped
 		conns := s.followers
+		// Taken before the acks are read: an ack that lands after this
+		// point closes this very channel.
+		wake := s.ackWake
 		s.mu.Unlock()
 		if !leading {
 			// Deposed mid-wait: the record's fate belongs to the new term.
@@ -105,17 +144,18 @@ func (s *Service) waitReplicated(seq uint64) bool {
 		count := 1 // the leader's own fsync'd log
 		waitable := false
 		now := s.cfg.Clock.Now()
+		next := deadline
 		for _, fc := range conns {
-			fc.fmu.Lock()
-			acked := fc.acked
-			live := !fc.lastOK.IsZero() && now.Sub(fc.lastOK) <= s.cfg.LeaseInterval
-			fc.fmu.Unlock()
+			acked, expires := fc.progress(s.cfg.LeaseInterval)
 			if acked >= seq {
 				count++
 				continue
 			}
-			if live {
+			if !now.After(expires) {
 				waitable = true
+				if expires.Before(next) {
+					next = expires
+				}
 			}
 		}
 		if count >= need {
@@ -126,13 +166,20 @@ func (s *Service) waitReplicated(seq uint64) bool {
 			// lease-lapsed: waiting cannot help. Not a timeout — a report.
 			return false
 		}
-		if s.cfg.Clock.Now().After(deadline) {
+		if now.After(deadline) {
 			s.mu.Lock()
 			s.ctl.ReplLagTimeouts++
 			s.mu.Unlock()
 			return false
 		}
-		time.Sleep(2 * time.Millisecond)
+		// The floor keeps a pinned test clock, on which next never arrives,
+		// from turning the wait into a spin.
+		timer := time.NewTimer(max(next.Sub(now), time.Millisecond))
+		select {
+		case <-wake:
+		case <-timer.C:
+		}
+		timer.Stop()
 	}
 }
 
@@ -166,6 +213,7 @@ func (s *Service) takeoverLocked(maxSeen uint64) {
 	s.leaderID = s.cfg.ReplicaID
 	s.role = RoleLeader
 	s.ctl.Elections++
+	s.wakeWaitersLocked() // a waiter left over from an earlier term counts against the new senders
 	if s.log != nil {
 		if _, err := s.log.Append(s.leaderEpoch, replog.TypeElect, s.cycles,
 			&electPayload{Replica: s.cfg.ReplicaID, Cycle: s.cycles}); err != nil {
@@ -173,6 +221,10 @@ func (s *Service) takeoverLocked(maxSeen uint64) {
 		}
 	}
 	s.startSendersLocked()
+	// Announce the term: the followers learn their leader from its first
+	// push, at once, not from whichever comes first of their next status
+	// poll, the next cycle record and the first heartbeat.
+	s.notifyFollowersLocked()
 	s.cfg.Logf("replica %d leading at epoch %d (cycle %d, log seq %d)",
 		s.cfg.ReplicaID, s.leaderEpoch, s.cycles, s.logLenLocked())
 }
@@ -229,18 +281,28 @@ type replAppendResp struct {
 }
 
 // runSender streams the log to one follower for the duration of a term.
-// Pushes are batched (256 records), woken by notifyFollowers, and padded
-// with empty heartbeats at lease/2 so the lease survives quiet stretches.
+// Pushes are batched (pushRecords records, pushBudget payload bytes), woken
+// by notifyFollowers, and padded with empty heartbeats at lease/2 so the
+// lease survives quiet stretches. A follower that answers Busy — mid-install
+// of a snapshot, mid-cycle as a deposed leader — is asked again on a doubling
+// back-off of 1 ms to lease/8, not left to the heartbeat.
 func (s *Service) runSender(fc *followerConn, epoch uint64) {
 	hb := time.NewTicker(s.cfg.LeaseInterval / 2)
 	defer hb.Stop()
+	retry := time.NewTimer(time.Hour) // armed by a Busy answer only; stopped again at the first wake-up
+	defer retry.Stop()
+	var backoff time.Duration // the last wait for a Busy follower; 0 after any other answer
 	var sent uint64
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-fc.notify:
+			if sent == s.log.Len() {
+				continue // woken for records the last push already carried
+			}
 		case <-hb.C:
+		case <-retry.C:
 		}
 		s.mu.Lock()
 		stale := s.role != RoleLeader || s.leaderEpoch != epoch
@@ -248,8 +310,9 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 		if stale {
 			return
 		}
+		busy := false
 		for {
-			batch := s.log.Since(sent, 256)
+			batch := cutBatch(s.log.Since(sent, pushRecords))
 			resp, code, err := s.pushBatch(fc, epoch, batch)
 			if err != nil {
 				break // peer unreachable or non-protocol reply; heartbeat retries
@@ -260,8 +323,7 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 				s.deposeIfStale(resp.Epoch, -1)
 				return
 			case resp.Busy:
-				// Follower mid-cycle-apply or mid-election; back off to the
-				// heartbeat.
+				busy = true
 			case resp.Leader && resp.Epoch == epoch:
 				// Equal-epoch dueling leaders: the lower replica ID keeps the
 				// term (see electionTick). If the peer outranks us, this
@@ -272,9 +334,7 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 					return
 				}
 			case resp.Want > 0:
-				if resp.Want >= 1 {
-					sent = resp.Want - 1
-				}
+				sent = resp.Want - 1
 				continue // rewind and retry immediately
 			case code != http.StatusOK:
 				// A conflict without a usable cursor (e.g. the follower
@@ -284,18 +344,53 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 			default:
 				sent = resp.Acked
 				fc.fmu.Lock()
-				if resp.Acked > fc.acked {
+				advanced := resp.Acked > fc.acked
+				if advanced {
 					fc.acked = resp.Acked
 				}
 				fc.lastOK = s.cfg.Clock.Now()
 				fc.fmu.Unlock()
-				if uint64(len(batch)) == 256 {
-					continue // more log behind this batch
+				if advanced {
+					s.mu.Lock()
+					s.wakeWaitersLocked()
+					s.wakeCompactorLocked()
+					s.mu.Unlock()
+				}
+				// The batch landed whole and the log has grown past it: push
+				// on. (A peer that acks short of what it was sent is not
+				// pushed at in a loop; the next wake-up tries again.)
+				if n := len(batch); n > 0 && sent >= batch[n-1].Seq && sent < s.log.Len() {
+					continue
 				}
 			}
 			break
 		}
+		if !retry.Stop() {
+			select {
+			case <-retry.C:
+			default:
+			}
+		}
+		if busy {
+			backoff = min(max(2*backoff, time.Millisecond), s.cfg.LeaseInterval/8)
+			retry.Reset(backoff)
+		} else {
+			backoff = 0
+		}
 	}
+}
+
+// cutBatch cuts a push to the leading records whose payloads fit pushBudget
+// — always at least one — so that its body stays under the maxReplBody the
+// receiving handler reads, however many snapshots the follower is behind.
+func cutBatch(batch []replog.Record) []replog.Record {
+	size := 0
+	for i := range batch {
+		if size += len(batch[i].Data); size > pushBudget && i > 0 {
+			return batch[:i]
+		}
+	}
+	return batch
 }
 
 // pushBatch posts one append and decodes the protocol statuses (200 OK,
@@ -372,6 +467,8 @@ func (s *Service) stepDownLocked(epoch uint64, from int) {
 	}
 	s.lastLeader = s.cfg.Clock.Now()
 	s.followers = nil // senders notice the role change and exit
+	s.wakeWaitersLocked()
+	s.wakeCompactorLocked() // no followers left to hold a pending compaction back
 }
 
 // ctlStatus is the GET /v1/control/status wire type, the election's
@@ -506,7 +603,7 @@ func (s *Service) handleControlStatus(w http.ResponseWriter, r *http.Request) {
 // current one; one from a newer epoch deposes a stale leader on the spot.
 func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 	var req replAppendReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplBody)).Decode(&req); err != nil {
 		writeErr(w, &SubmitError{Code: 400, Msg: "bad JSON: " + err.Error()})
 		return
 	}

@@ -146,34 +146,13 @@ func TestWarmRestartFromLogBitIdentical(t *testing.T) {
 // httptest servers and returns them started.
 func replicaPair(t *testing.T) (svcs [2]*Service, tss [2]*httptest.Server) {
 	t.Helper()
-	dir := t.TempDir()
-	var late [2]*lateHandler
-	for i := range late {
-		late[i] = &lateHandler{}
-		tss[i] = httptest.NewServer(late[i])
-	}
-	peers := map[int]string{0: tss[0].URL, 1: tss[1].URL}
+	// Availability over durability: with a majority quorum (2 of 2) a lone
+	// survivor could neither elect itself nor ack, and the pair tests
+	// exercise exactly that failover. Quorum durability has its own
+	// three-replica tests.
+	g := newTestGroup(t, 2, func(i int, cfg *Config) { cfg.Quorum = 1 })
 	for i := range svcs {
-		l, err := replog.Open(filepath.Join(dir, "r"+string(rune('0'+i))+".log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		cfg := detConfig()
-		cfg.Log = l
-		cfg.ReplicaID = i
-		cfg.Peers = peers
-		cfg.LeaseInterval = 250 * time.Millisecond
-		cfg.SubmitSyncTimeout = time.Second
-		// Availability over durability: with a majority quorum (2 of 2) a
-		// lone survivor could neither elect itself nor ack, and the pair
-		// tests exercise exactly that failover. Quorum durability has its
-		// own three-replica tests.
-		cfg.Quorum = 1
-		svcs[i] = mustService(t, cfg)
-		late[i].set(svcs[i].Handler())
-	}
-	for i := range svcs {
+		svcs[i], tss[i] = g.svcs[i], g.tss[i]
 		svcs[i].Start()
 	}
 	return svcs, tss

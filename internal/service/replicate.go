@@ -233,16 +233,7 @@ func takeThrough[T any](pend *[]T, through uint64, seq func(T) uint64) []T {
 // mirroring Cancel's wall-mode semantics at logical time now. Already-gone
 // jobs no-op (the job may have completed between defer and apply).
 func (s *Service) cancelAtLocked(id job.ID, now float64) {
-	if _, ok := s.queued[id]; ok {
-		delete(s.queued, id)
-		for i, j := range s.queue {
-			if j.ID == id {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		s.gone[id] = true
-		s.counters.Cancelled++
+	if s.dequeueLocked(id) {
 		return
 	}
 	o := s.eng.Outcome(id)
@@ -322,7 +313,7 @@ func (s *Service) applyRecordLocked(rec replog.Record) error {
 		if _, dup := s.queued[p.Job.ID]; dup || s.gone[p.Job.ID] || s.eng.Outcome(p.Job.ID) != nil {
 			break
 		}
-		s.queue = append(s.queue, p.Job)
+		s.queue = append(s.queue, queuedJob{seq: rec.Seq, j: p.Job})
 		s.queued[p.Job.ID] = p.Job
 		s.counters.Accepted++
 	case replog.TypeTrain:
@@ -373,19 +364,21 @@ func (s *Service) applyRecordLocked(rec replog.Record) error {
 	case replog.TypeSnapshot:
 		// An in-sync follower does not install the snapshot — its live
 		// state already is the snapshot. It sanity-checks the engine epoch
-		// against the leader's export and compacts its own log at the same
+		// against the leader's export — reading that one field, not the
+		// megabytes behind it — and has its own log compacted at the same
 		// point, so retention converges across the group. (Bootstrap replay
 		// and standby catch-up install snapshots explicitly, never here.)
-		var p snapPayload
-		if err := json.Unmarshal(rec.Data, &p); err != nil {
-			return fmt.Errorf("snapshot record %d: %v", rec.Seq, err)
+		epoch, ok := snapshotEngineEpoch(rec.Data)
+		if !ok {
+			return fmt.Errorf("snapshot record %d: payload does not begin with the engine epoch", rec.Seq)
 		}
-		if p.Engine != nil && p.Engine.Epoch != s.eng.Epoch() {
+		if epoch != s.eng.Epoch() {
 			s.ctl.Diverged++
 			s.cfg.Logf("DIVERGED: engine epoch %d != snapshot %d at seq %d",
-				s.eng.Epoch(), p.Engine.Epoch, rec.Seq)
+				s.eng.Epoch(), epoch, rec.Seq)
 		}
-		s.compactToLocked(rec.Seq)
+		s.pendingCompact = rec.Seq
+		s.wakeCompactorLocked()
 	default:
 		return fmt.Errorf("unknown record type %q at seq %d", rec.Type, rec.Seq)
 	}
@@ -439,6 +432,12 @@ func (s *Service) bootstrapReplay() (int, error) {
 		}
 		s.ctl.RecordsApplied++
 		start = i + 1
+		if recs[i].Seq > s.log.Base()+1 {
+			// The process died between appending this snapshot and
+			// compacting below it: finish that once the service starts.
+			s.pendingCompact = recs[i].Seq
+			s.wakeCompactorLocked()
+		}
 		break
 	}
 	for _, rec := range recs[start:] {

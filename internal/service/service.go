@@ -32,6 +32,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -132,9 +133,10 @@ type Config struct {
 	Quorum int
 
 	// CompactEvery, when > 0, makes the leader append a full-state snapshot
-	// record every CompactEvery cycles and truncate the log below it
-	// (DESIGN.md §14). Requires Log and a scheduler with exportable state
-	// (core.Scheduler; baselines and the sharded coordinator are not).
+	// record every CompactEvery cycles and truncate the log below it once
+	// every live follower holds the record (DESIGN.md §14). Requires Log and
+	// a scheduler with exportable state (core.Scheduler; baselines and the
+	// sharded coordinator are not).
 	CompactEvery int64
 
 	// Agents, when non-empty, delegates task execution to remote node-group
@@ -306,7 +308,7 @@ type Service struct {
 
 	mu        sync.Mutex
 	eng       *simulator.Engine
-	queue     []*job.Job          // guarded by mu; admission queue, drained each cycle
+	queue     []queuedJob         // guarded by mu; admission queue, drained each cycle
 	queued    map[job.ID]*job.Job // guarded by mu; members of queue, by ID
 	gone      map[job.ID]bool     // guarded by mu; cancelled before admission (no Outcome)
 	abandoned map[job.ID]bool     // guarded by mu; dropped by the scheduler (zero utility)
@@ -340,6 +342,19 @@ type Service struct {
 	ctl          ControlCounters         // guarded by mu
 	cycleBusy    bool                    // guarded by mu; a leader cycle is between its top and its log append
 	snapFetching bool                    // guarded by mu; a snapshot catch-up fetch is in flight
+	snapClient   *http.Client            // snapshot catch-up fetches (immutable)
+
+	// ackWake is the quorum waiters' broadcast: closed and replaced by
+	// wakeWaitersLocked whenever something waitReplicated's verdict depends
+	// on may have changed (a follower's ack advanced, the role flipped, Stop).
+	ackWake chan struct{} // guarded by mu
+
+	// pendingCompact is the sequence of the newest snapshot record the log
+	// has not been compacted to yet (0: none). The compactor goroutine
+	// settles it off the lock once no lease-live follower is short of it.
+	pendingCompact uint64        // guarded by mu
+	compactWake    chan struct{} // capacity 1: level-triggered, like followerConn.notify
+	compactDone    chan struct{} // closed when the compactor goroutine has exited
 
 	// Cached predictor history hash: sha256 over the full serialized
 	// history is too slow for the per-scrape /v1/metrics path (it grows
@@ -353,6 +368,16 @@ type Service struct {
 	stop      chan struct{}
 	loopDone  chan struct{}
 	electDone chan struct{}
+}
+
+// queuedJob is one accepted job awaiting its admission cycle, tagged with its
+// admit record's log seq (0 without a log): a cycle admits only jobs its
+// InputsThrough watermark covers, so a submit that lands while the leader is
+// solving enters the engine in the next cycle on every replica, not one
+// cycle early on those that apply the admit record before the cycle record.
+type queuedJob struct {
+	seq uint64
+	j   *job.Job
 }
 
 // trainEntry is one deferred predictor observation (det mode), tagged with
@@ -397,6 +422,7 @@ type ControlCounters struct {
 	AgentsFailed     int64 `json:"agents_failed"`     // agents declared dead
 	AgentsRecovered  int64 `json:"agents_recovered"`  // dead agents re-adopted (reset + recover)
 	Snapshots        int64 `json:"snapshots"`         // full-state snapshot records appended (leader)
+	SnapshotFailures int64 `json:"snapshot_failures"` // snapshots not exported or appended (one beyond replog.MaxRecordBytes lands here every time: the log can no longer compact)
 	Compactions      int64 `json:"compactions"`       // log truncations below a snapshot
 	SnapshotInstalls int64 `json:"snapshot_installs"` // snapshots installed for catch-up (follower)
 }
@@ -419,6 +445,13 @@ func New(cfg Config) (*Service, error) {
 		stop:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		electDone: make(chan struct{}),
+
+		// A snapshot is one record of up to replog.MaxRecordBytes: give the
+		// fetch several leases, and never less than ten seconds.
+		snapClient:  &http.Client{Timeout: max(4*cfg.LeaseInterval, 10*time.Second)},
+		ackWake:     make(chan struct{}),
+		compactWake: make(chan struct{}, 1),
+		compactDone: make(chan struct{}),
 	}
 	if cfg.Faults != nil {
 		s.inj = faults.New(*cfg.Faults, cfg.Cluster.Partitions, 0)
@@ -489,6 +522,7 @@ func (s *Service) Start() {
 		s.takeoverLocked(0)
 	}
 	go s.loop()
+	go s.compactLoop()
 }
 
 // BeginDrain flips the service into draining mode without stopping the
@@ -542,6 +576,9 @@ func (s *Service) Stop(timeout time.Duration) error {
 	already := s.stopped
 	s.stopped = true
 	s.draining = true
+	// No sender pushes past the stop: a submit still waiting for its quorum
+	// reports the gap now instead of when the followers' leases lapse.
+	s.wakeWaitersLocked()
 	s.mu.Unlock()
 	if !already {
 		close(s.stop)
@@ -549,11 +586,13 @@ func (s *Service) Stop(timeout time.Duration) error {
 	if timeout <= 0 {
 		<-s.loopDone
 		<-s.electDone
+		<-s.compactDone
 		return nil
 	}
 	select {
 	case <-s.loopDone:
 		<-s.electDone
+		<-s.compactDone
 		return nil
 	//lint:allow wallclock the drain timeout bounds real shutdown latency; it must fire on the wall even if the virtual clock stands still
 	case <-time.After(timeout):
@@ -675,15 +714,18 @@ func (s *Service) runCycle() {
 		if err != nil {
 			s.cfg.Logf("append cycle record: %v", err)
 		}
-		// Snapshot + compact on the cycle boundary, while cycleBusy still
-		// fences pushes: the snapshot captures exactly the state the cycle
-		// record left behind, and followers compact at the same seq when
-		// they apply the snapshot record.
+		// Snapshot on the cycle boundary, in the same hold of the lock as
+		// the cycle record: the snapshot captures exactly the state that
+		// record left behind. Compacting below it waits for the followers
+		// (settleCompaction).
 		if s.cfg.CompactEvery > 0 && s.cycles%s.cfg.CompactEvery == 0 {
-			s.snapshotCompactLocked()
+			s.snapshotLocked()
 		}
 	}
 	s.cycleBusy = false
+	// Every cycle re-examines an unsettled compaction: a follower that held
+	// it back may have let its lease lapse since, which no ack announces.
+	s.wakeCompactorLocked()
 	s.mu.Unlock()
 	s.notifyFollowers()
 
@@ -729,27 +771,33 @@ func (s *Service) cycleTopLocked(now float64, comps []compEv, agentOps []agentOp
 
 	// Admission: arrival order on the wall path; (Submit, ID) order with
 	// future submissions held back on the deterministic path, so the cycle
-	// at which a job enters the scheduler depends only on its stamp.
-	var admit []*job.Job
+	// at which a job enters the scheduler depends only on its stamp and on
+	// which cycle's input watermark first covers its admit record — a job
+	// logged while the leader was solving cycle k waits for cycle k+1
+	// wherever the record is applied.
+	admit := s.queue
+	s.queue = nil
 	if s.cfg.DetCycles {
-		sort.SliceStable(s.queue, func(i, k int) bool {
+		sort.SliceStable(admit, func(i, k int) bool {
 			//lint:allow floateq exact tie-break: equal-bits submit stamps fall through to the ID order
-			if s.queue[i].Submit != s.queue[k].Submit {
-				return s.queue[i].Submit < s.queue[k].Submit
+			if admit[i].j.Submit != admit[k].j.Submit {
+				return admit[i].j.Submit < admit[k].j.Submit
 			}
-			return s.queue[i].ID < s.queue[k].ID
+			return admit[i].j.ID < admit[k].j.ID
 		})
 		n := 0
-		for n < len(s.queue) && s.queue[n].Submit <= now {
-			n++
+		for _, q := range admit {
+			if q.j.Submit <= now && q.seq <= through {
+				admit[n] = q
+				n++
+			} else {
+				s.queue = append(s.queue, q)
+			}
 		}
-		admit = s.queue[:n]
-		s.queue = append([]*job.Job(nil), s.queue[n:]...)
-	} else {
-		admit = s.queue
-		s.queue = nil
+		admit = admit[:n]
 	}
-	for _, j := range admit {
+	for _, q := range admit {
+		j := q.j
 		delete(s.queued, j.ID)
 		if err := s.eng.Submit(j); err != nil {
 			// Validated at enqueue; only a duplicate raced in could fail.
@@ -974,13 +1022,13 @@ func (s *Service) Submit(j *job.Job) (replicated bool, err error) {
 		}
 		seq = rec.Seq
 	}
-	s.queue = append(s.queue, j)
+	s.queue = append(s.queue, queuedJob{seq: seq, j: j})
 	s.queued[j.ID] = j
 	s.counters.Accepted++
+	s.notifyFollowersLocked()
 	s.mu.Unlock()
 	replicated = true
 	if seq > 0 && len(s.cfg.Peers) > 0 {
-		s.notifyFollowers()
 		replicated = s.waitReplicated(seq)
 	}
 	return replicated, nil
@@ -1091,16 +1139,7 @@ func (s *Service) Cancel(id job.ID) error {
 	if s.cfg.DetCycles {
 		return s.deferCancelLocked(id)
 	}
-	if _, ok := s.queued[id]; ok {
-		delete(s.queued, id)
-		for i, j := range s.queue {
-			if j.ID == id {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		s.gone[id] = true
-		s.counters.Cancelled++
+	if s.dequeueLocked(id) {
 		return nil
 	}
 	if o := s.eng.Outcome(id); o != nil {
@@ -1120,6 +1159,25 @@ func (s *Service) Cancel(id job.ID) error {
 		return &SubmitError{Code: 409, Msg: fmt.Sprintf("job %d already cancelled", id)}
 	}
 	return &SubmitError{Code: 404, Msg: fmt.Sprintf("unknown job %d", id)}
+}
+
+// dequeueLocked cancels a job that is still in the admission queue: it
+// leaves the queue and is remembered as gone. It reports false for a job
+// that is not queued.
+func (s *Service) dequeueLocked(id job.ID) bool {
+	if _, ok := s.queued[id]; !ok {
+		return false
+	}
+	delete(s.queued, id)
+	for i, q := range s.queue {
+		if q.j.ID == id {
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			break
+		}
+	}
+	s.gone[id] = true
+	s.counters.Cancelled++
+	return true
 }
 
 // Abandon marks a job as dropped by the scheduler: it leaves the pending

@@ -1,11 +1,13 @@
 // Full-state snapshots and log compaction (DESIGN.md §14): every
 // CompactEvery cycles the leader serializes its entire replay-relevant
 // state — engine, scheduler, predictor, admission queue, deferred inputs,
-// chaos cursor, desired-run map — into a TypeSnapshot record and truncates
-// the log below it. Warm restarts then replay from the snapshot instead of
-// genesis, and a replica whose catch-up cursor fell below the compacted
-// base installs the snapshot fetched over GET /v1/replog/snapshot before
-// streaming the suffix.
+// chaos cursor, desired-run map — into a TypeSnapshot record, and truncates
+// the log below it once every follower with a live lease holds the record,
+// so that compacting never pushes an in-sync follower below the base.
+// Warm restarts then replay from the snapshot instead of genesis, and a
+// replica whose catch-up cursor did fall below the compacted base — an empty
+// standby, one that was down — installs the snapshot fetched over
+// GET /v1/replog/snapshot before streaming the suffix.
 package service
 
 import (
@@ -13,9 +15,9 @@ import (
 	"container/heap"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
-	"time"
 
 	"threesigma/internal/core"
 	"threesigma/internal/job"
@@ -75,6 +77,11 @@ type snapAttempt struct {
 // performance-only state (scheduler memo, incremental model, stats, agent
 // outboxes) is rebuilt cold.
 type snapPayload struct {
+	// EngineEpoch repeats Engine.Epoch as the payload's first field, where an
+	// in-sync follower reads it without scanning the megabytes behind it
+	// (snapshotEngineEpoch).
+	EngineEpoch uint64 `json:"engine_epoch"`
+
 	Cycle    int64    `json:"cycle"`
 	CycleNow float64  `json:"cycle_now"`
 	Counters Counters `json:"counters"`
@@ -84,7 +91,8 @@ type snapPayload struct {
 	Sched     *core.SchedState       `json:"sched"`
 	Predictor json.RawMessage        `json:"predictor,omitempty"` // predictor.Save stream
 
-	Queue     []*job.Job   `json:"queue,omitempty"` // admission queue (pre-admission)
+	Queue     []*job.Job   `json:"queue,omitempty"`      // admission queue (pre-admission)
+	QueueSeqs []uint64     `json:"queue_seqs,omitempty"` // Queue[i]'s admit record seq (absent: all 0, no gate)
 	Gone      []job.ID     `json:"gone,omitempty"`
 	Abandoned []job.ID     `json:"abandoned,omitempty"`
 	Removed   []job.ID     `json:"removed,omitempty"` // JobRemoved sweep pending
@@ -126,11 +134,15 @@ func (s *Service) exportStateLocked() (*snapPayload, error) {
 		Ckpts:     s.ckpts,
 		Engine:    s.eng.ExportState(),
 		Sched:     sst,
-		Queue:     append([]*job.Job(nil), s.queue...),
 		Gone:      sortedIDs(s.gone),
 		Abandoned: sortedIDs(s.abandoned),
 		Removed:   append([]job.ID(nil), s.removed...),
 		FaultIdx:  s.faultIdx,
+	}
+	p.EngineEpoch = p.Engine.Epoch
+	for _, q := range s.queue {
+		p.Queue = append(p.Queue, q.j)
+		p.QueueSeqs = append(p.QueueSeqs, q.seq)
 	}
 	if s.cfg.Predictor != nil {
 		var buf bytes.Buffer
@@ -171,32 +183,103 @@ func (s *Service) exportStateLocked() (*snapPayload, error) {
 	return p, nil
 }
 
-// snapshotCompactLocked appends a TypeSnapshot record capturing the
-// leader's state and compacts the log below it. Failures are logged and
-// skipped — the log simply stays longer until the next attempt.
-func (s *Service) snapshotCompactLocked() {
+// snapshotEngineEpoch reads the engine epoch off the front of a snapshot
+// payload: the first field, by snapPayload's declaration order. ok is false
+// for a payload that does not begin with it.
+func snapshotEngineEpoch(data []byte) (epoch uint64, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return 0, false
+	}
+	if t, err := dec.Token(); err != nil || t != "engine_epoch" {
+		return 0, false
+	}
+	return epoch, dec.Decode(&epoch) == nil
+}
+
+// snapshotLocked appends a TypeSnapshot record capturing the leader's state
+// and leaves the compaction below it pending. A failure is logged and
+// counted — the log simply stays longer until the next attempt, and a
+// snapshot_failures that keeps growing is a log that can no longer compact.
+func (s *Service) snapshotLocked() {
 	p, err := s.exportStateLocked()
 	if err != nil {
+		s.ctl.SnapshotFailures++
 		s.cfg.Logf("snapshot: export: %v", err)
 		return
 	}
 	rec, err := s.log.Append(s.leaderEpoch, replog.TypeSnapshot, s.cycles, p)
 	if err != nil {
+		s.ctl.SnapshotFailures++
 		s.cfg.Logf("snapshot: append: %v", err)
 		return
 	}
 	s.ctl.Snapshots++
-	s.compactToLocked(rec.Seq)
+	s.pendingCompact = rec.Seq
 }
 
-// compactToLocked truncates the log below the snapshot record at seq; both
-// the leader (right after appending it) and followers (on applying it) run
-// this, so every replica's retention converges.
-func (s *Service) compactToLocked(seq uint64) {
-	if s.log == nil {
+// wakeCompactorLocked nudges the compactor goroutine when a compaction is
+// pending (non-blocking: the channel holds one level-triggered wake-up).
+func (s *Service) wakeCompactorLocked() {
+	if s.pendingCompact == 0 {
 		return
 	}
-	if err := s.log.Compact(seq); err != nil {
+	select {
+	case s.compactWake <- struct{}{}:
+	default:
+	}
+}
+
+// compactLoop owns log compaction for the life of the service, so that the
+// file rewrite never runs under s.mu and never twice at once. After Stop it
+// waits out the final cycle, which may append one more snapshot, and settles
+// whatever is pending unconditionally: the log a stopped replica leaves
+// begins at its newest snapshot.
+func (s *Service) compactLoop() {
+	defer close(s.compactDone)
+	for {
+		select {
+		case <-s.stop:
+			<-s.loopDone
+			s.settleCompaction(true)
+			return
+		case <-s.compactWake:
+			s.settleCompaction(false)
+		}
+	}
+}
+
+// settleCompaction truncates the log below the pending snapshot record,
+// once no follower would be stranded by it: every follower whose lease is
+// live has acked the record (so its own log reaches past the new base and it
+// compacts at the same sequence when it applies the record), and a follower
+// whose lease has lapsed is not waited for — snapshot catch-up exists for
+// it. A follower, and a leader without peers, has nobody to wait for. force
+// skips the check (Stop: nobody will be pushed to any more). Called from
+// the compactor goroutine only, without s.mu.
+func (s *Service) settleCompaction(force bool) {
+	s.mu.Lock()
+	seq := s.pendingCompact
+	if seq != 0 && !force {
+		now := s.cfg.Clock.Now()
+		for _, fc := range s.followers {
+			if acked, expires := fc.progress(s.cfg.LeaseInterval); acked < seq && !now.After(expires) {
+				seq = 0 // held back; the follower's next ack or the next cycle asks again
+				break
+			}
+		}
+	}
+	s.mu.Unlock()
+	if seq == 0 {
+		return
+	}
+	err := s.log.Compact(seq)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pendingCompact == seq {
+		s.pendingCompact = 0
+	}
+	if err != nil {
 		s.cfg.Logf("compact to %d: %v", seq, err)
 		return
 	}
@@ -239,9 +322,13 @@ func (s *Service) installSnapshotLocked(rec replog.Record) error {
 	if s.schedClock != nil {
 		s.schedClock.Set(p.CycleNow)
 	}
-	s.queue = append([]*job.Job(nil), p.Queue...)
+	s.queue = make([]queuedJob, len(p.Queue))
 	s.queued = make(map[job.ID]*job.Job, len(p.Queue))
-	for _, j := range p.Queue {
+	for i, j := range p.Queue {
+		s.queue[i].j = j
+		if i < len(p.QueueSeqs) {
+			s.queue[i].seq = p.QueueSeqs[i]
+		}
 		s.queued[j.ID] = j
 	}
 	s.gone = make(map[job.ID]bool, len(p.Gone))
@@ -317,12 +404,7 @@ func (s *Service) fetchSnapshot(addr string) {
 		s.snapFetching = false
 		s.mu.Unlock()
 	}()
-	timeout := 4 * s.cfg.LeaseInterval
-	if timeout < 10*time.Second {
-		timeout = 10 * time.Second
-	}
-	httpc := &http.Client{Timeout: timeout}
-	resp, err := httpc.Get(addr + "/v1/replog/snapshot")
+	resp, err := s.snapClient.Get(addr + "/v1/replog/snapshot")
 	if err != nil {
 		s.cfg.Logf("snapshot fetch: %v", err)
 		return
@@ -333,7 +415,7 @@ func (s *Service) fetchSnapshot(addr string) {
 		return
 	}
 	var rec replog.Record
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplBody)).Decode(&rec); err != nil {
 		s.cfg.Logf("snapshot fetch: decode: %v", err)
 		return
 	}
@@ -346,6 +428,7 @@ func (s *Service) fetchSnapshot(addr string) {
 		s.cfg.Logf("snapshot install (log): %v", err)
 		return
 	}
+	s.pendingCompact = 0 // the log begins at this snapshot now
 	if err := s.installSnapshotLocked(rec); err != nil {
 		s.ctl.Diverged++
 		s.cfg.Logf("DIVERGED: snapshot install (state): %v", err)

@@ -7,7 +7,8 @@
 # produce bit-identical outcome digests), an incremental re-solve digest
 # gate (patched and force-rebuilt runs must agree bitwise, with and without
 # fault injection), a pinned-outcomes gate (those digests and the benchmark's
-# exactly-repeating counters must equal the committed scripts/pins.txt), a
+# exactly-repeating counters must equal the committed scripts/pins.txt, and a
+# short serve-group run must end correct with no failed operation), a
 # sharded-domain digest gate (-shards 1 vs -shards 8 must agree bitwise on an
 # equivalence-partitioned workload), an end-to-end smoke of the
 # online service (serverd + loadgen, including a SIGTERM warm restart and
@@ -28,9 +29,10 @@ echo "== 3sigma-lint =="
 # The repo's own determinism & concurrency analyzer (DESIGN.md §10): map
 # iteration in deterministic packages, wall-clock reads outside the clock
 # boundary, unseeded randomness, exact float comparison, copied locks and
-# unguarded annotated fields — plus the interprocedural rules: lock-order
-# cycles (potential deadlocks), the *Locked caller-holds-guard convention,
-# blocking work under the hot Service.mu, and discarded durability errors.
+# unguarded annotated fields, sleep-and-look-again polling under internal/ —
+# plus the interprocedural rules: lock-order cycles (potential deadlocks),
+# the *Locked caller-holds-guard convention, blocking work under the hot
+# Service.mu, and discarded durability errors.
 # Exits non-zero on any unsuppressed finding. Stale //lint:allow comments
 # are findings too, so the gate fails when a suppression outlives its bug.
 go run ./cmd/3sigma-lint ./...
@@ -136,6 +138,20 @@ if ! grep -v '^#' scripts/pins.txt | diff - "$WORK/pins"; then
 fi
 echo "pinned outcomes hold:"
 cat "$WORK/pins"
+# The serve workload has no counter that repeats exactly (its records follow
+# wall-clock arrivals), but its verdict does: 3 replicas and 4 agents over
+# loopback under quorum acks and compaction for 5 s — every submit on a quorum
+# of logs, the replicas converged with no divergence seen, the stopped leader's
+# log restarting to the same digests. No timing is gated.
+LINE=$(go run ./bench -workload serve-group -seconds 5 | tail -n 1)
+case "$LINE" in
+    '{"correct":true,"attempted":'*',"failed":0,"metrics":'*)
+        echo "serve-group: correct, 0 failed" ;;
+    *)
+        echo "FAIL: serve-group did not end correct with 0 failed operations:"
+        echo "$LINE" | cut -c1-200
+        exit 1 ;;
+esac
 
 echo "== sharded-domain digest gate =="
 # Sharded scheduling domains (DESIGN.md §13) are contractually
