@@ -37,7 +37,6 @@ func main() {
 	segStart := flag.Float64("segment-start", 0, "trace replay: segment start time, seconds")
 	faultSpec := flag.String("faults", "", "fault injection spec: preset (light, heavy) or k=v list, e.g. seed=7,mtbf=1800,mttr=300,group=0.2:4,crash=0.05,straggler=0.1:2,retries=3")
 	digest := flag.Bool("digest", false, "print the run's outcome digest (hash of job fates; stable across identical runs, used by the CI determinism gate)")
-	forceRebuild := flag.Bool("forcerebuild", false, "disable the incremental model-patch path: recompile the MILP from scratch every cycle (outcome-identical by contract; used by the CI digest gate)")
 	shards := flag.Int("shards", 1, "number of scheduling domains; >1 runs per-shard MILP solves under the cross-shard coordinator (DESIGN.md §13)")
 	domains := flag.Int("domains", 0, "generate a domain-partitioned workload: SLO jobs prefer exactly one of this many contiguous partition domains (0 = paper's random-subset preferences)")
 	sloShare := flag.Float64("sloshare", 0, "fraction of offered load from SLO jobs (0 = default 0.5; 1 = all SLO)")
@@ -109,7 +108,6 @@ func main() {
 		//lint:allow wallclock operator-facing elapsed display; the simulation itself runs on its own (virtual) clock
 		t0 := time.Now()
 		simCfg := threesigma.SimConfig{Seed: *seed, RealCluster: *rc, CycleInterval: *cycle, VirtualTime: *virtual, Faults: faultCfg, Shards: *shards}
-		simCfg.Scheduler.ForceRebuild = *forceRebuild
 		if *verbose {
 			simCfg.Scheduler.OnDecision = func(e threesigma.DecisionEvent) { fmt.Println(e) }
 		}

@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"threesigma/internal/job"
-	"threesigma/internal/milp"
 	"threesigma/internal/simulator"
 )
 
@@ -61,31 +60,11 @@ func (s *Scheduler) checkMemo(id job.ID, pg *memoPage, ver uint64) {
 	if pg.ver != ver {
 		checkFailf("job %d: memo page version %d, distribution version %d", id, pg.ver, ver)
 	}
-	// Sort the spaces so a page with several bad curves always panics on
-	// the same one (checkFailf stops at the first violation it sees).
-	spaces := make([]int, 0, len(pg.surv))
-	for space := range pg.surv {
-		spaces = append(spaces, int(space))
-	}
-	sort.Ints(spaces)
-	for _, space := range spaces {
-		if surv := pg.surv[int8(space)]; len(surv) != s.cfg.Slots {
+	for space, surv := range pg.surv {
+		if surv != nil && len(surv) != s.cfg.Slots {
 			checkFailf("job %d space %d: memoized survival curve has %d samples, want %d slots",
 				id, space, len(surv), s.cfg.Slots)
 		}
-	}
-}
-
-// checkIncremental proves the incremental re-solve path's core obligation
-// after a patched cycle: compiling this cycle's recording from scratch must
-// yield a model bitwise-identical — names, kinds, objective bits, sparsity
-// patterns, coefficient and RHS bits — to the patched previous-cycle model
-// the solver is about to see. This is the oracle the CI digest gate relies
-// on; it is O(model) per cycle and therefore Checks-gated.
-func (b *builder) checkIncremental() {
-	fresh := b.buildFresh()
-	if diff := milp.EqualBitwise(b.model, fresh); diff != "" {
-		checkFailf("patched model diverges from full rebuild: %s", diff)
 	}
 }
 
@@ -93,26 +72,46 @@ func (b *builder) checkIncremental() {
 // a placement variable (option indicator or exact-shares allocation var) is
 // non-negative; only preemption credits may appear with negative sign.
 func (b *builder) checkCapacityRows() {
-	preempt := make(map[int]bool, len(b.preempts))
-	for i := range b.preempts {
-		preempt[b.preempts[i].varIdx] = true
-	}
-	for _, r := range b.model.Rows() {
-		if len(r.Name) < 4 || r.Name[:4] != "cap[" {
+	for r, key := range b.cur.rowKeys {
+		if key.class != keyRowCap {
 			continue
 		}
-		for k, id := range r.Idx {
-			if preempt[id] {
-				if r.Coef[k] > 0 {
+		idx, coef, _ := b.model.RowEntries(r)
+		for k, id := range idx {
+			if b.cur.varKeys[id].class == keyVarP {
+				if coef[k] > 0 {
 					checkFailf("row %s: preemption credit %s has positive coefficient %g",
-						r.Name, b.model.VarName(id), r.Coef[k])
+						b.model.RowName(r), b.model.VarName(id), coef[k])
 				}
 				continue
 			}
-			if !(r.Coef[k] >= 0) {
+			if !(coef[k] >= 0) { // also catches NaN
 				checkFailf("row %s: placement var %s has negative coefficient %g",
-					r.Name, b.model.VarName(id), r.Coef[k])
+					b.model.RowName(r), b.model.VarName(id), coef[k])
 			}
+		}
+	}
+}
+
+// checkFinite walks the finished model for a number that is not one: the
+// cycle's scratch is NaN-poisoned under Checks (see buildScratch), so a
+// coefficient, right-hand side or objective term computed from something
+// this cycle never wrote shows up here.
+func (b *builder) checkFinite() {
+	m := b.model
+	check := func(what string, name func(int) string, i int, x float64) {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			checkFailf("%s %s is %g", what, name(i), x)
+		}
+	}
+	for v := 0; v < m.NumVars(); v++ {
+		check("objective coefficient of", m.VarName, v, m.ObjCoef(v))
+	}
+	for r := 0; r < m.NumRows(); r++ {
+		_, coef, rhs := m.RowEntries(r)
+		check("right-hand side of row", m.RowName, r, rhs)
+		for _, c := range coef {
+			check("a coefficient of row", m.RowName, r, c)
 		}
 	}
 }

@@ -110,23 +110,13 @@ type Config struct {
 	// benchmarks; production configurations leave it false.
 	NoWarmStart bool
 
-	// ForceRebuild disables the incremental model-patch path (DESIGN.md
-	// §12): every cycle compiles its MILP from scratch even when the
-	// cluster state is unchanged since the previous cycle. The patched and
-	// rebuilt models are bitwise-identical by construction (verified under
-	// Checks and by the CI digest gate), so this is purely a performance
-	// ablation knob; production configurations leave it false.
-	ForceRebuild bool
-
 	// NoWarmBasis disables the cross-cycle solver reuse of the incremental
-	// re-solve path: restoring each cycle's root LP from the previous
-	// cycle's optimal simplex basis, and answering a cycle whose model is
-	// bitwise-unchanged with the previous cycle's solution outright. Like
-	// ForceRebuild it exists for the repository's own benchmark arms;
-	// whether a basis is fed (and whether a solve is reused) is decided
-	// from state that is identical in incremental and force-rebuild runs,
-	// so toggling ForceRebuild alone never changes scheduling outcomes
-	// while toggling NoWarmBasis may.
+	// re-solve path (DESIGN.md §12): restoring each cycle's root LP from the
+	// previous cycle's optimal simplex basis, and answering a cycle whose
+	// model is bitwise-unchanged with the previous cycle's solution
+	// outright. It exists for the repository's own benchmark arm
+	// (experiments.Steady's rebuild-cold); the solver's path changes with it,
+	// so outcomes may too.
 	NoWarmBasis bool
 
 	// SolveQuantum, when > 0, quantizes the model's evaluation clock: every
@@ -152,12 +142,12 @@ type Config struct {
 	ExactShares bool
 
 	// Checks enables internal invariant assertions on the hot path: every
-	// cycle verifies that capacity-row coefficients are non-negative, that
-	// memoized builder terms are coherent with the job's distribution
-	// version, and that extracted allocations conserve gang size. A
-	// violation panics with a diagnostic message. This is a debug/test aid
-	// (used by the correctness suite in internal/check and by sim/serverd
-	// tests); production configurations leave it false.
+	// cycle poisons its reused scratch and verifies that capacity-row
+	// coefficients are non-negative, every number of the model finite,
+	// memoized builder terms coherent with the job's distribution version,
+	// and extracted allocations gang-size conserving. A violation panics
+	// with a diagnostic message. A debug/test aid (the correctness suite in
+	// internal/check, sim/serverd tests); production leaves it false.
 	Checks bool
 
 	// OnDecision, when non-nil, receives every scheduling decision (starts,

@@ -8,20 +8,32 @@ import (
 	"threesigma/internal/simulator"
 )
 
-// DebugBuildModel exposes the cycle MILP for dissection in tests/probes.
+// DebugBuildModel exposes the cycle MILP for dissection in tests/probes. The
+// builder is the scheduler's own: it, its options and its model are valid
+// until s builds again (the next DebugBuildModel or Cycle; see builder).
 func DebugBuildModel(s *Scheduler, st *simulator.State) *builder { return s.buildModel(st) }
 
 // DebugStateSizes reports the sizes of the scheduler's per-job state maps,
 // so tests can assert that retiring a job (completion, removal, abandonment)
-// actually releases its planning state instead of leaking it.
+// actually releases its planning state instead of leaking it. memoEntries is
+// the number of per-grid-slot term entries the memo pages hold.
 func DebugStateSizes(s *Scheduler) map[string]int {
+	var pages []*memoPage
+	for _, pg := range s.memo.jobs {
+		pages = append(pages, pg)
+	}
+	memoEntries := 0
+	for _, pg := range pages {
+		memoEntries += len(pg.eu[spacePref]) + len(pg.eu[spaceAny]) + len(pg.run)
+	}
 	return map[string]int{
-		"dists":     len(s.dists),
-		"distVer":   len(s.distVer),
-		"ue":        len(s.ue),
-		"planned":   len(s.planned),
-		"abandoned": len(s.abandoned),
-		"memo":      len(s.memo.jobs),
+		"memoEntries": memoEntries,
+		"dists":       len(s.dists),
+		"distVer":     len(s.distVer),
+		"ue":          len(s.ue),
+		"planned":     len(s.planned),
+		"abandoned":   len(s.abandoned),
+		"memo":        len(s.memo.jobs),
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
-import "threesigma/internal/job"
+import (
+	"threesigma/internal/dist"
+	"threesigma/internal/job"
+)
 
 // buildMemo caches the model-builder terms that are stable across scheduling
 // cycles. Deferral options (start slot >= 1) sit on an absolute time grid
@@ -14,37 +17,45 @@ type buildMemo struct {
 	jobs map[job.ID]*memoPage
 }
 
+// slotTerm is one cached term of an absolute grid slot. The per-slot terms of
+// a page live in rings of Slots entries indexed by grid slot mod Slots: a
+// cycle asks only for the Slots−1 slots after its own and time does not run
+// backwards, so a slot's entry is overwritten (by the slot one window later)
+// only once nobody can ask for it again. A job that stays pending or running
+// for hours therefore holds one window of terms, not one per elapsed slot.
+type slotTerm struct {
+	grid int64 // absolute slot index: time / SlotDur
+	val  float64
+	ok   bool
+}
+
 // memoPage is one job's cached terms.
 type memoPage struct {
 	ver uint64
-	// eu maps (space class, absolute grid slot) to the raw expected utility
-	// of starting there (before the earlier-is-better bonus, which depends
-	// on the cycle-relative slot index).
-	eu map[euKey]float64
-	// surv maps a space class to its survival curve sampled on the slot
+	// eu[space] holds, per grid slot, the raw expected utility of starting
+	// there in that space class (before the earlier-is-better bonus, which
+	// depends on the cycle-relative slot index).
+	eu [2][]slotTerm
+	// surv[space] is the space class's survival curve sampled on the slot
 	// grid: surv[dk] = P(runtime > dk·SlotDur). Serves every grid-aligned
 	// option of the job, since a start at slot k consumes capacity in slot
-	// k2 with probability surv[k2−k].
-	surv map[int8][]float64
-	// run caches the unconditional survival numerators of the Eq. 2 update
-	// while the job is *running*: S(times[k] − start) for grid slot
-	// grid0+k. The start time and on-preferred placement are part of the
-	// key because a preemption and restart changes both; the conditional
-	// denominator S(now − start) depends on `now` and is recomputed every
-	// cycle (one evaluation instead of one per slot).
-	run map[runKey]float64
-}
-
-type euKey struct {
-	space int8
-	grid  int64 // absolute slot index: start time / SlotDur
-}
-
-// runKey identifies one grid-slot survival numerator of a running job.
-type runKey struct {
-	grid      int64  // absolute slot index of the sample point
-	startBits uint64 // math.Float64bits of the run's start time
-	onPref    bool   // run placed entirely on preferred resources
+	// k2 with probability surv[k2−k]. nil until first used.
+	surv [2][]float64
+	// run holds, per grid slot, the unconditional survival numerator of the
+	// Eq. 2 update while the job is *running*: S(slot time − start). It
+	// belongs to one run — runStart and runOnPref identify it, and a
+	// preemption and restart, which changes both, empties it; the
+	// conditional denominator S(now − start) depends on `now` and is
+	// recomputed every cycle (one evaluation instead of one per slot).
+	run       []slotTerm
+	runStart  uint64 // math.Float64bits of the run's start time
+	runOnPref bool   // run placed entirely on preferred resources
+	// slow is the job's distribution stretched by its off-preferred
+	// slowdown (runtimeFactor), util its built-in utility curve, adaptive
+	// over-estimate test included: functions of the job and its
+	// distribution alone. nil until first used.
+	slow dist.Distribution
+	util job.Utility
 }
 
 func newBuildMemo() *buildMemo {
@@ -56,12 +67,7 @@ func newBuildMemo() *buildMemo {
 func (m *buildMemo) forJob(id job.ID, ver uint64) *memoPage {
 	pg := m.jobs[id]
 	if pg == nil || pg.ver != ver {
-		pg = &memoPage{
-			ver:  ver,
-			eu:   make(map[euKey]float64),
-			surv: make(map[int8][]float64),
-			run:  make(map[runKey]float64),
-		}
+		pg = &memoPage{ver: ver}
 		m.jobs[id] = pg
 	}
 	return pg
@@ -70,4 +76,32 @@ func (m *buildMemo) forJob(id job.ID, ver uint64) *memoPage {
 // drop forgets a job's page (completion, abandonment, or resubmission).
 func (m *buildMemo) drop(id job.ID) {
 	delete(m.jobs, id)
+}
+
+// cached returns grid slot grid's term from the ring (made on first use),
+// computing and storing it on a miss, and counts the hit or the miss.
+func (b *builder) cached(ring *[]slotTerm, grid int64, compute func() float64) float64 {
+	if *ring == nil {
+		*ring = make([]slotTerm, b.s.cfg.Slots)
+	}
+	e := &(*ring)[uint64(grid)%uint64(len(*ring))]
+	if e.ok && e.grid == grid {
+		b.cacheHits++
+	} else {
+		*e = slotTerm{grid, compute(), true}
+		b.cacheMisses++
+	}
+	return e.val
+}
+
+// scaled returns d stretched by factor, d being the distribution the page
+// was built from and factor either 1 or the job's runtimeFactor.
+func (pg *memoPage) scaled(d dist.Distribution, factor float64) dist.Distribution {
+	if factor <= 1 {
+		return d
+	}
+	if pg.slow == nil {
+		pg.slow = dist.NewScaled(d, factor)
+	}
+	return pg.slow
 }

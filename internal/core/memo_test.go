@@ -101,6 +101,38 @@ func TestMemoDroppedOnCompletion(t *testing.T) {
 	}
 }
 
+// TestMemoBoundedForLongLivedJobs: the per-grid-slot terms live in windows
+// that move with the grid, so a job that stays pending or running for hours
+// holds at most one plan-ahead window of them per space — keyed by absolute
+// slot they grew by one dead entry per elapsed slot per space until the job
+// left.
+func TestMemoBoundedForLongLivedJobs(t *testing.T) {
+	cfg := testConfig()
+	s := New(uniformEstimator(100, 2e5), cfg) // support longer than the run: never exhausted
+	waiting := &job.Job{ID: 1, Class: job.SLO, Submit: 0, Deadline: 1e6, Tasks: 2,
+		Runtime: 400, Preferred: []int{0}, NonPrefFactor: 1.5}
+	hog := &job.Job{ID: 2, Class: job.SLO, Submit: 0, Deadline: 1e6, Tasks: 6, Runtime: 1e6}
+	running := []*simulator.RunningJob{{Job: hog, Start: 0, Alloc: simulator.Alloc{3, 3}, OnPreferred: true}}
+	for c := 0; c < 10000; c++ {
+		now := float64(c) * cfg.CycleInterval
+		b := s.buildModel(stateWith(simulator.NewCluster(8, 2), []*job.Job{waiting}, running, now))
+		if c > 0 && len(b.options) == 0 {
+			t.Fatalf("cycle %d: the waiting job lost its deferral options", c)
+		}
+	}
+	sizes := DebugStateSizes(s)
+	if sizes["memo"] != 2 {
+		t.Fatalf("memo pages = %d, want the two jobs'", sizes["memo"])
+	}
+	if max := 2 * cfg.Slots * 2; sizes["memoEntries"] == 0 || sizes["memoEntries"] > max {
+		t.Errorf("memo holds %d per-slot terms after 10000 cycles, want 1..%d (Slots × spaces per page)", sizes["memoEntries"], max)
+	}
+	st := s.Stats()
+	if rate := st.CacheHitRate(); rate < 0.9 {
+		t.Errorf("hit rate %.3f: the windows are not serving the grid", rate)
+	}
+}
+
 // TestCacheHitRate checks the Stats helper.
 func TestCacheHitRate(t *testing.T) {
 	var st Stats

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"threesigma/internal/dist"
 	"threesigma/internal/job"
@@ -44,10 +45,11 @@ type preemptVar struct {
 // Logical identities for the incremental re-solve path (DESIGN.md §12).
 // Every variable and row the builder emits carries a modelKey naming what it
 // *means* — "the indicator of job 7 starting in space 1 at slot 3" — rather
-// than where it landed. Two cycles whose key sequences match have
-// structurally identical models, so the previous cycle's model can be
-// patched in place; a single divergent key fails the walk and forces a full
-// rebuild. Unused fields stay zero, keeping keys comparable with ==.
+// than where it landed. Two cycles whose key sequences match, kind for kind
+// and row pattern for row pattern, have structurally identical models: the
+// previous root basis fits the new model, and if the numbers match too the
+// previous solution is the answer. Unused fields stay zero, keeping keys
+// comparable with ==.
 const (
 	keyVarI      uint8 = iota // option indicator I[j,s,t]
 	keyVarA                   // ExactShares allocation a[j,s,t,p]
@@ -67,8 +69,8 @@ type modelKey struct {
 }
 
 // keyName renders the key's debug name, matching the historical formats
-// byte-for-byte (digest stability: names feed EqualBitwise and the model
-// dumps of the correctness suite).
+// byte-for-byte (names feed EqualBitwise and the model dumps of the
+// correctness suite).
 func keyName(k modelKey) string {
 	switch k.class {
 	case keyVarI:
@@ -88,213 +90,100 @@ func keyName(k modelKey) string {
 	}
 }
 
-// buildRec is one cycle's recorded model: keys, kinds, and numeric payload,
-// with all row sparsity packed into two flat arrays. The scheduler
-// double-buffers two of these (incState.prev/spare) so steady-state cycles
-// allocate nothing here beyond map traffic.
+// buildRec is one cycle's model: the MILP itself, in the flat rows the
+// solver reads, next to the logical key of each of its variables and rows.
+// The scheduler double-buffers two (incState.prev/spare): a build resets the
+// spare and writes straight into it, compare holds it against the previous
+// cycle's, and the two swap — nothing is copied. The rec is also its model's
+// milp.Namer, so nobody formats a debug name unless somebody asks.
 type buildRec struct {
-	varKeys  []modelKey
-	varKinds []milp.VarKind
-	varObj   []float64
-	rowKeys  []modelKey
-	rowRHS   []float64
-	rowOff   []int // rowOff[i] = start of row i in idx/coef
-	idx      []int
-	coef     []float64
+	varKeys []modelKey
+	rowKeys []modelKey
+	model   milp.Model
 }
 
 func (r *buildRec) reset() {
-	r.varKeys, r.varKinds, r.varObj = r.varKeys[:0], r.varKinds[:0], r.varObj[:0]
-	r.rowKeys, r.rowRHS, r.rowOff = r.rowKeys[:0], r.rowRHS[:0], r.rowOff[:0]
-	r.idx, r.coef = r.idx[:0], r.coef[:0]
+	r.varKeys, r.rowKeys = r.varKeys[:0], r.rowKeys[:0]
+	r.model.Reset()
+	r.model.Namer = r
 }
 
-// rowSpan returns row i's [lo, hi) span in idx/coef.
-func (r *buildRec) rowSpan(i int) (int, int) {
-	lo := r.rowOff[i]
-	hi := len(r.idx)
-	if i+1 < len(r.rowOff) {
-		hi = r.rowOff[i+1]
-	}
-	return lo, hi
-}
+// VarName and RowName implement milp.Namer.
+func (r *buildRec) VarName(v int) string { return keyName(r.varKeys[v]) }
+func (r *buildRec) RowName(i int) string { return keyName(r.rowKeys[i]) }
 
-// builder holds one cycle's recorded MILP and the option bookkeeping needed
-// to interpret its solution. Generation records into cur; materialize turns
-// the recording into b.model — by patching the previous cycle's model in
-// place when nothing structural changed, or by building from scratch.
+// builder is one cycle's MILP and the option bookkeeping needed to interpret
+// its solution.
+//
+// Lifetime: a scheduler has one builder (Scheduler.bld) and reuses it and its
+// storage for every cycle. A builder, its options, preempts and jobs, every
+// slice they hold, and its model are valid until the same scheduler's next
+// build, and no longer; what a cycle hands the engine (the Decision's starts,
+// their Allocs, its preemptions) is allocated afresh.
 type builder struct {
 	s        *Scheduler
-	st       *simulator.State
-	model    *milp.Model
+	model    *milp.Model // &cur.model
 	cur      *buildRec
 	jobs     []*job.Job
 	options  []option
 	preempts []preemptVar
+	buildScratch
 
 	quiet     bool // no job/node event since the previous cycle's snapshot
-	patched   bool // materialized by patching the previous model
-	fellBack  bool // quiet cycle whose patch walk failed
+	stable    bool // quiet, and the model has the previous cycle's keys, kinds and sparsity
 	warmOK    bool // previous root basis may seed this cycle's root LP
-	unchanged bool // recording is bitwise-identical to the previous cycle's
+	unchanged bool // stable, and every number is bitwise the previous cycle's
 
 	// Counters accumulated locally and flushed into Stats under the stats
 	// lock once per build (Stats() may be polled concurrently).
 	cacheHits   int
 	cacheMisses int
-	rowsPatched int
-	colsPatched int
+	rowsChanged int // stable cycles: rows whose coefficients or RHS moved
+	colsChanged int // stable cycles: objective coefficients that moved
 }
 
-// addVar records a variable and returns its index in the final model.
+// addVar adds a variable to the cycle's model and returns its index.
 func (b *builder) addVar(key modelKey, kind milp.VarKind, obj float64) int {
-	r := b.cur
-	r.varKeys = append(r.varKeys, key)
-	r.varKinds = append(r.varKinds, kind)
-	r.varObj = append(r.varObj, obj)
-	return len(r.varObj) - 1
+	b.cur.varKeys = append(b.cur.varKeys, key)
+	return b.cur.model.AddVar(kind, obj, "")
 }
 
-// addRow records the sparse constraint Sum(coef·x[idx]) <= rhs, applying
-// Model.AddLE's zero-coefficient pruning so the recorded pattern matches
-// what a fresh build would contain.
+// addRow adds the sparse constraint Sum(coef·x[idx]) <= rhs to the cycle's
+// model (AddLE copies idx and coef, dropping zero coefficients).
 func (b *builder) addRow(key modelKey, idx []int, coef []float64, rhs float64) {
-	r := b.cur
-	r.rowKeys = append(r.rowKeys, key)
-	r.rowRHS = append(r.rowRHS, rhs)
-	r.rowOff = append(r.rowOff, len(r.idx))
-	for i, id := range idx {
-		if coef[i] == 0 {
-			continue
-		}
-		r.idx = append(r.idx, id)
-		r.coef = append(r.coef, coef[i])
-	}
+	b.cur.rowKeys = append(b.cur.rowKeys, key)
+	b.cur.model.AddLE("", idx, coef, rhs)
 }
 
-// buildFresh compiles the recording into a new Model.
-func (b *builder) buildFresh() *milp.Model {
-	cur := b.cur
-	m := &milp.Model{}
-	for i, k := range cur.varKeys {
-		m.AddVar(cur.varKinds[i], cur.varObj[i], keyName(k))
-	}
-	for i, k := range cur.rowKeys {
-		lo, hi := cur.rowSpan(i)
-		m.AddLE(keyName(k), cur.idx[lo:hi], cur.coef[lo:hi], cur.rowRHS[i])
-	}
-	return m
-}
-
-// recsEqual reports whether two recordings describe bitwise-identical
-// models: same key sequences, kinds, sparsity patterns, and bit-equal
-// objective, coefficient and RHS payloads. When the current recording equals
-// the previous cycle's, this cycle's solve would reproduce the previous
-// solution exactly (the solver is a deterministic function of the model and
-// its warm inputs), so Cycle reuses it without solving. Computed from the
-// recordings alone — state identical under ForceRebuild — so incremental and
-// forced-rebuild runs make the same reuse decision.
-func recsEqual(a, b *buildRec) bool {
-	if len(a.varKeys) != len(b.varKeys) || len(a.rowKeys) != len(b.rowKeys) ||
-		len(a.idx) != len(b.idx) {
-		return false
-	}
-	for i, k := range a.varKeys {
-		if b.varKeys[i] != k || b.varKinds[i] != a.varKinds[i] ||
-			math.Float64bits(b.varObj[i]) != math.Float64bits(a.varObj[i]) {
-			return false
+// compare holds the finished model against the previous cycle's, in one pass,
+// and retires it into incState for the next cycle to be held against. On a
+// quiet cycle: warmOK when the variable and row counts match (the previous
+// root basis is then a usable crash start — a stale one costs pivots, never
+// correctness); stable when key sequences, kinds and sparsity match too
+// (Stats.PatchedCycles, otherwise RebuildFallbacks); unchanged when so does
+// every number — the solver is a deterministic function of the model and its
+// warm inputs, so Cycle answers with the previous solution without solving.
+func (b *builder) compare() {
+	inc := &b.s.inc
+	cur, prev := b.cur, inc.prev
+	if b.quiet { // a quiet cycle has a previous one
+		b.warmOK = len(prev.varKeys) == len(cur.varKeys) && len(prev.rowKeys) == len(cur.rowKeys)
+		if b.warmOK && slices.Equal(prev.varKeys, cur.varKeys) && slices.Equal(prev.rowKeys, cur.rowKeys) {
+			b.stable, b.rowsChanged, b.colsChanged = milp.Delta(&prev.model, &cur.model)
+			b.unchanged = b.stable && b.rowsChanged == 0 && b.colsChanged == 0
 		}
 	}
-	for i, k := range a.rowKeys {
-		if b.rowKeys[i] != k || b.rowOff[i] != a.rowOff[i] ||
-			math.Float64bits(b.rowRHS[i]) != math.Float64bits(a.rowRHS[i]) {
-			return false
-		}
-	}
-	for i, id := range a.idx {
-		if b.idx[i] != id || math.Float64bits(b.coef[i]) != math.Float64bits(a.coef[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// tryPatch walks the recording against the previous cycle's keys and model,
-// overwriting numeric payload in place. Any structural divergence — a key,
-// kind, or sparsity-pattern mismatch — aborts; the partially patched model
-// is then discarded by the fresh build, so a failed walk is never observed.
-func (b *builder) tryPatch() bool {
-	prev, cur := b.s.inc.prev, b.cur
-	if len(prev.varKeys) != len(cur.varKeys) || len(prev.rowKeys) != len(cur.rowKeys) {
-		return false
-	}
-	for i, k := range cur.varKeys {
-		if prev.varKeys[i] != k {
-			return false
-		}
-	}
-	for i, k := range cur.rowKeys {
-		if prev.rowKeys[i] != k {
-			return false
-		}
-	}
-	p := b.s.inc.model.BeginPatch()
-	for i := range cur.varKeys {
-		if !p.Var(cur.varKinds[i], cur.varObj[i]) {
-			return false
-		}
-	}
-	for i := range cur.rowKeys {
-		lo, hi := cur.rowSpan(i)
-		if !p.Row(cur.idx[lo:hi], cur.coef[lo:hi], cur.rowRHS[i]) {
-			return false
-		}
-	}
-	if !p.Done() {
-		return false
-	}
-	b.rowsPatched = p.RowsPatched()
-	b.colsPatched = p.ColsPatched()
-	return true
-}
-
-// materialize produces b.model from the recording and retires the recording
-// into incState for the next cycle. The patched and freshly built models are
-// bitwise-identical by construction — the recording holds this cycle's
-// freshly computed values either way, and a patch only ever lands them on
-// matching structure (checkIncremental proves it under Config.Checks).
-//
-// warmOK is deliberately computed from patch-independent state (quiet flag
-// and structure sizes), so incremental and ForceRebuild runs make the same
-// warm-basis decision and stay outcome-identical.
-func (b *builder) materialize() {
-	s := b.s
-	inc := &s.inc
-	cur := b.cur
-	if b.quiet && !s.cfg.ForceRebuild && inc.model != nil && inc.prev != nil {
-		if b.tryPatch() {
-			b.model = inc.model
-			b.patched = true
-		} else {
-			b.fellBack = true
-		}
-	}
-	if b.model == nil {
-		b.model = b.buildFresh()
-		inc.model = b.model
-	}
-	b.warmOK = b.quiet && inc.prev != nil &&
-		len(inc.prev.varKeys) == len(cur.varKeys) &&
-		len(inc.prev.rowKeys) == len(cur.rowKeys)
-	b.unchanged = b.quiet && inc.prev != nil && recsEqual(inc.prev, cur)
-	inc.prev, inc.spare = cur, inc.prev
+	inc.prev, inc.spare = cur, prev
 }
 
 // buildModel translates the cluster state into the cycle's MILP (§4.3.1
 // steps 1–4).
 func (s *Scheduler) buildModel(st *simulator.State) *builder {
-	b := &builder{s: s, st: st}
 	cfg := &s.cfg
+	b := &s.bld
+	*b = builder{s: s, jobs: b.jobs[:0], options: b.options[:0], preempts: b.preempts[:0], buildScratch: b.buildScratch}
+	b.f64.reset(cfg.Checks, math.NaN())
+	b.ints.reset(cfg.Checks, -1)
 	now := st.Now
 	// Quantized model-evaluation clock (Config.SolveQuantum): every value
 	// below derives from this `now`, so cycles within one quantum that saw
@@ -309,21 +198,18 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 	// A cycle is quiet when the engine epoch is unchanged since the last
 	// build (no submit/start/complete/preempt/node event — only time
 	// advanced) and no scheduler-side per-job state moved (re-estimate,
-	// abandonment, removal). Quiet cycles are patch and warm-start
-	// candidates. The dirty flag is cleared *before* generation: an
-	// abandonment fired during this build dirties the next cycle, and this
-	// cycle's own structural drift is caught by the patch walk.
-	b.quiet = s.inc.have && st.Epoch == s.inc.epoch && !s.inc.jobsDirty
-	s.inc.have = true
+	// abandonment, removal). Quiet cycles are the warm-start and
+	// solution-reuse candidates. The dirty flag is cleared *before*
+	// generation: an abandonment fired during this build dirties the next
+	// cycle, and this cycle's own structural drift is caught by compare.
+	b.quiet = s.inc.prev != nil && st.Epoch == s.inc.epoch && !s.inc.jobsDirty
 	s.inc.epoch = st.Epoch
 	s.inc.jobsDirty = false
-	rec := s.inc.spare
-	s.inc.spare = nil
-	if rec == nil {
-		rec = &buildRec{}
+	if s.inc.spare == nil {
+		s.inc.spare = &buildRec{}
 	}
-	rec.reset()
-	b.cur = rec
+	b.cur, b.model = s.inc.spare, &s.inc.spare.model
+	b.cur.reset()
 
 	// Slot start times are anchored to an *absolute* grid (slot 0 = now,
 	// later slots at multiples of SlotDur in wall-clock time). Anchoring at
@@ -331,9 +217,9 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 	// each cycle, eroding its expected utility until the scheduler
 	// needlessly preempts; on the absolute grid a plan like "start when
 	// the running job's distribution max passes" stays put.
-	times := make([]float64, slots)
-	offsets := make([]float64, slots) // times[k] − now
-	times[0] = now
+	times := b.f64.take(slots)
+	offsets := b.f64.take(slots) // times[k] − now
+	times[0], offsets[0] = now, 0
 	// grid0 is the absolute slot index of the grid slot at or before now;
 	// computing each slot time as (grid0+k)·SlotDur (rather than
 	// base + k·SlotDur) makes the same grid slot produce the bitwise-same
@@ -345,46 +231,44 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 		offsets[k] = times[k] - now
 	}
 
-	// Expected available capacity per (partition, slot): cluster capacity
-	// minus the running jobs' expected residual consumption (§3.2).
+	// Expected available capacity per (partition, slot), partition p's slots
+	// at capacity[p*slots:]: cluster capacity minus the running jobs'
+	// expected residual consumption (§3.2).
 	// st.Cluster is the engine's *effective* (down-adjusted) shape, so under
 	// fault injection the Eq. 3 capacity rows and the preferred-partition
 	// feasibility check below track the live node count, not the
 	// provisioned ideal.
-	capacity := make([][]float64, nParts)
-	for p := range capacity {
-		capacity[p] = make([]float64, slots)
-		for k := range capacity[p] {
-			capacity[p][k] = float64(st.Cluster.Partitions[p])
+	capacity := b.f64.take(nParts * slots)
+	for p := 0; p < nParts; p++ {
+		row := capacity[p*slots : (p+1)*slots]
+		for k := range row {
+			row[k] = float64(st.Cluster.Partitions[p])
 		}
 	}
-	type runUse struct {
-		r    *simulator.RunningJob
-		surv []float64
-	}
-	runUses := make([]runUse, 0, len(st.Running))
-	for _, r := range st.Running {
-		u := runUse{r: r, surv: make([]float64, slots)}
-		s.runningSurvCurve(r, now, times, grid0, u.surv, b)
-		for k := 0; k < slots; k++ {
-			for p, n := range r.Alloc {
-				capacity[p][k] -= float64(n) * u.surv[k]
+	// runSurv holds the running jobs' residual survival curves, job i's at
+	// runSurv[i*slots:].
+	runSurv := b.f64.take(len(st.Running) * slots)
+	for i, r := range st.Running {
+		surv := runSurv[i*slots : (i+1)*slots]
+		s.runningSurvCurve(r, now, times, grid0, surv, b)
+		for p, n := range r.Alloc {
+			for k := 0; k < slots; k++ {
+				capacity[p*slots+k] -= float64(n) * surv[k]
 			}
 		}
-		runUses = append(runUses, u)
 	}
 
 	// Preemption indicators for running best-effort jobs (§4.3.5).
 	if cfg.Policy.Preemption {
-		for _, u := range runUses {
-			if u.r.Job.Class != job.BestEffort {
+		for i, r := range st.Running {
+			if r.Job.Class != job.BestEffort {
 				continue
 			}
-			elapsed := u.r.Elapsed(now)
-			cost := cfg.BEWeight * float64(u.r.Job.Tasks) * (cfg.PreemptBase + elapsed/cfg.BEDecayWindow)
-			v := b.addVar(modelKey{class: keyVarP, job: u.r.Job.ID}, milp.Binary, -cost)
-			b.addRow(modelKey{class: keyRowUbP, job: u.r.Job.ID}, []int{v}, []float64{1}, 1)
-			b.preempts = append(b.preempts, preemptVar{r: u.r, varIdx: v, surv: u.surv})
+			elapsed := r.Elapsed(now)
+			cost := cfg.BEWeight * float64(r.Job.Tasks) * (cfg.PreemptBase + elapsed/cfg.BEDecayWindow)
+			v := b.addVar(modelKey{class: keyVarP, job: r.Job.ID}, milp.Binary, -cost)
+			b.addRow(modelKey{class: keyRowUbP, job: r.Job.ID}, []int{v}, []float64{1}, 1)
+			b.preempts = append(b.preempts, preemptVar{r: r, varIdx: v, surv: runSurv[i*slots : (i+1)*slots]})
 		}
 	}
 
@@ -394,35 +278,46 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 	// preemption credits as indicator-gated terms.
 	relaxedCap := capacity
 	if len(b.preempts) > 0 {
-		relaxedCap = make([][]float64, nParts)
-		for p := range relaxedCap {
-			relaxedCap[p] = append([]float64(nil), capacity[p]...)
-		}
+		relaxedCap = b.f64.take(nParts * slots)
+		copy(relaxedCap, capacity)
 		for i := range b.preempts {
 			pv := &b.preempts[i]
-			for k := 0; k < slots; k++ {
-				for p, n := range pv.r.Alloc {
-					relaxedCap[p][k] += float64(n) * pv.surv[k]
+			for p, n := range pv.r.Alloc {
+				for k := 0; k < slots; k++ {
+					relaxedCap[p*slots+k] += float64(n) * pv.surv[k]
 				}
 			}
 		}
 	}
 
+	allParts := b.ints.take(nParts)
+	for p := range allParts {
+		allParts[p] = p
+	}
+
 	// Placement options for the selected pending jobs.
-	sel := s.selectPending(st.Pending, now)
-	b.jobs = sel
-	for _, j := range sel {
+	b.jobs = s.selectPending(st.Pending, now)
+	for _, j := range b.jobs {
 		d := s.distFor(j)
-		util := s.utilityFor(j, d, now)
 		memo := s.memo.forJob(j.ID, s.distVer[j.ID])
 		if cfg.Checks {
 			s.checkMemo(j.ID, memo, s.distVer[j.ID])
+		}
+		// The built-in utility curve is a function of the job and its
+		// distribution, so it stays on the page; an administrator's
+		// UtilityFn is asked every cycle.
+		util := memo.util
+		if util == nil {
+			util = s.utilityFor(j, d, now)
+			if cfg.UtilityFn == nil {
+				memo.util = util
+			}
 		}
 		type spaceChoice struct {
 			space  int8
 			factor float64
 		}
-		var spaces []spaceChoice
+		spaces := make([]spaceChoice, 0, 2) // stays on the stack
 		constrained := len(j.Preferred) > 0 && len(j.Preferred) < nParts
 		if constrained {
 			// Preferred spread at full speed; whole-cluster spread pays
@@ -440,19 +335,23 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 		} else {
 			spaces = append(spaces, spaceChoice{spaceAny, 1})
 		}
-		var jobVars []int
+		b.jobVars = b.jobVars[:0]
 		anyUtility := false // any space has nonzero utility at an immediate start
 		for _, sc := range spaces {
-			od := dist.NewScaled(d, sc.factor)
-			if job.ExpectedUtility(od, util, now, cfg.UtilitySteps) > 1e-9 {
+			od := memo.scaled(d, sc.factor)
+			// Eq. 1 at an immediate start (times[0] == now): the abandonment
+			// test below and the slot-0 option's utility are the same
+			// integral, taken once.
+			euNow := job.ExpectedUtility(od, util, now, cfg.UtilitySteps)
+			if euNow > 1e-9 {
 				anyUtility = true
 			}
 			// Survival curve sampled on the slot grid, shared by every
 			// grid-aligned option of this (job, space): a start at slot k
 			// consumes capacity in slot k2 with probability surv[k2−k].
 			// Cached across cycles; invalidated by distribution updates.
-			surv, hit := memo.surv[sc.space]
-			if hit {
+			surv := memo.surv[sc.space]
+			if surv != nil {
 				b.cacheHits++
 			} else {
 				surv = make([]float64, slots)
@@ -462,11 +361,9 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 				memo.surv[sc.space] = surv
 				b.cacheMisses++
 			}
-			var allowed []int
+			allowed := allParts
 			if sc.space == spacePref {
 				allowed = j.Preferred
-			} else {
-				allowed = allParts(nParts)
 			}
 			// Deferral options exist so deadline jobs can wait for
 			// preferred (or freed) resources. Best-effort jobs only lose
@@ -497,38 +394,24 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 				// the clamp changes no bits.
 				avail := 0.0
 				for _, p := range allowed {
-					if c := relaxedCap[p][k]; c > 0 {
+					if c := relaxedCap[p*slots+k]; c > 0 {
 						avail += c
 					}
 				}
 				if avail < float64(j.Tasks)*0.999 {
 					continue // cannot start in this slot even with preemption
 				}
-				shares := make([]float64, nParts)
-				for _, p := range allowed {
-					if c := relaxedCap[p][k]; c > 0 {
-						shares[p] = float64(j.Tasks) * c / avail
-					}
-				}
-				start := times[k]
 				// Expected utility of this start. Grid-aligned starts
 				// (k >= 1) recur with bitwise-identical start times every
 				// cycle, so the Eq. 1 integration is memoized per
 				// (space, absolute grid slot); slot 0 starts at `now` and
-				// must be integrated fresh.
-				var eu float64
-				if k == 0 {
-					eu = job.ExpectedUtility(od, util, start, cfg.UtilitySteps)
-				} else {
-					key := euKey{space: sc.space, grid: grid0 + int64(k)}
-					var hit bool
-					if eu, hit = memo.eu[key]; hit {
-						b.cacheHits++
-					} else {
-						eu = job.ExpectedUtility(od, util, start, cfg.UtilitySteps)
-						memo.eu[key] = eu
-						b.cacheMisses++
-					}
+				// is integrated fresh every cycle (euNow).
+				start := times[k]
+				eu := euNow
+				if k > 0 {
+					eu = b.cached(&memo.eu[sc.space], grid0+int64(k), func() float64 {
+						return job.ExpectedUtility(od, util, start, cfg.UtilitySteps)
+					})
 				}
 				if eu <= 1e-9 {
 					continue // zero-utility term: prune (§4.3.6)
@@ -550,9 +433,15 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 					slot:    k,
 					start:   start,
 					util:    eu,
-					shares:  shares,
-					rc:      make([]float64, slots-k),
+					shares:  b.f64.take(nParts),
+					rc:      b.f64.take(slots - k),
 					allowed: allowed,
+				}
+				clear(o.shares)
+				for _, p := range allowed {
+					if c := relaxedCap[p*slots+k]; c > 0 {
+						o.shares[p] = float64(j.Tasks) * c / avail
+					}
 				}
 				if k == 0 {
 					for k2 := 0; k2 < slots; k2++ {
@@ -570,30 +459,32 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 					// variables a_{o,p} with Σ_p a_op >= k·I_o (the LP
 					// never over-allocates since allocations only consume
 					// capacity).
-					idx := []int{o.varIdx}
-					coef := []float64{float64(j.Tasks)}
-					for _, p := range allowed {
+					o.allocVars = b.ints.take(len(allowed))
+					idx := append(b.rowIdx[:0], o.varIdx)
+					coef := append(b.rowCoef[:0], float64(j.Tasks))
+					for ai, p := range allowed {
 						av := b.addVar(modelKey{class: keyVarA, job: j.ID, space: sc.space, slot: int16(k), part: int32(p)},
 							milp.Continuous, 0)
-						o.allocVars = append(o.allocVars, av)
+						o.allocVars[ai] = av
 						idx = append(idx, av)
 						coef = append(coef, -1)
 					}
 					b.addRow(modelKey{class: keyRowLink, job: j.ID, space: sc.space, slot: int16(k)}, idx, coef, 0)
+					b.rowIdx, b.rowCoef = idx, coef
 				}
 				if cfg.Checks {
 					s.checkOption(&o)
 				}
 				b.options = append(b.options, o)
-				jobVars = append(jobVars, o.varIdx)
+				b.jobVars = append(b.jobVars, o.varIdx)
 			}
 		}
-		if len(jobVars) > 0 {
-			coef := make([]float64, len(jobVars))
-			for i := range coef {
-				coef[i] = 1
+		if len(b.jobVars) > 0 {
+			ones := b.f64.take(len(b.jobVars))
+			for i := range ones {
+				ones[i] = 1
 			}
-			b.addRow(modelKey{class: keyRowDemand, job: j.ID}, jobVars, coef, 1)
+			b.addRow(modelKey{class: keyRowDemand, job: j.ID}, b.jobVars, ones, 1)
 		}
 		if !anyUtility && j.HasDeadline() {
 			// Even an immediate start earns zero utility, and deadline
@@ -610,8 +501,7 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 	// credits moved to the left-hand side.
 	for p := 0; p < nParts; p++ {
 		for k := 0; k < slots; k++ {
-			var idx []int
-			var coef []float64
+			idx, coef := b.rowIdx[:0], b.rowCoef[:0]
 			for i := range b.options {
 				o := &b.options[i]
 				if k < o.slot {
@@ -645,41 +535,30 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 					coef = append(coef, -c)
 				}
 			}
+			b.rowIdx, b.rowCoef = idx, coef
 			if len(idx) == 0 {
 				continue
 			}
-			b.addRow(modelKey{class: keyRowCap, part: int32(p), slot: int16(k)}, idx, coef, capacity[p][k])
+			b.addRow(modelKey{class: keyRowCap, part: int32(p), slot: int16(k)}, idx, coef, capacity[p*slots+k])
 		}
 	}
-	b.materialize()
+	b.compare()
 	if cfg.Checks {
 		b.checkCapacityRows()
-		if b.patched {
-			b.checkIncremental()
-		}
+		b.checkFinite()
 	}
 	s.statsMu.Lock()
 	s.stats.CacheHits += b.cacheHits
 	s.stats.CacheMisses += b.cacheMisses
-	if b.patched {
+	if b.stable {
 		s.stats.PatchedCycles++
-		s.stats.RowsPatched += b.rowsPatched
-		s.stats.ColsPatched += b.colsPatched
-	}
-	if b.fellBack {
+		s.stats.RowsPatched += b.rowsChanged
+		s.stats.ColsPatched += b.colsChanged
+	} else if b.quiet {
 		s.stats.RebuildFallbacks++
 	}
 	s.statsMu.Unlock()
 	return b
-}
-
-// allParts returns [0, 1, ..., n-1].
-func allParts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // seed builds the warm-start vector from the previous cycle's plan
@@ -689,12 +568,15 @@ func (b *builder) seed() []float64 {
 	if b.model.NumVars() == 0 {
 		return nil
 	}
-	x := make([]float64, b.model.NumVars())
+	x := b.f64.take(b.model.NumVars())
+	clear(x)
 	half := b.s.cfg.SlotDur / 2
-	seeded := make(map[job.ID]bool)
+	// A job's options are contiguous in b.options, so the one job whose
+	// option was seeded last is all there is to remember.
+	var seeded *job.Job
 	for i := range b.options {
 		o := &b.options[i]
-		if seeded[o.j.ID] {
+		if o.j == seeded {
 			continue
 		}
 		pl, ok := b.s.planned[o.j.ID]
@@ -708,7 +590,7 @@ func (b *builder) seed() []float64 {
 					x[o.allocVars[ai]] = o.shares[p]
 				}
 			}
-			seeded[o.j.ID] = true
+			seeded = o.j
 		}
 	}
 	return x

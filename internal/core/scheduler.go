@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,25 +38,20 @@ type plan struct {
 }
 
 // incState carries the incremental re-solve state between cycles (DESIGN.md
-// §12): the last snapshot epoch and a dirty flag decide whether the previous
-// cycle's model may be patched in place, prev/spare double-buffer the
-// recorded model structure, and rootBasis/model feed the next cycle's
-// warm-started solve.
+// §12): the last snapshot epoch and a dirty flag decide whether a cycle is
+// quiet, prev/spare double-buffer the cycle's model (each build writes into
+// spare, is compared with prev, and the two swap), and lastSol, root basis
+// included, feeds the next cycle's warm-started — or skipped — solve.
 type incState struct {
-	have      bool   // at least one cycle has run
-	epoch     uint64 // engine epoch observed at the last cycle's snapshot
-	jobsDirty bool   // per-job scheduler state changed since the last build
-	model     *milp.Model
-	prev      *buildRec // last cycle's recorded structure
-	spare     *buildRec // recycled buffer for the next recording
-	rootBasis []int     // optimal root-LP basis of the last solve
+	epoch     uint64    // engine epoch observed at the last cycle's snapshot
+	jobsDirty bool      // per-job scheduler state changed since the last build
+	prev      *buildRec // last cycle's model and keys
+	spare     *buildRec // the buffer the next build writes into
 
 	// lastSol is the previous cycle's solution, reused verbatim (no solve)
-	// when the current recording is bitwise-identical to the previous one.
-	// Solution reuse happens identically in incremental and forced-rebuild
-	// runs (the decision derives from the recordings, not the patch path),
-	// so it cannot change outcomes between them; NoWarmBasis disables it
-	// along with the rest of the cross-cycle solver reuse.
+	// when this cycle's model is bitwise-identical to the previous one;
+	// NoWarmBasis disables it along with the rest of the cross-cycle solver
+	// reuse.
 	lastSol milp.Solution
 	haveSol bool
 }
@@ -92,15 +89,15 @@ type Stats struct {
 	CacheHits   int
 	CacheMisses int
 
-	// Incremental re-solve counters (DESIGN.md §12). A "quiet" cycle — no
-	// job or node event since the previous snapshot — patches the previous
-	// cycle's MILP in place instead of recompiling it; the patch falls back
-	// to a full rebuild when the option structure drifted anyway (e.g. a
-	// slot-0 utility crossed the pruning threshold).
-	PatchedCycles     int // cycles whose model was patched in place
-	RebuildFallbacks  int // quiet cycles where the patch walk failed
-	RowsPatched       int // patched rows whose coefficients or RHS changed
-	ColsPatched       int // patched objective coefficients that changed
+	// Incremental re-solve counters (DESIGN.md §12): every cycle's MILP is
+	// compared with the previous cycle's, and on a "quiet" cycle — no job or
+	// node event since the previous snapshot — the verdict decides what the
+	// solver may reuse. The names date from when a quiet cycle patched the
+	// previous model; /v1/metrics and bench/ read them, so they stay.
+	PatchedCycles     int // quiet cycles whose model kept the previous one's structure (keys, kinds, sparsity)
+	RebuildFallbacks  int // quiet cycles whose option structure drifted anyway (e.g. a slot-0 utility crossed the pruning threshold)
+	RowsPatched       int // over PatchedCycles: rows whose coefficients or RHS differ from the previous cycle's
+	ColsPatched       int // over PatchedCycles: objective coefficients that differ
 	WarmBasisReuses   int // root LPs restored from the previous optimal basis
 	IncumbentSeedHits int // cycles whose warm-start seed became the first incumbent
 	ReusedSolves      int // cycles answered with the previous solution (model bitwise-unchanged)
@@ -128,6 +125,7 @@ type Scheduler struct {
 	abandoned map[job.ID]bool
 	memo      *buildMemo
 	inc       incState
+	bld       builder // the cycle in progress; see builder for what may outlive it
 
 	// statsMu guards stats. All scheduling entry points (JobSubmitted,
 	// Cycle, JobCompleted, JobRemoved) must run on one goroutine — the maps
@@ -343,8 +341,9 @@ func (s *Scheduler) ueRemaining(id job.ID, now float64) float64 {
 // terms. The memo counters accumulate on b.
 func (s *Scheduler) runningSurvCurve(r *simulator.RunningJob, now float64, times []float64, grid0 int64, surv []float64, b *builder) {
 	d := s.distFor(r.Job)
+	memo := s.memo.forJob(r.Job.ID, s.distVer[r.Job.ID])
 	if !r.OnPreferred {
-		d = dist.NewScaled(d, runtimeFactor(r.Job))
+		d = memo.scaled(d, runtimeFactor(r.Job))
 	}
 	elapsed := r.Elapsed(now)
 	if elapsed < 0 {
@@ -354,18 +353,12 @@ func (s *Scheduler) runningSurvCurve(r *simulator.RunningJob, now float64, times
 	if den > 0 {
 		delete(s.ue, r.Job.ID)
 		surv[0] = 1 // x/x: slot 0 samples at `now` exactly
-		memo := s.memo.forJob(r.Job.ID, s.distVer[r.Job.ID])
-		startBits := math.Float64bits(r.Start)
+		if start := math.Float64bits(r.Start); memo.runStart != start || memo.runOnPref != r.OnPreferred {
+			memo.runStart, memo.runOnPref = start, r.OnPreferred
+			clear(memo.run) // another run's numerators
+		}
 		for k := 1; k < len(times); k++ {
-			key := runKey{grid: grid0 + int64(k), startBits: startBits, onPref: r.OnPreferred}
-			num, hit := memo.run[key]
-			if hit {
-				b.cacheHits++
-			} else {
-				num = dist.Survival(d, times[k]-r.Start)
-				memo.run[key] = num
-				b.cacheMisses++
-			}
+			num := b.cached(&memo.run, grid0+int64(k), func() float64 { return dist.Survival(d, times[k]-r.Start) })
 			v := num / den
 			// Same clamps as Conditional.SurvivalRemaining.
 			if v > 1 {
@@ -434,10 +427,10 @@ func (s *Scheduler) utilityFor(j *job.Job, d dist.Distribution, now float64) job
 
 // selectPending orders pending jobs by urgency (SLO by deadline, then BE by
 // submission) and returns at most MaxPending of them, skipping abandoned
-// jobs.
+// jobs. The result lives in the cycle's scratch (see builder).
 func (s *Scheduler) selectPending(pending []*job.Job, now float64) []*job.Job {
-	slo := make([]*job.Job, 0, len(pending))
-	be := make([]*job.Job, 0, len(pending))
+	b := &s.bld
+	slo, be := b.slo[:0], b.be[:0]
 	for _, j := range pending {
 		if s.abandoned[j.ID] {
 			continue
@@ -455,9 +448,10 @@ func (s *Scheduler) selectPending(pending []*job.Job, now float64) []*job.Job {
 			be = append(be, j)
 		}
 	}
-	sort.SliceStable(slo, func(a, b int) bool { return slo[a].Deadline < slo[b].Deadline })
-	sort.SliceStable(be, func(a, b int) bool { return be[a].Submit < be[b].Submit })
-	out := make([]*job.Job, 0, s.cfg.MaxPending)
+	slices.SortStableFunc(slo, func(x, y *job.Job) int { return cmp.Compare(x.Deadline, y.Deadline) })
+	slices.SortStableFunc(be, func(x, y *job.Job) int { return cmp.Compare(x.Submit, y.Submit) })
+	b.slo, b.be = slo, be
+	out := b.jobs[:0]
 	// SLO jobs take priority for consideration slots, but reserve a
 	// quarter of the window for BE jobs so they cannot starve outright.
 	beReserve := s.cfg.MaxPending / 4
@@ -485,12 +479,10 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 	t0 := s.cfg.Clock.Now()
 	dec := simulator.Decision{}
 	b := s.buildModel(st)
-	// Solution reuse: when the recording is bitwise-identical to the
-	// previous cycle's, the solver — a deterministic function of the model —
-	// would reproduce the previous solution exactly, so answer with it
-	// outright. The decision derives from the recordings and the quiet flag,
-	// both identical under ForceRebuild, so incremental and forced-rebuild
-	// runs reuse (or not) in lockstep and stay outcome-identical.
+	// Solution reuse: when the model is bitwise-identical to the previous
+	// cycle's, the solver — a deterministic function of the model and its
+	// warm inputs — would reproduce the previous solution exactly, so answer
+	// with it outright.
 	reused := b.unchanged && s.inc.haveSol && !s.cfg.NoWarmBasis
 	var sol milp.Solution
 	var warm []int
@@ -507,13 +499,9 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 			seed = b.seed()
 		}
 		// Restore the root LP from the previous cycle's optimal basis when
-		// the model kept its shape. warmOK is computed from the snapshot
-		// epoch and the recorded structure sizes — state identical under
-		// ForceRebuild — so incremental and forced-rebuild runs feed the
-		// solver the same warm inputs and produce the same schedule (the CI
-		// digest gate pins this).
+		// the model kept its shape.
 		if b.warmOK && !s.cfg.NoWarmBasis {
-			warm = s.inc.rootBasis
+			warm = s.inc.lastSol.RootBasis
 		}
 		sol = milp.Solve(b.model, milp.Options{
 			Deadline:  s.cfg.Clock.Now().Add(s.cfg.SolverBudget),
@@ -525,7 +513,6 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 		})
 		s.inc.lastSol = sol
 		s.inc.haveSol = true
-		s.inc.rootBasis = sol.RootBasis
 	}
 	solveTime := sol.Elapsed
 	s.extract(b, &sol, st, &dec)
@@ -583,7 +570,8 @@ func (s *Scheduler) extract(b *builder, sol *milp.Solution, st *simulator.State,
 		s.statsMu.Unlock()
 	}()
 	// Preemptions first: they free capacity for slot-0 starts.
-	freeAdj := st.Free.Clone()
+	freeAdj := simulator.Alloc(b.ints.take(len(st.Free)))
+	copy(freeAdj, st.Free)
 	for _, pv := range b.preempts {
 		if sol.Value(pv.varIdx) > 0.5 {
 			dec.Preempt = append(dec.Preempt, pv.r.Job.ID)
@@ -595,19 +583,22 @@ func (s *Scheduler) extract(b *builder, sol *milp.Solution, st *simulator.State,
 		}
 	}
 	// Chosen options; slot-0 SLO starts allocate before BE starts.
-	chosen := make([]*option, 0, len(b.jobs))
+	chosen := b.chosen[:0]
 	for i := range b.options {
 		o := &b.options[i]
 		if sol.Value(o.varIdx) > 0.5 {
 			chosen = append(chosen, o)
 		}
 	}
-	sort.SliceStable(chosen, func(a, b int) bool {
-		ca, cb := chosen[a], chosen[b]
+	b.chosen = chosen
+	slices.SortStableFunc(chosen, func(ca, cb *option) int {
 		if (ca.j.Class == job.SLO) != (cb.j.Class == job.SLO) {
-			return ca.j.Class == job.SLO
+			if ca.j.Class == job.SLO {
+				return -1
+			}
+			return 1
 		}
-		return ca.util > cb.util
+		return cmp.Compare(cb.util, ca.util)
 	})
 	for _, o := range chosen {
 		if o.slot > 0 {

@@ -68,9 +68,9 @@ func (s *Scheduler) ExportState() (*SchedState, error) {
 
 // ImportState replaces the scheduler's per-job state with an exported
 // snapshot. The memo and incremental-model state reset to cold: the first
-// cycle after a restore always rebuilds its model from scratch, which the
-// incremental re-solve invariant guarantees is outcome-identical to the
-// donor's patched path.
+// cycle after a restore is not quiet, so it solves without the donor's warm
+// basis or previous solution — accelerators only, which the incremental
+// re-solve invariant guarantees leave the outcome the donor's.
 func (s *Scheduler) ImportState(st *SchedState) error {
 	dists := make(map[job.ID]dist.Distribution, len(st.Dists))
 	//lint:allow detrange map-to-map copy; order-independent

@@ -16,17 +16,18 @@ import (
 // The steady-state scenario measures the incremental re-solve path
 // (DESIGN.md §12) where it is designed to win: a large cluster under
 // Poisson arrivals over a long horizon, where most scheduling cycles see no
-// job or node event and the model can be patched and warm-started instead
-// of recompiled and solved cold. Three arms run on the identical workload:
+// job or node event, so the root LP restarts from the previous basis or the
+// previous solution is the answer outright. Two arms run on the identical
+// workload:
 //
-//	incremental   the default configuration (patching + warm basis)
-//	rebuild-warm  ForceRebuild: full recompile each cycle, warm inputs kept.
-//	              Outcome digests MUST equal the incremental arm bit for bit
-//	              (the warm-input decision is computed from patch-independent
-//	              state); Steady returns an error if they diverge.
-//	rebuild-cold  ForceRebuild + NoWarmBasis: the pre-incremental code path,
-//	              the baseline the ≥2× steady-state acceptance target is
-//	              measured against.
+//	incremental   the default configuration (warm basis + solution reuse)
+//	rebuild-cold  NoWarmBasis: every cycle solved from a cold root, nothing
+//	              reused — the baseline the ≥2× steady-state acceptance
+//	              target is measured against.
+//
+// (A third arm, rebuild-warm, compared patching the previous cycle's model
+// with rebuilding it; the model is now always built in place and the arm
+// went with the patcher. BENCH_steady.json's pr6 row for it is historical.)
 //
 // Latencies are wall-clock, so the scenario must run on an otherwise idle
 // machine (same caveat as Fig. 12).
@@ -63,7 +64,7 @@ type SteadyArm struct {
 	SpeedupVsCold float64 `json:"speedup_vs_cold,omitempty"`
 }
 
-// Steady runs the scenario's three arms and enforces the digest invariant.
+// Steady runs the scenario's two arms.
 func Steady(sc Scale, seed int64) ([]SteadyArm, error) {
 	// Sustained overload with a pinned (modest) arrival rate: the pending
 	// queue builds up and stays, so every cycle carries a full-size MILP,
@@ -78,12 +79,11 @@ func Steady(sc Scale, seed int64) ([]SteadyArm, error) {
 		Seed:          seed,
 	})
 	arms := []struct {
-		name              string
-		force, noWarmBase bool
+		name       string
+		noWarmBase bool
 	}{
-		{"incremental", false, false},
-		{"rebuild-warm", true, false},
-		{"rebuild-cold", true, true},
+		{"incremental", false},
+		{"rebuild-cold", true},
 	}
 	out := make([]SteadyArm, 0, len(arms))
 	for _, a := range arms {
@@ -92,7 +92,6 @@ func Steady(sc Scale, seed int64) ([]SteadyArm, error) {
 			pred.Observe(r.Job(), r.Runtime)
 		}
 		cfg := sc.coreConfig()
-		cfg.ForceRebuild = a.force
 		cfg.NoWarmBasis = a.noWarmBase
 		sched := baselines.ThreeSigma(pred, cfg)
 		sim, err := simulator.New(sched, w.Jobs, simulator.Options{
@@ -116,13 +115,7 @@ func Steady(sc Scale, seed int64) ([]SteadyArm, error) {
 		arm.MeanSolveMS, _, _, _ = latencyStats(res.SolverLatency)
 		out = append(out, arm)
 	}
-	// The warm-input decision is computed from patch-independent state, so
-	// forcing a rebuild must not change a single scheduling outcome.
-	if out[0].Digest != out[1].Digest {
-		return nil, fmt.Errorf("steady: incremental digest %s != rebuild-warm digest %s (patch path changed outcomes)",
-			out[0].Digest, out[1].Digest)
-	}
-	cold := out[2].MeanCycleMS
+	cold := out[len(out)-1].MeanCycleMS
 	for i := range out {
 		if out[i].MeanCycleMS > 0 {
 			out[i].SpeedupVsCold = cold / out[i].MeanCycleMS

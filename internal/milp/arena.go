@@ -17,7 +17,11 @@ type lpArena struct {
 	rhs  []float64 // substituted rhs per kept row
 	keep []int     // model row index per kept row
 
-	tab   []float64 // tableau backing (m × (cols+1)), zeroed on use
+	one       []float64 // the node's fixings as masks: 1 where fixed at 1,
+	isFree    []int     // 1 where free,
+	fixedCols []int     // and the fixed columns listed
+
+	tab   []float64 // tableau backing (m × (cols+1)), each row cleared as it is filled
 	zrow  []float64
 	basis []int
 	cost  []float64

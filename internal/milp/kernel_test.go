@@ -113,33 +113,52 @@ func hasStructural(basis []int, n int) bool {
 // twice so phase 1 meets redundant rows — the first pair 17 rows apart, where
 // the rhs perturbation repeats and the two tie exactly.
 func preemptShaped(rng *rand.Rand, jobs, opts, parts, slots int, mustRun bool) *Model {
-	m := schedShapedModel(rng, jobs, opts, parts, slots)
-	nRows := len(m.rows)
+	base := schedShapedModel(rng, jobs, opts, parts, slots)
+	// The credits are appended to rows that already exist, which the flat
+	// row storage cannot do in place: edit a copy of the rows (Rows() caps
+	// each slice, so append reallocates) and assemble the model at the end.
+	rows := base.Rows()
+	nRows := len(rows)
+	var credits []float64 // objective coefficient per preemption variable
+	nVars := base.NumVars()
 	for p := 0; p < 1+rng.Intn(3); p++ {
-		pv := m.AddVar(Binary, -(0.5 + 4*rng.Float64()), "P")
+		pv := nVars
+		nVars++
+		credits = append(credits, -(0.5 + 4*rng.Float64()))
 		credit := 1 + 4*rng.Float64()
 		for ri := jobs; ri < nRows; ri++ {
 			if rng.Float64() < 0.3 {
-				r := &m.rows[ri]
+				r := &rows[ri]
 				r.Idx, r.Coef = append(r.Idx, pv), append(r.Coef, -credit)
 			}
 		}
-		m.AddLE("ub", []int{pv}, []float64{1}, 1)
+		rows = append(rows, Row{Name: "ub", Idx: []int{pv}, Coef: []float64{1}, RHS: 1})
 	}
 	if mustRun {
 		neg := make([]float64, opts)
 		for o := range neg {
 			neg[o] = -1
 		}
-		m.AddLE("must", m.rows[0].Idx, neg, -1)
+		must := func(j int) { rows = append(rows, Row{Name: "must", Idx: rows[j].Idx, Coef: neg, RHS: -1}) }
+		must(0)
 		for k := 0; k < 16; k++ {
-			m.AddLE("ub", []int{k % m.NumVars()}, []float64{1}, 1)
+			rows = append(rows, Row{Name: "ub", Idx: []int{k % nVars}, Coef: []float64{1}, RHS: 1})
 		}
-		m.AddLE("must", m.rows[0].Idx, neg, -1)
+		must(0)
 		for j := 2; j < jobs; j += 2 {
-			m.AddLE("must", m.rows[j].Idx, neg, -1)
-			m.AddLE("must", m.rows[j].Idx, neg, -1)
+			must(j)
+			must(j)
 		}
+	}
+	m := &Model{}
+	for v := 0; v < base.NumVars(); v++ {
+		m.AddVar(base.kinds[v], base.obj[v], base.VarName(v))
+	}
+	for _, c := range credits {
+		m.AddVar(Binary, c, "P")
+	}
+	for _, r := range rows {
+		m.AddLE(r.Name, r.Idx, r.Coef, r.RHS)
 	}
 	return m
 }
@@ -148,10 +167,10 @@ func preemptShaped(rng *rand.Rand, jobs, opts, parts, slots int, mustRun bool) *
 // scaled by f (the at-most-one and bound rows keep theirs).
 func withRHS(m *Model, f float64) *Model {
 	cp := *m
-	cp.rows = append([]Row(nil), m.rows...)
-	for i := range cp.rows {
-		if cp.rows[i].Name == "cap" {
-			cp.rows[i].RHS *= f
+	cp.rhs = append([]float64(nil), m.rhs...)
+	for r := range cp.rhs {
+		if m.RowName(r) == "cap" {
+			cp.rhs[r] *= f
 		}
 	}
 	return &cp

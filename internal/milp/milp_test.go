@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -294,4 +295,107 @@ func BenchmarkMILPSchedulingShape(b *testing.B) {
 			b.Fatal("no solution")
 		}
 	}
+}
+
+// TestResetLeavesNothingStale: a model is reused by Reset from cycle to
+// cycle; a shorter model built after a longer one must show no row, variable
+// or name of the longer one — to the accessors and to the solver.
+func TestResetLeavesNothingStale(t *testing.T) {
+	var m Model
+	for v := 0; v < 6; v++ {
+		m.AddVar(Binary, float64(10+v), "old")
+	}
+	m.AddLE("old-a", []int{0, 1, 2, 3, 4, 5}, []float64{1, 1, 1, 1, 1, 1}, 1)
+	m.AddLE("old-b", []int{4, 5}, []float64{3, 3}, 2)
+	m.AddObjConst(7)
+
+	m.Reset()
+	if m.NumVars() != 0 || m.NumRows() != 0 || m.Stats() != (Stats{}) || len(m.Rows()) != 0 {
+		t.Fatalf("after Reset: %+v, %d rows", m.Stats(), len(m.Rows()))
+	}
+	x := m.AddVar(Binary, 2, "x")
+	y := m.AddVar(Continuous, 1, "") // unnamed, no namer
+	m.AddLE("cap", []int{x, y}, []float64{1, 1}, 1.5)
+
+	var fresh Model
+	fresh.AddVar(Binary, 2, "x")
+	fresh.AddVar(Continuous, 1, "")
+	fresh.AddLE("cap", []int{0, 1}, []float64{1, 1}, 1.5)
+	if diff := EqualBitwise(&m, &fresh); diff != "" {
+		t.Fatalf("reused model differs from a fresh one: %s", diff)
+	}
+	if m.VarName(y) != "" || m.RowName(0) != "cap" {
+		t.Errorf("names after Reset: var %q row %q", m.VarName(y), m.RowName(0))
+	}
+	if got, want := m.Stats(), (Stats{Vars: 2, Binaries: 1, Rows: 1, Nonzeros: 2}); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+	if m.Objective([]float64{1, 0.5}) != 2.5 {
+		t.Errorf("objective %v: the old constant survived Reset", m.Objective([]float64{1, 0.5}))
+	}
+	got, want := Solve(&m, Options{}), Solve(&fresh, Options{})
+	if got.Status != Optimal || got.Objective != want.Objective || got.X[0] != want.X[0] || got.X[1] != want.X[1] {
+		t.Errorf("solve on the reused model: %+v, on a fresh one: %+v", got, want)
+	}
+	// A row may not reach a variable that only the previous model had.
+	defer func() {
+		if recover() == nil {
+			t.Error("AddLE accepted a variable index left over from before Reset")
+		}
+	}()
+	m.AddLE("stale", []int{5}, []float64{1}, 1)
+}
+
+// namerFunc names everything by index, for the on-demand side of names.
+type namerFunc struct{}
+
+func (namerFunc) VarName(v int) string { return fmt.Sprintf("v%d", v) }
+func (namerFunc) RowName(r int) string { return fmt.Sprintf("r%d", r) }
+
+// TestAddLEPruningFlat: zero coefficients are dropped as rows are appended to
+// the flat storage, so row boundaries, Stats and every reader see only the
+// nonzeros; literal names win over the namer, which Reset keeps.
+func TestAddLEPruningFlat(t *testing.T) {
+	var m Model
+	m.Namer = namerFunc{}
+	for v := 0; v < 4; v++ {
+		m.AddVar(Continuous, 1, "")
+	}
+	m.AddLE("", []int{0, 1, 2, 3}, []float64{1, 0, 2, 0}, 4)
+	m.AddLE("lit", []int{0, 1}, []float64{0, 0}, 1) // prunes to an empty row
+	m.AddLE("", []int{3}, []float64{5}, 10)
+	if got := m.Stats().Nonzeros; got != 3 {
+		t.Fatalf("nonzeros = %d, want 3", got)
+	}
+	wantIdx := [][]int{{0, 2}, {}, {3}}
+	wantCoef := [][]float64{{1, 2}, {}, {5}}
+	rows := m.Rows()
+	for r := range wantIdx {
+		idx, coef, _ := m.RowEntries(r)
+		if len(idx) != len(wantIdx[r]) || len(rows[r].Idx) != len(wantIdx[r]) {
+			t.Fatalf("row %d: %v / %v, want %v", r, idx, rows[r].Idx, wantIdx[r])
+		}
+		for k := range idx {
+			if idx[k] != wantIdx[r][k] || coef[k] != wantCoef[r][k] {
+				t.Errorf("row %d entry %d: (%d, %v), want (%d, %v)", r, k, idx[k], coef[k], wantIdx[r][k], wantCoef[r][k])
+			}
+		}
+	}
+	if rows[0].Name != "r0" || rows[1].Name != "lit" || m.VarName(2) != "v2" {
+		t.Errorf("names: rows %q %q, var %q", rows[0].Name, rows[1].Name, m.VarName(2))
+	}
+	if !m.Feasible([]float64{2, 100, 1, 2}, 1e-9) || m.Feasible([]float64{2, 0, 1.5, 0}, 1e-9) {
+		t.Error("Feasible must ignore the pruned entries and honour the kept ones")
+	}
+	m.Reset()
+	m.AddVar(Binary, 1, "")
+	if m.VarName(0) != "v0" {
+		t.Errorf("namer lost across Reset: %q", m.VarName(0))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddLE accepted an unknown variable")
+		}
+	}()
+	m.AddLE("bad", []int{1}, []float64{1}, 1)
 }

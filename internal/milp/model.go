@@ -39,12 +39,43 @@ const (
 
 // Model is a MILP instance under construction. The zero value is an empty
 // model ready for use. Models are not safe for concurrent mutation.
+//
+// Rows are stored flat, in the layout the solver walks: row r's entries are
+// idx[lo:hi] and coef[lo:hi] with hi = rowEnd[r] and lo = rowEnd[r-1] (0 for
+// the first row), its right-hand side is rhs[r]. A model that is regenerated
+// every scheduling cycle is Reset and refilled in place, so a steady-state
+// build allocates nothing.
 type Model struct {
-	names    []string
 	kinds    []VarKind
 	obj      []float64
 	objConst float64
-	rows     []Row
+
+	rowEnd []int
+	idx    []int
+	coef   []float64
+	rhs    []float64
+
+	// Debug names: the literal passed to AddVar/AddLE when there was one,
+	// otherwise whatever Namer makes of the index when somebody asks.
+	varNames []string
+	rowNames []string
+	Namer    Namer // optional; Reset keeps it
+}
+
+// Namer produces the debug names of a model built without literal ones. The
+// scheduler regenerates its model every cycle and nothing on that path reads
+// a name, so it hands over a Namer (its logical key per variable and row)
+// instead of formatting a string per AddVar/AddLE.
+type Namer interface {
+	VarName(v int) string
+	RowName(r int) string
+}
+
+// Reset empties the model, keeping its storage and its Namer.
+func (m *Model) Reset() {
+	m.kinds, m.obj, m.objConst = m.kinds[:0], m.obj[:0], 0
+	m.rowEnd, m.idx, m.coef, m.rhs = m.rowEnd[:0], m.idx[:0], m.coef[:0], m.rhs[:0]
+	m.varNames, m.rowNames = m.varNames[:0], m.rowNames[:0]
 }
 
 // Row is one sparse constraint: Sum(Coef[i] * x[Idx[i]]) <= RHS.
@@ -56,30 +87,30 @@ type Row struct {
 }
 
 // AddVar adds a variable with the given kind, objective coefficient and
-// debug name, returning its index.
+// debug name ("" leaves the name to the model's Namer), returning its index.
 func (m *Model) AddVar(kind VarKind, objCoef float64, name string) int {
-	m.names = append(m.names, name)
+	m.varNames = append(m.varNames, name)
 	m.kinds = append(m.kinds, kind)
 	m.obj = append(m.obj, objCoef)
 	return len(m.obj) - 1
 }
 
-// SetObjCoef overwrites the objective coefficient of variable v.
-func (m *Model) SetObjCoef(v int, c float64) { m.obj[v] = c }
+// ObjCoef returns the objective coefficient of variable v.
+func (m *Model) ObjCoef(v int) float64 { return m.obj[v] }
 
 // AddObjConst adds a constant term to the objective (used when fixing
 // variables during branch-and-bound substitution).
 func (m *Model) AddObjConst(c float64) { m.objConst += c }
 
 // AddLE adds the sparse constraint Sum(coefs·x[idx]) <= rhs and returns the
-// row index. idx and coef must have equal length; entries with zero
-// coefficients are dropped (the paper's "internal pruning of generated MILP
-// expressions ... eliminating terms with zero constant", §4.3.6).
+// row index. idx and coef must have equal length and are copied; entries with
+// zero coefficients are dropped (the paper's "internal pruning of generated
+// MILP expressions ... eliminating terms with zero constant", §4.3.6). name
+// "" leaves the row's name to the model's Namer.
 func (m *Model) AddLE(name string, idx []int, coef []float64, rhs float64) int {
 	if len(idx) != len(coef) {
 		panic(fmt.Sprintf("milp: row %q: len(idx)=%d len(coef)=%d", name, len(idx), len(coef)))
 	}
-	r := Row{Name: name, RHS: rhs}
 	for i, id := range idx {
 		if coef[i] == 0 {
 			continue
@@ -87,18 +118,20 @@ func (m *Model) AddLE(name string, idx []int, coef []float64, rhs float64) int {
 		if id < 0 || id >= len(m.obj) {
 			panic(fmt.Sprintf("milp: row %q references unknown var %d", name, id))
 		}
-		r.Idx = append(r.Idx, id)
-		r.Coef = append(r.Coef, coef[i])
+		m.idx = append(m.idx, id)
+		m.coef = append(m.coef, coef[i])
 	}
-	m.rows = append(m.rows, r)
-	return len(m.rows) - 1
+	m.rowNames = append(m.rowNames, name)
+	m.rowEnd = append(m.rowEnd, len(m.idx))
+	m.rhs = append(m.rhs, rhs)
+	return len(m.rhs) - 1
 }
 
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.obj) }
 
 // NumRows returns the number of constraints.
-func (m *Model) NumRows() int { return len(m.rows) }
+func (m *Model) NumRows() int { return len(m.rhs) }
 
 // NumBinary returns the number of binary variables.
 func (m *Model) NumBinary() int {
@@ -112,15 +145,46 @@ func (m *Model) NumBinary() int {
 }
 
 // VarName returns the debug name of variable v.
-func (m *Model) VarName(v int) string { return m.names[v] }
+func (m *Model) VarName(v int) string {
+	if n := m.varNames[v]; n != "" || m.Namer == nil {
+		return n
+	}
+	return m.Namer.VarName(v)
+}
+
+// RowName returns the debug name of row r.
+func (m *Model) RowName(r int) string {
+	if n := m.rowNames[r]; n != "" || m.Namer == nil {
+		return n
+	}
+	return m.Namer.RowName(r)
+}
 
 // Kind returns the kind of variable v.
 func (m *Model) Kind(v int) VarKind { return m.kinds[v] }
 
-// Rows returns the model's constraint rows. The slice and the rows' Idx/Coef
-// backing arrays are the model's own storage: callers must treat them as
-// read-only (exposed for invariant checkers and tests, not for mutation).
-func (m *Model) Rows() []Row { return m.rows }
+// RowEntries returns row r's column indices, coefficients and right-hand
+// side. The slices are the model's own storage: read-only, and valid until
+// the model's next Reset.
+func (m *Model) RowEntries(r int) (idx []int, coef []float64, rhs float64) {
+	lo, hi := 0, m.rowEnd[r]
+	if r > 0 {
+		lo = m.rowEnd[r-1]
+	}
+	return m.idx[lo:hi:hi], m.coef[lo:hi:hi], m.rhs[r]
+}
+
+// Rows returns the model's constraint rows, names included, as a freshly
+// built slice whose Idx/Coef alias the model's storage: read-only (for
+// invariant checkers and tests; the solver walks the flat arrays).
+func (m *Model) Rows() []Row {
+	rows := make([]Row, len(m.rhs))
+	for r := range rows {
+		rows[r].Name = m.RowName(r)
+		rows[r].Idx, rows[r].Coef, rows[r].RHS = m.RowEntries(r)
+	}
+	return rows
+}
 
 // Objective evaluates the objective at x (which must have NumVars entries).
 func (m *Model) Objective(x []float64) float64 {
@@ -149,107 +213,24 @@ func (m *Model) Feasible(x []float64, tol float64) bool {
 			}
 		}
 	}
-	for _, r := range m.rows {
+	lo := 0
+	for r, hi := range m.rowEnd {
 		lhs := 0.0
-		for k, id := range r.Idx {
-			lhs += r.Coef[k] * x[id]
+		for k := lo; k < hi; k++ {
+			lhs += m.coef[k] * x[m.idx[k]]
 		}
-		if lhs > r.RHS+tol {
+		if lhs > m.rhs[r]+tol {
 			return false
 		}
+		lo = hi
 	}
 	return true
 }
 
-// Patcher rewrites a Model's numeric payload in place while asserting that
-// its structure — variable count and kinds, row count, and every row's
-// sparsity pattern — is unchanged since the model was built. It is the milp
-// half of the incremental re-solve path (DESIGN.md §12): the scheduler's
-// builder walks the new cycle's recorded columns and rows against the
-// previous cycle's model and overwrites only values, never structure, so a
-// successful patch yields a model bitwise-identical to a full rebuild
-// without reallocating rows, columns, or debug names. Any structural
-// divergence fails the walk and the caller falls back to a full rebuild.
-type Patcher struct {
-	m           *Model
-	v, r        int
-	rowsPatched int
-	colsPatched int
-	failed      bool
-}
-
-// BeginPatch starts an in-place patch pass over the model. The caller must
-// feed every variable (Var) and then every row (Row) in construction order
-// and check Done.
-func (m *Model) BeginPatch() *Patcher { return &Patcher{m: m} }
-
-// Var matches the next variable against the walk cursor and overwrites its
-// objective coefficient. Returns false on kind mismatch or exhaustion.
-func (p *Patcher) Var(kind VarKind, obj float64) bool {
-	if p.failed || p.v >= len(p.m.obj) || p.m.kinds[p.v] != kind {
-		p.failed = true
-		return false
-	}
-	if math.Float64bits(p.m.obj[p.v]) != math.Float64bits(obj) {
-		p.m.obj[p.v] = obj
-		p.colsPatched++
-	}
-	p.v++
-	return true
-}
-
-// Row matches the next row's sparsity pattern against the walk cursor and
-// overwrites its coefficients and right-hand side. idx must already have
-// zero-coefficient entries dropped (AddLE's rule). Returns false on any
-// pattern mismatch.
-func (p *Patcher) Row(idx []int, coef []float64, rhs float64) bool {
-	if p.failed || p.r >= len(p.m.rows) {
-		p.failed = true
-		return false
-	}
-	r := &p.m.rows[p.r]
-	if len(r.Idx) != len(idx) {
-		p.failed = true
-		return false
-	}
-	for i, id := range idx {
-		if r.Idx[i] != id {
-			p.failed = true
-			return false
-		}
-	}
-	changed := math.Float64bits(r.RHS) != math.Float64bits(rhs)
-	r.RHS = rhs
-	for i, c := range coef {
-		if !changed && math.Float64bits(r.Coef[i]) != math.Float64bits(c) {
-			changed = true
-		}
-		r.Coef[i] = c
-	}
-	if changed {
-		p.rowsPatched++
-	}
-	p.r++
-	return true
-}
-
-// Done reports whether the walk consumed the model exactly — every variable
-// and row matched, with nothing left over.
-func (p *Patcher) Done() bool {
-	return !p.failed && p.v == len(p.m.obj) && p.r == len(p.m.rows)
-}
-
-// RowsPatched returns the number of rows whose coefficients or RHS changed.
-func (p *Patcher) RowsPatched() int { return p.rowsPatched }
-
-// ColsPatched returns the number of objective coefficients that changed.
-func (p *Patcher) ColsPatched() int { return p.colsPatched }
-
-// EqualBitwise compares two models field by field — names, kinds, objective
-// bits, constants, and every row's name, pattern, coefficient bits, and RHS
-// bits — returning "" when identical or a description of the first mismatch.
-// The incremental cross-check (internal/core, Checks mode) uses it to prove
-// a patched model equal to a from-scratch rebuild.
+// EqualBitwise compares two models field by field — names (literal or through
+// the namer), kinds, objective bits, constants, and every row's name, pattern,
+// coefficient bits, and RHS bits — returning "" when identical or a
+// description of the first mismatch.
 func EqualBitwise(a, b *Model) string {
 	if len(a.obj) != len(b.obj) {
 		return fmt.Sprintf("var count %d != %d", len(a.obj), len(b.obj))
@@ -258,40 +239,82 @@ func EqualBitwise(a, b *Model) string {
 		return fmt.Sprintf("objConst %v != %v", a.objConst, b.objConst)
 	}
 	for v := range a.obj {
-		if a.names[v] != b.names[v] {
-			return fmt.Sprintf("var %d name %q != %q", v, a.names[v], b.names[v])
+		name := a.VarName(v)
+		if bn := b.VarName(v); name != bn {
+			return fmt.Sprintf("var %d name %q != %q", v, name, bn)
 		}
 		if a.kinds[v] != b.kinds[v] {
-			return fmt.Sprintf("var %d (%s) kind mismatch", v, a.names[v])
+			return fmt.Sprintf("var %d (%s) kind mismatch", v, name)
 		}
 		if math.Float64bits(a.obj[v]) != math.Float64bits(b.obj[v]) {
-			return fmt.Sprintf("var %d (%s) obj %v != %v", v, a.names[v], a.obj[v], b.obj[v])
+			return fmt.Sprintf("var %d (%s) obj %v != %v", v, name, a.obj[v], b.obj[v])
 		}
 	}
-	if len(a.rows) != len(b.rows) {
-		return fmt.Sprintf("row count %d != %d", len(a.rows), len(b.rows))
+	if len(a.rhs) != len(b.rhs) {
+		return fmt.Sprintf("row count %d != %d", len(a.rhs), len(b.rhs))
 	}
-	for ri := range a.rows {
-		ra, rb := &a.rows[ri], &b.rows[ri]
-		if ra.Name != rb.Name {
-			return fmt.Sprintf("row %d name %q != %q", ri, ra.Name, rb.Name)
+	for r := range a.rhs {
+		name := a.RowName(r)
+		if bn := b.RowName(r); name != bn {
+			return fmt.Sprintf("row %d name %q != %q", r, name, bn)
 		}
-		if math.Float64bits(ra.RHS) != math.Float64bits(rb.RHS) {
-			return fmt.Sprintf("row %d (%s) rhs %v != %v", ri, ra.Name, ra.RHS, rb.RHS)
+		aIdx, aCoef, aRHS := a.RowEntries(r)
+		bIdx, bCoef, bRHS := b.RowEntries(r)
+		if math.Float64bits(aRHS) != math.Float64bits(bRHS) {
+			return fmt.Sprintf("row %d (%s) rhs %v != %v", r, name, aRHS, bRHS)
 		}
-		if len(ra.Idx) != len(rb.Idx) {
-			return fmt.Sprintf("row %d (%s) nnz %d != %d", ri, ra.Name, len(ra.Idx), len(rb.Idx))
+		if len(aIdx) != len(bIdx) {
+			return fmt.Sprintf("row %d (%s) nnz %d != %d", r, name, len(aIdx), len(bIdx))
 		}
-		for k := range ra.Idx {
-			if ra.Idx[k] != rb.Idx[k] {
-				return fmt.Sprintf("row %d (%s) idx[%d] %d != %d", ri, ra.Name, k, ra.Idx[k], rb.Idx[k])
+		for k := range aIdx {
+			if aIdx[k] != bIdx[k] {
+				return fmt.Sprintf("row %d (%s) idx[%d] %d != %d", r, name, k, aIdx[k], bIdx[k])
 			}
-			if math.Float64bits(ra.Coef[k]) != math.Float64bits(rb.Coef[k]) {
-				return fmt.Sprintf("row %d (%s) coef[%d] %v != %v", ri, ra.Name, k, ra.Coef[k], rb.Coef[k])
+			if math.Float64bits(aCoef[k]) != math.Float64bits(bCoef[k]) {
+				return fmt.Sprintf("row %d (%s) coef[%d] %v != %v", r, name, k, aCoef[k], bCoef[k])
 			}
 		}
 	}
 	return ""
+}
+
+// Delta is the cycle-over-cycle comparison of the incremental re-solve path
+// (DESIGN.md §12). same reports whether cur has prev's structure — variable
+// count and kinds, row count, every row's sparsity pattern; when it has,
+// cols and rows count the objective coefficients, and the rows (coefficients
+// or right-hand side), whose bits differ. Names are not compared.
+func Delta(prev, cur *Model) (same bool, rows, cols int) {
+	if len(prev.obj) != len(cur.obj) || len(prev.rhs) != len(cur.rhs) || len(prev.idx) != len(cur.idx) {
+		return false, 0, 0
+	}
+	for v, k := range cur.kinds {
+		if prev.kinds[v] != k {
+			return false, 0, 0
+		}
+		if math.Float64bits(prev.obj[v]) != math.Float64bits(cur.obj[v]) {
+			cols++
+		}
+	}
+	lo := 0
+	for r, hi := range cur.rowEnd {
+		if prev.rowEnd[r] != hi {
+			return false, 0, 0
+		}
+		changed := math.Float64bits(prev.rhs[r]) != math.Float64bits(cur.rhs[r])
+		for k := lo; k < hi; k++ {
+			if prev.idx[k] != cur.idx[k] {
+				return false, 0, 0
+			}
+			if math.Float64bits(prev.coef[k]) != math.Float64bits(cur.coef[k]) {
+				changed = true
+			}
+		}
+		if changed {
+			rows++
+		}
+		lo = hi
+	}
+	return true, rows, cols
 }
 
 // Stats describes the size of a model (exposed for the Fig. 12 scalability
@@ -302,9 +325,5 @@ type Stats struct {
 
 // Stats returns size statistics for the model.
 func (m *Model) Stats() Stats {
-	nz := 0
-	for _, r := range m.rows {
-		nz += len(r.Idx)
-	}
-	return Stats{Vars: m.NumVars(), Binaries: m.NumBinary(), Rows: m.NumRows(), Nonzeros: nz}
+	return Stats{Vars: m.NumVars(), Binaries: m.NumBinary(), Rows: m.NumRows(), Nonzeros: len(m.idx)}
 }

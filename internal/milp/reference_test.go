@@ -39,7 +39,7 @@ func refRelaxation(m *Model, fixed []int8, warm []int) (lpResult, float64, []piv
 		c[v] = 0
 	}
 	var rows []Row
-	for _, r := range m.rows {
+	for _, r := range m.Rows() {
 		rhs := r.RHS
 		var idx []int
 		var coef []float64

@@ -380,30 +380,49 @@ func solveRelaxationOpt(ar *lpArena, m *Model, fixed []int8, warm []int, wantBas
 }
 
 // newNodeLP assembles a node's relaxation in ar: the fixings are substituted
-// straight into the zeroed tableau. The returned LP lives in ar and is valid
-// until the arena's next relaxation.
+// straight into the tableau. The returned LP lives in ar and is valid until
+// the arena's next relaxation. Neither pass over the model's nonzeros tests
+// one against fixed[]: the fixings become 0/1 masks and a list of fixed
+// columns once per node. The stored tableau is the one a per-nonzero test
+// produces, bit for bit: b − c·0 is b, and a fixed column ends as 0 whether
+// it was skipped or scattered and then cleared (DESIGN.md §6).
 func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error) {
 	n := m.NumVars()
+	// one[v] is 1 where v is fixed at 1, isFree[v] is 1 where v is free;
+	// the objective constant picks up the cost of every variable fixed at 1.
+	one := grow(&ar.one, n)
+	isFree := grow(&ar.isFree, n)
+	fixedCols := ar.fixedCols[:0]
+	objConst := m.objConst
+	for v, val := range fixed {
+		if val < 0 {
+			one[v], isFree[v] = 0, 1
+			continue
+		}
+		one[v], isFree[v] = float64(val), 0
+		fixedCols = append(fixedCols, v)
+		if val == 1 {
+			objConst += m.obj[v]
+		}
+	}
+	ar.fixedCols = fixedCols
 	// Pass 1: fold the fixed variables into each row's rhs. A row left with
 	// no free variable is trivially satisfied (dropped) or proves the node
 	// infeasible; the survivors size the tableau.
-	rhs := grow(&ar.rhs, len(m.rows))
-	keep := grow(&ar.keep, len(m.rows))
+	rhs := grow(&ar.rhs, len(m.rhs))
+	keep := grow(&ar.keep, len(m.rhs))
 	rows, nArt := 0, 0
-	for ri := range m.rows {
-		r := &m.rows[ri]
-		b := r.RHS
-		free := false
-		for k, id := range r.Idx {
-			switch fixed[id] {
-			case 1:
-				b -= r.Coef[k]
-			case 0:
-			default:
-				free = true
-			}
+	lo := 0
+	for ri, hi := range m.rowEnd {
+		b := m.rhs[ri]
+		nfree := 0
+		for k := lo; k < hi; k++ {
+			id := m.idx[k]
+			b -= m.coef[k] * one[id]
+			nfree += isFree[id]
 		}
-		if !free {
+		lo = hi
+		if nfree == 0 {
 			if b < -feasTol {
 				return nil, 0, ErrInfeasible
 			}
@@ -420,39 +439,36 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 	lp.cols = n + rows + nArt
 	lp.artCol0 = n + rows
 	lp.stride = lp.cols + 1
-	lp.tab = growz(&ar.tab, rows*lp.stride)
+	lp.tab = grow(&ar.tab, rows*lp.stride)
 	lp.basis = grow(&ar.basis, rows)
 	lp.nz = grow(&ar.nz, lp.stride)
 	lp.nzv = grow(&ar.nzv, lp.stride)
 	lp.cost = grow(&ar.cost, lp.cols)
 	copy(lp.cost, m.obj)
-	for j := n; j < lp.cols; j++ {
-		lp.cost[j] = 0
-	}
-	objConst := m.objConst
-	for v, val := range fixed {
-		if val < 0 {
-			continue
-		}
-		if val == 1 {
-			objConst += lp.cost[v]
-		}
+	clear(lp.cost[n:])
+	for _, v := range fixedCols {
 		lp.cost[v] = 0
 	}
-	// Pass 2: scatter the free entries of each surviving row.
+	// Pass 2, row by row: clear the tableau row, scatter every entry of the
+	// model row into it, then zero the fixed columns.
 	art := lp.artCol0
 	for i, ri := range keep[:rows] {
-		r := &m.rows[ri]
 		row := lp.row(i)
+		clear(row)
 		neg := rhs[i] < 0
 		sign := 1.0
 		if neg {
 			sign = -1
 		}
-		for k, id := range r.Idx {
-			if fixed[id] < 0 {
-				row[id] += sign * r.Coef[k]
-			}
+		lo, hi := 0, m.rowEnd[ri]
+		if ri > 0 {
+			lo = m.rowEnd[ri-1]
+		}
+		for k := lo; k < hi; k++ {
+			row[m.idx[k]] += sign * m.coef[k]
+		}
+		for _, v := range fixedCols {
+			row[v] = 0
 		}
 		row[lp.cols] = sign * rhs[i]
 		if neg {
@@ -579,28 +595,27 @@ func (g *greedyCtx) reset(m *Model) {
 	}
 	n := m.NumVars()
 	start := growz(&g.colStart, n+1)
-	nnz := 0
-	for _, r := range m.rows {
-		for _, id := range r.Idx {
-			start[id+1]++
-		}
-		nnz += len(r.Idx)
+	for _, id := range m.idx {
+		start[id+1]++
 	}
 	for v := 0; v < n; v++ {
 		start[v+1] += start[v]
 	}
-	g.entries = grow(&g.entries, nnz)
+	g.entries = grow(&g.entries, len(m.idx))
 	// Fill in row order, using start[v] as column v's cursor; the shift
 	// below puts the offsets back.
-	for ri, r := range m.rows {
-		for k, id := range r.Idx {
-			g.entries[start[id]] = greedyEntry{ri, r.Coef[k]}
+	lo := 0
+	for ri, hi := range m.rowEnd {
+		for k := lo; k < hi; k++ {
+			id := m.idx[k]
+			g.entries[start[id]] = greedyEntry{ri, m.coef[k]}
 			start[id]++
 		}
+		lo = hi
 	}
 	copy(start[1:], start[:n])
 	start[0] = 0
-	g.activity = grow(&g.activity, len(m.rows))
+	g.activity = grow(&g.activity, len(m.rhs))
 	g.out = grow(&g.out, n)
 	g.order.obj = m.obj
 }
@@ -609,7 +624,7 @@ func (g *greedyCtx) reset(m *Model) {
 func (g *greedyCtx) apply(m *Model, v int) bool {
 	col := g.entries[g.colStart[v]:g.colStart[v+1]]
 	for _, e := range col {
-		if g.activity[e.row]+e.coef > m.rows[e.row].RHS+feasTol {
+		if g.activity[e.row]+e.coef > m.rhs[e.row]+feasTol {
 			return false
 		}
 	}
@@ -670,15 +685,4 @@ func (g *greedyCtx) round(m *Model, x []float64, fixed []int8) ([]float64, bool)
 		return nil, false
 	}
 	return g.out, true
-}
-
-// DebugSolveRoot solves the bare LP relaxation and surfaces the raw solver
-// error (for diagnosing model pathologies from other packages' tests).
-func DebugSolveRoot(m *Model) ([]float64, float64, error) {
-	free := make([]int8, m.NumVars())
-	for i := range free {
-		free[i] = -1
-	}
-	res, oc, err := solveRelaxation(m, free)
-	return res.x, res.obj + oc, err
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"threesigma/internal/workload"
 )
 
 func smallWorkload(seed int64) *Workload {
@@ -197,5 +199,33 @@ func TestCustomUtilityFunction(t *testing.T) {
 	}
 	if !res.Outcomes[0].Completed {
 		t.Error("custom-utility job should run")
+	}
+}
+
+// TestIncrementalCountersMatchParent pins what the cycle-over-cycle model
+// comparison reports (DESIGN.md §12) to what the patcher it replaced
+// reported. The run is scripts/ci.sh's fault-free 48-node seed-5 simulation
+// — its digest is the one scripts/pins.txt holds — and the counter values
+// were read off commit 25ef73e, the last one that patched the previous
+// cycle's model instead of building in place, with this same test body.
+func TestIncrementalCountersMatchParent(t *testing.T) {
+	env, err := workload.EnvByName("google")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := GenerateWorkload(WorkloadConfig{Env: env, Cluster: NewCluster(48, 4), DurationHours: 0.05, Load: 1.2, Seed: 5})
+	res, err := Simulate(SystemThreeSigma, w, SimConfig{Seed: 5, VirtualTime: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pinned = "74940d9cf81cce4c815defa1c2ec6be287e6d2d0c64da410992f6b9a7aff6573"
+	if res.Digest != pinned {
+		t.Fatalf("not the ci.sh run: digest %s, scripts/pins.txt %s", res.Digest, pinned)
+	}
+	st := res.Stats
+	got := [6]int{st.Cycles, st.PatchedCycles, st.RebuildFallbacks, st.RowsPatched, st.ColsPatched, st.ReusedSolves}
+	want := [6]int{258, 228, 5, 59, 73, 156}
+	if got != want {
+		t.Errorf("cycles/patched/fallbacks/rows/cols/reused = %v, at the parent %v", got, want)
 	}
 }
