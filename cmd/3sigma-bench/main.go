@@ -18,28 +18,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"strings"
 	"time"
 
 	"threesigma/internal/experiments"
 	"threesigma/internal/faults"
 )
-
-// defaultLabel resolves the trajectory label to the current git short SHA so
-// committed BENCH entries identify the code that produced them; "dev" when
-// not in a git checkout.
-func defaultLabel() string {
-	sha, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "dev"
-	}
-	s := strings.TrimSpace(string(sha))
-	if s == "" {
-		return "dev"
-	}
-	return s
-}
 
 func main() {
 	scale := flag.String("scale", "medium", "experiment scale: small, medium or full")
@@ -54,12 +37,7 @@ func main() {
 	steady := flag.Bool("steady", false, "run the steady-state incremental-solve scenario (two arms: incremental, rebuild-cold)")
 	scalability := flag.Bool("scalability", false, "run the sharded-domain scalability scenario (three arms: monolithic, sharded-N, sharded-N single-worker)")
 	shards := flag.Int("shards", 0, "override the scheduling-domain count (0 = the scale's default; applies to every experiment and the -scalability scenario)")
-	out := flag.String("out", "", "append this run's structured results to a BENCH trajectory JSON file (upserted by -label)")
-	label := flag.String("label", "", "trajectory entry label used with -out (default: current git short SHA, else \"dev\")")
 	flag.Parse()
-	if *label == "" {
-		*label = defaultLabel()
-	}
 
 	var sc experiments.Scale
 	switch *scale {
@@ -95,17 +73,14 @@ func main() {
 		fmt.Println("  -steady   steady-state incremental-solve scenario (DESIGN.md §12)")
 		fmt.Println("  -scalability  sharded scheduling-domain scenario (DESIGN.md §13)")
 		fmt.Println("  -json     machine-readable output (incl. solver counters)")
-		fmt.Println("  -out FILE append results to a committed BENCH trajectory file")
 		return
 	}
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	want := func(n int) bool { return *all || *fig == n }
-	// collected accumulates every experiment's structured rows for -out.
-	collected := map[string]interface{}{}
-	// run executes one experiment; f returns the structured rows (for -json
-	// and -out) and the formatted table (for the default text output).
+	// run executes one experiment; f returns the structured rows (for -json)
+	// and the formatted table (for the default text output).
 	run := func(name string, f func() (interface{}, string, error)) {
 		//lint:allow wallclock benchmark harness measures real experiment duration by design
 		t0 := time.Now()
@@ -114,7 +89,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		collected[name] = data
 		//lint:allow wallclock benchmark harness measures real experiment duration by design
 		elapsed := time.Since(t0).Round(time.Millisecond)
 		if *jsonOut {
@@ -238,29 +212,5 @@ func main() {
 			pts, err := experiments.AblationExactShares(small, *seed)
 			return pts, experiments.FormatAblation("Ablation: MILP share formulation (small scale)", pts), err
 		})
-	}
-	if *out != "" {
-		scenario := "bench_" + sc.Name
-		entryScale := sc.Name
-		switch {
-		case *scalability:
-			scenario = "scalability"
-			entryScale = experiments.ScalabilityScale().Name
-		case *steady:
-			scenario = "steady"
-			entryScale = experiments.SteadyScale().Name
-		case *fig != 0 && !*all:
-			scenario = fmt.Sprintf("fig%d_%s", *fig, sc.Name)
-		case *table != 0 && !*all:
-			scenario = fmt.Sprintf("table%d_%s", *table, sc.Name)
-		}
-		err := experiments.AppendTrajectory(*out, scenario, experiments.TrajectoryEntry{
-			Label: *label, Scale: entryScale, Seed: *seed, Experiments: collected,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trajectory: wrote entry %q to %s\n", *label, *out)
 	}
 }

@@ -27,7 +27,7 @@ import (
 //
 // (A third arm, rebuild-warm, compared patching the previous cycle's model
 // with rebuilding it; the model is now always built in place and the arm
-// went with the patcher. BENCH_steady.json's pr6 row for it is historical.)
+// went with the patcher.)
 //
 // Latencies are wall-clock, so the scenario must run on an otherwise idle
 // machine (same caveat as Fig. 12).

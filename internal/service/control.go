@@ -215,8 +215,8 @@ func (s *Service) takeoverLocked(maxSeen uint64) {
 	s.ctl.Elections++
 	s.wakeWaitersLocked() // a waiter left over from an earlier term counts against the new senders
 	if s.log != nil {
-		if _, err := s.log.Append(s.leaderEpoch, replog.TypeElect, s.cycles,
-			&electPayload{Replica: s.cfg.ReplicaID, Cycle: s.cycles}); err != nil {
+		if _, err := s.log.Append(s.leaderEpoch, replog.TypeElect, s.st.Cycles,
+			&electPayload{Replica: s.cfg.ReplicaID, Cycle: s.st.Cycles}); err != nil {
 			s.cfg.Logf("append elect record: %v", err)
 		}
 	}
@@ -226,7 +226,7 @@ func (s *Service) takeoverLocked(maxSeen uint64) {
 	// poll, the next cycle record and the first heartbeat.
 	s.notifyFollowersLocked()
 	s.cfg.Logf("replica %d leading at epoch %d (cycle %d, log seq %d)",
-		s.cfg.ReplicaID, s.leaderEpoch, s.cycles, s.logLenLocked())
+		s.cfg.ReplicaID, s.leaderEpoch, s.st.Cycles, s.logLenLocked())
 }
 
 func (s *Service) logLenLocked() uint64 {
@@ -532,7 +532,7 @@ func (s *Service) electionTick(httpc *http.Client) {
 			maxEpoch = v.st.Epoch
 		}
 		if v.st.Role == string(RoleLeader) && v.st.Epoch >= s.leaderEpoch {
-			if s.role == RoleLeader && !s.cycleBusy &&
+			if s.role == RoleLeader && s.cycleRec == nil &&
 				(v.st.Epoch > s.leaderEpoch ||
 					(v.st.Epoch == s.leaderEpoch && v.id < s.cfg.ReplicaID)) {
 				// A newer term always wins. At an equal epoch (two followers
@@ -587,7 +587,7 @@ func (s *Service) handleControlStatus(w http.ResponseWriter, r *http.Request) {
 		Role:    string(s.role),
 		Epoch:   s.leaderEpoch,
 		Seq:     s.logLenLocked(),
-		Cycle:   s.cycles,
+		Cycle:   s.st.Cycles,
 	}
 	if s.log != nil {
 		st.Head = s.log.Head()
@@ -618,7 +618,7 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.role == RoleLeader {
-		if s.cycleBusy {
+		if s.cycleRec != nil {
 			// Mid-cycle: state is between the top and the decision apply;
 			// adopting a new leader's records now would double-apply the
 			// cycle top. The sender retries after the cycle lands.
@@ -675,6 +675,7 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	fresh := req.Records[skip:]
 	n, err := s.log.AppendRecords(fresh)
+	s.ctl.RecordsApplied += int64(n)
 	for _, rec := range fresh[:n] {
 		if aerr := s.applyRecordLocked(rec); aerr != nil {
 			// The record is durable but unapplicable — a divergence, not a

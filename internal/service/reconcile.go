@@ -1,7 +1,7 @@
 // Agent reconciliation (DESIGN.md §14): with Config.Agents the service owns
 // no task execution — remote node-group agents (internal/agent) do. The
-// scheduler side keeps a desired-state map (which attempt should be running
-// where) and per-agent outboxes, and each cycle diffs desired against the
+// state keeps a desired-run map (which attempt should be running where), its
+// start/retire effects fill per-agent outboxes, and each cycle diffs desired against the
 // agent's reported actual state: missing attempts are re-issued, unknown
 // ones evicted, and lifecycle events (completions, crashes) feed the cycle
 // exactly where the emulated completion heap would. Every directive is
@@ -87,7 +87,7 @@ func (s *Service) reconcileAgents() ([]compEv, []agentOpEv) {
 		}
 		req := agent.ReconcileRequest{
 			Epoch: s.leaderEpoch,
-			Now:   float64(s.cycles+1) * s.cfg.CycleInterval,
+			Now:   float64(s.st.Cycles+1) * s.cfg.CycleInterval,
 			Ack:   as.appliedSeq,
 			Reset: as.dead,
 		}
@@ -119,7 +119,7 @@ func (s *Service) reconcileAgents() ([]compEv, []agentOpEv) {
 				s.ctl.AgentsFailed++
 				for _, p := range as.c.Partitions {
 					agentOps = append(agentOps, agentOpEv{
-						Fail: true, Partition: p, Nodes: s.eng.Cluster().Partitions[p],
+						Fail: true, Partition: p, Nodes: s.st.eng.Cluster().Partitions[p],
 					})
 				}
 				s.cfg.Logf("agent %s dead after %d failed rounds; failing partitions %v",
@@ -136,7 +136,7 @@ func (s *Service) reconcileAgents() ([]compEv, []agentOpEv) {
 			s.ctl.AgentsRecovered++
 			for _, p := range as.c.Partitions {
 				agentOps = append(agentOps, agentOpEv{
-					Fail: false, Partition: p, Nodes: s.eng.Cluster().Partitions[p],
+					Fail: false, Partition: p, Nodes: s.st.eng.Cluster().Partitions[p],
 				})
 			}
 			s.cfg.Logf("agent %s recovered; partitions %v returning", as.c.Addr, as.c.Partitions)
@@ -182,23 +182,21 @@ func (s *Service) reconcileAgents() ([]compEv, []agentOpEv) {
 		for _, t := range resp.Running {
 			running[t.Job] = t.RunID
 		}
-		for id, d := range s.desired {
-			if !as.intersects(d.alloc) || eventful[id] {
+		for id, d := range s.st.Desired {
+			if !as.intersects(d.Alloc) || eventful[id] {
 				continue
 			}
-			if run, ok := running[id]; ok && run == d.runID {
+			if run, ok := running[id]; ok && run == d.RunID {
 				continue
 			}
 			if _, queued := as.outboxStarts[id]; queued {
 				continue
 			}
-			as.outboxStarts[id] = agent.StartDirective{
-				Job: id, RunID: d.runID, Alloc: as.restrict(d.alloc), Due: d.due, CrashAt: d.crashAt,
-			}
+			as.outboxStarts[id] = as.startDirective(id, d)
 			s.ctl.Reissued++
 		}
 		for id, run := range running {
-			if d, ok := s.desired[id]; ok && d.runID == run {
+			if d, ok := s.st.Desired[id]; ok && d.RunID == run {
 				continue
 			}
 			if eventful[id] {
@@ -274,43 +272,30 @@ func sortDirectives(evicts []agent.EvictDirective, starts []agent.StartDirective
 	sort.Slice(starts, func(i, k int) bool { return starts[i].Job < starts[k].Job })
 }
 
-// queueStartLocked fans a fresh desired run out to every agent whose
-// partitions it touches (a spanning job gets one restricted directive per
-// agent).
-func (s *Service) queueStartLocked(id job.ID, d *desiredRun) {
+// startDirective is the agent's share of a desired run (a job spanning two
+// agents sends each a directive covering only its partitions).
+func (as *agentState) startDirective(id job.ID, d *desiredRun) agent.StartDirective {
+	return agent.StartDirective{Job: id, RunID: d.RunID, Alloc: as.restrict(d.Alloc), Due: d.Due, CrashAt: d.CrashAt}
+}
+
+// queueStartLocked carries out a startRun effect: the fresh attempt goes
+// into the outbox of every agent whose partitions it touches.
+func (s *Service) queueStartLocked(e startRun) {
 	for _, as := range s.agents {
-		if !as.intersects(d.alloc) {
-			continue
-		}
-		as.outboxStarts[id] = agent.StartDirective{
-			Job: id, RunID: d.runID, Alloc: as.restrict(d.alloc), Due: d.due, CrashAt: d.crashAt,
+		if as.intersects(e.run.Alloc) {
+			as.outboxStarts[e.id] = as.startDirective(e.id, e.run)
 		}
 	}
 }
 
-// dropDesiredLocked retires a desired run (the attempt completed, crashed,
-// was preempted, or was cancelled). With evict set, agents still running it
-// are told to kill it — used for preemptions and cancellations, where the
-// agent holds a live task; completions and crashes end at the agent already.
-func (s *Service) dropDesiredLocked(id job.ID, evict bool) {
-	d := s.desired[id]
-	delete(s.desired, id)
+// queueRetireLocked carries out a retireRun effect: an undelivered start is
+// withdrawn, and with evict set the agents still holding the attempt are
+// told to kill it.
+func (s *Service) queueRetireLocked(e retireRun) {
 	for _, as := range s.agents {
-		delete(as.outboxStarts, id)
-		if evict && d != nil && as.intersects(d.alloc) {
-			as.outboxEvicts[id] = agent.EvictDirective{Job: id, RunID: d.runID}
+		delete(as.outboxStarts, e.id)
+		if e.evict && e.run != nil && as.intersects(e.run.Alloc) {
+			as.outboxEvicts[e.id] = agent.EvictDirective{Job: e.id, RunID: e.run.RunID}
 		}
-	}
-}
-
-// evictDesiredLocked retires every run evicted by a node failure. The
-// engine already tore the runs down; agents that survive the failure are
-// told to kill their now-orphaned tasks.
-func (s *Service) evictDesiredLocked(evicted, exhausted []job.ID) {
-	for _, id := range evicted {
-		s.dropDesiredLocked(id, true)
-	}
-	for _, id := range exhausted {
-		s.dropDesiredLocked(id, true)
 	}
 }

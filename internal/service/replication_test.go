@@ -335,8 +335,9 @@ func TestStopSettlesPendingCompaction(t *testing.T) {
 // and an ack — under a millisecond on loopback — and the wait must add
 // nothing to that. Polling every 2 ms made every submit pay a poll period:
 // not one could finish in under 2 ms (the fastest of 200 took 2.1 ms). The
-// bound is on the fastest tenth, not the median, so that a slow machine or
-// the race detector, which make every submit slower, do not fail it.
+// bound is on the fastest submit, which a sleep-poll can never bring under
+// its period and which a slow machine, the race detector or a neighbour on
+// the same cores — all of which make most submits slower — cannot push over.
 func TestQuorumWaitIsEventDriven(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times a few hundred fsync'd, replicated submits")
@@ -356,9 +357,9 @@ func TestQuorumWaitIsEventDriven(t *testing.T) {
 		}
 	}
 	sort.Slice(lats, func(i, k int) bool { return lats[i] < lats[k] })
-	if p10 := lats[n/10]; p10 >= 2*time.Millisecond {
-		t.Errorf("the fastest tenth of %d replicated submits took %v and more (fastest %v, median %v): the quorum wait is not woken by the ack",
-			n, p10, lats[0], lats[n/2])
+	if lats[0] >= 2*time.Millisecond {
+		t.Errorf("the fastest of %d replicated submits took %v (median %v): the quorum wait is not woken by the ack",
+			n, lats[0], lats[n/2])
 	}
 	if m := g.svcs[0].Metrics(); m.Control.ReplLagTimeouts != 0 {
 		t.Errorf("%d replication waits timed out", m.Control.ReplLagTimeouts)
@@ -419,7 +420,7 @@ func TestBlockedQuorumWaitReleasedAtOnce(t *testing.T) {
 // TestSnapshotEngineEpochLeadsThePayload pins what the in-sync follower's
 // cheap check rests on: an exported snapshot begins with the engine epoch, so
 // reading it costs the same for a 1 KB payload and a 4 MB one. A field moved
-// ahead of it in snapPayload fails here, not as a silent loss of the check.
+// ahead of it in stateWire fails here, not as a silent loss of the check.
 func TestSnapshotEngineEpochLeadsThePayload(t *testing.T) {
 	l, err := replog.Open("")
 	if err != nil {
@@ -430,11 +431,11 @@ func TestSnapshotEngineEpochLeadsThePayload(t *testing.T) {
 	cfg.CompactEvery = 1
 	svc := mustService(t, cfg)
 	svc.mu.Lock()
-	if err := svc.eng.Submit(&job.Job{ID: 1, Tasks: 1, Runtime: 1}); err != nil {
+	if err := svc.st.eng.Submit(&job.Job{ID: 1, Tasks: 1, Runtime: 1}); err != nil {
 		t.Fatal(err)
 	}
 	svc.snapshotLocked()
-	want := svc.eng.Epoch()
+	want := svc.st.eng.Epoch()
 	svc.mu.Unlock()
 	rec, ok := l.LastSnapshot()
 	if !ok {

@@ -26,14 +26,17 @@
 // can further be delegated to remote node-group agents (internal/agent): the
 // service becomes a pure reconciler that diffs desired against actual state
 // and issues idempotent epoch-fenced directives.
+//
+// Everything the replicas must agree on is one value, state (state.go),
+// changed only by applying log records and running cycles through its
+// methods; the rest of the package is the shell around it (DESIGN.md §14,
+// "State machine").
 package service
 
 import (
-	"container/heap"
+	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -254,161 +257,6 @@ type statser interface{ Stats() core.Stats }
 // counters alongside the combined Stats view (DESIGN.md §13).
 type shardStatser interface{ ShardStats() []core.Stats }
 
-// remover is implemented by schedulers that keep per-job state which must
-// be dropped when a job is cancelled (core.Scheduler.JobRemoved).
-type remover interface{ JobRemoved(id job.ID) }
-
-// completion is one emulated run event, due when virtual time reaches at:
-// either a job finish or (crash=true) a fault-injected mid-run crash.
-type completion struct {
-	at    float64
-	id    job.ID
-	runID int64
-	crash bool
-}
-
-type compHeap []completion
-
-func (h compHeap) Len() int { return len(h) }
-func (h compHeap) Less(i, j int) bool {
-	//lint:allow floateq exact tie-break: equal-bits due times fall through to the deterministic id order
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].id < h[j].id
-}
-func (h compHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *compHeap) Push(x interface{}) { *h = append(*h, x.(completion)) }
-func (h *compHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// Counters are the service's cumulative admission and lifecycle counts.
-type Counters struct {
-	Accepted  int64 `json:"accepted"`
-	Rejected  int64 `json:"rejected"` // 429s (queue full)
-	Invalid   int64 `json:"invalid"`  // 400s
-	Completed int64 `json:"completed"`
-	Cancelled int64 `json:"cancelled"`
-	Abandoned int64 `json:"abandoned"` // dropped by the scheduler (zero attainable utility)
-	Trained   int64 `json:"trained"`   // history records fed via /v1/train
-	Evicted   int64 `json:"evicted"`   // failure-induced evictions (node loss + crashes)
-	FailedOut int64 `json:"failed"`    // jobs terminated after exhausting the retry budget
-}
-
-// Service is one running daemon instance. Create with New, start with
-// Start, stop with Stop; the HTTP handler is Handler.
-type Service struct {
-	cfg   Config
-	epoch time.Time // wall time of Start
-
-	mu        sync.Mutex
-	eng       *simulator.Engine
-	queue     []queuedJob         // guarded by mu; admission queue, drained each cycle
-	queued    map[job.ID]*job.Job // guarded by mu; members of queue, by ID
-	gone      map[job.ID]bool     // guarded by mu; cancelled before admission (no Outcome)
-	abandoned map[job.ID]bool     // guarded by mu; dropped by the scheduler (zero utility)
-	removed   []job.ID            // guarded by mu; cancelled after admission; sched.JobRemoved pending
-	comps     compHeap            // guarded by mu
-	draining  bool                // guarded by mu
-	counters  Counters            // guarded by mu
-	cycles    int64               // guarded by mu
-	ckpts     int64               // guarded by mu
-
-	// Chaos injector state (nil / unused without Config.Faults).
-	inj      *faults.Injector
-	faultIdx int            // next unapplied schedule event
-	attempts map[job.ID]int // starts per job, for per-attempt crash draws
-
-	// Distributed control plane (DESIGN.md §14).
-	log          *replog.Log
-	schedClock   *simulator.VirtualClock // det mode; Set under mu at each cycle top
-	role         Role                    // guarded by mu
-	leaderEpoch  uint64                  // guarded by mu; current leader epoch (ours when leading)
-	leaderID     int                     // guarded by mu; last known leader replica (-1 unknown)
-	lastLeader   time.Time               // guarded by mu; Clock time of last leader contact
-	cycleNow     float64                 // guarded by mu; logical time of the in-flight/last cycle
-	pendTrains   []trainEntry            // guarded by mu; det-mode inputs awaiting a cycle boundary
-	pendCancels  []cancelEntry           // guarded by mu
-	pendOps      []opEntry               // guarded by mu
-	recAbandons  []job.ID                // guarded by mu; abandons applied during the in-flight solve
-	desired      map[job.ID]*desiredRun  // guarded by mu; agent mode: attempts that should be running
-	agents       []*agentState           // slice immutable; element state guarded by mu
-	followers    []*followerConn         // guarded by mu (appended on takeover); conns have own locks
-	ctl          ControlCounters         // guarded by mu
-	cycleBusy    bool                    // guarded by mu; a leader cycle is between its top and its log append
-	snapFetching bool                    // guarded by mu; a snapshot catch-up fetch is in flight
-	snapClient   *http.Client            // snapshot catch-up fetches (immutable)
-
-	// ackWake is the quorum waiters' broadcast: closed and replaced by
-	// wakeWaitersLocked whenever something waitReplicated's verdict depends
-	// on may have changed (a follower's ack advanced, the role flipped, Stop).
-	ackWake chan struct{} // guarded by mu
-
-	// pendingCompact is the sequence of the newest snapshot record the log
-	// has not been compacted to yet (0: none). The compactor goroutine
-	// settles it off the lock once no lease-live follower is short of it.
-	pendingCompact uint64        // guarded by mu
-	compactWake    chan struct{} // capacity 1: level-triggered, like followerConn.notify
-	compactDone    chan struct{} // closed when the compactor goroutine has exited
-
-	// Cached predictor history hash: sha256 over the full serialized
-	// history is too slow for the per-scrape /v1/metrics path (it grows
-	// with every /v1/train observation), so it recomputes only after a
-	// predictor mutation marks it dirty.
-	predSHA      string // guarded by mu; "" = never computed
-	predSHADirty bool   // guarded by mu; predictor observed (train feed, completion, snapshot install) since last hash
-
-	started   bool
-	stopped   bool // stop channel closed (Stop called)
-	stop      chan struct{}
-	loopDone  chan struct{}
-	electDone chan struct{}
-}
-
-// queuedJob is one accepted job awaiting its admission cycle, tagged with its
-// admit record's log seq (0 without a log): a cycle admits only jobs its
-// InputsThrough watermark covers, so a submit that lands while the leader is
-// solving enters the engine in the next cycle on every replica, not one
-// cycle early on those that apply the admit record before the cycle record.
-type queuedJob struct {
-	seq uint64
-	j   *job.Job
-}
-
-// trainEntry is one deferred predictor observation (det mode), tagged with
-// its log seq so a follower applies exactly the entries the leader drained.
-type trainEntry struct {
-	seq     uint64
-	j       *job.Job
-	runtime float64
-}
-
-// cancelEntry is one deferred cancellation (det mode).
-type cancelEntry struct {
-	seq uint64
-	id  job.ID
-}
-
-// opEntry is one deferred operator action (det mode).
-type opEntry struct {
-	seq uint64
-	op  opPayload
-}
-
-// desiredRun is the reconciler's desired state for one live attempt (agent
-// mode): what some agent should be running right now.
-type desiredRun struct {
-	runID   int64
-	alloc   simulator.Alloc
-	due     float64
-	crashAt float64
-}
-
 // ControlCounters are the control plane's cumulative counters.
 type ControlCounters struct {
 	Elections        int64 `json:"elections"`         // leaderships assumed by this replica
@@ -427,21 +275,96 @@ type ControlCounters struct {
 	SnapshotInstalls int64 `json:"snapshot_installs"` // snapshots installed for catch-up (follower)
 }
 
-// New builds a Service. If a checkpoint exists at Config.CheckpointPath it
-// is restored into the predictor before the service accepts any work.
+// Service is one running daemon instance. Create with New, start with
+// Start, stop with Stop; the HTTP handler is Handler.
+//
+// It is a shell around one replicated state machine (state.go; DESIGN.md §14
+// "State machine"): the shell owns HTTP, validation, the decision log and its
+// fsyncs, quorum waits, election, agent round-trips, timers, logging and the
+// only mutex; everything the replicas of a group must agree on lives in st
+// and changes only through st's methods.
+type Service struct {
+	cfg   Config
+	epoch time.Time // wall time of Start
+
+	mu       sync.Mutex
+	st       *state   // guarded by mu; the replicated state, swapped whole by a snapshot install
+	draining bool     // guarded by mu
+	refused  Counters // guarded by mu; Rejected and Invalid only: submits this replica turned away, which no record carries
+
+	// Distributed control plane (DESIGN.md §14).
+	log         *replog.Log
+	role        Role      // guarded by mu
+	leaderEpoch uint64    // guarded by mu; current leader epoch (ours when leading)
+	leaderID    int       // guarded by mu; last known leader replica (-1 unknown)
+	lastLeader  time.Time // guarded by mu; Clock time of last leader contact
+	// cycleRec is the cycle record the leader is building: non-nil while the
+	// state sits between a cycle's top and its decision. Until it lands,
+	// depositions back off — a replication push or status poll that proves a
+	// newer epoch waits for the cycle (see handleReplogAppend) — and abandons
+	// out of the solve are collected into it.
+	cycleRec     *cyclePayload   // guarded by mu
+	agents       []*agentState   // slice immutable; element state guarded by mu
+	followers    []*followerConn // guarded by mu (appended on takeover); conns have own locks
+	ctl          ControlCounters // guarded by mu
+	snapFetching bool            // guarded by mu; a snapshot catch-up fetch is in flight
+	snapClient   *http.Client    // snapshot catch-up fetches (immutable)
+
+	// ackWake is the quorum waiters' broadcast: closed and replaced by
+	// wakeWaitersLocked whenever something waitReplicated's verdict depends
+	// on may have changed (a follower's ack advanced, the role flipped, Stop).
+	ackWake chan struct{} // guarded by mu
+
+	// pendingCompact is the sequence of the newest snapshot record the log
+	// has not been compacted to yet (0: none). The compactor goroutine
+	// settles it off the lock once no lease-live follower is short of it.
+	pendingCompact uint64        // guarded by mu
+	compactWake    chan struct{} // capacity 1: level-triggered, like followerConn.notify
+	compactDone    chan struct{} // closed when the compactor goroutine has exited
+
+	started   bool
+	stopped   bool // stop channel closed (Stop called)
+	stop      chan struct{}
+	loopDone  chan struct{}
+	electDone chan struct{}
+}
+
+// New builds a Service. A non-empty Config.Log is replayed into the state
+// before the service accepts any work; otherwise, if a checkpoint exists at
+// Config.CheckpointPath, it is restored into the predictor.
 func New(cfg Config) (*Service, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
+	e := env{sched: cfg.Scheduler, pred: cfg.Predictor, det: cfg.DetCycles, remote: len(cfg.Agents) > 0}
+	if cfg.Faults != nil {
+		e.inj = faults.New(*cfg.Faults, cfg.Cluster.Partitions, 0)
+		cfg.Logf("chaos injector armed: %d node-lifecycle events over %.0fs virtual",
+			len(e.inj.Events()), e.inj.Config().Horizon)
+	}
+	if cfg.DetCycles {
+		// Pin the scheduler onto the cycle-indexed logical clock so solver
+		// budgets measure zero inside a cycle: the solve explores the same
+		// tree on a loaded box, an idle one, and a replaying standby.
+		e.clock = simulator.NewVirtualClock()
+		if ca, ok := cfg.Scheduler.(simulator.ClockAware); ok {
+			ca.SetClock(e.clock)
+		}
+	}
+	agents := make([]*agentState, len(cfg.Agents))
+	for i, c := range cfg.Agents {
+		agents[i] = &agentState{
+			c:            c,
+			outboxStarts: make(map[job.ID]agent.StartDirective),
+			outboxEvicts: make(map[job.ID]agent.EvictDirective),
+		}
+	}
 	s := &Service{
 		cfg:       cfg,
-		eng:       simulator.NewEngine(cfg.Cluster),
-		queued:    make(map[job.ID]*job.Job),
-		gone:      make(map[job.ID]bool),
-		abandoned: make(map[job.ID]bool),
+		st:        newState(e, cfg.Cluster),
 		log:       cfg.Log,
 		leaderID:  -1,
-		desired:   make(map[job.ID]*desiredRun),
+		agents:    agents,
 		stop:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		electDone: make(chan struct{}),
@@ -453,30 +376,6 @@ func New(cfg Config) (*Service, error) {
 		compactWake: make(chan struct{}, 1),
 		compactDone: make(chan struct{}),
 	}
-	if cfg.Faults != nil {
-		s.inj = faults.New(*cfg.Faults, cfg.Cluster.Partitions, 0)
-		s.eng.SetRetryBudget(s.inj.MaxRetries())
-		s.attempts = make(map[job.ID]int)
-		cfg.Logf("chaos injector armed: %d node-lifecycle events over %.0fs virtual",
-			len(s.inj.Events()), s.inj.Config().Horizon)
-	}
-	if cfg.DetCycles {
-		// Pin the scheduler onto the cycle-indexed logical clock so solver
-		// budgets measure zero inside a cycle: the solve explores the same
-		// tree on a loaded box, an idle one, and a replaying standby.
-		s.schedClock = simulator.NewVirtualClock()
-		if ca, ok := cfg.Scheduler.(simulator.ClockAware); ok {
-			ca.SetClock(s.schedClock)
-		}
-	}
-	for _, c := range cfg.Agents {
-		//lint:allow guardedfield New owns the fresh Service exclusively until it returns
-		s.agents = append(s.agents, &agentState{
-			c:            c,
-			outboxStarts: make(map[job.ID]agent.StartDirective),
-			outboxEvicts: make(map[job.ID]agent.EvictDirective),
-		})
-	}
 	replayed := false
 	if s.log != nil && s.log.Len() > 0 {
 		n, err := s.bootstrapReplay()
@@ -484,10 +383,6 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service: replay decision log: %w", err)
 		}
 		replayed = n > 0
-		//lint:allow guardedfield New owns the fresh Service exclusively until it returns
-		cyc := s.cycles
-		cfg.Logf("replayed %d log records: cycle %d, epoch %d, %d outcomes",
-			n, cyc, s.log.LastEpoch(), len(s.eng.Outcomes()))
 	}
 	if cfg.Predictor != nil && cfg.CheckpointPath != "" && !replayed {
 		found, err := loadCheckpoint(cfg.Predictor, cfg.CheckpointPath)
@@ -601,12 +496,12 @@ func (s *Service) Stop(timeout time.Duration) error {
 }
 
 // vnowLocked returns the current virtual time in seconds (callers hold s.mu).
-// tolerate small skew (the wall clock is monotonic). In deterministic-cycle
-// mode virtual time is cycle-indexed — it advances only when a cycle runs —
-// so a wall-clock pause (a failover, a slow solve) costs zero virtual time.
+// In deterministic-cycle mode virtual time is cycle-indexed — it advances
+// only when a cycle runs — so a wall-clock pause (a failover, a slow solve)
+// costs zero virtual time.
 func (s *Service) vnowLocked() float64 {
 	if s.cfg.DetCycles {
-		return s.cycleNow
+		return s.st.CycleNow
 	}
 	return s.cfg.Clock.Since(s.epoch).Seconds() * s.cfg.TimeScale
 }
@@ -632,9 +527,9 @@ func (s *Service) loop() {
 				s.checkpoint()
 			}
 			s.mu.Lock()
-			comp, canc, cyc := s.counters.Completed, s.counters.Cancelled, s.cycles
+			c, cyc := s.st.Counters, s.st.Cycles
 			s.mu.Unlock()
-			s.cfg.Logf("drained: %d completed, %d cancelled, %d cycles", comp, canc, cyc)
+			s.cfg.Logf("drained: %d completed, %d cancelled, %d cycles", c.Completed, c.Cancelled, cyc)
 			return
 		case <-ticker.C:
 			if !s.IsLeader() {
@@ -651,20 +546,20 @@ func (s *Service) loop() {
 }
 
 // runCycle is one scheduling round on the leader: reconcile remote agents
-// (when configured), admit queued jobs, apply due completions, clear
-// cancelled jobs' scheduler state, run the scheduler on a snapshot (lock
-// released during the solve), apply its decision, append the cycle record to
-// the decision log, and deliver fresh directives. All scheduler methods are
-// invoked from this goroutine only (while leading; a follower applies
-// records from the replication handler, and the roles hand over under mu).
+// (when configured), run the state machine's cycle top, solve on the
+// snapshot it returns with the lock released, run the cycle's second half on
+// the decision, append the cycle record — from which every other replica
+// replays both halves in one apply — and deliver fresh directives. All
+// scheduler methods are invoked from this goroutine only (while leading; a
+// follower applies records from the replication handler, and the roles hand
+// over under mu).
 func (s *Service) runCycle() {
 	// Agent reconcile rounds run before the cycle body, off the lock: they
 	// collect lifecycle events (completions/crashes at exact logical times)
 	// and flush any directives a previous round failed to deliver.
-	var comps []compEv
-	var agentOps []agentOpEv
+	p := &cyclePayload{}
 	if len(s.agents) > 0 {
-		comps, agentOps = s.reconcileAgents()
+		p.Comps, p.AgentOps = s.reconcileAgents()
 	}
 
 	s.mu.Lock()
@@ -672,57 +567,43 @@ func (s *Service) runCycle() {
 		s.mu.Unlock() // deposed between the tick and here
 		return
 	}
-	// cycleBusy fences depositions while state sits between the cycle top
-	// and the cycle record: a replication push or status poll that proves a
-	// newer epoch backs off until the cycle lands (see handleReplogAppend).
-	s.cycleBusy = true
-	now := s.nextNowLocked()
-	if len(s.agents) == 0 {
-		comps = s.popDueLocked(now)
+	// Deterministic mode counts cycles; wall mode reads the scaled wall clock.
+	if s.cfg.DetCycles {
+		p.Now = float64(s.st.Cycles+1) * s.cfg.CycleInterval
+	} else {
+		p.Now = s.vnowLocked()
 	}
-	var inputsThrough uint64
 	if s.log != nil {
-		inputsThrough = s.log.Len()
+		p.InputsThrough = s.log.Len()
 	}
-	s.cycleTopLocked(now, comps, agentOps, inputsThrough)
-
-	st := s.eng.Snapshot(now)
+	s.cycleRec = p
+	snap, fx := s.st.cycleTop(p)
+	s.runEffectsLocked(fx)
 	s.mu.Unlock()
 
 	// The solve runs unlocked: handlers may cancel or resize concurrently
 	// (immediately in wall mode, queued to the next boundary in det mode),
 	// and Engine.Start revalidates every decision against current state
 	// (stale ones are counted as skipped, as in the simulator).
-	dec := s.cfg.Scheduler.Cycle(st)
+	dec := s.cfg.Scheduler.Cycle(snap)
 
 	s.mu.Lock()
-	s.applyDecisionLocked(now, dec.Preempt, dec.Start)
-	abandons := s.recAbandons
-	s.recAbandons = nil
-	s.cycles++
+	p.Preempts, p.Starts = dec.Preempt, dec.Start
+	s.runEffectsLocked(s.st.cycleDecide(p.Now, p.Preempts, p.Starts))
+	p.EngineEpoch = s.st.eng.Epoch()
+	s.cycleRec = nil
 	if s.log != nil {
-		_, err := s.log.Append(s.leaderEpoch, replog.TypeCycle, s.cycles, &cyclePayload{
-			Now:           now,
-			InputsThrough: inputsThrough,
-			Comps:         comps,
-			AgentOps:      agentOps,
-			Abandons:      abandons,
-			Preempts:      dec.Preempt,
-			Starts:        dec.Start,
-			EngineEpoch:   s.eng.Epoch(),
-		})
-		if err != nil {
+		if _, err := s.log.Append(s.leaderEpoch, replog.TypeCycle, s.st.Cycles, p); err != nil {
 			s.cfg.Logf("append cycle record: %v", err)
 		}
 		// Snapshot on the cycle boundary, in the same hold of the lock as
 		// the cycle record: the snapshot captures exactly the state that
 		// record left behind. Compacting below it waits for the followers
 		// (settleCompaction).
-		if s.cfg.CompactEvery > 0 && s.cycles%s.cfg.CompactEvery == 0 {
+		if s.cfg.CompactEvery > 0 && s.st.Cycles%s.cfg.CompactEvery == 0 {
 			s.snapshotLocked()
 		}
 	}
-	s.cycleBusy = false
 	// Every cycle re-examines an unsettled compaction: a follower that held
 	// it back may have let its lease lapse since, which no ack announces.
 	s.wakeCompactorLocked()
@@ -733,201 +614,78 @@ func (s *Service) runCycle() {
 	// the same cycle latency as the in-process emulation (a completion is
 	// observed one cycle after it is due in both).
 	if len(s.agents) > 0 {
-		s.deliverDirectives(now)
+		s.deliverDirectives(p.Now)
 	}
 }
 
-// nextNowLocked advances to the next cycle's virtual time. Deterministic
-// mode counts cycles; wall mode reads the scaled wall clock.
-func (s *Service) nextNowLocked() float64 {
-	if s.cfg.DetCycles {
-		s.cycleNow = float64(s.cycles+1) * s.cfg.CycleInterval
-		s.schedClock.Set(s.cycleNow)
-		return s.cycleNow
+// inputsLocked is every leader-side input's way into the state: the records
+// are appended to the decision log as one group commit (a single fsync) —
+// or, without a log, framed as the records a log would have returned, at seq
+// 0 — and then applied by the very call a follower's push handler, bootstrap
+// replay and snapshot catch-up make. It returns the last record's seq for
+// the caller to wait on.
+func (s *Service) inputsLocked(typ string, payloads ...any) (uint64, error) {
+	var recs []replog.Record
+	if s.log != nil {
+		var err error
+		if recs, err = s.log.AppendBatch(s.leaderEpoch, typ, s.st.Cycles, payloads); err != nil {
+			return 0, &SubmitError{Code: 500, Msg: fmt.Sprintf("append %s record: %v", typ, err)}
+		}
+	} else {
+		for _, p := range payloads {
+			data, err := json.Marshal(p)
+			if err != nil {
+				return 0, &SubmitError{Code: 500, Msg: fmt.Sprintf("frame %s record: %v", typ, err)}
+			}
+			recs = append(recs, replog.Record{Type: typ, Cycle: s.st.Cycles, Data: data})
+		}
 	}
-	return s.vnowLocked()
+	for _, rec := range recs {
+		if err := s.applyRecordLocked(rec); err != nil {
+			// The shell built the payload: not applying it is a bug here, not
+			// bad input. The record is logged, so say so loudly.
+			s.cfg.Logf("apply own %s record %d: %v", typ, rec.Seq, err)
+			return 0, &SubmitError{Code: 500, Msg: err.Error()}
+		}
+	}
+	s.notifyFollowersLocked()
+	return recs[len(recs)-1].Seq, nil
 }
 
-// popDueLocked drains emulated completions due by now, in deterministic
-// (time, id) heap order.
-func (s *Service) popDueLocked(now float64) []compEv {
-	var out []compEv
-	for len(s.comps) > 0 && s.comps[0].at <= now {
-		c := heap.Pop(&s.comps).(completion)
-		out = append(out, compEv{ID: c.id, RunID: c.runID, At: c.at, Crash: c.crash})
+// applyRecordLocked runs one log record through the state machine and
+// carries out the effects it returns.
+func (s *Service) applyRecordLocked(rec replog.Record) error {
+	fx, err := s.st.apply(rec)
+	if err != nil {
+		return err
 	}
-	return out
+	s.runEffectsLocked(fx)
+	return nil
 }
 
-// cycleTopLocked is the first half of a cycle, shared verbatim between the
-// leader and a follower applying the leader's cycle record: deferred inputs
-// (det mode), admission, completions, the chaos schedule, agent-liveness
-// node ops, and the JobRemoved sweep — in this exact order, so both replicas
-// drive the engine and scheduler through an identical mutation sequence.
-func (s *Service) cycleTopLocked(now float64, comps []compEv, agentOps []agentOpEv, through uint64) {
-	if s.cfg.DetCycles {
-		s.drainInputsLocked(now, through)
-	}
-
-	// Admission: arrival order on the wall path; (Submit, ID) order with
-	// future submissions held back on the deterministic path, so the cycle
-	// at which a job enters the scheduler depends only on its stamp and on
-	// which cycle's input watermark first covers its admit record — a job
-	// logged while the leader was solving cycle k waits for cycle k+1
-	// wherever the record is applied.
-	admit := s.queue
-	s.queue = nil
-	if s.cfg.DetCycles {
-		sort.SliceStable(admit, func(i, k int) bool {
-			//lint:allow floateq exact tie-break: equal-bits submit stamps fall through to the ID order
-			if admit[i].j.Submit != admit[k].j.Submit {
-				return admit[i].j.Submit < admit[k].j.Submit
-			}
-			return admit[i].j.ID < admit[k].j.ID
-		})
-		n := 0
-		for _, q := range admit {
-			if q.j.Submit <= now && q.seq <= through {
-				admit[n] = q
-				n++
-			} else {
-				s.queue = append(s.queue, q)
-			}
+// runEffectsLocked carries out what a state transition asked for, in order:
+// log lines, counted divergences, agent outbox entries (reconcile.go), and
+// the two record types whose consequence is the shell's to draw.
+func (s *Service) runEffectsLocked(fx []effect) {
+	for _, e := range fx {
+		switch e := e.(type) {
+		case logLine:
+			s.cfg.Logf("%s", string(e))
+		case divergence:
+			s.ctl.Diverged++
+			s.cfg.Logf("DIVERGED: %s", string(e))
+		case startRun:
+			s.queueStartLocked(e)
+		case retireRun:
+			s.queueRetireLocked(e)
+		case elected:
+			s.leaderEpoch = e.epoch
+			s.leaderID = e.replica
+			s.cfg.Logf("observed election: replica %d leads at epoch %d (cycle %d)", e.replica, e.epoch, e.cycle)
+		case snapshotAt:
+			s.pendingCompact = uint64(e)
+			s.wakeCompactorLocked()
 		}
-		admit = admit[:n]
-	}
-	for _, q := range admit {
-		j := q.j
-		delete(s.queued, j.ID)
-		if err := s.eng.Submit(j); err != nil {
-			// Validated at enqueue; only a duplicate raced in could fail.
-			s.cfg.Logf("admit job %d: %v", j.ID, err)
-			s.gone[j.ID] = true
-			continue
-		}
-		s.cfg.Scheduler.JobSubmitted(j, now)
-	}
-
-	// Execution events: emulated heap pops or remote agent reports. Stale
-	// entries (preempted or cancelled runs) drop; crash entries kill the
-	// attempt through the engine's failure path.
-	for _, c := range comps {
-		if c.Crash {
-			requeued, ok := s.eng.CrashRun(c.ID, c.RunID, c.At)
-			if !ok {
-				continue
-			}
-			s.dropDesiredLocked(c.ID, false)
-			s.counters.Evicted++
-			if !requeued {
-				s.counters.FailedOut++
-				s.removed = append(s.removed, c.ID)
-			}
-			continue
-		}
-		j, base, ok := s.eng.Complete(c.ID, c.RunID, c.At)
-		if !ok {
-			continue
-		}
-		s.dropDesiredLocked(c.ID, false)
-		s.counters.Completed++
-		s.cfg.Scheduler.JobCompleted(j, base, c.At)
-		s.predSHADirty = true // the completion's runtime just reached the predictor
-	}
-
-	// Replay the chaos schedule up to virtual now: node failures evict
-	// running jobs (retry-budget exhaustion is terminal) and recoveries
-	// return capacity before the snapshot is taken.
-	if s.inj != nil {
-		evs := s.inj.Events()
-		for s.faultIdx < len(evs) && evs[s.faultIdx].Time <= now {
-			ev := evs[s.faultIdx]
-			s.faultIdx++
-			switch ev.Kind {
-			case faults.NodeFail:
-				n, evicted, exhausted, _ := s.eng.FailNodes(ev.Partition, ev.Nodes, now)
-				s.evictDesiredLocked(evicted, exhausted)
-				s.counters.Evicted += int64(len(evicted) + len(exhausted))
-				s.counters.FailedOut += int64(len(exhausted))
-				s.removed = append(s.removed, exhausted...)
-				if n > 0 {
-					s.cfg.Logf("chaos: partition %d lost %d nodes (%d jobs requeued, %d failed out)",
-						ev.Partition, n, len(evicted), len(exhausted))
-				}
-			case faults.NodeRecover:
-				if n, _ := s.eng.RecoverNodes(ev.Partition, ev.Nodes, now); n > 0 {
-					s.cfg.Logf("chaos: partition %d recovered %d nodes", ev.Partition, n)
-				}
-			}
-		}
-	}
-
-	// Agent-liveness transitions (dead agent = its partitions fail; a
-	// returning agent restores them), recorded in the cycle record so
-	// followers mirror what is otherwise a wall-timing observation.
-	for _, op := range agentOps {
-		if op.Fail {
-			n, evicted, exhausted, _ := s.eng.FailNodes(op.Partition, op.Nodes, now)
-			s.evictDesiredLocked(evicted, exhausted)
-			s.counters.Evicted += int64(len(evicted) + len(exhausted))
-			s.counters.FailedOut += int64(len(exhausted))
-			s.removed = append(s.removed, exhausted...)
-			s.cfg.Logf("agent down: partition %d lost %d nodes (%d requeued, %d failed out)",
-				op.Partition, n, len(evicted), len(exhausted))
-		} else {
-			n, _ := s.eng.RecoverNodes(op.Partition, op.Nodes, now)
-			s.cfg.Logf("agent back: partition %d recovered %d nodes", op.Partition, n)
-		}
-	}
-
-	// Scheduler-side cleanup for jobs cancelled since the last cycle.
-	if rm, ok := s.cfg.Scheduler.(remover); ok {
-		for _, id := range s.removed {
-			rm.JobRemoved(id)
-		}
-	}
-	s.removed = s.removed[:0]
-}
-
-// applyDecisionLocked applies a cycle decision to the engine, shared between
-// the leader (fresh from the solver) and a follower (from the cycle record).
-// Starts schedule their completion: onto the emulated heap, or into the
-// desired-state map plus per-agent outboxes in agent mode.
-func (s *Service) applyDecisionLocked(now float64, preempts []job.ID, starts []simulator.StartAction) {
-	for _, id := range preempts {
-		if s.eng.Preempt(id, now) {
-			s.dropDesiredLocked(id, true)
-		}
-	}
-	for _, a := range starts {
-		run, ok := s.eng.Start(a, now)
-		if !ok {
-			continue
-		}
-		rt := run.EffectiveRuntime(run.Job.Runtime)
-		if s.inj != nil {
-			rt *= s.inj.Slowdown(run.Job.ID)
-		}
-		rt = math.Max(rt, 0.001)
-		crashAt := 0.0
-		if s.inj != nil {
-			att := s.attempts[run.Job.ID]
-			s.attempts[run.Job.ID] = att + 1
-			if frac, crashes := s.inj.CrashPoint(run.Job.ID, att); crashes {
-				crashAt = now + frac*rt
-			}
-		}
-		if len(s.agents) > 0 {
-			d := &desiredRun{runID: run.RunID, alloc: a.Alloc.Clone(), due: now + rt, crashAt: crashAt}
-			s.desired[run.Job.ID] = d
-			s.queueStartLocked(run.Job.ID, d)
-			continue
-		}
-		if crashAt > 0 {
-			heap.Push(&s.comps, completion{at: crashAt, id: run.Job.ID, runID: run.RunID, crash: true})
-			continue
-		}
-		heap.Push(&s.comps, completion{at: now + rt, id: run.Job.ID, runID: run.RunID})
 	}
 }
 
@@ -939,22 +697,18 @@ func (s *Service) checkpoint() {
 		s.cfg.Logf("checkpoint: %v", err)
 		return
 	}
+	// Record the checkpoint's predictor hash: every replica recomputes its
+	// own on apply and flags any divergence, which pins standby warmness in CI.
 	s.mu.Lock()
-	s.ckpts++
-	// Record the checkpoint's predictor hash: followers recompute theirs on
-	// apply and flag any divergence, which pins standby warmness in CI.
-	if s.log != nil {
-		_, err := s.log.Append(s.leaderEpoch, replog.TypeCheckpoint, s.cycles, &ckptPayload{
-			Cycle:        s.cycles,
-			PredictorSHA: s.predictorSHALocked(),
-			Groups:       s.cfg.Predictor.GroupCount(),
-		})
-		if err != nil {
-			s.cfg.Logf("append checkpoint record: %v", err)
-		}
-	}
+	_, err := s.inputsLocked(replog.TypeCheckpoint, &ckptPayload{
+		Cycle:        s.st.Cycles,
+		PredictorSHA: s.st.predictorSHA(),
+		Groups:       s.cfg.Predictor.GroupCount(),
+	})
 	s.mu.Unlock()
-	s.notifyFollowers()
+	if err != nil {
+		s.cfg.Logf("checkpoint record: %v", err)
+	}
 }
 
 // SubmitError is a rejection with an HTTP-ready status code.
@@ -983,55 +737,42 @@ func (e *SubmitError) Error() string { return e.Msg }
 // delivered).
 func (s *Service) Submit(j *job.Job) (replicated bool, err error) {
 	s.mu.Lock()
-	if err := s.notLeaderLocked(); err != nil {
-		s.mu.Unlock()
+	seq, err := s.submitLocked(j)
+	s.mu.Unlock()
+	if err != nil {
 		return false, err
 	}
-	if s.draining {
-		s.mu.Unlock()
-		return false, &SubmitError{Code: 503, Msg: "service is draining"}
+	return seq == 0 || len(s.cfg.Peers) == 0 || s.waitReplicated(seq), nil
+}
+
+// submitLocked is Submit up to the quorum wait: validation against live
+// state, then the admit record. It returns the record's seq.
+func (s *Service) submitLocked(j *job.Job) (uint64, error) {
+	if err := s.notLeaderLocked(); err != nil {
+		return 0, err
 	}
-	if total := s.eng.Cluster().TotalNodes(); j.Tasks <= 0 || j.Tasks > total {
-		s.counters.Invalid++
-		s.mu.Unlock()
-		return false, &SubmitError{Code: 400,
+	if s.draining {
+		return 0, &SubmitError{Code: 503, Msg: "service is draining"}
+	}
+	if total := s.st.eng.Cluster().TotalNodes(); j.Tasks <= 0 || j.Tasks > total {
+		s.refused.Invalid++
+		return 0, &SubmitError{Code: 400,
 			Msg: fmt.Sprintf("job requests %d nodes on a %d-node cluster", j.Tasks, total)}
 	}
 	if j.Runtime <= 0 {
-		s.counters.Invalid++
-		s.mu.Unlock()
-		return false, &SubmitError{Code: 400, Msg: "job runtime must be positive"}
+		s.refused.Invalid++
+		return 0, &SubmitError{Code: 400, Msg: "job runtime must be positive"}
 	}
-	if _, dup := s.queued[j.ID]; dup || s.gone[j.ID] || s.eng.Outcome(j.ID) != nil {
-		s.counters.Invalid++
-		s.mu.Unlock()
-		return false, &SubmitError{Code: 409, Msg: fmt.Sprintf("job id %d already submitted", j.ID)}
+	if s.st.known(j.ID) {
+		s.refused.Invalid++
+		return 0, &SubmitError{Code: 409, Msg: fmt.Sprintf("job id %d already submitted", j.ID)}
 	}
-	if len(s.queue) >= s.cfg.QueueCap {
-		s.counters.Rejected++
-		s.mu.Unlock()
-		return false, &SubmitError{Code: 429, RetryAfter: s.cycleWall(),
+	if len(s.st.Queue) >= s.cfg.QueueCap {
+		s.refused.Rejected++
+		return 0, &SubmitError{Code: 429, RetryAfter: s.cycleWall(),
 			Msg: fmt.Sprintf("admission queue full (%d)", s.cfg.QueueCap)}
 	}
-	var seq uint64
-	if s.log != nil {
-		rec, err := s.log.Append(s.leaderEpoch, replog.TypeAdmit, s.cycles, &admitPayload{Job: j})
-		if err != nil {
-			s.mu.Unlock()
-			return false, &SubmitError{Code: 500, Msg: fmt.Sprintf("append admission: %v", err)}
-		}
-		seq = rec.Seq
-	}
-	s.queue = append(s.queue, queuedJob{seq: seq, j: j})
-	s.queued[j.ID] = j
-	s.counters.Accepted++
-	s.notifyFollowersLocked()
-	s.mu.Unlock()
-	replicated = true
-	if seq > 0 && len(s.cfg.Peers) > 0 {
-		replicated = s.waitReplicated(seq)
-	}
-	return replicated, nil
+	return s.inputsLocked(replog.TypeAdmit, &admitPayload{Job: j})
 }
 
 // notLeaderLocked rejects mutations on a follower: clients are redirected to
@@ -1085,14 +826,14 @@ type JobStatus struct {
 func (s *Service) Status(id job.ID) (JobStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.queued[id]; ok {
+	if j, ok := s.st.queued[id]; ok {
 		return JobStatus{ID: id, Phase: PhaseQueued, Tasks: j.Tasks,
 			Class: j.Class.String(), SubmitTime: j.Submit}, true
 	}
-	if s.gone[id] {
+	if s.st.Gone[id] {
 		return JobStatus{ID: id, Phase: PhaseCancelled}, true
 	}
-	o := s.eng.Outcome(id)
+	o := s.st.eng.Outcome(id)
 	if o == nil {
 		return JobStatus{}, false
 	}
@@ -1102,7 +843,7 @@ func (s *Service) Status(id job.ID) (JobStatus, bool) {
 		Evictions: o.Evictions,
 	}
 	switch {
-	case s.abandoned[id]:
+	case s.st.Abandoned[id]:
 		st.Phase = PhaseAbandoned
 	case o.Failed:
 		st.Phase = PhaseFailed
@@ -1112,7 +853,7 @@ func (s *Service) Status(id job.ID) (JobStatus, bool) {
 		st.Phase = PhaseCompleted
 		st.CompletionTime = o.CompletionTime
 		st.OnPreferred = o.OnPreferred
-	case s.eng.IsRunning(id):
+	case s.st.eng.IsRunning(id):
 		st.Phase = PhaseRunning
 	default:
 		st.Phase = PhasePending
@@ -1136,48 +877,23 @@ func (s *Service) Cancel(id job.ID) error {
 	if err := s.notLeaderLocked(); err != nil {
 		return err
 	}
-	if s.cfg.DetCycles {
-		return s.deferCancelLocked(id)
-	}
-	if s.dequeueLocked(id) {
-		return nil
-	}
-	if o := s.eng.Outcome(id); o != nil {
-		if o.Completed {
+	if _, queued := s.st.queued[id]; !queued {
+		switch o := s.st.eng.Outcome(id); {
+		case o == nil && s.st.Gone[id], o != nil && o.Cancelled:
+			return &SubmitError{Code: 409, Msg: fmt.Sprintf("job %d already cancelled", id)}
+		case o == nil:
+			return &SubmitError{Code: 404, Msg: fmt.Sprintf("unknown job %d", id)}
+		case o.Completed:
 			return &SubmitError{Code: 409, Msg: fmt.Sprintf("job %d already completed", id)}
 		}
-		if o.Cancelled {
-			return &SubmitError{Code: 409, Msg: fmt.Sprintf("job %d already cancelled", id)}
-		}
-		if _, ok := s.eng.Cancel(id, s.vnowLocked()); ok {
-			s.removed = append(s.removed, id)
-			s.counters.Cancelled++
-			return nil
-		}
 	}
-	if s.gone[id] {
-		return &SubmitError{Code: 409, Msg: fmt.Sprintf("job %d already cancelled", id)}
+	if s.cfg.DetCycles {
+		_, err := s.inputsLocked(replog.TypeCancel, &cancelPayload{ID: id})
+		return err
 	}
-	return &SubmitError{Code: 404, Msg: fmt.Sprintf("unknown job %d", id)}
-}
-
-// dequeueLocked cancels a job that is still in the admission queue: it
-// leaves the queue and is remembered as gone. It reports false for a job
-// that is not queued.
-func (s *Service) dequeueLocked(id job.ID) bool {
-	if _, ok := s.queued[id]; !ok {
-		return false
-	}
-	delete(s.queued, id)
-	for i, q := range s.queue {
-		if q.j.ID == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			break
-		}
-	}
-	s.gone[id] = true
-	s.counters.Cancelled++
-	return true
+	s.st.cancelAt(id, s.vnowLocked())
+	s.runEffectsLocked(s.st.effects())
+	return nil
 }
 
 // Abandon marks a job as dropped by the scheduler: it leaves the pending
@@ -1188,22 +904,10 @@ func (s *Service) dequeueLocked(id job.ID) bool {
 func (s *Service) Abandon(id job.ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.eng.Outcome(id)
-	if o == nil || o.Completed || o.Cancelled || s.abandoned[id] || !s.eng.IsPending(id) {
-		return
-	}
-	if _, ok := s.eng.Cancel(id, s.vnowLocked()); ok {
-		s.abandoned[id] = true
-		s.counters.Abandoned++
-		// The scheduler swept the job's planning state when it abandoned it,
-		// but still holds the abandoned-ID marker; queue a JobRemoved so the
-		// next cycle clears that too and the marker set cannot grow forever.
-		s.removed = append(s.removed, id)
-		// Abandons fire from inside the solve, which followers do not run:
-		// collect them for the cycle record so the replica mirrors them.
-		if s.log != nil {
-			s.recAbandons = append(s.recAbandons, id)
-		}
+	// Abandons fire from inside the solve, which only the leader runs: they
+	// ride in the cycle record so every other replica mirrors them.
+	if s.st.abandonAt(id, s.vnowLocked()) && s.cycleRec != nil {
+		s.cycleRec.Abandons = append(s.cycleRec.Abandons, id)
 	}
 }
 
@@ -1235,59 +939,38 @@ func (s *Service) TrainBatch(recs []TrainRecord) (int, error) {
 	if s.cfg.Predictor == nil {
 		return 0, &SubmitError{Code: 404, Msg: "no predictor configured"}
 	}
-	valid := recs[:0:0]
+	var valid []trainPayload
 	for _, r := range recs {
 		if r.Job != nil && r.Runtime > 0 {
-			valid = append(valid, r)
+			valid = append(valid, trainPayload{Name: r.Job.Name, User: r.Job.User,
+				Tasks: r.Job.Tasks, Priority: r.Job.Priority, Runtime: r.Runtime})
 		}
-	}
-	if !s.cfg.DetCycles {
-		for _, r := range valid {
-			s.cfg.Predictor.Observe(r.Job, r.Runtime)
-		}
-		s.mu.Lock()
-		s.counters.Trained += int64(len(valid))
-		if len(valid) > 0 {
-			s.predSHADirty = true
-		}
-		s.mu.Unlock()
-		return len(valid), nil
 	}
 	if len(valid) == 0 {
 		return 0, nil
 	}
 	s.mu.Lock()
-	if err := s.notLeaderLocked(); err != nil {
+	if !s.cfg.DetCycles {
+		for _, p := range valid {
+			s.st.observe(p)
+		}
 		s.mu.Unlock()
-		return 0, err
+		return len(valid), nil
 	}
+	err := s.notLeaderLocked()
 	var lastSeq uint64
-	if s.log != nil {
+	if err == nil {
 		payloads := make([]any, len(valid))
-		for i, r := range valid {
-			payloads[i] = &trainPayload{
-				Name: r.Job.Name, User: r.Job.User, Tasks: r.Job.Tasks,
-				Priority: r.Job.Priority, Runtime: r.Runtime,
-			}
+		for i := range valid {
+			payloads[i] = &valid[i]
 		}
-		lrecs, err := s.log.AppendBatch(s.leaderEpoch, replog.TypeTrain, s.cycles, payloads)
-		if err != nil {
-			s.cfg.Logf("append train records: %v", err)
-			s.mu.Unlock()
-			return 0, &SubmitError{Code: 500, Msg: fmt.Sprintf("append train records: %v", err)}
-		}
-		for i, r := range valid {
-			s.pendTrains = append(s.pendTrains, trainEntry{seq: lrecs[i].Seq, j: r.Job, runtime: r.Runtime})
-		}
-		lastSeq = lrecs[len(lrecs)-1].Seq
-	} else {
-		for _, r := range valid {
-			s.pendTrains = append(s.pendTrains, trainEntry{j: r.Job, runtime: r.Runtime})
-		}
+		lastSeq, err = s.inputsLocked(replog.TypeTrain, payloads...)
 	}
 	s.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	if lastSeq > 0 {
-		s.notifyFollowers()
 		s.waitReplicated(lastSeq)
 	}
 	return len(valid), nil
@@ -1299,23 +982,10 @@ func (s *Service) TrainBatch(recs []TrainRecord) (int, error) {
 func (s *Service) Resize(partition, delta int) (simulator.Cluster, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.notLeaderLocked(); err != nil {
+	if _, err := s.nodeOpLocked(opPayload{Kind: opResize, Partition: partition, Delta: delta}); err != nil {
 		return simulator.Cluster{}, err
 	}
-	if s.cfg.DetCycles {
-		if partition < 0 || partition >= len(s.eng.Cluster().Partitions) {
-			return simulator.Cluster{}, &SubmitError{Code: 400,
-				Msg: fmt.Sprintf("partition %d out of range", partition)}
-		}
-		if err := s.deferOpLocked(opPayload{Kind: opResize, Partition: partition, Delta: delta}); err != nil {
-			return simulator.Cluster{}, err
-		}
-		return s.eng.Cluster(), nil
-	}
-	if err := s.eng.Resize(partition, delta); err != nil {
-		return simulator.Cluster{}, &SubmitError{Code: 400, Msg: err.Error()}
-	}
-	return s.eng.Cluster(), nil
+	return s.st.eng.Cluster(), nil
 }
 
 // NodeOpResult reports the effect of a node-lifecycle operator action.
@@ -1332,79 +1002,63 @@ type NodeOpResult struct {
 // partition crash now, evicting their jobs (youngest first) into the retry
 // path. Scheduler state for failed-out jobs is cleared on the next cycle.
 func (s *Service) FailNodes(partition, n int) (NodeOpResult, error) {
-	if n <= 0 {
-		return NodeOpResult{}, &SubmitError{Code: 400, Msg: "nodes must be positive"}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.notLeaderLocked(); err != nil {
-		return NodeOpResult{}, err
-	}
-	if s.cfg.DetCycles {
-		return s.deferNodeOpLocked(opPayload{Kind: opFail, Partition: partition, N: n})
-	}
-	failed, evicted, exhausted, err := s.eng.FailNodes(partition, n, s.vnowLocked())
-	if err != nil {
-		return NodeOpResult{}, &SubmitError{Code: 400, Msg: err.Error()}
-	}
-	s.counters.Evicted += int64(len(evicted) + len(exhausted))
-	s.counters.FailedOut += int64(len(exhausted))
-	s.removed = append(s.removed, exhausted...)
-	s.cfg.Logf("operator: partition %d lost %d nodes (%d jobs requeued, %d failed out)",
-		partition, failed, len(evicted), len(exhausted))
-	return NodeOpResult{Partition: partition, Nodes: failed,
-		DownNodes: s.eng.DownNodes(), FreeNodes: s.eng.FreeNodes(),
-		Evicted: evicted, FailedOut: exhausted}, nil
+	return s.nodeOp(opPayload{Kind: opFail, Partition: partition, N: n})
 }
 
 // RecoverNodes is the operator API behind POST /v1/nodes/recover: up to n
 // down (failed or drained) nodes of the partition return to service.
 func (s *Service) RecoverNodes(partition, n int) (NodeOpResult, error) {
-	if n <= 0 {
-		return NodeOpResult{}, &SubmitError{Code: 400, Msg: "nodes must be positive"}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.notLeaderLocked(); err != nil {
-		return NodeOpResult{}, err
-	}
-	if s.cfg.DetCycles {
-		return s.deferNodeOpLocked(opPayload{Kind: opRecover, Partition: partition, N: n})
-	}
-	rec, err := s.eng.RecoverNodes(partition, n, s.vnowLocked())
-	if err != nil {
-		return NodeOpResult{}, &SubmitError{Code: 400, Msg: err.Error()}
-	}
-	s.cfg.Logf("operator: partition %d recovered %d nodes", partition, rec)
-	return NodeOpResult{Partition: partition, Nodes: rec,
-		DownNodes: s.eng.DownNodes(), FreeNodes: s.eng.FreeNodes()}, nil
+	return s.nodeOp(opPayload{Kind: opRecover, Partition: partition, N: n})
 }
 
 // DrainNodes is the operator API behind POST /v1/nodes/drain: n free nodes
 // of the partition leave service gracefully (no evictions; 409 when the
 // partition lacks that many free nodes — retry after completions).
 func (s *Service) DrainNodes(partition, n int) (NodeOpResult, error) {
-	if n <= 0 {
+	return s.nodeOp(opPayload{Kind: opDrain, Partition: partition, N: n})
+}
+
+// nodeOp is the three /v1/nodes endpoints' shared front half.
+func (s *Service) nodeOp(op opPayload) (NodeOpResult, error) {
+	if op.N <= 0 {
 		return NodeOpResult{}, &SubmitError{Code: 400, Msg: "nodes must be positive"}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.nodeOpLocked(op)
+}
+
+// nodeOpLocked runs one operator action: validated for range, then applied
+// now on the wall path — the result says what it did — or, in
+// deterministic-cycle mode, logged and reported as accepted (its effects
+// land at the next cycle boundary, through the same state.applyOp).
+func (s *Service) nodeOpLocked(op opPayload) (NodeOpResult, error) {
 	if err := s.notLeaderLocked(); err != nil {
 		return NodeOpResult{}, err
 	}
+	if op.Partition < 0 || op.Partition >= len(s.st.eng.Cluster().Partitions) {
+		return NodeOpResult{}, &SubmitError{Code: 400,
+			Msg: fmt.Sprintf("partition %d out of range", op.Partition)}
+	}
+	res := NodeOpResult{Partition: op.Partition, Nodes: op.N} // det mode: accepted as asked
 	if s.cfg.DetCycles {
-		return s.deferNodeOpLocked(opPayload{Kind: opDrain, Partition: partition, N: n})
-	}
-	if err := s.eng.DrainNodes(partition, n, s.vnowLocked()); err != nil {
-		code := 400
-		if partition >= 0 && partition < len(s.eng.Cluster().Partitions) {
-			code = 409 // valid partition, not enough free nodes right now
+		if _, err := s.inputsLocked(replog.TypeNodeOp, &op); err != nil {
+			return NodeOpResult{}, err
 		}
-		return NodeOpResult{}, &SubmitError{Code: code, Msg: err.Error()}
+	} else {
+		var err error
+		res, err = s.st.applyOp(op, s.vnowLocked())
+		s.runEffectsLocked(s.st.effects())
+		if err != nil {
+			code := 400
+			if op.Kind == opDrain {
+				code = 409 // a valid partition, without that many free nodes right now
+			}
+			return NodeOpResult{}, &SubmitError{Code: code, Msg: err.Error()}
+		}
 	}
-	s.cfg.Logf("operator: partition %d drained %d nodes", partition, n)
-	return NodeOpResult{Partition: partition, Nodes: n,
-		DownNodes: s.eng.DownNodes(), FreeNodes: s.eng.FreeNodes()}, nil
+	res.DownNodes, res.FreeNodes = s.st.eng.DownNodes(), s.st.eng.FreeNodes()
+	return res, nil
 }
 
 // Predict runs 3σPredict on a hypothetical job (nil when no predictor is
@@ -1513,23 +1167,25 @@ func (s *Service) Metrics() Metrics {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	counters := s.st.Counters
+	counters.Rejected, counters.Invalid = s.refused.Rejected, s.refused.Invalid
 	m := Metrics{
 		UptimeSeconds:   s.cfg.Clock.Since(s.epoch).Seconds(),
 		VirtualNow:      s.vnowLocked(),
 		TimeScale:       s.cfg.TimeScale,
-		Cycles:          s.cycles,
-		Counters:        s.counters,
-		QueueLen:        len(s.queue),
+		Cycles:          s.st.Cycles,
+		Counters:        counters,
+		QueueLen:        len(s.st.Queue),
 		QueueCap:        s.cfg.QueueCap,
-		Pending:         s.eng.PendingCount(),
-		Running:         s.eng.RunningCount(),
-		SkippedStarts:   s.eng.SkippedStarts(),
-		Partitions:      append([]int(nil), s.eng.Cluster().Partitions...),
-		FreeNodes:       s.eng.FreeNodes(),
-		DownNodes:       s.eng.DownNodes(),
+		Pending:         s.st.eng.PendingCount(),
+		Running:         s.st.eng.RunningCount(),
+		SkippedStarts:   s.st.eng.SkippedStarts(),
+		Partitions:      append([]int(nil), s.st.eng.Cluster().Partitions...),
+		FreeNodes:       s.st.eng.FreeNodes(),
+		DownNodes:       s.st.eng.DownNodes(),
 		Ready:           s.started && !s.draining && s.role == RoleLeader,
-		Checkpoints:     s.ckpts,
-		NodeDownSeconds: s.eng.NodeDownSeconds(s.vnowLocked()),
+		Checkpoints:     s.st.Ckpts,
+		NodeDownSeconds: s.st.eng.NodeDownSeconds(s.vnowLocked()),
 		SchedCycles:     cs.Cycles,
 		SolverNodes:     cs.SolverNodes,
 		SolverLPIters:   cs.SolverLPIters,
@@ -1565,7 +1221,7 @@ func (s *Service) Metrics() Metrics {
 	}
 	if s.cfg.Predictor != nil {
 		m.PredictorGroups = s.cfg.Predictor.GroupCount()
-		m.PredictorSHA = s.predictorSHALocked()
+		m.PredictorSHA = s.st.predictorSHA()
 	}
 	m.Role = string(s.role)
 	m.ReplicaID = s.cfg.ReplicaID
@@ -1588,7 +1244,7 @@ func (s *Service) Metrics() Metrics {
 			m.AgentsLive++
 		}
 	}
-	m.OutcomeDigest = metrics.JobsDigest(s.eng.Outcomes())
+	m.OutcomeDigest = metrics.JobsDigest(s.st.eng.Outcomes())
 	return m
 }
 

@@ -11,211 +11,34 @@
 package service
 
 import (
-	"bytes"
-	"container/heap"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 
-	"threesigma/internal/core"
-	"threesigma/internal/job"
 	"threesigma/internal/replog"
-	"threesigma/internal/simulator"
 )
 
-// stateSnapshotter is the scheduler capability snapshots require:
-// core.Scheduler implements it; greedy baselines and the sharded
-// coordinator do not (Config.fill rejects CompactEvery for them).
-type stateSnapshotter interface {
-	ExportState() (*core.SchedState, error)
-	ImportState(*core.SchedState) error
-}
-
-// snapTrain is one deferred predictor observation in a snapshot.
-type snapTrain struct {
-	Seq      uint64  `json:"seq"`
-	Name     string  `json:"name,omitempty"`
-	User     string  `json:"user,omitempty"`
-	Tasks    int     `json:"tasks,omitempty"`
-	Priority int     `json:"priority,omitempty"`
-	Runtime  float64 `json:"runtime"`
-}
-
-// snapCancel is one deferred cancellation in a snapshot.
-type snapCancel struct {
-	Seq uint64 `json:"seq"`
-	ID  job.ID `json:"id"`
-}
-
-// snapOp is one deferred operator action in a snapshot.
-type snapOp struct {
-	Seq uint64    `json:"seq"`
-	Op  opPayload `json:"op"`
-}
-
-// snapDesired is one desired running attempt (agent mode) in a snapshot.
-type snapDesired struct {
-	Job     job.ID          `json:"job"`
-	RunID   int64           `json:"run_id"`
-	Alloc   simulator.Alloc `json:"alloc"`
-	Due     float64         `json:"due"`
-	CrashAt float64         `json:"crash_at,omitempty"`
-}
-
-// snapAttempt is one per-job start count (chaos crash draws) in a snapshot.
-type snapAttempt struct {
-	Job job.ID `json:"job"`
-	N   int    `json:"n"`
-}
-
-// snapPayload is a TypeSnapshot record: the complete replay-relevant state
-// of the service at a cycle boundary. Replaying the log suffix on top of an
-// installed snapshot must reproduce the donor replica's outcome digest and
-// predictor SHA byte for byte, so everything outcome-relevant is here;
-// performance-only state (scheduler memo, incremental model, stats, agent
-// outboxes) is rebuilt cold.
-type snapPayload struct {
-	// EngineEpoch repeats Engine.Epoch as the payload's first field, where an
-	// in-sync follower reads it without scanning the megabytes behind it
-	// (snapshotEngineEpoch).
-	EngineEpoch uint64 `json:"engine_epoch"`
-
-	Cycle    int64    `json:"cycle"`
-	CycleNow float64  `json:"cycle_now"`
-	Counters Counters `json:"counters"`
-	Ckpts    int64    `json:"ckpts,omitempty"`
-
-	Engine    *simulator.EngineState `json:"engine"`
-	Sched     *core.SchedState       `json:"sched"`
-	Predictor json.RawMessage        `json:"predictor,omitempty"` // predictor.Save stream
-
-	Queue     []*job.Job   `json:"queue,omitempty"`      // admission queue (pre-admission)
-	QueueSeqs []uint64     `json:"queue_seqs,omitempty"` // Queue[i]'s admit record seq (absent: all 0, no gate)
-	Gone      []job.ID     `json:"gone,omitempty"`
-	Abandoned []job.ID     `json:"abandoned,omitempty"`
-	Removed   []job.ID     `json:"removed,omitempty"` // JobRemoved sweep pending
-	Comps     []compEv     `json:"comps,omitempty"`   // emulated completion heap
-	Trains    []snapTrain  `json:"trains,omitempty"`
-	Cancels   []snapCancel `json:"cancels,omitempty"`
-	Ops       []snapOp     `json:"ops,omitempty"`
-
-	FaultIdx int           `json:"fault_idx,omitempty"`
-	Attempts []snapAttempt `json:"attempts,omitempty"`
-	Desired  []snapDesired `json:"desired,omitempty"`
-}
-
-func sortedIDs(m map[job.ID]bool) []job.ID {
-	out := make([]job.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i] < out[k] })
-	return out
-}
-
-// exportStateLocked captures the service's full state as a snapshot
-// payload, in deterministic order throughout so two replicas with equal
-// state produce byte-identical payloads.
-func (s *Service) exportStateLocked() (*snapPayload, error) {
-	snap, ok := s.cfg.Scheduler.(stateSnapshotter)
-	if !ok {
-		return nil, fmt.Errorf("scheduler %T has no exportable state", s.cfg.Scheduler)
-	}
-	sst, err := snap.ExportState()
-	if err != nil {
-		return nil, err
-	}
-	p := &snapPayload{
-		Cycle:     s.cycles,
-		CycleNow:  s.cycleNow,
-		Counters:  s.counters,
-		Ckpts:     s.ckpts,
-		Engine:    s.eng.ExportState(),
-		Sched:     sst,
-		Gone:      sortedIDs(s.gone),
-		Abandoned: sortedIDs(s.abandoned),
-		Removed:   append([]job.ID(nil), s.removed...),
-		FaultIdx:  s.faultIdx,
-	}
-	p.EngineEpoch = p.Engine.Epoch
-	for _, q := range s.queue {
-		p.Queue = append(p.Queue, q.j)
-		p.QueueSeqs = append(p.QueueSeqs, q.seq)
-	}
-	if s.cfg.Predictor != nil {
-		var buf bytes.Buffer
-		if err := s.cfg.Predictor.Save(&buf); err != nil {
-			return nil, fmt.Errorf("serialize predictor: %w", err)
-		}
-		p.Predictor = buf.Bytes()
-	}
-	for _, c := range s.comps {
-		p.Comps = append(p.Comps, compEv{ID: c.id, RunID: c.runID, At: c.at, Crash: c.crash})
-	}
-	sort.Slice(p.Comps, func(i, k int) bool {
-		//lint:allow floateq exact tie-break: equal-bits due times fall through to the deterministic id order
-		if p.Comps[i].At != p.Comps[k].At {
-			return p.Comps[i].At < p.Comps[k].At
-		}
-		return p.Comps[i].ID < p.Comps[k].ID
-	})
-	for _, e := range s.pendTrains {
-		p.Trains = append(p.Trains, snapTrain{Seq: e.seq, Name: e.j.Name, User: e.j.User,
-			Tasks: e.j.Tasks, Priority: e.j.Priority, Runtime: e.runtime})
-	}
-	for _, e := range s.pendCancels {
-		p.Cancels = append(p.Cancels, snapCancel{Seq: e.seq, ID: e.id})
-	}
-	for _, e := range s.pendOps {
-		p.Ops = append(p.Ops, snapOp{Seq: e.seq, Op: e.op})
-	}
-	for id, n := range s.attempts {
-		p.Attempts = append(p.Attempts, snapAttempt{Job: id, N: n})
-	}
-	sort.Slice(p.Attempts, func(i, k int) bool { return p.Attempts[i].Job < p.Attempts[k].Job })
-	for id, d := range s.desired {
-		p.Desired = append(p.Desired, snapDesired{Job: id, RunID: d.runID,
-			Alloc: d.alloc.Clone(), Due: d.due, CrashAt: d.crashAt})
-	}
-	sort.Slice(p.Desired, func(i, k int) bool { return p.Desired[i].Job < p.Desired[k].Job })
-	return p, nil
-}
-
-// snapshotEngineEpoch reads the engine epoch off the front of a snapshot
-// payload: the first field, by snapPayload's declaration order. ok is false
-// for a payload that does not begin with it.
-func snapshotEngineEpoch(data []byte) (epoch uint64, ok bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
-		return 0, false
-	}
-	if t, err := dec.Token(); err != nil || t != "engine_epoch" {
-		return 0, false
-	}
-	return epoch, dec.Decode(&epoch) == nil
-}
-
-// snapshotLocked appends a TypeSnapshot record capturing the leader's state
-// and leaves the compaction below it pending. A failure is logged and
-// counted — the log simply stays longer until the next attempt, and a
-// snapshot_failures that keeps growing is a log that can no longer compact.
+// snapshotLocked appends a TypeSnapshot record — the state's own encoding —
+// and applies it like any replica does, which leaves the compaction below it
+// pending. A failure is logged and counted — the log simply stays longer
+// until the next attempt, and a snapshot_failures that keeps growing is a log
+// that can no longer compact.
 func (s *Service) snapshotLocked() {
-	p, err := s.exportStateLocked()
-	if err != nil {
-		s.ctl.SnapshotFailures++
-		s.cfg.Logf("snapshot: export: %v", err)
-		return
+	w, err := s.st.wire()
+	var rec replog.Record
+	if err == nil {
+		rec, err = s.log.Append(s.leaderEpoch, replog.TypeSnapshot, s.st.Cycles, w)
 	}
-	rec, err := s.log.Append(s.leaderEpoch, replog.TypeSnapshot, s.cycles, p)
+	if err == nil {
+		err = s.applyRecordLocked(rec)
+	}
 	if err != nil {
 		s.ctl.SnapshotFailures++
-		s.cfg.Logf("snapshot: append: %v", err)
+		s.cfg.Logf("snapshot: %v", err)
 		return
 	}
 	s.ctl.Snapshots++
-	s.pendingCompact = rec.Seq
 }
 
 // wakeCompactorLocked nudges the compactor goroutine when a compaction is
@@ -287,97 +110,93 @@ func (s *Service) settleCompaction(force bool) {
 }
 
 // installSnapshotLocked replaces the service's entire replay-relevant state
-// with the snapshot record's payload. Used on two paths: bootstrap replay
-// from a compacted log (the first record is a snapshot), and a far-behind
-// standby installing the snapshot it fetched from the leader.
-func (s *Service) installSnapshotLocked(rec replog.Record) error {
-	snap, ok := s.cfg.Scheduler.(stateSnapshotter)
-	if !ok {
-		return fmt.Errorf("scheduler %T cannot import snapshot state", s.cfg.Scheduler)
-	}
-	var p snapPayload
-	if err := json.Unmarshal(rec.Data, &p); err != nil {
-		return fmt.Errorf("decode snapshot: %w", err)
-	}
-	if p.Engine == nil || p.Sched == nil {
-		return fmt.Errorf("snapshot record %d misses engine or scheduler state", rec.Seq)
-	}
-	eng, err := simulator.EngineFromState(p.Engine)
+// with the snapshot record's payload, validate-then-commit: a record that
+// cannot be installed leaves the state, the scheduler, the predictor and the
+// log exactly as they were. Used on two paths: bootstrap replay (the log
+// already holds the record) and a far-behind standby installing the snapshot
+// it fetched from the leader (resetLog: the chain restarts at the record).
+//
+// Everything that can be checked without side effects is checked by decode.
+// The predictor alone validates only by loading; its Load is all-or-nothing,
+// so it runs as the last check and the first commit, and is undone if the
+// one fallible step after it — the log's file rewrite — fails. What follows
+// that cannot fail: the scheduler imports distributions decode already
+// built once, and the state is swapped whole.
+func (s *Service) installSnapshotLocked(rec replog.Record, resetLog bool) error {
+	fresh, staged, err := s.st.decode(rec.Data)
 	if err != nil {
-		return fmt.Errorf("restore engine: %w", err)
+		return err
 	}
-	if err := snap.ImportState(p.Sched); err != nil {
-		return fmt.Errorf("restore scheduler: %w", err)
-	}
-	if s.cfg.Predictor != nil && len(p.Predictor) > 0 {
-		if err := s.cfg.Predictor.Load(bytes.NewReader(p.Predictor)); err != nil {
-			return fmt.Errorf("restore predictor: %w", err)
+	var undo []byte
+	if resetLog {
+		if undo, err = s.st.savePredictor(); err != nil {
+			return err
 		}
 	}
-	s.eng = eng
-	s.cycles = p.Cycle
-	s.cycleNow = p.CycleNow
-	s.counters = p.Counters
-	s.ckpts = p.Ckpts
-	if s.schedClock != nil {
-		s.schedClock.Set(p.CycleNow)
+	if err := fresh.loadPredictor(staged.pred); err != nil {
+		return err
 	}
-	s.queue = make([]queuedJob, len(p.Queue))
-	s.queued = make(map[job.ID]*job.Job, len(p.Queue))
-	for i, j := range p.Queue {
-		s.queue[i].j = j
-		if i < len(p.QueueSeqs) {
-			s.queue[i].seq = p.QueueSeqs[i]
+	if resetLog {
+		if err := s.log.InstallSnapshot(rec); err != nil {
+			if uerr := s.st.loadPredictor(undo); uerr != nil {
+				s.cfg.Logf("snapshot install: predictor not restored: %v", uerr)
+			}
+			return fmt.Errorf("reset log: %w", err)
 		}
-		s.queued[j.ID] = j
+		s.pendingCompact = 0 // the log begins at this snapshot now
 	}
-	s.gone = make(map[job.ID]bool, len(p.Gone))
-	for _, id := range p.Gone {
-		s.gone[id] = true
+	if err := fresh.adopt(staged); err != nil {
+		return err
 	}
-	s.abandoned = make(map[job.ID]bool, len(p.Abandoned))
-	for _, id := range p.Abandoned {
-		s.abandoned[id] = true
-	}
-	s.removed = append([]job.ID(nil), p.Removed...)
-	s.comps = s.comps[:0]
-	for _, c := range p.Comps {
-		s.comps = append(s.comps, completion{at: c.At, id: c.ID, runID: c.RunID, crash: c.Crash})
-	}
-	heap.Init(&s.comps)
-	s.pendTrains = nil
-	for _, e := range p.Trains {
-		s.pendTrains = append(s.pendTrains, trainEntry{seq: e.Seq, runtime: e.Runtime,
-			j: &job.Job{Name: e.Name, User: e.User, Tasks: e.Tasks, Priority: e.Priority}})
-	}
-	s.pendCancels = nil
-	for _, e := range p.Cancels {
-		s.pendCancels = append(s.pendCancels, cancelEntry{seq: e.Seq, id: e.ID})
-	}
-	s.pendOps = nil
-	for _, e := range p.Ops {
-		s.pendOps = append(s.pendOps, opEntry{seq: e.Seq, op: e.Op})
-	}
-	s.faultIdx = p.FaultIdx
-	if s.attempts != nil || len(p.Attempts) > 0 {
-		s.attempts = make(map[job.ID]int, len(p.Attempts))
-		for _, a := range p.Attempts {
-			s.attempts[a.Job] = a.N
-		}
-	}
-	s.desired = make(map[job.ID]*desiredRun, len(p.Desired))
-	for _, d := range p.Desired {
-		s.desired[d.Job] = &desiredRun{runID: d.RunID, alloc: d.Alloc.Clone(), due: d.Due, crashAt: d.CrashAt}
-	}
+	s.st = fresh
 	s.resetAgentOutboxesLocked()
 	if rec.Epoch > s.leaderEpoch {
 		s.leaderEpoch = rec.Epoch
 	}
-	s.predSHA = ""
-	s.predSHADirty = true
 	s.cfg.Logf("installed snapshot seq %d: cycle %d, %d outcomes, %d queued",
-		rec.Seq, p.Cycle, len(p.Engine.Outcomes), len(p.Queue))
+		rec.Seq, fresh.Cycles, len(fresh.eng.Outcomes()), len(fresh.Queue))
 	return nil
+}
+
+// bootstrapReplay rebuilds service state from the local log on startup
+// (warm restart): state resets to the most recent snapshot record if one is
+// retained, then every record past it is re-applied in order,
+// reconstructing the engine, scheduler, predictor, queues, and counters the
+// killed process held at its last fsync. A log compacted at a snapshot
+// starts with that snapshot, so replay cost is bounded by CompactEvery
+// cycles regardless of total history. It returns how many records it
+// applied, the installed snapshot included.
+func (s *Service) bootstrapReplay() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := s.log.Records()
+	start, applied := 0, 0
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Type != replog.TypeSnapshot {
+			continue
+		}
+		if err := s.installSnapshotLocked(recs[i], false); err != nil {
+			return 0, fmt.Errorf("snapshot seq %d: %w", recs[i].Seq, err)
+		}
+		start, applied = i+1, 1
+		if recs[i].Seq > s.log.Base()+1 {
+			// The process died between appending this snapshot and
+			// compacting below it: finish that once the service starts.
+			s.pendingCompact = recs[i].Seq
+			s.wakeCompactorLocked()
+		}
+		break
+	}
+	for _, rec := range recs[start:] {
+		if err := s.applyRecordLocked(rec); err != nil {
+			return 0, fmt.Errorf("seq %d: %w", rec.Seq, err)
+		}
+	}
+	applied += len(recs) - start
+	s.ctl.RecordsApplied += int64(applied)
+	s.cfg.Logf("applied %d log records: cycle %d, epoch %d, %d outcomes",
+		applied, s.st.Cycles, s.log.LastEpoch(), len(s.st.eng.Outcomes()))
+	return applied, nil
 }
 
 // maybeFetchSnapshotLocked starts one background snapshot catch-up from the
@@ -395,9 +214,9 @@ func (s *Service) maybeFetchSnapshotLocked(from int) {
 	go s.fetchSnapshot(addr)
 }
 
-// fetchSnapshot pulls the leader's snapshot record and installs it — log
-// first (the chain resets to the snapshot), then service state. Runs off
-// s.mu; the leader's pushes answer Busy until the install lands.
+// fetchSnapshot pulls the leader's snapshot record and installs it: the
+// state, and the log's chain reset to the record, together or not at all.
+// Runs off s.mu; the leader's pushes answer Busy until the install lands.
 func (s *Service) fetchSnapshot(addr string) {
 	defer func() {
 		s.mu.Lock()
@@ -424,14 +243,9 @@ func (s *Service) fetchSnapshot(addr string) {
 	if s.log == nil || rec.Seq <= s.log.Len() {
 		return // caught up (or past it) some other way while fetching
 	}
-	if err := s.log.InstallSnapshot(rec); err != nil {
-		s.cfg.Logf("snapshot install (log): %v", err)
-		return
-	}
-	s.pendingCompact = 0 // the log begins at this snapshot now
-	if err := s.installSnapshotLocked(rec); err != nil {
+	if err := s.installSnapshotLocked(rec, true); err != nil {
 		s.ctl.Diverged++
-		s.cfg.Logf("DIVERGED: snapshot install (state): %v", err)
+		s.cfg.Logf("DIVERGED: snapshot install: %v", err)
 		return
 	}
 	s.ctl.SnapshotInstalls++

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -100,7 +102,7 @@ func TestQuorumAckMatrix(t *testing.T) {
 	})
 }
 
-// TestAdmitReplayIdempotent covers the applyRecordLocked admit fixes: a
+// TestAdmitReplayIdempotent covers state.apply's admit fixes: a
 // payload that decodes but carries no job must error as such (not
 // "admit record N: <nil>"), a decode failure must say decode, and a
 // replayed duplicate — the catch-up overlap a snapshot-installed standby
@@ -126,11 +128,11 @@ func TestAdmitReplayIdempotent(t *testing.T) {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 	}
-	if len(svc.queue) != 1 || svc.counters.Accepted != 1 {
-		t.Fatalf("duplicate admit double-applied: queue=%d accepted=%d", len(svc.queue), svc.counters.Accepted)
+	if len(svc.st.Queue) != 1 || svc.st.Counters.Accepted != 1 {
+		t.Fatalf("duplicate admit double-applied: queue=%d accepted=%d", len(svc.st.Queue), svc.st.Counters.Accepted)
 	}
 	// A job already cancelled pre-admission stays gone.
-	svc.gone[8] = true
+	svc.st.Gone[8] = true
 	rec2, err := l.Append(1, replog.TypeAdmit, 0, &admitPayload{Job: &job.Job{ID: 8, Tasks: 1, Runtime: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +140,7 @@ func TestAdmitReplayIdempotent(t *testing.T) {
 	if err := svc.applyRecordLocked(rec2); err != nil {
 		t.Fatal(err)
 	}
-	if len(svc.queue) != 1 {
+	if len(svc.st.Queue) != 1 {
 		t.Fatal("admit resurrected a cancelled job")
 	}
 
@@ -345,6 +347,134 @@ func TestEmptyStandbySnapshotCatchUp(t *testing.T) {
 		t.Fatalf("post-failover submit: %d %s", resp.StatusCode, body)
 	}
 	waitPhase(t, tss[1], 9, PhaseCompleted)
+}
+
+// TestFailedSnapshotInstallChangesNothing: a snapshot a standby cannot
+// install — a predictor stream its predictor refuses, a cached distribution
+// the scheduler would refuse — must leave the standby as it was: its log not
+// reset to the snapshot, its state, scheduler and predictor untouched, one
+// divergence counted. (The log used to be reset before the payload was even
+// decoded, and the scheduler overwritten before the predictor was tried:
+// a log at seq N over a scheduler from the snapshot and an engine from before.)
+func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
+	// A donor's real snapshot, taken with work in flight.
+	dl, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := detConfig()
+	cfg.Log = dl
+	donor := mustService(t, cfg)
+	donor.mu.Lock()
+	donor.takeoverLocked(0)
+	donor.mu.Unlock()
+	for i := 1; i <= 3; i++ {
+		if _, err := donor.Submit(&job.Job{ID: job.ID(i), Name: "train", User: "alice", Tasks: 4,
+			Runtime: float64(1 + i), Submit: 0.5, NonPrefFactor: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		donor.runCycle()
+	}
+	donor.mu.Lock()
+	donor.snapshotLocked()
+	donor.mu.Unlock()
+	good, ok := dl.LastSnapshot()
+	if !ok {
+		t.Fatal("the donor took no snapshot")
+	}
+
+	corrupt := map[string]func(top map[string]json.RawMessage){
+		"predictor stream": func(top map[string]json.RawMessage) {
+			top["predictor"] = json.RawMessage(`{"version":99,"groups":[]}`)
+		},
+		"dists entry": func(top map[string]json.RawMessage) {
+			var sched map[string]json.RawMessage
+			if err := json.Unmarshal(top["sched"], &sched); err != nil {
+				t.Fatal(err)
+			}
+			sched["dists"] = json.RawMessage(`{"2":{"kind":"no such distribution"}}`)
+			top["sched"], _ = json.Marshal(sched)
+		},
+	}
+	for name, damage := range corrupt {
+		t.Run(name, func(t *testing.T) {
+			// The same record with its payload damaged, re-sealed at the same
+			// sequence so that the log's own checks pass.
+			var top map[string]json.RawMessage
+			if err := json.Unmarshal(good.Data, &top); err != nil {
+				t.Fatal(err)
+			}
+			damage(top)
+			sealer, err := replog.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sealer.Len() < good.Seq-1 {
+				if _, err := sealer.Append(good.Epoch, replog.TypeCancel, 0, &cancelPayload{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad, err := sealer.Append(good.Epoch, replog.TypeSnapshot, good.Cycle, top)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serving := func(rec replog.Record) string {
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					writeJSON(w, http.StatusOK, rec)
+				}))
+				t.Cleanup(ts.Close)
+				return ts.URL
+			}
+
+			// A standby with a little state of its own, far behind the record.
+			sl, err := replog.Open(filepath.Join(t.TempDir(), "standby.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sl.Close()
+			cfg := detConfig()
+			cfg.Log = sl
+			standby := mustService(t, cfg)
+			if _, err := standby.Submit(&job.Job{ID: 9, Name: "train", User: "bob", Tasks: 2, Runtime: 3, Submit: 0.5, NonPrefFactor: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := standby.TrainBatch([]TrainRecord{{Job: &job.Job{Name: "train", User: "bob", Tasks: 2}, Runtime: 3}}); err != nil {
+				t.Fatal(err)
+			}
+			before, err := json.Marshal(standby.st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lenBefore, headBefore, shaBefore := sl.Len(), sl.Head(), predictorSHA(cfg.Predictor)
+
+			standby.fetchSnapshot(serving(bad))
+
+			after, err := json.Marshal(standby.st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sl.Len() != lenBefore || sl.Head() != headBefore {
+				t.Errorf("log moved from seq %d (%.12s) to seq %d (%.12s)", lenBefore, headBefore, sl.Len(), sl.Head())
+			}
+			if !bytes.Equal(before, after) {
+				t.Errorf("state changed:\n%s\n%s", before, after)
+			}
+			if sha := predictorSHA(cfg.Predictor); sha != shaBefore {
+				t.Errorf("predictor changed: %.12s -> %.12s", shaBefore, sha)
+			}
+			if m := standby.Metrics(); m.Control.Diverged != 1 || m.Control.SnapshotInstalls != 0 {
+				t.Errorf("diverged = %d, installs = %d, want 1 and 0", m.Control.Diverged, m.Control.SnapshotInstalls)
+			}
+			// And the undamaged record still installs.
+			standby.fetchSnapshot(serving(good))
+			if m := standby.Metrics(); m.Control.SnapshotInstalls != 1 || m.LogLen != good.Seq ||
+				m.OutcomeDigest != donor.Metrics().OutcomeDigest {
+				t.Errorf("the good snapshot did not install: %d installs, log at %d", m.Control.SnapshotInstalls, m.LogLen)
+			}
+		})
+	}
 }
 
 // TestMinorityCannotElect pins the election quorum gate: a replica that can

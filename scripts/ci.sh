@@ -2,7 +2,8 @@
 # ci.sh — the repository's verification gate: vet, the 3sigma-lint static
 # analyzer, build, the full test suite under the race detector, the
 # differential solver oracle, a fuzz
-# smoke pass over the histogram/distribution property targets, a
+# smoke pass over the histogram/distribution property targets and the control
+# plane's state machine, a
 # fault-injection determinism gate (two identical seeded chaos runs must
 # produce bit-identical outcome digests), a pinned-outcomes gate (the outcome
 # digest of one seeded simulation per fault arm — fault-free and under fault
@@ -72,6 +73,9 @@ echo "== fuzz smoke =="
 go test -fuzz '^FuzzHistogramInvariants$' -fuzztime 5s -run '^$' ./internal/histogram
 go test -fuzz '^FuzzFromState$' -fuzztime 5s -run '^$' ./internal/histogram
 go test -fuzz '^FuzzConditional$' -fuzztime 5s -run '^$' ./internal/dist
+# The control plane's state machine: arbitrary log records never panic it, and
+# one it refuses leaves its encoding untouched (DESIGN.md §14).
+go test -fuzz '^FuzzStateApply$' -fuzztime 10s -run '^$' ./internal/service
 
 echo "== fault determinism gate =="
 # Same seed, same fault schedule => bit-identical outcomes, byte-for-byte.
