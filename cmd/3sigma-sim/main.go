@@ -36,7 +36,7 @@ func main() {
 	virtual := flag.Bool("virtualtime", false, "run the scheduler on virtual time (deterministic solver budgets; latency stats read zero)")
 	segStart := flag.Float64("segment-start", 0, "trace replay: segment start time, seconds")
 	faultSpec := flag.String("faults", "", "fault injection spec: preset (light, heavy) or k=v list, e.g. seed=7,mtbf=1800,mttr=300,group=0.2:4,crash=0.05,straggler=0.1:2,retries=3")
-	digest := flag.Bool("digest", false, "print the run's outcome digest (hash of job fates; stable across identical runs, used by the CI determinism gate)")
+	digest := flag.Bool("digest", false, "print the run's outcome digest (hash of job fates; stable across identical runs, used by the CI determinism gate) and a solver: line of its solver counters")
 	shards := flag.Int("shards", 1, "number of scheduling domains; >1 runs per-shard MILP solves under the cross-shard coordinator (DESIGN.md §13)")
 	domains := flag.Int("domains", 0, "generate a domain-partitioned workload: SLO jobs prefer exactly one of this many contiguous partition domains (0 = paper's random-subset preferences)")
 	sloShare := flag.Float64("sloshare", 0, "fraction of offered load from SLO jobs (0 = default 0.5; 1 = all SLO)")
@@ -125,6 +125,9 @@ func main() {
 			for i, d := range res.ShardDigests {
 				fmt.Printf("shard digest: %s %d/%d %s\n", sys, i, len(res.ShardDigests), d)
 			}
+			st := res.Stats
+			fmt.Printf("solver: %s nodes=%d lp-iters=%d proved=%d capped=%d deadline=%d cold=%d\n", sys,
+				st.SolverNodes, st.SolverLPIters, st.SolverProved, st.SolverNodeCapped, st.SolverDeadlineStops, st.SolverColdFallbacks)
 		}
 		if res.Stats.Cycles > 0 {
 			fmt.Printf("%-14s %4d cycles, mean cycle %v, max solve %v, model <=%d vars / %d rows (%s)\n",

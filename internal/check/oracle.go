@@ -140,10 +140,16 @@ func GenModel(rng stats.Rand) *milp.Model {
 	return m
 }
 
+// Outcome is what the cold reference solve of one oracle instance returned.
+type Outcome struct {
+	Status    milp.Status
+	Objective float64
+}
+
 // RunOracle generates opt.Models seeded instances and checks the solver on
-// each; it returns an error naming the first failure, or nil when every
-// instance passes.
-func RunOracle(opt OracleOptions) error {
+// each. It returns the reference outcome of every instance it solved, and an
+// error naming the first failure, or nil when every instance passes.
+func RunOracle(opt OracleOptions) ([]Outcome, error) {
 	if opt.Models <= 0 {
 		opt.Models = 200
 	}
@@ -156,12 +162,14 @@ func RunOracle(opt OracleOptions) error {
 	// stats.NewRand wraps the same PRNG stream rand.New(rand.NewSource)
 	// produced, so the pinned-seed model corpus is unchanged.
 	rng := stats.NewRand(opt.Seed)
+	outs := make([]Outcome, 0, opt.Models)
 	for i := 0; i < opt.Models; i++ {
 		m := GenModel(rng)
 
 		ref := milp.Solve(m, milp.Options{MaxNodes: opt.MaxNodes})
+		outs = append(outs, Outcome{ref.Status, ref.Objective})
 		if err := checkIncumbent(m, &ref); err != nil {
-			return fmt.Errorf("model %d: %v", i, err)
+			return outs, fmt.Errorf("model %d: %v", i, err)
 		}
 
 		// Warm-basis differential: re-solving with the reference run's root
@@ -171,14 +179,14 @@ func RunOracle(opt OracleOptions) error {
 		if len(ref.RootBasis) > 0 {
 			warm := milp.Solve(m, milp.Options{MaxNodes: opt.MaxNodes, WarmBasis: ref.RootBasis})
 			if err := checkIncumbent(m, &warm); err != nil {
-				return fmt.Errorf("model %d (warm): %v", i, err)
+				return outs, fmt.Errorf("model %d (warm): %v", i, err)
 			}
 			if ref.Status == milp.Optimal {
 				if warm.Status != milp.Optimal {
-					return fmt.Errorf("model %d (warm): status %v, cold reference Optimal", i, warm.Status)
+					return outs, fmt.Errorf("model %d (warm): status %v, cold reference Optimal", i, warm.Status)
 				}
 				if !approxEq(warm.Objective, ref.Objective, 1e-6*math.Max(1, math.Abs(ref.Objective))) {
-					return fmt.Errorf("model %d (warm): objective %g, cold reference %g", i, warm.Objective, ref.Objective)
+					return outs, fmt.Errorf("model %d (warm): objective %g, cold reference %g", i, warm.Objective, ref.Objective)
 				}
 			}
 		}
@@ -186,11 +194,11 @@ func RunOracle(opt OracleOptions) error {
 		// Exhaustive differential against the enumerated optimum.
 		if best, feasible, ok := enumerate(m, enumLimit); ok {
 			if err := checkAgainstOptimum(&ref, best, feasible); err != nil {
-				return fmt.Errorf("model %d (exhaustive): %v", i, err)
+				return outs, fmt.Errorf("model %d (exhaustive): %v", i, err)
 			}
 		}
 	}
-	return nil
+	return outs, nil
 }
 
 // enumLimit caps the exhaustive arm's search space per instance.

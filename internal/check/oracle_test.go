@@ -1,9 +1,12 @@
 package check
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"threesigma/internal/dist"
@@ -14,7 +17,8 @@ import (
 // TestDifferentialOracle is the CI gate: THREESIGMA_ORACLE_MODELS seeded
 // instances (default 200, seed THREESIGMA_ORACLE_SEED, default 1), each
 // solved cold, re-solved from its own root basis, and — where small and
-// all-binary — held to the exhaustively enumerated optimum. See
+// all-binary — held to the exhaustively enumerated optimum. On the seed-1
+// corpus the cold outcomes are also held to pinnedCorpus. See
 // scripts/ci.sh.
 func TestDifferentialOracle(t *testing.T) {
 	opt := OracleOptions{}
@@ -34,8 +38,46 @@ func TestDifferentialOracle(t *testing.T) {
 		}
 		opt.Seed = s
 	}
-	if err := RunOracle(opt); err != nil {
+	outs, err := RunOracle(opt)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if opt.Seed == 0 || opt.Seed == 1 {
+		checkPinned(t, outs)
+	}
+}
+
+// pinnedCorpus holds, one "index status objective" line per model, what the
+// cold solve returned on the first 200 models of the seed-1 corpus at the
+// oracle's budget of 64 nodes. It was written once, by the solver of the
+// commit before branch-and-bound children were re-solved from their parent's
+// tableau (DESIGN.md §6, §9), and nothing rewrites it.
+const pinnedCorpus = "testdata/oracle_corpus_m64.txt"
+
+// checkPinned holds a seed-1 run's outcomes to pinnedCorpus: a change to how
+// nodes are solved may move the search, but every model must stay proved
+// (Optimal or Infeasible) or unproved as it was, and every proved optimum
+// must be the one it was.
+func checkPinned(t *testing.T, outs []Outcome) {
+	data, err := os.ReadFile(pinnedCorpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	proved := func(s string) bool { return s == milp.Optimal.String() || s == milp.Infeasible.String() }
+	for i, got := range outs[:min(len(outs), len(lines))] {
+		var n int
+		var status string
+		var obj float64
+		if _, err := fmt.Sscan(lines[i], &n, &status, &obj); err != nil || n != i {
+			t.Fatalf("%s line %d: %q", pinnedCorpus, i+1, lines[i])
+		}
+		if proved(status) != proved(got.Status.String()) {
+			t.Errorf("model %d: %v, pinned %s", i, got.Status, status)
+		}
+		if status == milp.Optimal.String() && (got.Status != milp.Optimal || math.Abs(got.Objective-obj) > 1e-9*math.Max(1, math.Abs(obj))) {
+			t.Errorf("model %d: %v %v, pinned optimal %v", i, got.Status, got.Objective, obj)
+		}
 	}
 }
 

@@ -40,6 +40,10 @@ func DebugStateSizes(s *Scheduler) map[string]int {
 // Model exposes the builder's MILP.
 func (b *builder) Model() *milp.Model { return b.model }
 
+// DebugLastModel returns the MILP of the scheduler's last cycle (nil before
+// the first), valid until its next cycle.
+func DebugLastModel(s *Scheduler) *milp.Model { return s.bld.model }
+
 // DebugDescribe summarizes the builder's options vs a solution.
 func DebugDescribe(b *builder, sol *milp.Solution, st *simulator.State) string {
 	var sb strings.Builder

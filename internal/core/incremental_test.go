@@ -474,3 +474,22 @@ func TestDigestWarmVsColdBasis(t *testing.T) {
 			coldStats.WarmBasisReuses, coldStats.ReusedSolves)
 	}
 }
+
+// TestSolveEndings: every cycle that solves counts how its solve ended, and
+// the count follows the search: with room to finish, every solve is proved;
+// with one node, a solve that has to branch stops on the node budget.
+func TestSolveEndings(t *testing.T) {
+	cfg := testConfig()
+	cfg.SolverMaxNodes = 4096
+	_, st := digestWith(t, cfg, 11)
+	if solves := st.Cycles - st.ReusedSolves; st.SolverProved != solves || st.SolverNodeCapped+st.SolverDeadlineStops != 0 {
+		t.Errorf("unbounded search: proved/capped/deadline = %d/%d/%d over %d solves",
+			st.SolverProved, st.SolverNodeCapped, st.SolverDeadlineStops, solves)
+	}
+	cfg.SolverMaxNodes = 1
+	_, st = digestWith(t, cfg, 11)
+	if solves := st.Cycles - st.ReusedSolves; st.SolverProved+st.SolverNodeCapped+st.SolverDeadlineStops != solves || st.SolverNodeCapped == 0 {
+		t.Errorf("one-node search: proved/capped/deadline = %d/%d/%d over %d solves",
+			st.SolverProved, st.SolverNodeCapped, st.SolverDeadlineStops, solves)
+	}
+}

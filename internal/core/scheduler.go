@@ -77,6 +77,15 @@ type Stats struct {
 	// Solver counters (cumulative over cycles).
 	SolverNodes   int // branch-and-bound nodes explored
 	SolverLPIters int // simplex pivots over all node relaxations
+	// How each solve ended (a cycle answered with the previous solution
+	// counts in none): proved — the search ran out of open nodes, Status
+	// Optimal or Infeasible — or stopped unproved by the node budget or by
+	// the deadline. ColdFallbacks counts the non-root nodes solved cold
+	// because their parent's tableau could not be used (milp.Solution).
+	SolverProved        int
+	SolverNodeCapped    int
+	SolverDeadlineStops int
+	SolverColdFallbacks int
 	// SpecLPs and SpecUsed counted the speculative LP workers' relaxations.
 	// The workers are gone (the branch-and-bound is sequential, DESIGN.md
 	// §6); the fields are retired, always 0, and stay only because bench/
@@ -551,6 +560,16 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 	}
 	if reused {
 		s.stats.ReusedSolves++
+	} else {
+		switch sol.Stopped {
+		case milp.StopNodes:
+			s.stats.SolverNodeCapped++
+		case milp.StopDeadline:
+			s.stats.SolverDeadlineStops++
+		default:
+			s.stats.SolverProved++
+		}
+		s.stats.SolverColdFallbacks += sol.ColdFallbacks
 	}
 	s.statsMu.Unlock()
 	return dec

@@ -133,6 +133,11 @@ func solverStatsFrom(st core.Stats) metrics.SolverStats {
 		CacheHits:   st.CacheHits,
 		CacheMisses: st.CacheMisses,
 
+		Proved:        st.SolverProved,
+		NodeCapped:    st.SolverNodeCapped,
+		DeadlineStops: st.SolverDeadlineStops,
+		ColdFallbacks: st.SolverColdFallbacks,
+
 		PatchedCycles:     st.PatchedCycles,
 		RebuildFallbacks:  st.RebuildFallbacks,
 		RowsPatched:       st.RowsPatched,

@@ -7,6 +7,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -127,7 +128,7 @@ func Load(root string) (*Module, error) {
 		if len(p.base) == 0 {
 			continue // test-only directory
 		}
-		u, err := m.check(path, p.base, nil, imp)
+		u, err := m.check(path, p.base, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +152,7 @@ func Load(root string) (*Module, error) {
 			files = append(files, &File{Path: f.Path, AST: f.AST, Test: f.Test})
 		}
 		files = append(files, p.inTest...)
-		u, err := m.check(path, files, nil, imp)
+		u, err := m.check(path, files, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -161,19 +162,21 @@ func Load(root string) (*Module, error) {
 	}
 
 	// Pass 3: external _test packages. The real build compiles foo_test
-	// against the test variant of foo (and recompiles foo's dependents
-	// against it, too); replicating that rebuild is not worth it for a
-	// linter, so foo_test is checked against the base variant first and
-	// against the test variant only when that fails (i.e. when it uses
-	// helpers exported from in-package test files).
+	// against the test variant of foo and recompiles foo's dependents
+	// against it, too. foo_test is checked against the base variants first,
+	// and rebuilt that way only when that fails (i.e. when it uses helpers
+	// exported from in-package test files).
 	for _, path := range order {
 		p := byPath[path]
 		if len(p.exTest) == 0 {
 			continue
 		}
-		u, err := m.check(path+"_test", p.exTest, nil, imp)
+		u, err := m.check(path+"_test", p.exTest, imp)
 		if err != nil && inTestPkg[path] != nil {
-			u, err = m.check(path+"_test", p.exTest, map[string]*types.Package{path: inTestPkg[path]}, imp)
+			var vimp *moduleImporter
+			if vimp, err = m.testVariant(path, inTestPkg[path], order, byPath, checked); err == nil {
+				u, err = m.check(path+"_test", p.exTest, vimp)
+			}
 		}
 		if err != nil {
 			return nil, err
@@ -184,9 +187,8 @@ func Load(root string) (*Module, error) {
 	return m, nil
 }
 
-// check type-checks one unit. overrides maps import paths to packages that
-// take precedence over the already-checked base units.
-func (m *Module) check(pkgPath string, files []*File, overrides map[string]*types.Package, imp *moduleImporter) (*Unit, error) {
+// check type-checks one unit, resolving module imports through imp.
+func (m *Module) check(pkgPath string, files []*File, imp *moduleImporter) (*Unit, error) {
 	asts := make([]*ast.File, len(files))
 	for i, f := range files {
 		asts[i] = f.AST
@@ -198,7 +200,7 @@ func (m *Module) check(pkgPath string, files []*File, overrides map[string]*type
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	cfg := types.Config{Importer: &moduleImporter{mod: m, pkgs: imp.pkgs, overrides: overrides}}
+	cfg := types.Config{Importer: imp}
 	pkg, err := cfg.Check(pkgPath, m.Fset, asts, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-check %s: %w", pkgPath, err)
@@ -207,12 +209,46 @@ func (m *Module) check(pkgPath string, files []*File, overrides map[string]*type
 	return &Unit{Dir: dir, PkgPath: pkgPath, Files: files, Pkg: pkg, Info: info}, nil
 }
 
+// testVariant returns an importer that resolves path to its test variant
+// and every module package that imports path, directly or not, to a re-check
+// against that variant (in dependency order): the packages the go tool
+// recompiles for path's external test. The re-checks are not units; their
+// files already reported in pass 1.
+func (m *Module) testVariant(path string, variant *types.Package, order []string, byPath map[string]*rawPkg, checked map[string]*types.Package) (*moduleImporter, error) {
+	pkgs := maps.Clone(checked)
+	pkgs[path] = variant
+	imp := &moduleImporter{mod: m, pkgs: pkgs}
+	rebuilt := map[string]bool{path: true}
+	for _, q := range order {
+		if rebuilt[q] || len(byPath[q].base) == 0 || !importsAny(byPath[q].base, rebuilt) {
+			continue
+		}
+		u, err := m.check(q, byPath[q].base, imp)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[q], rebuilt[q] = u.Pkg, true
+	}
+	return imp, nil
+}
+
+// importsAny reports whether any of files imports a path in set.
+func importsAny(files []*File, set map[string]bool) bool {
+	for _, f := range files {
+		for _, spec := range f.AST.Imports {
+			if ip, err := strconv.Unquote(spec.Path.Value); err == nil && set[ip] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // moduleImporter resolves module-internal imports from the checked map and
 // everything else (the standard library) from source.
 type moduleImporter struct {
-	mod       *Module
-	pkgs      map[string]*types.Package
-	overrides map[string]*types.Package
+	mod  *Module
+	pkgs map[string]*types.Package
 }
 
 func (mi *moduleImporter) Import(path string) (*types.Package, error) {
@@ -220,9 +256,6 @@ func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 func (mi *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p, ok := mi.overrides[path]; ok && p != nil {
-		return p, nil
-	}
 	if path == mi.mod.Path || strings.HasPrefix(path, mi.mod.Path+"/") {
 		if p, ok := mi.pkgs[path]; ok {
 			return p, nil

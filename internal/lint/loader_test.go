@@ -109,4 +109,12 @@ func TestLoaderControlPlanePackages(t *testing.T) {
 			t.Error("service in-test unit: no Test* Defs from snapshot_test.go; the re-check lost files")
 		}
 	}
+
+	// internal/milp's external test calls a helper from its export_test.go
+	// and hands it models built by internal/core and internal/check, which
+	// import internal/milp: it type-checks only the way the go tool builds
+	// it, with those packages recompiled against milp's test variant.
+	if units["threesigma/internal/milp_test"][UnitExTest] == nil {
+		t.Error("internal/milp_test: no external test unit")
+	}
 }

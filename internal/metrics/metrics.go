@@ -86,6 +86,13 @@ type SolverStats struct {
 	CacheHits   int // builder memo lookups served from cache
 	CacheMisses int // builder memo lookups computed fresh
 
+	// How the solves ended (core.Stats): proved, stopped unproved by the
+	// node budget or the deadline; and non-root nodes solved cold.
+	Proved        int
+	NodeCapped    int
+	DeadlineStops int
+	ColdFallbacks int
+
 	// Incremental re-solve counters (DESIGN.md §12): how often the model
 	// builder patched the previous cycle's MILP in place instead of
 	// recompiling it, how much of the patched payload actually changed, and
@@ -111,8 +118,8 @@ func (s SolverStats) CacheHitRate() float64 {
 
 // String renders the counters as one diagnostic line.
 func (s SolverStats) String() string {
-	return fmt.Sprintf("nodes=%d lp-iters=%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
-		s.Nodes, s.LPIters, 100*s.CacheHitRate(),
+	return fmt.Sprintf("nodes=%d lp-iters=%d proved=%d capped=%d deadline=%d cold=%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
+		s.Nodes, s.LPIters, s.Proved, s.NodeCapped, s.DeadlineStops, s.ColdFallbacks, 100*s.CacheHitRate(),
 		s.PatchedCycles, s.RebuildFallbacks, s.ReusedSolves, s.WarmBasisReuses, s.IncumbentSeedHits)
 }
 
@@ -234,6 +241,10 @@ func Average(rs []Report) Report {
 		avg.FailureLostHours += r.FailureLostHours / n
 		avg.Solver.Nodes += r.Solver.Nodes
 		avg.Solver.LPIters += r.Solver.LPIters
+		avg.Solver.Proved += r.Solver.Proved
+		avg.Solver.NodeCapped += r.Solver.NodeCapped
+		avg.Solver.DeadlineStops += r.Solver.DeadlineStops
+		avg.Solver.ColdFallbacks += r.Solver.ColdFallbacks
 		avg.Solver.CacheHits += r.Solver.CacheHits
 		avg.Solver.CacheMisses += r.Solver.CacheMisses
 		avg.Solver.PatchedCycles += r.Solver.PatchedCycles
@@ -255,6 +266,10 @@ func Average(rs []Report) Report {
 	avg.RetriesExhausted = int(math.Round(float64(avg.RetriesExhausted) / n))
 	avg.Solver.Nodes = int(math.Round(float64(avg.Solver.Nodes) / n))
 	avg.Solver.LPIters = int(math.Round(float64(avg.Solver.LPIters) / n))
+	avg.Solver.Proved = int(math.Round(float64(avg.Solver.Proved) / n))
+	avg.Solver.NodeCapped = int(math.Round(float64(avg.Solver.NodeCapped) / n))
+	avg.Solver.DeadlineStops = int(math.Round(float64(avg.Solver.DeadlineStops) / n))
+	avg.Solver.ColdFallbacks = int(math.Round(float64(avg.Solver.ColdFallbacks) / n))
 	avg.Solver.CacheHits = int(math.Round(float64(avg.Solver.CacheHits) / n))
 	avg.Solver.CacheMisses = int(math.Round(float64(avg.Solver.CacheMisses) / n))
 	avg.Solver.PatchedCycles = int(math.Round(float64(avg.Solver.PatchedCycles) / n))

@@ -3,17 +3,17 @@ package milp
 import "sync"
 
 // lpArena is the reusable working memory of one Solve: the tableau and
-// simplex work vectors every node relaxation refills, and the
-// branch-and-bound's own scratch (recycled nodes, the open heap, the greedy
-// rounding index). Branch-and-bound solves dozens of structurally similar
-// relaxations per cycle; without reuse, allocator and GC time dominate the
-// solver profile (the seed profile spent ~40% of Fig-1 wall time in
-// mallocgc/growslice). A Solve holds one arena from start to finish and
-// nothing in it outlives the call: everything returned to the caller
-// (Solution.X, RootBasis) is copied out. Concurrent Solves (one per shard
-// domain) hold distinct arenas.
+// simplex work vectors every cold relaxation refills, the saved tableaus
+// children re-solve from, and the branch-and-bound's own scratch (recycled
+// nodes, the open heap, the greedy rounding index). Branch-and-bound solves
+// dozens of structurally similar relaxations per cycle; without reuse,
+// allocator and GC time dominate the solver profile (the seed profile spent
+// ~40% of Fig-1 wall time in mallocgc/growslice). A Solve holds one arena
+// from start to finish and nothing in it outlives the call: everything
+// returned to the caller (Solution.X, RootBasis) is copied out. Concurrent
+// Solves (one per shard domain) hold distinct arenas.
 type lpArena struct {
-	lp   simplexLP // the current node's relaxation
+	lp   simplexLP // the current cold relaxation (root, fallback, fix-and-solve)
 	rhs  []float64 // substituted rhs per kept row
 	keep []int     // model row index per kept row
 
@@ -35,6 +35,15 @@ type lpArena struct {
 	save      []float64
 	saveBasis []int
 	flags     []bool
+
+	// Warm children (dual.go): the child being re-solved and one saved
+	// tableau per depth. Each owns its storage; saveSlot and the last child
+	// of a slot swap storage instead of copying, and nothing shrinks.
+	child simplexLP
+	slots []lpSlot
+	// onChild, when set (tests), sees every child re-solved from its
+	// parent's tableau: the node, its result and objective constant.
+	onChild func(nd *bbNode, res lpResult, objConst float64, err error)
 
 	// Branch-and-bound scratch.
 	open   nodeHeap

@@ -1,6 +1,8 @@
 // Package milp is a self-contained Mixed Integer Linear Programming solver:
-// a dense two-phase primal simplex for the LP relaxations and best-first
-// branch-and-bound over binary variables, with a greedy rounding heuristic,
+// a dense two-phase primal simplex for the root relaxation and depth-first
+// branch-and-bound over binary variables with dual re-solve of children
+// (each child starts from its parent's optimal tableau and runs the dual
+// simplex), a greedy and a fix-and-solve rounding heuristic,
 // warm-start incumbent seeding, and a wall-clock budget that returns the
 // best incumbent found (the contract 3σSched relies on: "query the solver
 // for the best solution found within a configurable fraction of its

@@ -39,7 +39,7 @@ func refRelaxation(m *Model, fixed []int8, warm []int) (lpResult, float64, []piv
 		c[v] = 0
 	}
 	var rows []Row
-	for _, r := range m.Rows() {
+	for ri, r := range m.Rows() {
 		rhs := r.RHS
 		var idx []int
 		var coef []float64
@@ -58,7 +58,8 @@ func refRelaxation(m *Model, fixed []int8, warm []int) (lpResult, float64, []piv
 			}
 			continue
 		}
-		rows = append(rows, Row{RHS: rhs, Idx: idx, Coef: coef})
+		// The anti-degeneracy perturbation relaxes the model row.
+		rows = append(rows, Row{RHS: rhs + perturb*float64(1+ri%17), Idx: idx, Coef: coef})
 	}
 	lp := newRefLP(c, rows)
 	res, err := lp.solve(warm)
@@ -100,7 +101,6 @@ func newRefLP(c []float64, rows []Row) *refLP {
 			row[n+i] = 1
 			lp.basis[i] = n + i
 		}
-		row[lp.cols] += perturb * float64(1+i%17)
 		lp.tab[i] = row
 	}
 	return lp
@@ -337,7 +337,7 @@ func (lp *refLP) iterate(maxIter, colLimit int) error {
 				w[j] = 1
 			}
 		}
-		if obj := -lp.zrow[lp.cols]; obj > lastObj+1e-10 {
+		if obj := lp.zrow[lp.cols]; obj > lastObj+1e-10 {
 			lastObj = obj
 			noImprove = 0
 		} else {

@@ -18,7 +18,7 @@ var (
 
 const (
 	pivTol  = 1e-9 // minimum pivot magnitude
-	zeroTol = 1e-9 // reduced-cost optimality tolerance
+	zeroTol = 1e-9 // optimality tolerance: reduced costs (primal), rhs values (dual)
 	feasTol = 1e-6 // feasibility tolerance (must exceed total RHS perturbation)
 	perturb = 1e-8 // anti-degeneracy RHS perturbation unit
 )
@@ -63,7 +63,7 @@ type simplexLP struct {
 	nArt    int
 	stride  int       // cols+1; the last column of a row is its rhs
 	tab     []float64 // m × stride, row-major
-	zrow    []float64 // reduced costs, length cols+1 (last is -objective)
+	zrow    []float64 // reduced costs, length cols+1 (last is the objective c_B·β)
 	basis   []int     // basis[i] = column basic in row i
 	cost    []float64 // phase-2 cost per column (structural only nonzero)
 	artCol0 int       // first artificial column index
@@ -108,7 +108,8 @@ func (lp *simplexLP) solve(maxIter int) (lpResult, error) {
 			}
 			return lpResult{}, err
 		}
-		if -lp.zrow[lp.cols] > 1e-6 { // phase-1 optimum = -zrow[rhs]
+		// The phase-1 optimum zrow[rhs] is minus the artificials' sum.
+		if -lp.zrow[lp.cols] > 1e-6 {
 			return lpResult{}, ErrInfeasible
 		}
 		lp.purgeArtificials()
@@ -124,6 +125,17 @@ func (lp *simplexLP) solve(maxIter int) (lpResult, error) {
 	if err := lp.iterate(maxIter, lp.artCol0); err != nil {
 		return lpResult{}, err
 	}
+	res := lp.result()
+	res.warmed = warmed
+	if lp.wantBasis {
+		res.basis = append([]int(nil), lp.basis...)
+	}
+	return res, nil
+}
+
+// result reads the optimal structural solution off the tableau into a
+// freshly allocated x.
+func (lp *simplexLP) result() lpResult {
 	x := make([]float64, lp.n)
 	for i, b := range lp.basis {
 		if b < lp.n {
@@ -134,11 +146,7 @@ func (lp *simplexLP) solve(maxIter int) (lpResult, error) {
 	for j := 0; j < lp.n; j++ {
 		obj += lp.cost[j] * x[j]
 	}
-	res := lpResult{x: x, obj: obj, iters: lp.iters, warmed: warmed}
-	if lp.wantBasis {
-		res.basis = append([]int(nil), lp.basis...)
-	}
-	return res, nil
+	return lpResult{x: x, obj: obj, iters: lp.iters}
 }
 
 // restoreTol is the minimum forced-pivot magnitude of a warm-basis restore.
@@ -393,8 +401,9 @@ func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 				w[j] = 1
 			}
 		}
-		obj := -lp.zrow[lp.cols]
-		if obj > lastObj+1e-10 {
+		// A pivot that raised the objective is progress; only a run of
+		// 4(m+8) pivots that did not hands pricing to Bland's rule.
+		if obj := lp.zrow[lp.cols]; obj > lastObj+1e-10 {
 			lastObj = obj
 			noImprove = 0
 		} else {

@@ -37,6 +37,19 @@ func (s Status) String() string {
 	}
 }
 
+// StopReason says why a search ended.
+type StopReason uint8
+
+const (
+	// StopNone means the search ran out of open nodes: its answer is proved
+	// (Status Optimal or Infeasible).
+	StopNone StopReason = iota
+	// StopNodes means the node budget (Options.MaxNodes) ran out first.
+	StopNodes
+	// StopDeadline means Options.Deadline expired first.
+	StopDeadline
+)
+
 // Options configures Solve.
 type Options struct {
 	// Deadline, if nonzero, bounds the wall-clock time; Solve returns the
@@ -72,16 +85,18 @@ type Options struct {
 // budget or on proved optimality return the identical Solution every time;
 // deadline-terminated runs stop at a timing-dependent node and are exempt.
 type Solution struct {
-	Status     Status
-	X          []float64 // length NumVars; binaries are exact 0/1
-	Objective  float64
-	Nodes      int           // branch-and-bound nodes explored
-	LPIters    int           // simplex pivots over all node relaxations
-	Bound      float64       // best remaining upper bound at stop time
-	Elapsed    time.Duration // wall-clock solve time
-	RootBasis  []int         // root relaxation's optimal basis (warm-start feed for the next solve)
-	WarmPivots int           // crash pivots applied from Options.WarmBasis (0 = cold root solve)
-	SeedUsed   bool          // Options.Seed was feasible and installed as the initial incumbent
+	Status        Status
+	Stopped       StopReason // why the search ended (StopNone: it was proved)
+	X             []float64  // length NumVars; binaries are exact 0/1
+	Objective     float64
+	Nodes         int           // branch-and-bound nodes explored
+	LPIters       int           // simplex pivots over all node relaxations
+	ColdFallbacks int           // non-root nodes solved cold instead of from their parent's tableau
+	Bound         float64       // best remaining upper bound at stop time
+	Elapsed       time.Duration // wall-clock solve time
+	RootBasis     []int         // root relaxation's optimal basis (warm-start feed for the next solve)
+	WarmPivots    int           // crash pivots applied from Options.WarmBasis (0 = cold root solve)
+	SeedUsed      bool          // Options.Seed was feasible and installed as the initial incumbent
 }
 
 // Value returns X[v], or 0 when no solution is present.
@@ -99,12 +114,14 @@ type bbNode struct {
 	fixed  []int8  // per-var fixing: -1 free, 0/1 fixed
 	bound  float64 // parent LP bound (upper bound on this subtree)
 	depth  int
-	branch int8 // value this node fixed at its branching variable
+	v      int  // the branching variable this node fixed (-1 at the root)
+	branch int8 // the value it fixed it at
+	parent int  // the parent's expansion number, the tag of its saved tableau
 }
 
 // node returns a recycled (or new) node whose fixed vector is a copy of
 // fixed with variable v set to val (v < 0: all free, the root).
-func (ar *lpArena) node(n int, fixed []int8, v int, val int8, bound float64, depth int) *bbNode {
+func (ar *lpArena) node(n int, fixed []int8, v int, val int8, bound float64, depth, parent int) *bbNode {
 	var nd *bbNode
 	if k := len(ar.free); k > 0 {
 		nd, ar.free = ar.free[k-1], ar.free[:k-1]
@@ -120,7 +137,7 @@ func (ar *lpArena) node(n int, fixed []int8, v int, val int8, bound float64, dep
 		copy(nd.fixed, fixed)
 		nd.fixed[v] = val
 	}
-	nd.bound, nd.depth, nd.branch = bound, depth, val
+	nd.bound, nd.depth, nd.v, nd.branch, nd.parent = bound, depth, v, val, parent
 	return nd
 }
 
@@ -128,7 +145,9 @@ func (ar *lpArena) node(n int, fixed []int8, v int, val int8, bound float64, dep
 // last so they pop first), with the LP bound as tie-break. Depth-first
 // diving reaches integral leaves — and therefore incumbents — within a few
 // nodes, which is what an anytime scheduler needs from its budgeted solves;
-// bound-based pruning still applies.
+// bound-based pruning still applies. The order is also what lets a child
+// find its parent's tableau in the slot one level up (lpSlot), and what
+// makes the 0-branch the last of two siblings to pop (solveChild).
 type nodeHeap []*bbNode
 
 func (h nodeHeap) Len() int { return len(h) }
@@ -216,7 +235,7 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 	}
 
 	open := ar.open[:0]
-	heap.Push(&open, ar.node(n, nil, -1, 0, math.Inf(1), 0))
+	heap.Push(&open, ar.node(n, nil, -1, 0, math.Inf(1), 0, -1))
 	greedy := &ar.greedy
 	greedy.reset(m)
 
@@ -235,6 +254,7 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			break
 		}
 		if sol.Nodes >= opts.MaxNodes {
+			sol.Stopped = StopNodes
 			break
 		}
 		node = heap.Pop(&open).(*bbNode)
@@ -242,6 +262,7 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			// Popped but not expanded: remember its bound so it still
 			// counts toward sol.Bound (a drained heap must not make a
 			// budget-truncated solve look proved-optimal).
+			sol.Stopped = StopDeadline
 			pendingBound = node.bound
 			break
 		}
@@ -252,12 +273,26 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			continue
 		}
 		sol.Nodes++
+		seq := sol.Nodes
+		// The root is solved cold, restored from opts.WarmBasis; every other
+		// node from its parent's tableau, unless that fails (errColdStart).
 		root := node.depth == 0
-		var warm []int
+		lp := &ar.lp
+		var res lpResult
+		var objC float64
+		var err error
 		if root {
-			warm = opts.WarmBasis
+			res, objC, err = solveRelaxationOpt(ar, m, node.fixed, opts.WarmBasis, true)
+		} else if res, objC, err = ar.solveChild(m, node); err == errColdStart {
+			sol.ColdFallbacks++
+			sol.LPIters += res.iters
+			res, objC, err = solveRelaxationOpt(ar, m, node.fixed, nil, false)
+		} else {
+			lp = &ar.child
+			if ar.onChild != nil {
+				ar.onChild(node, res, objC, err)
+			}
 		}
-		res, objC, err := solveRelaxationOpt(ar, m, node.fixed, warm, root)
 		sol.LPIters += res.iters
 		if err != nil {
 			continue // infeasible or numerically dead subtree: prune
@@ -296,17 +331,19 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			}
 			continue
 		}
-		// Rounding heuristics to tighten the incumbent cheaply: greedy
-		// selection for all-binary models, fix-and-solve for mixed models
-		// (round every binary to its nearest integer, then let one more LP
-		// set the continuous variables).
+		// Branch: keep the tableau for the children (before fix-and-solve
+		// reuses the cold scratch). Rounding heuristics to tighten the
+		// incumbent cheaply: greedy selection for all-binary models,
+		// fix-and-solve for mixed models (round every binary to its nearest
+		// integer, then let one more LP set the continuous variables).
+		ar.saveSlot(node.depth, seq, lp, objC)
 		if rx, ok := greedy.round(m, x, node.fixed); ok {
 			updateIncumbent(rx, m.Objective(rx))
 		} else if rx, ok := roundFixAndSolve(ar, m, x); ok {
 			updateIncumbent(rx, m.Objective(rx))
 		}
 		for val := int8(0); val <= 1; val++ {
-			heap.Push(&open, ar.node(n, node.fixed, frac, val, lpObj, node.depth+1))
+			heap.Push(&open, ar.node(n, node.fixed, frac, val, lpObj, node.depth+1, seq))
 		}
 	}
 	if node != nil {
@@ -368,7 +405,7 @@ func solveRelaxation(m *Model, fixed []int8) (lpResult, float64, error) {
 // solveRelaxationOpt is solveRelaxation on the caller's arena with root-LP
 // warm-start plumbing: warm, when non-nil, crash-starts the simplex from a
 // previous optimum's basis; wantBasis captures the optimal basis into the
-// lpResult.
+// lpResult. The solved LP is left in ar.lp.
 func solveRelaxationOpt(ar *lpArena, m *Model, fixed []int8, warm []int, wantBasis bool) (lpResult, float64, error) {
 	lp, objConst, err := newNodeLP(ar, m, fixed)
 	if err != nil {
@@ -428,6 +465,14 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 			}
 			continue
 		}
+		// Deterministic RHS perturbation: it breaks degenerate ties that
+		// would otherwise stall the pricing rule, and the error it introduces
+		// is far below the integrality and feasibility tolerances. It
+		// relaxes the model row itself (indexed by the model row, applied
+		// before orientation), so a node's relaxation is the same LP whether
+		// it is assembled here or inherited from its parent's tableau
+		// (solveChild).
+		b += perturb * float64(1+ri%17)
 		if b < 0 {
 			nArt++ // one artificial per negative-rhs row
 		}
@@ -481,10 +526,6 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 			row[n+i] = 1
 			lp.basis[i] = n + i
 		}
-		// Deterministic RHS perturbation breaks degenerate ties that would
-		// otherwise stall the Dantzig rule; the error it introduces is far
-		// below the integrality and feasibility tolerances.
-		row[lp.cols] += perturb * float64(1+i%17)
 	}
 	return lp, objConst, nil
 }

@@ -108,6 +108,26 @@ func TestSolveBoundIncludesPendingNodeAtDeadline(t *testing.T) {
 	}
 }
 
+// TestStopReason: Solution.Stopped says why the search ended — it ran out of
+// open nodes (proved), of node budget, or of time.
+func TestStopReason(t *testing.T) {
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	for _, c := range []struct {
+		opts   Options
+		want   StopReason
+		proved bool
+	}{
+		{Options{}, StopNone, true},
+		{Options{MaxNodes: 1}, StopNodes, false},
+		{Options{Deadline: time.Now().Add(-time.Second)}, StopDeadline, false},
+	} {
+		sol := Solve(m, c.opts)
+		if proved := sol.Status == Optimal || sol.Status == Infeasible; sol.Stopped != c.want || proved != c.proved {
+			t.Errorf("%+v: stopped %d with status %v, want stopped %d", c.opts, sol.Stopped, sol.Status, c.want)
+		}
+	}
+}
+
 // TestSparsePropertyFeasible reruns the core feasibility property on
 // scheduling-shaped models — thin constraint matrices of up to a few hundred
 // columns, which randPacking's small dense draws never reach and on which the

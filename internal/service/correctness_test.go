@@ -86,6 +86,9 @@ func TestMetricsHammerDuringCycles(t *testing.T) {
 	if m.SchedCycles == 0 {
 		t.Error("SchedCycles = 0: metrics no longer reach the live scheduler stats")
 	}
+	if m.Proved+m.NodeCapped+m.DeadlineStops == 0 {
+		t.Error("solver_proved + solver_node_capped + solver_deadline_stops = 0: the first cycle's solve went uncounted")
+	}
 	if m.Counters.Completed != 8 {
 		t.Errorf("completed = %d, want 8", m.Counters.Completed)
 	}

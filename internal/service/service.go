@@ -1117,6 +1117,7 @@ type Metrics struct {
 	SchedCycles   int           `json:"sched_cycles"`
 	SolverNodes   int           `json:"solver_nodes"`
 	SolverLPIters int           `json:"solver_lp_iters"`
+	SolverStops                 // how the solves ended
 	Starts        int           `json:"starts"`
 	Preemptions   int           `json:"preemptions"`
 	MaxVars       int           `json:"max_vars"`
@@ -1139,11 +1140,24 @@ type Metrics struct {
 	Shards []ShardMetrics `json:"shards,omitempty"`
 }
 
+// SolverStops counts how the scheduler's solves ended (core.Stats).
+type SolverStops struct {
+	Proved        int `json:"solver_proved"`
+	NodeCapped    int `json:"solver_node_capped"`
+	DeadlineStops int `json:"solver_deadline_stops"`
+	ColdFallbacks int `json:"solver_cold_fallbacks"`
+}
+
+func solverStops(st core.Stats) SolverStops {
+	return SolverStops{st.SolverProved, st.SolverNodeCapped, st.SolverDeadlineStops, st.SolverColdFallbacks}
+}
+
 // ShardMetrics is one scheduling domain's solver counters.
 type ShardMetrics struct {
 	Cycles        int `json:"cycles"`
 	SolverNodes   int `json:"solver_nodes"`
 	SolverLPIters int `json:"solver_lp_iters"`
+	SolverStops
 	Starts        int `json:"starts"`
 	Preemptions   int `json:"preemptions"`
 	MaxVars       int `json:"max_vars"`
@@ -1189,6 +1203,7 @@ func (s *Service) Metrics() Metrics {
 		SchedCycles:     cs.Cycles,
 		SolverNodes:     cs.SolverNodes,
 		SolverLPIters:   cs.SolverLPIters,
+		SolverStops:     solverStops(cs),
 		Starts:          cs.Starts,
 		Preemptions:     cs.Preemptions,
 		MaxVars:         cs.MaxVars,
@@ -1208,6 +1223,7 @@ func (s *Service) Metrics() Metrics {
 			Cycles:        st.Cycles,
 			SolverNodes:   st.SolverNodes,
 			SolverLPIters: st.SolverLPIters,
+			SolverStops:   solverStops(st),
 			Starts:        st.Starts,
 			Preemptions:   st.Preemptions,
 			MaxVars:       st.MaxVars,

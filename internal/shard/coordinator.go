@@ -359,6 +359,10 @@ func (c *Coordinator) Stats() core.Stats {
 		out.Deferrals += st.Deferrals
 		out.SolverNodes += st.SolverNodes
 		out.SolverLPIters += st.SolverLPIters
+		out.SolverProved += st.SolverProved
+		out.SolverNodeCapped += st.SolverNodeCapped
+		out.SolverDeadlineStops += st.SolverDeadlineStops
+		out.SolverColdFallbacks += st.SolverColdFallbacks
 		out.CacheHits += st.CacheHits
 		out.CacheMisses += st.CacheMisses
 		out.PatchedCycles += st.PatchedCycles

@@ -289,12 +289,25 @@ func TestCombinedStats(t *testing.T) {
 	for _, s := range coord.ShardStats() {
 		sum.Starts += s.Starts
 		sum.SolverNodes += s.SolverNodes
+		sum.SolverProved += s.SolverProved
+		sum.SolverNodeCapped += s.SolverNodeCapped
+		sum.SolverDeadlineStops += s.SolverDeadlineStops
+		sum.SolverColdFallbacks += s.SolverColdFallbacks
 	}
 	if want := sum.Starts + coord.CoordStats().SpanStarts; st.Starts != want {
 		t.Errorf("combined Starts = %d, want shard sum + span = %d", st.Starts, want)
 	}
 	if st.SolverNodes != sum.SolverNodes {
 		t.Errorf("combined SolverNodes = %d, want %d", st.SolverNodes, sum.SolverNodes)
+	}
+	if st.SolverProved+st.SolverNodeCapped+st.SolverDeadlineStops == 0 {
+		t.Error("no solve counted as proved, node-capped or deadline-stopped")
+	}
+	if st.SolverProved != sum.SolverProved || st.SolverNodeCapped != sum.SolverNodeCapped ||
+		st.SolverDeadlineStops != sum.SolverDeadlineStops || st.SolverColdFallbacks != sum.SolverColdFallbacks {
+		t.Errorf("combined proved/capped/deadline/cold = %d/%d/%d/%d, want %d/%d/%d/%d",
+			st.SolverProved, st.SolverNodeCapped, st.SolverDeadlineStops, st.SolverColdFallbacks,
+			sum.SolverProved, sum.SolverNodeCapped, sum.SolverDeadlineStops, sum.SolverColdFallbacks)
 	}
 }
 

@@ -103,6 +103,8 @@ echo "== pinned outcomes =="
 # outcome digest of the 48-node seed-5 simulation, one run per fault arm
 # (the scheduler has one model-build path, DESIGN.md §12, so there is no
 # second run to hold it against — the committed digest is the reference),
+# with its solver: line (nodes, LP iterations, and how the solves ended:
+# proved, node-capped, deadline-stopped, children solved cold),
 # and, per sim workload of the benchmark, its correctness verdict and the
 # counters that repeat exactly on any host: solver work (LP iterations, B&B
 # nodes), patched cycles, starts, preemptions, cycles. A change that means to
@@ -112,9 +114,9 @@ for FAULTS in "" "-faults light"; do
     TAG=fault-free
     if [ -n "$FAULTS" ]; then TAG=faults-light; fi
     "$WORK/3sigma-sim" -env google -nodes 48 -partitions 4 -hours 0.05 -load 1.2 -seed 5 \
-        -virtualtime $FAULTS -digest | grep '^outcome digest:' >"$WORK/dig"
-    [ -s "$WORK/dig" ] || { echo "FAIL: no digest line emitted (faults='$FAULTS')"; exit 1; }
-    sed "s/^outcome digest:/sim.digest.$TAG/" "$WORK/dig" >>"$WORK/pins"
+        -virtualtime $FAULTS -digest | grep -e '^outcome digest:' -e '^solver:' >"$WORK/dig"
+    [ "$(wc -l <"$WORK/dig")" -eq 2 ] || { echo "FAIL: no digest and solver lines emitted (faults='$FAULTS')"; exit 1; }
+    sed -e "s/^outcome digest:/sim.digest.$TAG/" -e "s/^solver:/sim.solver.$TAG/" "$WORK/dig" >>"$WORK/pins"
 done
 for W in sim-e2e sim-scale; do
     LINE=$(go run ./bench -workload "$W" -seconds 2 -trace 1 | tail -n 1)
