@@ -65,7 +65,7 @@ bench:
 
 # bench-fig1 reproduces the medium-scale Fig 1 end-to-end benchmark.
 bench-fig1:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig1_SLOMiss' -benchtime 1x .
+	$(GO) run ./cmd/3sigma-bench -fig 1 -scale medium
 
 # serverd / loadgen build the online-service binaries into ./bin.
 serverd:

@@ -2,19 +2,20 @@
 // plane (DESIGN.md §14): it owns task lifecycle — start, evict, complete,
 // crash — for the cluster partitions assigned to it and reports actual
 // state to the scheduling leader through the epoch-fenced /v1/reconcile
-// API. The agent is clockless: execution is emulated against the leader's
-// logical clock, so agent-backed runs complete jobs at bitwise-identical
-// virtual times to the single-process emulation.
+// API. The agent is clockless: tasks run against the leader's logical clock,
+// so a job completes at the same virtual time whether the agent is this
+// daemon or the one a solo 3sigma-serverd runs in its own process.
 //
 // Usage:
 //
 //	3sigma-agentd -addr :8401 -own "0=16,1=16" [-id agent-a]
 //
 // -own maps global partition indices to this agent's provisioned node
-// counts. SIGTERM/SIGINT shuts the agent down; its tasks die with it —
-// that is the point: kill an agentd and the leader's reconciler detects
-// the dead node group, evicts its work through the engine's failure path,
-// and reschedules survivors elsewhere.
+// counts (0 owns a partition that has no nodes yet). SIGTERM/SIGINT shuts
+// the agent down; its tasks die with it — that is the point: kill an
+// agentd and the leader's reconciler detects the dead node group, evicts
+// its work through the engine's failure path, and reschedules survivors
+// elsewhere.
 package main
 
 import (
@@ -82,7 +83,7 @@ func parseOwn(s string) (map[int]int, error) {
 	}
 	for _, ent := range strings.Split(s, ",") {
 		var p, n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(ent), "%d=%d", &p, &n); err != nil || p < 0 || n <= 0 {
+		if _, err := fmt.Sscanf(strings.TrimSpace(ent), "%d=%d", &p, &n); err != nil || p < 0 || n < 0 {
 			return nil, fmt.Errorf("bad -own entry %q (want partition=nodes)", ent)
 		}
 		if _, dup := out[p]; dup {

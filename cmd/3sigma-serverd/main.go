@@ -20,8 +20,9 @@
 // hash-chained log (replayed on restart for a warm, bit-identical resume);
 // -replica/-peers forms a replica group with lease-based leader election and
 // synchronous input replication (kill -9 the leader and a warm standby takes
-// over within a lease); -agents delegates task execution to remote
-// node-group agent daemons (cmd/3sigma-agentd).
+// over within a lease); -agents runs the tasks on remote node-group agent
+// daemons (cmd/3sigma-agentd) instead of the one agent the daemon runs in
+// its own process.
 package main
 
 import (
@@ -91,7 +92,7 @@ func main() {
 	replogPath := flag.String("replog", "", "decision log path (with -det); replayed on restart for a warm bit-identical resume")
 	replica := flag.Int("replica", 0, "this replica's ID within -peers")
 	peersSpec := flag.String("peers", "", "replica group spec id=url,... (e.g. 0=http://h0:8334,1=http://h1:8334); empty: single replica")
-	agentsSpec := flag.String("agents", "", "agent spec url=p0:p1,... delegating task execution to 3sigma-agentd daemons; empty: in-process emulation")
+	agentsSpec := flag.String("agents", "", "agent spec url=p0:p1,... running the tasks on 3sigma-agentd daemons; empty: one in-process agent owning every partition")
 	lease := flag.Duration("lease", 2*time.Second, "leader lease interval (failover detection bound)")
 	deadRounds := flag.Int("dead-rounds", 3, "consecutive failed reconcile rounds before an agent's partitions are failed")
 	quorum := flag.Int("quorum", 0, "replica logs (leader included) a record needs before it acks as replicated; 0 = majority of -peers")

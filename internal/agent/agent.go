@@ -1,21 +1,23 @@
 // Package agent is the node-side half of the distributed control plane
-// (DESIGN.md §14): a per-node-group daemon that owns task lifecycle —
+// (DESIGN.md §14): a per-node-group executor that owns task lifecycle —
 // start, evict, complete, crash — for the cluster partitions assigned to
 // it, while the scheduler side (internal/service) stays a pure
 // reconciler that diffs desired against actual state and issues idempotent,
-// epoch-fenced directives.
+// epoch-fenced directives. Every service runs its tasks through one: a
+// single in-process Agent owning the whole cluster by default, or remote
+// agentd daemons behind a Client.
 //
-// The agent is deliberately clockless: execution is emulated against the
+// The agent is deliberately clockless: task runtimes play out against the
 // leader's logical clock, which arrives with every reconcile round ("time
 // is now T; what happened?"). A task started with due time D completes at
-// exactly D — reported in the first round whose now >= D — so agent-backed
-// runs produce bitwise-identical outcome times to the single-process
-// emulation, and a scheduler failover between rounds shifts nothing.
+// exactly D — reported in the first round whose now >= D — so an outcome's
+// times depend on the decision log alone, not on where the agent runs, and
+// a scheduler failover between rounds shifts nothing.
 //
-// Every mutating call carries the leader epoch. The agent tracks the
-// highest epoch it has seen and rejects directives fenced below it, which
-// is what makes a deposed leader harmless: its directives bounce with
-// ErrStaleEpoch and the replica learns its reign is over.
+// Every round carries the leader epoch. The agent tracks the highest epoch
+// it has seen and rejects rounds fenced below it, which is what makes a
+// deposed leader harmless: its directives bounce with ErrStaleEpoch and the
+// replica learns its reign is over.
 package agent
 
 import (
@@ -93,13 +95,32 @@ func (e *ErrStaleEpoch) Error() string {
 	return fmt.Sprintf("agent: stale epoch %d (fenced at %d)", e.Got, e.Seen)
 }
 
-// task is one live attempt.
-type task struct {
-	st TaskState
+// ReconcileRequest is one scheduler round: the POST /v1/reconcile body.
+type ReconcileRequest struct {
+	Epoch  uint64           `json:"epoch"`
+	Now    float64          `json:"now"`
+	Ack    uint64           `json:"ack,omitempty"`
+	Evicts []EvictDirective `json:"evicts,omitempty"`
+	Starts []StartDirective `json:"starts,omitempty"`
+	Reset  bool             `json:"reset,omitempty"`
+}
+
+// ReconcileResponse reports the agent's actual state back to the scheduler.
+type ReconcileResponse struct {
+	Agent   string      `json:"agent"`
+	Epoch   uint64      `json:"epoch"`
+	Events  []Event     `json:"events,omitempty"`
+	Running []TaskState `json:"running,omitempty"`
+}
+
+// Reconciler is what the scheduler side runs its rounds against: an *Agent
+// in its own process, a *Client over HTTP.
+type Reconciler interface {
+	Reconcile(ReconcileRequest) (*ReconcileResponse, error)
 }
 
 // Agent owns task lifecycle for a set of cluster partitions. Safe for
-// concurrent use (the HTTP handler serializes through mu).
+// concurrent use (rounds serialize through mu).
 type Agent struct {
 	id  string
 	own map[int]int // partition -> provisioned nodes (immutable after New)
@@ -107,7 +128,7 @@ type Agent struct {
 	mu       sync.Mutex
 	epoch    uint64                // guarded by mu; highest leader epoch seen
 	now      float64               // guarded by mu; leader's logical time, high-water
-	tasks    map[job.ID]*task      // guarded by mu; live attempts by job (one attempt per job)
+	tasks    map[job.ID]TaskState  // guarded by mu; live attempts by job (one attempt per job)
 	reported map[job.ID]reportMark // guarded by mu; last attempt that produced an event, per job
 	events   []Event               // guarded by mu; unacked lifecycle events
 	eventSeq uint64                // guarded by mu; last assigned event seq
@@ -124,7 +145,8 @@ type reportMark struct {
 }
 
 // New builds an agent owning the given partitions (partition index ->
-// provisioned node count).
+// provisioned node count; a partition listed with 0 nodes is owned too,
+// ready for the nodes a resize adds).
 func New(id string, own map[int]int) *Agent {
 	o := make(map[int]int, len(own))
 	//lint:allow detrange map-to-map copy: the result is identical in any iteration order
@@ -134,13 +156,10 @@ func New(id string, own map[int]int) *Agent {
 	return &Agent{
 		id:       id,
 		own:      o,
-		tasks:    make(map[job.ID]*task),
+		tasks:    make(map[job.ID]TaskState),
 		reported: make(map[job.ID]reportMark),
 	}
 }
-
-// ID returns the agent's identifier.
-func (a *Agent) ID() string { return a.id }
 
 // Partitions returns the owned partition -> node-count map (copy).
 func (a *Agent) Partitions() map[int]int {
@@ -152,84 +171,83 @@ func (a *Agent) Partitions() map[int]int {
 	return out
 }
 
-// fence validates the directive epoch under mu: older epochs are rejected,
-// newer ones advance the fence.
-func (a *Agent) fenceLocked(epoch uint64) error {
-	if epoch < a.epoch {
-		a.counters.Stale++
-		return &ErrStaleEpoch{Got: epoch, Seen: a.epoch}
-	}
-	a.epoch = epoch
-	return nil
-}
-
-// Reconcile is one scheduler round: fence the epoch, garbage-collect acked
-// events, apply evictions then starts, advance the logical clock to now
-// (emitting completion/crash events for every attempt whose time has come),
-// and report the unacked events plus the full live-task state.
+// Reconcile is one scheduler round: fence the epoch, clear everything on a
+// Reset (a leader re-adopting an agent it had declared dead: the engine
+// already evicted and requeued the agent's work, so anything still held here
+// is orphaned), garbage-collect acked events, apply evictions then starts,
+// advance the logical clock to now (emitting completion/crash events for
+// every attempt whose time has come), and report the unacked events plus
+// the full live-task state.
 //
 // All mutations are idempotent, so a failed-over scheduler replaying its
 // desired state converges without duplicating work: re-starting a live
 // attempt is a no-op, re-starting an attempt that already completed is
 // swallowed (the event either is still buffered or was acked by the old
 // leader), and re-evicting a gone attempt changes nothing.
-func (a *Agent) Reconcile(epoch uint64, now float64, ack uint64, evicts []EvictDirective, starts []StartDirective) (events []Event, running []TaskState, err error) {
+func (a *Agent) Reconcile(req ReconcileRequest) (*ReconcileResponse, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.fenceLocked(epoch); err != nil {
-		return nil, nil, err
+	if req.Epoch < a.epoch {
+		a.counters.Stale++
+		return nil, &ErrStaleEpoch{Got: req.Epoch, Seen: a.epoch}
+	}
+	a.epoch = req.Epoch
+	if req.Reset {
+		a.tasks = make(map[job.ID]TaskState)
+		a.reported = make(map[job.ID]reportMark)
+		a.events = nil
 	}
 
 	// Cumulative ack: drop events the scheduler has durably applied, and
 	// with them the replay-suppression marks they anchored.
-	if ack > 0 {
+	if req.Ack > 0 {
 		keep := a.events[:0]
 		for _, ev := range a.events {
-			if ev.Seq > ack {
+			if ev.Seq > req.Ack {
 				keep = append(keep, ev)
 			}
 		}
 		a.events = keep
 		//lint:allow detrange deletion-only sweep: which order marks are dropped in is unobservable
 		for id, mark := range a.reported {
-			if mark.seq <= ack {
+			if mark.seq <= req.Ack {
 				delete(a.reported, id)
 			}
 		}
 	}
 
-	for _, ev := range evicts {
-		a.evictLocked(ev)
+	for _, d := range req.Evicts {
+		if t, ok := a.tasks[d.Job]; ok && t.RunID == d.RunID {
+			delete(a.tasks, d.Job)
+			a.counters.Evicted++
+		}
 	}
-	for _, st := range starts {
-		if err := a.startLocked(st); err != nil {
-			return nil, nil, err
+	for _, d := range req.Starts {
+		if err := a.startLocked(d); err != nil {
+			return nil, err
 		}
 	}
 
-	a.advanceLocked(now)
+	a.advanceLocked(req.Now)
 
-	events = append([]Event(nil), a.events...)
-	running = make([]TaskState, 0, len(a.tasks))
+	resp := &ReconcileResponse{Agent: a.id, Epoch: a.epoch, Events: append([]Event(nil), a.events...),
+		Running: make([]TaskState, 0, len(a.tasks))}
 	for _, t := range a.tasks {
-		running = append(running, t.st)
+		resp.Running = append(resp.Running, t)
 	}
-	sort.Slice(running, func(i, j int) bool { return running[i].Job < running[j].Job })
-	return events, running, nil
+	sort.Slice(resp.Running, func(i, j int) bool { return resp.Running[i].Job < resp.Running[j].Job })
+	return resp, nil
 }
 
 // startLocked applies one start directive. Idempotent on (Job, RunID).
 func (a *Agent) startLocked(d StartDirective) error {
 	if t, ok := a.tasks[d.Job]; ok {
-		if t.st.RunID == d.RunID {
-			return nil // live duplicate: already running this attempt
-		}
-		if t.st.RunID > d.RunID {
-			return nil // stale re-issue of a superseded attempt
+		if t.RunID >= d.RunID {
+			return nil // a live duplicate, or a stale re-issue of a superseded attempt
 		}
 		// A newer attempt replaces an older one the scheduler has already
 		// given up on (it will have evicted it engine-side).
-		a.removeLocked(t)
+		delete(a.tasks, d.Job)
 	}
 	if a.reported[d.Job].runID >= d.RunID {
 		return nil // attempt already ran to an event; swallow the replay
@@ -239,7 +257,7 @@ func (a *Agent) startLocked(d StartDirective) error {
 		if n < 0 {
 			return fmt.Errorf("agent %s: start job %d: negative alloc", a.id, d.Job)
 		}
-		if n > 0 && a.own[p] == 0 {
+		if _, owned := a.own[p]; n > 0 && !owned {
 			return fmt.Errorf("agent %s: start job %d: partition %d not owned", a.id, d.Job, p)
 		}
 		total += n
@@ -247,27 +265,10 @@ func (a *Agent) startLocked(d StartDirective) error {
 	if total == 0 {
 		return fmt.Errorf("agent %s: start job %d: empty allocation", a.id, d.Job)
 	}
-	a.tasks[d.Job] = &task{st: TaskState{
-		Job: d.Job, RunID: d.RunID,
-		Alloc: append([]int(nil), d.Alloc...),
-		Due:   d.Due, CrashAt: d.CrashAt,
-	}}
+	a.tasks[d.Job] = TaskState{Job: d.Job, RunID: d.RunID, Alloc: append([]int(nil), d.Alloc...),
+		Due: d.Due, CrashAt: d.CrashAt}
 	a.counters.Started++
 	return nil
-}
-
-// evictLocked drops one attempt; stale (Job, RunID) pairs are ignored.
-func (a *Agent) evictLocked(d EvictDirective) {
-	t, ok := a.tasks[d.Job]
-	if !ok || t.st.RunID != d.RunID {
-		return
-	}
-	a.removeLocked(t)
-	a.counters.Evicted++
-}
-
-func (a *Agent) removeLocked(t *task) {
-	delete(a.tasks, t.st.Job)
 }
 
 // advanceLocked moves the logical clock to now and emits events for every
@@ -276,61 +277,35 @@ func (a *Agent) removeLocked(t *task) {
 // leader that replays an older now (it resumes at the next cycle) keeps the
 // high-water mark.
 func (a *Agent) advanceLocked(now float64) {
-	if now < a.now {
-		now = a.now
-	}
-	a.now = now
-	type fire struct {
-		at   float64
-		kind string
-		t    *task
-	}
-	var due []fire
+	a.now = max(a.now, now)
+	var due []Event
 	//lint:allow detrange collect-only: fires are sorted by (time, job) before events are assigned
 	for _, t := range a.tasks {
-		if t.st.CrashAt > 0 && t.st.CrashAt <= now {
-			due = append(due, fire{at: t.st.CrashAt, kind: EventCrashed, t: t})
-		} else if t.st.Due <= now {
-			due = append(due, fire{at: t.st.Due, kind: EventCompleted, t: t})
+		if t.CrashAt > 0 && t.CrashAt <= a.now {
+			due = append(due, Event{Job: t.Job, RunID: t.RunID, Kind: EventCrashed, At: t.CrashAt})
+		} else if t.Due <= a.now {
+			due = append(due, Event{Job: t.Job, RunID: t.RunID, Kind: EventCompleted, At: t.Due})
 		}
 	}
 	sort.Slice(due, func(i, j int) bool {
 		//lint:allow floateq exact tie-break: equal-bits fire times fall through to the job ID order
-		if due[i].at != due[j].at {
-			return due[i].at < due[j].at
+		if due[i].At != due[j].At {
+			return due[i].At < due[j].At
 		}
-		return due[i].t.st.Job < due[j].t.st.Job
+		return due[i].Job < due[j].Job
 	})
-	for _, f := range due {
+	for _, ev := range due {
 		a.eventSeq++
-		a.events = append(a.events, Event{
-			Seq: a.eventSeq, Job: f.t.st.Job, RunID: f.t.st.RunID,
-			Kind: f.kind, At: f.at,
-		})
-		a.reported[f.t.st.Job] = reportMark{runID: f.t.st.RunID, seq: a.eventSeq}
-		a.removeLocked(f.t)
-		if f.kind == EventCrashed {
+		ev.Seq = a.eventSeq
+		a.events = append(a.events, ev)
+		a.reported[ev.Job] = reportMark{runID: ev.RunID, seq: ev.Seq}
+		delete(a.tasks, ev.Job)
+		if ev.Kind == EventCrashed {
 			a.counters.Crashed++
 		} else {
 			a.counters.Completed++
 		}
 	}
-}
-
-// Reset clears all task and event state under a new epoch — issued by a
-// leader re-adopting an agent it had declared dead (the engine already
-// evicted and requeued the agent's work, so anything still held here is
-// orphaned).
-func (a *Agent) Reset(epoch uint64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.fenceLocked(epoch); err != nil {
-		return err
-	}
-	a.tasks = make(map[job.ID]*task)
-	a.reported = make(map[job.ID]reportMark)
-	a.events = nil
-	return nil
 }
 
 // Status is the agent's observability snapshot.

@@ -15,9 +15,18 @@ func newTestAgent() *Agent {
 	return New("a0", map[int]int{0: 8, 1: 8})
 }
 
+// round runs one Reconcile and unpacks its report.
+func round(a *Agent, epoch uint64, now float64, ack uint64, evicts []EvictDirective, starts []StartDirective) ([]Event, []TaskState, error) {
+	resp, err := a.Reconcile(ReconcileRequest{Epoch: epoch, Now: now, Ack: ack, Evicts: evicts, Starts: starts})
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp.Events, resp.Running, nil
+}
+
 func TestLifecycleCompleteAtDue(t *testing.T) {
 	a := newTestAgent()
-	evs, running, err := a.Reconcile(1, 10, 0, nil, []StartDirective{start(5, 1, 42.5), start(3, 2, 20)})
+	evs, running, err := round(a, 1, 10, 0, nil, []StartDirective{start(5, 1, 42.5), start(3, 2, 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +39,7 @@ func TestLifecycleCompleteAtDue(t *testing.T) {
 
 	// Advance past one due time: exactly one completion, at its due time
 	// (not the observed now).
-	evs, running, err = a.Reconcile(1, 30, 0, nil, nil)
+	evs, running, err = round(a, 1, 30, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +51,11 @@ func TestLifecycleCompleteAtDue(t *testing.T) {
 	}
 
 	// Unacked events are re-reported; acked ones are dropped.
-	evs, _, _ = a.Reconcile(1, 31, 0, nil, nil)
+	evs, _, _ = round(a, 1, 31, 0, nil, nil)
 	if len(evs) != 1 {
 		t.Fatalf("unacked event not re-reported: %+v", evs)
 	}
-	evs, _, _ = a.Reconcile(1, 32, evs[0].Seq, nil, nil)
+	evs, _, _ = round(a, 1, 32, evs[0].Seq, nil, nil)
 	if len(evs) != 0 {
 		t.Fatalf("acked event still reported: %+v", evs)
 	}
@@ -56,8 +65,8 @@ func TestCrashBeatsCompletion(t *testing.T) {
 	a := newTestAgent()
 	d := start(7, 1, 100)
 	d.CrashAt = 40
-	a.Reconcile(1, 0, 0, nil, []StartDirective{d})
-	evs, running, err := a.Reconcile(1, 500, 0, nil, nil)
+	round(a, 1, 0, 0, nil, []StartDirective{d})
+	evs, running, err := round(a, 1, 500, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +80,9 @@ func TestCrashBeatsCompletion(t *testing.T) {
 
 func TestStartIdempotencyAndReplaySuppression(t *testing.T) {
 	a := newTestAgent()
-	a.Reconcile(1, 0, 0, nil, []StartDirective{start(5, 1, 50)})
+	round(a, 1, 0, 0, nil, []StartDirective{start(5, 1, 50)})
 	// Re-issuing the live attempt is a no-op.
-	_, running, _ := a.Reconcile(1, 1, 0, nil, []StartDirective{start(5, 1, 50)})
+	_, running, _ := round(a, 1, 1, 0, nil, []StartDirective{start(5, 1, 50)})
 	if len(running) != 1 {
 		t.Fatalf("duplicate start changed state: %+v", running)
 	}
@@ -83,11 +92,11 @@ func TestStartIdempotencyAndReplaySuppression(t *testing.T) {
 
 	// The attempt completes but the event stays unacked; a failed-over
 	// scheduler replaying the start must not re-run it.
-	evs, _, _ := a.Reconcile(1, 60, 0, nil, nil)
+	evs, _, _ := round(a, 1, 60, 0, nil, nil)
 	if len(evs) != 1 {
 		t.Fatal("no completion event")
 	}
-	evs, running, _ = a.Reconcile(2, 61, 0, nil, []StartDirective{start(5, 1, 50)})
+	evs, running, _ = round(a, 2, 61, 0, nil, []StartDirective{start(5, 1, 50)})
 	if len(running) != 0 {
 		t.Fatalf("replayed completed attempt restarted: %+v", running)
 	}
@@ -96,7 +105,7 @@ func TestStartIdempotencyAndReplaySuppression(t *testing.T) {
 	}
 
 	// A genuinely new attempt (higher run ID) does run.
-	_, running, _ = a.Reconcile(2, 62, evs[0].Seq, nil, []StartDirective{start(5, 2, 90)})
+	_, running, _ = round(a, 2, 62, evs[0].Seq, nil, []StartDirective{start(5, 2, 90)})
 	if len(running) != 1 || running[0].RunID != 2 {
 		t.Fatalf("new attempt refused: %+v", running)
 	}
@@ -104,11 +113,11 @@ func TestStartIdempotencyAndReplaySuppression(t *testing.T) {
 
 func TestEpochFencing(t *testing.T) {
 	a := newTestAgent()
-	if _, _, err := a.Reconcile(3, 0, 0, nil, []StartDirective{start(1, 1, 10)}); err != nil {
+	if _, _, err := round(a, 3, 0, 0, nil, []StartDirective{start(1, 1, 10)}); err != nil {
 		t.Fatal(err)
 	}
 	// A deposed leader (lower epoch) bounces.
-	_, _, err := a.Reconcile(2, 5, 0, nil, []StartDirective{start(2, 2, 10)})
+	_, _, err := round(a, 2, 5, 0, nil, []StartDirective{start(2, 2, 10)})
 	if _, ok := err.(*ErrStaleEpoch); !ok {
 		t.Fatalf("stale epoch accepted: err=%v", err)
 	}
@@ -116,7 +125,7 @@ func TestEpochFencing(t *testing.T) {
 		t.Fatalf("fenced directive mutated state: %+v", st)
 	}
 	// The new leader (higher epoch) proceeds and advances the fence.
-	if _, _, err := a.Reconcile(4, 5, 0, nil, nil); err != nil {
+	if _, _, err := round(a, 4, 5, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.Status().Epoch != 4 {
@@ -126,13 +135,13 @@ func TestEpochFencing(t *testing.T) {
 
 func TestEvictAndReset(t *testing.T) {
 	a := newTestAgent()
-	a.Reconcile(1, 0, 0, nil, []StartDirective{start(1, 1, 100), start(2, 2, 100)})
+	round(a, 1, 0, 0, nil, []StartDirective{start(1, 1, 100), start(2, 2, 100)})
 	// Stale evict (wrong run ID) is ignored; matching evict drops the task.
-	_, running, _ := a.Reconcile(1, 1, 0, []EvictDirective{{Job: 1, RunID: 9}, {Job: 2, RunID: 2}}, nil)
+	_, running, _ := round(a, 1, 1, 0, []EvictDirective{{Job: 1, RunID: 9}, {Job: 2, RunID: 2}}, nil)
 	if len(running) != 1 || running[0].Job != 1 {
 		t.Fatalf("evict applied wrong task: %+v", running)
 	}
-	if err := a.Reset(2); err != nil {
+	if _, err := a.Reconcile(ReconcileRequest{Epoch: 2, Reset: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st := a.Status(); st.Running != 0 || st.Unacked != 0 {
@@ -142,10 +151,10 @@ func TestEvictAndReset(t *testing.T) {
 
 func TestTimeNeverMovesBackwards(t *testing.T) {
 	a := newTestAgent()
-	a.Reconcile(1, 0, 0, nil, []StartDirective{start(1, 1, 50)})
-	a.Reconcile(1, 100, 0, nil, nil) // completes at 50
+	round(a, 1, 0, 0, nil, []StartDirective{start(1, 1, 50)})
+	round(a, 1, 100, 0, nil, nil) // completes at 50
 	// A new leader resuming at an older logical time must not resurrect time.
-	evs, _, err := a.Reconcile(2, 60, 0, nil, []StartDirective{start(2, 2, 80)})
+	evs, _, err := round(a, 2, 60, 0, nil, []StartDirective{start(2, 2, 80)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +177,24 @@ func TestTimeNeverMovesBackwards(t *testing.T) {
 func TestStartValidation(t *testing.T) {
 	a := newTestAgent()
 	bad := StartDirective{Job: 1, RunID: 1, Alloc: []int{0, 0, 4}, Due: 10}
-	if _, _, err := a.Reconcile(1, 0, 0, nil, []StartDirective{bad}); err == nil {
+	if _, _, err := round(a, 1, 0, 0, nil, []StartDirective{bad}); err == nil {
 		t.Fatal("start on unowned partition accepted")
 	}
 	empty := StartDirective{Job: 2, RunID: 2, Alloc: []int{0, 0}, Due: 10}
-	if _, _, err := a.Reconcile(1, 0, 0, nil, []StartDirective{empty}); err == nil {
+	if _, _, err := round(a, 1, 0, 0, nil, []StartDirective{empty}); err == nil {
 		t.Fatal("empty allocation accepted")
+	}
+}
+
+// TestZeroNodePartitionIsOwned: ownership is a partition's presence in the
+// map, not its node count. A partition provisioned with no nodes yet — the
+// fourth of simulator.NewCluster(3, 4) — takes the start that a resize makes
+// possible; an agent that read 0 nodes as "not owned" failed every such round.
+func TestZeroNodePartitionIsOwned(t *testing.T) {
+	a := New("a0", map[int]int{0: 0})
+	_, running, err := round(a, 1, 0, 0, nil, []StartDirective{{Job: 1, RunID: 1, Alloc: []int{2}, Due: 10}})
+	if err != nil || len(running) != 1 {
+		t.Fatalf("start on an owned zero-node partition: running %+v, err %v", running, err)
 	}
 }
 

@@ -3,30 +3,13 @@ package agent
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"time"
 )
-
-// ReconcileRequest is the POST /v1/reconcile body: one scheduler round.
-type ReconcileRequest struct {
-	Epoch  uint64           `json:"epoch"`
-	Now    float64          `json:"now"`
-	Ack    uint64           `json:"ack,omitempty"`
-	Evicts []EvictDirective `json:"evicts,omitempty"`
-	Starts []StartDirective `json:"starts,omitempty"`
-	Reset  bool             `json:"reset,omitempty"`
-}
-
-// ReconcileResponse reports the agent's actual state back to the scheduler.
-type ReconcileResponse struct {
-	Agent   string      `json:"agent"`
-	Epoch   uint64      `json:"epoch"`
-	Events  []Event     `json:"events,omitempty"`
-	Running []TaskState `json:"running,omitempty"`
-}
 
 type errResponse struct {
 	Error string `json:"error"`
@@ -67,30 +50,18 @@ func (a *Agent) handleReconcile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
-	if req.Reset {
-		if err := a.Reset(req.Epoch); err != nil {
-			writeStaleOr500(w, err)
-			return
-		}
-	}
-	events, running, err := a.Reconcile(req.Epoch, req.Now, req.Ack, req.Evicts, req.Starts)
-	if err != nil {
-		writeStaleOr500(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ReconcileResponse{
-		Agent: a.id, Epoch: a.Status().Epoch, Events: events, Running: running,
-	})
-}
-
-// writeStaleOr500 maps epoch fencing to 409 Conflict — the deposed leader
-// must stand down, not retry — and anything else to 500.
-func writeStaleOr500(w http.ResponseWriter, err error) {
-	if se, ok := err.(*ErrStaleEpoch); ok {
+	resp, err := a.Reconcile(req)
+	var se *ErrStaleEpoch
+	if errors.As(err, &se) {
+		// 409 Conflict: the deposed leader must stand down, not retry.
 		writeJSON(w, http.StatusConflict, errResponse{Error: err.Error(), Got: se.Got, Seen: se.Seen})
 		return
 	}
-	writeJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errResponse{Error: err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // Client is the scheduler-side handle on one remote agent.

@@ -21,9 +21,9 @@ type jobRequest struct {
 	Class    string `json:"class"` // "SLO" or "BE" (default)
 	Priority int    `json:"priority"`
 	Tasks    int    `json:"tasks"`
-	// Runtime is the emulated execution time in virtual seconds on
-	// preferred resources (the daemon stands in for the cluster manager,
-	// so it needs the ground truth to emulate completions — exactly like
+	// Runtime is the execution time in virtual seconds on preferred
+	// resources (the agents play tasks out against the logical clock, so
+	// the daemon needs the ground truth to time completions — exactly like
 	// the simulator's Job.Runtime).
 	Runtime       float64 `json:"runtime"`
 	DeadlineIn    float64 `json:"deadline_in,omitempty"` // SLO: seconds after submit

@@ -2,10 +2,10 @@
 // wraps a scheduler and 3σPredict behind a JSON HTTP API (see cmd/3sigma-serverd).
 // It drives the same cluster Engine as the discrete-event simulator, but on
 // real time: scheduling cycles fire on a wall-clock ticker, submissions
-// arrive through a bounded admission queue with backpressure, and job
-// execution is emulated by completing each started job once virtual time
-// passes its runtime (the daemon stands in for a cluster manager the way
-// the simulator stands in for the paper's YARN testbed).
+// arrive through a bounded admission queue with backpressure, and the
+// scheduler only decides — node-group agents (internal/agent) run the tasks,
+// each completing once virtual time passes its runtime, the way the paper's
+// YARN testbed runs what 3σSched places.
 //
 // Time runs at Config.TimeScale virtual seconds per wall second, so a
 // multi-hour workload can be replayed against a live daemon in minutes
@@ -22,10 +22,10 @@
 // input and decision then flows through an append-only hash-chained log
 // (internal/replog) that is synchronously replicated to standby replicas and
 // replayed on restart, so a warm standby that takes over after a leader
-// kill -9 resumes with a bitwise-identical outcome digest. Task execution
-// can further be delegated to remote node-group agents (internal/agent): the
-// service becomes a pure reconciler that diffs desired against actual state
-// and issues idempotent epoch-fenced directives.
+// kill -9 resumes with a bitwise-identical outcome digest. Either way the
+// service is a pure reconciler that diffs desired against actual state and
+// issues idempotent epoch-fenced directives (reconcile.go) — to one agent in
+// its own process, or to remote agent daemons (Config.Agents).
 //
 // Everything the replicas must agree on is one value, state (state.go),
 // changed only by applying log records and running cycles through its
@@ -142,9 +142,9 @@ type Config struct {
 	// sharded coordinator are not).
 	CompactEvery int64
 
-	// Agents, when non-empty, delegates task execution to remote node-group
-	// agents instead of the in-process completion heap. The agents'
-	// partitions must exactly cover the cluster's.
+	// Agents, when non-empty, runs the tasks on remote node-group agents
+	// instead of one agent.Agent in this process that owns the whole
+	// cluster. The agents' partitions must exactly cover the cluster's.
 	Agents []*agent.Client
 
 	// AgentDeadRounds is how many consecutive failed reconcile rounds
@@ -304,7 +304,7 @@ type Service struct {
 	// newer epoch waits for the cycle (see handleReplogAppend) — and abandons
 	// out of the solve are collected into it.
 	cycleRec     *cyclePayload   // guarded by mu
-	agents       []*agentState   // slice immutable; element state guarded by mu
+	agents       []*agentState   // immutable after New; agentState marks the fields mu guards
 	followers    []*followerConn // guarded by mu (appended on takeover); conns have own locks
 	ctl          ControlCounters // guarded by mu
 	snapFetching bool            // guarded by mu; a snapshot catch-up fetch is in flight
@@ -336,7 +336,7 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	e := env{sched: cfg.Scheduler, pred: cfg.Predictor, det: cfg.DetCycles, remote: len(cfg.Agents) > 0}
+	e := env{sched: cfg.Scheduler, pred: cfg.Predictor, det: cfg.DetCycles}
 	if cfg.Faults != nil {
 		e.inj = faults.New(*cfg.Faults, cfg.Cluster.Partitions, 0)
 		cfg.Logf("chaos injector armed: %d node-lifecycle events over %.0fs virtual",
@@ -351,13 +351,12 @@ func New(cfg Config) (*Service, error) {
 			ca.SetClock(e.clock)
 		}
 	}
-	agents := make([]*agentState, len(cfg.Agents))
-	for i, c := range cfg.Agents {
-		agents[i] = &agentState{
-			c:            c,
-			outboxStarts: make(map[job.ID]agent.StartDirective),
-			outboxEvicts: make(map[job.ID]agent.EvictDirective),
-		}
+	var agents []*agentState
+	if len(cfg.Agents) == 0 {
+		agents = append(agents, localAgent(cfg.Cluster))
+	}
+	for _, c := range cfg.Agents {
+		agents = append(agents, newAgentState(c, c.Addr, c.Partitions))
 	}
 	s := &Service{
 		cfg:       cfg,
@@ -545,33 +544,32 @@ func (s *Service) loop() {
 	}
 }
 
-// runCycle is one scheduling round on the leader: reconcile remote agents
-// (when configured), run the state machine's cycle top, solve on the
-// snapshot it returns with the lock released, run the cycle's second half on
-// the decision, append the cycle record — from which every other replica
-// replays both halves in one apply — and deliver fresh directives. All
-// scheduler methods are invoked from this goroutine only (while leading; a
-// follower applies records from the replication handler, and the roles hand
-// over under mu).
+// runCycle is one scheduling round on the leader: reconcile the agents, run
+// the state machine's cycle top, solve on the snapshot it returns with the
+// lock released, run the cycle's second half on the decision, append the
+// cycle record — from which every other replica replays both halves in one
+// apply — and deliver fresh directives. All scheduler methods are invoked
+// from this goroutine only (while leading; a follower applies records from
+// the replication handler, and the roles hand over under mu).
 func (s *Service) runCycle() {
+	// The cycle's logical time, fixed before anything runs at it:
+	// deterministic mode counts cycles, wall mode reads the scaled wall clock.
+	s.mu.Lock()
+	p := &cyclePayload{Now: s.vnowLocked()}
+	if s.cfg.DetCycles {
+		p.Now = float64(s.st.Cycles+1) * s.cfg.CycleInterval
+	}
+	s.mu.Unlock()
+
 	// Agent reconcile rounds run before the cycle body, off the lock: they
 	// collect lifecycle events (completions/crashes at exact logical times)
 	// and flush any directives a previous round failed to deliver.
-	p := &cyclePayload{}
-	if len(s.agents) > 0 {
-		p.Comps, p.AgentOps = s.reconcileAgents()
-	}
+	p.Comps, p.AgentOps = s.reconcileAgents(p.Now)
 
 	s.mu.Lock()
 	if s.role != RoleLeader {
 		s.mu.Unlock() // deposed between the tick and here
 		return
-	}
-	// Deterministic mode counts cycles; wall mode reads the scaled wall clock.
-	if s.cfg.DetCycles {
-		p.Now = float64(s.st.Cycles+1) * s.cfg.CycleInterval
-	} else {
-		p.Now = s.vnowLocked()
 	}
 	if s.log != nil {
 		p.InputsThrough = s.log.Len()
@@ -610,12 +608,10 @@ func (s *Service) runCycle() {
 	s.mu.Unlock()
 	s.notifyFollowers()
 
-	// Deliver directives born this cycle right away so remote execution has
-	// the same cycle latency as the in-process emulation (a completion is
-	// observed one cycle after it is due in both).
-	if len(s.agents) > 0 {
-		s.deliverDirectives(p.Now)
-	}
+	// Deliver directives born this cycle right away: an agent starts a
+	// decision's tasks in the cycle that made it, and reports each due event
+	// in the first phase A at or after its time.
+	s.deliverDirectives(p.Now)
 }
 
 // inputsLocked is every leader-side input's way into the state: the records

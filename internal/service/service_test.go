@@ -291,6 +291,38 @@ func TestClusterResize(t *testing.T) {
 	}
 }
 
+// TestZeroNodePartitionRunsAfterResize: simulator.NewCluster(3, 4) leaves the
+// fourth partition with no nodes, and the local agent owns it all the same.
+// A resize grows it, a job is placed on it, and the job completes with the
+// agent alive — an agent that took 0 nodes for "not owned" refused the start
+// every round until it was declared dead and every partition failed.
+func TestZeroNodePartitionRunsAfterResize(t *testing.T) {
+	cfg := fastConfig(fifoSched{})
+	cfg.Cluster = simulator.NewCluster(3, 4)
+	cfg.DetCycles = true
+	svc := mustService(t, cfg)
+	svc.mu.Lock()
+	svc.takeoverLocked(0)
+	svc.mu.Unlock()
+	if _, err := svc.Resize(3, 4); err != nil {
+		t.Fatal(err)
+	}
+	svc.runCycle() // det mode: the resize lands at this cycle's boundary
+	// First fit over [1 1 1 4]: every partition, the grown one included.
+	if _, err := svc.Submit(&job.Job{ID: 1, Tasks: 7, Runtime: 2, Submit: 1.5, NonPrefFactor: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*svc.cfg.AgentDeadRounds+2; i++ { // long enough to die of refused rounds
+		svc.runCycle()
+	}
+	if st, _ := svc.Status(1); st.Phase != PhaseCompleted {
+		t.Errorf("job 1 on the grown partition is %q, want completed", st.Phase)
+	}
+	if m := svc.Metrics(); m.AgentsDead != 0 || m.AgentsLive != 1 || m.Counters.Completed != 1 {
+		t.Errorf("agents live %d, dead %d, completed %d: want 1, 0, 1", m.AgentsLive, m.AgentsDead, m.Counters.Completed)
+	}
+}
+
 func TestDrainingRefusesSubmissions(t *testing.T) {
 	svc := mustService(t, fastConfig(fifoSched{}))
 	svc.Start()

@@ -149,7 +149,7 @@ func (s *Service) installSnapshotLocked(rec replog.Record, resetLog bool) error 
 		return err
 	}
 	s.st = fresh
-	s.resetAgentOutboxesLocked()
+	s.refillOutboxesLocked()
 	if rec.Epoch > s.leaderEpoch {
 		s.leaderEpoch = rec.Epoch
 	}

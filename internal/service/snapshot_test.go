@@ -349,9 +349,77 @@ func TestEmptyStandbySnapshotCatchUp(t *testing.T) {
 	waitPhase(t, tss[1], 9, PhaseCompleted)
 }
 
+// TestSnapshotTakeoverHandsLiveRunsOver: a standby that installed a snapshot
+// and takes over must hand its fresh local agent every live run in its first
+// phase A. Installing refills the agents' outboxes from the desired map for
+// that; cleared instead, the agent learns of a run only from phase A's
+// desired/actual diff, is handed it in phase F, and reports it a cycle late —
+// here job 1, due in the first cycle after the takeover, whose nodes job 2 is
+// waiting for: job 2 would start a cycle after it does on the leader.
+func TestSnapshotTakeoverHandsLiveRunsOver(t *testing.T) {
+	l, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := detConfig()
+	cfg.Log = l
+	lead := mustService(t, cfg)
+	lead.mu.Lock()
+	lead.takeoverLocked(0)
+	lead.mu.Unlock()
+	for i, at := range []float64{0.5, 1.5} { // job 1 alone at cycle 1; job 2 behind it
+		if _, err := lead.Submit(&job.Job{ID: job.ID(i + 1), Name: "train", User: "alice", Tasks: 16, Runtime: 2.5,
+			Submit: at, NonPrefFactor: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(svc *Service, n int) {
+		for i := 0; i < n; i++ {
+			svc.runCycle()
+		}
+	}
+	run(lead, 3) // job 1 started at 1, due at 3.5
+	lead.mu.Lock()
+	lead.snapshotLocked()
+	lead.mu.Unlock()
+	snap, ok := l.LastSnapshot()
+	if !ok {
+		t.Fatal("the leader took no snapshot")
+	}
+	if st, _ := lead.Status(1); st.Phase != PhaseRunning {
+		t.Fatalf("job 1 is %q at the snapshot, want running", st.Phase)
+	}
+	run(lead, 3)
+	want := lead.Metrics()
+	if st, _ := lead.Status(2); st.FirstStart != 4 {
+		t.Fatalf("job 2 first started at %v on the leader, want 4 (the cycle job 1's nodes came free)", st.FirstStart)
+	}
+
+	donor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, snap)
+	}))
+	defer donor.Close()
+	cfg = detConfig()
+	if cfg.Log, err = replog.Open(""); err != nil {
+		t.Fatal(err)
+	}
+	standby := mustService(t, cfg)
+	standby.fetchSnapshot(donor.URL)
+	standby.mu.Lock()
+	standby.takeoverLocked(0)
+	standby.mu.Unlock()
+	run(standby, 3)
+	if got := standby.Metrics(); got.OutcomeDigest != want.OutcomeDigest || got.Cycles != want.Cycles {
+		st, _ := standby.Status(2)
+		t.Fatalf("standby after takeover: digest %.12s at cycle %d (job 2 first started at %v), leader %.12s at cycle %d",
+			got.OutcomeDigest, got.Cycles, st.FirstStart, want.OutcomeDigest, want.Cycles)
+	}
+}
+
 // TestFailedSnapshotInstallChangesNothing: a snapshot a standby cannot
 // install — a predictor stream its predictor refuses, a cached distribution
-// the scheduler would refuse — must leave the standby as it was: its log not
+// the scheduler would refuse, live runs kept in a pre-agent completion heap —
+// must leave the standby as it was: its log not
 // reset to the snapshot, its state, scheduler and predictor untouched, one
 // divergence counted. (The log used to be reset before the payload was even
 // decoded, and the scheduler overwritten before the predictor was tried:
@@ -396,6 +464,12 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 			}
 			sched["dists"] = json.RawMessage(`{"2":{"kind":"no such distribution"}}`)
 			top["sched"], _ = json.Marshal(sched)
+		},
+		// A snapshot from before tasks ran on agents: its live run sits in
+		// the completion heap, and installed it would never complete.
+		"pre-agent comps": func(top map[string]json.RawMessage) {
+			top["comps"] = json.RawMessage(`[{"id":1,"run_id":1,"at":5}]`)
+			delete(top, "desired")
 		},
 	}
 	for name, damage := range corrupt {

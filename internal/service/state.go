@@ -1,8 +1,8 @@
 // The replicated state machine (DESIGN.md §14, "State machine").
 //
 // state is everything the replicas of a group must agree on: the cluster
-// engine, the admission queue, the deferred inputs, the emulated completion
-// heap, the desired-run map, the counters and cursors — and, by reference,
+// engine, the admission queue, the deferred inputs, the desired-run map (what
+// the agents should be running), the counters and cursors — and, by reference,
 // the scheduler and predictor the daemon was built around. It is driven only
 // through the methods below, which take no lock, read no clock, do no I/O and
 // log nothing (purity_test.go parses this file and holds it to that): the
@@ -19,7 +19,6 @@ package service
 
 import (
 	"bytes"
-	"container/heap"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -87,9 +86,8 @@ type ckptPayload struct {
 	Groups       int    `json:"groups"`
 }
 
-// compEv is one execution event: a completion or a fault-injected crash of
-// the attempt (ID, RunID), at an exact virtual time. It is both a cycle
-// record's entry and the emulated completion heap's.
+// compEv is one execution event an agent reported: a completion or a
+// fault-injected crash of the attempt (ID, RunID), at an exact virtual time.
 type compEv struct {
 	ID    job.ID  `json:"id"`
 	RunID int64   `json:"run_id"`
@@ -128,14 +126,13 @@ type cyclePayload struct {
 // scheduler and predictor the daemon was configured with (mutated in place —
 // their exported state rides in the encoding), the chaos injector (an
 // immutable schedule and pure per-attempt draws), the scheduler's logical
-// clock, and the two mode switches.
+// clock, and the mode switch.
 type env struct {
-	sched  simulator.Scheduler
-	pred   *predictor.Predictor
-	inj    *faults.Injector
-	clock  *simulator.VirtualClock // det mode: the scheduler's clock, set at each cycle top
-	det    bool                    // deterministic cycles: stamped admission, deferred inputs
-	remote bool                    // agents execute: desired runs + effects instead of the completion heap
+	sched simulator.Scheduler
+	pred  *predictor.Predictor
+	inj   *faults.Injector
+	clock *simulator.VirtualClock // det mode: the scheduler's clock, set at each cycle top
+	det   bool                    // deterministic cycles: stamped admission, deferred inputs
 }
 
 // stateSnapshotter is the scheduler capability snapshots require:
@@ -174,34 +171,13 @@ type deferred[P any] struct {
 	In  P      `json:"in"`
 }
 
-// desiredRun is the reconciler's desired state for one live attempt (agent
-// mode): what some agent should be running right now.
+// desiredRun is the reconciler's desired state for one live attempt: what
+// some agent should be running right now.
 type desiredRun struct {
 	RunID   int64           `json:"run_id"`
 	Alloc   simulator.Alloc `json:"alloc"`
 	Due     float64         `json:"due"`
 	CrashAt float64         `json:"crash_at,omitempty"`
-}
-
-// compHeap is the emulated completion heap, earliest event first.
-type compHeap []compEv
-
-func (h compHeap) Len() int { return len(h) }
-func (h compHeap) Less(i, j int) bool {
-	//lint:allow floateq exact tie-break: equal-bits due times fall through to the deterministic id order
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].ID < h[j].ID
-}
-func (h compHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *compHeap) Push(x interface{}) { *h = append(*h, x.(compEv)) }
-func (h *compHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // Counters are the service's cumulative admission and lifecycle counts.
@@ -242,7 +218,6 @@ type state struct {
 	Gone      map[job.ID]bool `json:"gone,omitempty"`      // cancelled or refused before admission (no Outcome)
 	Abandoned map[job.ID]bool `json:"abandoned,omitempty"` // dropped by the scheduler (zero utility)
 	Removed   []job.ID        `json:"removed,omitempty"`   // left the engine; sched.JobRemoved pending
-	Comps     compHeap        `json:"comps,omitempty"`     // in-process execution: due completions and crashes
 
 	// Det-mode inputs awaiting a cycle boundary, in log order.
 	Trains  []deferred[trainPayload]  `json:"trains,omitempty"`
@@ -251,7 +226,7 @@ type state struct {
 
 	FaultIdx int                    `json:"fault_idx,omitempty"` // next unapplied chaos schedule event
 	Attempts map[job.ID]int         `json:"attempts,omitempty"`  // starts per job, for per-attempt crash draws
-	Desired  map[job.ID]*desiredRun `json:"desired,omitempty"`   // agent mode: attempts that should be running
+	Desired  map[job.ID]*desiredRun `json:"desired,omitempty"`   // attempts the agents should be running
 }
 
 func newState(e env, cluster simulator.Cluster) *state {
@@ -323,9 +298,6 @@ func (st *state) effects() []effect {
 // retire drops a job's desired run (the attempt completed, crashed, was
 // preempted, was cancelled, or lost its nodes).
 func (st *state) retire(id job.ID, evict bool) {
-	if !st.remote {
-		return
-	}
 	run := st.Desired[id]
 	delete(st.Desired, id)
 	st.emit(retireRun{id: id, run: run, evict: evict})
@@ -472,11 +444,10 @@ func (st *state) applyCycle(rec replog.Record, p *cyclePayload) {
 // inputs the watermark covers, admission, execution events, the chaos
 // schedule, agent-liveness node ops, and the JobRemoved sweep — in this
 // exact order, so every replica drives the engine and scheduler through an
-// identical mutation sequence. With in-process execution the events come
-// off the state's own heap, on every replica, and are written into p for
-// the record; with agents they are what the leader collected, read from p.
-// It returns the engine snapshot the solver plans on. Taking one resets the
-// engine's change counters, so every replica takes it, solver or not.
+// identical mutation sequence. The execution events are what the leader's
+// agents reported, read from p. It returns the engine snapshot the solver
+// plans on. Taking one resets the engine's change counters, so every replica
+// takes it, solver or not.
 func (st *state) cycleTop(p *cyclePayload) (*simulator.State, []effect) {
 	now := p.Now
 	st.CycleNow = now
@@ -488,9 +459,6 @@ func (st *state) cycleTop(p *cyclePayload) (*simulator.State, []effect) {
 
 	// Execution events. Stale entries (preempted or cancelled runs) drop;
 	// crash entries kill the attempt through the engine's failure path.
-	if !st.remote {
-		p.Comps = st.popDue(now)
-	}
 	for _, c := range p.Comps {
 		if c.Crash {
 			requeued, ok := st.eng.CrashRun(c.ID, c.RunID, c.At)
@@ -603,20 +571,10 @@ func (st *state) admit(now float64, through uint64) {
 	}
 }
 
-// popDue drains emulated completions due by now, in deterministic
-// (time, id) heap order.
-func (st *state) popDue(now float64) []compEv {
-	var out []compEv
-	for len(st.Comps) > 0 && st.Comps[0].At <= now {
-		out = append(out, heap.Pop(&st.Comps).(compEv))
-	}
-	return out
-}
-
 // cycleDecide is the second half of a cycle: a decision — fresh from the
 // leader's solver, or out of its cycle record — applied to the engine.
-// Starts schedule their completion: onto the emulated heap, or into the
-// desired-run map and, as effects, the agents' outboxes.
+// Every start enters the desired-run map and, as an effect, the outboxes of
+// the agents its allocation touches.
 func (st *state) cycleDecide(now float64, preempts []job.ID, starts []simulator.StartAction) []effect {
 	for _, id := range preempts {
 		if st.eng.Preempt(id, now) {
@@ -642,16 +600,9 @@ func (st *state) cycleDecide(now float64, preempts []job.ID, starts []simulator.
 				crashAt = now + frac*rt
 			}
 		}
-		switch {
-		case st.remote:
-			d := &desiredRun{RunID: run.RunID, Alloc: a.Alloc.Clone(), Due: now + rt, CrashAt: crashAt}
-			st.Desired[id] = d
-			st.emit(startRun{id: id, run: d})
-		case crashAt > 0:
-			heap.Push(&st.Comps, compEv{At: crashAt, ID: id, RunID: run.RunID, Crash: true})
-		default:
-			heap.Push(&st.Comps, compEv{At: now + rt, ID: id, RunID: run.RunID})
-		}
+		d := &desiredRun{RunID: run.RunID, Alloc: a.Alloc.Clone(), Due: now + rt, CrashAt: crashAt}
+		st.Desired[id] = d
+		st.emit(startRun{id: id, run: d})
 	}
 	st.Cycles++
 	return st.effects()
@@ -820,16 +771,20 @@ type plain state
 // reference. Replaying the log suffix on top of a decoded state must
 // reproduce the donor replica's outcome digest and predictor SHA byte for
 // byte, so everything outcome-relevant is here; performance-only state
-// (scheduler memo, incremental model, stats, agent outboxes) is rebuilt
-// cold. Map keys are sorted by encoding/json, so two replicas with equal
-// state produce byte-identical encodings.
+// (scheduler memo, incremental model, stats) is rebuilt cold, and the agent
+// outboxes are refilled from the desired map. Map keys are sorted by
+// encoding/json, so two replicas with equal state produce byte-identical
+// encodings.
 type stateWire struct {
 	EngineEpoch uint64 `json:"engine_epoch"`
 	*plain
-	Comps     compHeap               `json:"comps,omitempty"` // shadows plain's: sorted, not in heap layout
 	Engine    *simulator.EngineState `json:"engine"`
 	Sched     *core.SchedState       `json:"sched"`
 	Predictor json.RawMessage        `json:"predictor,omitempty"` // predictor.Save stream
+	// Comps is never written: it is how decode recognizes a snapshot from
+	// before every service ran its tasks on an agent, whose live runs sit in
+	// the completion heap it encoded here and not in the desired map.
+	Comps json.RawMessage `json:"comps,omitempty"`
 }
 
 // wire assembles the state's encoding. It fails when the scheduler cannot
@@ -845,8 +800,6 @@ func (st *state) wire() (*stateWire, error) {
 	}
 	w := &stateWire{plain: (*plain)(st), Engine: st.eng.ExportState(), Sched: sst}
 	w.EngineEpoch = w.Engine.Epoch
-	w.Comps = append(compHeap(nil), st.Comps...)
-	sort.Sort(w.Comps)
 	if w.Predictor, err = st.savePredictor(); err != nil {
 		return nil, err
 	}
@@ -914,6 +867,11 @@ func (st *state) decode(data []byte) (*state, *staged, error) {
 	if w.Engine == nil || w.Sched == nil {
 		return nil, nil, fmt.Errorf("snapshot misses engine or scheduler state")
 	}
+	if len(w.Comps) > 0 {
+		// Installed, those runs would stay Running for good: no agent is
+		// told to start them, so none reports them done.
+		return nil, nil, fmt.Errorf("snapshot keeps its live runs in a completion heap (\"comps\"), not in \"desired\": written before tasks ran on agents")
+	}
 	var err error
 	if fresh.eng, err = simulator.EngineFromState(w.Engine); err != nil {
 		return nil, nil, fmt.Errorf("restore engine: %w", err)
@@ -923,8 +881,6 @@ func (st *state) decode(data []byte) (*state, *staged, error) {
 			return nil, nil, fmt.Errorf("restore scheduler: job %d distribution: %w", id, err)
 		}
 	}
-	fresh.Comps = w.Comps
-	heap.Init(&fresh.Comps)
 	fresh.queued = make(map[job.ID]*job.Job, len(fresh.Queue))
 	for _, q := range fresh.Queue {
 		if q.Job == nil {

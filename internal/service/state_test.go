@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"threesigma/internal/agent"
 	"threesigma/internal/baselines"
 	"threesigma/internal/core"
 	"threesigma/internal/faults"
@@ -74,24 +76,15 @@ func push(t *testing.T, svc *Service, recs []replog.Record) {
 	}
 }
 
-// TestOneLogOneStateOnEveryPath is the property the state machine exists
-// for: one scripted input stream — submits (one landing mid-solve), two
-// train batches, a cancel of a queued and of a running job, fail / recover /
-// drain / resize, an abandon out of the solve, chaos crashes — driven through
-// the leader's public API leaves the same state, outcome digest and predictor
-// hash on (i) that leader, (ii) a follower pushed the leader's records,
-// (iii) a process restarted over the leader's log, and (iv) a standby that
-// installed the leader's first snapshot and was pushed the suffix.
-func TestOneLogOneStateOnEveryPath(t *testing.T) {
-	dir := t.TempDir()
-	l, err := replog.Open(filepath.Join(dir, "leader.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	// (i) The leader, cycled by hand: no ticker decides which cycle an input
-	// lands in, and no compactor truncates the log the other paths read.
+// runScript drives one scripted input stream — submits (one landing
+// mid-solve), two train batches, a cancel of a queued and of a running job,
+// fail / recover / drain / resize, an abandon out of the solve, chaos crashes
+// — through a leader's public API, over the log l and on the agents given
+// (none: the service's own local agent), and returns the leader. It is
+// cycled by hand: no ticker decides which cycle an input lands in, and no
+// compactor truncates the log.
+func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
+	t.Helper()
 	var lead *Service
 	cycle := 0
 	must := func(what string, err error) {
@@ -118,6 +111,7 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	cfg := scriptConfig()
 	cfg.Log = l
 	cfg.CompactEvery = 5
+	cfg.Agents = agents
 	cfg.Scheduler = &hookSched{Scheduler: cfg.Scheduler.(*core.Scheduler), hook: func() {
 		switch cycle { // inside the solve: the leader's lock is free
 		case 3:
@@ -159,7 +153,7 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 		t.Fatal("no job running after three cycles")
 	}
 	must("cancel running", lead.Cancel(victim))
-	_, err = lead.FailNodes(0, 3)
+	_, err := lead.FailNodes(0, 3)
 	must("fail", err)
 	run(2) // cycle 5 snapshots
 	_, err = lead.RecoverNodes(0, 3)
@@ -175,11 +169,29 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	}
 	run(6) // cycle 10 snapshots; three cycles of suffix behind it
 
-	want := lead.Metrics()
-	if c := want.Counters; c.Cancelled != 2 || c.Abandoned != 1 || c.Trained != 12 || c.Accepted != 11 ||
-		c.Evicted == 0 || c.Completed == 0 || want.Control.Snapshots != 2 || want.Cycles != 13 {
-		t.Fatalf("the script did not do what it says: %+v, %d snapshots, %d cycles", c, want.Control.Snapshots, want.Cycles)
+	m := lead.Metrics()
+	if c := m.Counters; c.Cancelled != 2 || c.Abandoned != 1 || c.Trained != 12 || c.Accepted != 11 ||
+		c.Evicted == 0 || c.Completed == 0 || m.Control.Snapshots != 2 || m.Cycles != 13 {
+		t.Fatalf("the script did not do what it says: %+v, %d snapshots, %d cycles", c, m.Control.Snapshots, m.Cycles)
 	}
+	return lead
+}
+
+// TestOneLogOneStateOnEveryPath is the property the state machine exists
+// for: runScript's input stream leaves the same state, outcome digest and
+// predictor hash on (i) the leader it drove, (ii) a follower pushed the
+// leader's records, (iii) a process restarted over the leader's log, and
+// (iv) a standby that installed the leader's first snapshot and was pushed
+// the suffix.
+func TestOneLogOneStateOnEveryPath(t *testing.T) {
+	dir := t.TempDir()
+	l, err := replog.Open(filepath.Join(dir, "leader.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	lead := runScript(t, l, nil)
+	want := lead.Metrics()
 	wantEnc := encode(t, lead)
 	recs := l.Records()
 	var firstSnap replog.Record
@@ -200,7 +212,7 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	paths := map[string]*Service{}
 
 	// (ii) A follower, pushed every record.
-	cfg = scriptConfig()
+	cfg := scriptConfig()
 	cfg.Log = memLog()
 	paths["follower"] = mustService(t, cfg)
 	push(t, paths["follower"], recs)
@@ -245,6 +257,17 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 		if m.Control.Diverged != 0 {
 			t.Errorf("%s flagged %d divergences", name, m.Control.Diverged)
 		}
+		// A replica that does not lead queues no evict (the script cancels a
+		// running job and fails nodes under others), and no start for a run
+		// that is not live: its outboxes stay bounded by the desired map.
+		svc.mu.Lock()
+		for _, as := range svc.agents {
+			if len(as.outboxEvicts) != 0 || len(as.outboxStarts) > len(svc.st.Desired) {
+				t.Errorf("%s: %d evicts and %d starts queued for %d live runs",
+					name, len(as.outboxEvicts), len(as.outboxStarts), len(svc.st.Desired))
+			}
+		}
+		svc.mu.Unlock()
 		if got := encode(t, svc); !bytes.Equal(got, wantEnc) {
 			i := 0
 			for i < len(got) && i < len(wantEnc) && got[i] == wantEnc[i] {
@@ -256,17 +279,54 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	}
 }
 
+// TestLocalAndRemoteAgentsAgree: where the tasks run is not an input.
+// runScript's stream on the service's own in-process agent and on two agent
+// daemons behind HTTP that split the partitions between them leaves the same
+// outcome digest, predictor hash and state encoding, byte for byte.
+func TestLocalAndRemoteAgentsAgree(t *testing.T) {
+	var remote []*agent.Client
+	for p := 0; p < 2; p++ {
+		srv := httptest.NewServer(agent.New(fmt.Sprintf("a%d", p), map[int]int{p: 8}).Handler())
+		t.Cleanup(srv.Close)
+		remote = append(remote, &agent.Client{Addr: srv.URL, Partitions: []int{p}})
+	}
+	var svcs []*Service
+	for _, agents := range [][]*agent.Client{nil, remote} {
+		l, err := replog.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		svcs = append(svcs, runScript(t, l, agents))
+	}
+	local, rem := svcs[0].Metrics(), svcs[1].Metrics()
+	if local.AgentsLive != 1 || rem.AgentsLive != 2 || local.Control.DirectivesSent == 0 || rem.Control.DirectivesSent == 0 {
+		t.Fatalf("agents live %d and %d, directives sent %d and %d: want 1 and 2, both > 0",
+			local.AgentsLive, rem.AgentsLive, local.Control.DirectivesSent, rem.Control.DirectivesSent)
+	}
+	if rem.OutcomeDigest != local.OutcomeDigest || rem.PredictorSHA != local.PredictorSHA {
+		t.Errorf("remote agents: digest %.12s sha %.12s, local agent %.12s %.12s",
+			rem.OutcomeDigest, rem.PredictorSHA, local.OutcomeDigest, local.PredictorSHA)
+	}
+	if got, want := encode(t, svcs[1]), encode(t, svcs[0]); !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Errorf("state differs at byte %d:\n remote …%s\n  local …%s", i,
+			got[max(0, i-60):min(len(got), i+60)], want[max(0, i-60):min(len(want), i+60)])
+	}
+}
+
 // fuzzState is a small live state — jobs queued, pending and running, a
 // deferred input of each kind — for FuzzStateApply to throw records at.
-func fuzzState(t *testing.T, remote bool) *state {
+func fuzzState(t *testing.T) *state {
 	p := predictor.New(predictor.Config{})
 	st := newState(env{
-		sched:  baselines.ThreeSigma(p, core.Config{CycleInterval: 1}),
-		pred:   p,
-		inj:    faults.New(faults.Config{Seed: 1, CrashProb: 0.5, MaxRetries: 1}, []int{8, 8}, 0),
-		clock:  simulator.NewVirtualClock(),
-		det:    true,
-		remote: remote,
+		sched: baselines.ThreeSigma(p, core.Config{CycleInterval: 1}),
+		pred:  p,
+		inj:   faults.New(faults.Config{Seed: 1, CrashProb: 0.5, MaxRetries: 1}, []int{8, 8}, 0),
+		clock: simulator.NewVirtualClock(),
+		det:   true,
 	}, simulator.NewCluster(16, 2))
 	seq := uint64(0)
 	apply := func(typ string, payload any) {
@@ -297,25 +357,25 @@ func fuzzState(t *testing.T, remote bool) *state {
 // it accepts can be carried across the next cycle boundary — where deferred
 // inputs actually run — and encoded.
 func FuzzStateApply(f *testing.F) {
-	f.Add(false, replog.TypeAdmit, []byte(`{}`)) // TestAdmitReplayIdempotent's nil job
-	f.Add(false, replog.TypeAdmit, []byte(`{`))  // and its garbled payload
-	f.Add(true, replog.TypeAdmit, []byte(`{"job":{"ID":9,"Tasks":3,"Runtime":2,"Submit":1,"Preferred":[7,-1]}}`))
-	f.Add(false, replog.TypeAdmit, []byte(`{"job":{"ID":1,"Tasks":-3}}`))
-	f.Add(false, replog.TypeTrain, []byte(`{"name":"train","tasks":4,"runtime":2.5}`))
-	f.Add(false, replog.TypeTrain, []byte(`{"runtime":-1}`))
-	f.Add(true, replog.TypeCancel, []byte(`{"id":1}`))
-	f.Add(false, replog.TypeNodeOp, []byte(`{"kind":"resize","partition":1,"delta":-99}`))
-	f.Add(true, replog.TypeNodeOp, []byte(`{"kind":"drain","partition":9,"n":1}`))
-	f.Add(false, replog.TypeNodeOp, []byte(`{"kind":"reboot"}`))
-	f.Add(true, replog.TypeCycle, []byte(`{"now":2,"inputs_through":99,"comps":[{"id":1,"run_id":1,"at":-4},{"id":1,"run_id":1,"at":1.5,"crash":true}],"agent_ops":[{"fail":true,"partition":1,"nodes":99},{"partition":-1}],"abandons":[3,77],"preempts":[1,1],"starts":[{"Job":3,"Alloc":[1]},{"Job":3,"Alloc":[2,2]}],"engine_epoch":1}`))
-	f.Add(false, replog.TypeCycle, []byte(`{"now":-1e300}`))
-	f.Add(false, replog.TypeCheckpoint, []byte(`{"cycle":1,"predictor_sha":"beef"}`))
-	f.Add(false, replog.TypeElect, []byte(`{"replica":2,"cycle":1}`))
-	f.Add(false, replog.TypeSnapshot, []byte(`{"engine_epoch":7,"cycle":1}`))
-	f.Add(false, replog.TypeSnapshot, []byte(`{"cycle":1}`))
-	f.Add(false, "bogus", []byte(`null`))
-	f.Fuzz(func(t *testing.T, remote bool, typ string, data []byte) {
-		st := fuzzState(t, remote)
+	f.Add(replog.TypeAdmit, []byte(`{}`)) // TestAdmitReplayIdempotent's nil job
+	f.Add(replog.TypeAdmit, []byte(`{`))  // and its garbled payload
+	f.Add(replog.TypeAdmit, []byte(`{"job":{"ID":9,"Tasks":3,"Runtime":2,"Submit":1,"Preferred":[7,-1]}}`))
+	f.Add(replog.TypeAdmit, []byte(`{"job":{"ID":1,"Tasks":-3}}`))
+	f.Add(replog.TypeTrain, []byte(`{"name":"train","tasks":4,"runtime":2.5}`))
+	f.Add(replog.TypeTrain, []byte(`{"runtime":-1}`))
+	f.Add(replog.TypeCancel, []byte(`{"id":1}`))
+	f.Add(replog.TypeNodeOp, []byte(`{"kind":"resize","partition":1,"delta":-99}`))
+	f.Add(replog.TypeNodeOp, []byte(`{"kind":"drain","partition":9,"n":1}`))
+	f.Add(replog.TypeNodeOp, []byte(`{"kind":"reboot"}`))
+	f.Add(replog.TypeCycle, []byte(`{"now":2,"inputs_through":99,"comps":[{"id":1,"run_id":1,"at":-4},{"id":1,"run_id":1,"at":1.5,"crash":true}],"agent_ops":[{"fail":true,"partition":1,"nodes":99},{"partition":-1}],"abandons":[3,77],"preempts":[1,1],"starts":[{"Job":3,"Alloc":[1]},{"Job":3,"Alloc":[2,2]}],"engine_epoch":1}`))
+	f.Add(replog.TypeCycle, []byte(`{"now":-1e300}`))
+	f.Add(replog.TypeCheckpoint, []byte(`{"cycle":1,"predictor_sha":"beef"}`))
+	f.Add(replog.TypeElect, []byte(`{"replica":2,"cycle":1}`))
+	f.Add(replog.TypeSnapshot, []byte(`{"engine_epoch":7,"cycle":1}`))
+	f.Add(replog.TypeSnapshot, []byte(`{"cycle":1}`))
+	f.Add("bogus", []byte(`null`))
+	f.Fuzz(func(t *testing.T, typ string, data []byte) {
+		st := fuzzState(t)
 		before, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)

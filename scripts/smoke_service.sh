@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # smoke_service.sh — end-to-end smoke of the online service: build serverd +
-# loadgen, replay ~50 jobs, assert every job reaches a terminal phase and the
-# solver did real work, then SIGTERM the daemon and verify a restart from the
-# same checkpoint serves bit-identical predictor estimates.
+# loadgen, replay ~50 jobs, assert every job reaches a terminal phase, the
+# solver did real work and the tasks ran through the daemon's one in-process
+# agent (the reconciler, not a private executor), then SIGTERM the daemon and
+# verify a restart from the same checkpoint serves bit-identical predictor
+# estimates.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,9 +39,10 @@ readyz() {
     "$LOADGEN" -addr "$ADDR" -readyz
 }
 
-solver_nodes() {
+# metric <name>: one integer field of /v1/metrics (names are unique in it).
+metric() {
     "$LOADGEN" -addr "$ADDR" -metrics |
-        sed -n 's/.*"solver_nodes":\([0-9][0-9]*\).*/\1/p'
+        sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p"
 }
 
 echo "-- batch 1: replay against $ADDR"
@@ -47,8 +50,13 @@ start_daemon
 "$LOADGEN" -addr "$ADDR" -wait 10s -nodes 64 -partitions 4 \
     -hours 0.125 -jobs-per-hour 400 -load 0.7 -speedup 60 -seed 3 -timeout 150s
 
-SOLVED=$(solver_nodes)
+SOLVED=$(metric solver_nodes)
 [ "${SOLVED:-0}" -gt 0 ] || { echo "FAIL: solver_nodes=$SOLVED after batch 1"; exit 1; }
+SENT=$(metric directives_sent)
+LIVE=$(metric agents_live)
+[ "${SENT:-0}" -gt 0 ] && [ "${LIVE:-0}" -eq 1 ] ||
+    { echo "FAIL: directives_sent=$SENT agents_live=$LIVE: the tasks did not run through the local agent"; exit 1; }
+echo "tasks ran through the local agent: $SENT directives, $LIVE agent live"
 P1=$("$LOADGEN" -addr "$ADDR" -predict "$PROBE")
 
 echo "-- warm restart: SIGTERM, restart from $CKPT"
@@ -66,7 +74,7 @@ echo "-- batch 2: replay against restarted daemon"
 "$LOADGEN" -addr "$ADDR" -nodes 64 -partitions 4 \
     -hours 0.125 -jobs-per-hour 400 -load 0.7 -speedup 60 -seed 4 -timeout 150s
 
-SOLVED=$(solver_nodes)
+SOLVED=$(metric solver_nodes)
 [ "${SOLVED:-0}" -gt 0 ] || { echo "FAIL: solver_nodes=$SOLVED after batch 2"; exit 1; }
 
 echo "-- readiness drain: SIGTERM flips /readyz to 503 while /healthz stays 200"
