@@ -1,23 +1,24 @@
 // Command 3sigma-serverd is the online 3σSched daemon: it serves the
-// internal/service JSON API over HTTP, runs scheduling cycles on the wall
-// clock, and checkpoints 3σPredict's history for warm restarts.
+// internal/service JSON API over HTTP and runs scheduling cycles on the wall
+// clock.
 //
 // Usage:
 //
 //	3sigma-serverd [-addr :8334] [-nodes 64] [-partitions 4]
 //	               [-cycle 10] [-timescale 1] [-queue-cap 256]
-//	               [-checkpoint path] [-checkpoint-every 30s]
-//	               [-det] [-replog path] [-replica 0] [-peers 0=url,1=url,...]
+//	               [-det] [-replog path] [-compact-every 0]
+//	               [-replica 0] [-peers 0=url,1=url,...]
 //	               [-agents url=p0:p1,...] [-lease 2s] [-dead-rounds 3]
 //
 // SIGTERM or SIGINT drains the daemon: in-flight HTTP requests and the
-// current scheduling cycle finish, a final predictor checkpoint is flushed,
-// and the process exits 0. Restarting with the same -checkpoint path
-// restores the predictor exactly as it was killed.
+// current scheduling cycle finish, and the process exits 0.
 //
 // The distributed control plane (DESIGN.md §14) switches on with -det:
 // -replog appends every replay-relevant input and cycle decision to a
-// hash-chained log (replayed on restart for a warm, bit-identical resume);
+// hash-chained log, the one thing a restart reads: restarted with the same
+// -replog, the daemon resumes warm and bit-identical — outcomes, scheduler
+// and predictor as they were stopped (-compact-every bounds the replay to
+// the suffix behind the newest snapshot);
 // -replica/-peers forms a replica group with lease-based leader election and
 // synchronous input replication (kill -9 the leader and a warm standby takes
 // over within a lease); -agents runs the tasks on remote node-group agent
@@ -81,8 +82,6 @@ func main() {
 	cycle := flag.Float64("cycle", 10, "scheduling cycle interval, virtual seconds")
 	timescale := flag.Float64("timescale", 1, "virtual seconds per wall second (replay speed)")
 	queueCap := flag.Int("queue-cap", 256, "admission queue bound (429 beyond it)")
-	ckpt := flag.String("checkpoint", "", "predictor checkpoint path (empty: no persistence)")
-	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "checkpoint period (wall clock)")
 	budget := flag.Duration("solver-budget", 150*time.Millisecond, "MILP solver budget per cycle")
 	verbose := flag.Bool("verbose", false, "log every scheduling decision (starts, deferrals, preemptions, abandonments)")
 	chaos := flag.String("chaos", "", "chaos injection spec: preset (light, heavy) or k=v list, e.g. seed=7,mtbf=1800,mttr=300,crash=0.05 (virtual-time schedule; see internal/faults)")
@@ -165,8 +164,6 @@ func main() {
 		CycleInterval:     *cycle,
 		TimeScale:         *timescale,
 		QueueCap:          *queueCap,
-		CheckpointPath:    *ckpt,
-		CheckpointEvery:   *ckptEvery,
 		Logf:              logger.Printf,
 		Faults:            faultCfg,
 		DetCycles:         *det,
@@ -218,8 +215,8 @@ func main() {
 		logger.Fatal(err)
 	}
 	m := svc.Metrics()
-	fmt.Fprintf(os.Stderr, "3sigma-serverd: done: %d accepted, %d completed, %d cancelled, %d cycles, %d checkpoints\n",
-		m.Counters.Accepted, m.Counters.Completed, m.Counters.Cancelled, m.Cycles, m.Checkpoints)
+	fmt.Fprintf(os.Stderr, "3sigma-serverd: done: %d accepted, %d completed, %d cancelled, %d cycles\n",
+		m.Counters.Accepted, m.Counters.Completed, m.Counters.Cancelled, m.Cycles)
 	if errors.Is(<-errCh, http.ErrServerClosed) {
 		os.Exit(0)
 	}

@@ -2,7 +2,7 @@
 // (DESIGN.md §14): an append-only sequence of hash-chained records holding
 // every scheduler input that matters for deterministic replay — admissions,
 // train feeds, operator node ops, cycle decisions with their agent state
-// deltas, predictor checkpoints, full-state snapshots, and leader elections.
+// deltas, full-state snapshots, and leader elections.
 //
 // On disk a log is a stream of length-prefixed JSON records (4-byte
 // big-endian length, then the record's JSON bytes), each carrying the
@@ -61,9 +61,10 @@ const (
 	// abandonments. Cycle records are derived state — a lost tail cycle is
 	// recomputed identically by the next leader.
 	TypeCycle = "cycle"
-	// TypeCheckpoint marks a predictor checkpoint: the sha256 of the
-	// predictor state at this point in the log. Replay from the matching
-	// checkpoint file may start here instead of genesis.
+	// TypeCheckpoint is legacy, skipped: logs written while the daemon also
+	// kept predictor checkpoint files hold these records (the predictor's
+	// sha256 at that point); nothing writes them now, and applying one
+	// changes no state.
 	TypeCheckpoint = "ckpt"
 	// TypeSnapshot carries the full serialized service state (engine,
 	// scheduler, predictor, admission queue, deferred inputs) at this point
@@ -521,25 +522,14 @@ func (l *Log) Records() []Record {
 	return copyRecords(l.recs)
 }
 
-// LastCheckpoint returns the most recent TypeCheckpoint record, or ok=false
-// when the log holds none. Replay may start from the state it names instead
-// of genesis.
-func (l *Log) LastCheckpoint() (Record, bool) {
-	return l.lastOfType(TypeCheckpoint)
-}
-
 // LastSnapshot returns the most recent TypeSnapshot record, or ok=false
 // when the log holds none. It is the record served to far-behind replicas
 // over GET /v1/replog/snapshot and the point bootstrap replay starts from.
 func (l *Log) LastSnapshot() (Record, bool) {
-	return l.lastOfType(TypeSnapshot)
-}
-
-func (l *Log) lastOfType(typ string) (Record, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := len(l.recs) - 1; i >= 0; i-- {
-		if l.recs[i].Type == typ {
+		if l.recs[i].Type == TypeSnapshot {
 			rec := l.recs[i]
 			rec.Data = append(json.RawMessage(nil), rec.Data...)
 			return rec, true

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"threesigma/internal/agent"
 	"threesigma/internal/baselines"
 	"threesigma/internal/core"
+	"threesigma/internal/job"
 	"threesigma/internal/predictor"
 	"threesigma/internal/replog"
 )
@@ -67,9 +69,11 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestWarmRestartFromLogBitIdentical is the acceptance check for the
-// decision log: a drained daemon (the SIGTERM path: BeginDrain, then Stop)
-// is rebuilt from its log by a brand-new process with a cold scheduler and
-// predictor, and every replay-derived digest must match bitwise.
+// decision log, the one way a daemon restarts warm: a drained daemon (the
+// SIGTERM path: BeginDrain, then Stop) is rebuilt from its log by a
+// brand-new process with a cold scheduler and predictor, every
+// replay-derived digest must match bitwise, and the restored predictor must
+// estimate — and serve over /v1/predict — exactly what the stopped one did.
 func TestWarmRestartFromLogBitIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decision.log")
 	l1, err := replog.Open(path)
@@ -102,12 +106,17 @@ func TestWarmRestartFromLogBitIdentical(t *testing.T) {
 	if m1.OutcomeDigest == "" || m1.PredictorSHA == "" || m1.LogLen == 0 {
 		t.Fatalf("drained metrics missing digests: %+v", m1)
 	}
+	probe := &job.Job{Name: "train", User: "alice", Tasks: 4}
+	pre := cfg.Predictor.Estimate(probe)
+	if pre.Novel || pre.Samples == 0 {
+		t.Fatalf("predictor learned nothing: %+v", pre)
+	}
 	if err := l1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Restart": reopen the log into a cold service. No checkpoint file is
-	// involved — the log alone must reconstruct the predictor and outcomes.
+	// "Restart": reopen the log into a cold service. The log alone must
+	// reconstruct the predictor and outcomes.
 	l2, err := replog.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -127,13 +136,33 @@ func TestWarmRestartFromLogBitIdentical(t *testing.T) {
 		t.Fatalf("replayed cycles/completions %d/%d, want %d/%d",
 			m2.Cycles, m2.Counters.Completed, m1.Cycles, m1.Counters.Completed)
 	}
+	post := cfg2.Predictor.Estimate(probe)
+	if post.Point != pre.Point || post.Expert != pre.Expert || post.Samples != pre.Samples {
+		t.Fatalf("post-restart estimate %+v != pre-kill %+v", post, pre)
+	}
+	for _, q := range []float64{0.1, 0.5, 0.9} {
+		if a, b := pre.Dist.Quantile(q), post.Dist.Quantile(q); math.Abs(a-b) > 1e-12 {
+			t.Fatalf("quantile %.1f: %v != %v", q, a, b)
+		}
+	}
 
 	// The restarted daemon keeps scheduling from where the log ends.
 	svc2.Start()
 	defer svc2.Stop(10 * time.Second)
 	ts2 := httptest.NewServer(svc2.Handler())
 	defer ts2.Close()
-	resp, body := postJSON(t, ts2, "/v1/jobs", jobRequest{
+	resp, body := postJSON(t, ts2, "/v1/predict", predictRequest{Name: "train", User: "alice", Tasks: 4})
+	if resp.StatusCode != 200 {
+		t.Fatalf("predict = %d %s", resp.StatusCode, body)
+	}
+	var pr predictResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Point != pre.Point || pr.Expert != pre.Expert {
+		t.Fatalf("served prediction %+v != pre-kill %+v", pr, pre)
+	}
+	resp, body = postJSON(t, ts2, "/v1/jobs", jobRequest{
 		ID: 10, Name: "train", User: "alice", Tasks: 4, Runtime: 2, SubmitAt: 0.5,
 	})
 	if resp.StatusCode != 202 {

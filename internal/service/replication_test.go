@@ -418,9 +418,10 @@ func TestBlockedQuorumWaitReleasedAtOnce(t *testing.T) {
 }
 
 // TestSnapshotEngineEpochLeadsThePayload pins what the in-sync follower's
-// cheap check rests on: an exported snapshot begins with the engine epoch, so
-// reading it costs the same for a 1 KB payload and a 4 MB one. A field moved
-// ahead of it in stateWire fails here, not as a silent loss of the check.
+// cheap check rests on: an exported snapshot begins with the engine epoch and
+// the predictor hash, so reading them costs the same for a 1 KB payload and a
+// 4 MB one. A field moved ahead of them in stateWire fails here, not as a
+// silent loss of the check.
 func TestSnapshotEngineEpochLeadsThePayload(t *testing.T) {
 	l, err := replog.Open("")
 	if err != nil {
@@ -435,17 +436,24 @@ func TestSnapshotEngineEpochLeadsThePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.snapshotLocked()
-	want := svc.st.eng.Epoch()
+	want, wantSHA := svc.st.eng.Epoch(), predictorSHA(cfg.Predictor)
 	svc.mu.Unlock()
 	rec, ok := l.LastSnapshot()
 	if !ok {
 		t.Fatal("no snapshot appended")
 	}
-	if got, ok := snapshotEngineEpoch(rec.Data); !ok || got != want || want == 0 {
-		t.Fatalf("snapshotEngineEpoch = %d, %v; the engine is at epoch %d", got, ok, want)
+	if got, sha, ok := snapshotHeader(rec.Data); !ok || got != want || want == 0 || sha != wantSHA {
+		t.Fatalf("snapshotHeader = %d, %.12s, %v; the engine is at epoch %d, the predictor hashes to %.12s",
+			got, sha, ok, want, wantSHA)
 	}
-	if _, ok := snapshotEngineEpoch([]byte(`{"cycle":3,"engine_epoch":7}`)); ok {
-		t.Fatal("read an engine epoch that does not lead the payload")
+	for _, bad := range []string{
+		`{"cycle":3,"engine_epoch":7,"predictor_sha":"ab"}`,
+		`{"engine_epoch":7,"cycle":3,"predictor_sha":"ab"}`,
+		`{"predictor_sha":"ab","engine_epoch":7}`,
+	} {
+		if _, _, ok := snapshotHeader([]byte(bad)); ok {
+			t.Fatalf("read a header that does not lead the payload %s", bad)
+		}
 	}
 }
 

@@ -9,10 +9,7 @@
 //
 // Time runs at Config.TimeScale virtual seconds per wall second, so a
 // multi-hour workload can be replayed against a live daemon in minutes
-// (cmd/3sigma-loadgen's -speedup must match). The predictor's history is
-// checkpointed periodically and on shutdown, and restored on startup, so a
-// restarted daemon predicts exactly as the one that was killed
-// (warm restart).
+// (cmd/3sigma-loadgen's -speedup must match).
 //
 // With Config.DetCycles the daemon runs in deterministic-cycle mode
 // (DESIGN.md §14): cycle k executes at logical time k·CycleInterval
@@ -22,10 +19,13 @@
 // input and decision then flows through an append-only hash-chained log
 // (internal/replog) that is synchronously replicated to standby replicas and
 // replayed on restart, so a warm standby that takes over after a leader
-// kill -9 resumes with a bitwise-identical outcome digest. Either way the
-// service is a pure reconciler that diffs desired against actual state and
-// issues idempotent epoch-fenced directives (reconcile.go) — to one agent in
-// its own process, or to remote agent daemons (Config.Agents).
+// kill -9 resumes with a bitwise-identical outcome digest, and a restarted
+// daemon predicts exactly as the one that was stopped: the log, with its
+// snapshot records, is the one way state persists (without it a restart is
+// cold). In either mode the service is a pure reconciler that diffs desired
+// against actual state and issues idempotent epoch-fenced directives
+// (reconcile.go) — to one agent in its own process, or to remote agent
+// daemons (Config.Agents).
 //
 // Everything the replicas must agree on is one value, state (state.go),
 // changed only by applying log records and running cycles through its
@@ -54,9 +54,9 @@ import (
 type Config struct {
 	Cluster   simulator.Cluster
 	Scheduler simulator.Scheduler
-	// Predictor, when non-nil, enables the /v1/predict endpoint and
-	// checkpointing. It must be the same instance the Scheduler estimates
-	// from for warm restarts to be meaningful.
+	// Predictor, when non-nil, enables the /v1/predict endpoint. It must be
+	// the same instance the Scheduler estimates from: its history is part
+	// of the replicated state, replayed from the Log on a warm restart.
 	Predictor *predictor.Predictor
 
 	// CycleInterval is the scheduling period in virtual seconds
@@ -71,20 +71,13 @@ type Config struct {
 	// rejected with 429 + Retry-After (default 256).
 	QueueCap int
 
-	// CheckpointPath, when set with a Predictor, persists the predictor's
-	// history there every CheckpointEvery (default 30s) and on Stop,
-	// via an atomic temp-file rename. On startup an existing checkpoint
-	// is loaded before the first cycle.
-	CheckpointPath  string
-	CheckpointEvery time.Duration
-
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 
 	// Clock is the daemon's time source (default simulator.WallClock).
-	// Virtual time, checkpoint pacing, and uptime are all measured through
-	// it, so tests can pin the clock and replay the loop deterministically;
-	// only the cycle ticker and drain timeout stay on real time.
+	// Virtual time and uptime are both measured through it, so tests can
+	// pin the clock and replay the loop deterministically; only the cycle
+	// ticker and drain timeout stay on real time.
 	Clock simulator.Clock
 
 	// Faults, when non-nil, runs a chaos injector inside the scheduling
@@ -106,8 +99,7 @@ type Config struct {
 	// Log, when non-nil, records every replay-relevant input and cycle
 	// decision in an append-only hash-chained log. On New, a non-empty log
 	// is replayed into the engine/scheduler/predictor before the service
-	// starts (warm restart); the predictor checkpoint file is then ignored
-	// on restore, since the log is authoritative.
+	// starts (warm restart).
 	Log *replog.Log
 
 	// ReplicaID identifies this replica in Peers; Peers maps every replica
@@ -168,9 +160,6 @@ func (c *Config) fill() error {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 30 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -261,7 +250,7 @@ type shardStatser interface{ ShardStats() []core.Stats }
 type ControlCounters struct {
 	Elections        int64 `json:"elections"`         // leaderships assumed by this replica
 	ReplLagTimeouts  int64 `json:"repl_lag_timeouts"` // input appends that outwaited a follower ack
-	Diverged         int64 `json:"diverged"`          // chain/epoch/checkpoint mismatches observed
+	Diverged         int64 `json:"diverged"`          // chain/epoch/predictor-hash mismatches observed
 	RecordsApplied   int64 `json:"records_applied"`   // log records applied as a follower (or replayed)
 	DirectivesSent   int64 `json:"directives_sent"`   // start+evict directives delivered to agents
 	EventsApplied    int64 `json:"events_applied"`    // agent lifecycle events applied
@@ -330,8 +319,7 @@ type Service struct {
 }
 
 // New builds a Service. A non-empty Config.Log is replayed into the state
-// before the service accepts any work; otherwise, if a checkpoint exists at
-// Config.CheckpointPath, it is restored into the predictor.
+// before the service accepts any work.
 func New(cfg Config) (*Service, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -375,22 +363,9 @@ func New(cfg Config) (*Service, error) {
 		compactWake: make(chan struct{}, 1),
 		compactDone: make(chan struct{}),
 	}
-	replayed := false
 	if s.log != nil && s.log.Len() > 0 {
-		n, err := s.bootstrapReplay()
-		if err != nil {
+		if _, err := s.bootstrapReplay(); err != nil {
 			return nil, fmt.Errorf("service: replay decision log: %w", err)
-		}
-		replayed = n > 0
-	}
-	if cfg.Predictor != nil && cfg.CheckpointPath != "" && !replayed {
-		found, err := loadCheckpoint(cfg.Predictor, cfg.CheckpointPath)
-		if err != nil {
-			return nil, fmt.Errorf("service: restore checkpoint: %w", err)
-		}
-		if found {
-			cfg.Logf("restored predictor checkpoint from %s (%d history groups)",
-				cfg.CheckpointPath, cfg.Predictor.GroupCount())
 		}
 	}
 	return s, nil
@@ -458,9 +433,9 @@ func (s *Service) IsLeader() bool {
 	return s.role == RoleLeader
 }
 
-// Stop drains the service: new submissions are refused, the in-flight
-// cycle finishes, and a final checkpoint is flushed. It blocks until the
-// loop has exited (or timeout elapses; 0 means wait forever).
+// Stop drains the service: new submissions are refused and the in-flight
+// cycle finishes. It blocks until the loop has exited (or timeout elapses;
+// 0 means wait forever).
 func (s *Service) Stop(timeout time.Duration) error {
 	s.mu.Lock()
 	if !s.started {
@@ -514,16 +489,13 @@ func (s *Service) loop() {
 	defer close(s.loopDone)
 	ticker := time.NewTicker(s.cycleWall())
 	defer ticker.Stop()
-	lastCkpt := s.cfg.Clock.Now()
 	for {
 		select {
 		case <-s.stop:
-			// One final cycle applies whatever is already admitted, then
-			// the predictor state is flushed so a restart resumes warm.
-			// Followers skip both: their state is the leader's replica.
+			// One final cycle applies whatever is already admitted.
+			// Followers skip it: their state is the leader's replica.
 			if s.IsLeader() {
 				s.runCycle()
-				s.checkpoint()
 			}
 			s.mu.Lock()
 			c, cyc := s.st.Counters, s.st.Cycles
@@ -535,11 +507,6 @@ func (s *Service) loop() {
 				continue // follower: state advances via replicated records
 			}
 			s.runCycle()
-			if s.cfg.Predictor != nil && s.cfg.CheckpointPath != "" &&
-				s.cfg.Clock.Since(lastCkpt) >= s.cfg.CheckpointEvery {
-				s.checkpoint()
-				lastCkpt = s.cfg.Clock.Now()
-			}
 		}
 	}
 }
@@ -682,28 +649,6 @@ func (s *Service) runEffectsLocked(fx []effect) {
 			s.pendingCompact = uint64(e)
 			s.wakeCompactorLocked()
 		}
-	}
-}
-
-func (s *Service) checkpoint() {
-	if s.cfg.Predictor == nil || s.cfg.CheckpointPath == "" {
-		return
-	}
-	if err := saveCheckpoint(s.cfg.Predictor, s.cfg.CheckpointPath); err != nil {
-		s.cfg.Logf("checkpoint: %v", err)
-		return
-	}
-	// Record the checkpoint's predictor hash: every replica recomputes its
-	// own on apply and flags any divergence, which pins standby warmness in CI.
-	s.mu.Lock()
-	_, err := s.inputsLocked(replog.TypeCheckpoint, &ckptPayload{
-		Cycle:        s.st.Cycles,
-		PredictorSHA: s.st.predictorSHA(),
-		Groups:       s.cfg.Predictor.GroupCount(),
-	})
-	s.mu.Unlock()
-	if err != nil {
-		s.cfg.Logf("checkpoint record: %v", err)
 	}
 }
 
@@ -1084,7 +1029,6 @@ type Metrics struct {
 	DownNodes       []int    `json:"down_nodes"`
 	NodeDownSeconds float64  `json:"node_down_seconds"`
 	Ready           bool     `json:"ready"` // started, not draining, leading
-	Checkpoints     int64    `json:"checkpoints"`
 	PredictorGroups int      `json:"predictor_groups,omitempty"`
 
 	// Control plane (DESIGN.md §14).
@@ -1194,7 +1138,6 @@ func (s *Service) Metrics() Metrics {
 		FreeNodes:       s.st.eng.FreeNodes(),
 		DownNodes:       s.st.eng.DownNodes(),
 		Ready:           s.started && !s.draining && s.role == RoleLeader,
-		Checkpoints:     s.st.Ckpts,
 		NodeDownSeconds: s.st.eng.NodeDownSeconds(s.vnowLocked()),
 		SchedCycles:     cs.Cycles,
 		SolverNodes:     cs.SolverNodes,

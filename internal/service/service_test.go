@@ -4,18 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"threesigma/internal/baselines"
-	"threesigma/internal/core"
 	"threesigma/internal/faults"
 	"threesigma/internal/job"
-	"threesigma/internal/predictor"
 	"threesigma/internal/simulator"
 )
 
@@ -334,100 +329,6 @@ func TestDrainingRefusesSubmissions(t *testing.T) {
 	resp, _ := postJSON(t, ts, "/v1/jobs", jobRequest{ID: 1, Tasks: 1, Runtime: 1})
 	if resp.StatusCode != 503 {
 		t.Fatalf("submit while draining = %d, want 503", resp.StatusCode)
-	}
-}
-
-// TestWarmRestartRestoresPredictorState is the acceptance check for the
-// checkpoint lifecycle: a daemon that completed jobs is stopped (flushing
-// its checkpoint), a second daemon starts from the same path, and its
-// predictor must produce identical estimates to the one that was killed.
-func TestWarmRestartRestoresPredictorState(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "predictor.ckpt")
-	probe := &job.Job{Name: "train", User: "alice", Tasks: 4}
-
-	p1 := predictor.New(predictor.Config{})
-	cfg := fastConfig(baselines.ThreeSigma(p1, core.Config{CycleInterval: 1}))
-	cfg.Predictor = p1
-	cfg.CheckpointPath = ckpt
-	svc1 := mustService(t, cfg)
-	svc1.Start()
-	ts := httptest.NewServer(svc1.Handler())
-	for i := 1; i <= 4; i++ {
-		resp, body := postJSON(t, ts, "/v1/jobs", jobRequest{
-			ID: int64(i), Name: "train", User: "alice", Tasks: 4, Runtime: float64(2 + i),
-		})
-		if resp.StatusCode != 202 {
-			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, body)
-		}
-	}
-	for i := 1; i <= 4; i++ {
-		waitPhase(t, ts, i, PhaseCompleted)
-	}
-	ts.Close()
-	if err := svc1.Stop(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	pre := p1.Estimate(probe)
-	if pre.Novel || pre.Samples == 0 {
-		t.Fatalf("predictor learned nothing: %+v", pre)
-	}
-
-	// "Restart": a brand-new predictor restored from the checkpoint.
-	p2 := predictor.New(predictor.Config{})
-	cfg2 := fastConfig(baselines.ThreeSigma(p2, core.Config{CycleInterval: 1}))
-	cfg2.Predictor = p2
-	cfg2.CheckpointPath = ckpt
-	svc2 := mustService(t, cfg2)
-	post := p2.Estimate(probe)
-	if post.Point != pre.Point || post.Expert != pre.Expert || post.Samples != pre.Samples {
-		t.Fatalf("post-restart estimate %+v != pre-kill %+v", post, pre)
-	}
-	if got, want := p2.GroupCount(), p1.GroupCount(); got != want {
-		t.Fatalf("restored %d groups, want %d", got, want)
-	}
-	// And the distributions agree pointwise.
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		if a, b := pre.Dist.Quantile(q), post.Dist.Quantile(q); math.Abs(a-b) > 1e-12 {
-			t.Fatalf("quantile %.1f: %v != %v", q, a, b)
-		}
-	}
-	// The restored daemon serves /v1/predict identically.
-	ts2 := httptest.NewServer(svc2.Handler())
-	defer ts2.Close()
-	resp, body := postJSON(t, ts2, "/v1/predict", predictRequest{Name: "train", User: "alice", Tasks: 4})
-	if resp.StatusCode != 200 {
-		t.Fatalf("predict = %d %s", resp.StatusCode, body)
-	}
-	var pr predictResponse
-	json.Unmarshal(body, &pr)
-	if pr.Point != pre.Point || pr.Expert != pre.Expert {
-		t.Fatalf("served prediction %+v != pre-kill %+v", pr, pre)
-	}
-}
-
-func TestCheckpointAtomicOverwrite(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "p.ckpt")
-	p := predictor.New(predictor.Config{})
-	p.Observe(&job.Job{Name: "a", User: "u", Tasks: 2}, 10)
-	if err := saveCheckpoint(p, ckpt); err != nil {
-		t.Fatal(err)
-	}
-	p.Observe(&job.Job{Name: "a", User: "u", Tasks: 2}, 20)
-	if err := saveCheckpoint(p, ckpt); err != nil {
-		t.Fatal(err)
-	}
-	p2 := predictor.New(predictor.Config{})
-	found, err := loadCheckpoint(p2, ckpt)
-	if err != nil || !found {
-		t.Fatalf("load: found=%v err=%v", found, err)
-	}
-	if p2.GroupCount() != p.GroupCount() {
-		t.Fatalf("groups = %d, want %d", p2.GroupCount(), p.GroupCount())
-	}
-	// Missing file is a cold start.
-	found, err = loadCheckpoint(p2, filepath.Join(t.TempDir(), "nope"))
-	if err != nil || found {
-		t.Fatalf("missing checkpoint: found=%v err=%v", found, err)
 	}
 }
 

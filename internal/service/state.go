@@ -78,14 +78,6 @@ type electPayload struct {
 	Cycle   int64 `json:"cycle"`
 }
 
-// ckptPayload is a TypeCheckpoint record: the leader checkpointed its
-// predictor; every replica recomputes its own hash against it.
-type ckptPayload struct {
-	Cycle        int64  `json:"cycle"`
-	PredictorSHA string `json:"predictor_sha"`
-	Groups       int    `json:"groups"`
-}
-
 // compEv is one execution event an agent reported: a completion or a
 // fault-injected crash of the attempt (ID, RunID), at an exact virtual time.
 type compEv struct {
@@ -212,7 +204,6 @@ type state struct {
 	Cycles   int64    `json:"cycle"`
 	CycleNow float64  `json:"cycle_now"` // logical time of the in-flight/last cycle
 	Counters Counters `json:"counters"`
-	Ckpts    int64    `json:"ckpts,omitempty"`
 
 	Queue     []queuedJob     `json:"queue,omitempty"`     // admission queue, drained each cycle
 	Gone      map[job.ID]bool `json:"gone,omitempty"`      // cancelled or refused before admission (no Outcome)
@@ -373,17 +364,7 @@ func (st *state) apply(rec replog.Record) ([]effect, error) {
 		}
 		st.emit(elected{replica: p.Replica, epoch: rec.Epoch, cycle: p.Cycle})
 	case replog.TypeCheckpoint:
-		p, err := decodeAs[ckptPayload](rec)
-		if err != nil {
-			return nil, err
-		}
-		st.Ckpts++
-		if st.pred != nil && p.PredictorSHA != "" {
-			if got := st.predictorSHA(); got != p.PredictorSHA {
-				st.emit(divergence(fmt.Sprintf("predictor sha %.12s != leader %.12s at cycle %d",
-					got, p.PredictorSHA, p.Cycle)))
-			}
-		}
+		// Legacy, from logs older than predictor_sha on snapshots: no state.
 	case replog.TypeCycle:
 		p, err := decodeAs[cyclePayload](rec)
 		if err != nil {
@@ -393,17 +374,22 @@ func (st *state) apply(rec replog.Record) ([]effect, error) {
 	case replog.TypeSnapshot:
 		// The state a snapshot record describes is the state held when it is
 		// applied in log order — an in-sync replica installs nothing. It
-		// checks the engine epoch against the export — reading that one
-		// field, not the megabytes behind it — and lets its own log be
-		// compacted at the same point, so retention converges across the
-		// group. (Bootstrap replay and standby catch-up install snapshots
-		// through decode, never here.)
-		epoch, ok := snapshotEngineEpoch(rec.Data)
+		// checks its engine epoch and predictor hash against the export —
+		// reading those two leading fields, not the megabytes behind them —
+		// and lets its own log be compacted at the same point, so retention
+		// converges across the group. (Bootstrap replay and standby catch-up
+		// install snapshots through decode, never here.)
+		epoch, sha, ok := snapshotHeader(rec.Data)
 		if !ok {
-			return nil, fmt.Errorf("snapshot record %d: payload does not begin with the engine epoch", rec.Seq)
+			return nil, fmt.Errorf("snapshot record %d: payload does not begin with the engine epoch and predictor sha", rec.Seq)
 		}
 		if epoch != st.eng.Epoch() {
 			st.emit(divergence(fmt.Sprintf("engine epoch %d != snapshot %d at seq %d", st.eng.Epoch(), epoch, rec.Seq)))
+		}
+		if st.pred != nil {
+			if got := st.predictorSHA(); got != sha {
+				st.emit(divergence(fmt.Sprintf("predictor sha %.12s != snapshot %.12s at seq %d", got, sha, rec.Seq)))
+			}
 		}
 		st.emit(snapshotAt(rec.Seq))
 	default:
@@ -740,8 +726,9 @@ func (st *state) applyOp(op opPayload, now float64) (res NodeOpResult, err error
 // --- the predictor's hash ---
 
 // predictorSHA hashes the predictor's serialized history. Two replicas that
-// observed the same jobs in the same order hash identically — the standby
-// warmness signal the checkpoint records carry.
+// observed the same jobs in the same order hash identically — the warmness
+// signal every snapshot record carries (stateWire.PredictorSHA) and
+// /v1/metrics reports.
 func predictorSHA(p *predictor.Predictor) string {
 	h := sha256.New()
 	if err := p.Save(h); err != nil {
@@ -765,18 +752,19 @@ func (st *state) predictorSHA() string {
 type plain state
 
 // stateWire is state's JSON encoding, and so a TypeSnapshot record's
-// payload: the state's own tagged fields between the engine epoch — first,
-// where an in-sync follower reads it without scanning the megabytes behind
-// it (snapshotEngineEpoch) — and the exported forms of what state holds by
-// reference. Replaying the log suffix on top of a decoded state must
-// reproduce the donor replica's outcome digest and predictor SHA byte for
-// byte, so everything outcome-relevant is here; performance-only state
-// (scheduler memo, incremental model, stats) is rebuilt cold, and the agent
-// outboxes are refilled from the desired map. Map keys are sorted by
-// encoding/json, so two replicas with equal state produce byte-identical
-// encodings.
+// payload: the state's own tagged fields between a header — the engine
+// epoch and the predictor hash, first, where an in-sync follower reads them
+// without scanning the megabytes behind (snapshotHeader) — and the exported
+// forms of what state holds by reference. Replaying the log suffix on top of
+// a decoded state must reproduce the donor replica's outcome digest and
+// predictor SHA byte for byte, so everything outcome-relevant is here;
+// performance-only state (scheduler memo, incremental model, stats) is
+// rebuilt cold, and the agent outboxes are refilled from the desired map.
+// Map keys are sorted by encoding/json, so two replicas with equal state
+// produce byte-identical encodings.
 type stateWire struct {
-	EngineEpoch uint64 `json:"engine_epoch"`
+	EngineEpoch  uint64 `json:"engine_epoch"`
+	PredictorSHA string `json:"predictor_sha"` // predictorSHA's value; empty without a predictor
 	*plain
 	Engine    *simulator.EngineState `json:"engine"`
 	Sched     *core.SchedState       `json:"sched"`
@@ -802,6 +790,12 @@ func (st *state) wire() (*stateWire, error) {
 	w.EngineEpoch = w.Engine.Epoch
 	if w.Predictor, err = st.savePredictor(); err != nil {
 		return nil, err
+	}
+	if st.pred != nil {
+		// The bytes predictorSHA hashes, so the cache is refreshed for free.
+		sum := sha256.Sum256(w.Predictor)
+		w.PredictorSHA = hex.EncodeToString(sum[:])
+		st.predSHA, st.predDirty = w.PredictorSHA, false
 	}
 	return w, nil
 }
@@ -829,18 +823,22 @@ func (st *state) savePredictor() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// snapshotEngineEpoch reads the engine epoch off the front of an encoded
-// state: the first field, by stateWire's declaration order. ok is false for
-// a payload that does not begin with it.
-func snapshotEngineEpoch(data []byte) (epoch uint64, ok bool) {
+// snapshotHeader reads the engine epoch and the predictor hash off the
+// front of an encoded state: its first two fields, by stateWire's
+// declaration order. ok is false for a payload that does not begin with
+// both.
+func snapshotHeader(data []byte) (epoch uint64, predSHA string, ok bool) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
-		return 0, false
+		return 0, "", false
 	}
-	if t, err := dec.Token(); err != nil || t != "engine_epoch" {
-		return 0, false
+	if t, err := dec.Token(); err != nil || t != "engine_epoch" || dec.Decode(&epoch) != nil {
+		return 0, "", false
 	}
-	return epoch, dec.Decode(&epoch) == nil
+	if t, err := dec.Token(); err != nil || t != "predictor_sha" || dec.Decode(&predSHA) != nil {
+		return 0, "", false
+	}
+	return epoch, predSHA, true
 }
 
 // staged is the part of a decoded state that lives in env's scheduler and

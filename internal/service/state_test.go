@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"threesigma/internal/agent"
@@ -317,9 +319,187 @@ func TestLocalAndRemoteAgentsAgree(t *testing.T) {
 	}
 }
 
+// TestSnapshotRecordChecksPredictorSHA: a snapshot record carries the
+// leader's predictor hash, and an in-sync follower that applies one whose
+// hash is not its own counts a divergence — the cross-check replicas run on
+// every snapshot, with no persistence path beside the log to run it.
+func TestSnapshotRecordChecksPredictorSHA(t *testing.T) {
+	l, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, l, nil)
+	recs := l.Records()
+	last := -1
+	for i, rec := range recs {
+		if rec.Type == replog.TypeSnapshot {
+			last = i
+		}
+	}
+	if last < 0 {
+		t.Fatal("the script appended no snapshot")
+	}
+
+	var mu sync.Mutex
+	var lines []string
+	cfg := scriptConfig()
+	cfg.Log, _ = replog.Open("")
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	follower := mustService(t, cfg)
+	push(t, follower, recs[:last]) // in sync up to the snapshot
+
+	snap := recs[last]
+	follower.mu.Lock()
+	defer follower.mu.Unlock()
+	own := follower.st.predictorSHA()
+	if err := follower.applyRecordLocked(snap); err != nil {
+		t.Fatal(err)
+	}
+	if d := follower.ctl.Diverged; d != 0 {
+		t.Fatalf("the leader's own snapshot record: %d divergences, want 0", d)
+	}
+	forged := snap
+	forged.Data = bytes.Replace(snap.Data, []byte(`"predictor_sha":"`+own+`"`),
+		[]byte(`"predictor_sha":"`+strings.Repeat("0", len(own))+`"`), 1)
+	if err := follower.applyRecordLocked(forged); err != nil {
+		t.Fatal(err)
+	}
+	if d := follower.ctl.Diverged; d != 1 {
+		t.Fatalf("a snapshot record with a foreign predictor hash: %d divergences, want 1", d)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range lines {
+		if strings.Contains(line, "DIVERGED") && strings.Contains(line, "predictor sha") {
+			return
+		}
+	}
+	t.Fatalf("no predictor sha divergence logged:\n%s", strings.Join(lines, "\n"))
+}
+
+// TestLegacyCheckpointRecordReplays: logs written while the daemon also kept
+// predictor checkpoint files hold "ckpt" records — the last one right after
+// the final cycle, flushed on Stop. A restart over such a log starts and
+// lands where the same log without the record does.
+func TestLegacyCheckpointRecordReplays(t *testing.T) {
+	l, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runScript(t, l, nil).Metrics()
+	recs := l.Records()
+	var got [2]Metrics
+	for i, legacy := range []bool{false, true} {
+		cl, err := replog.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := cl.AppendRecord(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if legacy {
+			last := recs[len(recs)-1]
+			payload := fmt.Sprintf(`{"cycle":%d,"predictor_sha":%q,"groups":1}`, last.Cycle, want.PredictorSHA)
+			if _, err := cl.Append(last.Epoch, replog.TypeCheckpoint, last.Cycle, json.RawMessage(payload)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cfg := scriptConfig()
+		cfg.Log = cl
+		svc, err := New(cfg)
+		if err != nil {
+			t.Fatalf("restart (legacy record: %v): %v", legacy, err)
+		}
+		got[i] = svc.Metrics()
+	}
+	plain, legacy := got[0], got[1]
+	if plain.OutcomeDigest != want.OutcomeDigest || plain.PredictorSHA != want.PredictorSHA {
+		t.Fatalf("restart: digest %.12s sha %.12s, leader has %.12s %.12s",
+			plain.OutcomeDigest, plain.PredictorSHA, want.OutcomeDigest, want.PredictorSHA)
+	}
+	if legacy.OutcomeDigest != plain.OutcomeDigest || legacy.PredictorSHA != plain.PredictorSHA ||
+		legacy.Cycles != plain.Cycles || legacy.Control.Diverged != 0 {
+		t.Fatalf("with a ckpt record: digest %.12s sha %.12s cycle %d, %d divergences; without: %.12s %.12s %d",
+			legacy.OutcomeDigest, legacy.PredictorSHA, legacy.Cycles, legacy.Control.Diverged,
+			plain.OutcomeDigest, plain.PredictorSHA, plain.Cycles)
+	}
+}
+
+// FuzzSnapshotHeader holds the in-sync follower's read of a snapshot
+// record's front to the full decode: it never panics, reads back what wire()
+// wrote, and whatever it accepts json.Unmarshal reads the same way — unless
+// the payload names a header key again further on, where encoding/json keeps
+// the last value and the header reader, by design, looks no further than the
+// front.
+func FuzzSnapshotHeader(f *testing.F) {
+	st := fuzzState(f)
+	enc, err := json.Marshal(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if epoch, sha, ok := snapshotHeader(enc); !ok || epoch != st.eng.Epoch() || sha != predictorSHA(st.pred) {
+		f.Fatalf("snapshotHeader(wire()) = %d, %.12s, %v; want %d, %.12s",
+			epoch, sha, ok, st.eng.Epoch(), predictorSHA(st.pred))
+	}
+	f.Add(enc)
+	f.Add([]byte(`{"engine_epoch":7,"predictor_sha":"ab","cycle":1}`))
+	f.Add([]byte(`{"engine_epoch":7,"predictor_sha":null}`))
+	f.Add([]byte(`{"engine_epoch":7,"predictor_sha":"ab","Engine_Epoch":8}`))
+	f.Add([]byte(`{"engine_epoch":-7,"predictor_sha":"ab"}`))
+	f.Add([]byte(`{"engine_epoch":7,"cycle":1}`))
+	f.Add([]byte(`{"cycle":1,"engine_epoch":7,"predictor_sha":"ab"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		epoch, sha, ok := snapshotHeader(data)
+		if !ok {
+			return
+		}
+		var full struct {
+			EngineEpoch  uint64 `json:"engine_epoch"`
+			PredictorSHA string `json:"predictor_sha"`
+		}
+		if json.Unmarshal(data, &full) != nil || repeatsHeaderKey(data) {
+			return
+		}
+		if full.EngineEpoch != epoch || full.PredictorSHA != sha {
+			t.Fatalf("snapshotHeader read %d, %q; json.Unmarshal reads %d, %q",
+				epoch, sha, full.EngineEpoch, full.PredictorSHA)
+		}
+	})
+}
+
+// repeatsHeaderKey reports whether an object names the snapshot header's
+// keys, under encoding/json's case folding, more than once between them.
+func repeatsHeaderKey(data []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if _, err := dec.Token(); err != nil {
+		return false
+	}
+	n := 0
+	for dec.More() {
+		t, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		if k, _ := t.(string); strings.EqualFold(k, "engine_epoch") || strings.EqualFold(k, "predictor_sha") {
+			n++
+		}
+		var v json.RawMessage
+		if dec.Decode(&v) != nil {
+			return false
+		}
+	}
+	return n > 2
+}
+
 // fuzzState is a small live state — jobs queued, pending and running, a
 // deferred input of each kind — for FuzzStateApply to throw records at.
-func fuzzState(t *testing.T) *state {
+func fuzzState(t testing.TB) *state {
 	p := predictor.New(predictor.Config{})
 	st := newState(env{
 		sched: baselines.ThreeSigma(p, core.Config{CycleInterval: 1}),
@@ -372,6 +552,7 @@ func FuzzStateApply(f *testing.F) {
 	f.Add(replog.TypeCheckpoint, []byte(`{"cycle":1,"predictor_sha":"beef"}`))
 	f.Add(replog.TypeElect, []byte(`{"replica":2,"cycle":1}`))
 	f.Add(replog.TypeSnapshot, []byte(`{"engine_epoch":7,"cycle":1}`))
+	f.Add(replog.TypeSnapshot, []byte(`{"engine_epoch":7,"predictor_sha":"beef","cycle":1}`))
 	f.Add(replog.TypeSnapshot, []byte(`{"cycle":1}`))
 	f.Add("bogus", []byte(`null`))
 	f.Fuzz(func(t *testing.T, typ string, data []byte) {

@@ -12,10 +12,10 @@
 # with no failed operation), a
 # sharded-domain digest gate (-shards 1 vs -shards 8 must agree bitwise on an
 # equivalence-partitioned workload), an end-to-end smoke of the
-# online service (serverd + loadgen, including a SIGTERM warm restart and
-# a /readyz drain check), and the cluster durability gate (3-replica
-# serverd group + 4 agentd node groups under majority-quorum acks and log
-# compaction: leader kill -9 failover, a follower dead from the start, and
+# online service (serverd + loadgen, including a SIGTERM warm restart from
+# the decision log and a /readyz drain check), and the cluster durability
+# gate (3-replica serverd group + 4 agentd node groups under majority-quorum
+# acks and log compaction: leader kill -9 failover, a follower dead from the start, and
 # a cold restart from a compacted log — every arm's outcome digest must be
 # byte-identical to an uninterrupted single-replica run).
 # Run from anywhere; operates on the repo root.
@@ -76,6 +76,9 @@ go test -fuzz '^FuzzConditional$' -fuzztime 5s -run '^$' ./internal/dist
 # The control plane's state machine: arbitrary log records never panic it, and
 # one it refuses leaves its encoding untouched (DESIGN.md §14).
 go test -fuzz '^FuzzStateApply$' -fuzztime 10s -run '^$' ./internal/service
+# The in-sync follower's read of a snapshot record's two leading fields agrees
+# with json.Unmarshal and with what the leader wrote.
+go test -fuzz '^FuzzSnapshotHeader$' -fuzztime 5s -run '^$' ./internal/service
 
 echo "== fault determinism gate =="
 # Same seed, same fault schedule => bit-identical outcomes, byte-for-byte.

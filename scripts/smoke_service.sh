@@ -3,8 +3,11 @@
 # loadgen, replay ~50 jobs, assert every job reaches a terminal phase, the
 # solver did real work and the tasks ran through the daemon's one in-process
 # agent (the reconciler, not a private executor), then SIGTERM the daemon and
-# verify a restart from the same checkpoint serves bit-identical predictor
-# estimates.
+# restart it over its decision log — the one way a daemon restarts warm
+# (-det -replog; -compact-every 5, so the restart installs the newest
+# snapshot and replays the suffix behind it): the restarted daemon must serve
+# bit-identical predictor estimates, report the same outcome digest and
+# predictor SHA on /v1/metrics, and count no divergence.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -12,7 +15,7 @@ cd "$(dirname "$0")/.."
 WORK=$(mktemp -d)
 PORT=$((20000 + $$ % 20000))
 ADDR="http://127.0.0.1:$PORT"
-CKPT="$WORK/predictor.ckpt"
+DLOG="$WORK/decision.log"
 SERVERD="$WORK/3sigma-serverd"
 LOADGEN="$WORK/3sigma-loadgen"
 PROBE="user3,job_17,4,1"
@@ -29,7 +32,7 @@ go build -o "$LOADGEN" ./cmd/3sigma-loadgen
 
 start_daemon() {
     "$SERVERD" -addr "127.0.0.1:$PORT" -nodes 64 -partitions 4 \
-        -cycle 10 -timescale 60 -checkpoint "$CKPT" -checkpoint-every 2s \
+        -cycle 10 -timescale 60 -det -replog "$DLOG" -compact-every 5 \
         -drain-grace 2s \
         >>"$WORK/serverd.log" 2>&1 &
     PID=$!
@@ -45,6 +48,12 @@ metric() {
         sed -n "s/.*\"$1\":\([0-9][0-9]*\).*/\1/p"
 }
 
+# digests: the outcome digest and predictor SHA on /v1/metrics.
+digests() {
+    "$LOADGEN" -addr "$ADDR" -metrics |
+        sed -n 's/.*"outcome_digest":"\([^"]*\)".*"predictor_sha":"\([^"]*\)".*/\1 \2/p'
+}
+
 echo "-- batch 1: replay against $ADDR"
 start_daemon
 "$LOADGEN" -addr "$ADDR" -wait 10s -nodes 64 -partitions 4 \
@@ -58,20 +67,31 @@ LIVE=$(metric agents_live)
     { echo "FAIL: directives_sent=$SENT agents_live=$LIVE: the tasks did not run through the local agent"; exit 1; }
 echo "tasks ran through the local agent: $SENT directives, $LIVE agent live"
 P1=$("$LOADGEN" -addr "$ADDR" -predict "$PROBE")
+D1=$(digests)
+[ -n "$D1" ] || { echo "FAIL: no outcome digest / predictor SHA on /v1/metrics"; exit 1; }
 
-echo "-- warm restart: SIGTERM, restart from $CKPT"
+echo "-- warm restart: SIGTERM, restart over $DLOG"
 kill -TERM "$PID"
 wait "$PID" || { echo "FAIL: serverd did not drain cleanly"; exit 1; }
 PID=""
-[ -s "$CKPT" ] || { echo "FAIL: no checkpoint written"; exit 1; }
+[ -s "$DLOG" ] || { echo "FAIL: no decision log written"; exit 1; }
 
 start_daemon
 P2=$("$LOADGEN" -addr "$ADDR" -wait 10s -predict "$PROBE")
 [ "$P1" = "$P2" ] || { echo "FAIL: prediction changed across restart"; echo " before: $P1"; echo " after:  $P2"; exit 1; }
 echo "predictor state survived restart: $P2"
+grep -q "installed snapshot" "$WORK/serverd.log" ||
+    { echo "FAIL: the restart installed no snapshot"; exit 1; }
+D2=$(digests)
+[ "$D1" = "$D2" ] || { echo "FAIL: digests changed across restart"; echo " before: $D1"; echo " after:  $D2"; exit 1; }
+DIVERGED=$(metric diverged)
+[ "$DIVERGED" = "0" ] || { echo "FAIL: diverged=$DIVERGED after the restart, want 0"; exit 1; }
+echo "outcome digest and predictor SHA survived restart, 0 divergences: $D2"
 
 echo "-- batch 2: replay against restarted daemon"
-"$LOADGEN" -addr "$ADDR" -nodes 64 -partitions 4 \
+# The restarted daemon remembers batch 1's jobs, and every google draw numbers
+# its jobs from 2561: batch 2 draws hedgefund jobs, numbered from 2001.
+"$LOADGEN" -addr "$ADDR" -env hedgefund -nodes 64 -partitions 4 \
     -hours 0.125 -jobs-per-hour 400 -load 0.7 -speedup 60 -seed 4 -timeout 150s
 
 SOLVED=$(metric solver_nodes)
