@@ -1,6 +1,7 @@
 package threesigma
 
 import (
+	"threesigma/internal/baselines"
 	"threesigma/internal/core"
 	"threesigma/internal/dist"
 	"threesigma/internal/job"
@@ -29,15 +30,7 @@ const (
 // DefaultPolicy is the full 3Sigma configuration: distribution scheduling
 // with adaptive over-estimate handling, under-estimate handling, and
 // preemption.
-func DefaultPolicy() Policy {
-	return Policy{
-		Name:            "3Sigma",
-		UseDistribution: true,
-		Overestimate:    core.OEAdaptive,
-		Underestimate:   true,
-		Preemption:      true,
-	}
-}
+func DefaultPolicy() Policy { return baselines.ThreeSigmaPolicy() }
 
 // NewCustomScheduler builds a 3σSched instance around a caller-provided
 // distribution estimator (cfg.Policy selects the feature set; the zero

@@ -22,16 +22,23 @@ import (
 	"threesigma/internal/simulator"
 )
 
-// ThreeSigma returns the full 3Sigma system: distribution scheduling with
-// adaptive over-estimate handling (Table 1, row 1).
-func ThreeSigma(p *predictor.Predictor, cfg core.Config) *core.Scheduler {
-	cfg.Policy = core.Policy{
+// ThreeSigmaPolicy is the full 3Sigma feature set: distribution scheduling
+// with adaptive over-estimate handling, under-estimate handling and
+// preemption (Table 1, row 1).
+func ThreeSigmaPolicy() core.Policy {
+	return core.Policy{
 		Name:            "3Sigma",
 		UseDistribution: true,
 		Overestimate:    core.OEAdaptive,
 		Underestimate:   true,
 		Preemption:      true,
 	}
+}
+
+// ThreeSigma returns the full 3Sigma system: ThreeSigmaPolicy over
+// 3σPredict's distributions.
+func ThreeSigma(p *predictor.Predictor, cfg core.Config) *core.Scheduler {
+	cfg.Policy = ThreeSigmaPolicy()
 	return core.New(core.PredictorEstimator{P: p}, cfg)
 }
 

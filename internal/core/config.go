@@ -219,6 +219,14 @@ func (c *Config) fill() {
 	}
 }
 
+// Hopeless reports whether j is an SLO job that misses its deadline at now
+// even with the maximal over-estimate extension (§4.2): such a job has no
+// attainable utility left and is abandoned, by the scheduler and by the
+// shard coordinator for the cross-domain gangs it places itself.
+func (c *Config) Hopeless(j *job.Job, now float64) bool {
+	return j.HasDeadline() && now > j.Deadline+c.OEExtFactor*(j.Deadline-j.Submit)
+}
+
 // Estimator supplies runtime distributions to the scheduler and receives
 // completed runtimes (the 3σPredict contract of Fig. 4).
 type Estimator interface {

@@ -168,23 +168,21 @@ func TestSeedMatchesPlannedOption(t *testing.T) {
 }
 
 func TestGreedyAllocRespectsSpaceClass(t *testing.T) {
-	s := New(PerfectEstimator{}, testConfig())
 	j := &job.Job{ID: 1, Tasks: 4, Preferred: []int{0}}
-	st := stateWith(simulator.NewCluster(8, 2), nil, nil, 0)
 	// Preferred partition has only 4 nodes; both classes succeed when it
 	// is free.
-	if a := s.greedyAlloc(j, spacePref, simulator.Alloc{4, 4}, st); a == nil || a[0] != 4 {
+	if a := GreedyAlloc(j, simulator.Alloc{4, 4}, true); a == nil || a[0] != 4 {
 		t.Errorf("pref alloc = %v", a)
 	}
 	// Preferred partition short: spacePref must fail, spaceAny spills.
-	if a := s.greedyAlloc(j, spacePref, simulator.Alloc{2, 4}, st); a != nil {
+	if a := GreedyAlloc(j, simulator.Alloc{2, 4}, true); a != nil {
 		t.Errorf("pref alloc should fail, got %v", a)
 	}
-	if a := s.greedyAlloc(j, spaceAny, simulator.Alloc{2, 4}, st); a == nil || a[0] != 2 || a[1] != 2 {
+	if a := GreedyAlloc(j, simulator.Alloc{2, 4}, false); a == nil || a[0] != 2 || a[1] != 2 {
 		t.Errorf("any alloc = %v, want [2 2] (preferred first)", a)
 	}
 	// Not enough anywhere.
-	if a := s.greedyAlloc(j, spaceAny, simulator.Alloc{1, 1}, st); a != nil {
+	if a := GreedyAlloc(j, simulator.Alloc{1, 1}, false); a != nil {
 		t.Errorf("oversized alloc should fail, got %v", a)
 	}
 }

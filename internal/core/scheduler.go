@@ -180,6 +180,13 @@ func (s *Scheduler) SetClock(c simulator.Clock) {
 // Config returns the effective configuration (defaults filled).
 func (s *Scheduler) Config() Config { return s.cfg }
 
+// Estimator returns the scheduler's runtime estimator. The shard coordinator
+// uses it to construct per-domain scheduler instances sharing one predictor
+// (a single runtime-history database serves every domain, as one 3σPredict
+// deployment would) and to feed completions of cross-domain jobs that no
+// single domain owns.
+func (s *Scheduler) Estimator() Estimator { return s.est }
+
 // JobSubmitted estimates the job's runtime distribution (step 2 of Fig. 4)
 // and caches it for the job's lifetime.
 func (s *Scheduler) JobSubmitted(j *job.Job, now float64) {
@@ -445,10 +452,9 @@ func (s *Scheduler) selectPending(pending []*job.Job, now float64) []*job.Job {
 			continue
 		}
 		if j.HasDeadline() {
-			// Drop SLO jobs that are hopeless even with maximal OE
-			// extension; they would otherwise pin consideration slots.
-			maxExt := s.cfg.OEExtFactor * (j.Deadline - j.Submit)
-			if now > j.Deadline+maxExt {
+			// Drop hopeless SLO jobs; they would otherwise pin
+			// consideration slots.
+			if s.cfg.Hopeless(j, now) {
 				s.abandon(j.ID, now)
 				continue
 			}
@@ -635,7 +641,7 @@ func (s *Scheduler) extract(b *builder, sol *milp.Solution, st *simulator.State,
 			alloc = allocFromSolution(o, sol, freeAdj)
 		}
 		if alloc == nil {
-			alloc = s.greedyAlloc(o.j, o.space, freeAdj, st)
+			alloc = GreedyAlloc(o.j, freeAdj, o.space == spacePref)
 		}
 		if alloc == nil {
 			// Discretization mismatch: retry next cycle.
@@ -714,14 +720,18 @@ func allocFromSolution(o *option, sol *milp.Solution, free simulator.Alloc) simu
 	return alloc
 }
 
-// greedyAlloc realizes a space-class choice as a concrete per-partition
-// allocation from the currently free nodes. For spaceAny it still fills
-// preferred partitions first, so a job planned pessimistically at 1.5× may
-// end up fully preferred and run at full speed.
-func (s *Scheduler) greedyAlloc(j *job.Job, space int8, free simulator.Alloc, st *simulator.State) simulator.Alloc {
+// GreedyAlloc realizes a gang as a concrete per-partition allocation from
+// the free nodes: preferred partitions first (largest free count, then
+// lowest index), then — unless preferredOnly — any partition, at the job's
+// NonPrefFactor slowdown. It returns nil when the gang does not fit. The
+// scheduler realizes a chosen option's space class with it (the any-class
+// still fills preferred partitions first, so a job planned pessimistically
+// at 1.5× may end up fully preferred and run at full speed); the shard
+// coordinator places cross-domain gangs with it.
+func GreedyAlloc(j *job.Job, free simulator.Alloc, preferredOnly bool) simulator.Alloc {
 	alloc := make(simulator.Alloc, len(free))
 	need := j.Tasks
-	fill := func(preferredOnly bool) {
+	fill := func(onlyPreferred bool) {
 		type pf struct{ p, free int }
 		var ps []pf
 		for p, f := range free {
@@ -729,7 +739,7 @@ func (s *Scheduler) greedyAlloc(j *job.Job, space int8, free simulator.Alloc, st
 			if avail <= 0 {
 				continue
 			}
-			if preferredOnly && !j.PrefersPartition(p) {
+			if onlyPreferred && !j.PrefersPartition(p) {
 				continue
 			}
 			ps = append(ps, pf{p, avail})
@@ -754,7 +764,7 @@ func (s *Scheduler) greedyAlloc(j *job.Job, space int8, free simulator.Alloc, st
 	}
 	fill(true)
 	if need > 0 {
-		if space == spacePref {
+		if preferredOnly {
 			return nil // must stay on preferred resources
 		}
 		fill(false)

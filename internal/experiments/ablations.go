@@ -5,11 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"threesigma/internal/baselines"
 	"threesigma/internal/core"
 	"threesigma/internal/metrics"
-	"threesigma/internal/predictor"
-	"threesigma/internal/simulator"
 	"threesigma/internal/workload"
 )
 
@@ -31,85 +28,19 @@ func AblationPlanAhead(sc Scale, seed int64, slotCounts []int) ([]AblationPoint,
 	if len(slotCounts) == 0 {
 		slotCounts = []int{1, 2, 4, 6, 8}
 	}
-	reps := sc.repeats()
-	ws := make([]*workload.Workload, reps)
-	for r := 0; r < reps; r++ {
-		ws[r] = workload.Generate(sc.WorkloadConfig(seed + int64(r)))
+	labels := make([]string, len(slotCounts))
+	for i, n := range slotCounts {
+		labels[i] = fmt.Sprintf("slots=%d", n)
 	}
-	pts := make([]AblationPoint, len(slotCounts))
-	scratch := make([]metrics.Report, len(slotCounts)*reps)
-	solves := make([]time.Duration, len(slotCounts)*reps)
-	err := parallelEach(len(scratch), func(k int) error {
-		vi, r := k/reps, k%reps
-		cfg := sc.coreConfig()
-		cfg.Slots = slotCounts[vi]
-		rep, solve, err := runThreeSigma(ws[r], sc, cfg, seed+int64(r))
-		if err != nil {
-			return err
-		}
-		scratch[k] = rep
-		solves[k] = solve
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for vi, n := range slotCounts {
-		var solveSum time.Duration
-		for r := 0; r < reps; r++ {
-			solveSum += solves[vi*reps+r]
-		}
-		pts[vi] = AblationPoint{
-			Label:     fmt.Sprintf("slots=%d", n),
-			Report:    metrics.Average(scratch[vi*reps : (vi+1)*reps]),
-			MeanSolve: solveSum / time.Duration(reps),
-		}
-	}
-	return pts, nil
+	return ablate(sc, seed, labels, func(i int, cfg *core.Config) { cfg.Slots = slotCounts[i] })
 }
 
 // AblationWarmStart compares 3Sigma with and without previous-cycle MILP
 // seeding.
 func AblationWarmStart(sc Scale, seed int64) ([]AblationPoint, error) {
-	reps := sc.repeats()
-	ws := make([]*workload.Workload, reps)
-	for r := 0; r < reps; r++ {
-		ws[r] = workload.Generate(sc.WorkloadConfig(seed + int64(r)))
-	}
-	variants := []struct {
-		label string
-		warm  bool
-	}{{"warm-start", true}, {"cold-start", false}}
-	scratch := make([]metrics.Report, len(variants)*reps)
-	solves := make([]time.Duration, len(variants)*reps)
-	err := parallelEach(len(scratch), func(k int) error {
-		vi, r := k/reps, k%reps
-		cfg := sc.coreConfig()
-		cfg.NoWarmStart = !variants[vi].warm
-		rep, solve, err := runThreeSigma(ws[r], sc, cfg, seed+int64(r))
-		if err != nil {
-			return err
-		}
-		scratch[k] = rep
-		solves[k] = solve
-		return nil
+	return ablate(sc, seed, []string{"warm-start", "cold-start"}, func(i int, cfg *core.Config) {
+		cfg.NoWarmStart = i == 1
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]AblationPoint, len(variants))
-	for vi, v := range variants {
-		var solveSum time.Duration
-		for r := 0; r < reps; r++ {
-			solveSum += solves[vi*reps+r]
-		}
-		pts[vi] = AblationPoint{
-			Label:     v.label,
-			Report:    metrics.Average(scratch[vi*reps : (vi+1)*reps]),
-			MeanSolve: solveSum / time.Duration(reps),
-		}
-	}
-	return pts, nil
 }
 
 // AblationExactShares compares the default capacity-proportional-shares
@@ -117,79 +48,53 @@ func AblationWarmStart(sc Scale, seed int64) ([]AblationPoint, error) {
 // per-partition allocation variables. The exact model is several times
 // larger, so this ablation is meant for the Small scale.
 func AblationExactShares(sc Scale, seed int64) ([]AblationPoint, error) {
-	reps := sc.repeats()
-	ws := make([]*workload.Workload, reps)
-	for r := 0; r < reps; r++ {
-		ws[r] = workload.Generate(sc.WorkloadConfig(seed + int64(r)))
-	}
-	variants := []struct {
-		label string
-		exact bool
-	}{{"prop-shares", false}, {"exact-shares", true}}
-	scratch := make([]metrics.Report, len(variants)*reps)
-	solves := make([]time.Duration, len(variants)*reps)
-	err := parallelEach(len(scratch), func(k int) error {
-		vi, r := k/reps, k%reps
-		cfg := sc.coreConfig()
-		cfg.ExactShares = variants[vi].exact
-		if cfg.ExactShares {
+	return ablate(sc, seed, []string{"prop-shares", "exact-shares"}, func(i int, cfg *core.Config) {
+		if i == 1 {
+			cfg.ExactShares = true
 			// The exact model's LPs are several times larger; give the
 			// solver a budget that lets it finish its dives, so the
 			// comparison measures schedule quality and cost rather than
 			// starvation under an unfit budget.
 			cfg.SolverBudget = 10 * cfg.SolverBudget
 		}
-		rep, solve, err := runThreeSigma(ws[r], sc, cfg, seed+int64(r))
-		if err != nil {
-			return err
-		}
-		scratch[k] = rep
-		solves[k] = solve
-		return nil
+	})
+}
+
+// ablate runs 3Sigma once per labelled variant — tune sets variant i's
+// scheduler configuration — on sc.Repeats workloads, and reports each
+// variant's averaged report and mean solver time per cycle.
+func ablate(sc Scale, seed int64, labels []string, tune func(i int, cfg *core.Config)) ([]AblationPoint, error) {
+	reps := sc.repeats()
+	ws := make([]*workload.Workload, reps)
+	for r := range ws {
+		ws[r] = workload.Generate(sc.WorkloadConfig(seed + int64(r)))
+	}
+	runs := make([]*Result, len(labels)*reps)
+	err := parallelEach(len(runs), func(k int) error {
+		vi, r := k/reps, k%reps
+		cfg := sc.config(seed + int64(r))
+		tune(vi, &cfg.Scheduler)
+		var err error
+		runs[k], err = Run(Sys3Sigma, ws[r], cfg)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	pts := make([]AblationPoint, len(variants))
-	for vi, v := range variants {
+	pts := make([]AblationPoint, len(labels))
+	for vi, label := range labels {
+		reports := make([]metrics.Report, reps)
 		var solveSum time.Duration
-		for r := 0; r < reps; r++ {
-			solveSum += solves[vi*reps+r]
+		for r := range reports {
+			res := runs[vi*reps+r]
+			reports[r] = res.Report
+			if st := res.Stats; st.Cycles > 0 {
+				solveSum += st.SolveTime / time.Duration(st.Cycles)
+			}
 		}
-		pts[vi] = AblationPoint{
-			Label:     v.label,
-			Report:    metrics.Average(scratch[vi*reps : (vi+1)*reps]),
-			MeanSolve: solveSum / time.Duration(reps),
-		}
+		pts[vi] = AblationPoint{Label: label, Report: metrics.Average(reports), MeanSolve: solveSum / time.Duration(reps)}
 	}
 	return pts, nil
-}
-
-// runThreeSigma runs the 3Sigma configuration with an explicit core config
-// and returns the report plus the mean solver time per cycle.
-func runThreeSigma(w *workload.Workload, sc Scale, cfg core.Config, seed int64) (metrics.Report, time.Duration, error) {
-	pred := predictor.New(predictor.Config{})
-	for _, r := range w.Train {
-		pred.Observe(r.Job(), r.Runtime)
-	}
-	sched := baselines.ThreeSigma(pred, cfg)
-	sim, err := simulator.New(sched, w.Jobs, simulator.Options{
-		Cluster:       w.Cluster,
-		CycleInterval: sc.CycleInterval,
-		DrainWindow:   sc.DrainWindow,
-		Seed:          seed,
-	})
-	if err != nil {
-		return metrics.Report{}, 0, err
-	}
-	res := sim.Run()
-	rep := metrics.FromResult("3Sigma", res, w.Cluster)
-	st := sched.Stats()
-	var meanSolve time.Duration
-	if st.Cycles > 0 {
-		meanSolve = st.SolveTime / time.Duration(st.Cycles)
-	}
-	return rep, meanSolve, nil
 }
 
 // FormatAblation renders ablation points as a table.

@@ -72,11 +72,13 @@ func Availability(sc Scale, seed int64, base faults.Config, mtbfHours []float64)
 	}
 	err := parallelEach(len(ws)*len(systems), func(k int) error {
 		wi, si := k/len(systems), k%len(systems)
-		rr, err := Run(systems[si], ws[wi], sc, RunOptions{Seed: seed + int64(wi%reps), Faults: cfgs[wi]})
+		cfg := sc.config(seed + int64(wi%reps))
+		cfg.Faults = cfgs[wi]
+		r, err := Run(systems[si], ws[wi], cfg)
 		if err != nil {
 			return err
 		}
-		grid[wi][si] = rr.Report
+		grid[wi][si] = r.Report
 		return nil
 	})
 	if err != nil {

@@ -1,39 +1,19 @@
 // Package experiments wires workloads, schedulers, the simulator and the
 // metric collectors into one driver per table/figure of the paper's
 // evaluation (§5–§6). Each driver returns structured results plus a
-// formatted table whose rows match what the paper reports; bench_test.go
-// and cmd/3sigma-bench call these drivers at different scales.
+// formatted table whose rows match what the paper reports; cmd/3sigma-bench
+// calls them at different scales. Every simulation, the threesigma facade's
+// included, is assembled by the one run path in run.go.
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"threesigma/internal/baselines"
 	"threesigma/internal/core"
-	"threesigma/internal/faults"
-	"threesigma/internal/job"
-	"threesigma/internal/metrics"
-	"threesigma/internal/predictor"
-	"threesigma/internal/shard"
 	"threesigma/internal/simulator"
 	"threesigma/internal/workload"
-)
-
-// System identifies one scheduler configuration (Table 1 + Fig. 8 ablations).
-type System string
-
-// The systems compared in the paper.
-const (
-	Sys3Sigma       System = "3Sigma"
-	SysPointPerfEst System = "PointPerfEst"
-	SysPointRealEst System = "PointRealEst"
-	SysPrio         System = "Prio"
-	SysNoDist       System = "3SigmaNoDist"
-	SysNoOE         System = "3SigmaNoOE"
-	SysNoAdapt      System = "3SigmaNoAdapt"
 )
 
 // CoreSystems is the four-way comparison of Figs. 1, 6, 7, 10, 11.
@@ -63,9 +43,10 @@ type Scale struct {
 	// (core.Config.SolveQuantum); 0 leaves quantization off. Only the
 	// steady-state scenario sets it.
 	SolveQuantum float64
-	// Shards > 1 partitions the cluster into that many scheduling domains
-	// driven by the internal/shard coordinator (DESIGN.md §13); 0 or 1 is
-	// the monolithic single-solve configuration.
+	// Shards is every run's SimConfig.Shards (3sigma-bench -shards sets
+	// it): > 1 runs the 3σSched systems on that many scheduling domains
+	// (DESIGN.md §13), 0 or 1 on the bare monolithic scheduler. The
+	// scalability scenario runs both, as Shards 1 and Shards N of one call.
 	Shards    int
 	TraceJobs int // records per environment for the Fig. 2 analyses
 	// Repeats averages every experiment point over this many workload
@@ -111,40 +92,23 @@ func Full() Scale {
 // Cluster returns the scale's cluster.
 func (s Scale) Cluster() simulator.Cluster { return simulator.NewCluster(s.Nodes, s.Partitions) }
 
-// coreConfig builds the 3σSched configuration for this scale.
-func (s Scale) coreConfig() core.Config {
-	return core.Config{
-		Slots:          s.Slots,
-		SlotDur:        s.SlotDur,
-		CycleInterval:  s.CycleInterval,
-		MaxPending:     s.MaxPending,
-		SolverBudget:   s.SolverBudget,
-		SolverMaxNodes: 24,
-		SolveQuantum:   s.SolveQuantum,
-	}
-}
-
-// solverStatsFrom projects the scheduler-side counters into the report's
-// SolverStats shape (shared by the monolithic, per-shard, and steady paths).
-func solverStatsFrom(st core.Stats) metrics.SolverStats {
-	return metrics.SolverStats{
-		Nodes:       st.SolverNodes,
-		LPIters:     st.SolverLPIters,
-		CacheHits:   st.CacheHits,
-		CacheMisses: st.CacheMisses,
-
-		Proved:        st.SolverProved,
-		NodeCapped:    st.SolverNodeCapped,
-		DeadlineStops: st.SolverDeadlineStops,
-		ColdFallbacks: st.SolverColdFallbacks,
-
-		PatchedCycles:     st.PatchedCycles,
-		RebuildFallbacks:  st.RebuildFallbacks,
-		RowsPatched:       st.RowsPatched,
-		ColsPatched:       st.ColsPatched,
-		WarmBasisReuses:   st.WarmBasisReuses,
-		IncumbentSeedHits: st.IncumbentSeedHits,
-		ReusedSolves:      st.ReusedSolves,
+// config is the run configuration of this scale (experiments override
+// fields for their variants).
+func (s Scale) config(seed int64) SimConfig {
+	return SimConfig{
+		CycleInterval: s.CycleInterval,
+		DrainWindow:   s.DrainWindow,
+		Scheduler: core.Config{
+			Slots:          s.Slots,
+			SlotDur:        s.SlotDur,
+			CycleInterval:  s.CycleInterval,
+			MaxPending:     s.MaxPending,
+			SolverBudget:   s.SolverBudget,
+			SolverMaxNodes: 24,
+			SolveQuantum:   s.SolveQuantum,
+		},
+		Shards: s.Shards,
+		Seed:   seed,
 	}
 }
 
@@ -156,108 +120,6 @@ func (s Scale) WorkloadConfig(seed int64) workload.Config {
 		DurationHours: s.DurationHours,
 		Seed:          seed,
 	}
-}
-
-// RunOptions controls one simulation run.
-type RunOptions struct {
-	// RC emulates the real cluster (execution jitter + placement delay) —
-	// the RC256 configuration.
-	RC bool
-	// Estimator overrides the system's default estimator (used by the
-	// Fig. 9 synthetic-distribution study).
-	Estimator core.Estimator
-	Seed      int64
-	// Faults enables deterministic failure injection for availability
-	// experiments (nil leaves the run fault-free and bit-identical to
-	// builds without the fault subsystem).
-	Faults *faults.Config
-}
-
-// RunResult bundles the metric report with scheduler-side stats.
-type RunResult struct {
-	Report metrics.Report
-	Sched  core.Stats // zero for Prio
-}
-
-// Run executes one (system, workload) pair at the given scale.
-func Run(sys System, w *workload.Workload, sc Scale, opts RunOptions) (RunResult, error) {
-	var schedImpl simulator.Scheduler
-	var coreSched *core.Scheduler
-
-	cfg := sc.coreConfig()
-	needPredictor := sys == Sys3Sigma || sys == SysPointRealEst || sys == SysNoDist ||
-		sys == SysNoOE || sys == SysNoAdapt
-	var pred *predictor.Predictor
-	if needPredictor {
-		pred = predictor.New(predictor.Config{})
-		for _, r := range w.Train {
-			pred.Observe(r.Job(), r.Runtime)
-		}
-	}
-	switch sys {
-	case Sys3Sigma:
-		coreSched = baselines.ThreeSigma(pred, cfg)
-	case SysPointPerfEst:
-		coreSched = baselines.PointPerfEst(cfg)
-	case SysPointRealEst:
-		coreSched = baselines.PointRealEst(pred, cfg)
-	case SysNoDist:
-		coreSched = baselines.NoDist(pred, cfg)
-	case SysNoOE:
-		coreSched = baselines.NoOE(pred, cfg)
-	case SysNoAdapt:
-		coreSched = baselines.NoAdapt(pred, cfg)
-	case SysPrio:
-		schedImpl = baselines.NewPrio()
-	default:
-		return RunResult{}, fmt.Errorf("experiments: unknown system %q", sys)
-	}
-	var coord *shard.Coordinator
-	if coreSched != nil {
-		if opts.Estimator != nil {
-			c := coreSched.Config()
-			coreSched = core.New(opts.Estimator, c)
-		}
-		schedImpl = coreSched
-		if sc.Shards > 1 {
-			var err error
-			coord, err = shard.NewCoordinator(coreSched, w.Cluster, sc.Shards)
-			if err != nil {
-				return RunResult{}, err
-			}
-			schedImpl = coord
-		}
-	}
-
-	simOpts := simulator.Options{
-		Cluster:       w.Cluster,
-		CycleInterval: sc.CycleInterval,
-		DrainWindow:   sc.DrainWindow,
-		Seed:          opts.Seed,
-		Faults:        opts.Faults,
-	}
-	if opts.RC {
-		simOpts.RuntimeJitter = 0.04
-		simOpts.PlacementDelay = 1.5
-	}
-	sim, err := simulator.New(schedImpl, w.Jobs, simOpts)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := sim.Run()
-	rr := RunResult{Report: metrics.FromResult(string(sys), res, w.Cluster)}
-	switch {
-	case coord != nil:
-		rr.Sched = coord.Stats()
-		rr.Report.Solver = solverStatsFrom(rr.Sched)
-		for _, st := range coord.ShardStats() {
-			rr.Report.ShardSolver = append(rr.Report.ShardSolver, solverStatsFrom(st))
-		}
-	case coreSched != nil:
-		rr.Sched = coreSched.Stats()
-		rr.Report.Solver = solverStatsFrom(rr.Sched)
-	}
-	return rr, nil
 }
 
 // parallelEach runs fn(i) for i in [0,n) across min(n, NumCPU) workers.
@@ -301,15 +163,4 @@ func parallelEach(n int, fn func(i int) error) error {
 	close(next)
 	wg.Wait()
 	return firstErr
-}
-
-// sloJobsOf counts SLO jobs (used by drivers for sanity output).
-func sloJobsOf(w *workload.Workload) int {
-	n := 0
-	for _, j := range w.Jobs {
-		if j.Class == job.SLO {
-			n++
-		}
-	}
-	return n
 }

@@ -21,18 +21,18 @@ func TestRunAllSystems(t *testing.T) {
 	sc := tiny()
 	w := workload.Generate(sc.WorkloadConfig(3))
 	for _, sys := range append(CoreSystems(), SysNoDist, SysNoOE, SysNoAdapt) {
-		rr, err := Run(sys, w, sc, RunOptions{Seed: 3})
+		res, err := Run(sys, w, sc.config(3))
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
-		r := rr.Report
+		r := res.Report
 		if r.SLOJobs+r.BEJobs != len(w.Jobs) {
 			t.Errorf("%s: job accounting wrong: %d+%d != %d", sys, r.SLOJobs, r.BEJobs, len(w.Jobs))
 		}
 		if r.CompletedSLO+r.CompletedBE == 0 {
 			t.Errorf("%s: nothing completed", sys)
 		}
-		if sys != SysPrio && rr.Sched.Cycles == 0 {
+		if sys != SysPrio && res.Stats.Cycles == 0 {
 			t.Errorf("%s: no scheduler cycles recorded", sys)
 		}
 	}
@@ -41,7 +41,7 @@ func TestRunAllSystems(t *testing.T) {
 func TestRunUnknownSystem(t *testing.T) {
 	sc := tiny()
 	w := workload.Generate(sc.WorkloadConfig(3))
-	if _, err := Run(System("bogus"), w, sc, RunOptions{}); err == nil {
+	if _, err := Run(System("bogus"), w, sc.config(0)); err == nil {
 		t.Fatal("unknown system should error")
 	}
 }

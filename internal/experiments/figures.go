@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"threesigma/internal/baselines"
 	"threesigma/internal/core"
 	"threesigma/internal/dist"
 	"threesigma/internal/job"
@@ -17,21 +18,21 @@ import (
 )
 
 // runGrid executes every (workload, system) pair in parallel and returns
-// reports indexed [workload][system].
-func runGrid(ws []*workload.Workload, systems []System, sc Scale, opts RunOptions) ([][]metrics.Report, error) {
+// reports indexed [workload][system]; workload wi runs with seed cfg.Seed+wi.
+func runGrid(ws []*workload.Workload, systems []System, cfg SimConfig) ([][]metrics.Report, error) {
 	out := make([][]metrics.Report, len(ws))
 	for i := range out {
 		out[i] = make([]metrics.Report, len(systems))
 	}
 	err := parallelEach(len(ws)*len(systems), func(k int) error {
 		wi, si := k/len(systems), k%len(systems)
-		o := opts
-		o.Seed = opts.Seed + int64(wi)
-		rr, err := Run(systems[si], ws[wi], sc, o)
+		c := cfg
+		c.Seed += int64(wi)
+		r, err := Run(systems[si], ws[wi], c)
 		if err != nil {
 			return err
 		}
-		out[wi][si] = rr.Report
+		out[wi][si] = r.Report
 		return nil
 	})
 	return out, err
@@ -68,7 +69,9 @@ func EndToEnd(sc Scale, seed int64, rc bool) ([]metrics.Report, error) {
 		ws[r] = workload.Generate(sc.WorkloadConfig(seed + int64(r)))
 	}
 	systems := CoreSystems()
-	grid, err := runGrid(ws, systems, sc, RunOptions{RC: rc, Seed: seed})
+	cfg := sc.config(seed)
+	cfg.RealCluster = rc
+	grid, err := runGrid(ws, systems, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -110,11 +113,13 @@ func Table2(sc Scale, seed int64) ([]Table2Row, error) {
 		ws[r] = workload.Generate(sc.WorkloadConfig(seed + int64(r)))
 	}
 	systems := CoreSystems()
-	simGrid, err := runGrid(ws, systems, sc, RunOptions{RC: false, Seed: seed})
+	cfg := sc.config(seed)
+	simGrid, err := runGrid(ws, systems, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rcGrid, err := runGrid(ws, systems, sc, RunOptions{RC: true, Seed: seed})
+	cfg.RealCluster = true
+	rcGrid, err := runGrid(ws, systems, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +171,7 @@ func Fig7(sc Scale, seed int64) ([]Fig7Cell, error) {
 			ws = append(ws, workload.Generate(cfg))
 		}
 	}
-	grid, err := runGrid(ws, systems, sc, RunOptions{Seed: seed})
+	grid, err := runGrid(ws, systems, sc.config(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +229,7 @@ func Fig8(sc Scale, seed int64, slacks []int) ([]Fig8Point, error) {
 			ws = append(ws, workload.Generate(cfg))
 		}
 	}
-	grid, err := runGrid(ws, systems, sc, RunOptions{Seed: seed})
+	grid, err := runGrid(ws, systems, sc.config(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -325,12 +330,13 @@ func Fig9(sc Scale, seed int64, shifts, covs []int) ([]Fig9Point, error) {
 		si, ci := cell/len(covs), cell%len(covs)
 		shift, cov := shifts[si], covs[ci]
 		est := synthEstimator(float64(shift)/100, float64(cov)/100, seed+int64(cell))
-		rr, err := Run(Sys3Sigma, ws[r], sc, RunOptions{Seed: seed + int64(r), Estimator: est})
+		cfg := sc.config(seed + int64(r))
+		cfg.Scheduler.Policy = baselines.ThreeSigmaPolicy()
+		res, err := RunScheduler(fmt.Sprintf("shift%+d/cov%d", shift, cov), core.New(est, cfg.Scheduler), ws[r].Jobs, ws[r].Cluster, cfg)
 		if err != nil {
 			return err
 		}
-		rr.Report.System = fmt.Sprintf("shift%+d/cov%d", shift, cov)
-		scratch[k] = rr.Report // distinct index per task: no contention
+		scratch[k] = res.Report // distinct index per task: no contention
 		return nil
 	})
 	if err != nil {
@@ -459,7 +465,7 @@ func Fig10(sc Scale, seed int64, loads []float64) ([]Fig10Point, error) {
 			ws = append(ws, workload.Generate(cfg))
 		}
 	}
-	grid, err := runGrid(ws, systems, sc, RunOptions{Seed: seed})
+	grid, err := runGrid(ws, systems, sc.config(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +515,7 @@ func Fig11(sc Scale, seed int64, samples []int) ([]Fig11Point, error) {
 			ws = append(ws, workload.Generate(cfg))
 		}
 	}
-	grid, err := runGrid(ws, systems, sc, RunOptions{Seed: seed})
+	grid, err := runGrid(ws, systems, sc.config(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -616,11 +622,11 @@ func Fig12(seed int64, rates []int, hours float64) ([]Fig12Point, error) {
 			if !distMode {
 				sys = SysPointRealEst
 			}
-			rr, err := Run(sys, w, sc, RunOptions{Seed: seed})
+			r, err := Run(sys, w, sc.config(seed))
 			if err != nil {
 				return nil, err
 			}
-			st := rr.Sched
+			st := r.Stats
 			mean := time.Duration(0)
 			meanSolve := time.Duration(0)
 			if st.Cycles > 0 {

@@ -5,11 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"threesigma/internal/baselines"
 	"threesigma/internal/metrics"
-	"threesigma/internal/predictor"
 	"threesigma/internal/shard"
-	"threesigma/internal/simulator"
 	"threesigma/internal/workload"
 )
 
@@ -69,7 +66,8 @@ type ScalabilityArm struct {
 	SpeedupVsMono float64 `json:"speedup_vs_mono,omitempty"`
 }
 
-// Scalability runs the scenario's two arms on one generated workload.
+// Scalability runs the scenario's two arms on one generated workload: one
+// Run call each, differing only in SimConfig.Shards (1 and N).
 func Scalability(sc Scale, seed int64) ([]ScalabilityArm, error) {
 	shards := sc.Shards
 	if shards < 1 {
@@ -98,52 +96,24 @@ func Scalability(sc Scale, seed int64) ([]ScalabilityArm, error) {
 	}
 	out := make([]ScalabilityArm, 0, len(arms))
 	for _, a := range arms {
-		pred := predictor.New(predictor.Config{})
-		for _, r := range w.Train {
-			pred.Observe(r.Job(), r.Runtime)
-		}
-		sched := baselines.ThreeSigma(pred, sc.coreConfig())
-		var impl simulator.Scheduler = sched
-		var coord *shard.Coordinator
-		if a.shards > 1 {
-			var err error
-			coord, err = shard.NewCoordinator(sched, w.Cluster, a.shards)
-			if err != nil {
-				return nil, err
-			}
-			impl = coord
-		}
-		sim, err := simulator.New(impl, w.Jobs, simulator.Options{
-			Cluster:       w.Cluster,
-			CycleInterval: sc.CycleInterval,
-			DrainWindow:   sc.DrainWindow,
-			Seed:          seed,
-		})
+		cfg := sc.config(seed)
+		cfg.Shards = a.shards
+		r, err := Run(Sys3Sigma, w, cfg)
 		if err != nil {
 			return nil, err
 		}
-		res := sim.Run()
 		arm := ScalabilityArm{
-			Arm:    a.name,
-			Shards: a.shards,
-			Digest: metrics.OutcomeDigest(res),
+			Arm:          a.name,
+			Shards:       a.shards,
+			Cycles:       r.Stats.Cycles,
+			Solver:       r.Report.Solver,
+			ShardSolver:  r.Report.ShardSolver,
+			Coord:        r.Coord,
+			Digest:       r.Digest,
+			ShardDigests: r.ShardDigests,
 		}
-		if coord != nil {
-			st := coord.Stats()
-			arm.Cycles = st.Cycles
-			arm.Solver = solverStatsFrom(st)
-			for _, sst := range coord.ShardStats() {
-				arm.ShardSolver = append(arm.ShardSolver, solverStatsFrom(sst))
-			}
-			arm.Coord = coord.CoordStats()
-			arm.ShardDigests = metrics.ShardOutcomeDigests(res, a.shards, coord.DigestShard)
-		} else {
-			st := sched.Stats()
-			arm.Cycles = st.Cycles
-			arm.Solver = solverStatsFrom(st)
-		}
-		arm.MeanCycleMS, arm.P50CycleMS, arm.P95CycleMS, arm.P99CycleMS = latencyStats(res.CycleLatencies)
-		arm.MeanSolveMS, _, _, _ = latencyStats(res.SolverLatency)
+		arm.MeanCycleMS, arm.P50CycleMS, arm.P95CycleMS, arm.P99CycleMS = latencyStats(r.Sim.CycleLatencies)
+		arm.MeanSolveMS, _, _, _ = latencyStats(r.Sim.SolverLatency)
 		out = append(out, arm)
 	}
 	mono := out[0].MeanCycleMS

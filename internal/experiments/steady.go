@@ -6,10 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"threesigma/internal/baselines"
 	"threesigma/internal/metrics"
-	"threesigma/internal/predictor"
-	"threesigma/internal/simulator"
 	"threesigma/internal/workload"
 )
 
@@ -87,32 +84,20 @@ func Steady(sc Scale, seed int64) ([]SteadyArm, error) {
 	}
 	out := make([]SteadyArm, 0, len(arms))
 	for _, a := range arms {
-		pred := predictor.New(predictor.Config{})
-		for _, r := range w.Train {
-			pred.Observe(r.Job(), r.Runtime)
-		}
-		cfg := sc.coreConfig()
-		cfg.NoWarmBasis = a.noWarmBase
-		sched := baselines.ThreeSigma(pred, cfg)
-		sim, err := simulator.New(sched, w.Jobs, simulator.Options{
-			Cluster:       w.Cluster,
-			CycleInterval: sc.CycleInterval,
-			DrainWindow:   sc.DrainWindow,
-			Seed:          seed,
-		})
+		cfg := sc.config(seed)
+		cfg.Scheduler.NoWarmBasis = a.noWarmBase
+		r, err := Run(Sys3Sigma, w, cfg)
 		if err != nil {
 			return nil, err
 		}
-		res := sim.Run()
-		st := sched.Stats()
 		arm := SteadyArm{
 			Arm:    a.name,
-			Cycles: st.Cycles,
-			Solver: solverStatsFrom(st),
-			Digest: metrics.OutcomeDigest(res),
+			Cycles: r.Stats.Cycles,
+			Solver: r.Report.Solver,
+			Digest: r.Digest,
 		}
-		arm.MeanCycleMS, arm.P50CycleMS, arm.P95CycleMS, arm.P99CycleMS = latencyStats(res.CycleLatencies)
-		arm.MeanSolveMS, _, _, _ = latencyStats(res.SolverLatency)
+		arm.MeanCycleMS, arm.P50CycleMS, arm.P95CycleMS, arm.P99CycleMS = latencyStats(r.Sim.CycleLatencies)
+		arm.MeanSolveMS, _, _, _ = latencyStats(r.Sim.SolverLatency)
 		out = append(out, arm)
 	}
 	cold := out[len(out)-1].MeanCycleMS

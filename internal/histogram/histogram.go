@@ -343,7 +343,8 @@ func (h *Histogram) Snapshot() State {
 // out-of-order bins are re-sorted (duplicate centroids merged), an
 // over-budget bin list is merged down to MaxBins, and n/min/max are
 // recomputed from the surviving bins. Snapshots with non-finite centroids
-// or counts are irrecoverable and rejected with an error.
+// or counts, or with counts whose sums are not finite, are irrecoverable and
+// rejected with an error.
 func FromState(s State) (*Histogram, error) {
 	h := New(s.MaxBins)
 	for _, b := range s.Bins {
@@ -376,6 +377,11 @@ func FromState(s State) (*Histogram, error) {
 	}
 	for _, b := range h.bins {
 		h.n += b.Count
+	}
+	// Sum adds neighbouring counts (at most twice the total), so a total
+	// whose double overflows would answer +Inf mid-support.
+	if math.IsInf(2*h.n, 0) {
+		return nil, fmt.Errorf("histogram: snapshot counts sum to %g, whose double is not finite", h.n)
 	}
 	if len(h.bins) == 0 {
 		return h, nil

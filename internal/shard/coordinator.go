@@ -52,7 +52,7 @@ type Coordinator struct {
 	doms     []simulator.Domain
 	partDom  []int // partition index -> domain index
 	domNodes []int // provisioned nodes per domain
-	shards   []core.DomainScheduler
+	shards   []*core.Scheduler
 	cfg      core.Config // proto configuration, defaults filled
 	est      core.Estimator
 	clock    simulator.Clock
@@ -126,7 +126,7 @@ func NewCoordinator(proto *core.Scheduler, cluster simulator.Cluster, n int) (*C
 			user(e)
 		}
 	}
-	c.shards = make([]core.DomainScheduler, n)
+	c.shards = make([]*core.Scheduler, n)
 	for i := range c.shards {
 		c.shards[i] = core.New(c.est, shardCfg)
 	}

@@ -151,8 +151,8 @@ func (c *Coordinator) buildSubStates(st *simulator.State) ([]*simulator.State, [
 // placeSpanning greedily places cross-domain pending gangs on the capacity
 // left after the per-shard starts: SLO jobs first in EDF order, then
 // best-effort in FIFO order, full gang or nothing, preferred partitions
-// filled first. Hopeless SLO jobs (past deadline plus maximal over-estimate
-// extension, the same §4.2 rule the shards apply) are abandoned.
+// filled first (core.GreedyAlloc, the shards' own allocator). Hopeless SLO
+// jobs (core.Config.Hopeless, the rule the shards apply) are abandoned.
 func (c *Coordinator) placeSpanning(st *simulator.State, spanning []*job.Job, free simulator.Alloc, dec *simulator.Decision) {
 	if len(spanning) == 0 {
 		return
@@ -179,18 +179,15 @@ func (c *Coordinator) placeSpanning(st *simulator.State, spanning []*job.Job, fr
 		if c.abandoned[j.ID] {
 			continue
 		}
-		if j.HasDeadline() {
-			maxExt := c.cfg.OEExtFactor * (j.Deadline - j.Submit)
-			if st.Now > j.Deadline+maxExt {
-				c.abandoned[j.ID] = true
-				c.statsMu.Lock()
-				c.spanAbandons++
-				c.statsMu.Unlock()
-				c.logDecision(core.DecisionEvent{Time: st.Now, Kind: core.DecisionAbandon, Job: j.ID})
-				continue
-			}
+		if c.cfg.Hopeless(j, st.Now) {
+			c.abandoned[j.ID] = true
+			c.statsMu.Lock()
+			c.spanAbandons++
+			c.statsMu.Unlock()
+			c.logDecision(core.DecisionEvent{Time: st.Now, Kind: core.DecisionAbandon, Job: j.ID})
+			continue
 		}
-		alloc := greedySpanAlloc(j, free)
+		alloc := core.GreedyAlloc(j, free, false)
 		if alloc == nil {
 			continue
 		}
@@ -213,54 +210,6 @@ func (c *Coordinator) placeSpanning(st *simulator.State, spanning []*job.Job, fr
 			PlannedStart: st.Now, OnPreferred: onPref,
 		})
 	}
-}
-
-// greedySpanAlloc realizes a cross-domain gang on the free nodes, preferred
-// partitions first (largest free count, then lowest index — the same order
-// core.Scheduler.greedyAlloc uses), falling back to any partition at the
-// job's NonPrefFactor slowdown. Returns nil when the gang does not fit.
-func greedySpanAlloc(j *job.Job, free simulator.Alloc) simulator.Alloc {
-	alloc := make(simulator.Alloc, len(free))
-	need := j.Tasks
-	fill := func(preferredOnly bool) {
-		type pf struct{ p, free int }
-		var ps []pf
-		for p, f := range free {
-			avail := f - alloc[p]
-			if avail <= 0 {
-				continue
-			}
-			if preferredOnly && !j.PrefersPartition(p) {
-				continue
-			}
-			ps = append(ps, pf{p, avail})
-		}
-		sort.Slice(ps, func(a, b int) bool {
-			if ps[a].free != ps[b].free {
-				return ps[a].free > ps[b].free
-			}
-			return ps[a].p < ps[b].p
-		})
-		for _, e := range ps {
-			if need == 0 {
-				return
-			}
-			take := e.free
-			if take > need {
-				take = need
-			}
-			alloc[e.p] += take
-			need -= take
-		}
-	}
-	fill(true)
-	if need > 0 {
-		fill(false)
-	}
-	if need > 0 {
-		return nil
-	}
-	return alloc
 }
 
 // pendingLoad computes each shard's pending-queue length and the per-shard

@@ -21,17 +21,15 @@
 package threesigma
 
 import (
-	"fmt"
 	"io"
 
-	"threesigma/internal/baselines"
 	"threesigma/internal/core"
 	"threesigma/internal/dist"
+	"threesigma/internal/experiments"
 	"threesigma/internal/faults"
 	"threesigma/internal/job"
 	"threesigma/internal/metrics"
 	"threesigma/internal/predictor"
-	"threesigma/internal/shard"
 	"threesigma/internal/simulator"
 	"threesigma/internal/trace"
 	"threesigma/internal/workload"
@@ -108,11 +106,7 @@ func (p *Predictor) Observe(j *Job, runtime float64) { p.p.Observe(j, runtime) }
 
 // Train replays a slice of (job, runtime) history (e.g. a workload's
 // pre-training records) into the predictor.
-func (p *Predictor) Train(w *Workload) {
-	for _, r := range w.Train {
-		p.p.Observe(r.Job(), r.Runtime)
-	}
-}
+func (p *Predictor) Train(w *Workload) { experiments.Pretrain(p.p, w) }
 
 // Save serializes the predictor's history sketches (the paper's runtime
 // history database) for reuse across processes.
@@ -122,19 +116,25 @@ func (p *Predictor) Save(w io.Writer) error { return p.p.Save(w) }
 // the same feature configuration.
 func (p *Predictor) Load(r io.Reader) error { return p.p.Load(r) }
 
-// System selects one of the scheduler configurations compared in the paper
-// (Table 1 plus the Fig. 8 ablations).
-type System string
+// The system types and the run options the facade shares with
+// internal/experiments.
+type (
+	// System selects one of the scheduler configurations compared in the
+	// paper (Table 1 plus the Fig. 8 ablations).
+	System = experiments.System
+	// SimConfig controls a Simulate or SimulateScheduler run.
+	SimConfig = experiments.SimConfig
+)
 
 // Available systems.
 const (
-	SystemThreeSigma   System = "3Sigma"
-	SystemPointPerfEst System = "PointPerfEst"
-	SystemPointRealEst System = "PointRealEst"
-	SystemPrio         System = "Prio"
-	SystemNoDist       System = "3SigmaNoDist"
-	SystemNoOE         System = "3SigmaNoOE"
-	SystemNoAdapt      System = "3SigmaNoAdapt"
+	SystemThreeSigma   = experiments.Sys3Sigma
+	SystemPointPerfEst = experiments.SysPointPerfEst
+	SystemPointRealEst = experiments.SysPointRealEst
+	SystemPrio         = experiments.SysPrio
+	SystemNoDist       = experiments.SysNoDist
+	SystemNoOE         = experiments.SysNoOE
+	SystemNoAdapt      = experiments.SysNoAdapt
 )
 
 // Scheduler is the simulator-facing scheduling interface; 3σSched and the
@@ -149,29 +149,7 @@ func NewScheduler(sys System, p *Predictor, cfg SchedulerConfig) (Scheduler, err
 	if p != nil {
 		pp = p.p
 	}
-	switch sys {
-	case SystemThreeSigma, SystemPointRealEst, SystemNoDist, SystemNoOE, SystemNoAdapt:
-		if pp == nil {
-			return nil, fmt.Errorf("threesigma: system %s requires a predictor", sys)
-		}
-	}
-	switch sys {
-	case SystemThreeSigma:
-		return baselines.ThreeSigma(pp, cfg), nil
-	case SystemPointPerfEst:
-		return baselines.PointPerfEst(cfg), nil
-	case SystemPointRealEst:
-		return baselines.PointRealEst(pp, cfg), nil
-	case SystemNoDist:
-		return baselines.NoDist(pp, cfg), nil
-	case SystemNoOE:
-		return baselines.NoOE(pp, cfg), nil
-	case SystemNoAdapt:
-		return baselines.NoAdapt(pp, cfg), nil
-	case SystemPrio:
-		return baselines.NewPrio(), nil
-	}
-	return nil, fmt.Errorf("threesigma: unknown system %q", sys)
+	return experiments.NewScheduler(sys, pp, cfg)
 }
 
 // GenerateWorkload builds a trace-derived synthetic workload; the zero
@@ -192,38 +170,6 @@ type ReplayConfig = workload.ReplayConfig
 // history.
 func WorkloadFromTrace(recs []TraceRecord, cfg ReplayConfig) *Workload {
 	return workload.FromTrace(recs, cfg)
-}
-
-// SimConfig controls a Simulate run.
-type SimConfig struct {
-	// CycleInterval is the scheduling period in simulated seconds
-	// (default 10).
-	CycleInterval float64
-	// DrainWindow is the extra simulated time after the last submission
-	// before the run is cut off (default 2400).
-	DrainWindow float64
-	// RealCluster emulates the paper's RC256 configuration by adding
-	// execution jitter and placement delay.
-	RealCluster bool
-	// VirtualTime runs the scheduler on the simulator's virtual clock:
-	// solver deadlines never expire mid-solve and measured latencies pin
-	// to zero, making budgeted solves deterministic regardless of host
-	// load. Off by default so the reported cycle/solve latencies remain
-	// wall-clock measurements (Fig. 12).
-	VirtualTime bool
-	// Scheduler overrides the system's default scheduler configuration.
-	Scheduler SchedulerConfig
-	// Shards > 1 partitions the cluster into that many scheduling domains,
-	// each running its own 3σSched cycle concurrently under the cross-shard
-	// coordinator (DESIGN.md §13). 0 or 1 runs the monolithic single-solve
-	// scheduler — bitwise identical to builds without the shard subsystem.
-	// Only the core-scheduler systems support sharding (not Prio).
-	Shards int
-	Seed   int64
-	// Faults, when non-nil, injects a deterministic failure schedule (node
-	// crash/recover, job crash-with-retry, stragglers) into the run. Nil
-	// leaves every output bit-identical to a fault-free build.
-	Faults *FaultConfig
 }
 
 // SimResult bundles the metric report with raw outcomes and scheduler stats.
@@ -249,105 +195,27 @@ type SimResult struct {
 // cluster and reports the paper's success metrics. Systems needing a
 // predictor get a fresh one pre-trained on the workload's history.
 func Simulate(sys System, w *Workload, cfg SimConfig) (*SimResult, error) {
-	var p *Predictor
-	switch sys {
-	case SystemThreeSigma, SystemPointRealEst, SystemNoDist, SystemNoOE, SystemNoAdapt:
-		p = NewPredictor(PredictorConfig{})
-		p.Train(w)
-	}
-	if cfg.CycleInterval <= 0 {
-		cfg.CycleInterval = 10
-	}
-	if cfg.DrainWindow <= 0 {
-		cfg.DrainWindow = 2400
-	}
-	scfg := cfg.Scheduler
-	if scfg.CycleInterval == 0 {
-		scfg.CycleInterval = cfg.CycleInterval
-	}
-	sched, err := NewScheduler(sys, p, scfg)
-	if err != nil {
-		return nil, err
-	}
-	var coord *shard.Coordinator
-	if cfg.Shards > 1 {
-		cs, ok := sched.(*core.Scheduler)
-		if !ok {
-			return nil, fmt.Errorf("threesigma: system %s does not support sharding", sys)
-		}
-		coord, err = shard.NewCoordinator(cs, w.Cluster, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		sched = coord
-	}
-	opts := simulator.Options{
-		Cluster:       w.Cluster,
-		CycleInterval: cfg.CycleInterval,
-		DrainWindow:   cfg.DrainWindow,
-		Seed:          cfg.Seed,
-		VirtualTime:   cfg.VirtualTime,
-		Faults:        cfg.Faults,
-	}
-	if cfg.RealCluster {
-		opts.RuntimeJitter = 0.04
-		opts.PlacementDelay = 1.5
-	}
-	sim, err := simulator.New(sched, w.Jobs, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := sim.Run()
-	out := &SimResult{
-		Report:   metrics.FromResult(string(sys), res, w.Cluster),
-		Outcomes: res.Outcomes,
-		Digest:   metrics.OutcomeDigest(res),
-	}
-	if coord != nil {
-		out.Stats = coord.Stats()
-		out.ShardStats = coord.ShardStats()
-		out.ShardDigests = metrics.ShardOutcomeDigests(res, coord.NumShards(), coord.DigestShard)
-	} else if cs, ok := sched.(*core.Scheduler); ok {
-		out.Stats = cs.Stats()
-	}
-	return out, nil
+	return simResult(experiments.Run(sys, w, cfg))
 }
 
 // SimulateScheduler runs an arbitrary scheduler (e.g. one built with
 // NewCustomScheduler) on explicit jobs over the given cluster.
 func SimulateScheduler(sched Scheduler, jobs []*Job, cluster Cluster, cfg SimConfig) (*SimResult, error) {
-	if cfg.CycleInterval <= 0 {
-		cfg.CycleInterval = 10
-	}
-	if cfg.DrainWindow <= 0 {
-		cfg.DrainWindow = 2400
-	}
-	opts := simulator.Options{
-		Cluster:       cluster,
-		CycleInterval: cfg.CycleInterval,
-		DrainWindow:   cfg.DrainWindow,
-		Seed:          cfg.Seed,
-		VirtualTime:   cfg.VirtualTime,
-		Faults:        cfg.Faults,
-	}
-	if cfg.RealCluster {
-		opts.RuntimeJitter = 0.04
-		opts.PlacementDelay = 1.5
-	}
-	sim, err := simulator.New(sched, jobs, opts)
+	return simResult(experiments.RunScheduler("custom", sched, jobs, cluster, cfg))
+}
+
+func simResult(r *experiments.Result, err error) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := sim.Run()
-	out := &SimResult{
-		Report:   metrics.FromResult("custom", res, cluster),
-		Outcomes: res.Outcomes,
-		Digest:   metrics.OutcomeDigest(res),
-	}
-	if cs, ok := sched.(*core.Scheduler); ok {
-		out.Stats = cs.Stats()
-	}
-	return out, nil
+	return &SimResult{
+		Report:       r.Report,
+		Outcomes:     r.Sim.Outcomes,
+		Stats:        r.Stats,
+		Digest:       r.Digest,
+		ShardStats:   r.ShardStats,
+		ShardDigests: r.ShardDigests,
+	}, nil
 }
 
 // FormatReports renders reports as the comparison table used throughout the

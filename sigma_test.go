@@ -229,3 +229,43 @@ func TestIncrementalCountersMatchParent(t *testing.T) {
 		t.Errorf("cycles/patched/fallbacks/rows/cols/reused = %v, at the parent %v", got, want)
 	}
 }
+
+// TestSystemDigestsPinned holds every system of the paper's comparison, and
+// 3Sigma under the RC256 emulation and on two scheduling domains, to the
+// outcome digest it produced before the facade and the experiments shared
+// one run path. The constants were read off commit e4839d6 with this
+// same test body; on the virtual clock they repeat on any host.
+func TestSystemDigestsPinned(t *testing.T) {
+	env, err := workload.EnvByName("google")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := GenerateWorkload(WorkloadConfig{Env: env, Cluster: NewCluster(64, 8), DurationHours: 0.25, Load: 1.4, Seed: 7})
+	base := SimConfig{Seed: 7, VirtualTime: true}
+	rc, sharded := base, base
+	rc.RealCluster = true
+	sharded.Shards = 2
+	for _, c := range []struct {
+		sys  System
+		cfg  SimConfig
+		want string
+	}{
+		{SystemThreeSigma, base, "acf590cff1a4c73ad57076123bb6328e96525d47ca2bd6d637ff165f2aef622b"},
+		{SystemPointPerfEst, base, "56a9f1f419474dda4769fb6e3abfeae759ab4341bcfa7f97532f697cd884519e"},
+		{SystemPointRealEst, base, "3953e6cf02888ee7cd6127a2b45039781e95399be6f192c2357cacb6f787c72b"},
+		{SystemPrio, base, "d788c2d350a8f510bb8a1812fdd27698d547bb287e055b97dae7b1e805b58da1"},
+		{SystemNoDist, base, "985dea80e6b541cd10c3dd6b122c4a6e85854415927ee743abc0affaf51411ac"},
+		{SystemNoOE, base, "ba49c3fb6c8063c14bf140a8c44f1d584ad69df88d3b4e5cbb3d5252fc151247"},
+		{SystemNoAdapt, base, "c459bdd34c9a4696164a31e8ac24a6cc97a9bcb613801e344342bedeb901c9fc"},
+		{SystemThreeSigma, rc, "a30f4036a4716658d3166f7828b81b24adffe675ea896c044b48a64c9ca86494"},
+		{SystemThreeSigma, sharded, "155b6300f094a419ca89b64c4c1d37c7db1d0b441bafb85e21395dbe2d216f22"},
+	} {
+		res, err := Simulate(c.sys, w, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sys, err)
+		}
+		if res.Digest != c.want {
+			t.Errorf("%s (rc=%v, shards=%d): digest %s, at the parent %s", c.sys, c.cfg.RealCluster, c.cfg.Shards, res.Digest, c.want)
+		}
+	}
+}
