@@ -56,11 +56,12 @@ verify:
 	./scripts/ci.sh
 
 # bench runs the cycle path's microbenchmarks at the largest model the
-# benchmark workloads reach (85 × 108): one node relaxation and a budgeted
-# cycle-sized solve in the solver, and the model build — a quiet cycle and an
-# arrival cycle — in the scheduler.
+# benchmark workloads reach (85 × 108): one node relaxation, one
+# branch-and-bound child re-solved from its parent's tableau (MB/s counts the
+# tableau bytes it copies) and a budgeted cycle-sized solve in the solver, and
+# the model build — a quiet cycle and an arrival cycle — in the scheduler.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkNodeLP|BenchmarkSolveSchedulingCycle' -benchmem ./internal/milp
+	$(GO) test -run '^$$' -bench 'BenchmarkNodeLP|BenchmarkWarmChild|BenchmarkSolveSchedulingCycle' -benchmem ./internal/milp
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildModel' -benchmem ./internal/core
 
 # bench-fig1 reproduces the medium-scale Fig 1 end-to-end benchmark.

@@ -35,7 +35,7 @@ func main() {
 	fig12Hours := flag.Float64("fig12-hours", 0.2, "measurement window for the Fig 12 scalability run")
 	faultSpec := flag.String("faults", "", "run the availability scenario (SLO attainment vs node MTBF sweep) with this fault spec: preset (light, heavy) or k=v list; mtbf is overridden per sweep point")
 	steady := flag.Bool("steady", false, "run the steady-state incremental-solve scenario (two arms: incremental, rebuild-cold)")
-	scalability := flag.Bool("scalability", false, "run the sharded-domain scalability scenario (three arms: monolithic, sharded-N, sharded-N single-worker)")
+	scalability := flag.Bool("scalability", false, "run the sharded-domain scalability scenario (two arms: monolithic, sharded-N)")
 	shards := flag.Int("shards", 0, "override the scheduling-domain count (0 = the scale's default; applies to every experiment and the -scalability scenario)")
 	flag.Parse()
 

@@ -2,8 +2,8 @@ package milp
 
 import "sync"
 
-// lpArena is the reusable working memory of one Solve: the tableau and
-// simplex work vectors every cold relaxation refills, the saved tableaus
+// lpArena is the reusable working memory of one Solve: the condensed tableau
+// and simplex work vectors every cold relaxation refills, the saved tableaus
 // children re-solve from, and the branch-and-bound's own scratch (recycled
 // nodes, the open heap, the greedy rounding index). Branch-and-bound solves
 // dozens of structurally similar relaxations per cycle; without reuse,
@@ -21,20 +21,23 @@ type lpArena struct {
 	isFree    []int     // 1 where free,
 	fixedCols []int     // and the fixed columns listed
 
-	tab   []float64 // tableau backing (m × (cols+1)), each row cleared as it is filled
-	zrow  []float64
-	basis []int
-	cost  []float64
-	p1    []float64 // phase-1 objective
-	w     []float64 // Devex reference weights
-	nz    []int32   // pivot row's nonzero columns
-	nzv   []float64 // and their scaled values
+	tab    []float64 // condensed tableau backing (m × (w+1)), each row cleared as it is filled
+	colVar []int
+	posOf  []int
+	zrow   []float64
+	basis  []int
+	cost   []float64
+	p1     []float64 // phase-1 objective
+	wt     []float64 // Devex reference weights
+	nz     []int32   // pivot row's nonzero positions
+	nzv    []float64 // and their scaled values
+	cand   []uint64  // dualEnter's candidate variables, one bit each
 
-	// Warm-restore scratch: revert snapshot (tableau + basis before forced
-	// pivots) and the desired/basic column flags.
-	save      []float64
-	saveBasis []int
-	flags     []bool
+	// Warm-restore scratch: revert snapshot (tableau, then basis and colVar,
+	// before forced pivots) and the desired column flags.
+	save    []float64
+	saveIdx []int
+	desired []bool
 
 	// Warm children (dual.go): the child being re-solved and one saved
 	// tableau per depth. Each owns its storage; saveSlot and the last child
@@ -42,8 +45,10 @@ type lpArena struct {
 	child simplexLP
 	slots []lpSlot
 	// onChild, when set (tests), sees every child re-solved from its
-	// parent's tableau: the node, its result and objective constant.
-	onChild func(nd *bbNode, res lpResult, objConst float64, err error)
+	// parent's tableau: the node, its expansion number, its result and
+	// objective constant; trace, when set, records the child's pivots.
+	onChild func(nd *bbNode, seq int, res lpResult, objConst float64, err error)
+	trace   *[]pivotRec
 
 	// Branch-and-bound scratch.
 	open   nodeHeap

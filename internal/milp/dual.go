@@ -3,6 +3,7 @@ package milp
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // This file re-solves branch-and-bound children from their parent's optimal
@@ -67,7 +68,7 @@ func (ar *lpArena) solveChild(m *Model, nd *bbNode) (lpResult, float64, error) {
 	} else {
 		lp.copyFrom(&s.lp)
 	}
-	lp.iters = 0
+	lp.iters, lp.trace = 0, ar.trace
 	lp.nz, lp.nzv = grow(&ar.nz, lp.stride), grow(&ar.nzv, lp.stride)
 	objConst := s.objConst
 	if nd.branch == 1 {
@@ -86,12 +87,14 @@ func (ar *lpArena) solveChild(m *Model, nd *bbNode) (lpResult, float64, error) {
 	return lp.result(), objConst, nil
 }
 
-// copyFrom makes lp a copy of src (shape, tableau, basis, reduced costs,
-// costs) in lp's own storage, which grows only.
+// copyFrom makes lp a copy of src (shape, tableau and its column maps,
+// basis, reduced costs, costs) in lp's own storage, which grows only.
 func (lp *simplexLP) copyFrom(src *simplexLP) {
-	tab, basis, zrow, cost := lp.tab, lp.basis, lp.zrow, lp.cost
+	tab, colVar, posOf, basis, zrow, cost := lp.tab, lp.colVar, lp.posOf, lp.basis, lp.zrow, lp.cost
 	*lp = *src
 	lp.tab = append(tab[:0], src.tab...)
+	lp.colVar = append(colVar[:0], src.colVar...)
+	lp.posOf = append(posOf[:0], src.posOf...)
 	lp.basis = append(basis[:0], src.basis...)
 	lp.zrow = append(zrow[:0], src.zrow...)
 	lp.cost = append(cost[:0], src.cost...)
@@ -119,23 +122,24 @@ func (lp *simplexLP) fixBasic(v int, val float64) error {
 		return errColdStart // a fractional variable is basic; this is not its parent's tableau
 	}
 	row := lp.row(r)
-	row[lp.cols] -= val
+	row[lp.w] -= val
 	lp.zrow[lp.cols] -= lp.cost[v] * val
 	lp.cost[v] = 0
-	row[v] = 0 // the only nonzero of v's column: the pivot leaves it all zero
 	s := 1.0
-	if row[lp.cols] < 0 {
+	if row[lp.w] < 0 {
 		s = -1
 	}
 	lp.iters++
 	e := lp.dualEnter(r, s)
 	if e < 0 {
-		if math.Abs(row[lp.cols]) <= feasTol {
+		if math.Abs(row[lp.w]) <= feasTol {
 			return errColdStart // infeasible only within tolerance: let the cold solve judge
 		}
 		return ErrInfeasible
 	}
-	lp.pivot(r, e)
+	// v's dropped column has no nonzero left: the slot it takes over from
+	// e comes out all zero.
+	lp.pivot(r, e, 0)
 	return nil
 }
 
@@ -148,7 +152,7 @@ func (lp *simplexLP) dualSimplex(maxIter int) error {
 	for it := 0; ; it++ {
 		leave, worst := -1, -zeroTol
 		for i := 0; i < lp.m; i++ {
-			if b := lp.tab[i*lp.stride+lp.cols]; b < worst {
+			if b := lp.tab[i*lp.stride+lp.w]; b < worst {
 				leave, worst = i, b
 			}
 		}
@@ -166,7 +170,7 @@ func (lp *simplexLP) dualSimplex(maxIter int) error {
 			}
 			return errColdStart // infeasible only within tolerance: let the cold solve judge
 		}
-		lp.pivot(leave, e)
+		lp.pivot(leave, e, 1)
 	}
 }
 
@@ -175,20 +179,31 @@ func (lp *simplexLP) dualSimplex(maxIter int) error {
 // unit of entry, so that pivoting it in keeps every reduced cost
 // nonnegative. Ties go to the larger entry, then to the lower column. -1
 // when no entry has sign s.
+//
+// The tie window moves with the best ratio, so the candidates must be taken
+// in variable order: the scan of the stored positions marks them in a bitset
+// over the variables, whose set bits are then walked in order.
 func (lp *simplexLP) dualEnter(r int, s float64) int {
+	row := lp.row(r)
+	cand := growz(&lp.ar.cand, (lp.artCol0+63)/64)
+	for q, a := range row[:lp.w] {
+		if j := lp.colVar[q]; a*s > pivTol && j < lp.artCol0 {
+			cand[j/64] |= 1 << (j % 64)
+		}
+	}
 	enter := -1
 	best, bestPiv := math.Inf(1), 0.0
-	for j, a := range lp.row(r)[:lp.artCol0] {
-		a *= s
-		if a <= pivTol {
-			continue
-		}
-		ratio := math.Max(lp.zrow[j], 0) / a
-		switch {
-		case ratio < best-1e-12:
-			best, bestPiv, enter = ratio, a, j
-		case ratio < best+1e-12 && a > bestPiv:
-			best, bestPiv, enter = ratio, a, j
+	for k, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			j := 64*k + bits.TrailingZeros64(word)
+			a := row[lp.posOf[j]] * s
+			ratio := math.Max(lp.zrow[j], 0) / a
+			switch {
+			case ratio < best-1e-12:
+				best, bestPiv, enter = ratio, a, j
+			case ratio < best+1e-12 && a > bestPiv:
+				best, bestPiv, enter = ratio, a, j
+			}
 		}
 	}
 	return enter

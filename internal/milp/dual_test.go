@@ -22,7 +22,7 @@ func checkChildren(m *Model, opts Options) (Solution, childCheck, error) {
 	var cc childCheck
 	var first error
 	ar, cold := &lpArena{}, &lpArena{}
-	ar.onChild = func(nd *bbNode, res lpResult, objC float64, err error) {
+	ar.onChild = func(nd *bbNode, _ int, res lpResult, objC float64, err error) {
 		cc.children++
 		fail := func(format string, args ...any) {
 			if first == nil {
@@ -152,7 +152,7 @@ func TestColdFallback(t *testing.T) {
 		m := preemptShaped(rng, 4+rng.Intn(8), 2+rng.Intn(3), 1+rng.Intn(4), 1+rng.Intn(4), false)
 		want := solveIn(&lpArena{}, m, Options{})
 		ar := &lpArena{}
-		ar.onChild = func(*bbNode, lpResult, float64, error) {
+		ar.onChild = func(*bbNode, int, lpResult, float64, error) {
 			for i := range ar.slots {
 				ar.slots[i].tag = -1 // every saved tableau lost
 			}
@@ -181,6 +181,58 @@ func TestSlotsDoNotOutliveSolve(t *testing.T) {
 		if diff := sameSolution(&got, &want); diff != "" || got.ColdFallbacks != want.ColdFallbacks {
 			t.Fatalf("trial %d: reused arena differs from a fresh one in %s", trial, diff)
 		}
+	}
+}
+
+// TestSlotStoresNonbasicColumnsOnly: after a Solve that branches, every
+// saved tableau holds its m rows of w = cols − m nonbasic columns plus the
+// rhs and nothing else, and its column maps are mutual inverses: posOf sends
+// each stored variable to its position and each basic one to -1, colVar
+// sends each position back.
+func TestSlotStoresNonbasicColumnsOnly(t *testing.T) {
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	ar := &lpArena{}
+	if sol := solveIn(ar, m, Options{MaxNodes: 48}); sol.Nodes < 2 {
+		t.Fatalf("%d nodes: the search did not branch", sol.Nodes)
+	}
+	tagged := 0
+	for d := range ar.slots {
+		s := &ar.slots[d]
+		if s.tag < 0 {
+			continue
+		}
+		tagged++
+		lp := &s.lp
+		if lp.w != lp.cols-lp.m || len(lp.tab) != lp.m*(lp.w+1) {
+			t.Fatalf("slot %d: %d cells, w = %d, want m × (cols−m+1) = %d × %d", d, len(lp.tab), lp.w, lp.m, lp.cols-lp.m+1)
+		}
+		if len(lp.colVar) != lp.w+1 || lp.colVar[lp.w] != lp.cols || len(lp.posOf) != lp.cols {
+			t.Fatalf("slot %d: |colVar| %d (rhs at %d), |posOf| %d", d, len(lp.colVar), lp.colVar[len(lp.colVar)-1], len(lp.posOf))
+		}
+		for q, v := range lp.colVar[:lp.w] {
+			if lp.posOf[v] != q {
+				t.Fatalf("slot %d: colVar[%d] = %d but posOf[%d] = %d", d, q, v, v, lp.posOf[v])
+			}
+		}
+		basic := 0
+		for v, q := range lp.posOf {
+			if q < 0 {
+				basic++
+			} else if lp.colVar[q] != v {
+				t.Fatalf("slot %d: posOf[%d] = %d but colVar[%d] = %d", d, v, q, q, lp.colVar[q])
+			}
+		}
+		for i, b := range lp.basis {
+			if lp.posOf[b] != -1 {
+				t.Fatalf("slot %d: row %d's basic variable %d is stored at %d", d, i, b, lp.posOf[b])
+			}
+		}
+		if basic != lp.m {
+			t.Fatalf("slot %d: %d variables unstored, want the %d basic ones", d, basic, lp.m)
+		}
+	}
+	if tagged == 0 {
+		t.Fatal("no saved tableau left to inspect")
 	}
 }
 

@@ -7,3 +7,15 @@ func CheckWarmChildren(m *Model, opts Options) (sol Solution, children, infeasib
 	sol, cc, err := checkChildren(m, opts)
 	return sol, cc.children, cc.infeasible, cc.worst, err
 }
+
+// ChildTraceCoverage is childCoverage for the external tests.
+type ChildTraceCoverage struct {
+	Children, Infeasible, Branch0, Branch1, PivotedOut int
+}
+
+// CheckChildTraces is checkChildTraces (kernel_test.go) for the external
+// tests.
+func CheckChildTraces(m *Model, opts Options) (ChildTraceCoverage, error) {
+	_, c, err := checkChildTraces(m, opts)
+	return ChildTraceCoverage{c.children, c.infeasible, c.branch[0], c.branch[1], c.pivotedOut}, err
+}

@@ -1,17 +1,21 @@
 package milp
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // This file is the kernel-vs-reference differential: the production simplex
-// (indexed pivot rows, fixings scattered straight into the tableau) against
-// refLP (full-row pivots, packed substituted rows) on scheduling-shaped LPs.
-// The two must agree decision for decision — pivot trace, basis, iteration
-// and crash-pivot counts — and value for value (== on x and the objective),
-// which is what lets every schedule digest and solver counter survive the
-// kernel change unmoved.
+// (a condensed tableau of nonbasic columns, indexed pivot rows, fixings
+// scattered straight into the tableau) against refLP (the full tableau,
+// full-row pivots, packed substituted rows) on scheduling-shaped LPs — node
+// relaxations solved cold, and branch-and-bound children re-solved from
+// their parent's tableau. The two must agree decision for decision — pivot
+// trace, basis, iteration and crash-pivot counts — and value for value (==
+// on x and the objective), which is what lets every schedule digest and
+// solver counter survive a kernel change unmoved.
 
 // diffCoverage counts the solver paths a differential run went through, so
 // each test can assert it exercised what it claims to.
@@ -35,45 +39,15 @@ func diffRelax(t *testing.T, tag string, m *Model, fixed []int8, warm []int, cov
 	}
 
 	cov.lps++
-	if gotErr != wantErr {
-		t.Fatalf("%s: error %v, reference %v", tag, gotErr, wantErr)
-	}
-	if len(gotTrace) != len(wantTrace) {
-		t.Fatalf("%s: %d pivots, reference %d", tag, len(gotTrace), len(wantTrace))
-	}
-	for i := range gotTrace {
-		if gotTrace[i] != wantTrace[i] {
-			t.Fatalf("%s: pivot %d is (enter %d, leave %d), reference (enter %d, leave %d)", tag, i,
-				gotTrace[i].enter, gotTrace[i].leave, wantTrace[i].enter, wantTrace[i].leave)
-		}
+	if d := diffRuns(lpRun{got, gotErr, gotTrace, got.basis, gotConst},
+		lpRun{want, wantErr, wantTrace, want.basis, wantConst}); d != "" {
+		t.Fatalf("%s: %s", tag, d)
 	}
 	if gotErr != nil {
 		if gotErr == ErrInfeasible {
 			cov.infeasible++
 		}
 		return got, gotErr
-	}
-	if gotConst != wantConst {
-		t.Fatalf("%s: objective constant %v, reference %v", tag, gotConst, wantConst)
-	}
-	if got.iters != want.iters || got.warmed != want.warmed {
-		t.Fatalf("%s: iters/warmed %d/%d, reference %d/%d", tag, got.iters, got.warmed, want.iters, want.warmed)
-	}
-	if got.obj != want.obj {
-		t.Fatalf("%s: objective %v, reference %v", tag, got.obj, want.obj)
-	}
-	if len(got.basis) != len(want.basis) || len(got.x) != len(want.x) {
-		t.Fatalf("%s: |basis|/|x| %d/%d, reference %d/%d", tag, len(got.basis), len(got.x), len(want.basis), len(want.x))
-	}
-	for i := range got.basis {
-		if got.basis[i] != want.basis[i] {
-			t.Fatalf("%s: basis[%d] = %d, reference %d", tag, i, got.basis[i], want.basis[i])
-		}
-	}
-	for v := range got.x {
-		if got.x[v] != want.x[v] {
-			t.Fatalf("%s: x[%d] = %v, reference %v", tag, v, got.x[v], want.x[v])
-		}
 	}
 	if lp.nArt > 0 {
 		cov.phase1++
@@ -95,6 +69,59 @@ func diffRelax(t *testing.T, tag string, m *Model, fixed []int8, warm []int, cov
 		}
 	}
 	return got, nil
+}
+
+// lpRun is one LP solve as the differentials compare it: the result, the
+// error, the pivots, the final basis and the objective constant.
+type lpRun struct {
+	res      lpResult
+	err      error
+	trace    []pivotRec
+	basis    []int
+	objConst float64
+}
+
+// diffRuns names the first difference between a production run and the
+// reference's ("" when there is none): the verdict, every pivot, the
+// iteration and crash-pivot counts, the basis, and — for a solved LP — the
+// objective constant, the objective and x, all compared with ==.
+func diffRuns(got, want lpRun) string {
+	if got.err != want.err {
+		return fmt.Sprintf("error %v, reference %v", got.err, want.err)
+	}
+	if len(got.trace) != len(want.trace) {
+		return fmt.Sprintf("%d pivots, reference %d", len(got.trace), len(want.trace))
+	}
+	for i := range got.trace {
+		if got.trace[i] != want.trace[i] {
+			return fmt.Sprintf("pivot %d is (enter %d, leave %d), reference (enter %d, leave %d)", i,
+				got.trace[i].enter, got.trace[i].leave, want.trace[i].enter, want.trace[i].leave)
+		}
+	}
+	if got.res.iters != want.res.iters || got.res.warmed != want.res.warmed {
+		return fmt.Sprintf("iters/warmed %d/%d, reference %d/%d", got.res.iters, got.res.warmed, want.res.iters, want.res.warmed)
+	}
+	if !slices.Equal(got.basis, want.basis) {
+		return fmt.Sprintf("basis %v, reference %v", got.basis, want.basis)
+	}
+	if got.err != nil {
+		return ""
+	}
+	if got.objConst != want.objConst {
+		return fmt.Sprintf("objective constant %v, reference %v", got.objConst, want.objConst)
+	}
+	if got.res.obj != want.res.obj {
+		return fmt.Sprintf("objective %v, reference %v", got.res.obj, want.res.obj)
+	}
+	if len(got.res.x) != len(want.res.x) {
+		return fmt.Sprintf("|x| %d, reference %d", len(got.res.x), len(want.res.x))
+	}
+	for v := range got.res.x {
+		if got.res.x[v] != want.res.x[v] {
+			return fmt.Sprintf("x[%d] = %v, reference %v", v, got.res.x[v], want.res.x[v])
+		}
+	}
+	return ""
 }
 
 func hasStructural(basis []int, n int) bool {
@@ -278,6 +305,117 @@ func TestSparseSolveMatchesDenseSolve(t *testing.T) {
 	}
 	if cov.fixedOut == 0 || cov.phase1 == 0 || cov.infeasible == 0 {
 		t.Fatalf("coverage: %+v — want fixed-out columns, phase 1 and infeasible nodes", cov)
+	}
+}
+
+// childCoverage counts what a child-path differential went through.
+type childCoverage struct {
+	children, infeasible int
+	branch               [2]int // children per branch value
+	pivotedOut           int    // children whose fixed variable left the basis
+}
+
+func (c *childCoverage) add(o childCoverage) {
+	c.children += o.children
+	c.infeasible += o.infeasible
+	c.branch[0] += o.branch[0]
+	c.branch[1] += o.branch[1]
+	c.pivotedOut += o.pivotedOut
+}
+
+// checkChildTraces solves m under opts and replays every child the search
+// re-solves from its parent's tableau through the reference: a copy of the
+// parent's full tableau runs refLP.solveChild. A parent solved cold — the
+// root, or a cold fallback — gets a reference solved cold from its fixings.
+// The two must agree per diffRuns, and a fixed variable that left the basis
+// must leave its slot all zero. It returns the solve, the coverage and the
+// first disagreement.
+func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
+	var cov childCoverage
+	var first error
+	type refNode struct {
+		lp       *refLP
+		objConst float64
+	}
+	refs := map[int]refNode{} // by expansion number
+	var trace []pivotRec
+	ar := &lpArena{trace: &trace}
+	ar.onChild = func(nd *bbNode, seq int, res lpResult, objC float64, err error) {
+		defer func() { trace = trace[:0] }()
+		fail := func(format string, args ...any) {
+			if first == nil {
+				first = fmt.Errorf("child %d at depth %d fixing x%d=%d: %s", seq, nd.depth, nd.v, nd.branch, fmt.Sprintf(format, args...))
+			}
+		}
+		cov.children++
+		cov.branch[nd.branch]++
+		parent, ok := refs[nd.parent]
+		if !ok {
+			fixed := append([]int8(nil), nd.fixed...)
+			fixed[nd.v] = -1
+			var warm []int
+			if nd.parent == 1 {
+				warm = opts.WarmBasis
+			}
+			lp, c, err := refNodeLP(m, fixed)
+			if err == nil {
+				_, err = lp.solve(warm)
+			}
+			if err != nil {
+				fail("reference parent: %v", err)
+				return
+			}
+			parent = refNode{lp, c}
+			refs[nd.parent] = parent
+		}
+		ref := parent.lp.clone()
+		want, wantErr := ref.solveChild(nd.v, float64(nd.branch))
+		wantC := parent.objConst
+		if nd.branch == 1 {
+			wantC += m.obj[nd.v]
+		}
+		refs[seq] = refNode{ref, wantC}
+		lp := &ar.child
+		if d := diffRuns(lpRun{res, err, trace, lp.basis, objC}, lpRun{want, wantErr, ref.trace, ref.basis, wantC}); d != "" {
+			fail("%s", d)
+		}
+		if err == ErrInfeasible {
+			cov.infeasible++
+		}
+		if q := lp.posOf[nd.v]; q >= 0 {
+			cov.pivotedOut++
+			for i := 0; i < lp.m; i++ {
+				if a := lp.row(i)[q]; a != 0 {
+					fail("the fixed variable's slot holds %v in row %d", a, i)
+				}
+			}
+		}
+	}
+	sol := solveIn(ar, m, opts)
+	return sol, cov, first
+}
+
+// TestWarmChildPivotsIdentical is the children's arm: every child Solve
+// re-solves from its parent's tableau — by the fixed variable's pivot-out,
+// the dual simplex and the primal clean-up — replayed on the full tableau, on
+// scheduling-shaped models with preemption credits and must-run rows, at the
+// default IntTol and at 1e-9.
+func TestWarmChildPivotsIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7110))
+	var total childCoverage
+	for trial := 0; trial < 80; trial++ {
+		m := preemptShaped(rng, 3+rng.Intn(12), 2+rng.Intn(4), 1+rng.Intn(5), 1+rng.Intn(5), trial%4 == 0)
+		for _, opts := range []Options{{MaxNodes: 64}, {MaxNodes: 64, IntTol: 1e-9}} {
+			_, cov, err := checkChildTraces(m, opts)
+			if err != nil {
+				t.Fatalf("trial %d, IntTol %g: %v", trial, opts.IntTol, err)
+			}
+			total.add(cov)
+		}
+	}
+	t.Logf("%+v", total)
+	if total.children < 1000 || total.infeasible == 0 || total.branch[0] == 0 || total.branch[1] == 0 || total.pivotedOut == 0 {
+		t.Fatalf("coverage: %+v — want many children of both branches, infeasible ones, fixed variables pivoted out", total)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package milp is a self-contained Mixed Integer Linear Programming solver:
-// a dense two-phase primal simplex for the root relaxation and depth-first
-// branch-and-bound over binary variables with dual re-solve of children
-// (each child starts from its parent's optimal tableau and runs the dual
-// simplex), a greedy and a fix-and-solve rounding heuristic,
-// warm-start incumbent seeding, and a wall-clock budget that returns the
-// best incumbent found (the contract 3σSched relies on: "query the solver
-// for the best solution found within a configurable fraction of its
-// scheduling interval", §4.3.6 of the paper).
+// a two-phase primal simplex over a condensed tableau (the nonbasic columns
+// only; a basic column is its row's unit vector and is left implicit) for the
+// root relaxation and depth-first branch-and-bound over binary variables
+// with dual re-solve of children (each child starts from its parent's
+// optimal tableau and runs the dual simplex), a greedy and a fix-and-solve
+// rounding heuristic, warm-start incumbent seeding, and a wall-clock budget
+// that returns the best incumbent found (the contract 3σSched relies on:
+// "query the solver for the best solution found within a configurable
+// fraction of its scheduling interval", §4.3.6 of the paper).
 //
 // The paper's 3Sigma implementation links an external commercial MILP
 // solver; this package is the from-scratch substitution (see DESIGN.md §3).

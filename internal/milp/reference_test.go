@@ -6,12 +6,15 @@ import (
 )
 
 // refLP is the reference the production simplex is held to: the same
-// two-phase primal simplex over a dense tableau, but assembled from packed
-// substituted rows and pivoted the plain way — every row operation walks all
-// cols+1 entries, zero or not. It shares nothing with simplexLP but the
-// tolerances and the result type, so a differential run catches a slip in
-// the indexed kernel (a nonzero left off the list, a stale list) and one in
-// the scatter-into-tableau node assembly alike.
+// two-phase primal simplex, with the same child re-solve, over the full
+// tableau — every column stored, basic ones included, indexed by variable —
+// assembled from packed substituted rows and pivoted the plain way: every
+// row operation walks all cols+1 entries, zero or not. It shares nothing
+// with simplexLP but the tolerances, the errors and the result type, so a
+// differential run catches a slip in the condensed layout (a slot handed to
+// the wrong variable, a lost unit column), in the indexed kernel (a nonzero
+// left off the list, a stale list) and in the scatter-into-tableau node
+// assembly alike.
 type refLP struct {
 	m, n, cols, nArt, artCol0 int
 
@@ -27,6 +30,16 @@ type refLP struct {
 // tableau was filled directly — one packed Row per surviving model row —
 // and solves the result with refLP. The basis is always captured.
 func refRelaxation(m *Model, fixed []int8, warm []int) (lpResult, float64, []pivotRec, error) {
+	lp, objConst, err := refNodeLP(m, fixed)
+	if err != nil {
+		return lpResult{}, 0, nil, err
+	}
+	res, err := lp.solve(warm)
+	return res, objConst, lp.trace, err
+}
+
+// refNodeLP assembles refRelaxation's LP without solving it.
+func refNodeLP(m *Model, fixed []int8) (*refLP, float64, error) {
 	c := append([]float64(nil), m.obj...)
 	objConst := m.objConst
 	for v, val := range fixed {
@@ -54,16 +67,14 @@ func refRelaxation(m *Model, fixed []int8, warm []int) (lpResult, float64, []piv
 		}
 		if len(idx) == 0 {
 			if rhs < -feasTol {
-				return lpResult{}, 0, nil, ErrInfeasible
+				return nil, 0, ErrInfeasible
 			}
 			continue
 		}
 		// The anti-degeneracy perturbation relaxes the model row.
 		rows = append(rows, Row{RHS: rhs + perturb*float64(1+ri%17), Idx: idx, Coef: coef})
 	}
-	lp := newRefLP(c, rows)
-	res, err := lp.solve(warm)
-	return res, objConst, lp.trace, err
+	return newRefLP(c, rows), objConst, nil
 }
 
 func newRefLP(c []float64, rows []Row) *refLP {
@@ -133,6 +144,13 @@ func (lp *refLP) solve(warm []int) (lpResult, error) {
 	if err := lp.iterate(maxIter, lp.artCol0); err != nil {
 		return lpResult{}, err
 	}
+	res := lp.result()
+	res.warmed = warmed
+	return res, nil
+}
+
+// result reads the structural solution and the basis off the tableau.
+func (lp *refLP) result() lpResult {
 	x := make([]float64, lp.n)
 	for i, b := range lp.basis {
 		if b < lp.n {
@@ -143,8 +161,7 @@ func (lp *refLP) solve(warm []int) (lpResult, error) {
 	for j := 0; j < lp.n; j++ {
 		obj += lp.cost[j] * x[j]
 	}
-	return lpResult{x: x, obj: obj, iters: lp.iters, warmed: warmed,
-		basis: append([]int(nil), lp.basis...)}, nil
+	return lpResult{x: x, obj: obj, iters: lp.iters, basis: append([]int(nil), lp.basis...)}
 }
 
 func (lp *refLP) restore(warm []int) int {
@@ -227,6 +244,7 @@ func (lp *refLP) rowOps(r, e int) {
 }
 
 func (lp *refLP) pivot(r, e int) {
+	lp.trace = append(lp.trace, pivotRec{e, r})
 	lp.rowOps(r, e)
 	if f := lp.zrow[e]; f != 0 {
 		row := lp.tab[r]
@@ -311,7 +329,6 @@ func (lp *refLP) iterate(maxIter, colLimit int) error {
 		if leave < 0 {
 			return ErrUnbounded
 		}
-		lp.trace = append(lp.trace, pivotRec{enter, leave})
 		oldBasic := lp.basis[leave]
 		pivVal := lp.tab[leave][enter]
 		lp.pivot(leave, enter)
@@ -367,4 +384,116 @@ func (lp *refLP) purgeArtificials() {
 			row[lp.basis[i]] = 1
 		}
 	}
+}
+
+// clone returns a deep copy of lp with a fresh iteration count and trace: a
+// child's starting point, which leaves the parent's tableau intact for the
+// sibling.
+func (lp *refLP) clone() *refLP {
+	cp := *lp
+	cp.tab = make([][]float64, lp.m)
+	for i, row := range lp.tab {
+		cp.tab[i] = append([]float64(nil), row...)
+	}
+	cp.zrow = append([]float64(nil), lp.zrow...)
+	cp.basis = append([]int(nil), lp.basis...)
+	cp.cost = append([]float64(nil), lp.cost...)
+	cp.iters, cp.trace = 0, nil
+	return &cp
+}
+
+// solveChild is lpArena.solveChild's sequence on the full tableau: lp is the
+// parent's optimal tableau, which it turns into the child's with v = val.
+func (lp *refLP) solveChild(v int, val float64) (lpResult, error) {
+	err := lp.fixBasic(v, val)
+	if err == nil {
+		err = lp.dualSimplex(4 * (lp.m + 8))
+	}
+	if err == nil && lp.iterate(200*(lp.m+lp.n+10), lp.artCol0) != nil {
+		err = errColdStart
+	}
+	if err != nil {
+		return lpResult{iters: lp.iters}, err
+	}
+	return lp.result(), nil
+}
+
+// fixBasic, dualSimplex and dualEnter are dual.go's child re-solve as it
+// read on the full tableau: v's unit column is zeroed in place, the dual
+// ratio test walks the whole row, and every pivot is the full-row one.
+func (lp *refLP) fixBasic(v int, val float64) error {
+	r := -1
+	for i, b := range lp.basis {
+		if b == v {
+			r = i
+			break
+		}
+	}
+	if r < 0 {
+		return errColdStart
+	}
+	row := lp.tab[r]
+	row[lp.cols] -= val
+	lp.zrow[lp.cols] -= lp.cost[v] * val
+	lp.cost[v] = 0
+	row[v] = 0
+	s := 1.0
+	if row[lp.cols] < 0 {
+		s = -1
+	}
+	lp.iters++
+	e := lp.dualEnter(r, s)
+	if e < 0 {
+		if math.Abs(row[lp.cols]) <= feasTol {
+			return errColdStart
+		}
+		return ErrInfeasible
+	}
+	lp.pivot(r, e)
+	return nil
+}
+
+func (lp *refLP) dualSimplex(maxIter int) error {
+	for it := 0; ; it++ {
+		leave, worst := -1, -zeroTol
+		for i := 0; i < lp.m; i++ {
+			if b := lp.tab[i][lp.cols]; b < worst {
+				leave, worst = i, b
+			}
+		}
+		if leave < 0 {
+			return nil
+		}
+		if it == maxIter {
+			return errColdStart
+		}
+		lp.iters++
+		e := lp.dualEnter(leave, -1)
+		if e < 0 {
+			if worst < -feasTol {
+				return ErrInfeasible
+			}
+			return errColdStart
+		}
+		lp.pivot(leave, e)
+	}
+}
+
+func (lp *refLP) dualEnter(r int, s float64) int {
+	enter := -1
+	best, bestPiv := math.Inf(1), 0.0
+	for j, a := range lp.tab[r][:lp.artCol0] {
+		a *= s
+		if a <= pivTol {
+			continue
+		}
+		ratio := math.Max(lp.zrow[j], 0) / a
+		switch {
+		case ratio < best-1e-12:
+			best, bestPiv, enter = ratio, a, j
+		case ratio < best+1e-12 && a > bestPiv:
+			best, bestPiv, enter = ratio, a, j
+		}
+	}
+	return enter
 }

@@ -42,37 +42,50 @@ type pivotRec struct {
 	enter, leave int
 }
 
-// simplexLP is a two-phase primal simplex over a dense row-major tableau for
+// simplexLP is a two-phase primal simplex over a condensed row-major
+// tableau for
 //
 //	max c·x  s.t.  A·x <= b (b of any sign), x >= 0.
 //
 // Rows with negative rhs are negated into >= rows, given a surplus column
 // and an artificial; phase 1 drives artificials to zero.
 //
+// A basic variable's column is the unit column of its row and carries no
+// information, so the tableau stores only the w = cols − m nonbasic columns
+// and the rhs: position q of a row holds variable colVar[q], the rhs sits at
+// position w, and posOf maps a variable back to its position (-1 while it is
+// basic). A pivot hands the entering variable's slot to the leaving one.
+// Variables keep their indices everywhere else — the reduced costs, the
+// costs, the basis — and every loop whose outcome depends on order walks
+// them in variable order.
+//
 // Scheduler tableaus are overwhelmingly zero — each placement indicator
-// appears in one demand row and a handful of capacity rows, and more than
-// half the columns are slacks — so a pivot collects the pivot row's nonzero
-// columns once, while scaling it, and every row update walks that list
-// instead of the whole row. Skipping an exact zero leaves every stored value
-// as it was (t − f·0 = t), so the pivot sequence is the one the plain
-// full-row pivot produces; reference_test.go keeps that kernel and
-// kernel_test.go compares the two trace for trace.
+// appears in one demand row and a handful of capacity rows — so a pivot
+// collects the pivot row's nonzero positions once, while scaling it, and
+// every row update walks that list instead of the whole row. Each stored
+// entry is the expression the plain full-tableau pivot computes on the same
+// operands (a skipped exact zero leaves t − f·0 = t), so the pivot sequence
+// is that kernel's; reference_test.go keeps it and kernel_test.go compares
+// the two trace for trace (DESIGN.md §6).
 type simplexLP struct {
 	m, n    int // constraint rows, structural columns
 	cols    int // total columns incl. slack/surplus + artificials
 	nArt    int
-	stride  int       // cols+1; the last column of a row is its rhs
+	w       int       // stored (nonbasic) columns per row, cols − m; position w is the rhs
+	stride  int       // w+1
 	tab     []float64 // m × stride, row-major
-	zrow    []float64 // reduced costs, length cols+1 (last is the objective c_B·β)
-	basis   []int     // basis[i] = column basic in row i
+	colVar  []int     // colVar[q] = variable stored at position q; colVar[w] = cols, the rhs
+	posOf   []int     // posOf[v] = v's position, -1 while v is basic
+	zrow    []float64 // reduced costs by variable, length cols+1 (last is the objective c_B·β)
+	basis   []int     // basis[i] = variable basic in row i
 	cost    []float64 // phase-2 cost per column (structural only nonzero)
 	artCol0 int       // first artificial column index
 	iters   int
 	trace   *[]pivotRec // optional pivot trace (tests)
 	ar      *lpArena    // scratch backing for everything here
 
-	// The pivot row's nonzero columns (ascending, rhs column included) and
-	// their scaled values, refilled by every pivot; capacity stride.
+	// The pivot row's nonzero positions (rhs included) and their scaled
+	// values, refilled by every pivot; capacity stride.
 	nz  []int32
 	nzv []float64
 
@@ -86,6 +99,16 @@ type simplexLP struct {
 // row returns tableau row i, rhs included.
 func (lp *simplexLP) row(i int) []float64 {
 	return lp.tab[i*lp.stride : (i+1)*lp.stride : (i+1)*lp.stride]
+}
+
+// indexColumns rebuilds posOf from the basis and colVar.
+func (lp *simplexLP) indexColumns() {
+	for _, b := range lp.basis {
+		lp.posOf[b] = -1
+	}
+	for q, v := range lp.colVar[:lp.w] {
+		lp.posOf[v] = q
+	}
 }
 
 // solve runs both phases and returns the optimal structural solution. The
@@ -139,7 +162,7 @@ func (lp *simplexLP) result() lpResult {
 	x := make([]float64, lp.n)
 	for i, b := range lp.basis {
 		if b < lp.n {
-			x[b] = lp.tab[i*lp.stride+lp.cols]
+			x[b] = lp.tab[i*lp.stride+lp.w]
 		}
 	}
 	obj := 0.0
@@ -171,8 +194,7 @@ const restoreTol = 1e-7
 // maximizes |element| with lowest-index tie-break, and the feasibility
 // verdict is a pure function of the (tableau, warm) pair.
 func (lp *simplexLP) restore(warm []int) int {
-	flags := growz(&lp.ar.flags, 2*lp.cols)
-	desired, basic := flags[:lp.cols], flags[lp.cols:]
+	desired := growz(&lp.ar.desired, lp.cols)
 	cnt := 0
 	for _, v := range warm {
 		// Structural and slack columns only; artificial entries (redundant
@@ -187,15 +209,14 @@ func (lp *simplexLP) restore(warm []int) int {
 	}
 	save := grow(&lp.ar.save, len(lp.tab))
 	copy(save, lp.tab)
-	saveBasis := grow(&lp.ar.saveBasis, lp.m)
-	copy(saveBasis, lp.basis)
-	for _, b := range lp.basis {
-		basic[b] = true
-	}
+	saveIdx := grow(&lp.ar.saveIdx, lp.m+lp.stride) // basis, then colVar
+	copy(saveIdx, lp.basis)
+	copy(saveIdx[lp.m:], lp.colVar)
 	pivots := 0
 	for j := 0; j < lp.artCol0; j++ {
-		if !desired[j] || basic[j] {
-			continue
+		q := lp.posOf[j]
+		if !desired[j] || q < 0 {
+			continue // not wanted, or basic already
 		}
 		leave := -1
 		best := restoreTol
@@ -203,24 +224,24 @@ func (lp *simplexLP) restore(warm []int) int {
 			if desired[lp.basis[i]] {
 				continue // never evict a column the warm basis keeps
 			}
-			if a := math.Abs(lp.tab[i*lp.stride+j]); a > best {
+			if a := math.Abs(lp.tab[i*lp.stride+q]); a > best {
 				best, leave = a, i
 			}
 		}
 		if leave < 0 {
 			continue // singular against the remaining rows: leave it out
 		}
-		basic[lp.basis[leave]] = false
-		lp.forcePivot(leave, j)
-		basic[j] = true
+		lp.forcePivot(leave, j, 1)
 		pivots++
 	}
 	for i := 0; i < lp.m; i++ {
-		if lp.tab[i*lp.stride+lp.cols] < -feasTol {
+		if lp.tab[i*lp.stride+lp.w] < -feasTol {
 			// The restored basis is infeasible for this cycle's values:
 			// revert to the pristine slack basis and solve cold.
 			copy(lp.tab, save)
-			copy(lp.basis, saveBasis)
+			copy(lp.basis, saveIdx)
+			copy(lp.colVar, saveIdx[lp.m:])
+			lp.indexColumns()
 			return 0
 		}
 	}
@@ -228,53 +249,61 @@ func (lp *simplexLP) restore(warm []int) int {
 	return pivots
 }
 
-// forcePivot performs a Gauss-Jordan pivot on (row r, column e) over the
-// constraint rows and returns the pivot row's nonzero columns and their
+// forcePivot performs a Gauss-Jordan pivot on (row r, variable e) over the
+// constraint rows and returns the pivot row's nonzero positions and their
 // scaled values, for pivot to finish the reduced-cost row with. restore
 // calls it directly: it runs before initZ prices the basis, so there is no
 // zrow to maintain yet.
-func (lp *simplexLP) forcePivot(r, e int) ([]int32, []float64) {
+//
+// The leaving variable takes e's slot. Its column, implicit while it was
+// basic, is unit in row r and zero elsewhere — except after fixBasic zeroed
+// it, which passes unit 0 — so the slot is loaded with unit before the pivot
+// row is scaled and with 0 before each other row is eliminated: it comes out
+// as the full tableau's leaving column, unit·inv in row r and 0 − f·inv in
+// row i.
+func (lp *simplexLP) forcePivot(r, e int, unit float64) ([]int32, []float64) {
+	p := lp.posOf[e]
 	row := lp.row(r)
-	inv := 1 / row[e]
+	inv := 1 / row[p]
+	row[p] = unit
 	nz, nzv := lp.nz[:len(row)], lp.nzv[:len(row)]
 	k := 0
-	for j, v := range row {
+	for q, v := range row {
 		if v == 0 {
 			continue
 		}
 		v *= inv
-		if j == e {
-			v = 1 // exact
-		}
-		row[j] = v
-		nz[k], nzv[k] = int32(j), v
+		row[q] = v
+		nz[k], nzv[k] = int32(q), v
 		k++
 	}
 	nz, nzv = nz[:k], nzv[:k]
 	for i := 0; i < lp.m; i++ {
-		if i == r {
+		f := lp.tab[i*lp.stride+p]
+		if f == 0 || i == r {
 			continue
 		}
 		ti := lp.row(i)
-		f := ti[e]
-		if f == 0 {
-			continue
+		ti[p] = 0
+		for k, q := range nz {
+			ti[q] -= f * nzv[k]
 		}
-		for k, j := range nz {
-			ti[j] -= f * nzv[k]
-		}
-		ti[e] = 0
 	}
+	b := lp.basis[r]
 	lp.basis[r] = e
+	lp.colVar[p], lp.posOf[b], lp.posOf[e] = b, p, -1
 	return nz, nzv
 }
 
 // pivot is forcePivot plus the reduced-cost row update.
-func (lp *simplexLP) pivot(r, e int) ([]int32, []float64) {
-	nz, nzv := lp.forcePivot(r, e)
+func (lp *simplexLP) pivot(r, e int, unit float64) ([]int32, []float64) {
+	if lp.trace != nil {
+		*lp.trace = append(*lp.trace, pivotRec{e, r})
+	}
+	nz, nzv := lp.forcePivot(r, e, unit)
 	if f := lp.zrow[e]; f != 0 {
-		for k, j := range nz {
-			lp.zrow[j] -= f * nzv[k]
+		for k, q := range nz {
+			lp.zrow[lp.colVar[q]] -= f * nzv[k]
 		}
 		lp.zrow[e] = 0
 	}
@@ -294,9 +323,10 @@ func (lp *simplexLP) initZ(c []float64) {
 		if cb == 0 {
 			continue
 		}
-		for j, v := range lp.row(i) {
+		lp.zrow[b] += cb // the basic column's implicit 1
+		for q, v := range lp.row(i) {
 			if v != 0 {
-				lp.zrow[j] += cb * v
+				lp.zrow[lp.colVar[q]] += cb * v
 			}
 		}
 	}
@@ -310,9 +340,9 @@ func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 	noImprove := 0
 	lastObj := math.Inf(-1)
 	// Devex reference weights.
-	w := grow(&lp.ar.w, lp.cols)
-	for j := range w {
-		w[j] = 1
+	wt := grow(&lp.ar.wt, lp.cols)
+	for j := range wt {
+		wt[j] = 1
 	}
 	for it := 0; it < maxIter; it++ {
 		lp.iters++
@@ -331,7 +361,7 @@ func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 				if d >= -zeroTol {
 					continue
 				}
-				score := d * d / w[j]
+				score := d * d / wt[j]
 				if score > best {
 					best = score
 					enter = j
@@ -343,15 +373,16 @@ func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 		}
 		// Ratio test; ties broken on the larger pivot element for numeric
 		// stability (or smallest basis index under Bland's rule).
+		pe := lp.posOf[enter]
 		leave := -1
 		bestRatio := math.Inf(1)
 		bestPiv := 0.0
 		for i := 0; i < lp.m; i++ {
-			a := lp.tab[i*lp.stride+enter]
+			a := lp.tab[i*lp.stride+pe]
 			if a <= pivTol {
 				continue
 			}
-			ratio := lp.tab[i*lp.stride+lp.cols] / a
+			ratio := lp.tab[i*lp.stride+lp.w] / a
 			switch {
 			case ratio < bestRatio-1e-12:
 				bestRatio, bestPiv, leave = ratio, a, i
@@ -368,37 +399,33 @@ func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 		if leave < 0 {
 			return ErrUnbounded
 		}
-		if lp.trace != nil {
-			*lp.trace = append(*lp.trace, pivotRec{enter, leave})
-		}
 		oldBasic := lp.basis[leave]
-		pivVal := lp.tab[leave*lp.stride+enter]
-		nz, nzv := lp.pivot(leave, enter)
-		// Devex weight update using the normalized pivot row (nz ascends, so
-		// the barred columns and the rhs sit at its tail).
-		we := w[enter]
+		pivVal := lp.tab[leave*lp.stride+pe]
+		nz, nzv := lp.pivot(leave, enter, 1)
+		// Devex weight update using the normalized pivot row, whose nonzeros
+		// now include the leaving variable (in the entering one's slot) and
+		// skip the barred columns and the rhs. Each weight is its own max, so
+		// the order of nz does not matter.
+		we := wt[enter]
 		maxW := 1.0
-		for k, j32 := range nz {
-			j := int(j32)
+		for k, q := range nz {
+			j := lp.colVar[q]
 			if j >= colLimit {
-				break
-			}
-			if j == enter {
 				continue
 			}
-			if t := nzv[k] * nzv[k] * we; t > w[j] {
-				w[j] = t
+			if t := nzv[k] * nzv[k] * we; t > wt[j] {
+				wt[j] = t
 				if t > maxW {
 					maxW = t
 				}
 			}
 		}
-		if lw := math.Max(we/(pivVal*pivVal), 1); lw > w[oldBasic] {
-			w[oldBasic] = lw
+		if lw := math.Max(we/(pivVal*pivVal), 1); lw > wt[oldBasic] {
+			wt[oldBasic] = lw
 		}
 		if maxW > 1e10 { // reference framework degraded: reset
-			for j := range w {
-				w[j] = 1
+			for j := range wt {
+				wt[j] = 1
 			}
 		}
 		// A pivot that raised the objective is progress; only a run of
@@ -424,17 +451,14 @@ func (lp *simplexLP) purgeArtificials() {
 		row := lp.row(i)
 		done := false
 		for j := 0; j < lp.artCol0 && !done; j++ {
-			if math.Abs(row[j]) > pivTol {
-				lp.pivot(i, j)
+			if q := lp.posOf[j]; q >= 0 && math.Abs(row[q]) > pivTol {
+				lp.pivot(i, j, 1)
 				done = true
 			}
 		}
 		if !done {
-			// Redundant row: neutralize it.
-			for j := range row {
-				row[j] = 0
-			}
-			row[lp.basis[i]] = 1
+			// Redundant row: neutralize it (its artificial stays basic).
+			clear(row)
 		}
 	}
 }

@@ -290,7 +290,7 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 		} else {
 			lp = &ar.child
 			if ar.onChild != nil {
-				ar.onChild(node, res, objC, err)
+				ar.onChild(node, seq, res, objC, err)
 			}
 		}
 		sol.LPIters += res.iters
@@ -483,8 +483,11 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 	*lp = simplexLP{m: rows, n: n, nArt: nArt, ar: ar}
 	lp.cols = n + rows + nArt
 	lp.artCol0 = n + rows
-	lp.stride = lp.cols + 1
+	lp.w = n + nArt // the structurals and the surplus columns; slacks and artificials start basic
+	lp.stride = lp.w + 1
 	lp.tab = grow(&ar.tab, rows*lp.stride)
+	lp.colVar = grow(&ar.colVar, lp.stride)
+	lp.posOf = grow(&ar.posOf, lp.cols)
 	lp.basis = grow(&ar.basis, rows)
 	lp.nz = grow(&ar.nz, lp.stride)
 	lp.nzv = grow(&ar.nzv, lp.stride)
@@ -494,6 +497,12 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 	for _, v := range fixedCols {
 		lp.cost[v] = 0
 	}
+	// Structural v is stored at position v, the surplus columns follow in
+	// row order, the rhs is last.
+	for v := 0; v < n; v++ {
+		lp.colVar[v] = v
+	}
+	lp.colVar[lp.w] = lp.cols
 	// Pass 2, row by row: clear the tableau row, scatter every entry of the
 	// model row into it, then zero the fixed columns.
 	art := lp.artCol0
@@ -515,18 +524,20 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 		for _, v := range fixedCols {
 			row[v] = 0
 		}
-		row[lp.cols] = sign * rhs[i]
+		row[lp.w] = sign * rhs[i]
 		if neg {
-			// Negated row is >=: surplus with coefficient -1, artificial +1.
-			row[n+i] = -1
-			row[art] = 1
+			// Negated row is >=: surplus with coefficient -1, artificial +1
+			// (basic).
+			q := n + art - lp.artCol0
+			row[q] = -1
+			lp.colVar[q] = n + i
 			lp.basis[i] = art
 			art++
 		} else {
-			row[n+i] = 1
-			lp.basis[i] = n + i
+			lp.basis[i] = n + i // the slack, +1 (basic)
 		}
 	}
+	lp.indexColumns()
 	return lp, objConst, nil
 }
 

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -70,6 +71,32 @@ func BenchmarkNodeLP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := solveRelaxationOpt(ar, m, fixed, nil, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWarmChild is one branch-and-bound child on the same model: the
+// 1-branch of the root's most fractional binary, re-solved from the root's
+// saved tableau — slot copy, fixBasic, dual simplex, clean-up. Bytes per op
+// are the tableau bytes the slot copy moves.
+func BenchmarkWarmChild(b *testing.B) {
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	ar := &lpArena{}
+	root, objC, err := solveRelaxationOpt(ar, m, freeFixing(m.NumVars()), nil, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := mostFractionalBinary(m, root.x, 1e-6)
+	if v < 0 {
+		b.Fatal("root relaxation is integral: nothing to branch on")
+	}
+	ar.saveSlot(0, 1, &ar.lp, objC)
+	child := ar.node(m.NumVars(), freeFixing(m.NumVars()), v, 1, math.Inf(1), 1, 1)
+	b.SetBytes(int64(8 * len(ar.slots[0].lp.tab)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ar.solveChild(m, child); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,13 +39,16 @@ func TestWarmChildrenMatchColdOnOracleModels(t *testing.T) {
 	}
 }
 
-// captureModels is a 3σSched that runs the differential on the model of
-// every cycle it solves, at the scheduler's own node budget and gap.
+// captureModels is a 3σSched that runs both child differentials on the
+// model of every cycle it solves, at the scheduler's own node budget and
+// gap: warm against cold (milp.CheckWarmChildren), and pivot for pivot
+// against the full-tableau reference (milp.CheckChildTraces).
 type captureModels struct {
 	*core.Scheduler
 	t                                   *testing.T
 	models, children, infeasible, colds int
 	worst                               float64
+	traced                              milp.ChildTraceCoverage
 }
 
 func (c *captureModels) Cycle(st *simulator.State) simulator.Decision {
@@ -54,19 +57,30 @@ func (c *captureModels) Cycle(st *simulator.State) simulator.Decision {
 	if m.NumBinary() == 0 {
 		return dec
 	}
-	sol, n, inf, w, err := milp.CheckWarmChildren(m, milp.Options{MaxNodes: c.Config().SolverMaxNodes, Gap: 1e-4})
+	opts := milp.Options{MaxNodes: c.Config().SolverMaxNodes, Gap: 1e-4}
+	sol, n, inf, w, err := milp.CheckWarmChildren(m, opts)
 	if err != nil {
 		c.t.Fatalf("cycle model %d (%d vars, %d rows): %v", c.models, m.NumVars(), m.NumRows(), err)
 	}
+	tc, err := milp.CheckChildTraces(m, opts)
+	if err != nil {
+		c.t.Fatalf("cycle model %d (%d vars, %d rows), against the full-tableau reference: %v", c.models, m.NumVars(), m.NumRows(), err)
+	}
+	c.traced.Children += tc.Children
+	c.traced.Infeasible += tc.Infeasible
+	c.traced.Branch0 += tc.Branch0
+	c.traced.Branch1 += tc.Branch1
+	c.traced.PivotedOut += tc.PivotedOut
 	c.models++
 	c.children, c.infeasible, c.colds = c.children+n, c.infeasible+inf, c.colds+sol.ColdFallbacks
 	c.worst = math.Max(c.worst, w)
 	return dec
 }
 
-// TestWarmChildrenMatchColdOnSchedulerModels runs the differential on the
-// models a 3σSched run builds: distribution-based options, deferral slots,
-// preemption credits, a workload that keeps the cluster oversubscribed.
+// TestWarmChildrenMatchColdOnSchedulerModels runs the child differentials on
+// the models a 3σSched run builds: distribution-based options, deferral
+// slots, preemption credits, a workload that keeps the cluster
+// oversubscribed.
 func TestWarmChildrenMatchColdOnSchedulerModels(t *testing.T) {
 	w := workload.Generate(workload.Config{
 		Cluster:       simulator.NewCluster(128, 8),
@@ -99,5 +113,9 @@ func TestWarmChildrenMatchColdOnSchedulerModels(t *testing.T) {
 	}
 	if c.models < 100 || c.children < 1000 || c.infeasible == 0 {
 		t.Fatalf("coverage: %d models, %d children", c.models, c.children)
+	}
+	t.Logf("against the full-tableau reference: %+v", c.traced)
+	if tc := c.traced; tc.Children != c.children || tc.Infeasible == 0 || tc.Branch0 == 0 || tc.Branch1 == 0 || tc.PivotedOut == 0 {
+		t.Fatalf("reference coverage: %+v — want every child, infeasible ones, both branches, fixed variables pivoted out", tc)
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # ci.sh — the repository's verification gate: vet, the 3sigma-lint static
 # analyzer, build, the full test suite under the race detector, the
-# differential solver oracle, a fuzz
+# differential solver oracle, one run of every solver and model-build
+# benchmark, a fuzz
 # smoke pass over the histogram/distribution property targets and the control
 # plane's state machine, a
 # fault-injection determinism gate (two identical seeded chaos runs must
@@ -59,6 +60,11 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== benchmarks run =="
+# One iteration of every solver and model-build benchmark, so none of them
+# stops compiling or running unnoticed (make bench measures them).
+go test -run '^$' -bench . -benchtime 1x ./internal/milp ./internal/core
 
 echo "== solver oracle =="
 # Pinned seed: 200 random scheduling-shaped MILPs, each solved cold, re-solved
