@@ -23,8 +23,8 @@
 // with N concurrent workers and reports aggregate achieved RPS alongside
 // the admission-latency percentiles. -burst stamps each job's logical
 // submit_at time and submits the whole workload as fast as the daemon
-// accepts it (deterministic-cycle daemons only): admission cycles then
-// depend only on the stamps, never on wall arrival jitter.
+// accepts it: admission cycles then depend only on the stamps, never on
+// wall arrival jitter.
 //
 // Three side modes for scripting (each prints one line and exits):
 //
@@ -160,7 +160,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "probe mode: print /v1/metrics and exit")
 	readyz := flag.Bool("readyz", false, "probe mode: print the /readyz HTTP status code (000 when unreachable) and exit")
 	clients := flag.Int("clients", 1, "number of concurrent submission clients")
-	burst := flag.Bool("burst", false, "stamp logical submit_at times and submit as fast as the daemon accepts (server must run -det)")
+	burst := flag.Bool("burst", false, "stamp logical submit_at times and submit as fast as the daemon accepts")
 	offset := flag.Float64("offset", 0, "virtual seconds added to every -burst submit_at stamp, leaving wall room to finish submitting before the first stamped cycle fires")
 	flag.Parse()
 

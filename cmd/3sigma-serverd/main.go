@@ -1,29 +1,30 @@
 // Command 3sigma-serverd is the online 3σSched daemon: it serves the
-// internal/service JSON API over HTTP and runs scheduling cycles on the wall
-// clock.
+// internal/service JSON API over HTTP and runs deterministic scheduling
+// cycles — cycle k at logical time k·cycle, paced every cycle/timescale wall
+// seconds, each solve bounded by the node cap, never by wall time.
 //
 // Usage:
 //
 //	3sigma-serverd [-addr :8334] [-nodes 64] [-partitions 4]
 //	               [-cycle 10] [-timescale 1] [-queue-cap 256]
-//	               [-det] [-replog path] [-compact-every 0]
+//	               [-replog path] [-compact-every 0]
 //	               [-replica 0] [-peers 0=url,1=url,...]
 //	               [-agents url=p0:p1,...] [-lease 2s] [-dead-rounds 3]
 //
 // SIGTERM or SIGINT drains the daemon: in-flight HTTP requests and the
-// current scheduling cycle finish, and the process exits 0.
+// current scheduling cycle finish, and the process exits 0. Cancels, trains
+// and node operations take effect at the next cycle boundary.
 //
-// The distributed control plane (DESIGN.md §14) switches on with -det:
-// -replog appends every replay-relevant input and cycle decision to a
-// hash-chained log, the one thing a restart reads: restarted with the same
-// -replog, the daemon resumes warm and bit-identical — outcomes, scheduler
-// and predictor as they were stopped (-compact-every bounds the replay to
-// the suffix behind the newest snapshot);
-// -replica/-peers forms a replica group with lease-based leader election and
-// synchronous input replication (kill -9 the leader and a warm standby takes
-// over within a lease); -agents runs the tasks on remote node-group agent
-// daemons (cmd/3sigma-agentd) instead of the one agent the daemon runs in
-// its own process.
+// The distributed control plane (DESIGN.md §14): -replog appends every
+// replay-relevant input and cycle decision to a hash-chained log, the one
+// thing a restart reads: restarted with the same -replog, the daemon resumes
+// warm and bit-identical — outcomes, scheduler and predictor as they were
+// stopped (-compact-every bounds the replay to the suffix behind the newest
+// snapshot); -replica/-peers forms a replica group with lease-based leader
+// election and synchronous input replication (kill -9 the leader and a warm
+// standby takes over within a lease); -agents runs the tasks on remote
+// node-group agent daemons (cmd/3sigma-agentd) instead of the one agent the
+// daemon runs in its own process.
 package main
 
 import (
@@ -82,13 +83,11 @@ func main() {
 	cycle := flag.Float64("cycle", 10, "scheduling cycle interval, virtual seconds")
 	timescale := flag.Float64("timescale", 1, "virtual seconds per wall second (replay speed)")
 	queueCap := flag.Int("queue-cap", 256, "admission queue bound (429 beyond it)")
-	budget := flag.Duration("solver-budget", 150*time.Millisecond, "MILP solver budget per cycle")
 	verbose := flag.Bool("verbose", false, "log every scheduling decision (starts, deferrals, preemptions, abandonments)")
 	chaos := flag.String("chaos", "", "chaos injection spec: preset (light, heavy) or k=v list, e.g. seed=7,mtbf=1800,mttr=300,crash=0.05 (virtual-time schedule; see internal/faults)")
 	drainGrace := flag.Duration("drain-grace", time.Second, "time between withdrawing readiness (/readyz 503) and closing the listener on SIGTERM")
 	shards := flag.Int("shards", 1, "number of scheduling domains; >1 runs per-shard MILP solves under the cross-shard coordinator (DESIGN.md §13)")
-	det := flag.Bool("det", false, "deterministic-cycle mode: cycle k at logical time k*cycle, submissions carry submit_at stamps (required for -replog/-peers/-agents)")
-	replogPath := flag.String("replog", "", "decision log path (with -det); replayed on restart for a warm bit-identical resume")
+	replogPath := flag.String("replog", "", "decision log path; replayed on restart for a warm bit-identical resume")
 	replica := flag.Int("replica", 0, "this replica's ID within -peers")
 	peersSpec := flag.String("peers", "", "replica group spec id=url,... (e.g. 0=http://h0:8334,1=http://h1:8334); empty: single replica")
 	agentsSpec := flag.String("agents", "", "agent spec url=p0:p1,... running the tasks on 3sigma-agentd daemons; empty: one in-process agent owning every partition")
@@ -108,7 +107,6 @@ func main() {
 	var err error
 	sched := baselines.ThreeSigma(p, core.Config{
 		CycleInterval: *cycle,
-		SolverBudget:  *budget,
 		OnDecision: func(e core.DecisionEvent) {
 			if *verbose {
 				logger.Print(e)
@@ -166,7 +164,6 @@ func main() {
 		QueueCap:          *queueCap,
 		Logf:              logger.Printf,
 		Faults:            faultCfg,
-		DetCycles:         *det,
 		Log:               dlog,
 		ReplicaID:         *replica,
 		Peers:             peers,

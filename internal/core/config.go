@@ -157,10 +157,11 @@ type Config struct {
 
 	// Clock is the scheduler's time source for solver deadlines and for the
 	// cycle/predict latency measurements in Stats. Defaults to the wall
-	// clock. The simulator injects its virtual clock here (via SetClock)
-	// when running with Options.VirtualTime, which pins every measured
-	// latency to zero and makes budgeted solves immune to host load; the
-	// online daemon keeps the wall default.
+	// clock. A virtual clock injected here (via SetClock) pins every measured
+	// latency to zero and makes budgeted solves immune to host load, so the
+	// node cap alone ends them: the simulator does so when running with
+	// Options.VirtualTime, and the online daemon (internal/service) always
+	// does, with its cycle-indexed logical clock.
 	Clock simulator.Clock
 
 	// UtilityFn, when non-nil, overrides the built-in utility curves for

@@ -19,15 +19,13 @@ import (
 	"threesigma/internal/replog"
 )
 
-// detConfig builds a deterministic-cycle config around a fresh 3σSched
-// scheduler + predictor pair: the control-plane digests (outcome digest,
-// predictor SHA) are only meaningful when every replica re-derives the
-// same scheduler state.
-func detConfig() Config {
+// sigmaConfig builds a config around a fresh 3σSched scheduler + predictor
+// pair: the control-plane digests (outcome digest, predictor SHA) are only
+// meaningful when every replica re-derives the same scheduler state.
+func sigmaConfig() Config {
 	p := predictor.New(predictor.Config{})
 	cfg := fastConfig(baselines.ThreeSigma(p, core.Config{CycleInterval: 1}))
 	cfg.Predictor = p
-	cfg.DetCycles = true
 	return cfg
 }
 
@@ -80,7 +78,7 @@ func TestWarmRestartFromLogBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l1
 	svc1 := mustService(t, cfg)
 	svc1.Start()
@@ -122,7 +120,7 @@ func TestWarmRestartFromLogBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	cfg2 := detConfig()
+	cfg2 := sigmaConfig()
 	cfg2.Log = l2
 	svc2 := mustService(t, cfg2)
 	m2 := svc2.Metrics()
@@ -171,7 +169,7 @@ func TestWarmRestartFromLogBitIdentical(t *testing.T) {
 	waitPhase(t, ts2, 10, PhaseCompleted)
 }
 
-// replicaPair wires two det-mode services into a replica group over
+// replicaPair wires two services into a replica group over
 // httptest servers and returns them started.
 func replicaPair(t *testing.T) (svcs [2]*Service, tss [2]*httptest.Server) {
 	t.Helper()
@@ -334,7 +332,7 @@ func TestAgentFenceDeposesLeader(t *testing.T) {
 	as := httptest.NewServer(a.Handler())
 	defer as.Close()
 
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Agents = []*agent.Client{{Addr: as.URL, Partitions: []int{0, 1}}}
 	svc := mustService(t, cfg)
 	svc.Start()
@@ -415,7 +413,7 @@ func TestErrorPushNotAnAck(t *testing.T) {
 	late := &lateHandler{}
 	own := httptest.NewServer(late)
 	defer own.Close()
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l
 	cfg.ReplicaID = 0
 	cfg.Peers = map[int]string{0: own.URL, 1: broken.URL}
@@ -455,7 +453,7 @@ func TestErrorPushNotAnAck(t *testing.T) {
 // wait must say so (the admission is durable only on the leader) instead
 // of acknowledging silently.
 func TestWaitReplicatedReportsGap(t *testing.T) {
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.SubmitSyncTimeout = 50 * time.Millisecond
 	cfg.LeaseInterval = time.Hour // the stuck follower stays "live" throughout
 	cfg.Quorum = 2                // leader alone (1) must not satisfy the wait

@@ -191,7 +191,7 @@ func TestAbandonedJobFullySwept(t *testing.T) {
 // scheduler, so a scrape after it must not serve the hash cached by the
 // scrape before it (the benchmark's restart check compares exactly these).
 func TestPredictorSHATracksCompletions(t *testing.T) {
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	svc := mustService(t, cfg)
 	svc.Start()
 	ts := httptest.NewServer(svc.Handler())

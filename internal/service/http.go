@@ -29,11 +29,11 @@ type jobRequest struct {
 	DeadlineIn    float64 `json:"deadline_in,omitempty"` // SLO: seconds after submit
 	NonPrefFactor float64 `json:"nonpref_factor,omitempty"`
 	Preferred     []int   `json:"preferred,omitempty"`
-	// SubmitAt pins the job's logical submission time (virtual seconds). In
-	// deterministic-cycle mode a pre-stamped workload can then be burst in
-	// up front: which cycle admits each job depends only on its stamp, never
-	// on wall-clock arrival jitter — the property the failover digest gate
-	// relies on. Ignored (must be 0) outside deterministic mode.
+	// SubmitAt pins the job's logical submission time (virtual seconds; 0:
+	// the time of the cycle in flight). A pre-stamped workload can then be
+	// burst in up front: which cycle admits each job depends only on its
+	// stamp, never on wall-clock arrival jitter — the property the failover
+	// digest gate relies on.
 	SubmitAt float64 `json:"submit_at,omitempty"`
 }
 
@@ -212,9 +212,6 @@ func (s *Service) jobFromRequest(req *jobRequest) (*job.Job, error) {
 	}
 	now := s.VirtualNow()
 	if req.SubmitAt != 0 {
-		if !s.cfg.DetCycles {
-			return nil, &SubmitError{Code: 400, Msg: "submit_at requires deterministic-cycle mode"}
-		}
 		if req.SubmitAt < 0 {
 			return nil, &SubmitError{Code: 400, Msg: "submit_at must be non-negative"}
 		}

@@ -27,7 +27,7 @@ type testGroup struct {
 	dir   string
 }
 
-// newTestGroup builds n det-mode replicas with a 250 ms lease; tune adjusts
+// newTestGroup builds n replicas with a 250 ms lease; tune adjusts
 // replica i's config before the service is built. Nothing is started.
 func newTestGroup(t *testing.T, n int, tune func(i int, cfg *Config)) *testGroup {
 	t.Helper()
@@ -55,7 +55,7 @@ func (g *testGroup) build(t *testing.T, i int, tune func(i int, cfg *Config)) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l
 	cfg.ReplicaID = i
 	cfg.Peers = g.peers
@@ -375,7 +375,7 @@ func TestBlockedQuorumWaitReleasedAtOnce(t *testing.T) {
 		"stop":      func(svc *Service) { svc.Stop(5 * time.Second) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := detConfig()
+			cfg := sigmaConfig()
 			cfg.SubmitSyncTimeout = time.Minute
 			cfg.LeaseInterval = time.Hour // the silent follower stays "live" throughout
 			cfg.Quorum = 2
@@ -427,7 +427,7 @@ func TestSnapshotEngineEpochLeadsThePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l
 	cfg.CompactEvery = 1
 	svc := mustService(t, cfg)
@@ -472,7 +472,7 @@ func TestSnapshotFailureIsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l
 	cfg.CompactEvery = 2
 	cfg.Scheduler = failingExport{cfg.Scheduler.(*core.Scheduler)}

@@ -1,31 +1,30 @@
-// Package service is the online face of 3σSched: a wall-clock daemon that
-// wraps a scheduler and 3σPredict behind a JSON HTTP API (see cmd/3sigma-serverd).
-// It drives the same cluster Engine as the discrete-event simulator, but on
-// real time: scheduling cycles fire on a wall-clock ticker, submissions
-// arrive through a bounded admission queue with backpressure, and the
-// scheduler only decides — node-group agents (internal/agent) run the tasks,
-// each completing once virtual time passes its runtime, the way the paper's
-// YARN testbed runs what 3σSched places.
+// Package service is the online face of 3σSched: a daemon that wraps a
+// scheduler and 3σPredict behind a JSON HTTP API (see cmd/3sigma-serverd).
+// It drives the same cluster Engine as the discrete-event simulator, in
+// periodic cycles: submissions arrive through a bounded admission queue with
+// backpressure, and the scheduler only decides — node-group agents
+// (internal/agent) run the tasks, each completing once logical time passes
+// its runtime, the way the paper's YARN testbed runs what 3σSched places.
 //
-// Time runs at Config.TimeScale virtual seconds per wall second, so a
-// multi-hour workload can be replayed against a live daemon in minutes
-// (cmd/3sigma-loadgen's -speedup must match).
-//
-// With Config.DetCycles the daemon runs in deterministic-cycle mode
-// (DESIGN.md §14): cycle k executes at logical time k·CycleInterval
-// regardless of wall noise, submissions carry explicit submit_at stamps and
-// are admitted in (Submit, ID) order once their logical time arrives, and
-// cancels/operator actions defer to cycle boundaries. Every replay-relevant
-// input and decision then flows through an append-only hash-chained log
-// (internal/replog) that is synchronously replicated to standby replicas and
-// replayed on restart, so a warm standby that takes over after a leader
-// kill -9 resumes with a bitwise-identical outcome digest, and a restarted
-// daemon predicts exactly as the one that was stopped: the log, with its
-// snapshot records, is the one way state persists (without it a restart is
-// cold). In either mode the service is a pure reconciler that diffs desired
-// against actual state and issues idempotent epoch-fenced directives
-// (reconcile.go) — to one agent in its own process, or to remote agent
-// daemons (Config.Agents).
+// Cycles are deterministic (DESIGN.md §14): cycle k executes at logical time
+// k·CycleInterval whatever the wall clock does. A wall-clock ticker paces
+// them every CycleInterval/TimeScale seconds, so a multi-hour workload can be
+// replayed against a live daemon in minutes (cmd/3sigma-loadgen's -speedup
+// must match), but no decision reads the wall: submissions carry submit_at
+// stamps (an unstamped one gets the time of the cycle in flight) and are
+// admitted in (Submit, ID) order once their logical time arrives, and
+// cancels, trains and operator node actions are validated on arrival and
+// take effect at the next cycle boundary. Every such input and every cycle
+// decision is a record — appended to an append-only hash-chained log
+// (internal/replog) when Config.Log is set, synchronously replicated to
+// standby replicas and replayed on restart — so a warm standby that takes
+// over after a leader kill -9 resumes with a bitwise-identical outcome
+// digest, and a restarted daemon predicts exactly as the one that was
+// stopped: the log, with its snapshot records, is the one way state persists
+// (without it a restart is cold). The service is a pure reconciler that
+// diffs desired against actual state and issues idempotent epoch-fenced
+// directives (reconcile.go) — to one agent in its own process, or to remote
+// agent daemons (Config.Agents).
 //
 // Everything the replicas must agree on is one value, state (state.go),
 // changed only by applying log records and running cycles through its
@@ -60,11 +59,11 @@ type Config struct {
 	Predictor *predictor.Predictor
 
 	// CycleInterval is the scheduling period in virtual seconds
-	// (default 10); cycles fire every CycleInterval/TimeScale wall
-	// seconds.
+	// (default 10): cycle k runs at logical time k·CycleInterval, and
+	// cycles fire every CycleInterval/TimeScale wall seconds.
 	CycleInterval float64
 	// TimeScale is the virtual-seconds-per-wall-second replay speed
-	// (default 1: real time).
+	// (default 1: real time). It paces the cycle ticker and nothing else.
 	TimeScale float64
 
 	// QueueCap bounds the admission queue; submissions beyond it are
@@ -74,10 +73,12 @@ type Config struct {
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 
-	// Clock is the daemon's time source (default simulator.WallClock).
-	// Virtual time and uptime are both measured through it, so tests can
-	// pin the clock and replay the loop deterministically; only the cycle
-	// ticker and drain timeout stay on real time.
+	// Clock is the shell's time source (default simulator.WallClock): uptime,
+	// leader and follower leases, quorum-wait deadlines and the
+	// mean_cycle_ms measurement of Scheduler.Cycle are read through it. It
+	// feeds no scheduling decision — the scheduler runs on the
+	// cycle-indexed logical clock — and the cycle ticker and drain timeout
+	// stay on real time.
 	Clock simulator.Clock
 
 	// Faults, when non-nil, runs a chaos injector inside the scheduling
@@ -88,13 +89,6 @@ type Config struct {
 	Faults *faults.Config
 
 	// --- distributed control plane (DESIGN.md §14) ---
-
-	// DetCycles switches the daemon into deterministic-cycle mode: cycle k
-	// runs at logical time k·CycleInterval (the ticker still paces cycles on
-	// the wall, but the logical clock is cycle-indexed, so a pause — such as
-	// a failover — costs wall time and zero virtual time). Required whenever
-	// Log, Peers, or Agents are configured.
-	DetCycles bool
 
 	// Log, when non-nil, records every replay-relevant input and cycle
 	// decision in an append-only hash-chained log. On New, a non-empty log
@@ -143,6 +137,9 @@ type Config struct {
 	// declare an agent dead (its partitions fail, evicting its tasks into
 	// the retry path; default 3).
 	AgentDeadRounds int
+
+	// Deprecated: ignored; every Service runs deterministic cycles.
+	DetCycles bool
 }
 
 func (c *Config) fill() error {
@@ -175,9 +172,6 @@ func (c *Config) fill() error {
 	}
 	if c.AgentDeadRounds <= 0 {
 		c.AgentDeadRounds = 3
-	}
-	if (c.Log != nil || len(c.Peers) > 0 || len(c.Agents) > 0) && !c.DetCycles {
-		return fmt.Errorf("service: Log/Peers/Agents require DetCycles (the replicated control plane only replays deterministic cycles)")
 	}
 	if len(c.Peers) > 0 {
 		if c.Log == nil {
@@ -281,6 +275,12 @@ type Service struct {
 	draining bool     // guarded by mu
 	refused  Counters // guarded by mu; Rejected and Invalid only: submits this replica turned away, which no record carries
 
+	// Scheduler.Cycle time on Config.Clock over the cycles this replica
+	// solved (Metrics.MeanCycleMS): the scheduler's own timers read the
+	// logical clock, which stands still through a cycle.
+	solveTime time.Duration // guarded by mu
+	solves    int64         // guarded by mu
+
 	// Distributed control plane (DESIGN.md §14).
 	log         *replog.Log
 	role        Role      // guarded by mu
@@ -324,20 +324,18 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	e := env{sched: cfg.Scheduler, pred: cfg.Predictor, det: cfg.DetCycles}
+	// Pin the scheduler onto the cycle-indexed logical clock so solver
+	// budgets measure zero inside a cycle: the node cap ends every solve, and
+	// the solve explores the same tree on a loaded box, an idle one, and a
+	// replaying standby.
+	e := env{sched: cfg.Scheduler, pred: cfg.Predictor, clock: simulator.NewVirtualClock()}
+	if ca, ok := cfg.Scheduler.(simulator.ClockAware); ok {
+		ca.SetClock(e.clock)
+	}
 	if cfg.Faults != nil {
 		e.inj = faults.New(*cfg.Faults, cfg.Cluster.Partitions, 0)
 		cfg.Logf("chaos injector armed: %d node-lifecycle events over %.0fs virtual",
 			len(e.inj.Events()), e.inj.Config().Horizon)
-	}
-	if cfg.DetCycles {
-		// Pin the scheduler onto the cycle-indexed logical clock so solver
-		// budgets measure zero inside a cycle: the solve explores the same
-		// tree on a loaded box, an idle one, and a replaying standby.
-		e.clock = simulator.NewVirtualClock()
-		if ca, ok := cfg.Scheduler.(simulator.ClockAware); ok {
-			ca.SetClock(e.clock)
-		}
 	}
 	var agents []*agentState
 	if len(cfg.Agents) == 0 {
@@ -469,17 +467,6 @@ func (s *Service) Stop(timeout time.Duration) error {
 	}
 }
 
-// vnowLocked returns the current virtual time in seconds (callers hold s.mu).
-// In deterministic-cycle mode virtual time is cycle-indexed — it advances
-// only when a cycle runs — so a wall-clock pause (a failover, a slow solve)
-// costs zero virtual time.
-func (s *Service) vnowLocked() float64 {
-	if s.cfg.DetCycles {
-		return s.st.CycleNow
-	}
-	return s.cfg.Clock.Since(s.epoch).Seconds() * s.cfg.TimeScale
-}
-
 // cycleWall is the wall-clock scheduling period.
 func (s *Service) cycleWall() time.Duration {
 	return time.Duration(s.cfg.CycleInterval / s.cfg.TimeScale * float64(time.Second))
@@ -519,13 +506,11 @@ func (s *Service) loop() {
 // from this goroutine only (while leading; a follower applies records from
 // the replication handler, and the roles hand over under mu).
 func (s *Service) runCycle() {
-	// The cycle's logical time, fixed before anything runs at it:
-	// deterministic mode counts cycles, wall mode reads the scaled wall clock.
+	// The cycle's logical time, fixed before anything runs at it: cycle k
+	// runs at k·CycleInterval, so a wall-clock pause (a failover, a slow
+	// solve) costs zero virtual time.
 	s.mu.Lock()
-	p := &cyclePayload{Now: s.vnowLocked()}
-	if s.cfg.DetCycles {
-		p.Now = float64(s.st.Cycles+1) * s.cfg.CycleInterval
-	}
+	p := &cyclePayload{Now: float64(s.st.Cycles+1) * s.cfg.CycleInterval}
 	s.mu.Unlock()
 
 	// Agent reconcile rounds run before the cycle body, off the lock: they
@@ -546,13 +531,16 @@ func (s *Service) runCycle() {
 	s.runEffectsLocked(fx)
 	s.mu.Unlock()
 
-	// The solve runs unlocked: handlers may cancel or resize concurrently
-	// (immediately in wall mode, queued to the next boundary in det mode),
-	// and Engine.Start revalidates every decision against current state
-	// (stale ones are counted as skipped, as in the simulator).
+	// The solve runs unlocked: handlers may submit, cancel or resize
+	// concurrently, and whatever they log waits for the next cycle's top.
+	// Config.Clock times it; the scheduler's logical clock stands still.
+	t0 := s.cfg.Clock.Now()
 	dec := s.cfg.Scheduler.Cycle(snap)
+	took := s.cfg.Clock.Since(t0)
 
 	s.mu.Lock()
+	s.solveTime += took
+	s.solves++
 	p.Preempts, p.Starts = dec.Preempt, dec.Start
 	s.runEffectsLocked(s.st.cycleDecide(p.Now, p.Preempts, p.Starts))
 	p.EngineEpoch = s.st.eng.Epoch()
@@ -808,10 +796,10 @@ func (s *Service) Status(id job.ID) (JobStatus, bool) {
 // Cancel removes a job: queued jobs are dropped before admission, pending
 // jobs leave the queue, running jobs are killed and their nodes freed. The
 // scheduler's per-job state is cleared on the next cycle. Completed or
-// unknown jobs return a SubmitError (409 / 404). In deterministic-cycle
-// mode the cancellation is validated now but applied at the next cycle
-// boundary (and, when replicated, logged first), so every replica removes
-// the job at the same logical instant.
+// unknown jobs return a SubmitError (409 / 404). The cancellation is
+// validated now but applied at the next cycle boundary (and, when
+// replicated, logged first), so every replica removes the job at the same
+// logical instant.
 func (s *Service) Cancel(id job.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -828,13 +816,8 @@ func (s *Service) Cancel(id job.ID) error {
 			return &SubmitError{Code: 409, Msg: fmt.Sprintf("job %d already completed", id)}
 		}
 	}
-	if s.cfg.DetCycles {
-		_, err := s.inputsLocked(replog.TypeCancel, &cancelPayload{ID: id})
-		return err
-	}
-	s.st.cancelAt(id, s.vnowLocked())
-	s.runEffectsLocked(s.st.effects())
-	return nil
+	_, err := s.inputsLocked(replog.TypeCancel, &cancelPayload{ID: id})
+	return err
 }
 
 // Abandon marks a job as dropped by the scheduler: it leaves the pending
@@ -847,17 +830,16 @@ func (s *Service) Abandon(id job.ID) {
 	defer s.mu.Unlock()
 	// Abandons fire from inside the solve, which only the leader runs: they
 	// ride in the cycle record so every other replica mirrors them.
-	if s.st.abandonAt(id, s.vnowLocked()) && s.cycleRec != nil {
+	if s.st.abandonAt(id, s.st.CycleNow) && s.cycleRec != nil {
 		s.cycleRec.Abandons = append(s.cycleRec.Abandons, id)
 	}
 }
 
 // Train feeds one completed historical job into the predictor (the paper's
 // pre-training step, exposed so a fresh daemon can be warmed from a trace).
-// It reports false when no predictor is configured.
-// In deterministic-cycle mode the observation defers to the next cycle
-// boundary (logged and replicated first) so it is ordered against the
-// scheduler's estimate reads identically on every replica.
+// It reports false when no predictor is configured. The observation defers
+// to the next cycle boundary (logged and replicated first) so it is ordered
+// against the scheduler's estimate reads identically on every replica.
 func (s *Service) Train(j *job.Job, runtime float64) bool {
 	n, err := s.TrainBatch([]TrainRecord{{Job: j, Runtime: runtime}})
 	return err == nil && n == 1
@@ -869,13 +851,13 @@ type TrainRecord struct {
 	Runtime float64
 }
 
-// TrainBatch feeds a batch of history observations to the predictor. In det
-// mode the whole batch is appended to the decision log as one group commit
-// (a single fsync) and replicated with a single wait on the last record —
-// the /v1/train warm-up feed carries thousands of observations, and a
-// per-record fsync + replication round trip would stall it for seconds.
-// Returns the number of observations taken; the error is the follower
-// rejection (307/503) when this replica is not the leader.
+// TrainBatch feeds a batch of history observations to the predictor at the
+// next cycle boundary. The whole batch is appended to the decision log as
+// one group commit (a single fsync) and replicated with a single wait on the
+// last record — the /v1/train warm-up feed carries thousands of
+// observations, and a per-record fsync + replication round trip would stall
+// it for seconds. Returns the number of observations taken; the error is the
+// follower rejection (307/503) when this replica is not the leader.
 func (s *Service) TrainBatch(recs []TrainRecord) (int, error) {
 	if s.cfg.Predictor == nil {
 		return 0, &SubmitError{Code: 404, Msg: "no predictor configured"}
@@ -891,13 +873,6 @@ func (s *Service) TrainBatch(recs []TrainRecord) (int, error) {
 		return 0, nil
 	}
 	s.mu.Lock()
-	if !s.cfg.DetCycles {
-		for _, p := range valid {
-			s.st.observe(p)
-		}
-		s.mu.Unlock()
-		return len(valid), nil
-	}
 	err := s.notLeaderLocked()
 	var lastSeq uint64
 	if err == nil {
@@ -918,8 +893,9 @@ func (s *Service) TrainBatch(recs []TrainRecord) (int, error) {
 }
 
 // Resize grows or drains a cluster partition (operator API). Draining only
-// takes free nodes, mirroring the simulator's drain semantics. In
-// deterministic-cycle mode the resize applies at the next cycle boundary.
+// takes free nodes, mirroring the simulator's drain semantics. The resize
+// applies at the next cycle boundary; the cluster returned is the one that
+// stands until then.
 func (s *Service) Resize(partition, delta int) (simulator.Cluster, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -929,19 +905,21 @@ func (s *Service) Resize(partition, delta int) (simulator.Cluster, error) {
 	return s.st.eng.Cluster(), nil
 }
 
-// NodeOpResult reports the effect of a node-lifecycle operator action.
+// NodeOpResult reports an accepted node-lifecycle operator action. The
+// action lands at the next cycle boundary; the node counts are the ones that
+// stand until then (its evictions show in job status and counters.evicted
+// once it has landed).
 type NodeOpResult struct {
-	Partition int      `json:"partition"`
-	Nodes     int      `json:"nodes"` // nodes actually transitioned
-	DownNodes []int    `json:"down_nodes"`
-	FreeNodes []int    `json:"free_nodes"`
-	Evicted   []job.ID `json:"evicted,omitempty"`    // requeued for retry
-	FailedOut []job.ID `json:"failed_out,omitempty"` // retry budget exhausted
+	Partition int   `json:"partition"`
+	Nodes     int   `json:"nodes"` // nodes asked for
+	DownNodes []int `json:"down_nodes"`
+	FreeNodes []int `json:"free_nodes"`
 }
 
 // FailNodes is the operator API behind POST /v1/nodes/fail: n nodes of the
-// partition crash now, evicting their jobs (youngest first) into the retry
-// path. Scheduler state for failed-out jobs is cleared on the next cycle.
+// partition crash at the next cycle boundary, evicting their jobs (youngest
+// first) into the retry path. Scheduler state for failed-out jobs is cleared
+// on the cycle after.
 func (s *Service) FailNodes(partition, n int) (NodeOpResult, error) {
 	return s.nodeOp(opPayload{Kind: opFail, Partition: partition, N: n})
 }
@@ -969,10 +947,12 @@ func (s *Service) nodeOp(op opPayload) (NodeOpResult, error) {
 	return s.nodeOpLocked(op)
 }
 
-// nodeOpLocked runs one operator action: validated for range, then applied
-// now on the wall path — the result says what it did — or, in
-// deterministic-cycle mode, logged and reported as accepted (its effects
-// land at the next cycle boundary, through the same state.applyOp).
+// nodeOpLocked runs one operator action: validated against the live
+// partition — its range, and for a drain or a shrink its free nodes — then
+// logged and reported as accepted. Its effects land at the next cycle
+// boundary through state.applyOp, whose own checks there remain the
+// authoritative refusal (inputs logged ahead of it in the same cycle may
+// have changed the partition since).
 func (s *Service) nodeOpLocked(op opPayload) (NodeOpResult, error) {
 	if err := s.notLeaderLocked(); err != nil {
 		return NodeOpResult{}, err
@@ -981,24 +961,20 @@ func (s *Service) nodeOpLocked(op opPayload) (NodeOpResult, error) {
 		return NodeOpResult{}, &SubmitError{Code: 400,
 			Msg: fmt.Sprintf("partition %d out of range", op.Partition)}
 	}
-	res := NodeOpResult{Partition: op.Partition, Nodes: op.N} // det mode: accepted as asked
-	if s.cfg.DetCycles {
-		if _, err := s.inputsLocked(replog.TypeNodeOp, &op); err != nil {
-			return NodeOpResult{}, err
-		}
-	} else {
-		var err error
-		res, err = s.st.applyOp(op, s.vnowLocked())
-		s.runEffectsLocked(s.st.effects())
-		if err != nil {
-			code := 400
-			if op.Kind == opDrain {
-				code = 409 // a valid partition, without that many free nodes right now
-			}
-			return NodeOpResult{}, &SubmitError{Code: code, Msg: err.Error()}
-		}
+	free := s.st.eng.FreeNodes()
+	switch f := free[op.Partition]; {
+	case op.Kind == opDrain && f < op.N:
+		// A valid partition, without that many free nodes right now.
+		return NodeOpResult{}, &SubmitError{Code: 409,
+			Msg: fmt.Sprintf("drain %d from partition %d: only %d free", op.N, op.Partition, f)}
+	case op.Kind == opResize && f+op.Delta < 0:
+		return NodeOpResult{}, &SubmitError{Code: 400,
+			Msg: fmt.Sprintf("shrink partition %d by %d: only %d free", op.Partition, -op.Delta, f)}
 	}
-	res.DownNodes, res.FreeNodes = s.st.eng.DownNodes(), s.st.eng.FreeNodes()
+	res := NodeOpResult{Partition: op.Partition, Nodes: op.N, DownNodes: s.st.eng.DownNodes(), FreeNodes: free}
+	if _, err := s.inputsLocked(replog.TypeNodeOp, &op); err != nil {
+		return NodeOpResult{}, err
+	}
 	return res, nil
 }
 
@@ -1054,16 +1030,15 @@ type Metrics struct {
 	PredictorSHA string `json:"predictor_sha,omitempty"`
 
 	// Scheduler-side counters (zero for greedy baselines).
-	SchedCycles   int           `json:"sched_cycles"`
-	SolverNodes   int           `json:"solver_nodes"`
-	SolverLPIters int           `json:"solver_lp_iters"`
-	SolverStops                 // how the solves ended
-	Starts        int           `json:"starts"`
-	Preemptions   int           `json:"preemptions"`
-	MaxVars       int           `json:"max_vars"`
-	MaxRows       int           `json:"max_rows"`
-	MeanCycleMS   float64       `json:"mean_cycle_ms"`
-	MaxSolve      time.Duration `json:"-"`
+	SchedCycles   int     `json:"sched_cycles"`
+	SolverNodes   int     `json:"solver_nodes"`
+	SolverLPIters int     `json:"solver_lp_iters"`
+	SolverStops           // how the solves ended
+	Starts        int     `json:"starts"`
+	Preemptions   int     `json:"preemptions"`
+	MaxVars       int     `json:"max_vars"`
+	MaxRows       int     `json:"max_rows"`
+	MeanCycleMS   float64 `json:"mean_cycle_ms"` // Scheduler.Cycle on Config.Clock, over the cycles this replica solved
 
 	// Incremental re-solve counters (DESIGN.md §12).
 	PatchedCycles     int `json:"patched_cycles"`
@@ -1125,7 +1100,7 @@ func (s *Service) Metrics() Metrics {
 	counters.Rejected, counters.Invalid = s.refused.Rejected, s.refused.Invalid
 	m := Metrics{
 		UptimeSeconds:   s.cfg.Clock.Since(s.epoch).Seconds(),
-		VirtualNow:      s.vnowLocked(),
+		VirtualNow:      s.st.CycleNow,
 		TimeScale:       s.cfg.TimeScale,
 		Cycles:          s.st.Cycles,
 		Counters:        counters,
@@ -1138,7 +1113,7 @@ func (s *Service) Metrics() Metrics {
 		FreeNodes:       s.st.eng.FreeNodes(),
 		DownNodes:       s.st.eng.DownNodes(),
 		Ready:           s.started && !s.draining && s.role == RoleLeader,
-		NodeDownSeconds: s.st.eng.NodeDownSeconds(s.vnowLocked()),
+		NodeDownSeconds: s.st.eng.NodeDownSeconds(s.st.CycleNow),
 		SchedCycles:     cs.Cycles,
 		SolverNodes:     cs.SolverNodes,
 		SolverLPIters:   cs.SolverLPIters,
@@ -1147,7 +1122,6 @@ func (s *Service) Metrics() Metrics {
 		Preemptions:     cs.Preemptions,
 		MaxVars:         cs.MaxVars,
 		MaxRows:         cs.MaxRows,
-		MaxSolve:        cs.MaxSolveTime,
 
 		PatchedCycles:     cs.PatchedCycles,
 		RebuildFallbacks:  cs.RebuildFallbacks,
@@ -1171,8 +1145,8 @@ func (s *Service) Metrics() Metrics {
 			ReusedSolves:  st.ReusedSolves,
 		})
 	}
-	if cs.Cycles > 0 {
-		m.MeanCycleMS = float64(cs.CycleTime.Milliseconds()) / float64(cs.Cycles)
+	if s.solves > 0 {
+		m.MeanCycleMS = float64(s.solveTime) / float64(time.Millisecond) / float64(s.solves)
 	}
 	if s.cfg.Predictor != nil {
 		m.PredictorGroups = s.cfg.Predictor.GroupCount()
@@ -1203,13 +1177,11 @@ func (s *Service) Metrics() Metrics {
 	return m
 }
 
-// VirtualNow exposes the service's virtual clock (for clients mapping
-// deadlines into service time).
+// VirtualNow exposes the service's virtual clock — the logical time of the
+// cycle in flight or last run — for clients mapping deadlines into service
+// time.
 func (s *Service) VirtualNow() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.started {
-		return 0
-	}
-	return s.vnowLocked()
+	return s.st.CycleNow
 }

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"threesigma/internal/faults"
 	"threesigma/internal/job"
+	"threesigma/internal/replog"
 	"threesigma/internal/simulator"
 )
 
@@ -207,83 +210,137 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestCancelLifecycle(t *testing.T) {
-	svc := mustService(t, fastConfig(fifoSched{}))
+// handLed builds a service over an in-memory decision log and makes it lead
+// without starting it: no ticker runs, so the test decides where every cycle
+// boundary falls (runCycle), and the log's length shows what a request
+// logged.
+func handLed(t *testing.T, cfg Config) (*Service, *replog.Log, *httptest.Server) {
+	t.Helper()
+	l, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Log = l
+	svc := mustService(t, cfg)
+	svc.mu.Lock()
+	svc.takeoverLocked(0)
+	svc.mu.Unlock()
 	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	return svc, l, ts
+}
 
-	// Cancel while queued (service not started, job cannot be admitted).
-	postJSON(t, ts, "/v1/jobs", jobRequest{ID: 1, Tasks: 2, Runtime: 50})
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/1", nil)
+func deleteJob(t *testing.T, ts *httptest.Server, id int) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id), nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("cancel queued = %d", resp.StatusCode)
+	return resp.StatusCode
+}
+
+// TestCancelLifecycle: a cancel is validated against live state when it
+// arrives — 404 for an unknown job, 409 for one already cancelled, with
+// nothing logged — and removes the job at the next cycle boundary, queued or
+// running.
+func TestCancelLifecycle(t *testing.T) {
+	svc, l, ts := handLed(t, fastConfig(fifoSched{}))
+	phase := func(id job.ID) JobPhase {
+		st, _ := svc.Status(id)
+		return st.Phase
 	}
+
+	// Cancel while queued: stamped ahead, so no cycle admits it first.
+	postJSON(t, ts, "/v1/jobs", jobRequest{ID: 1, Tasks: 2, Runtime: 50, SubmitAt: 100})
+	if code := deleteJob(t, ts, 1); code != 200 {
+		t.Fatalf("cancel queued = %d", code)
+	}
+	if p := phase(1); p != PhaseQueued {
+		t.Fatalf("job 1 is %q before the cycle boundary, want queued", p)
+	}
+	svc.runCycle()
 	var st JobStatus
 	if code := getJSON(t, ts, "/v1/jobs/1", &st); code != 200 || st.Phase != PhaseCancelled {
 		t.Fatalf("status after cancel: %d %+v", code, st)
 	}
-	// Resubmitting a cancelled ID conflicts.
+	// Refused on arrival, nothing logged: resubmitting the cancelled ID,
+	// cancelling it again, cancelling an unknown job.
+	logged := l.Len()
 	if r, _ := postJSON(t, ts, "/v1/jobs", jobRequest{ID: 1, Tasks: 2, Runtime: 1}); r.StatusCode != 409 {
 		t.Fatalf("resubmit cancelled = %d", r.StatusCode)
 	}
-	// Unknown job.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/99", nil)
-	resp, _ = http.DefaultClient.Do(req)
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("cancel unknown = %d", resp.StatusCode)
+	if code := deleteJob(t, ts, 1); code != 409 {
+		t.Fatalf("cancel cancelled = %d", code)
+	}
+	if code := deleteJob(t, ts, 99); code != 404 {
+		t.Fatalf("cancel unknown = %d", code)
+	}
+	if l.Len() != logged {
+		t.Fatalf("refused requests logged %d records", l.Len()-logged)
 	}
 
 	// Cancel while running.
-	svc.Start()
-	defer svc.Stop(5 * time.Second)
 	postJSON(t, ts, "/v1/jobs", jobRequest{ID: 2, Tasks: 2, Runtime: 1000})
-	waitPhase(t, ts, 2, PhaseRunning)
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/2", nil)
-	resp, _ = http.DefaultClient.Do(req)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("cancel running = %d", resp.StatusCode)
+	svc.runCycle()
+	if p := phase(2); p != PhaseRunning {
+		t.Fatalf("job 2 is %q, want running", p)
 	}
-	waitPhase(t, ts, 2, PhaseCancelled)
-	var m Metrics
-	getJSON(t, ts, "/v1/metrics", &m)
-	if m.Running != 0 || m.Counters.Cancelled != 2 {
+	if code := deleteJob(t, ts, 2); code != 200 {
+		t.Fatalf("cancel running = %d", code)
+	}
+	svc.runCycle()
+	if p := phase(2); p != PhaseCancelled {
+		t.Fatalf("job 2 is %q after the boundary, want cancelled", p)
+	}
+	if m := svc.Metrics(); m.Running != 0 || m.Counters.Cancelled != 2 {
 		t.Fatalf("metrics after cancel = %+v", m)
 	}
 	// The freed nodes are usable again.
 	postJSON(t, ts, "/v1/jobs", jobRequest{ID: 3, Tasks: 16, Runtime: 1})
-	waitPhase(t, ts, 3, PhaseCompleted)
+	for i := 0; i < 4 && phase(3) != PhaseCompleted; i++ {
+		svc.runCycle()
+	}
+	if p := phase(3); p != PhaseCompleted {
+		t.Fatalf("job 3 on the freed nodes is %q, want completed", p)
+	}
 }
 
+// TestClusterResize: a resize is validated against the live partition — an
+// out-of-range partition, or a shrink by more nodes than are free, answers
+// 400 with nothing logged — and reshapes the cluster at the next cycle
+// boundary.
 func TestClusterResize(t *testing.T) {
-	svc := mustService(t, fastConfig(fifoSched{}))
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	svc, l, ts := handLed(t, fastConfig(fifoSched{}))
+	resize := func(part, delta, want int) {
+		t.Helper()
+		if r, body := postJSON(t, ts, "/v1/cluster/nodes", resizeRequest{Partition: part, Delta: delta}); r.StatusCode != want {
+			t.Fatalf("resize partition %d by %d = %d %s, want %d", part, delta, r.StatusCode, body, want)
+		}
+	}
+	shape := func(want0, wantTotal int) {
+		t.Helper()
+		m := svc.Metrics()
+		if total := m.Partitions[0] + m.Partitions[1]; m.Partitions[0] != want0 || m.FreeNodes[0] != want0 || total != wantTotal {
+			t.Fatalf("partitions %v, free %v: want partition 0 at %d, %d nodes in all", m.Partitions, m.FreeNodes, want0, wantTotal)
+		}
+	}
 
-	resp, body := postJSON(t, ts, "/v1/cluster/nodes", resizeRequest{Partition: 0, Delta: 4})
-	if resp.StatusCode != 200 {
-		t.Fatalf("grow = %d %s", resp.StatusCode, body)
+	resize(0, 4, 200)
+	shape(8, 16)
+	svc.runCycle()
+	shape(12, 20)
+
+	logged := l.Len()
+	resize(0, -13, 400) // over-drain: 12 free
+	resize(9, 1, 400)   // bad partition
+	if l.Len() != logged {
+		t.Fatalf("refused resizes logged %d records", l.Len()-logged)
 	}
-	var out struct {
-		Partitions []int `json:"partitions"`
-		Total      int   `json:"total_nodes"`
-	}
-	json.Unmarshal(body, &out)
-	if out.Total != 20 || out.Partitions[0] != 12 {
-		t.Fatalf("after grow: %+v", out)
-	}
-	if r, _ := postJSON(t, ts, "/v1/cluster/nodes", resizeRequest{Partition: 0, Delta: -13}); r.StatusCode != 400 {
-		t.Fatalf("over-drain = %d", r.StatusCode)
-	}
-	if r, _ := postJSON(t, ts, "/v1/cluster/nodes", resizeRequest{Partition: 9, Delta: 1}); r.StatusCode != 400 {
-		t.Fatalf("bad partition = %d", r.StatusCode)
-	}
+	resize(0, -2, 200)
+	svc.runCycle()
+	shape(10, 18)
 }
 
 // TestZeroNodePartitionRunsAfterResize: simulator.NewCluster(3, 4) leaves the
@@ -294,7 +351,6 @@ func TestClusterResize(t *testing.T) {
 func TestZeroNodePartitionRunsAfterResize(t *testing.T) {
 	cfg := fastConfig(fifoSched{})
 	cfg.Cluster = simulator.NewCluster(3, 4)
-	cfg.DetCycles = true
 	svc := mustService(t, cfg)
 	svc.mu.Lock()
 	svc.takeoverLocked(0)
@@ -302,7 +358,7 @@ func TestZeroNodePartitionRunsAfterResize(t *testing.T) {
 	if _, err := svc.Resize(3, 4); err != nil {
 		t.Fatal(err)
 	}
-	svc.runCycle() // det mode: the resize lands at this cycle's boundary
+	svc.runCycle() // the resize lands at this cycle's boundary
 	// First fit over [1 1 1 4]: every partition, the grown one included.
 	if _, err := svc.Submit(&job.Job{ID: 1, Tasks: 7, Runtime: 2, Submit: 1.5, NonPrefFactor: 1}); err != nil {
 		t.Fatal(err)
@@ -361,49 +417,31 @@ func TestReadyzFlipsOnDrain(t *testing.T) {
 	}
 }
 
+// TestNodeOpEndpoints: node operations are validated against the live
+// partition when they arrive — a drain of a partition without that many free
+// nodes answers 409, an out-of-range partition or a non-positive count 400,
+// with nothing logged — and take effect at the next cycle boundary, where a
+// failure evicts the job on the failed nodes into the retry path.
 func TestNodeOpEndpoints(t *testing.T) {
-	svc := mustService(t, fastConfig(fifoSched{})) // 16 nodes / 2 partitions
-	svc.Start()
-	defer svc.Stop(5 * time.Second)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	svc, l, ts := handLed(t, fastConfig(fifoSched{})) // 16 nodes / 2 partitions
+	status := func(id job.ID) JobStatus {
+		st, _ := svc.Status(id)
+		return st
+	}
 
 	// One job holding the whole cluster so failures must evict it.
 	resp, body := postJSON(t, ts, "/v1/jobs", jobRequest{ID: 1, Tasks: 16, Runtime: 1000})
 	if resp.StatusCode != 202 {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
-	waitPhase(t, ts, 1, PhaseRunning)
-
-	var op NodeOpResult
-	resp, body = postJSON(t, ts, "/v1/nodes/fail", nodeOpRequest{Partition: 0, Nodes: 4})
-	if resp.StatusCode != 200 {
-		t.Fatalf("fail: %d %s", resp.StatusCode, body)
-	}
-	json.Unmarshal(body, &op)
-	if op.Nodes != 4 || op.DownNodes[0] != 4 {
-		t.Fatalf("fail result = %+v", op)
-	}
-	if len(op.Evicted) != 1 || op.Evicted[0] != 1 {
-		t.Fatalf("evicted = %v, want job 1 requeued", op.Evicted)
-	}
-	// The cluster is now 12 effective nodes: a 16-task gang cannot restart.
-	st := waitPhase(t, ts, 1, PhasePending)
-	if st.Evictions != 1 {
-		t.Fatalf("status evictions = %d, want 1", st.Evictions)
+	svc.runCycle()
+	if st := status(1); st.Phase != PhaseRunning {
+		t.Fatalf("job 1 is %q, want running", st.Phase)
 	}
 
-	resp, body = postJSON(t, ts, "/v1/nodes/recover", nodeOpRequest{Partition: 0, Nodes: 4})
-	if resp.StatusCode != 200 {
-		t.Fatalf("recover: %d %s", resp.StatusCode, body)
-	}
-	json.Unmarshal(body, &op)
-	if op.Nodes != 4 || op.DownNodes[0] != 0 {
-		t.Fatalf("recover result = %+v", op)
-	}
-	waitPhase(t, ts, 1, PhaseRunning)
-
-	// Drain never evicts: with every node allocated it must 409.
+	// Refused on arrival, nothing logged. Drain never evicts: with every node
+	// allocated it must 409.
+	logged := l.Len()
 	resp, body = postJSON(t, ts, "/v1/nodes/drain", nodeOpRequest{Partition: 0, Nodes: 1})
 	if resp.StatusCode != 409 {
 		t.Fatalf("drain on full partition: %d %s, want 409", resp.StatusCode, body)
@@ -415,14 +453,95 @@ func TestNodeOpEndpoints(t *testing.T) {
 			}
 		}
 	}
+	if l.Len() != logged {
+		t.Fatalf("refused node ops logged %d records", l.Len()-logged)
+	}
 
+	// Accepted: reported as asked, with the nodes as they stand until the
+	// boundary.
+	var op NodeOpResult
+	resp, body = postJSON(t, ts, "/v1/nodes/fail", nodeOpRequest{Partition: 0, Nodes: 4})
+	if resp.StatusCode != 200 {
+		t.Fatalf("fail: %d %s", resp.StatusCode, body)
+	}
+	json.Unmarshal(body, &op)
+	if op.Partition != 0 || op.Nodes != 4 || op.DownNodes[0] != 0 || l.Len() != logged+1 {
+		t.Fatalf("fail result = %+v, log grew by %d", op, l.Len()-logged)
+	}
+	svc.runCycle()
+	// The cluster is now 12 effective nodes: a 16-task gang cannot restart.
+	if st := status(1); st.Phase != PhasePending || st.Evictions != 1 {
+		t.Fatalf("job 1 after the failure: %q with %d evictions, want pending with 1", st.Phase, st.Evictions)
+	}
 	var m Metrics
 	getJSON(t, ts, "/v1/metrics", &m)
-	if m.NodeDownSeconds <= 0 {
-		t.Fatalf("metrics NodeDownSeconds = %v, want > 0 after a down episode", m.NodeDownSeconds)
+	if m.Counters.Evicted != 1 || m.DownNodes[0] != 4 {
+		t.Fatalf("after the failure: counters %+v, down nodes %v: want 1 evicted, 4 down", m.Counters, m.DownNodes)
 	}
-	if m.Counters.Evicted != 1 {
-		t.Fatalf("counters = %+v, want 1 evicted", m.Counters)
+
+	resp, body = postJSON(t, ts, "/v1/nodes/recover", nodeOpRequest{Partition: 0, Nodes: 4})
+	if resp.StatusCode != 200 {
+		t.Fatalf("recover: %d %s", resp.StatusCode, body)
+	}
+	svc.runCycle()
+	if st := status(1); st.Phase != PhaseRunning {
+		t.Fatalf("job 1 after the recovery: %q, want running", st.Phase)
+	}
+	getJSON(t, ts, "/v1/metrics", &m)
+	if m.DownNodes[0] != 0 || m.NodeDownSeconds <= 0 {
+		t.Fatalf("after the recovery: down nodes %v, node-down seconds %v: want 0 and > 0", m.DownNodes, m.NodeDownSeconds)
+	}
+}
+
+// stepClock is a Config.Clock that moves only when told to.
+type stepClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *stepClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+
+func (c *stepClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// slowSched is fifoSched with every Cycle taking d on clk.
+type slowSched struct {
+	fifoSched
+	clk *stepClock
+	d   time.Duration
+}
+
+func (s slowSched) Cycle(st *simulator.State) simulator.Decision {
+	s.clk.advance(s.d)
+	return s.fifoSched.Cycle(st)
+}
+
+// TestMeanCycleMSIsMeasuredByTheShell: the scheduler's own timers read the
+// logical clock, which stands still through a cycle, so mean_cycle_ms is the
+// shell's measurement of Scheduler.Cycle on Config.Clock — in fractional
+// milliseconds, and for a scheduler that keeps no stats of its own.
+func TestMeanCycleMSIsMeasuredByTheShell(t *testing.T) {
+	clk := &stepClock{now: time.Unix(1000, 0)}
+	cfg := fastConfig(slowSched{clk: clk, d: 1500 * time.Microsecond})
+	cfg.Clock = clk
+	svc := mustService(t, cfg)
+	svc.mu.Lock()
+	svc.takeoverLocked(0)
+	svc.mu.Unlock()
+	for i := 0; i < 4; i++ {
+		svc.runCycle()
+	}
+	if got := svc.Metrics().MeanCycleMS; math.Abs(got-1.5) > 1e-9 {
+		t.Fatalf("mean_cycle_ms = %v, want 1.5", got)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // not stall the wait, and a live laggard burns the full timeout.
 func TestQuorumAckMatrix(t *testing.T) {
 	newSvc := func(t *testing.T, quorum int) (*Service, [2]*followerConn) {
-		cfg := detConfig()
+		cfg := sigmaConfig()
 		cfg.SubmitSyncTimeout = 50 * time.Millisecond
 		cfg.LeaseInterval = time.Hour
 		cfg.Quorum = quorum
@@ -112,7 +112,7 @@ func TestAdmitReplayIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l
 	svc := mustService(t, cfg)
 
@@ -156,13 +156,14 @@ func TestAdmitReplayIdempotent(t *testing.T) {
 
 // runLoggedWorkload drives one deterministic four-job workload through a
 // service built on the given log, drains it, and returns its final metrics.
+// All four submits are logged before the ticker starts: one that a cycle
+// fired between would be admitted a cycle later than in another run.
 func runLoggedWorkload(t *testing.T, l *replog.Log, compactEvery int64) Metrics {
 	t.Helper()
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l
 	cfg.CompactEvery = compactEvery
 	svc := mustService(t, cfg)
-	svc.Start()
 	ts := httptest.NewServer(svc.Handler())
 	for i := 1; i <= 4; i++ {
 		resp, body := postJSON(t, ts, "/v1/jobs", jobRequest{
@@ -173,6 +174,7 @@ func runLoggedWorkload(t *testing.T, l *replog.Log, compactEvery int64) Metrics 
 			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
+	svc.Start()
 	for i := 1; i <= 4; i++ {
 		waitPhase(t, ts, i, PhaseCompleted)
 	}
@@ -229,7 +231,7 @@ func TestCompactedWarmRestartDigestIdentical(t *testing.T) {
 	if l2.Base() == 0 {
 		t.Fatal("compacted log reopened with base 0")
 	}
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l2
 	cfg.CompactEvery = 2
 	svc := mustService(t, cfg)
@@ -280,7 +282,7 @@ func TestEmptyStandbySnapshotCatchUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		cfg := detConfig()
+		cfg := sigmaConfig()
 		cfg.Log = l
 		cfg.ReplicaID = i
 		cfg.Peers = peers
@@ -361,7 +363,7 @@ func TestSnapshotTakeoverHandsLiveRunsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l
 	lead := mustService(t, cfg)
 	lead.mu.Lock()
@@ -399,7 +401,7 @@ func TestSnapshotTakeoverHandsLiveRunsOver(t *testing.T) {
 		writeJSON(w, http.StatusOK, snap)
 	}))
 	defer donor.Close()
-	cfg = detConfig()
+	cfg = sigmaConfig()
 	if cfg.Log, err = replog.Open(""); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +432,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = dl
 	donor := mustService(t, cfg)
 	donor.mu.Lock()
@@ -508,7 +510,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sl.Close()
-			cfg := detConfig()
+			cfg := sigmaConfig()
 			cfg.Log = sl
 			standby := mustService(t, cfg)
 			if _, err := standby.Submit(&job.Job{ID: 9, Name: "train", User: "bob", Tasks: 2, Runtime: 3, Submit: 0.5, NonPrefFactor: 1}); err != nil {
@@ -579,7 +581,7 @@ func TestMinorityCannotElect(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Log = l
 	cfg.ReplicaID = 0
 	// Three replicas: this one, the controllable peer, and one that is

@@ -117,14 +117,13 @@ type cyclePayload struct {
 // env is what a state runs against and does not own or encode: the
 // scheduler and predictor the daemon was configured with (mutated in place —
 // their exported state rides in the encoding), the chaos injector (an
-// immutable schedule and pure per-attempt draws), the scheduler's logical
-// clock, and the mode switch.
+// immutable schedule and pure per-attempt draws), and the scheduler's
+// logical clock.
 type env struct {
 	sched simulator.Scheduler
 	pred  *predictor.Predictor
 	inj   *faults.Injector
-	clock *simulator.VirtualClock // det mode: the scheduler's clock, set at each cycle top
-	det   bool                    // deterministic cycles: stamped admission, deferred inputs
+	clock *simulator.VirtualClock // the scheduler's clock, set at each cycle top
 }
 
 // stateSnapshotter is the scheduler capability snapshots require:
@@ -154,7 +153,7 @@ type queuedJob struct {
 	*job.Job
 }
 
-// deferred is one det-mode input awaiting its cycle boundary: the record's
+// deferred is one input awaiting its cycle boundary: the record's
 // own payload beside its log seq (0 without a log; not encoded, as
 // queuedJob's), so a replica applies exactly the entries the leader's cycle
 // drained.
@@ -210,7 +209,7 @@ type state struct {
 	Abandoned map[job.ID]bool `json:"abandoned,omitempty"` // dropped by the scheduler (zero utility)
 	Removed   []job.ID        `json:"removed,omitempty"`   // left the engine; sched.JobRemoved pending
 
-	// Det-mode inputs awaiting a cycle boundary, in log order.
+	// Inputs awaiting a cycle boundary, in log order.
 	Trains  []deferred[trainPayload]  `json:"trains,omitempty"`
 	Cancels []deferred[cancelPayload] `json:"cancels,omitempty"`
 	Ops     []deferred[opPayload]     `json:"ops,omitempty"`
@@ -437,9 +436,7 @@ func (st *state) applyCycle(rec replog.Record, p *cyclePayload) {
 func (st *state) cycleTop(p *cyclePayload) (*simulator.State, []effect) {
 	now := p.Now
 	st.CycleNow = now
-	if st.clock != nil {
-		st.clock.Set(now)
-	}
+	st.clock.Set(now)
 	st.drainInputs(now, p.InputsThrough)
 	st.admit(now, p.InputsThrough)
 
@@ -516,35 +513,26 @@ func (st *state) cycleTop(p *cyclePayload) (*simulator.State, []effect) {
 	return st.eng.Snapshot(now), st.effects()
 }
 
-// admit moves queued jobs into the engine: in arrival order on the wall
-// path; in (Submit, ID) order with future submissions held back on the
-// deterministic path, so the cycle at which a job enters the scheduler
+// admit moves queued jobs into the engine in (Submit, ID) order, holding
+// back future submissions, so the cycle at which a job enters the scheduler
 // depends only on its stamp and on which cycle's input watermark first
 // covers its admit record — a job logged while the leader was solving cycle
 // k waits for cycle k+1 wherever the record is applied.
 func (st *state) admit(now float64, through uint64) {
-	admit := st.Queue
+	queue := st.Queue
 	st.Queue = nil
-	if st.det {
-		sort.SliceStable(admit, func(i, k int) bool {
-			//lint:allow floateq exact tie-break: equal-bits submit stamps fall through to the ID order
-			if admit[i].Submit != admit[k].Submit {
-				return admit[i].Submit < admit[k].Submit
-			}
-			return admit[i].ID < admit[k].ID
-		})
-		n := 0
-		for _, q := range admit {
-			if q.Submit <= now && q.Seq <= through {
-				admit[n] = q
-				n++
-			} else {
-				st.Queue = append(st.Queue, q)
-			}
+	sort.SliceStable(queue, func(i, k int) bool {
+		//lint:allow floateq exact tie-break: equal-bits submit stamps fall through to the ID order
+		if queue[i].Submit != queue[k].Submit {
+			return queue[i].Submit < queue[k].Submit
 		}
-		admit = admit[:n]
-	}
-	for _, q := range admit {
+		return queue[i].ID < queue[k].ID
+	})
+	for _, q := range queue {
+		if !(q.Submit <= now && q.Seq <= through) {
+			st.Queue = append(st.Queue, q)
+			continue
+		}
 		delete(st.queued, q.ID)
 		if err := st.eng.Submit(q.Job); err != nil {
 			// The leader checked it at enqueue; a record that got here some
@@ -594,10 +582,7 @@ func (st *state) cycleDecide(now float64, preempts []job.ID, starts []simulator.
 	return st.effects()
 }
 
-// --- transitions at a given instant ---
-//
-// The deferred path runs them at a cycle boundary (drainInputs); wall mode's
-// operator APIs run them at the wall clock's now. Neither has a second body.
+// --- transitions at a cycle boundary ---
 
 // drainInputs applies deferred inputs with log seq <= through, in
 // type-phase order (trains, cancels, ops) and log order within each type —
@@ -610,7 +595,7 @@ func (st *state) drainInputs(now float64, through uint64) {
 		st.cancelAt(e.In.ID, now)
 	}
 	for _, e := range takeThrough(&st.Ops, through) {
-		if _, err := st.applyOp(e.In, now); err != nil {
+		if err := st.applyOp(e.In, now); err != nil {
 			st.logf("operator %s: %v", e.In.Kind, err)
 		}
 	}
@@ -699,28 +684,32 @@ func (st *state) failNodes(part, n int, now float64) (failed int, evicted, exhau
 // applyOp applies one operator action at time now. An action the engine
 // refuses (partition out of range, not enough free nodes to drain) changes
 // nothing and returns the engine's error.
-func (st *state) applyOp(op opPayload, now float64) (res NodeOpResult, err error) {
-	res = NodeOpResult{Partition: op.Partition}
+func (st *state) applyOp(op opPayload, now float64) error {
 	switch op.Kind {
 	case opFail:
-		res.Nodes, res.Evicted, res.FailedOut, err = st.failNodes(op.Partition, op.N, now)
-		if err == nil {
-			st.logf("operator: partition %d lost %d nodes (%d jobs requeued, %d failed out)",
-				op.Partition, res.Nodes, len(res.Evicted), len(res.FailedOut))
+		n, evicted, exhausted, err := st.failNodes(op.Partition, op.N, now)
+		if err != nil {
+			return err
 		}
+		st.logf("operator: partition %d lost %d nodes (%d jobs requeued, %d failed out)",
+			op.Partition, n, len(evicted), len(exhausted))
 	case opRecover:
-		if res.Nodes, err = st.eng.RecoverNodes(op.Partition, op.N, now); err == nil && res.Nodes > 0 {
-			st.logf("operator: partition %d recovered %d nodes", op.Partition, res.Nodes)
+		n, err := st.eng.RecoverNodes(op.Partition, op.N, now)
+		if err != nil {
+			return err
+		}
+		if n > 0 {
+			st.logf("operator: partition %d recovered %d nodes", op.Partition, n)
 		}
 	case opDrain:
-		if err = st.eng.DrainNodes(op.Partition, op.N, now); err == nil {
-			res.Nodes = op.N
-			st.logf("operator: partition %d drained %d nodes", op.Partition, op.N)
+		if err := st.eng.DrainNodes(op.Partition, op.N, now); err != nil {
+			return err
 		}
+		st.logf("operator: partition %d drained %d nodes", op.Partition, op.N)
 	case opResize:
-		err = st.eng.Resize(op.Partition, op.Delta)
+		return st.eng.Resize(op.Partition, op.Delta)
 	}
-	return res, err
+	return nil
 }
 
 // --- the predictor's hash ---
@@ -928,8 +917,6 @@ func (st *state) adopt(sg *staged) error {
 	if err := st.sched.(stateSnapshotter).ImportState(sg.sched); err != nil {
 		return fmt.Errorf("restore scheduler: %w", err)
 	}
-	if st.clock != nil {
-		st.clock.Set(st.CycleNow)
-	}
+	st.clock.Set(st.CycleNow)
 	return nil
 }

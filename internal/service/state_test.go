@@ -22,10 +22,10 @@ import (
 	"threesigma/internal/simulator"
 )
 
-// scriptConfig is detConfig with a chaos injector that crashes some attempts:
+// scriptConfig is sigmaConfig with a chaos injector that crashes some attempts:
 // fresh scheduler, predictor and injector, as each process of a group has.
 func scriptConfig() Config {
-	cfg := detConfig()
+	cfg := sigmaConfig()
 	cfg.Faults = &faults.Config{Seed: 3, CrashProb: 0.4, MaxRetries: 2}
 	return cfg
 }
@@ -81,10 +81,10 @@ func push(t *testing.T, svc *Service, recs []replog.Record) {
 // runScript drives one scripted input stream — submits (one landing
 // mid-solve), two train batches, a cancel of a queued and of a running job,
 // fail / recover / drain / resize, an abandon out of the solve, chaos crashes
-// — through a leader's public API, over the log l and on the agents given
-// (none: the service's own local agent), and returns the leader. It is
-// cycled by hand: no ticker decides which cycle an input lands in, and no
-// compactor truncates the log.
+// — through a leader's public API, over the log l (nil: no log, and so no
+// snapshots) and on the agents given (none: the service's own local agent),
+// and returns the leader. It is cycled by hand: no ticker decides which cycle
+// an input lands in, and no compactor truncates the log.
 func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
 	t.Helper()
 	var lead *Service
@@ -112,7 +112,11 @@ func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
 	}
 	cfg := scriptConfig()
 	cfg.Log = l
-	cfg.CompactEvery = 5
+	wantSnaps := int64(0)
+	if l != nil {
+		cfg.CompactEvery = 5
+		wantSnaps = 2
+	}
 	cfg.Agents = agents
 	cfg.Scheduler = &hookSched{Scheduler: cfg.Scheduler.(*core.Scheduler), hook: func() {
 		switch cycle { // inside the solve: the leader's lock is free
@@ -160,7 +164,7 @@ func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
 	run(2) // cycle 5 snapshots
 	_, err = lead.RecoverNodes(0, 3)
 	must("recover", err)
-	_, err = lead.DrainNodes(1, 1)
+	_, err = lead.DrainNodes(0, 1) // partition 0's one free node (partition 1 has none: 409)
 	must("drain", err)
 	_, err = lead.Resize(1, 2)
 	must("resize", err)
@@ -173,7 +177,7 @@ func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
 
 	m := lead.Metrics()
 	if c := m.Counters; c.Cancelled != 2 || c.Abandoned != 1 || c.Trained != 12 || c.Accepted != 11 ||
-		c.Evicted == 0 || c.Completed == 0 || m.Control.Snapshots != 2 || m.Cycles != 13 {
+		c.Evicted == 0 || c.Completed == 0 || m.Control.Snapshots != wantSnaps || m.Cycles != 13 {
 		t.Fatalf("the script did not do what it says: %+v, %d snapshots, %d cycles", c, m.Control.Snapshots, m.Cycles)
 	}
 	return lead
@@ -182,9 +186,10 @@ func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
 // TestOneLogOneStateOnEveryPath is the property the state machine exists
 // for: runScript's input stream leaves the same state, outcome digest and
 // predictor hash on (i) the leader it drove, (ii) a follower pushed the
-// leader's records, (iii) a process restarted over the leader's log, and
-// (iv) a standby that installed the leader's first snapshot and was pushed
-// the suffix.
+// leader's records, (iii) a process restarted over the leader's log, (iv) a
+// standby that installed the leader's first snapshot and was pushed the
+// suffix, and (v) a leader driven through the same stream with no log at
+// all, whose inputs are framed at seq 0 and drain at the next cycle top.
 func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	dir := t.TempDir()
 	l, err := replog.Open(filepath.Join(dir, "leader.log"))
@@ -249,6 +254,9 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	}
 	push(t, standby, recs[firstSnap.Seq:])
 	paths["standby"] = standby
+
+	// (v) A leader without a log.
+	paths["logless"] = runScript(t, nil, nil)
 
 	for name, svc := range paths {
 		m := svc.Metrics()
@@ -506,7 +514,6 @@ func fuzzState(t testing.TB) *state {
 		pred:  p,
 		inj:   faults.New(faults.Config{Seed: 1, CrashProb: 0.5, MaxRetries: 1}, []int{8, 8}, 0),
 		clock: simulator.NewVirtualClock(),
-		det:   true,
 	}, simulator.NewCluster(16, 2))
 	seq := uint64(0)
 	apply := func(typ string, payload any) {

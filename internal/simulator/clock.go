@@ -5,9 +5,9 @@ import "time"
 // Clock abstracts the scheduler-visible time source so the same scheduling
 // core runs against simulated (virtual) and real (wall) time. 3σSched uses
 // its clock for solver deadlines and cycle/predict latency measurement; the
-// online service (internal/service) hands it a WallClock, the simulator can
-// hand it the run's VirtualClock (Options.VirtualTime) so scheduling
-// behavior is independent of host load.
+// online service (internal/service) hands it a cycle-indexed VirtualClock,
+// and the simulator can hand it the run's VirtualClock (Options.VirtualTime),
+// so scheduling behavior is independent of host load.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
@@ -16,7 +16,8 @@ type Clock interface {
 }
 
 // WallClock is the real time: Now and Since delegate to package time. It is
-// the default clock of core.Scheduler and the clock of the online daemon.
+// the default clock of core.Scheduler and of the online daemon's shell
+// (leases, uptime, cycle timing).
 type WallClock struct{}
 
 // Now implements Clock.

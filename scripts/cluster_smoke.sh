@@ -31,7 +31,7 @@ PIDS=""
 # stamped cycle fires (2s wall at -timescale 60).
 LG_ARGS="-nodes 64 -partitions 4 -hours 0.05 -jobs-per-hour 400 -load 0.7 \
     -seed 3 -burst -offset 120 -timeout 150s"
-SD_ARGS="-nodes 64 -partitions 4 -cycle 10 -timescale 60 -det -lease 500ms"
+SD_ARGS="-nodes 64 -partitions 4 -cycle 10 -timescale 60 -lease 500ms"
 
 cleanup() {
     for P in $PIDS; do kill -9 "$P" 2>/dev/null || true; done

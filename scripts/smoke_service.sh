@@ -4,7 +4,7 @@
 # solver did real work and the tasks ran through the daemon's one in-process
 # agent (the reconciler, not a private executor), then SIGTERM the daemon and
 # restart it over its decision log — the one way a daemon restarts warm
-# (-det -replog; -compact-every 5, so the restart installs the newest
+# (-replog; -compact-every 5, so the restart installs the newest
 # snapshot and replays the suffix behind it): the restarted daemon must serve
 # bit-identical predictor estimates, report the same outcome digest and
 # predictor SHA on /v1/metrics, and count no divergence.
@@ -32,7 +32,7 @@ go build -o "$LOADGEN" ./cmd/3sigma-loadgen
 
 start_daemon() {
     "$SERVERD" -addr "127.0.0.1:$PORT" -nodes 64 -partitions 4 \
-        -cycle 10 -timescale 60 -det -replog "$DLOG" -compact-every 5 \
+        -cycle 10 -timescale 60 -replog "$DLOG" -compact-every 5 \
         -drain-grace 2s \
         >>"$WORK/serverd.log" 2>&1 &
     PID=$!
@@ -61,6 +61,13 @@ start_daemon
 
 SOLVED=$(metric solver_nodes)
 [ "${SOLVED:-0}" -gt 0 ] || { echo "FAIL: solver_nodes=$SOLVED after batch 1"; exit 1; }
+# The scheduler's own timers read the cycle-indexed logical clock, which
+# stands still through a cycle; mean_cycle_ms is the daemon's wall-clock
+# measurement of the cycles it solved, so it must read above zero.
+MEAN=$("$LOADGEN" -addr "$ADDR" -metrics | sed -n 's/.*"mean_cycle_ms":\([0-9.eE+-]*\).*/\1/p')
+awk -v m="${MEAN:-0}" 'BEGIN { exit !(m > 0) }' ||
+    { echo "FAIL: mean_cycle_ms=$MEAN after batch 1, want > 0"; exit 1; }
+echo "mean_cycle_ms: $MEAN"
 SENT=$(metric directives_sent)
 LIVE=$(metric agents_live)
 [ "${SENT:-0}" -gt 0 ] && [ "${LIVE:-0}" -eq 1 ] ||
