@@ -92,4 +92,4 @@ cluster-smoke:
 # and the outcome digest (reruns must print the identical digest line).
 faults:
 	$(GO) run ./cmd/3sigma-sim -env google -nodes 48 -partitions 4 \
-		-hours 0.05 -load 1.2 -seed 5 -virtualtime -faults light -digest
+		-hours 0.05 -load 1.2 -seed 5 -faults light -digest

@@ -22,7 +22,11 @@ import (
 
 	"threesigma/internal/experiments"
 	"threesigma/internal/faults"
+	"threesigma/internal/simulator"
 )
+
+// stopwatch times each experiment for its elapsed display.
+var stopwatch simulator.WallClock
 
 func main() {
 	scale := flag.String("scale", "medium", "experiment scale: small, medium or full")
@@ -82,15 +86,13 @@ func main() {
 	// run executes one experiment; f returns the structured rows (for -json)
 	// and the formatted table (for the default text output).
 	run := func(name string, f func() (interface{}, string, error)) {
-		//lint:allow wallclock benchmark harness measures real experiment duration by design
-		t0 := time.Now()
+		t0 := stopwatch.Now()
 		data, out, err := f()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		//lint:allow wallclock benchmark harness measures real experiment duration by design
-		elapsed := time.Since(t0).Round(time.Millisecond)
+		elapsed := stopwatch.Since(t0).Round(time.Millisecond)
 		if *jsonOut {
 			if err := enc.Encode(struct {
 				Name    string      `json:"name"`

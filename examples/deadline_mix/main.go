@@ -19,7 +19,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"threesigma"
 )
@@ -33,7 +32,6 @@ func run(name string, lo, hi float64) {
 		Slots:         8,
 		SlotDur:       150, // 2.5-minute slots, as in Fig. 5
 		CycleInterval: 10,
-		SolverBudget:  200 * time.Millisecond,
 	}
 	sched := threesigma.NewCustomScheduler(est, cfg)
 

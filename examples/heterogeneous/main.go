@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"threesigma"
 )
@@ -24,7 +23,6 @@ func main() {
 		Slots:         8,
 		SlotDur:       150,
 		CycleInterval: 10,
-		SolverBudget:  200 * time.Millisecond,
 	}
 	cfg.Policy.Preemption = false // force the deferral decision
 	sched := threesigma.NewCustomScheduler(threesigma.PerfectEstimator(), cfg)

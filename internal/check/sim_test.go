@@ -37,10 +37,9 @@ func TestSimulateWithChecks(t *testing.T) {
 				Seed:          5,
 			})
 			cfg := threesigma.SimConfig{
-				VirtualTime: true,
-				Seed:        5,
-				Faults:      tc.faults,
-				Scheduler:   tc.sched,
+				Seed:      5,
+				Faults:    tc.faults,
+				Scheduler: tc.sched,
 			}
 			cfg.Scheduler.Checks = true
 			res, err := threesigma.Simulate(threesigma.SystemThreeSigma, w, cfg)

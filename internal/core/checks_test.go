@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"threesigma/internal/job"
 	"threesigma/internal/simulator"
@@ -71,7 +70,6 @@ func TestNegativeRelaxedCapacityClamped(t *testing.T) {
 // endpoint reads them live from its HTTP handlers.
 func TestStatsConcurrentWithCycle(t *testing.T) {
 	cfg := testConfig()
-	cfg.SolverBudget = 20 * time.Millisecond
 	sched := New(uniformEstimator(60, 600), cfg)
 
 	jobs := make([]*job.Job, 12)

@@ -10,7 +10,7 @@
 //     for running jobs (Eq. 2 conditional update),
 //  4. compiles demand and capacity constraints plus preemption terms into a
 //     MILP, seeds it with the previous cycle's schedule, and solves it under
-//     a wall-clock budget,
+//     a branch-and-bound node budget,
 //  5. extracts slot-0 placements and preemptions and reports them to the
 //     cluster manager (the simulator).
 //
@@ -26,7 +26,6 @@ import (
 	"threesigma/internal/dist"
 	"threesigma/internal/job"
 	"threesigma/internal/predictor"
-	"threesigma/internal/simulator"
 )
 
 // OEMode selects the over-estimate handling policy (§4.2.2–4.2.3).
@@ -84,10 +83,12 @@ type Config struct {
 	// per cycle (most-urgent first); the remainder wait for a later cycle.
 	MaxPending int // default 48
 
-	// SolverBudget bounds the wall-clock time of each MILP solve; the best
-	// incumbent found is used when it expires (§4.3.6). Default 150ms.
+	// Deprecated: ignored; kept only because bench/ sets it.
 	SolverBudget time.Duration
 	// SolverMaxNodes bounds branch-and-bound nodes per solve (default 48).
+	// It is the solver's one limit: the best incumbent found when it runs
+	// out is used (§4.3.6), so a cycle's decisions never depend on the
+	// machine's speed.
 	SolverMaxNodes int
 
 	// Utility shaping.
@@ -155,15 +156,6 @@ type Config struct {
 	// trail. The callback runs inline in the scheduling cycle; keep it fast.
 	OnDecision func(DecisionEvent)
 
-	// Clock is the scheduler's time source for solver deadlines and for the
-	// cycle/predict latency measurements in Stats. Defaults to the wall
-	// clock. A virtual clock injected here (via SetClock) pins every measured
-	// latency to zero and makes budgeted solves immune to host load, so the
-	// node cap alone ends them: the simulator does so when running with
-	// Options.VirtualTime, and the online daemon (internal/service) always
-	// does, with its cycle-indexed logical clock.
-	Clock simulator.Clock
-
 	// UtilityFn, when non-nil, overrides the built-in utility curves for
 	// individual jobs — the paper assumes "a cluster administrator or an
 	// expert user will be able to define the utility function on a
@@ -184,9 +176,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 48
-	}
-	if c.SolverBudget <= 0 {
-		c.SolverBudget = 150 * time.Millisecond
 	}
 	if c.SolverMaxNodes <= 0 {
 		c.SolverMaxNodes = 48
@@ -214,9 +203,6 @@ func (c *Config) fill() {
 	}
 	if c.PreemptBase <= 0 {
 		c.PreemptBase = 2.5
-	}
-	if c.Clock == nil {
-		c.Clock = simulator.WallClock{}
 	}
 }
 

@@ -79,12 +79,11 @@ type Stats struct {
 	SolverLPIters int // simplex pivots over all node relaxations
 	// How each solve ended (a cycle answered with the previous solution
 	// counts in none): proved — the search ran out of open nodes, Status
-	// Optimal or Infeasible — or stopped unproved by the node budget or by
-	// the deadline. ColdFallbacks counts the non-root nodes solved cold
-	// because their parent's tableau could not be used (milp.Solution).
+	// Optimal or Infeasible — or stopped unproved by the node budget.
+	// ColdFallbacks counts the non-root nodes solved cold because their
+	// parent's tableau could not be used (milp.Solution).
 	SolverProved        int
 	SolverNodeCapped    int
-	SolverDeadlineStops int
 	SolverColdFallbacks int
 	// SpecLPs and SpecUsed counted the speculative LP workers' relaxations.
 	// The workers are gone (the branch-and-bound is sequential, DESIGN.md
@@ -121,6 +120,10 @@ func (st *Stats) CacheHitRate() float64 {
 	}
 	return float64(st.CacheHits) / float64(tot)
 }
+
+// stopwatch times predictions, cycles and solves for Stats and Fig. 12. It
+// measures and reports; no decision reads it.
+var stopwatch simulator.WallClock
 
 // Scheduler is a 3σSched instance implementing simulator.Scheduler.
 type Scheduler struct {
@@ -168,15 +171,6 @@ func (s *Scheduler) Stats() Stats {
 	return s.stats
 }
 
-// SetClock re-bases the scheduler's timing (solver deadlines, latency
-// stats) onto the given clock. It implements simulator.ClockAware so the
-// simulator can inject its virtual clock; call it before the first cycle.
-func (s *Scheduler) SetClock(c simulator.Clock) {
-	if c != nil {
-		s.cfg.Clock = c
-	}
-}
-
 // Config returns the effective configuration (defaults filled).
 func (s *Scheduler) Config() Config { return s.cfg }
 
@@ -190,13 +184,13 @@ func (s *Scheduler) Estimator() Estimator { return s.est }
 // JobSubmitted estimates the job's runtime distribution (step 2 of Fig. 4)
 // and caches it for the job's lifetime.
 func (s *Scheduler) JobSubmitted(j *job.Job, now float64) {
-	t0 := s.cfg.Clock.Now()
+	t0 := stopwatch.Now()
 	d := s.est.EstimateDist(j)
 	if !s.cfg.Policy.UseDistribution {
 		// Point-estimate mode: collapse the distribution to its mean.
 		d = dist.NewPoint(d.Mean())
 	}
-	lat := s.cfg.Clock.Since(t0)
+	lat := stopwatch.Since(t0)
 	s.statsMu.Lock()
 	s.stats.PredictTime += lat
 	if lat > s.stats.MaxPredictTime {
@@ -491,7 +485,7 @@ func (s *Scheduler) selectPending(pending []*job.Job, now float64) []*job.Job {
 
 // Cycle implements one §4.3.1 scheduling round.
 func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
-	t0 := s.cfg.Clock.Now()
+	t0 := stopwatch.Now()
 	dec := simulator.Decision{}
 	b := s.buildModel(st)
 	// Solution reuse: when the model is bitwise-identical to the previous
@@ -501,13 +495,13 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 	reused := b.unchanged && s.inc.haveSol && !s.cfg.NoWarmBasis
 	var sol milp.Solution
 	var warm []int
+	var solveTime time.Duration // 0 on a reused cycle
 	if reused {
 		sol = s.inc.lastSol
 		// Work counters describe *this* cycle's solver effort: none.
 		sol.Nodes, sol.LPIters = 0, 0
 		sol.WarmPivots = 0
 		sol.SeedUsed = false
-		sol.Elapsed = 0
 	} else {
 		var seed []float64
 		if !s.cfg.NoWarmStart {
@@ -518,21 +512,20 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 		if b.warmOK && !s.cfg.NoWarmBasis {
 			warm = s.inc.lastSol.RootBasis
 		}
+		t1 := stopwatch.Now()
 		sol = milp.Solve(b.model, milp.Options{
-			Deadline:  s.cfg.Clock.Now().Add(s.cfg.SolverBudget),
 			MaxNodes:  s.cfg.SolverMaxNodes,
 			Gap:       1e-4,
 			Seed:      seed,
 			WarmBasis: warm,
-			Now:       s.cfg.Clock.Now,
 		})
+		solveTime = stopwatch.Since(t1)
 		s.inc.lastSol = sol
 		s.inc.haveSol = true
 	}
-	solveTime := sol.Elapsed
 	s.extract(b, &sol, st, &dec)
 
-	cycleTime := s.cfg.Clock.Since(t0)
+	cycleTime := stopwatch.Since(t0)
 	dec.CycleLatency = cycleTime
 	dec.SolverLatency = solveTime
 	ms := b.model.Stats()
@@ -570,8 +563,6 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 		switch sol.Stopped {
 		case milp.StopNodes:
 			s.stats.SolverNodeCapped++
-		case milp.StopDeadline:
-			s.stats.SolverDeadlineStops++
 		default:
 			s.stats.SolverProved++
 		}

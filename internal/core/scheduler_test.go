@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"threesigma/internal/dist"
 	"threesigma/internal/job"
@@ -29,7 +28,6 @@ func testConfig() Config {
 		Slots:         8,
 		SlotDur:       150,
 		CycleInterval: 10,
-		SolverBudget:  200 * time.Millisecond,
 	}
 }
 

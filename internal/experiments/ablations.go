@@ -49,14 +49,7 @@ func AblationWarmStart(sc Scale, seed int64) ([]AblationPoint, error) {
 // larger, so this ablation is meant for the Small scale.
 func AblationExactShares(sc Scale, seed int64) ([]AblationPoint, error) {
 	return ablate(sc, seed, []string{"prop-shares", "exact-shares"}, func(i int, cfg *core.Config) {
-		if i == 1 {
-			cfg.ExactShares = true
-			// The exact model's LPs are several times larger; give the
-			// solver a budget that lets it finish its dives, so the
-			// comparison measures schedule quality and cost rather than
-			// starvation under an unfit budget.
-			cfg.SolverBudget = 10 * cfg.SolverBudget
-		}
+		cfg.ExactShares = i == 1
 	})
 }
 

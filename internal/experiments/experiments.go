@@ -9,7 +9,6 @@ package experiments
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"threesigma/internal/core"
 	"threesigma/internal/simulator"
@@ -37,7 +36,6 @@ type Scale struct {
 	Slots         int
 	SlotDur       float64
 	MaxPending    int
-	SolverBudget  time.Duration
 	DrainWindow   float64
 	// SolveQuantum quantizes the scheduler's model-evaluation clock
 	// (core.Config.SolveQuantum); 0 leaves quantization off. Only the
@@ -67,7 +65,7 @@ func Small() Scale {
 	return Scale{
 		Name: "small", Nodes: 64, Partitions: 8, DurationHours: 0.5,
 		CycleInterval: 10, Slots: 5, SlotDur: 240, MaxPending: 24,
-		SolverBudget: 50 * time.Millisecond, DrainWindow: 1200, TraceJobs: 4000,
+		DrainWindow: 1200, TraceJobs: 4000,
 	}
 }
 
@@ -76,7 +74,7 @@ func Medium() Scale {
 	return Scale{
 		Name: "medium", Nodes: 128, Partitions: 8, DurationHours: 2,
 		CycleInterval: 5, Slots: 6, SlotDur: 300, MaxPending: 32,
-		SolverBudget: 80 * time.Millisecond, DrainWindow: 1800, TraceJobs: 10000, Repeats: 3,
+		DrainWindow: 1800, TraceJobs: 10000, Repeats: 3,
 	}
 }
 
@@ -85,7 +83,7 @@ func Full() Scale {
 	return Scale{
 		Name: "full", Nodes: 256, Partitions: 8, DurationHours: 5,
 		CycleInterval: 5, Slots: 6, SlotDur: 300, MaxPending: 48,
-		SolverBudget: 150 * time.Millisecond, DrainWindow: 2400, TraceJobs: 20000, Repeats: 3,
+		DrainWindow: 2400, TraceJobs: 20000, Repeats: 3,
 	}
 }
 
@@ -103,7 +101,6 @@ func (s Scale) config(seed int64) SimConfig {
 			SlotDur:        s.SlotDur,
 			CycleInterval:  s.CycleInterval,
 			MaxPending:     s.MaxPending,
-			SolverBudget:   s.SolverBudget,
 			SolverMaxNodes: 24,
 			SolveQuantum:   s.SolveQuantum,
 		},

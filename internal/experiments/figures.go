@@ -609,7 +609,7 @@ func Fig12(seed int64, rates []int, hours float64) ([]Fig12Point, error) {
 	sc := Scale{
 		Name: "google", Nodes: 12583, Partitions: 8, DurationHours: hours,
 		CycleInterval: 10, Slots: 6, SlotDur: 300, MaxPending: 64,
-		SolverBudget: 500 * time.Millisecond, DrainWindow: 1800,
+		DrainWindow: 1800,
 	}
 	pts := make([]Fig12Point, 0, len(rates)*2)
 	for _, rate := range rates {

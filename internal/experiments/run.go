@@ -86,12 +86,6 @@ type SimConfig struct {
 	// RealCluster emulates the paper's RC256 configuration by adding
 	// execution jitter and placement delay.
 	RealCluster bool
-	// VirtualTime runs the scheduler on the simulator's virtual clock:
-	// solver deadlines never expire mid-solve and measured latencies pin
-	// to zero, making budgeted solves deterministic regardless of host
-	// load. Off by default so the reported cycle/solve latencies remain
-	// wall-clock measurements (Fig. 12).
-	VirtualTime bool
 	// Scheduler configures a system's 3σSched (its CycleInterval defaults
 	// to the run's); a scheduler handed to RunScheduler is already built.
 	Scheduler core.Config
@@ -172,7 +166,6 @@ func RunScheduler(name string, sched simulator.Scheduler, jobs []*job.Job, clust
 		CycleInterval: cfg.CycleInterval,
 		DrainWindow:   cfg.DrainWindow,
 		Seed:          cfg.Seed,
-		VirtualTime:   cfg.VirtualTime,
 		Faults:        cfg.Faults,
 	}
 	if cfg.RealCluster {
@@ -211,7 +204,6 @@ func solverStatsFrom(st core.Stats) metrics.SolverStats {
 
 		Proved:        st.SolverProved,
 		NodeCapped:    st.SolverNodeCapped,
-		DeadlineStops: st.SolverDeadlineStops,
 		ColdFallbacks: st.SolverColdFallbacks,
 
 		PatchedCycles:     st.PatchedCycles,

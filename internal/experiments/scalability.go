@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"threesigma/internal/metrics"
 	"threesigma/internal/shard"
@@ -29,15 +28,13 @@ import (
 // ScalabilityScale returns the default scenario scale: 10× the paper's
 // cluster, 64 machine-type partitions, 8 scheduling domains of 8 partitions
 // each, with a pending queue deep enough (sustained 1.6× overload, MaxPending
-// 256) that every cycle carries a full-size MILP. The generous solver budget
-// keeps SolverMaxNodes (not wall-clock expiry) as the binding solve limit, so
-// runs stay deterministic while latencies are still honestly measured.
+// 256) that every cycle carries a full-size MILP.
 func ScalabilityScale() Scale {
 	return Scale{
 		Name: "scalability", Nodes: 2560, Partitions: 64, DurationHours: 0.25,
 		CycleInterval: 10, Slots: 6, SlotDur: 300, MaxPending: 256,
-		SolverBudget: 2 * time.Second, DrainWindow: 1200,
-		Shards: 8, TraceJobs: 10000,
+		DrainWindow: 1200,
+		Shards:      8, TraceJobs: 10000,
 	}
 }
 

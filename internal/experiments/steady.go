@@ -40,7 +40,7 @@ func SteadyScale() Scale {
 	return Scale{
 		Name: "steady", Nodes: 192, Partitions: 12, DurationHours: 1,
 		CycleInterval: 5, Slots: 6, SlotDur: 300, MaxPending: 48,
-		SolverBudget: 100 * time.Millisecond, DrainWindow: 1800,
+		DrainWindow:  1800,
 		SolveQuantum: 60, TraceJobs: 10000,
 	}
 }

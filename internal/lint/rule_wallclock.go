@@ -9,9 +9,9 @@ import (
 
 // wallClockFuncs are the package time entry points that read the host's
 // real clock. Reading them anywhere but simulator/clock.go lets host load
-// leak into scheduling decisions; everything else must take time from an
-// injected simulator.Clock (or an injected now func) so virtual-time runs
-// are bit-identical.
+// leak into scheduling decisions. Code that measures durations uses the one
+// stopwatch, simulator.WallClock, and code whose time a test must step
+// takes a simulator.Clock; no decision may depend on either.
 var wallClockFuncs = map[string]bool{
 	"Now":   true,
 	"Since": true,
@@ -21,7 +21,7 @@ var wallClockFuncs = map[string]bool{
 
 // runWallClock reports uses of time.Now / time.Since / time.After /
 // time.Until outside simulator/clock.go. Both calls and uses as a value
-// (e.g. `opts.Now = time.Now`) are reported.
+// (e.g. `now = time.Now`) are reported.
 func runWallClock(u *Unit, f *File, rep reporter) {
 	if filepath.Base(f.Path) == "clock.go" && strings.HasSuffix(strings.TrimSuffix(u.PkgPath, "_test"), "simulator") {
 		return
@@ -38,7 +38,7 @@ func runWallClock(u *Unit, f *File, rep reporter) {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 			return true // a method like Time.After, not the package function
 		}
-		rep(sel, "time.%s reads the wall clock: route time through the injected Clock (simulator.Clock / Options.Now) so virtual-time runs stay deterministic", fn.Name())
+		rep(sel, "time.%s reads the wall clock: measure durations with the stopwatch simulator.WallClock, or take a simulator.Clock, and let no decision depend on either", fn.Name())
 		return true
 	})
 }

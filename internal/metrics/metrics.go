@@ -86,11 +86,10 @@ type SolverStats struct {
 	CacheHits   int // builder memo lookups served from cache
 	CacheMisses int // builder memo lookups computed fresh
 
-	// How the solves ended (core.Stats): proved, stopped unproved by the
-	// node budget or the deadline; and non-root nodes solved cold.
+	// How the solves ended (core.Stats): proved or stopped unproved by the
+	// node budget; and non-root nodes solved cold.
 	Proved        int
 	NodeCapped    int
-	DeadlineStops int
 	ColdFallbacks int
 
 	// Incremental re-solve counters (DESIGN.md §12): how often the model
@@ -118,8 +117,8 @@ func (s SolverStats) CacheHitRate() float64 {
 
 // String renders the counters as one diagnostic line.
 func (s SolverStats) String() string {
-	return fmt.Sprintf("nodes=%d lp-iters=%d proved=%d capped=%d deadline=%d cold=%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
-		s.Nodes, s.LPIters, s.Proved, s.NodeCapped, s.DeadlineStops, s.ColdFallbacks, 100*s.CacheHitRate(),
+	return fmt.Sprintf("nodes=%d lp-iters=%d proved=%d capped=%d cold=%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
+		s.Nodes, s.LPIters, s.Proved, s.NodeCapped, s.ColdFallbacks, 100*s.CacheHitRate(),
 		s.PatchedCycles, s.RebuildFallbacks, s.ReusedSolves, s.WarmBasisReuses, s.IncumbentSeedHits)
 }
 
@@ -243,7 +242,6 @@ func Average(rs []Report) Report {
 		avg.Solver.LPIters += r.Solver.LPIters
 		avg.Solver.Proved += r.Solver.Proved
 		avg.Solver.NodeCapped += r.Solver.NodeCapped
-		avg.Solver.DeadlineStops += r.Solver.DeadlineStops
 		avg.Solver.ColdFallbacks += r.Solver.ColdFallbacks
 		avg.Solver.CacheHits += r.Solver.CacheHits
 		avg.Solver.CacheMisses += r.Solver.CacheMisses
@@ -268,7 +266,6 @@ func Average(rs []Report) Report {
 	avg.Solver.LPIters = int(math.Round(float64(avg.Solver.LPIters) / n))
 	avg.Solver.Proved = int(math.Round(float64(avg.Solver.Proved) / n))
 	avg.Solver.NodeCapped = int(math.Round(float64(avg.Solver.NodeCapped) / n))
-	avg.Solver.DeadlineStops = int(math.Round(float64(avg.Solver.DeadlineStops) / n))
 	avg.Solver.ColdFallbacks = int(math.Round(float64(avg.Solver.ColdFallbacks) / n))
 	avg.Solver.CacheHits = int(math.Round(float64(avg.Solver.CacheHits) / n))
 	avg.Solver.CacheMisses = int(math.Round(float64(avg.Solver.CacheMisses) / n))

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -144,13 +143,14 @@ func TestMILPSeedUsedWhenBudgetExhausted(t *testing.T) {
 	b := m.AddVar(Binary, 4, "b")
 	m.AddLE("d", []int{a, b}, []float64{1, 1}, 1)
 	seed := []float64{0, 1}
-	sol := Solve(&m, Options{Seed: seed, Deadline: time.Now().Add(-time.Second)})
-	// Deadline already expired: no nodes explored, seed must be returned.
-	if sol.Status == NoSolution || sol.X == nil {
+	sol := Solve(&m, Options{Seed: seed, MaxNodes: 1})
+	// One node: the seed is the first incumbent, and the answer is at least
+	// as good as it.
+	if !sol.SeedUsed || sol.X == nil {
 		t.Fatalf("expected seed incumbent, got %+v", sol)
 	}
-	if !almostEq(sol.Objective, 4, 1e-9) {
-		t.Fatalf("objective = %v, want 4 (seed)", sol.Objective)
+	if sol.Objective < 4-1e-9 {
+		t.Fatalf("objective = %v, worse than the seed's 4", sol.Objective)
 	}
 }
 
@@ -290,7 +290,7 @@ func BenchmarkMILPSchedulingShape(b *testing.B) {
 	mdl := build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol := Solve(mdl, Options{Deadline: time.Now().Add(2 * time.Second)})
+		sol := Solve(mdl, Options{})
 		if sol.X == nil {
 			b.Fatal("no solution")
 		}

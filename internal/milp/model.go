@@ -4,10 +4,12 @@
 // root relaxation and depth-first branch-and-bound over binary variables
 // with dual re-solve of children (each child starts from its parent's
 // optimal tableau and runs the dual simplex), a greedy and a fix-and-solve
-// rounding heuristic, warm-start incumbent seeding, and a wall-clock budget
-// that returns the best incumbent found (the contract 3σSched relies on:
-// "query the solver for the best solution found within a configurable
-// fraction of its scheduling interval", §4.3.6 of the paper).
+// rounding heuristic, warm-start incumbent seeding, and a node budget that
+// returns the best incumbent found. The paper's contract is "query the
+// solver for the best solution found within a configurable fraction of its
+// scheduling interval" (§4.3.6); here that fraction is counted in
+// branch-and-bound nodes, not read off a clock, so a solve is a pure
+// function of its model and options.
 //
 // The paper's 3Sigma implementation links an external commercial MILP
 // solver; this package is the from-scratch substitution (see DESIGN.md §3).

@@ -3,9 +3,9 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // randPacking builds a random scheduling-shaped packing instance: binaries
@@ -69,20 +69,50 @@ func TestPropertyBoundDominatesIncumbent(t *testing.T) {
 	}
 }
 
-// TestPropertyDeterministicWithoutDeadline: with only node limits, the
-// solver is deterministic for a fixed instance.
+// greedySeed switches variables on in index order while the model stays
+// feasible: a feasible, usually suboptimal, warm-start incumbent.
+func greedySeed(m *Model) []float64 {
+	seed := make([]float64, m.NumVars())
+	for v := range seed {
+		seed[v] = 1
+		if !m.Feasible(seed, 1e-9) {
+			seed[v] = 0
+		}
+	}
+	return seed
+}
+
+// TestPropertyDeterministicWithoutDeadline: the node cap is the solver's
+// only limit and Solve reads no clock, so a Solution is a pure function of
+// the model and the options — every field of it, down to the basis it hands
+// the next cycle. Each model is solved twice under a node cap that ends some
+// of the searches and with a warm-start seed; the two Solutions must be
+// deeply equal.
 func TestPropertyDeterministicWithoutDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
-	m := randPacking(rng, 6, 3, 5)
-	a := Solve(m, Options{MaxNodes: 64})
-	b := Solve(m, Options{MaxNodes: 64})
-	if a.Objective != b.Objective || a.Nodes != b.Nodes {
-		t.Fatalf("nondeterministic: %v/%d vs %v/%d", a.Objective, a.Nodes, b.Objective, b.Nodes)
+	var models []*Model
+	for i := 0; i < 20; i++ {
+		models = append(models,
+			randPacking(rng, 3+rng.Intn(6), 2+rng.Intn(3), 2+rng.Intn(5)),
+			schedShapedModel(rng, 6+rng.Intn(12), 3, 4, 3),
+			mixedModel(rng, 2+rng.Intn(3), 2+rng.Intn(2)))
 	}
-	for i := range a.X {
-		if a.X[i] != b.X[i] {
-			t.Fatal("solution vectors differ")
+	var capped, seeded int
+	for i, m := range models {
+		opts := Options{MaxNodes: 8, Seed: greedySeed(m)}
+		a, b := Solve(m, opts), Solve(m, opts)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("model %d: two solves with identical options differ:\n%+v\n%+v", i, a, b)
 		}
+		if a.Stopped == StopNodes {
+			capped++
+		}
+		if a.SeedUsed {
+			seeded++
+		}
+	}
+	if capped == 0 || seeded == 0 {
+		t.Fatalf("coverage: %d of %d solves node-capped, %d seeded; want some of each", capped, len(models), seeded)
 	}
 }
 
@@ -137,21 +167,14 @@ func TestPropertyLPOptimumDominatesRandomFeasiblePoints(t *testing.T) {
 	}
 }
 
-// TestSeedRespectedUnderBudget: with a zero budget the seed is returned
-// verbatim whenever feasible.
+// TestSeedRespectedUnderBudget: with a one-node budget a feasible seed is
+// kept, and the answer is never worse than it.
 func TestSeedRespectedUnderBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	for trial := 0; trial < 20; trial++ {
 		m := randPacking(rng, 4, 2, 3)
-		// Construct a feasible seed greedily.
-		seed := make([]float64, m.NumVars())
-		for v := 0; v < m.NumVars(); v++ {
-			seed[v] = 1
-			if !m.Feasible(seed, 1e-9) {
-				seed[v] = 0
-			}
-		}
-		sol := Solve(m, Options{Deadline: time.Now().Add(-time.Minute), Seed: seed})
+		seed := greedySeed(m)
+		sol := Solve(m, Options{MaxNodes: 1, Seed: seed})
 		if sol.X == nil {
 			t.Fatalf("trial %d: feasible seed dropped", trial)
 		}

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"math"
 	"sort"
-	"time"
 )
 
 // Status reports the quality of a Solve result.
@@ -14,7 +13,7 @@ const (
 	// Optimal means the branch-and-bound proved optimality (within Gap).
 	Optimal Status = iota
 	// Feasible means an integral incumbent was found but the search stopped
-	// early (deadline or node limit) before proving optimality.
+	// early (on the node limit) before proving optimality.
 	Feasible
 	// Infeasible means the instance has no integral solution.
 	Infeasible
@@ -46,16 +45,13 @@ const (
 	StopNone StopReason = iota
 	// StopNodes means the node budget (Options.MaxNodes) ran out first.
 	StopNodes
-	// StopDeadline means Options.Deadline expired first.
-	StopDeadline
 )
 
 // Options configures Solve.
 type Options struct {
-	// Deadline, if nonzero, bounds the wall-clock time; Solve returns the
-	// best incumbent found when it expires.
-	Deadline time.Time
-	// MaxNodes bounds the number of branch-and-bound nodes (default 4096).
+	// MaxNodes bounds the number of branch-and-bound nodes (default 4096);
+	// Solve returns the best incumbent found when it runs out. It is the
+	// search's only limit.
 	MaxNodes int
 	// Gap is the relative optimality gap at which search stops (default 1e-6).
 	Gap float64
@@ -65,12 +61,6 @@ type Options struct {
 	Seed []float64
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
-	// Now, when non-nil, replaces time.Now as the solver's time source for
-	// deadline checks and Elapsed measurement. Callers running on virtual
-	// time (internal/simulator's VirtualClock) inject a clock that stands
-	// still during the solve, so the Deadline can never expire mid-search
-	// and budgeted solves become deterministic regardless of host load.
-	Now func() time.Time
 	// WarmBasis, when non-nil, is a previous optimum's basis (basis[i] =
 	// column basic in LP row i, slacks at NumVars+i) used to crash-start the
 	// root relaxation. The scheduler carries each cycle's root basis into the
@@ -80,23 +70,21 @@ type Options struct {
 	WarmBasis []int
 }
 
-// Solution is the result of Solve. The search is sequential and a pure
-// function of the model and options, so runs that terminate on the node
-// budget or on proved optimality return the identical Solution every time;
-// deadline-terminated runs stop at a timing-dependent node and are exempt.
+// Solution is the result of Solve. The search is sequential, reads no clock
+// and is a pure function of the model and options: the same inputs return
+// the identical Solution every time.
 type Solution struct {
 	Status        Status
 	Stopped       StopReason // why the search ended (StopNone: it was proved)
 	X             []float64  // length NumVars; binaries are exact 0/1
 	Objective     float64
-	Nodes         int           // branch-and-bound nodes explored
-	LPIters       int           // simplex pivots over all node relaxations
-	ColdFallbacks int           // non-root nodes solved cold instead of from their parent's tableau
-	Bound         float64       // best remaining upper bound at stop time
-	Elapsed       time.Duration // wall-clock solve time
-	RootBasis     []int         // root relaxation's optimal basis (warm-start feed for the next solve)
-	WarmPivots    int           // crash pivots applied from Options.WarmBasis (0 = cold root solve)
-	SeedUsed      bool          // Options.Seed was feasible and installed as the initial incumbent
+	Nodes         int     // branch-and-bound nodes explored
+	LPIters       int     // simplex pivots over all node relaxations
+	ColdFallbacks int     // non-root nodes solved cold instead of from their parent's tableau
+	Bound         float64 // best remaining upper bound at stop time
+	RootBasis     []int   // root relaxation's optimal basis (warm-start feed for the next solve)
+	WarmPivots    int     // crash pivots applied from Options.WarmBasis (0 = cold root solve)
+	SeedUsed      bool    // Options.Seed was feasible and installed as the initial incumbent
 }
 
 // Value returns X[v], or 0 when no solution is present.
@@ -182,18 +170,12 @@ func Solve(m *Model, opts Options) Solution {
 
 // solveIn is Solve with all working memory drawn from ar.
 func solveIn(ar *lpArena, m *Model, opts Options) Solution {
-	if opts.Now == nil {
-		//lint:allow wallclock default time source for standalone solves; deterministic callers inject a virtual clock via Options.Now
-		opts.Now = time.Now
-	}
-	start := opts.Now()
 	sol := Solution{Status: NoSolution, Bound: math.Inf(1)}
 	n := m.NumVars()
 	if n == 0 {
 		sol.Status = Optimal
 		sol.Objective = m.objConst
 		sol.X = nil
-		sol.Elapsed = opts.Now().Sub(start)
 		return sol
 	}
 	if opts.MaxNodes <= 0 {
@@ -230,17 +212,12 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 		incumbent = append(incumbent[:0], x...)
 	}
 
-	deadline := func() bool {
-		return !opts.Deadline.IsZero() && opts.Now().After(opts.Deadline)
-	}
-
 	open := ar.open[:0]
 	heap.Push(&open, ar.node(n, nil, -1, 0, math.Inf(1), 0, -1))
 	greedy := &ar.greedy
 	greedy.reset(m)
 
 	provedOpt := false
-	pendingBound := math.Inf(-1) // bound of a node popped but not expanded when the search stops
 	gapTerm := func() float64 { return incObj + opts.Gap*math.Max(1, math.Abs(incObj)) }
 
 	var node *bbNode
@@ -258,14 +235,6 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			break
 		}
 		node = heap.Pop(&open).(*bbNode)
-		if deadline() {
-			// Popped but not expanded: remember its bound so it still
-			// counts toward sol.Bound (a drained heap must not make a
-			// budget-truncated solve look proved-optimal).
-			sol.Stopped = StopDeadline
-			pendingBound = node.bound
-			break
-		}
 		if node.bound <= gapTerm() {
 			// This subtree cannot beat the incumbent. Under the depth-first
 			// ordering the popped node is not necessarily the best-bound
@@ -346,12 +315,7 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			heap.Push(&open, ar.node(n, node.fixed, frac, val, lpObj, node.depth+1, seq))
 		}
 	}
-	if node != nil {
-		ar.free = append(ar.free, node)
-	}
-
-	sol.Elapsed = opts.Now().Sub(start)
-	best := math.Max(incObj, pendingBound)
+	best := incObj
 	for _, nd := range open {
 		if nd.bound > best {
 			best = nd.bound

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // schedShapedModel builds a scheduler-shaped instance at a given size: jobs
@@ -103,12 +102,12 @@ func BenchmarkWarmChild(b *testing.B) {
 }
 
 // BenchmarkSolveSchedulingCycle is the end-to-end hot path as 3σSched
-// invokes it: budgeted anytime solve on a cycle-sized model.
+// invokes it: node-budgeted anytime solve on a cycle-sized model.
 func BenchmarkSolveSchedulingCycle(b *testing.B) {
 	m := schedShapedModel(rand.New(rand.NewSource(17)), 48, 12, 8, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol := Solve(m, Options{Deadline: time.Now().Add(150 * time.Millisecond), MaxNodes: 48})
+		sol := Solve(m, Options{MaxNodes: 48})
 		if sol.X == nil {
 			b.Fatal("no solution")
 		}

@@ -3,7 +3,6 @@ package milp_test
 import (
 	"math"
 	"testing"
-	"time"
 
 	"threesigma/internal/check"
 	"threesigma/internal/core"
@@ -97,10 +96,9 @@ func TestWarmChildrenMatchColdOnSchedulerModels(t *testing.T) {
 		Policy: core.Policy{Name: "3sigma", UseDistribution: true, Overestimate: core.OEAdaptive,
 			Underestimate: true, Preemption: true},
 		CycleInterval: 10,
-		SolverBudget:  time.Second,
 	})}
 	sim, err := simulator.New(c, w.Jobs, simulator.Options{
-		Cluster: w.Cluster, CycleInterval: 10, DrainWindow: 600, Seed: 3, VirtualTime: true,
+		Cluster: w.Cluster, CycleInterval: 10, DrainWindow: 600, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

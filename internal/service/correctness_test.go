@@ -28,7 +28,6 @@ func coreSched(checks bool) *core.Scheduler {
 		Slots:         4,
 		SlotDur:       5,
 		CycleInterval: 1,
-		SolverBudget:  50 * time.Millisecond,
 		Checks:        checks,
 	})
 }
@@ -86,8 +85,8 @@ func TestMetricsHammerDuringCycles(t *testing.T) {
 	if m.SchedCycles == 0 {
 		t.Error("SchedCycles = 0: metrics no longer reach the live scheduler stats")
 	}
-	if m.Proved+m.NodeCapped+m.DeadlineStops == 0 {
-		t.Error("solver_proved + solver_node_capped + solver_deadline_stops = 0: the first cycle's solve went uncounted")
+	if m.Proved+m.NodeCapped == 0 {
+		t.Error("solver_proved + solver_node_capped = 0: the first cycle's solve went uncounted")
 	}
 	if m.Counters.Completed != 8 {
 		t.Errorf("completed = %d, want 8", m.Counters.Completed)
@@ -109,7 +108,6 @@ func TestAbandonedJobFullySwept(t *testing.T) {
 		Slots:         4,
 		SlotDur:       5,
 		CycleInterval: 1,
-		SolverBudget:  50 * time.Millisecond,
 		Checks:        true,
 		OnDecision: func(e core.DecisionEvent) {
 			if e.Kind != core.DecisionAbandon {

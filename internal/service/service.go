@@ -76,9 +76,9 @@ type Config struct {
 	// Clock is the shell's time source (default simulator.WallClock): uptime,
 	// leader and follower leases, quorum-wait deadlines and the
 	// mean_cycle_ms measurement of Scheduler.Cycle are read through it. It
-	// feeds no scheduling decision — the scheduler runs on the
-	// cycle-indexed logical clock — and the cycle ticker and drain timeout
-	// stay on real time.
+	// feeds no scheduling decision — cycles run on logical time and the
+	// solver is bounded by its node cap — and the cycle ticker and drain
+	// timeout stay on real time.
 	Clock simulator.Clock
 
 	// Faults, when non-nil, runs a chaos injector inside the scheduling
@@ -276,8 +276,7 @@ type Service struct {
 	refused  Counters // guarded by mu; Rejected and Invalid only: submits this replica turned away, which no record carries
 
 	// Scheduler.Cycle time on Config.Clock over the cycles this replica
-	// solved (Metrics.MeanCycleMS): the scheduler's own timers read the
-	// logical clock, which stands still through a cycle.
+	// solved (Metrics.MeanCycleMS).
 	solveTime time.Duration // guarded by mu
 	solves    int64         // guarded by mu
 
@@ -324,14 +323,7 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	// Pin the scheduler onto the cycle-indexed logical clock so solver
-	// budgets measure zero inside a cycle: the node cap ends every solve, and
-	// the solve explores the same tree on a loaded box, an idle one, and a
-	// replaying standby.
-	e := env{sched: cfg.Scheduler, pred: cfg.Predictor, clock: simulator.NewVirtualClock()}
-	if ca, ok := cfg.Scheduler.(simulator.ClockAware); ok {
-		ca.SetClock(e.clock)
-	}
+	e := env{sched: cfg.Scheduler, pred: cfg.Predictor}
 	if cfg.Faults != nil {
 		e.inj = faults.New(*cfg.Faults, cfg.Cluster.Partitions, 0)
 		cfg.Logf("chaos injector armed: %d node-lifecycle events over %.0fs virtual",
@@ -533,7 +525,7 @@ func (s *Service) runCycle() {
 
 	// The solve runs unlocked: handlers may submit, cancel or resize
 	// concurrently, and whatever they log waits for the next cycle's top.
-	// Config.Clock times it; the scheduler's logical clock stands still.
+	// Config.Clock times it.
 	t0 := s.cfg.Clock.Now()
 	dec := s.cfg.Scheduler.Cycle(snap)
 	took := s.cfg.Clock.Since(t0)
@@ -1059,12 +1051,11 @@ type Metrics struct {
 type SolverStops struct {
 	Proved        int `json:"solver_proved"`
 	NodeCapped    int `json:"solver_node_capped"`
-	DeadlineStops int `json:"solver_deadline_stops"`
 	ColdFallbacks int `json:"solver_cold_fallbacks"`
 }
 
 func solverStops(st core.Stats) SolverStops {
-	return SolverStops{st.SolverProved, st.SolverNodeCapped, st.SolverDeadlineStops, st.SolverColdFallbacks}
+	return SolverStops{st.SolverProved, st.SolverNodeCapped, st.SolverColdFallbacks}
 }
 
 // ShardMetrics is one scheduling domain's solver counters.
@@ -1177,9 +1168,8 @@ func (s *Service) Metrics() Metrics {
 	return m
 }
 
-// VirtualNow exposes the service's virtual clock — the logical time of the
-// cycle in flight or last run — for clients mapping deadlines into service
-// time.
+// VirtualNow exposes the service's logical time — that of the cycle in
+// flight or last run — for clients mapping deadlines into service time.
 func (s *Service) VirtualNow() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -117,13 +117,11 @@ type cyclePayload struct {
 // env is what a state runs against and does not own or encode: the
 // scheduler and predictor the daemon was configured with (mutated in place —
 // their exported state rides in the encoding), the chaos injector (an
-// immutable schedule and pure per-attempt draws), and the scheduler's
-// logical clock.
+// immutable schedule and pure per-attempt draws).
 type env struct {
 	sched simulator.Scheduler
 	pred  *predictor.Predictor
 	inj   *faults.Injector
-	clock *simulator.VirtualClock // the scheduler's clock, set at each cycle top
 }
 
 // stateSnapshotter is the scheduler capability snapshots require:
@@ -436,7 +434,6 @@ func (st *state) applyCycle(rec replog.Record, p *cyclePayload) {
 func (st *state) cycleTop(p *cyclePayload) (*simulator.State, []effect) {
 	now := p.Now
 	st.CycleNow = now
-	st.clock.Set(now)
 	st.drainInputs(now, p.InputsThrough)
 	st.admit(now, p.InputsThrough)
 
@@ -910,13 +907,12 @@ func (st *state) loadPredictor(stream []byte) error {
 	return nil
 }
 
-// adopt hands a decoded state's scheduler half to the scheduler and sets
-// the scheduler's clock to the state's time. decode has already built every
-// distribution in it once, so the import has nothing left to refuse.
+// adopt hands a decoded state's scheduler half to the scheduler. decode has
+// already built every distribution in it once, so the import has nothing
+// left to refuse.
 func (st *state) adopt(sg *staged) error {
 	if err := st.sched.(stateSnapshotter).ImportState(sg.sched); err != nil {
 		return fmt.Errorf("restore scheduler: %w", err)
 	}
-	st.clock.Set(st.CycleNow)
 	return nil
 }

@@ -513,7 +513,6 @@ func fuzzState(t testing.TB) *state {
 		sched: baselines.ThreeSigma(p, core.Config{CycleInterval: 1}),
 		pred:  p,
 		inj:   faults.New(faults.Config{Seed: 1, CrashProb: 0.5, MaxRetries: 1}, []int{8, 8}, 0),
-		clock: simulator.NewVirtualClock(),
 	}, simulator.NewCluster(16, 2))
 	seq := uint64(0)
 	apply := func(typ string, payload any) {

@@ -55,7 +55,6 @@ type Coordinator struct {
 	shards   []*core.Scheduler
 	cfg      core.Config // proto configuration, defaults filled
 	est      core.Estimator
-	clock    simulator.Clock
 	epochs   *simulator.DomainEpochs
 
 	// RebalanceEvery is the load-rebalancing period in coordinator cycles
@@ -101,7 +100,6 @@ func NewCoordinator(proto *core.Scheduler, cluster simulator.Cluster, n int) (*C
 		doms:           simulator.PartitionDomains(nParts, n),
 		cfg:            cfg,
 		est:            proto.Estimator(),
-		clock:          cfg.Clock,
 		epochs:         simulator.NewDomainEpochs(n),
 		RebalanceEvery: DefaultRebalanceEvery,
 		owner:          make(map[job.ID]int),
@@ -139,18 +137,6 @@ func (c *Coordinator) NumShards() int { return c.n }
 // Domains returns the domain layout (contiguous partition ranges).
 func (c *Coordinator) Domains() []simulator.Domain {
 	return append([]simulator.Domain(nil), c.doms...)
-}
-
-// SetClock re-bases the coordinator's own latency measurements and every
-// shard onto the given clock (simulator.ClockAware).
-func (c *Coordinator) SetClock(clk simulator.Clock) {
-	if clk == nil {
-		return
-	}
-	c.clock = clk
-	for _, sh := range c.shards {
-		sh.SetClock(clk)
-	}
 }
 
 // classify returns the home shard for a job, or spanShard when no single
@@ -361,7 +347,6 @@ func (c *Coordinator) Stats() core.Stats {
 		out.SolverLPIters += st.SolverLPIters
 		out.SolverProved += st.SolverProved
 		out.SolverNodeCapped += st.SolverNodeCapped
-		out.SolverDeadlineStops += st.SolverDeadlineStops
 		out.SolverColdFallbacks += st.SolverColdFallbacks
 		out.CacheHits += st.CacheHits
 		out.CacheMisses += st.CacheMisses

@@ -9,6 +9,9 @@ import (
 	"threesigma/internal/simulator"
 )
 
+// stopwatch times the coordinator's cycles; no decision reads it.
+var stopwatch simulator.WallClock
+
 // Cycle runs one scheduling round: work stealing and periodic rebalancing of
 // flexible pending jobs, per-domain sub-snapshot construction, concurrent
 // per-shard solves, a deterministic shard-index-order merge, and finally the
@@ -18,7 +21,7 @@ import (
 // internally), and every coordinator policy is a pure function of snapshot
 // state, so the merged decision is bitwise-identical at any worker count.
 func (c *Coordinator) Cycle(st *simulator.State) simulator.Decision {
-	t0 := c.clock.Now()
+	t0 := stopwatch.Now()
 	c.statsMu.Lock()
 	c.cycles++
 	cyc := c.cycles
@@ -79,7 +82,7 @@ func (c *Coordinator) Cycle(st *simulator.State) simulator.Decision {
 	}
 	c.placeSpanning(st, spanning, free, &dec)
 
-	el := c.clock.Since(t0)
+	el := stopwatch.Since(t0)
 	dec.CycleLatency = el
 	c.statsMu.Lock()
 	c.cycleTime += el

@@ -64,7 +64,7 @@ func runSharded(t *testing.T, w *workload.Workload, n int, seed int64) (*simulat
 	}
 	sim, err := simulator.New(impl, w.Jobs, simulator.Options{
 		Cluster: w.Cluster, CycleInterval: 10, DrainWindow: 1200,
-		Seed: seed, VirtualTime: true,
+		Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestSpanningGangPlacement(t *testing.T) {
 	}
 	sim, err := simulator.New(coord, jobs, simulator.Options{
 		Cluster: cluster, CycleInterval: 10, DrainWindow: 600,
-		Seed: 1, VirtualTime: true,
+		Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +205,7 @@ func TestSpanningHopelessAbandon(t *testing.T) {
 	}
 	sim, err := simulator.New(coord, jobs, simulator.Options{
 		Cluster: cluster, CycleInterval: 10, DrainWindow: 600,
-		Seed: 1, VirtualTime: true,
+		Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestStealAndRebalance(t *testing.T) {
 	}
 	sim, err := simulator.New(coord, jobs, simulator.Options{
 		Cluster: cluster, CycleInterval: 10, DrainWindow: 3600,
-		Seed: 1, VirtualTime: true,
+		Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,6 @@ func TestCombinedStats(t *testing.T) {
 		sum.SolverNodes += s.SolverNodes
 		sum.SolverProved += s.SolverProved
 		sum.SolverNodeCapped += s.SolverNodeCapped
-		sum.SolverDeadlineStops += s.SolverDeadlineStops
 		sum.SolverColdFallbacks += s.SolverColdFallbacks
 	}
 	if want := sum.Starts + coord.CoordStats().SpanStarts; st.Starts != want {
@@ -300,14 +299,14 @@ func TestCombinedStats(t *testing.T) {
 	if st.SolverNodes != sum.SolverNodes {
 		t.Errorf("combined SolverNodes = %d, want %d", st.SolverNodes, sum.SolverNodes)
 	}
-	if st.SolverProved+st.SolverNodeCapped+st.SolverDeadlineStops == 0 {
-		t.Error("no solve counted as proved, node-capped or deadline-stopped")
+	if st.SolverProved+st.SolverNodeCapped == 0 {
+		t.Error("no solve counted as proved or node-capped")
 	}
 	if st.SolverProved != sum.SolverProved || st.SolverNodeCapped != sum.SolverNodeCapped ||
-		st.SolverDeadlineStops != sum.SolverDeadlineStops || st.SolverColdFallbacks != sum.SolverColdFallbacks {
-		t.Errorf("combined proved/capped/deadline/cold = %d/%d/%d/%d, want %d/%d/%d/%d",
-			st.SolverProved, st.SolverNodeCapped, st.SolverDeadlineStops, st.SolverColdFallbacks,
-			sum.SolverProved, sum.SolverNodeCapped, sum.SolverDeadlineStops, sum.SolverColdFallbacks)
+		st.SolverColdFallbacks != sum.SolverColdFallbacks {
+		t.Errorf("combined proved/capped/cold = %d/%d/%d, want %d/%d/%d",
+			st.SolverProved, st.SolverNodeCapped, st.SolverColdFallbacks,
+			sum.SolverProved, sum.SolverNodeCapped, sum.SolverColdFallbacks)
 	}
 }
 

@@ -2,12 +2,12 @@ package simulator
 
 import "time"
 
-// Clock abstracts the scheduler-visible time source so the same scheduling
-// core runs against simulated (virtual) and real (wall) time. 3σSched uses
-// its clock for solver deadlines and cycle/predict latency measurement; the
-// online service (internal/service) hands it a cycle-indexed VirtualClock,
-// and the simulator can hand it the run's VirtualClock (Options.VirtualTime),
-// so scheduling behavior is independent of host load.
+// Clock is a time source for measurement: the online service's shell reads
+// one for uptime, leases and its cycle timing (service.Config.Clock), and
+// tests substitute a stepped one. No scheduling decision reads a Clock —
+// the simulator and the service advance logical time themselves and the
+// solver is bounded by its node cap — so schedules do not depend on host
+// load.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
@@ -16,8 +16,9 @@ type Clock interface {
 }
 
 // WallClock is the real time: Now and Since delegate to package time. It is
-// the default clock of core.Scheduler and of the online daemon's shell
-// (leases, uptime, cycle timing).
+// the one stopwatch of the scheduler, the shard coordinator and the command
+// line tools (cycle, solve and predict latencies, elapsed displays), and the
+// default clock of the online daemon's shell (leases, uptime, cycle timing).
 type WallClock struct{}
 
 // Now implements Clock.
@@ -31,13 +32,11 @@ func (WallClock) Since(t time.Time) time.Duration { return time.Since(t) }
 // virtual timestamps are reproducible across runs.
 var virtEpoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// VirtualClock is a clock driven explicitly by a discrete-event loop: time
-// stands still between Set calls. An interval measured through it within
-// one event (e.g. a scheduling cycle) is therefore exactly zero, and a
-// solver deadline derived from it can never expire mid-solve — virtual-time
-// runs explore the same search tree on a loaded laptop and an idle server.
+// VirtualClock is a clock driven explicitly by Set calls: time stands still
+// between them, so an interval measured through it within one Set is
+// exactly zero.
 //
-// Not safe for concurrent use; the event loop owns it.
+// Not safe for concurrent use; whoever calls Set owns it.
 type VirtualClock struct {
 	sec float64 // current virtual time, seconds since the run's origin
 }
@@ -59,9 +58,10 @@ func (c *VirtualClock) Now() time.Time {
 // Since implements Clock against virtual time.
 func (c *VirtualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 
-// ClockAware is implemented by schedulers whose internal timing can be
-// re-based onto an injected clock (core.Scheduler). The simulator uses it
-// to wire its virtual clock in when Options.VirtualTime is set.
+// ClockAware was the hook through which a clock was injected into a
+// scheduler; nothing injects one any more.
+//
+// Deprecated: ignored; kept only because bench/ sets it.
 type ClockAware interface {
 	SetClock(Clock)
 }

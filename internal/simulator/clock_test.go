@@ -3,8 +3,6 @@ package simulator
 import (
 	"testing"
 	"time"
-
-	"threesigma/internal/job"
 )
 
 func TestVirtualClockAdvancesWithSet(t *testing.T) {
@@ -39,57 +37,5 @@ func TestWallClockTracksRealTime(t *testing.T) {
 	}
 	if c.Since(before) < 0 {
 		t.Fatal("wall Since went backwards")
-	}
-}
-
-// clockProbe is a greedyFIFO that also records the injected clock and the
-// virtual timestamps it reads during cycles.
-type clockProbe struct {
-	*greedyFIFO
-	clock  Clock
-	reads  []float64
-	cycles []float64
-}
-
-func (p *clockProbe) SetClock(c Clock) { p.clock = c }
-
-func (p *clockProbe) Cycle(st *State) Decision {
-	if p.clock != nil {
-		p.reads = append(p.reads, p.clock.Since(virtEpoch).Seconds())
-		p.cycles = append(p.cycles, st.Now)
-	}
-	return p.greedyFIFO.Cycle(st)
-}
-
-func TestVirtualTimeInjectsClockMatchingEventTime(t *testing.T) {
-	p := &clockProbe{greedyFIFO: newGreedyFIFO()}
-	jobs := []*job.Job{mkJob(1, 0, 25, 2), mkJob(2, 15, 25, 2)}
-	sim, err := New(p, jobs, Options{Cluster: NewCluster(4, 1), CycleInterval: 10, VirtualTime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	if p.clock == nil {
-		t.Fatal("VirtualTime did not inject a clock into the ClockAware scheduler")
-	}
-	if len(p.reads) == 0 {
-		t.Fatal("no cycles observed")
-	}
-	for i := range p.reads {
-		if p.reads[i] != p.cycles[i] {
-			t.Fatalf("cycle %d: clock reads %v but State.Now = %v", i, p.reads[i], p.cycles[i])
-		}
-	}
-}
-
-func TestVirtualTimeOffLeavesClockAlone(t *testing.T) {
-	p := &clockProbe{greedyFIFO: newGreedyFIFO()}
-	sim, err := New(p, []*job.Job{mkJob(1, 0, 25, 2)}, Options{Cluster: NewCluster(4, 1), CycleInterval: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	if p.clock != nil {
-		t.Fatal("clock injected without Options.VirtualTime")
 	}
 }

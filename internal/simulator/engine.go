@@ -19,9 +19,9 @@ func sortOutcomes(os []*Outcome) {
 // simulator (Sim) and the online scheduling daemon (internal/service): it
 // owns free-node accounting, the pending queue, running allocations, and
 // per-job outcome records, and enforces the same validation rules for both.
-// Callers advance time however they like — Sim through its virtual event
-// heap, the daemon on the wall clock — and hand the Engine absolute times;
-// the Engine itself is clockless.
+// Callers advance time however they like — Sim through its event heap, the
+// daemon by cycle index — and hand the Engine absolute times; the Engine
+// itself is clockless.
 //
 // The Engine is not safe for concurrent use; callers serialize access.
 type Engine struct {

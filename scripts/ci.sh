@@ -6,7 +6,9 @@
 # smoke pass over the histogram/distribution property targets and the control
 # plane's state machine, a
 # fault-injection determinism gate (two identical seeded chaos runs must
-# produce bit-identical outcome digests), a pinned-outcomes gate (the outcome
+# produce bit-identical outcome digests), a figure determinism gate (two runs
+# of every figure and ablation must agree in everything but their latency
+# fields), a pinned-outcomes gate (the outcome
 # digest of one seeded simulation per fault arm — fault-free and under fault
 # injection — and the benchmark's exactly-repeating counters must equal the
 # committed scripts/pins.txt, and a short serve-group run must end correct
@@ -88,13 +90,13 @@ go test -fuzz '^FuzzSnapshotHeader$' -fuzztime 5s -run '^$' ./internal/service
 
 echo "== fault determinism gate =="
 # Same seed, same fault schedule => bit-identical outcomes, byte-for-byte.
-# -virtualtime pins the solver budgets so wall-clock noise cannot leak into
-# scheduling decisions.
+# The solver's node cap is its only limit, so no wall-clock noise reaches a
+# scheduling decision.
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 go build -o "$WORK/3sigma-sim" ./cmd/3sigma-sim
 SIM_ARGS="-env google -nodes 48 -partitions 4 -hours 0.05 -load 1.2 -seed 5 \
-    -virtualtime -faults light -digest"
+    -faults light -digest"
 "$WORK/3sigma-sim" $SIM_ARGS | grep '^outcome digest:' >"$WORK/digest1"
 "$WORK/3sigma-sim" $SIM_ARGS | grep '^outcome digest:' >"$WORK/digest2"
 [ -s "$WORK/digest1" ] || { echo "FAIL: no digest line emitted"; exit 1; }
@@ -106,6 +108,22 @@ fi
 echo "digests identical across runs:"
 cat "$WORK/digest1"
 
+echo "== figure determinism gate =="
+# Every figure, table and ablation is a function of (seed, scale): two runs
+# must print the same JSON once the measured latencies are taken out.
+go build -o "$WORK/3sigma-bench" ./cmd/3sigma-bench
+LATENCY='"(elapsed|MeanCycleTime|MaxCycleTime|MeanSolveTime|MaxSolveTime|MeanCycle|MaxCycle|MeanSolve|MaxSolve|PredictMax|PredictMean)":'
+for RUN in 1 2; do
+    "$WORK/3sigma-bench" -all -ablations -scale small -json | grep -vE "$LATENCY" >"$WORK/figs$RUN"
+done
+[ -s "$WORK/figs1" ] || { echo "FAIL: no figure output"; exit 1; }
+if ! cmp -s "$WORK/figs1" "$WORK/figs2"; then
+    echo "FAIL: two runs of the figures differ outside their latency fields"
+    diff "$WORK/figs1" "$WORK/figs2" | head -n 20 || true
+    exit 1
+fi
+echo "figures identical across runs: $(grep -c '"name":' "$WORK/figs1") experiments"
+
 echo "== pinned outcomes =="
 # The gates above compare runs of this tree with each other; this one
 # compares them with the tree the pins were committed from. Pinned are the
@@ -113,7 +131,7 @@ echo "== pinned outcomes =="
 # (the scheduler has one model-build path, DESIGN.md §12, so there is no
 # second run to hold it against — the committed digest is the reference),
 # with its solver: line (nodes, LP iterations, and how the solves ended:
-# proved, node-capped, deadline-stopped, children solved cold),
+# proved, node-capped, children solved cold),
 # and, per sim workload of the benchmark, its correctness verdict and the
 # counters that repeat exactly on any host: solver work (LP iterations, B&B
 # nodes), patched cycles, starts, preemptions, cycles. A change that means to
@@ -123,7 +141,7 @@ for FAULTS in "" "-faults light"; do
     TAG=fault-free
     if [ -n "$FAULTS" ]; then TAG=faults-light; fi
     "$WORK/3sigma-sim" -env google -nodes 48 -partitions 4 -hours 0.05 -load 1.2 -seed 5 \
-        -virtualtime $FAULTS -digest | grep -e '^outcome digest:' -e '^solver:' >"$WORK/dig"
+        $FAULTS -digest | grep -e '^outcome digest:' -e '^solver:' >"$WORK/dig"
     [ "$(wc -l <"$WORK/dig")" -eq 2 ] || { echo "FAIL: no digest and solver lines emitted (faults='$FAULTS')"; exit 1; }
     sed -e "s/^outcome digest:/sim.digest.$TAG/" -e "s/^solver:/sim.solver.$TAG/" "$WORK/dig" >>"$WORK/pins"
 done
@@ -165,7 +183,7 @@ echo "== sharded-domain digest gate =="
 # above; the cross-process digest comparison here is what pins the merge
 # order.
 SHARD_ARGS="-env google -nodes 256 -partitions 32 -hours 0.1 -load 0.35 -seed 5 \
-    -virtualtime -domains 8 -sloshare 1 -nonpref 1000 -digest"
+    -domains 8 -sloshare 1 -nonpref 1000 -digest"
 "$WORK/3sigma-sim" $SHARD_ARGS -shards 1 | grep '^outcome digest:' >"$WORK/sh1"
 "$WORK/3sigma-sim" $SHARD_ARGS -shards 8 | grep '^outcome digest:' >"$WORK/sh8"
 [ -s "$WORK/sh1" ] || { echo "FAIL: no digest line emitted"; exit 1; }

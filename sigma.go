@@ -60,7 +60,7 @@ type (
 	WorkloadConfig = workload.Config
 	// PredictorConfig tunes 3σPredict.
 	PredictorConfig = predictor.Config
-	// SchedulerConfig tunes 3σSched (plan-ahead window, solver budget,
+	// SchedulerConfig tunes 3σSched (plan-ahead window, solver node budget,
 	// utility weights, mis-estimate handling).
 	SchedulerConfig = core.Config
 	// Estimate is 3σPredict's answer for one job: a runtime distribution,

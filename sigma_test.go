@@ -214,7 +214,7 @@ func TestIncrementalCountersMatchParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := GenerateWorkload(WorkloadConfig{Env: env, Cluster: NewCluster(48, 4), DurationHours: 0.05, Load: 1.2, Seed: 5})
-	res, err := Simulate(SystemThreeSigma, w, SimConfig{Seed: 5, VirtualTime: true})
+	res, err := Simulate(SystemThreeSigma, w, SimConfig{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +234,14 @@ func TestIncrementalCountersMatchParent(t *testing.T) {
 // 3Sigma under the RC256 emulation and on two scheduling domains, to the
 // outcome digest it produced before the facade and the experiments shared
 // one run path. The constants were read off commit e4839d6 with this
-// same test body; on the virtual clock they repeat on any host.
+// same test body; the node cap ends every solve, so they repeat on any host.
 func TestSystemDigestsPinned(t *testing.T) {
 	env, err := workload.EnvByName("google")
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := GenerateWorkload(WorkloadConfig{Env: env, Cluster: NewCluster(64, 8), DurationHours: 0.25, Load: 1.4, Seed: 7})
-	base := SimConfig{Seed: 7, VirtualTime: true}
+	base := SimConfig{Seed: 7}
 	rc, sharded := base, base
 	rc.RealCluster = true
 	sharded.Shards = 2
