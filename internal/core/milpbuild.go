@@ -444,9 +444,7 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 					}
 				}
 				if k == 0 {
-					for k2 := 0; k2 < slots; k2++ {
-						o.rc[k2] = dist.Survival(od, offsets[k2])
-					}
+					dist.Survivals(od, offsets, o.rc)
 				} else {
 					// Grid-aligned: times[k2] − start == (k2−k)·SlotDur, the
 					// exact offsets the memoized curve was sampled at.
@@ -498,11 +496,21 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 	}
 
 	// Capacity constraints per (partition, slot), Eq. 3 with preemption
-	// credits moved to the left-hand side.
+	// credits moved to the left-hand side. An option with no share of
+	// partition p, or a running job with no nodes in it, puts 0·x (or NaN)
+	// in each of p's rows, which the > 1e-9 test drops, so p's rows walk
+	// only the options and credits listed for p. ExactShares options carry
+	// their terms on the allocation variables and are all listed.
+	optStart, optIdx := partIndex(&b.ints, nParts, len(b.options), func(i, p int) bool {
+		return cfg.ExactShares || b.options[i].shares[p] != 0
+	})
+	preStart, preIdx := partIndex(&b.ints, nParts, len(b.preempts), func(i, p int) bool {
+		return b.preempts[i].r.Alloc[p] != 0
+	})
 	for p := 0; p < nParts; p++ {
 		for k := 0; k < slots; k++ {
 			idx, coef := b.rowIdx[:0], b.rowCoef[:0]
-			for i := range b.options {
+			for _, i := range optIdx[optStart[p]:optStart[p+1]] {
 				o := &b.options[i]
 				if k < o.slot {
 					continue
@@ -527,7 +535,7 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 					coef = append(coef, c)
 				}
 			}
-			for i := range b.preempts {
+			for _, i := range preIdx[preStart[p]:preStart[p+1]] {
 				pv := &b.preempts[i]
 				c := float64(pv.r.Alloc[p]) * pv.surv[k]
 				if c > 1e-9 {
@@ -559,6 +567,25 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 	}
 	s.statsMu.Unlock()
 	return b
+}
+
+// partIndex lists, for every partition p, the items i < n with in(i, p), in
+// item order: partition p's are idx[start[p]:start[p+1]]. Both slices come
+// from the arena.
+func partIndex(a *bump[int], nParts, n int, in func(i, p int) bool) (start, idx []int) {
+	start, idx = a.take(nParts+1), a.take(n*nParts)
+	m := 0
+	for p := 0; p < nParts; p++ {
+		start[p] = m
+		for i := 0; i < n; i++ {
+			if in(i, p) {
+				idx[m] = i
+				m++
+			}
+		}
+	}
+	start[nParts] = m
+	return start, idx
 }
 
 // seed builds the warm-start vector from the previous cycle's plan

@@ -722,9 +722,10 @@ func allocFromSolution(o *option, sol *milp.Solution, free simulator.Alloc) simu
 func GreedyAlloc(j *job.Job, free simulator.Alloc, preferredOnly bool) simulator.Alloc {
 	alloc := make(simulator.Alloc, len(free))
 	need := j.Tasks
+	type pf struct{ p, free int }
+	var buf [64]pf // the candidate partitions, on the stack for up to 64
 	fill := func(onlyPreferred bool) {
-		type pf struct{ p, free int }
-		var ps []pf
+		ps := buf[:0]
 		for p, f := range free {
 			avail := f - alloc[p] // headroom beyond what we already took
 			if avail <= 0 {
@@ -735,11 +736,12 @@ func GreedyAlloc(j *job.Job, free simulator.Alloc, preferredOnly bool) simulator
 			}
 			ps = append(ps, pf{p, avail})
 		}
-		sort.Slice(ps, func(a, b int) bool {
-			if ps[a].free != ps[b].free {
-				return ps[a].free > ps[b].free
+		// A total order (partitions are distinct), so any sort gives it.
+		slices.SortFunc(ps, func(a, b pf) int {
+			if a.free != b.free {
+				return cmp.Compare(b.free, a.free)
 			}
-			return ps[a].p < ps[b].p
+			return cmp.Compare(a.p, b.p)
 		})
 		for _, e := range ps {
 			if need == 0 {

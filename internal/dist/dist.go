@@ -37,7 +37,11 @@ type Distribution interface {
 // Survival returns P(runtime > t) = 1 − CDF(t): the probability the job is
 // still consuming resources at elapsed time t (§3.2).
 func Survival(d Distribution, t float64) float64 {
-	s := 1 - d.CDF(t)
+	return survivalOf(d.CDF(t))
+}
+
+func survivalOf(cdf float64) float64 {
+	s := 1 - cdf
 	if s < 0 {
 		return 0
 	}
@@ -45,6 +49,43 @@ func Survival(d Distribution, t float64) float64 {
 		return 1
 	}
 	return s
+}
+
+// CDFs sets out[k] = d.CDF(ts[k]) for points ts given in ascending order —
+// the Eq. 1 integration grid, the slot grid — bit for bit what the calls one
+// point at a time return. An Empirical walks its histogram's bins once for
+// the whole grid instead of searching them per point
+// (histogram.CDFAscending); a Scaled maps each point by t/Factor, as its CDF
+// does, and hands the mapped grid, still ascending, to its base; any other
+// distribution is asked point by point. out may be ts.
+func CDFs(d Distribution, ts, out []float64) {
+	switch d := d.(type) {
+	case Empirical:
+		if d.H != nil {
+			d.H.CDFAscending(ts, out)
+			return
+		}
+	case Scaled:
+		if d.Factor > 0 { // dividing by it keeps the grid ascending
+			for k, t := range ts {
+				out[k] = t / d.Factor
+			}
+			CDFs(d.Base, out[:len(ts)], out)
+			return
+		}
+	}
+	for k, t := range ts {
+		out[k] = d.CDF(t)
+	}
+}
+
+// Survivals sets out[k] = Survival(d, ts[k]) for ascending ts, through CDFs.
+// out may be ts.
+func Survivals(d Distribution, ts, out []float64) {
+	CDFs(d, ts, out)
+	for k, c := range out[:len(ts)] {
+		out[k] = survivalOf(c)
+	}
 }
 
 // Point is the degenerate distribution at Value. Point-estimate schedulers

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -288,5 +289,51 @@ func TestScaledComposesWithConditional(t *testing.T) {
 	want := (s.CDF(250) - s.CDF(200)) / (1 - s.CDF(200))
 	if got := c.CDF(250); math.Abs(got-want) > 1e-9 {
 		t.Errorf("conditional CDF = %v, want %v", got, want)
+	}
+}
+
+// CDFs over an ascending grid is the per-point CDF bit for bit, whatever the
+// distribution: the histogram walk of an Empirical, the mapped grid of a
+// Scaled (nested, and over a base with no batched path), and the per-point
+// fallback of Point and Normal. Survivals is Survival the same way.
+func TestCDFsMatchCDF(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]float64, 300)
+	for i := range samples {
+		samples[i] = math.Exp(rng.NormFloat64()) * 200
+	}
+	emp := FromSamples(samples)
+	dists := map[string]Distribution{
+		"empirical":        emp,
+		"empirical-nil":    Empirical{},
+		"empirical-empty":  NewEmpirical(histogram.New(8)),
+		"scaled-empirical": NewScaled(emp, 1.5),
+		"scaled-scaled":    NewScaled(NewScaled(emp, 1.5), 3),
+		"scaled-normal":    NewScaled(NewNormal(300, 120), 2),
+		"point":            NewPoint(250),
+		"normal":           NewNormal(300, 120),
+	}
+	var grid []float64
+	for i := 0; i <= 64; i++ {
+		grid = append(grid, float64(i)*emp.Max()*2/64)
+	}
+	for _, b := range emp.H.Bins() { // on centroids, and at scaled centroids
+		grid = append(grid, b.Value, b.Value*1.5, b.Value*4.5)
+	}
+	grid = append(grid, 0, 250, 500, emp.H.Min(), emp.H.Max(), emp.H.Max()*1.5)
+	slices.Sort(grid)
+	for name, d := range dists {
+		out := make([]float64, len(grid))
+		CDFs(d, grid, out)
+		surv := slices.Clone(grid)
+		Survivals(d, surv, surv) // in place
+		for k, v := range grid {
+			if got, want := math.Float64bits(out[k]), math.Float64bits(d.CDF(v)); got != want {
+				t.Fatalf("%s: CDFs at %g = %x, CDF %x", name, v, got, want)
+			}
+			if got, want := math.Float64bits(surv[k]), math.Float64bits(Survival(d, v)); got != want {
+				t.Fatalf("%s: Survivals at %g = %x, Survival %x", name, v, got, want)
+			}
+		}
 	}
 }

@@ -3,7 +3,8 @@
 // recoveries, correlated rack-style group failures) and answers per-attempt
 // fault queries (job crash points, straggler slowdowns) by pure hashing, so
 // the same seed always produces the bitwise-same failure history regardless
-// of host load, goroutine scheduling, or solver worker count.
+// of host load, GOMAXPROCS, or the order in which sharded domains finish
+// their cycles.
 //
 // The paper's whole premise is scheduling under runtime uncertainty;
 // failure-induced reruns and node churn are exactly the runtime

@@ -224,43 +224,60 @@ func (h *Histogram) Variance() float64 {
 // trapezoidal interpolation between adjacent centroids, with each bin's mass
 // assumed to straddle its centroid symmetrically).
 func (h *Histogram) Sum(v float64) float64 {
+	if s, ok := h.sumOutside(v); ok {
+		return s
+	}
+	// Find the first bin whose centroid exceeds v.
+	j := sort.Search(len(h.bins), func(i int) bool { return h.bins[i].Value > v })
+	return h.sumBetween(v, j, h.countsBefore())
+}
+
+// sumOutside answers Sum for a point outside the interior
+// [bins[0].Value, bins[nb−1].Value), reporting false for an interior point.
+func (h *Histogram) sumOutside(v float64) (float64, bool) {
 	nb := len(h.bins)
 	if nb == 0 {
-		return 0
+		return 0, true
 	}
 	if v < h.min {
-		return 0
+		return 0, true
 	}
 	if v >= h.max {
-		return h.n
+		return h.n, true
 	}
 	if v < h.bins[0].Value {
 		// Interpolate within the first bin's left half, anchored at min.
 		b := h.bins[0]
 		span := b.Value - h.min
 		if span <= 0 {
-			return b.Count / 2
+			return b.Count / 2, true
 		}
 		frac := (v - h.min) / span
-		return frac * b.Count / 2
+		return frac * b.Count / 2, true
 	}
 	if v >= h.bins[nb-1].Value {
 		b := h.bins[nb-1]
 		span := h.max - b.Value
 		inside := h.n - b.Count/2
 		if span <= 0 {
-			return h.n
+			return h.n, true
 		}
 		frac := (v - b.Value) / span
-		return inside + frac*b.Count/2
+		return inside + frac*b.Count/2, true
 	}
-	// Find i with bins[i].Value <= v < bins[i+1].Value, then apply BH/TT
-	// eq. (3): sum = Σ_{k<i} m_k + m_i/2 + (m_i + m_b)/2 · t, where t is the
-	// fractional position of v between the two centroids and m_b the
-	// linearly interpolated bin mass at v.
-	i := sort.Search(nb, func(i int) bool { return h.bins[i].Value > v }) - 1
+	return 0, false
+}
+
+// sumBetween is Sum for an interior point v, given j, the first bin whose
+// centroid exceeds v, and the prefix table: with i = j−1 so that
+// bins[i].Value <= v < bins[i+1].Value, it applies BH/TT eq. (3): sum =
+// Σ_{k<i} m_k + m_i/2 + (m_i + m_b)/2 · t, where t is the fractional
+// position of v between the two centroids and m_b the linearly interpolated
+// bin mass at v.
+func (h *Histogram) sumBetween(v float64, j int, before []float64) float64 {
+	i := j - 1
 	bi, bj := h.bins[i], h.bins[i+1]
-	s := h.countsBefore()[i] + bi.Count/2
+	s := before[i] + bi.Count/2
 	gap := bj.Value - bi.Value
 	if gap <= 0 {
 		return s
@@ -276,7 +293,12 @@ func (h *Histogram) CDF(v float64) float64 {
 	if h.n == 0 {
 		return 0
 	}
-	c := h.Sum(v) / h.n
+	return h.fraction(h.Sum(v))
+}
+
+// fraction turns a Sum into a CDF value.
+func (h *Histogram) fraction(sum float64) float64 {
+	c := sum / h.n
 	if c < 0 {
 		return 0
 	}
@@ -284,6 +306,38 @@ func (h *Histogram) CDF(v float64) float64 {
 		return 1
 	}
 	return c
+}
+
+// CDFAscending sets out[k] = CDF(vs[k]) for points given in ascending order
+// — a grid — walking the bins once for all of them instead of searching
+// them for each. Every value is CDF's own, bit for bit: the walk stops at
+// the bin the search would find, and the value comes from the same code.
+// out may be vs. A point below its predecessor, or NaN, is answered by CDF.
+func (h *Histogram) CDFAscending(vs, out []float64) {
+	if h.n == 0 {
+		clear(out[:len(vs)])
+		return
+	}
+	var before []float64 // the prefix table, fetched once an interior point needs it
+	j, prev := 0, math.Inf(-1)
+	for k, v := range vs {
+		if !(v >= prev) {
+			out[k] = h.CDF(v)
+			continue
+		}
+		prev = v
+		s, ok := h.sumOutside(v)
+		if !ok {
+			for h.bins[j].Value <= v {
+				j++
+			}
+			if before == nil {
+				before = h.countsBefore()
+			}
+			s = h.sumBetween(v, j, before)
+		}
+		out[k] = h.fraction(s)
+	}
 }
 
 // Quantile returns an estimate of the q-th quantile (q in [0,1]) by binary

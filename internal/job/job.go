@@ -214,13 +214,26 @@ func ExpectedUtility(d dist.Distribution, u Utility, startTime float64, steps in
 	if h <= 0 {
 		return u.At(startTime) * d.CDF(0)
 	}
+	// The CDF on the grid 0, h, …, steps·h, in one batched pass (dist.CDFs),
+	// held on the stack for the usual grid sizes.
+	var buf [129]float64
+	var cdf []float64
+	if steps < len(buf) {
+		cdf = buf[:steps+1]
+	} else {
+		cdf = make([]float64, steps+1)
+	}
+	cdf[0] = 0
+	for i := 1; i <= steps; i++ {
+		cdf[i] = float64(i) * h
+	}
+	dist.CDFs(d, cdf, cdf)
 	// Mass exactly at 0 (possible for Point distributions) taken first so
 	// the grid increments below never double-count it.
-	prev := d.CDF(0)
+	prev := cdf[0]
 	e := prev * u.At(startTime)
 	for i := 1; i <= steps; i++ {
-		t := float64(i) * h
-		c := d.CDF(t)
+		c := cdf[i]
 		if dm := c - prev; dm > 0 {
 			mid := (float64(i) - 0.5) * h
 			e += dm * u.At(startTime+mid)

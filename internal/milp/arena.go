@@ -12,6 +12,11 @@ import "sync"
 // from start to finish and nothing in it outlives the call: everything
 // returned to the caller (Solution.X, RootBasis) is copied out. Concurrent
 // Solves (one per shard domain) hold distinct arenas.
+//
+// Idle arenas wait in a free list (getArena, putArena), not a sync.Pool: a
+// pool drops its contents at every garbage collection, and each dropped
+// arena is regrown — tableaus, saved slots and all — by the next Solve. The
+// list holds at most as many arenas as Solves ever ran at once.
 type lpArena struct {
 	lp   simplexLP // the current cold relaxation (root, fallback, fix-and-solve)
 	rhs  []float64 // substituted rhs per kept row
@@ -42,8 +47,9 @@ type lpArena struct {
 	// Warm children (dual.go): the child being re-solved and one saved
 	// tableau per depth. Each owns its storage; saveSlot and the last child
 	// of a slot swap storage instead of copying, and nothing shrinks.
-	child simplexLP
-	slots []lpSlot
+	child  simplexLP
+	childX []float64 // the child's solution vector
+	slots  []lpSlot
 	// onChild, when set (tests), sees every child re-solved from its
 	// parent's tableau: the node, its expansion number, its result and
 	// objective constant; trace, when set, records the child's pivots.
@@ -57,7 +63,31 @@ type lpArena struct {
 	greedy greedyCtx
 }
 
-var lpArenaPool = sync.Pool{New: func() interface{} { return &lpArena{} }}
+// arenas is the free list of idle arenas.
+var arenas struct {
+	mu   sync.Mutex
+	free []*lpArena // guarded by mu
+}
+
+// getArena takes an idle arena, or makes one.
+func getArena() *lpArena {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	n := len(arenas.free)
+	if n == 0 {
+		return &lpArena{}
+	}
+	ar := arenas.free[n-1]
+	arenas.free = arenas.free[:n-1]
+	return ar
+}
+
+// putArena returns an arena to the free list.
+func putArena(ar *lpArena) {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	arenas.free = append(arenas.free, ar)
+}
 
 // grow returns a length-n slice from buf, reallocating only when its capacity
 // is short. The contents are unspecified; callers must overwrite (or ask

@@ -50,9 +50,10 @@ func (ar *lpArena) saveSlot(d, tag int, lp *simplexLP, objConst float64) {
 }
 
 // solveChild re-solves nd's relaxation from its parent's tableau in slot
-// nd.depth−1 and returns it like solveRelaxationOpt does. The LP it leaves
-// in ar.child is nd's optimal tableau, for saveSlot. errColdStart asks for a
-// cold solve; the iterations spent before it are in the result.
+// nd.depth−1 and returns it like solveRelaxationOpt does, except that the
+// result's x is the arena's (ar.childX), valid until the next child. The LP
+// it leaves in ar.child is nd's optimal tableau, for saveSlot. errColdStart
+// asks for a cold solve; the iterations spent before it are in the result.
 func (ar *lpArena) solveChild(m *Model, nd *bbNode) (lpResult, float64, error) {
 	d := nd.depth - 1
 	if d >= len(ar.slots) || ar.slots[d].tag != nd.parent {
@@ -84,7 +85,7 @@ func (ar *lpArena) solveChild(m *Model, nd *bbNode) (lpResult, float64, error) {
 	if err != nil {
 		return lpResult{iters: lp.iters}, 0, err
 	}
-	return lp.result(), objConst, nil
+	return lp.result(grow(&ar.childX, lp.n)), objConst, nil
 }
 
 // copyFrom makes lp a copy of src (shape, tableau and its column maps,

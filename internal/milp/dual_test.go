@@ -268,3 +268,9 @@ func TestStallDetectorCountsOnlyStalls(t *testing.T) {
 		t.Errorf("%d iterations: Bland's rule took over a search that never stalled", res.iters)
 	}
 }
+
+// solveRelaxation solves m's relaxation under fixed on an arena of its own,
+// so nothing else reuses the storage behind the result.
+func solveRelaxation(m *Model, fixed []int8) (lpResult, float64, error) {
+	return solveRelaxationOpt(&lpArena{}, m, fixed, nil, false)
+}

@@ -148,7 +148,7 @@ func (lp *simplexLP) solve(maxIter int) (lpResult, error) {
 	if err := lp.iterate(maxIter, lp.artCol0); err != nil {
 		return lpResult{}, err
 	}
-	res := lp.result()
+	res := lp.result(make([]float64, lp.n))
 	res.warmed = warmed
 	if lp.wantBasis {
 		res.basis = append([]int(nil), lp.basis...)
@@ -156,10 +156,10 @@ func (lp *simplexLP) solve(maxIter int) (lpResult, error) {
 	return res, nil
 }
 
-// result reads the optimal structural solution off the tableau into a
-// freshly allocated x.
-func (lp *simplexLP) result() lpResult {
-	x := make([]float64, lp.n)
+// result reads the optimal structural solution off the tableau into x,
+// which has length n and is overwritten.
+func (lp *simplexLP) result(x []float64) lpResult {
+	clear(x)
 	for i, b := range lp.basis {
 		if b < lp.n {
 			x[b] = lp.tab[i*lp.stride+lp.w]

@@ -3,7 +3,7 @@ package milp
 import (
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Status reports the quality of a Solve result.
@@ -163,8 +163,8 @@ func (h *nodeHeap) Pop() interface{} {
 // trouble degrades to the best incumbent with Status Feasible/NoSolution.
 // Safe for concurrent use on distinct or shared (read-only) models.
 func Solve(m *Model, opts Options) Solution {
-	ar := lpArenaPool.Get().(*lpArena)
-	defer lpArenaPool.Put(ar)
+	ar := getArena()
+	defer putArena(ar)
 	return solveIn(ar, m, opts)
 }
 
@@ -212,8 +212,11 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 		incumbent = append(incumbent[:0], x...)
 	}
 
-	open := ar.open[:0]
-	heap.Push(&open, ar.node(n, nil, -1, 0, math.Inf(1), 0, -1))
+	// The open heap lives in the arena: a local one would escape through
+	// heap.Push's interface and cost an allocation per Solve.
+	open := &ar.open
+	*open = (*open)[:0]
+	heap.Push(open, ar.node(n, nil, -1, 0, math.Inf(1), 0, -1))
 	greedy := &ar.greedy
 	greedy.reset(m)
 
@@ -234,7 +237,7 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			sol.Stopped = StopNodes
 			break
 		}
-		node = heap.Pop(&open).(*bbNode)
+		node = heap.Pop(open).(*bbNode)
 		if node.bound <= gapTerm() {
 			// This subtree cannot beat the incumbent. Under the depth-first
 			// ordering the popped node is not necessarily the best-bound
@@ -312,17 +315,17 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			updateIncumbent(rx, m.Objective(rx))
 		}
 		for val := int8(0); val <= 1; val++ {
-			heap.Push(&open, ar.node(n, node.fixed, frac, val, lpObj, node.depth+1, seq))
+			heap.Push(open, ar.node(n, node.fixed, frac, val, lpObj, node.depth+1, seq))
 		}
 	}
 	best := incObj
-	for _, nd := range open {
+	for _, nd := range *open {
 		if nd.bound > best {
 			best = nd.bound
 		}
 	}
-	ar.free = append(ar.free, open...)
-	ar.open = open[:0]
+	ar.free = append(ar.free, *open...)
+	*open = (*open)[:0]
 	if incumbent == nil {
 		if provedOpt {
 			sol.Status = Infeasible
@@ -356,20 +359,13 @@ func lexLess(a, b []float64) bool {
 	return len(a) < len(b)
 }
 
-// solveRelaxation builds and solves the LP relaxation of m with the given
-// variables fixed (substituted out). fixed is indexed by variable: -1 free,
-// 0/1 fixed; it must have length NumVars. Returns the LP result plus the
-// objective constant contributed by fixed variables and the model constant.
-func solveRelaxation(m *Model, fixed []int8) (lpResult, float64, error) {
-	ar := lpArenaPool.Get().(*lpArena)
-	defer lpArenaPool.Put(ar)
-	return solveRelaxationOpt(ar, m, fixed, nil, false)
-}
-
-// solveRelaxationOpt is solveRelaxation on the caller's arena with root-LP
-// warm-start plumbing: warm, when non-nil, crash-starts the simplex from a
-// previous optimum's basis; wantBasis captures the optimal basis into the
-// lpResult. The solved LP is left in ar.lp.
+// solveRelaxationOpt builds and solves the LP relaxation of m with the given
+// variables fixed (substituted out) on the caller's arena. fixed is indexed
+// by variable: -1 free, 0/1 fixed; it must have length NumVars. warm, when
+// non-nil, crash-starts the simplex from a previous optimum's basis;
+// wantBasis captures the optimal basis into the lpResult. Returns the LP
+// result plus the objective constant contributed by fixed variables and the
+// model constant. The solved LP is left in ar.lp.
 func solveRelaxationOpt(ar *lpArena, m *Model, fixed []int8, warm []int, wantBasis bool) (lpResult, float64, error) {
 	lp, objConst, err := newNodeLP(ar, m, fixed)
 	if err != nil {
@@ -568,9 +564,10 @@ type greedyCtx struct {
 	allBinary bool
 	colStart  []int32
 	entries   []greedyEntry
-	activity  []float64
+	activity  []float64 // per row: Σ coef over the variables switched on, in switch-on order
+	absAct    []float64 // per row: Σ |coef| over the same
 	out       []float64
-	order     greedyOrder
+	cands     []greedyCand
 }
 
 type greedyEntry struct {
@@ -578,26 +575,29 @@ type greedyEntry struct {
 	coef float64
 }
 
+// greedyCand is a free binary: its index, LP value and objective
+// coefficient (carried along so a comparison reads nothing else).
 type greedyCand struct {
-	v   int
-	val float64
+	v        int
+	val, obj float64
 }
 
-// greedyOrder sorts candidates by LP value descending, ties (within 1e-12)
-// on objective coefficient descending.
-type greedyOrder struct {
-	cands []greedyCand
-	obj   []float64
-}
-
-func (o *greedyOrder) Len() int      { return len(o.cands) }
-func (o *greedyOrder) Swap(i, j int) { o.cands[i], o.cands[j] = o.cands[j], o.cands[i] }
-func (o *greedyOrder) Less(i, j int) bool {
-	a, b := o.cands[i], o.cands[j]
+// greedyCmp orders candidates by LP value descending, ties (within 1e-12)
+// on objective coefficient descending. It is negative exactly when a goes
+// first; that is all the sort reads.
+func greedyCmp(a, b greedyCand) int {
 	if math.Abs(a.val-b.val) > 1e-12 {
-		return a.val > b.val
+		if a.val > b.val {
+			return -1
+		}
+		return 1
 	}
-	return o.obj[a.v] > o.obj[b.v]
+	if a.obj > b.obj {
+		return -1
+	} else if a.obj < b.obj {
+		return 1
+	}
+	return 0
 }
 
 // reset points the context at m.
@@ -632,22 +632,61 @@ func (g *greedyCtx) reset(m *Model) {
 	copy(start[1:], start[:n])
 	start[0] = 0
 	g.activity = grow(&g.activity, len(m.rhs))
+	g.absAct = grow(&g.absAct, len(m.rhs))
 	g.out = grow(&g.out, n)
-	g.order.obj = m.obj
+}
+
+// clearOut switches every variable off.
+func (g *greedyCtx) clearOut() {
+	clear(g.out)
+	clear(g.activity)
+	clear(g.absAct)
 }
 
 // apply switches variable v on in g.out when every row stays feasible.
 func (g *greedyCtx) apply(m *Model, v int) bool {
-	col := g.entries[g.colStart[v]:g.colStart[v+1]]
-	for _, e := range col {
+	for _, e := range g.entries[g.colStart[v]:g.colStart[v+1]] {
 		if g.activity[e.row]+e.coef > m.rhs[e.row]+feasTol {
 			return false
 		}
 	}
-	for _, e := range col {
+	g.switchOn(v)
+	return true
+}
+
+// switchOn sets g.out[v] to 1 and adds its column to the row activities.
+func (g *greedyCtx) switchOn(v int) {
+	for _, e := range g.entries[g.colStart[v]:g.colStart[v+1]] {
 		g.activity[e.row] += e.coef
+		g.absAct[e.row] += math.Abs(e.coef)
 	}
 	g.out[v] = 1
+}
+
+// feasible is m.Feasible(g.out, feasTol), read off the row activities where
+// that is safe. g.out is 0/1, so only the rows can fail, and a row's
+// activity holds the terms Feasible sums, added in another order: the two
+// sums differ by rounding alone, less than 1e-9 of the row's scale (its
+// |coefficient| total or its limit). A row whose activity is below its limit
+// rhs+feasTol by more than that passes; any other row — near the limit, over
+// it, or not a number — is summed again in row order, as Feasible sums it.
+// The verdict is therefore Feasible's own.
+func (g *greedyCtx) feasible(m *Model) bool {
+	lo := 0
+	for r, hi := range m.rowEnd {
+		limit := m.rhs[r] + feasTol
+		margin := 1e-9 * max(1, math.Abs(limit), g.absAct[r])
+		if !(g.activity[r] < limit-margin) {
+			lhs := 0.0
+			for k := lo; k < hi; k++ {
+				lhs += m.coef[k] * g.out[m.idx[k]]
+			}
+			if lhs > limit {
+				return false
+			}
+		}
+		lo = hi
+	}
 	return true
 }
 
@@ -660,26 +699,21 @@ func (g *greedyCtx) round(m *Model, x []float64, fixed []int8) ([]float64, bool)
 	if !g.allBinary {
 		return nil, false
 	}
-	for i := range g.out {
-		g.out[i] = 0
-	}
-	for i := range g.activity {
-		g.activity[i] = 0
-	}
+	g.clearOut()
 	// Honor fixings first; a forced x=1 that is infeasible kills the heuristic.
 	for v, val := range fixed {
 		if val == 1 && !g.apply(m, v) {
 			return nil, false
 		}
 	}
-	cands := g.order.cands[:0]
+	cands := g.cands[:0]
 	for v, val := range fixed {
 		if val < 0 {
-			cands = append(cands, greedyCand{v, x[v]})
+			cands = append(cands, greedyCand{v, x[v], m.obj[v]})
 		}
 	}
-	g.order.cands = cands
-	sort.Sort(&g.order)
+	g.cands = cands
+	slices.SortFunc(cands, greedyCmp)
 	// Relaxing variables (negative objective, e.g. preemption indicators)
 	// that the LP chose enable placements that would otherwise violate
 	// capacity; apply them first when the LP leaned on them.
@@ -697,7 +731,7 @@ func (g *greedyCtx) round(m *Model, x []float64, fixed []int8) ([]float64, bool)
 		}
 		g.apply(m, cd.v)
 	}
-	if !m.Feasible(g.out, feasTol) {
+	if !g.feasible(m) {
 		return nil, false
 	}
 	return g.out, true

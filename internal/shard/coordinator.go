@@ -16,12 +16,14 @@
 // of flexible pending jobs, and work stealing into idle shards. Shard cycles
 // run concurrently, but decisions are merged in shard-index order and every
 // coordinator policy is a deterministic function of snapshot state, so
-// results are bitwise-identical at any solver worker count.
+// results are bitwise-identical at any GOMAXPROCS and in whatever order the
+// domains finish.
 package shard
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"threesigma/internal/core"
@@ -66,6 +68,21 @@ type Coordinator struct {
 	span      map[job.ID]*spanState
 	abandoned map[job.ID]bool // coordinator-abandoned spanning SLO jobs
 
+	// Cycle storage, reused from cycle to cycle (see Cycle): one sub per
+	// domain, the snapshot of the cycle in progress, the busy domains in the
+	// order workers take them and the next one to take, the merge's free
+	// vector, the cross-domain pending jobs, and the steal/rebalance load
+	// tables.
+	subs     []sub
+	cur      *simulator.State
+	order    []int
+	next     atomic.Int32
+	wg       sync.WaitGroup
+	free     simulator.Alloc
+	spanning []*job.Job
+	counts   []int
+	movable  [][]*job.Job
+
 	// decMu serializes the shared OnDecision callback across concurrently
 	// cycling shards and the coordinator's own decision log.
 	decMu sync.Mutex
@@ -106,6 +123,9 @@ func NewCoordinator(proto *core.Scheduler, cluster simulator.Cluster, n int) (*C
 		shadows:        make(map[job.ID]*job.Job),
 		span:           make(map[job.ID]*spanState),
 		abandoned:      make(map[job.ID]bool),
+		subs:           make([]sub, n),
+		counts:         make([]int, n),
+		movable:        make([][]*job.Job, n),
 	}
 	c.partDom = make([]int, nParts)
 	c.domNodes = make([]int, n)

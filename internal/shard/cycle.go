@@ -1,8 +1,9 @@
 package shard
 
 import (
-	"sort"
-	"sync"
+	"cmp"
+	"runtime"
+	"slices"
 
 	"threesigma/internal/core"
 	"threesigma/internal/job"
@@ -12,14 +13,49 @@ import (
 // stopwatch times the coordinator's cycles; no decision reads it.
 var stopwatch simulator.WallClock
 
+// sub is one domain's cycle storage, reused from cycle to cycle: the
+// sub-snapshot handed to the domain's scheduler and what it is built from.
+// The coordinator routes jobs into it (pending shadows, running references);
+// the domain's worker fills in the rest, observes its epoch and runs the
+// shard's cycle on it.
+type sub struct {
+	st     simulator.State
+	refs   []runRef               // running jobs holding nodes in the domain, in snapshot order
+	runs   []simulator.RunningJob // their shadows; st.Running points into it
+	allocs []int                  // slab behind the shadows' local Allocs
+	dec    simulator.Decision     // the last cycle's decision (zero when idle)
+}
+
+// runRef is a running job as a domain sees it: its index in the engine
+// snapshot's Running and the shadow that stands for it in the domain.
+type runRef struct {
+	src    int
+	shadow *job.Job
+}
+
 // Cycle runs one scheduling round: work stealing and periodic rebalancing of
-// flexible pending jobs, per-domain sub-snapshot construction, concurrent
-// per-shard solves, a deterministic shard-index-order merge, and finally the
-// coordinator's own greedy placement of cross-domain gangs on whatever
-// capacity the shards left free. Shard goroutines touch only their own
-// scheduler and sub-snapshot (the shared estimator serializes reads
-// internally), and every coordinator policy is a pure function of snapshot
-// state, so the merged decision is bitwise-identical at any worker count.
+// flexible pending jobs, routing of every job into its domain's
+// sub-snapshot, concurrent per-domain cycles, a deterministic
+// shard-index-order merge, and finally the coordinator's own greedy
+// placement of cross-domain gangs on whatever capacity the shards left free.
+//
+// Domain cycles run on min(GOMAXPROCS, busy domains) workers, the calling
+// goroutine among them, which take the busy domains longest previous cycle
+// first. A worker fills its domain's sub-snapshot, observes the domain's
+// epoch and runs the domain's scheduler; it touches only that domain's
+// storage, scheduler and fingerprint (the shared estimator serializes reads
+// internally). The merge reads the decisions in shard-index order, and every
+// coordinator policy is a pure function of snapshot state, so the merged
+// decision is bitwise-identical at any GOMAXPROCS and whichever domain
+// finishes first.
+//
+// Lifetime: a domain's sub-snapshot — its State, Pending and Running slices,
+// the RunningJob shadows and their Allocs — is the coordinator's storage and
+// is valid until the next Cycle, which refills it; this is the rule
+// core.Scheduler's builder already follows for its own cycle storage, and
+// the scheduler keeps nothing from a snapshot past its cycle but job IDs and
+// the job shadows, which the coordinator owns for the job's lifetime. The
+// returned Decision is the caller's: nothing in it is reused.
 func (c *Coordinator) Cycle(st *simulator.State) simulator.Decision {
 	t0 := stopwatch.Now()
 	c.statsMu.Lock()
@@ -34,53 +70,38 @@ func (c *Coordinator) Cycle(st *simulator.State) simulator.Decision {
 		}
 	}
 
-	subs, spanning := c.buildSubStates(st)
-	decs := make([]simulator.Decision, c.n)
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		if len(subs[i].Pending) == 0 && len(subs[i].Running) == 0 {
-			continue // idle domain: nothing to decide (mirrors Sim's idle skip)
+	c.route(st)
+	c.order = c.order[:0]
+	for i := range c.subs {
+		sb := &c.subs[i]
+		if len(sb.st.Pending) == 0 && len(sb.refs) == 0 {
+			// Idle domain: nothing to decide (mirrors Sim's idle skip), but
+			// its epoch still follows what it sees.
+			c.fill(i, st)
+			sb.dec = simulator.Decision{}
+			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			decs[i] = c.shards[i].Cycle(subs[i])
-		}(i)
+		c.order = append(c.order, i)
 	}
-	wg.Wait()
+	// Longest previous cycle first (an idle domain's decision is zero).
+	slices.SortFunc(c.order, func(a, b int) int {
+		if la, lb := c.subs[a].dec.CycleLatency, c.subs[b].dec.CycleLatency; la != lb {
+			return cmp.Compare(lb, la)
+		}
+		return a - b
+	})
+	c.cur = st
+	c.next.Store(0)
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(c.order)); w++ {
+		c.wg.Add(1)
+		go domainWorker()
+		domainWorkers <- c
+	}
+	c.work()
+	c.wg.Wait()
+	c.cur = nil
 
-	// Deterministic merge in shard-index order. The engine applies all
-	// preemptions before any start, so freed nodes are visible to every
-	// shard's starts and to the spanning placement below.
-	dec := simulator.Decision{}
-	free := st.Free.Clone()
-	runAlloc := make(map[job.ID]simulator.Alloc, len(st.Running))
-	for _, r := range st.Running {
-		runAlloc[r.Job.ID] = r.Alloc
-	}
-	for i := range decs {
-		for _, id := range decs[i].Preempt {
-			dec.Preempt = append(dec.Preempt, id)
-			for p, n := range runAlloc[id] {
-				free[p] += n
-			}
-		}
-		if decs[i].SolverLatency > dec.SolverLatency {
-			dec.SolverLatency = decs[i].SolverLatency
-		}
-	}
-	for i := range decs {
-		lo := c.doms[i].Lo
-		for _, a := range decs[i].Start {
-			ga := make(simulator.Alloc, len(free))
-			copy(ga[lo:], a.Alloc)
-			for p, n := range ga {
-				free[p] -= n
-			}
-			dec.Start = append(dec.Start, simulator.StartAction{Job: a.Job, Alloc: ga})
-		}
-	}
-	c.placeSpanning(st, spanning, free, &dec)
+	dec := c.merge(st)
 
 	el := stopwatch.Since(t0)
 	dec.CycleLatency = el
@@ -93,62 +114,154 @@ func (c *Coordinator) Cycle(st *simulator.State) simulator.Decision {
 	return dec
 }
 
-// buildSubStates slices the engine snapshot into one sub-snapshot per
-// domain: local free/partition vectors, the domain's own pending shadows in
-// submission order, and running shadows for every job holding nodes in the
-// domain (including cross-domain gangs, which appear as non-preemptible
-// running capacity in each shard they touch). Per-domain epochs are assigned
-// by deep comparison so quiet domains keep their incremental-solve
-// eligibility. Returns the sub-snapshots and the cross-domain pending jobs.
-func (c *Coordinator) buildSubStates(st *simulator.State) ([]*simulator.State, []*job.Job) {
-	subs := make([]*simulator.State, c.n)
-	for i, d := range c.doms {
-		subs[i] = &simulator.State{
-			Now:     st.Now,
-			Free:    st.Free[d.Lo:d.Hi].Clone(),
-			Cluster: simulator.Cluster{Partitions: append([]int(nil), st.Cluster.Partitions[d.Lo:d.Hi]...)},
+// domainWorkers hands a coordinator to a worker goroutine. A goroutine
+// started on a closure allocates the closure; one started on a plain
+// function allocates nothing, so Cycle's extra workers take their
+// coordinator from here. Any worker may take any coordinator's turn: a
+// coordinator sends once for each worker it has started, so every send finds
+// a receiver. The buffer lets the coordinator go on to its own domains
+// without waiting for a worker's thread to be scheduled; 64 covers the
+// workers of any GOMAXPROCS this runs at, and past it a send only waits for
+// a started worker to receive.
+var domainWorkers = make(chan *Coordinator, 64)
+
+func domainWorker() {
+	c := <-domainWorkers
+	c.work()
+	c.wg.Done()
+}
+
+// work runs busy domains' cycles on the cycle's snapshot, taking them from
+// c.order until none is left.
+func (c *Coordinator) work() {
+	st := c.cur
+	for {
+		k := int(c.next.Add(1)) - 1
+		if k >= len(c.order) {
+			return
 		}
+		i := c.order[k]
+		sb := &c.subs[i]
+		c.fill(i, st)
+		sb.dec = c.shards[i].Cycle(&sb.st)
 	}
-	var spanning []*job.Job
+}
+
+// route sorts the engine snapshot's jobs into the domains: each domain's own
+// pending shadows in submission order, and a reference for every running job
+// holding nodes in the domain — including cross-domain gangs, which appear as
+// non-preemptible running capacity in each shard they touch. Cross-domain
+// pending jobs are collected in c.spanning. Routing reads and writes the
+// coordinator's job maps, so it runs before the workers start.
+func (c *Coordinator) route(st *simulator.State) {
+	for i := range c.subs {
+		c.subs[i].st.Pending = c.subs[i].st.Pending[:0]
+		c.subs[i].refs = c.subs[i].refs[:0]
+	}
+	c.spanning = c.spanning[:0]
 	for _, j := range st.Pending {
 		sh := c.ownerOf(j)
 		if sh == spanShard {
-			spanning = append(spanning, j)
+			c.spanning = append(c.spanning, j)
 			continue
 		}
-		subs[sh].Pending = append(subs[sh].Pending, c.shadowFor(sh, j))
+		sb := &c.subs[sh]
+		sb.st.Pending = append(sb.st.Pending, c.shadowFor(sh, j))
 	}
-	for _, r := range st.Running {
+	for k, r := range st.Running {
 		sh := c.ownerOf(r.Job)
 		if sh != spanShard {
-			d := c.doms[sh]
-			subs[sh].Running = append(subs[sh].Running, &simulator.RunningJob{
-				Job:         c.shadowFor(sh, r.Job),
-				Start:       r.Start,
-				Alloc:       r.Alloc[d.Lo:d.Hi].Clone(),
-				OnPreferred: r.OnPreferred,
-			})
+			sb := &c.subs[sh]
+			sb.refs = append(sb.refs, runRef{src: k, shadow: c.shadowFor(sh, r.Job)})
 			continue
 		}
 		ss := c.ensureSpan(r.Job)
 		for i, d := range c.doms {
-			local := r.Alloc[d.Lo:d.Hi]
-			if local.Total() == 0 {
+			if r.Alloc[d.Lo:d.Hi].Total() == 0 {
 				continue
 			}
 			ss.touched[i] = true
-			subs[i].Running = append(subs[i].Running, &simulator.RunningJob{
-				Job:         ss.shadow,
-				Start:       r.Start,
-				Alloc:       local.Clone(),
-				OnPreferred: r.OnPreferred,
-			})
+			c.subs[i].refs = append(c.subs[i].refs, runRef{src: k, shadow: ss.shadow})
 		}
 	}
-	for i := range subs {
-		c.epochs.Observe(i, subs[i])
+}
+
+// fill completes domain i's sub-snapshot from the engine snapshot — local
+// free and partition vectors, and a running shadow with the domain's slice
+// of the allocation for every routed running job — and assigns its
+// per-domain epoch by deep comparison, so a quiet domain keeps its
+// incremental-solve eligibility.
+func (c *Coordinator) fill(i int, st *simulator.State) {
+	sb, d := &c.subs[i], c.doms[i]
+	sub := &sb.st
+	sub.Now = st.Now
+	sub.Free = append(sub.Free[:0], st.Free[d.Lo:d.Hi]...)
+	sub.Cluster.Partitions = append(sub.Cluster.Partitions[:0], st.Cluster.Partitions[d.Lo:d.Hi]...)
+	np := d.NumParts()
+	sb.allocs = slices.Grow(sb.allocs[:0], len(sb.refs)*np)[:len(sb.refs)*np]
+	sb.runs = slices.Grow(sb.runs[:0], len(sb.refs))[:len(sb.refs)]
+	sub.Running = sub.Running[:0]
+	for k, ref := range sb.refs {
+		r := st.Running[ref.src]
+		local := simulator.Alloc(sb.allocs[k*np : (k+1)*np : (k+1)*np])
+		copy(local, r.Alloc[d.Lo:d.Hi])
+		sb.runs[k] = simulator.RunningJob{Job: ref.shadow, Start: r.Start, Alloc: local, OnPreferred: r.OnPreferred}
+		sub.Running = append(sub.Running, &sb.runs[k])
 	}
-	return subs, spanning
+	c.epochs.Observe(i, sub)
+}
+
+// merge combines the domains' decisions in shard-index order. The engine
+// applies all preemptions before any start, so freed nodes are visible to
+// every shard's starts and to the spanning placement.
+func (c *Coordinator) merge(st *simulator.State) simulator.Decision {
+	dec := simulator.Decision{}
+	nPreempt, nStart := 0, 0
+	for i := range c.subs {
+		nPreempt += len(c.subs[i].dec.Preempt)
+		nStart += len(c.subs[i].dec.Start)
+	}
+	if nPreempt > 0 {
+		dec.Preempt = make([]job.ID, 0, nPreempt)
+	}
+	if nStart+len(c.spanning) > 0 {
+		dec.Start = make([]simulator.StartAction, 0, nStart+len(c.spanning))
+	}
+	free := append(c.free[:0], st.Free...)
+	c.free = free
+	for i := range c.subs {
+		sb := &c.subs[i]
+		for _, id := range sb.dec.Preempt {
+			dec.Preempt = append(dec.Preempt, id)
+			for _, ref := range sb.refs {
+				if ref.shadow.ID == id {
+					for p, n := range st.Running[ref.src].Alloc {
+						free[p] += n
+					}
+					break
+				}
+			}
+		}
+		if sb.dec.SolverLatency > dec.SolverLatency {
+			dec.SolverLatency = sb.dec.SolverLatency
+		}
+	}
+	// Every start's global allocation comes out of one slab.
+	slab := make([]int, nStart*len(free))
+	for i := range c.subs {
+		lo := c.doms[i].Lo
+		for _, a := range c.subs[i].dec.Start {
+			ga := simulator.Alloc(slab[:len(free):len(free)])
+			slab = slab[len(free):]
+			copy(ga[lo:], a.Alloc)
+			for p, n := range ga {
+				free[p] -= n
+			}
+			dec.Start = append(dec.Start, simulator.StartAction{Job: a.Job, Alloc: ga})
+		}
+	}
+	c.placeSpanning(st, c.spanning, free, &dec)
+	return dec
 }
 
 // placeSpanning greedily places cross-domain pending gangs on the capacity
@@ -160,25 +273,25 @@ func (c *Coordinator) placeSpanning(st *simulator.State, spanning []*job.Job, fr
 	if len(spanning) == 0 {
 		return
 	}
-	order := append([]*job.Job(nil), spanning...)
-	sort.SliceStable(order, func(a, b int) bool {
-		ja, jb := order[a], order[b]
+	// spanning is the coordinator's scratch: it is sorted in place.
+	slices.SortStableFunc(spanning, func(ja, jb *job.Job) int {
 		if ja.HasDeadline() != jb.HasDeadline() {
-			return ja.HasDeadline()
+			if ja.HasDeadline() {
+				return -1
+			}
+			return 1
 		}
 		if ja.HasDeadline() {
-			//lint:allow floateq exact tie-break: equal deadlines fall through to submit/id order
-			if ja.Deadline != jb.Deadline {
-				return ja.Deadline < jb.Deadline
+			if o := cmp.Compare(ja.Deadline, jb.Deadline); o != 0 {
+				return o
 			}
 		}
-		//lint:allow floateq exact tie-break: equal submit times fall through to id order
-		if ja.Submit != jb.Submit {
-			return ja.Submit < jb.Submit
+		if o := cmp.Compare(ja.Submit, jb.Submit); o != 0 {
+			return o
 		}
-		return ja.ID < jb.ID
+		return cmp.Compare(ja.ID, jb.ID)
 	})
-	for _, j := range order {
+	for _, j := range spanning {
 		if c.abandoned[j.ID] {
 			continue
 		}
@@ -217,10 +330,13 @@ func (c *Coordinator) placeSpanning(st *simulator.State, spanning []*job.Job, fr
 
 // pendingLoad computes each shard's pending-queue length and the per-shard
 // lists of movable (flexible, fully unconstrained) pending jobs in
-// submission order.
+// submission order, in the coordinator's scratch.
 func (c *Coordinator) pendingLoad(st *simulator.State) (counts []int, movable [][]*job.Job) {
-	counts = make([]int, c.n)
-	movable = make([][]*job.Job, c.n)
+	counts, movable = c.counts, c.movable
+	clear(counts)
+	for i := range movable {
+		movable[i] = movable[i][:0]
+	}
 	for _, j := range st.Pending {
 		sh := c.ownerOf(j)
 		if sh == spanShard {

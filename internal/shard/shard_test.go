@@ -102,38 +102,34 @@ func TestSingleShardPassthrough(t *testing.T) {
 	}
 }
 
-// onOneProc runs f with GOMAXPROCS 1, so the per-domain cycle goroutines
-// take turns on a single processor instead of running side by side.
-func onOneProc(f func()) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+// onProcs runs f with GOMAXPROCS procs: the coordinator runs its domain
+// cycles on that many workers, taking turns on one processor at 1.
+func onProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
 }
 
-// Determinism: same inputs → same outcome, however many processors the
-// domain cycles' worker goroutines are spread over, including every
+// Determinism: same inputs → same outcome, however many workers the domain
+// cycles are spread over and in whatever order they finish, including every
 // per-shard digest.
 func TestWorkerCountInvariance(t *testing.T) {
 	cluster := simulator.NewCluster(64, 8)
 	w := domainWorkload(t, cluster, 4, 1, 11)
 	resA, coordA := runSharded(t, w, 4, 11)
-	var resB, resC *simulator.Result
-	var coordB *shard.Coordinator
-	onOneProc(func() {
-		resB, coordB = runSharded(t, w, 4, 11)
-		resC, _ = runSharded(t, w, 4, 11)
-	})
 	a := metrics.OutcomeDigest(resA)
-	if b := metrics.OutcomeDigest(resB); a != b {
-		t.Fatalf("digest changed with processor count: %s vs %s", a, b)
-	}
-	if c := metrics.OutcomeDigest(resC); a != c {
-		t.Fatalf("digest changed across identical runs: %s vs %s", a, c)
-	}
 	da := metrics.ShardOutcomeDigests(resA, 4, coordA.DigestShard)
-	db := metrics.ShardOutcomeDigests(resB, 4, coordB.DigestShard)
-	for i := range da {
-		if da[i] != db[i] {
-			t.Errorf("shard %d digest changed with processor count", i)
+	for _, procs := range []int{1, 2, 4} {
+		var res *simulator.Result
+		var coord *shard.Coordinator
+		onProcs(procs, func() { res, coord = runSharded(t, w, 4, 11) })
+		if b := metrics.OutcomeDigest(res); a != b {
+			t.Fatalf("GOMAXPROCS=%d: digest %s, want %s", procs, b, a)
+		}
+		db := metrics.ShardOutcomeDigests(res, 4, coord.DigestShard)
+		for i := range da {
+			if da[i] != db[i] {
+				t.Errorf("GOMAXPROCS=%d: shard %d digest changed", procs, i)
+			}
 		}
 	}
 }
@@ -146,7 +142,7 @@ func TestMixedWorkloadDeterminism(t *testing.T) {
 	w := domainWorkload(t, cluster, 4, 0.5, 7)
 	resA, _ := runSharded(t, w, 4, 7)
 	var resB *simulator.Result
-	onOneProc(func() { resB, _ = runSharded(t, w, 4, 7) })
+	onProcs(1, func() { resB, _ = runSharded(t, w, 4, 7) })
 	if a, b := metrics.OutcomeDigest(resA), metrics.OutcomeDigest(resB); a != b {
 		t.Fatalf("mixed workload digest changed with processor count: %s vs %s", a, b)
 	}
@@ -321,5 +317,88 @@ func TestNewCoordinatorValidates(t *testing.T) {
 	}
 	if _, err := shard.NewCoordinator(sched, cluster, 4); err != nil {
 		t.Errorf("NewCoordinator(n=4): %v", err)
+	}
+}
+
+// fullSnapshot is a fixed engine snapshot of a 64-node, 8-partition cluster
+// in four domains: every node runs an SLO job (nothing preemptible), and
+// each domain has pending work that can only be deferred — two SLO jobs on
+// its own partitions and a flexible best-effort job. A cycle over it decides
+// nothing, so everything it allocates is overhead.
+func fullSnapshot() (*shard.Coordinator, *simulator.State) {
+	cluster := simulator.NewCluster(64, 8)
+	pred := predictor.New(predictor.Config{})
+	for k := 0; k < 40; k++ {
+		pred.Observe(&job.Job{User: "u", Name: "a", Tasks: 8}, float64(300+10*k))
+		pred.Observe(&job.Job{User: "u", Name: "b", Tasks: 4}, float64(200+5*k))
+	}
+	coord, err := shard.NewCoordinator(baselines.ThreeSigma(pred, testConfig()), cluster, 4)
+	if err != nil {
+		panic(err)
+	}
+	st := &simulator.State{Now: 1000, Free: make(simulator.Alloc, 8), Cluster: cluster}
+	id := job.ID(1)
+	for p := 0; p < 8; p++ {
+		j := &job.Job{ID: id, User: "u", Name: "a", Class: job.SLO, Tasks: 8, Submit: 800,
+			Deadline: 4000, Preferred: []int{p}, NonPrefFactor: 1000}
+		alloc := make(simulator.Alloc, 8)
+		alloc[p] = 8
+		st.Running = append(st.Running, &simulator.RunningJob{Job: j, Start: 900, Alloc: alloc, OnPreferred: true})
+		id++
+	}
+	for d := 0; d < 4; d++ {
+		for k := 0; k < 2; k++ {
+			st.Pending = append(st.Pending, &job.Job{ID: id, User: "u", Name: "b", Class: job.SLO, Tasks: 4,
+				Submit: 990, Deadline: 9000, Preferred: []int{2 * d, 2*d + 1}, NonPrefFactor: 1000})
+			id++
+		}
+	}
+	for k := 0; k < 4; k++ {
+		st.Pending = append(st.Pending, &job.Job{ID: id, User: "u", Name: "b", Class: job.BestEffort, Tasks: 4,
+			Submit: 995, NonPrefFactor: 1})
+		id++
+	}
+	for _, j := range st.Pending {
+		coord.JobSubmitted(j, j.Submit)
+	}
+	return coord, st
+}
+
+// A warmed coordinator's cycle allocates nothing but its decision: no
+// sub-snapshot, shadow, allocation slice, epoch fingerprint, load table or
+// worker hand-off costs an allocation. testing.AllocsPerRun measures at
+// GOMAXPROCS 1, where the calling goroutine runs every domain; with more
+// processors the extra workers are goroutines, and the runtime allocates for
+// those now and then as it settles (threads, their stacks, wait queues), so
+// there the count is held under one per cycle — a closure per spawned
+// worker, or anything per domain, would be several.
+func TestCoordinatorCycleSteadyStateAllocs(t *testing.T) {
+	coord, st := fullSnapshot()
+	for i := 0; i < 5; i++ {
+		coord.Cycle(st)
+	}
+	if dec := coord.Cycle(st); len(dec.Start)+len(dec.Preempt) != 0 {
+		t.Fatalf("fixed snapshot decided %d starts and %d preemptions, want none", len(dec.Start), len(dec.Preempt))
+	}
+	if avg := testing.AllocsPerRun(100, func() { coord.Cycle(st) }); avg != 0 {
+		t.Errorf("GOMAXPROCS=1: %.2f allocations per cycle, want 0", avg)
+	}
+	for _, procs := range []int{2, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const runs = 200
+			for i := 0; i < runs; i++ {
+				coord.Cycle(st)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				coord.Cycle(st)
+			}
+			runtime.ReadMemStats(&m1)
+			if n := m1.Mallocs - m0.Mallocs; n >= runs {
+				t.Errorf("GOMAXPROCS=%d: %d allocations over %d cycles, want fewer than one per cycle", procs, n, runs)
+			}
+		}()
 	}
 }

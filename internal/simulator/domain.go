@@ -46,18 +46,24 @@ func PartitionDomains(nParts, n int) []Domain {
 	return doms
 }
 
-// runFingerprint is the per-running-job slice of a domain fingerprint.
+// runFingerprint is the per-running-job slice of a domain fingerprint. Its
+// allocation is allocs[lo:hi] of the fingerprint's slab.
 type runFingerprint struct {
 	id        job.ID
 	startBits uint64
 	onPref    bool
-	alloc     Alloc
+	lo, hi    int
 }
 
 // domainFingerprint captures everything about a domain sub-snapshot that the
 // scheduler's incremental re-solve path may depend on. Epochs derive from a
 // deep comparison — never a hash — because a fingerprint collision would
 // silently hand the scheduler a stale patched model.
+//
+// Nothing here is allocated once the storage has grown to the domain's
+// largest snapshot: capture refills the slices (running allocations go into
+// one flat slab), and the membership sets the delta categorization needs are
+// cleared and refilled, never remade.
 type domainFingerprint struct {
 	init    bool
 	epoch   uint64
@@ -65,6 +71,13 @@ type domainFingerprint struct {
 	parts   []int
 	pending []job.ID
 	running []runFingerprint
+	allocs  []int // slab behind running[*].lo:hi
+
+	// Scratch of diff's slow path.
+	prevPend map[job.ID]bool
+	prevRun  map[job.ID]int // job -> index in running
+	curPend  map[job.ID]bool
+	curRun   map[job.ID]bool
 }
 
 // DomainEpochs assigns per-domain epochs and deltas to constructed
@@ -73,6 +86,9 @@ type domainFingerprint struct {
 // epochs instead advance only when the domain's own visible state changed,
 // so a quiet domain keeps its incremental patch / warm-basis / solution-reuse
 // eligibility while a neighbor churns (DESIGN.md §13).
+//
+// Each domain's fingerprint is its own state: Observe calls for distinct
+// domains may run concurrently.
 type DomainEpochs struct {
 	doms []domainFingerprint
 }
@@ -86,7 +102,7 @@ func NewDomainEpochs(n int) *DomainEpochs {
 // fingerprint, advances the domain epoch if anything visible changed, and
 // fills st.Epoch and st.Delta in place. The Delta counters are categorized
 // best-effort for observability; correctness relies only on Epoch, exactly as
-// with the engine's global snapshot.
+// with the engine's global snapshot. In steady state it allocates nothing.
 func (de *DomainEpochs) Observe(i int, st *State) {
 	fp := &de.doms[i]
 	changed, delta := fp.diff(st)
@@ -99,11 +115,44 @@ func (de *DomainEpochs) Observe(i int, st *State) {
 	st.Delta = delta
 }
 
+// runAlloc returns the recorded allocation of running entry k.
+func (fp *domainFingerprint) runAlloc(k int) []int {
+	r := &fp.running[k]
+	return fp.allocs[r.lo:r.hi]
+}
+
+// same reports whether the sub-snapshot is the fingerprint itself: the same
+// free and partition vectors, the same pending jobs in the same order, and
+// the same running jobs in the same order with the same start, placement and
+// allocation. This is the quiet cycle, and it needs no membership sets.
+func (fp *domainFingerprint) same(st *State) bool {
+	if !allocEqual(fp.free, st.Free) || !intsEqual(fp.parts, st.Cluster.Partitions) ||
+		len(fp.pending) != len(st.Pending) || len(fp.running) != len(st.Running) {
+		return false
+	}
+	for k, j := range st.Pending {
+		if fp.pending[k] != j.ID {
+			return false
+		}
+	}
+	for k, r := range st.Running {
+		prev := &fp.running[k]
+		if prev.id != r.Job.ID || prev.startBits != math.Float64bits(r.Start) ||
+			prev.onPref != r.OnPreferred || !intsEqual(fp.runAlloc(k), r.Alloc) {
+			return false
+		}
+	}
+	return true
+}
+
 // diff reports whether the sub-snapshot differs from the fingerprint and
 // summarizes the difference.
 func (fp *domainFingerprint) diff(st *State) (bool, Delta) {
 	if !fp.init {
 		return true, Delta{Submitted: len(st.Pending)}
+	}
+	if fp.same(st) {
+		return false, Delta{}
 	}
 	var d Delta
 	changed := false
@@ -112,15 +161,15 @@ func (fp *domainFingerprint) diff(st *State) (bool, Delta) {
 		d.NodeEvents++
 	}
 	// Pending / running membership moves.
-	prevPend := make(map[job.ID]bool, len(fp.pending))
+	prevPend := resetSet(&fp.prevPend)
 	for _, id := range fp.pending {
 		prevPend[id] = true
 	}
-	prevRun := make(map[job.ID]int, len(fp.running))
+	prevRun := resetSet(&fp.prevRun)
 	for ri, r := range fp.running {
 		prevRun[r.id] = ri
 	}
-	curPend := make(map[job.ID]bool, len(st.Pending))
+	curPend := resetSet(&fp.curPend)
 	orderChanged := len(st.Pending) != len(fp.pending)
 	for pi, j := range st.Pending {
 		curPend[j.ID] = true
@@ -145,7 +194,7 @@ func (fp *domainFingerprint) diff(st *State) (bool, Delta) {
 			// resolved below once the running set is scanned.
 		}
 	}
-	curRun := make(map[job.ID]bool, len(st.Running))
+	curRun := resetSet(&fp.curRun)
 	runChanged := len(st.Running) != len(fp.running)
 	for ri, r := range st.Running {
 		curRun[r.Job.ID] = true
@@ -164,7 +213,7 @@ func (fp *domainFingerprint) diff(st *State) (bool, Delta) {
 		}
 		prev := &fp.running[pi]
 		if prev.startBits != math.Float64bits(r.Start) || prev.onPref != r.OnPreferred ||
-			!allocEqual(prev.alloc, r.Alloc) {
+			!intsEqual(fp.runAlloc(pi), r.Alloc) {
 			runChanged = true
 			d.Preempted++ // restarted / reallocated in place
 		}
@@ -188,8 +237,17 @@ func (fp *domainFingerprint) diff(st *State) (bool, Delta) {
 	return changed, d
 }
 
-// capture records the sub-snapshot as the new fingerprint, reusing the
-// previous cycle's backing slices where capacities allow.
+// resetSet empties *m for reuse, making it on first use.
+func resetSet[V any](m *map[job.ID]V) map[job.ID]V {
+	if *m == nil {
+		*m = make(map[job.ID]V)
+	}
+	clear(*m)
+	return *m
+}
+
+// capture records the sub-snapshot as the new fingerprint in the previous
+// cycle's storage.
 func (fp *domainFingerprint) capture(st *State) {
 	fp.free = append(fp.free[:0], st.Free...)
 	fp.parts = append(fp.parts[:0], st.Cluster.Partitions...)
@@ -197,13 +255,16 @@ func (fp *domainFingerprint) capture(st *State) {
 	for _, j := range st.Pending {
 		fp.pending = append(fp.pending, j.ID)
 	}
-	fp.running = fp.running[:0]
+	fp.running, fp.allocs = fp.running[:0], fp.allocs[:0]
 	for _, r := range st.Running {
+		lo := len(fp.allocs)
+		fp.allocs = append(fp.allocs, r.Alloc...)
 		fp.running = append(fp.running, runFingerprint{
 			id:        r.Job.ID,
 			startBits: math.Float64bits(r.Start),
 			onPref:    r.OnPreferred,
-			alloc:     r.Alloc.Clone(),
+			lo:        lo,
+			hi:        len(fp.allocs),
 		})
 	}
 }

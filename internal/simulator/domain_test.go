@@ -140,3 +140,30 @@ func TestDomainEpochsNodeEvents(t *testing.T) {
 		t.Error("node event not reflected in Delta.NodeEvents")
 	}
 }
+
+// Observe allocates nothing once a domain's fingerprint storage has grown to
+// its largest snapshot: not on a quiet cycle, and not on cycles whose jobs
+// start, complete, arrive or move.
+func TestDomainEpochsObserveAllocs(t *testing.T) {
+	de := NewDomainEpochs(1)
+	j1, j2, j3 := &job.Job{ID: 1, Tasks: 2}, &job.Job{ID: 2, Tasks: 2}, &job.Job{ID: 3, Tasks: 4}
+	states := []*State{
+		domState(Alloc{6, 8}, []*job.Job{j2, j3}, []*RunningJob{{Job: j1, Start: 10, Alloc: Alloc{2, 0}}}),
+		domState(Alloc{6, 8}, []*job.Job{j2, j3}, []*RunningJob{{Job: j1, Start: 10, Alloc: Alloc{2, 0}}}), // quiet
+		domState(Alloc{4, 6}, []*job.Job{j2}, []*RunningJob{
+			{Job: j1, Start: 10, Alloc: Alloc{2, 0}},
+			{Job: j3, Start: 20, Alloc: Alloc{2, 2}, OnPreferred: true},
+		}),
+		domState(Alloc{8, 8}, []*job.Job{j3, j1}, nil),
+	}
+	for _, st := range states { // grow the storage
+		de.Observe(0, st)
+	}
+	k := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		de.Observe(0, states[k%len(states)])
+		k++
+	}); avg != 0 {
+		t.Errorf("Observe allocated %.2f times per call, want 0", avg)
+	}
+}

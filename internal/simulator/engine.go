@@ -1,14 +1,16 @@
 package simulator
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"threesigma/internal/job"
 )
 
 func sortRunning(rs []*RunningJob) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Job.ID < rs[j].Job.ID })
+	slices.SortFunc(rs, func(a, b *RunningJob) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
 }
 
 func sortOutcomes(os []*Outcome) {

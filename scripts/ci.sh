@@ -14,7 +14,8 @@
 # committed scripts/pins.txt, and a short serve-group run must end correct
 # with no failed operation), a
 # sharded-domain digest gate (-shards 1 vs -shards 8 must agree bitwise on an
-# equivalence-partitioned workload), an end-to-end smoke of the
+# equivalence-partitioned workload, and -shards 8 with itself under
+# GOMAXPROCS=1), an end-to-end smoke of the
 # online service (serverd + loadgen, including a SIGTERM warm restart from
 # the decision log and a /readyz drain check), and the cluster durability
 # gate (3-replica serverd group + 4 agentd node groups under majority-quorum
@@ -80,6 +81,8 @@ echo "== fuzz smoke =="
 # short randomized pass over the invariant verifiers.
 go test -fuzz '^FuzzHistogramInvariants$' -fuzztime 5s -run '^$' ./internal/histogram
 go test -fuzz '^FuzzFromState$' -fuzztime 5s -run '^$' ./internal/histogram
+# The batched grid CDF (DESIGN.md §12) is the per-point CDF, bit for bit.
+go test -fuzz '^FuzzCDFAscending$' -fuzztime 5s -run '^$' ./internal/histogram
 go test -fuzz '^FuzzConditional$' -fuzztime 5s -run '^$' ./internal/dist
 # The control plane's state machine: arbitrary log records never panic it, and
 # one it refuses leaves its encoding untouched (DESIGN.md §14).
@@ -194,6 +197,16 @@ if ! cmp -s "$WORK/sh1" "$WORK/sh8"; then
 fi
 echo "sharded == monolithic:"
 cat "$WORK/sh1"
+# The domain cycles run on min(GOMAXPROCS, busy domains) workers that take the
+# domains longest first: on one processor they run one after another in that
+# order, and the merged outcome must not notice.
+GOMAXPROCS=1 "$WORK/3sigma-sim" $SHARD_ARGS -shards 8 | grep '^outcome digest:' >"$WORK/sh8p1"
+if ! cmp -s "$WORK/sh8" "$WORK/sh8p1"; then
+    echo "FAIL: -shards 8 outcomes differ under GOMAXPROCS=1"
+    diff "$WORK/sh8" "$WORK/sh8p1" || true
+    exit 1
+fi
+echo "sharded under GOMAXPROCS=1 == default"
 
 echo "== service e2e smoke =="
 ./scripts/smoke_service.sh
