@@ -53,10 +53,8 @@ func (sh *benchShape) deadlineJob(i int) *job.Job {
 	return j
 }
 
-func (sh *benchShape) state(now float64, epoch uint64) *simulator.State {
-	st := stateWith(sh.cluster, sh.pending, sh.running, now)
-	st.Epoch = epoch
-	return st
+func (sh *benchShape) state(now float64) *simulator.State {
+	return stateWith(sh.cluster, sh.pending, sh.running, now)
 }
 
 // benchEstimator's support outlasts any -benchtime at 5 s a cycle, so the
@@ -82,11 +80,11 @@ func BenchmarkBuildModel(b *testing.B) {
 	b.Run("quiet", func(b *testing.B) {
 		sh := newBenchShape()
 		s := New(benchEstimator(), benchConfig())
-		bl := s.buildModel(sh.state(0, 0))
+		bl := s.buildModel(sh.state(0))
 		if v, r := bl.model.NumVars(), bl.model.NumRows(); v != 85 || r != 108 {
 			b.Fatalf("model is %d × %d, want 85 × 108", v, r)
 		}
-		st := sh.state(5, 0)
+		st := sh.state(5)
 		s.buildModel(st)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -100,7 +98,7 @@ func BenchmarkBuildModel(b *testing.B) {
 	b.Run("arrival", func(b *testing.B) {
 		sh := newBenchShape()
 		s := New(benchEstimator(), benchConfig())
-		st := sh.state(0, 0) // st.Pending is sh.pending: the loop edits it in place
+		st := sh.state(0) // st.Pending is sh.pending: the loop edits it in place
 		s.buildModel(st)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -110,7 +108,7 @@ func BenchmarkBuildModel(b *testing.B) {
 			s.JobRemoved(sh.pending[k].ID)
 			sh.pending[k] = sh.deadlineJob(k)
 			s.JobSubmitted(sh.pending[k], st.Now)
-			st.Now, st.Epoch = float64(5+5*i), uint64(i+1)
+			st.Now = float64(5 + 5*i)
 			if bl := s.buildModel(st); bl.quiet {
 				b.Fatal("arrival cycle reads quiet")
 			}

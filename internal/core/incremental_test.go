@@ -41,7 +41,7 @@ func TestQuietCycleCounters(t *testing.T) {
 	for _, now := range []float64{10, 20, 30} {
 		b := s.buildModel(incScenario(now))
 		if !b.quiet {
-			t.Fatalf("t=%v: cycle with unchanged epoch not quiet", now)
+			t.Fatalf("t=%v: cycle with an unchanged snapshot not quiet", now)
 		}
 		if !b.stable || !b.warmOK {
 			t.Fatalf("t=%v: quiet cycle with the same jobs: stable=%v warmOK=%v", now, b.stable, b.warmOK)
@@ -69,17 +69,14 @@ type world struct {
 	cluster simulator.Cluster
 	pending []*job.Job
 	running []*simulator.RunningJob
-	epoch   uint64
 }
 
 func (w *world) state(now float64) *simulator.State {
-	st := stateWith(w.cluster, append([]*job.Job(nil), w.pending...),
+	return stateWith(w.cluster, append([]*job.Job(nil), w.pending...),
 		append([]*simulator.RunningJob(nil), w.running...), now)
-	st.Epoch = w.epoch
-	return st
 }
 
-func (w *world) submit(j *job.Job) { w.pending = append(w.pending, j); w.epoch++ }
+func (w *world) submit(j *job.Job) { w.pending = append(w.pending, j) }
 
 func (w *world) takePending(id job.ID) *job.Job {
 	for i, j := range w.pending {
@@ -95,7 +92,6 @@ func (w *world) takeRunning(id job.ID) *simulator.RunningJob {
 	for i, r := range w.running {
 		if r.Job.ID == id {
 			w.running = append(w.running[:i], w.running[i+1:]...)
-			w.epoch++
 			return r
 		}
 	}
@@ -115,7 +111,6 @@ func (w *world) apply(dec simulator.Decision, now float64) {
 			}
 		}
 		w.running = append(w.running, &simulator.RunningJob{Job: j, Start: now, Alloc: sa.Alloc, OnPreferred: onPref})
-		w.epoch++
 	}
 }
 
@@ -195,7 +190,6 @@ func inPlaceVsFresh(t *testing.T, exact bool) {
 				if f > 0 {
 					w.cluster = simulator.Cluster{Partitions: append([]int(nil), w.cluster.Partitions...)}
 					w.cluster.Partitions[p]--
-					w.epoch++
 					return
 				}
 			}
@@ -332,7 +326,9 @@ func TestPoisonedScratchCaught(t *testing.T) {
 
 // TestBuildModelSteadyStateAllocs: a warmed scheduler builds a quiet cycle's
 // model without allocating — builder, options, scratch, memo pages and the
-// model's rows are all reused — and an arrival costs a handful of
+// model's rows are all reused, and the quiet test's comparison allocates
+// nothing — nor does a changed cycle over the same jobs, whose snapshot
+// fingerprint is captured into reused storage; an arrival costs a handful of
 // allocations for the new job's memo page, not a model's worth. (At the
 // parent of the in-place build the quiet cycle below allocated 272 times.)
 func TestBuildModelSteadyStateAllocs(t *testing.T) {
@@ -356,6 +352,30 @@ func TestBuildModelSteadyStateAllocs(t *testing.T) {
 		t.Errorf("quiet cycle: %v allocations in buildModel, want 0", got)
 	}
 
+	// Changed cycles over the same jobs: the pending order and a partition's
+	// free count flip every cycle, so each build compares, finds a change and
+	// captures the snapshot into fingerprint storage grown by the first —
+	// and allocates nothing either.
+	changed := make([]*simulator.State, 102)
+	for i := range changed {
+		st := next()
+		if i%2 == 0 {
+			st.Pending[0], st.Pending[1] = st.Pending[1], st.Pending[0]
+			st.Free[0]--
+		}
+		changed[i] = st
+	}
+	s.buildModel(changed[0])
+	i = 1
+	if got := testing.AllocsPerRun(100, func() {
+		if b := s.buildModel(changed[i]); b.quiet {
+			t.Fatal("changed cycle reads quiet")
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("changed cycle: %v allocations in buildModel, want 0", got)
+	}
+
 	// Arrival cycles: each run submits one new deadline job. New per job:
 	// its distribution (boxed by the estimator), its memo page, two utility
 	// windows, two survival curves, the scaled distribution and the utility
@@ -368,7 +388,6 @@ func TestBuildModelSteadyStateAllocs(t *testing.T) {
 			st.Pending = append(st.Pending, &job.Job{ID: job.ID(100 + k), Class: job.SLO, Submit: now,
 				Deadline: now + 5000, Tasks: 1, Runtime: 400, Preferred: []int{k % 2}, NonPrefFactor: 1.5})
 		}
-		st.Epoch = uint64(i + 1)
 		arrivals[i] = st
 	}
 	s.buildModel(arrivals[100]) // grow the buffers to the largest model first

@@ -129,7 +129,7 @@ type builder struct {
 	preempts []preemptVar
 	buildScratch
 
-	quiet     bool // no job/node event since the previous cycle's snapshot
+	quiet     bool // the snapshot and per-job state are the previous cycle's; only time moved
 	stable    bool // quiet, and the model has the previous cycle's keys, kinds and sparsity
 	warmOK    bool // previous root basis may seed this cycle's root LP
 	unchanged bool // stable, and every number is bitwise the previous cycle's
@@ -195,15 +195,17 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 	nParts := len(st.Cluster.Partitions)
 	slots := cfg.Slots
 
-	// A cycle is quiet when the engine epoch is unchanged since the last
-	// build (no submit/start/complete/preempt/node event — only time
-	// advanced) and no scheduler-side per-job state moved (re-estimate,
+	// A cycle is quiet when the snapshot shows what the last build's did
+	// (the same free and partition vectors, pending and running jobs — only
+	// time advanced) and no scheduler-side per-job state moved (re-estimate,
 	// abandonment, removal). Quiet cycles are the warm-start and
 	// solution-reuse candidates. The dirty flag is cleared *before*
 	// generation: an abandonment fired during this build dirties the next
 	// cycle, and this cycle's own structural drift is caught by compare.
-	b.quiet = s.inc.prev != nil && st.Epoch == s.inc.epoch && !s.inc.jobsDirty
-	s.inc.epoch = st.Epoch
+	b.quiet = s.inc.prev != nil && !s.inc.jobsDirty && s.inc.fp.same(st)
+	if !b.quiet {
+		s.inc.fp.capture(st)
+	}
 	s.inc.jobsDirty = false
 	if s.inc.spare == nil {
 		s.inc.spare = &buildRec{}

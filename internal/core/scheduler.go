@@ -38,15 +38,16 @@ type plan struct {
 }
 
 // incState carries the incremental re-solve state between cycles (DESIGN.md
-// §12): the last snapshot epoch and a dirty flag decide whether a cycle is
-// quiet, prev/spare double-buffer the cycle's model (each build writes into
-// spare, is compared with prev, and the two swap), and lastSol, root basis
-// included, feeds the next cycle's warm-started — or skipped — solve.
+// §12): a fingerprint of the last snapshot built from and a dirty flag decide
+// whether a cycle is quiet, prev/spare double-buffer the cycle's model (each
+// build writes into spare, is compared with prev, and the two swap), and
+// lastSol, root basis included, feeds the next cycle's warm-started — or
+// skipped — solve.
 type incState struct {
-	epoch     uint64    // engine epoch observed at the last cycle's snapshot
-	jobsDirty bool      // per-job scheduler state changed since the last build
-	prev      *buildRec // last cycle's model and keys
-	spare     *buildRec // the buffer the next build writes into
+	fp        fingerprint // the last snapshot a model was built from
+	jobsDirty bool        // per-job scheduler state changed since the last build
+	prev      *buildRec   // last cycle's model and keys
+	spare     *buildRec   // the buffer the next build writes into
 
 	// lastSol is the previous cycle's solution, reused verbatim (no solve)
 	// when this cycle's model is bitwise-identical to the previous one;
@@ -98,9 +99,9 @@ type Stats struct {
 	CacheMisses int
 
 	// Incremental re-solve counters (DESIGN.md §12): every cycle's MILP is
-	// compared with the previous cycle's, and on a "quiet" cycle — no job or
-	// node event since the previous snapshot — the verdict decides what the
-	// solver may reuse. The names date from when a quiet cycle patched the
+	// compared with the previous cycle's, and on a "quiet" cycle — one whose
+	// snapshot shows the previous one's jobs and nodes — the verdict decides
+	// what the solver may reuse. The names date from when a quiet cycle patched the
 	// previous model; /v1/metrics and bench/ read them, so they stay.
 	PatchedCycles     int // quiet cycles whose model kept the previous one's structure (keys, kinds, sparsity)
 	RebuildFallbacks  int // quiet cycles whose option structure drifted anyway (e.g. a slot-0 utility crossed the pruning threshold)

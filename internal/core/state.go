@@ -67,10 +67,11 @@ func (s *Scheduler) ExportState() (*SchedState, error) {
 }
 
 // ImportState replaces the scheduler's per-job state with an exported
-// snapshot. The memo and incremental-model state reset to cold: the first
-// cycle after a restore is not quiet, so it solves without the donor's warm
-// basis or previous solution — accelerators only, which the incremental
-// re-solve invariant guarantees leave the outcome the donor's.
+// snapshot. The memo and incremental-model state — snapshot fingerprint
+// included — reset to cold: the first cycle after a restore is not quiet, so
+// it solves without the donor's warm basis or previous solution —
+// accelerators only, which the incremental re-solve invariant guarantees
+// leave the outcome the donor's.
 func (s *Scheduler) ImportState(st *SchedState) error {
 	dists := make(map[job.ID]dist.Distribution, len(st.Dists))
 	//lint:allow detrange map-to-map copy; order-independent

@@ -8,8 +8,9 @@
 // the job itself (its preferred partitions, or ID modulo shard count for
 // flexible jobs). Each shard reuses the full incremental re-solve path of
 // DESIGN.md §12 — model patching, warm-started simplex, solve-quantum
-// solution reuse — over its own per-domain snapshot with a per-domain epoch,
-// so one busy domain no longer invalidates every other domain's warm state.
+// solution reuse — over its own per-domain snapshot: its scheduler's quiet
+// test reads only that snapshot, so one busy domain does not invalidate
+// every other domain's warm state.
 //
 // The coordinator owns: gang jobs spanning domains (placed greedily on the
 // capacity left over after the per-shard solves), periodic load rebalancing
@@ -57,7 +58,6 @@ type Coordinator struct {
 	shards   []*core.Scheduler
 	cfg      core.Config // proto configuration, defaults filled
 	est      core.Estimator
-	epochs   *simulator.DomainEpochs
 
 	// RebalanceEvery is the load-rebalancing period in coordinator cycles
 	// (default DefaultRebalanceEvery; set before the first cycle).
@@ -117,7 +117,6 @@ func NewCoordinator(proto *core.Scheduler, cluster simulator.Cluster, n int) (*C
 		doms:           simulator.PartitionDomains(nParts, n),
 		cfg:            cfg,
 		est:            proto.Estimator(),
-		epochs:         simulator.NewDomainEpochs(n),
 		RebalanceEvery: DefaultRebalanceEvery,
 		owner:          make(map[job.ID]int),
 		shadows:        make(map[job.ID]*job.Job),
@@ -153,11 +152,6 @@ func NewCoordinator(proto *core.Scheduler, cluster simulator.Cluster, n int) (*C
 
 // NumShards returns the number of scheduling domains.
 func (c *Coordinator) NumShards() int { return c.n }
-
-// Domains returns the domain layout (contiguous partition ranges).
-func (c *Coordinator) Domains() []simulator.Domain {
-	return append([]simulator.Domain(nil), c.doms...)
-}
 
 // classify returns the home shard for a job, or spanShard when no single
 // domain can hold it: its preferred partitions cross domain boundaries, or

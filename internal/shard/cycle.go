@@ -16,8 +16,7 @@ var stopwatch simulator.WallClock
 // sub is one domain's cycle storage, reused from cycle to cycle: the
 // sub-snapshot handed to the domain's scheduler and what it is built from.
 // The coordinator routes jobs into it (pending shadows, running references);
-// the domain's worker fills in the rest, observes its epoch and runs the
-// shard's cycle on it.
+// the domain's worker fills in the rest and runs the shard's cycle on it.
 type sub struct {
 	st     simulator.State
 	refs   []runRef               // running jobs holding nodes in the domain, in snapshot order
@@ -41,21 +40,22 @@ type runRef struct {
 //
 // Domain cycles run on min(GOMAXPROCS, busy domains) workers, the calling
 // goroutine among them, which take the busy domains longest previous cycle
-// first. A worker fills its domain's sub-snapshot, observes the domain's
-// epoch and runs the domain's scheduler; it touches only that domain's
-// storage, scheduler and fingerprint (the shared estimator serializes reads
-// internally). The merge reads the decisions in shard-index order, and every
-// coordinator policy is a pure function of snapshot state, so the merged
-// decision is bitwise-identical at any GOMAXPROCS and whichever domain
+// first. A worker fills its domain's sub-snapshot and runs the domain's
+// scheduler on it; it touches only that domain's storage and scheduler (the
+// shared estimator serializes reads internally). An idle domain is neither
+// filled nor cycled. The merge reads the decisions in shard-index order, and
+// every coordinator policy is a pure function of snapshot state, so the
+// merged decision is bitwise-identical at any GOMAXPROCS and whichever domain
 // finishes first.
 //
 // Lifetime: a domain's sub-snapshot — its State, Pending and Running slices,
 // the RunningJob shadows and their Allocs — is the coordinator's storage and
 // is valid until the next Cycle, which refills it; this is the rule
 // core.Scheduler's builder already follows for its own cycle storage, and
-// the scheduler keeps nothing from a snapshot past its cycle but job IDs and
-// the job shadows, which the coordinator owns for the job's lifetime. The
-// returned Decision is the caller's: nothing in it is reused.
+// the scheduler keeps nothing from a snapshot past its cycle but job IDs,
+// the job shadows, which the coordinator owns for the job's lifetime, and
+// its snapshot fingerprint, which is a copy. The returned Decision is the
+// caller's: nothing in it is reused.
 func (c *Coordinator) Cycle(st *simulator.State) simulator.Decision {
 	t0 := stopwatch.Now()
 	c.statsMu.Lock()
@@ -75,9 +75,7 @@ func (c *Coordinator) Cycle(st *simulator.State) simulator.Decision {
 	for i := range c.subs {
 		sb := &c.subs[i]
 		if len(sb.st.Pending) == 0 && len(sb.refs) == 0 {
-			// Idle domain: nothing to decide (mirrors Sim's idle skip), but
-			// its epoch still follows what it sees.
-			c.fill(i, st)
+			// Idle domain: nothing to decide (mirrors Sim's idle skip).
 			sb.dec = simulator.Decision{}
 			continue
 		}
@@ -186,11 +184,11 @@ func (c *Coordinator) route(st *simulator.State) {
 	}
 }
 
-// fill completes domain i's sub-snapshot from the engine snapshot — local
+// fill completes domain i's sub-snapshot from the engine snapshot: local
 // free and partition vectors, and a running shadow with the domain's slice
-// of the allocation for every routed running job — and assigns its
-// per-domain epoch by deep comparison, so a quiet domain keeps its
-// incremental-solve eligibility.
+// of the allocation for every routed running job. The domain's scheduler
+// tells a quiet cycle from it by comparing it with the last one it built
+// from (DESIGN.md §12).
 func (c *Coordinator) fill(i int, st *simulator.State) {
 	sb, d := &c.subs[i], c.doms[i]
 	sub := &sb.st
@@ -208,7 +206,6 @@ func (c *Coordinator) fill(i int, st *simulator.State) {
 		sb.runs[k] = simulator.RunningJob{Job: ref.shadow, Start: r.Start, Alloc: local, OnPreferred: r.OnPreferred}
 		sub.Running = append(sub.Running, &sb.runs[k])
 	}
-	c.epochs.Observe(i, sub)
 }
 
 // merge combines the domains' decisions in shard-index order. The engine

@@ -365,8 +365,8 @@ func fullSnapshot() (*shard.Coordinator, *simulator.State) {
 }
 
 // A warmed coordinator's cycle allocates nothing but its decision: no
-// sub-snapshot, shadow, allocation slice, epoch fingerprint, load table or
-// worker hand-off costs an allocation. testing.AllocsPerRun measures at
+// sub-snapshot, shadow, allocation slice, domain scheduler's snapshot
+// fingerprint, load table or worker hand-off costs an allocation. testing.AllocsPerRun measures at
 // GOMAXPROCS 1, where the calling goroutine runs every domain; with more
 // processors the extra workers are goroutines, and the runtime allocates for
 // those now and then as it settles (threads, their stacks, wait queues), so

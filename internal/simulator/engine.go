@@ -35,12 +35,9 @@ type Engine struct {
 	out     map[job.ID]*Outcome
 	skipped int
 
-	// Dirty-tracking feed (DESIGN.md §12): epoch advances on every mutating
-	// call and delta categorizes the mutations since the last Snapshot, which
-	// publishes both on the State and resets delta. Two snapshots with equal
-	// Epoch bracketed a window in which only time advanced.
+	// epoch advances on every mutating call; the replicated control plane
+	// cross-checks it between replicas (Epoch, DESIGN.md §14).
 	epoch uint64
-	delta Delta
 
 	// Node-lifecycle layer: down[p] nodes of partition p are failed or
 	// drained and excluded from scheduling until recovered. Invariant per
@@ -162,7 +159,6 @@ func (e *Engine) Submit(j *job.Job) error {
 	e.out[j.ID] = &Outcome{Job: j}
 	e.pending = append(e.pending, j)
 	e.epoch++
-	e.delta.Submitted++
 	return nil
 }
 
@@ -185,9 +181,6 @@ func (e *Engine) Snapshot(now float64) *State {
 	}
 	// Deterministic order for reproducibility.
 	sortRunning(st.Running)
-	st.Epoch = e.epoch
-	st.Delta = e.delta
-	e.delta = Delta{}
 	return st
 }
 
@@ -240,7 +233,6 @@ func (e *Engine) Start(a StartAction, startTime float64) (*StartedRun, bool) {
 		o.FirstStart = startTime
 	}
 	e.epoch++
-	e.delta.Started++
 	return &StartedRun{Job: j, RunID: ri.runID, OnPreferred: onPref}, true
 }
 
@@ -261,7 +253,6 @@ func (e *Engine) Preempt(id job.ID, now float64) bool {
 	o.WastedWork += (now - ri.rj.Start) * float64(ri.rj.Job.Tasks)
 	e.pending = append(e.pending, ri.rj.Job)
 	e.epoch++
-	e.delta.Preempted++
 	return true
 }
 
@@ -290,7 +281,6 @@ func (e *Engine) Complete(id job.ID, runID int64, now float64) (j *job.Job, base
 		base /= ri.rj.Job.NonPrefFactor
 	}
 	e.epoch++
-	e.delta.Completed++
 	return ri.rj.Job, base, true
 }
 
@@ -308,7 +298,6 @@ func (e *Engine) Cancel(id job.ID, now float64) (wasRunning bool, ok bool) {
 		o.WastedWork += (now - ri.rj.Start) * float64(ri.rj.Job.Tasks)
 		o.Cancelled = true
 		e.epoch++
-		e.delta.Completed++
 		return true, true
 	}
 	for i, j := range e.pending {
@@ -316,7 +305,6 @@ func (e *Engine) Cancel(id job.ID, now float64) (wasRunning bool, ok bool) {
 			e.pending = append(e.pending[:i], e.pending[i+1:]...)
 			e.out[id].Cancelled = true
 			e.epoch++
-			e.delta.Removed++
 			return false, true
 		}
 	}
@@ -348,7 +336,6 @@ func (e *Engine) Resize(part, delta int) error {
 	e.cluster = Cluster{Partitions: parts}
 	e.free[part] += delta
 	e.epoch++
-	e.delta.NodeEvents++
 	return nil
 }
 
@@ -400,11 +387,9 @@ func (e *Engine) evictRun(ri *runEntry, now float64) (requeued bool) {
 	e.epoch++
 	if e.retryBudget > 0 && o.Evictions > e.retryBudget {
 		o.Failed = true
-		e.delta.Completed++
 		return false
 	}
 	e.pending = append(e.pending, ri.rj.Job)
-	e.delta.Preempted++
 	return true
 }
 
@@ -462,7 +447,6 @@ func (e *Engine) FailNodes(part, n int, now float64) (failed int, evicted, exhau
 	e.free[part] -= n
 	e.down[part] += n
 	e.epoch++
-	e.delta.NodeEvents++
 	return n, evicted, exhausted, nil
 }
 
@@ -482,7 +466,6 @@ func (e *Engine) RecoverNodes(part, n int, now float64) (int, error) {
 	e.down[part] -= n
 	e.free[part] += n
 	e.epoch++
-	e.delta.NodeEvents++
 	return n, nil
 }
 
@@ -504,7 +487,6 @@ func (e *Engine) DrainNodes(part, n int, now float64) error {
 	e.free[part] -= n
 	e.down[part] += n
 	e.epoch++
-	e.delta.NodeEvents++
 	return nil
 }
 

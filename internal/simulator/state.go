@@ -18,19 +18,18 @@ import (
 // ID and are re-linked on restore, preserving the engine's single-instance-
 // per-job aliasing without duplicating payloads.
 type EngineState struct {
-	Cluster     Cluster       `json:"cluster"`
-	Free        Alloc         `json:"free"`
-	Down        Alloc         `json:"down"`
-	Pending     []job.ID      `json:"pending,omitempty"`
-	Running     []RunState    `json:"running,omitempty"`
-	RunSeq      int64         `json:"run_seq"`
-	Outcomes    []*Outcome    `json:"outcomes,omitempty"`
-	Skipped     int           `json:"skipped,omitempty"`
-	Epoch       uint64        `json:"epoch"`
-	Delta       Delta         `json:"delta"`
-	RetryBudget int           `json:"retry_budget,omitempty"`
-	DownSec     float64       `json:"down_sec,omitempty"`
-	DownMark    float64       `json:"down_mark,omitempty"`
+	Cluster     Cluster    `json:"cluster"`
+	Free        Alloc      `json:"free"`
+	Down        Alloc      `json:"down"`
+	Pending     []job.ID   `json:"pending,omitempty"`
+	Running     []RunState `json:"running,omitempty"`
+	RunSeq      int64      `json:"run_seq"`
+	Outcomes    []*Outcome `json:"outcomes,omitempty"`
+	Skipped     int        `json:"skipped,omitempty"`
+	Epoch       uint64     `json:"epoch"`
+	RetryBudget int        `json:"retry_budget,omitempty"`
+	DownSec     float64    `json:"down_sec,omitempty"`
+	DownMark    float64    `json:"down_mark,omitempty"`
 }
 
 // RunState is one running attempt in an EngineState.
@@ -52,7 +51,6 @@ func (e *Engine) ExportState() *EngineState {
 		RunSeq:      e.runSeq,
 		Skipped:     e.skipped,
 		Epoch:       e.epoch,
-		Delta:       e.delta,
 		RetryBudget: e.retryBudget,
 		DownSec:     e.downSec,
 		DownMark:    e.downMark,
@@ -87,7 +85,6 @@ func EngineFromState(st *EngineState) (*Engine, error) {
 	e.runSeq = st.RunSeq
 	e.skipped = st.Skipped
 	e.epoch = st.Epoch
-	e.delta = st.Delta
 	e.retryBudget = st.RetryBudget
 	e.downSec = st.DownSec
 	e.downMark = st.DownMark

@@ -14,8 +14,8 @@
 # committed scripts/pins.txt, and a short serve-group run must end correct
 # with no failed operation), a
 # sharded-domain digest gate (-shards 1 vs -shards 8 must agree bitwise on an
-# equivalence-partitioned workload, and -shards 8 with itself under
-# GOMAXPROCS=1), an end-to-end smoke of the
+# equivalence-partitioned workload, fault-free and under -faults light and
+# heavy, and -shards 8 with itself under GOMAXPROCS=1), an end-to-end smoke of the
 # online service (serverd + loadgen, including a SIGTERM warm restart from
 # the decision log and a /readyz drain check), and the cluster durability
 # gate (3-replica serverd group + 4 agentd node groups under majority-quorum
@@ -207,6 +207,20 @@ if ! cmp -s "$WORK/sh8" "$WORK/sh8p1"; then
     exit 1
 fi
 echo "sharded under GOMAXPROCS=1 == default"
+# Node failures and recoveries change what the schedulers' quiet test reads
+# (DESIGN.md §12), so the comparison runs again under fault injection.
+for FAULTS in light heavy; do
+    "$WORK/3sigma-sim" $SHARD_ARGS -faults $FAULTS -shards 1 | grep '^outcome digest:' >"$WORK/sh1f"
+    "$WORK/3sigma-sim" $SHARD_ARGS -faults $FAULTS -shards 8 | grep '^outcome digest:' >"$WORK/sh8f"
+    [ -s "$WORK/sh1f" ] || { echo "FAIL: no digest line emitted (-faults $FAULTS)"; exit 1; }
+    if ! cmp -s "$WORK/sh1f" "$WORK/sh8f"; then
+        echo "FAIL: -shards 1 vs -shards 8 outcomes diverged under -faults $FAULTS"
+        diff "$WORK/sh1f" "$WORK/sh8f" || true
+        exit 1
+    fi
+    echo "sharded == monolithic under -faults $FAULTS:"
+    cat "$WORK/sh1f"
+done
 
 echo "== service e2e smoke =="
 ./scripts/smoke_service.sh
