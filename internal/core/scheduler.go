@@ -10,6 +10,7 @@ import (
 
 	"threesigma/internal/dist"
 	"threesigma/internal/job"
+	"threesigma/internal/metrics"
 	"threesigma/internal/milp"
 	"threesigma/internal/simulator"
 )
@@ -57,8 +58,10 @@ type incState struct {
 	haveSol bool
 }
 
-// Stats aggregates scheduler-side measurements (Fig. 12).
+// Stats aggregates scheduler-side measurements (Fig. 12): the summable
+// counters (metrics.SolverStats), the cycle count, timings and model sizes.
 type Stats struct {
+	metrics.SolverStats
 	Cycles         int
 	SolveTime      time.Duration // cumulative
 	MaxSolveTime   time.Duration
@@ -66,60 +69,32 @@ type Stats struct {
 	MaxCycleTime   time.Duration
 	PredictTime    time.Duration // cumulative 3σPredict latency at submission
 	MaxPredictTime time.Duration
-	Predictions    int
 	LastModel      milp.Stats
 	MaxVars        int
 	MaxRows        int
-	Preemptions    int
-	Starts         int
-	AllocFailures  int // chosen slot-0 options whose discrete allocation failed
-	Deferrals      int // chosen options planned for a later slot
-
-	// Solver counters (cumulative over cycles).
-	SolverNodes   int // branch-and-bound nodes explored
-	SolverLPIters int // simplex pivots over all node relaxations
-	// How each solve ended (a cycle answered with the previous solution
-	// counts in none): proved — the search ran out of open nodes, Status
-	// Optimal or Infeasible — or stopped unproved by the node budget.
-	// ColdFallbacks counts the non-root nodes solved cold because their
-	// parent's tableau could not be used (milp.Solution).
-	SolverProved        int
-	SolverNodeCapped    int
-	SolverColdFallbacks int
 	// SpecLPs and SpecUsed counted the speculative LP workers' relaxations.
 	// The workers are gone (the branch-and-bound is sequential, DESIGN.md
 	// §6); the fields are retired, always 0, and stay only because bench/
 	// reads them.
 	SpecLPs  int
 	SpecUsed int
-
-	// Model-builder memoization counters (cross-cycle expected-utility and
-	// survival-term cache; see memo.go).
-	CacheHits   int
-	CacheMisses int
-
-	// Incremental re-solve counters (DESIGN.md §12): every cycle's MILP is
-	// compared with the previous cycle's, and on a "quiet" cycle — one whose
-	// snapshot shows the previous one's jobs and nodes — the verdict decides
-	// what the solver may reuse. The names date from when a quiet cycle patched the
-	// previous model; /v1/metrics and bench/ read them, so they stay.
-	PatchedCycles     int // quiet cycles whose model kept the previous one's structure (keys, kinds, sparsity)
-	RebuildFallbacks  int // quiet cycles whose option structure drifted anyway (e.g. a slot-0 utility crossed the pruning threshold)
-	RowsPatched       int // over PatchedCycles: rows whose coefficients or RHS differ from the previous cycle's
-	ColsPatched       int // over PatchedCycles: objective coefficients that differ
-	WarmBasisReuses   int // root LPs restored from the previous optimal basis
-	IncumbentSeedHits int // cycles whose warm-start seed became the first incumbent
-	ReusedSolves      int // cycles answered with the previous solution (model bitwise-unchanged)
 }
 
-// CacheHitRate returns the fraction of builder term lookups served from the
-// cross-cycle memo (0 when nothing was looked up).
-func (st *Stats) CacheHitRate() float64 {
-	tot := st.CacheHits + st.CacheMisses
-	if tot == 0 {
-		return 0
+// Add folds o into st: counters and cumulative times sum, maxima take the
+// larger, and LastModel goes with MaxVars.
+func (st *Stats) Add(o Stats) {
+	st.SolverStats.Add(o.SolverStats)
+	st.Cycles += o.Cycles
+	st.SolveTime += o.SolveTime
+	st.CycleTime += o.CycleTime
+	st.PredictTime += o.PredictTime
+	st.MaxSolveTime = max(st.MaxSolveTime, o.MaxSolveTime)
+	st.MaxCycleTime = max(st.MaxCycleTime, o.MaxCycleTime)
+	st.MaxPredictTime = max(st.MaxPredictTime, o.MaxPredictTime)
+	if o.MaxVars > st.MaxVars {
+		st.MaxVars, st.LastModel = o.MaxVars, o.LastModel
 	}
-	return float64(st.CacheHits) / float64(tot)
+	st.MaxRows = max(st.MaxRows, o.MaxRows)
 }
 
 // stopwatch times predictions, cycles and solves for Stats and Fig. 12. It

@@ -322,10 +322,10 @@ func TestStatsAccumulate(t *testing.T) {
 	run(t, sched, jobs, 2, 1)
 	st := sched.Stats()
 	if st.Cycles == 0 || st.Starts < 2 || st.Predictions != 2 {
-		t.Errorf("stats = %+v", st)
+		t.Errorf("stats = %#v", st)
 	}
 	if st.MaxVars == 0 || st.MaxRows == 0 {
-		t.Errorf("model stats empty: %+v", st)
+		t.Errorf("model stats empty: %#v", st)
 	}
 }
 

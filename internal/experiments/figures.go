@@ -84,7 +84,7 @@ func FormatEndToEnd(title string, rows []metrics.Report) string {
 	var sb strings.Builder
 	sb.WriteString(title + "\n" + metrics.Table(rows))
 	for _, r := range rows {
-		if r.Solver.Nodes > 0 {
+		if r.Solver.SolverNodes > 0 {
 			fmt.Fprintf(&sb, "solver[%s]: %s\n", r.System, r.Solver)
 		}
 	}

@@ -184,34 +184,11 @@ func RunScheduler(name string, sched simulator.Scheduler, jobs []*job.Job, clust
 		r.Stats, r.ShardStats, r.Coord = s.Stats(), s.ShardStats(), s.CoordStats()
 		r.ShardDigests = metrics.ShardOutcomeDigests(res, s.NumShards(), s.DigestShard)
 		for _, st := range r.ShardStats {
-			r.Report.ShardSolver = append(r.Report.ShardSolver, solverStatsFrom(st))
+			r.Report.ShardSolver = append(r.Report.ShardSolver, st.SolverStats)
 		}
 	default:
 		return r, nil
 	}
-	r.Report.Solver = solverStatsFrom(r.Stats)
+	r.Report.Solver = r.Stats.SolverStats
 	return r, nil
-}
-
-// solverStatsFrom projects the scheduler-side counters into the report's
-// SolverStats shape.
-func solverStatsFrom(st core.Stats) metrics.SolverStats {
-	return metrics.SolverStats{
-		Nodes:       st.SolverNodes,
-		LPIters:     st.SolverLPIters,
-		CacheHits:   st.CacheHits,
-		CacheMisses: st.CacheMisses,
-
-		Proved:        st.SolverProved,
-		NodeCapped:    st.SolverNodeCapped,
-		ColdFallbacks: st.SolverColdFallbacks,
-
-		PatchedCycles:     st.PatchedCycles,
-		RebuildFallbacks:  st.RebuildFallbacks,
-		RowsPatched:       st.RowsPatched,
-		ColsPatched:       st.ColsPatched,
-		WarmBasisReuses:   st.WarmBasisReuses,
-		IncumbentSeedHits: st.IncumbentSeedHits,
-		ReusedSolves:      st.ReusedSolves,
-	}
 }

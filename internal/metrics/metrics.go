@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -56,8 +57,8 @@ type Report struct {
 	MaxSolveTime  time.Duration
 	SkippedStarts int
 
-	// Solver aggregates the MILP solver's work counters over the run
-	// (zero for schedulers without a MILP, e.g. Prio).
+	// Solver carries the scheduler's counters over the run (zero for
+	// schedulers without a MILP, e.g. Prio).
 	Solver SolverStats
 
 	// ShardSolver carries the per-shard solver counters when the run used
@@ -76,33 +77,66 @@ type Report struct {
 	FailureLostHours float64 // machine-hours destroyed by failures
 }
 
-// SolverStats carries the MILP solver's cumulative work counters: how much
-// branch-and-bound and simplex effort the run spent and how well the model
-// builder's cross-cycle memo performed. Filled by the experiment driver from
-// the scheduler's stats.
+// SolverStats is 3σSched's set of summable counters, declared once: the
+// scheduler accumulates them (core.Stats embeds the set), the shard
+// coordinator and Average sum them, and /v1/metrics and -json serve them
+// under their JSON tags. A new counter is one field here plus its increment.
 type SolverStats struct {
-	Nodes       int // branch-and-bound nodes explored
-	LPIters     int // simplex pivots over all node relaxations
-	CacheHits   int // builder memo lookups served from cache
-	CacheMisses int // builder memo lookups computed fresh
+	Predictions   int `json:"predictions"`    // 3σPredict estimates at submission
+	Starts        int `json:"starts"`         // jobs started
+	Preemptions   int `json:"preemptions"`    // running jobs preempted
+	AllocFailures int `json:"alloc_failures"` // chosen slot-0 options whose discrete allocation failed
+	Deferrals     int `json:"deferrals"`      // chosen options planned for a later slot
 
-	// How the solves ended (core.Stats): proved or stopped unproved by the
-	// node budget; and non-root nodes solved cold.
-	Proved        int
-	NodeCapped    int
-	ColdFallbacks int
+	SolverNodes   int `json:"solver_nodes"`    // branch-and-bound nodes explored
+	SolverLPIters int `json:"solver_lp_iters"` // simplex pivots over all node relaxations
+	// How each solve ended (a cycle answered with the previous solution
+	// counts in none): proved — the search ran out of open nodes, Status
+	// Optimal or Infeasible — or stopped unproved by the node budget.
+	// ColdFallbacks counts the non-root nodes solved cold because their
+	// parent's tableau could not be used (milp.Solution).
+	SolverProved        int `json:"solver_proved"`
+	SolverNodeCapped    int `json:"solver_node_capped"`
+	SolverColdFallbacks int `json:"solver_cold_fallbacks"`
 
-	// Incremental re-solve counters (DESIGN.md §12): how often the model
-	// builder patched the previous cycle's MILP in place instead of
-	// recompiling it, how much of the patched payload actually changed, and
-	// how often the solver consumed cross-cycle warm inputs.
-	PatchedCycles     int // cycles whose model was patched in place
-	RebuildFallbacks  int // quiet cycles whose patch walk failed
-	RowsPatched       int // patched rows whose coefficients or RHS changed
-	ColsPatched       int // patched objective coefficients that changed
-	WarmBasisReuses   int // root LPs restored from the previous optimal basis
-	IncumbentSeedHits int // cycles whose warm-start seed became the first incumbent
-	ReusedSolves      int // cycles answered with the previous solution (model bitwise-unchanged)
+	// Model-builder memoization counters (cross-cycle expected-utility and
+	// survival-term cache).
+	CacheHits   int `json:"cache_hits"`
+	CacheMisses int `json:"cache_misses"`
+
+	// Incremental re-solve counters (DESIGN.md §12): every cycle's MILP is
+	// compared with the previous cycle's, and on a "quiet" cycle — one whose
+	// snapshot shows the previous one's jobs and nodes — the verdict decides
+	// what the solver may reuse. The names date from when a quiet cycle
+	// patched the previous model; /v1/metrics and bench/ read them, so they
+	// stay.
+	PatchedCycles     int `json:"patched_cycles"`      // quiet cycles whose model kept the previous one's structure (keys, kinds, sparsity)
+	RebuildFallbacks  int `json:"rebuild_fallbacks"`   // quiet cycles whose option structure drifted anyway (e.g. a slot-0 utility crossed the pruning threshold)
+	RowsPatched       int `json:"rows_patched"`        // over PatchedCycles: rows whose coefficients or RHS differ from the previous cycle's
+	ColsPatched       int `json:"cols_patched"`        // over PatchedCycles: objective coefficients that differ
+	WarmBasisReuses   int `json:"warm_basis_reuses"`   // root LPs restored from the previous optimal basis
+	IncumbentSeedHits int `json:"incumbent_seed_hits"` // cycles whose warm-start seed became the first incumbent
+	ReusedSolves      int `json:"reused_solves"`       // cycles answered with the previous solution (model bitwise-unchanged)
+}
+
+// fields lists the set's counters; every aggregate walks it, so none can
+// drop out of a sum.
+func (s *SolverStats) fields() []*int {
+	return []*int{
+		&s.Predictions, &s.Starts, &s.Preemptions, &s.AllocFailures, &s.Deferrals,
+		&s.SolverNodes, &s.SolverLPIters, &s.SolverProved, &s.SolverNodeCapped, &s.SolverColdFallbacks,
+		&s.CacheHits, &s.CacheMisses,
+		&s.PatchedCycles, &s.RebuildFallbacks, &s.RowsPatched, &s.ColsPatched,
+		&s.WarmBasisReuses, &s.IncumbentSeedHits, &s.ReusedSolves,
+	}
+}
+
+// Add sums o's counters into s.
+func (s *SolverStats) Add(o SolverStats) {
+	of := o.fields()
+	for i, p := range s.fields() {
+		*p += *of[i]
+	}
 }
 
 // CacheHitRate returns the fraction of builder memo lookups served from
@@ -115,10 +149,10 @@ func (s SolverStats) CacheHitRate() float64 {
 	return float64(s.CacheHits) / float64(tot)
 }
 
-// String renders the counters as one diagnostic line.
+// String renders the solver counters as one diagnostic line.
 func (s SolverStats) String() string {
 	return fmt.Sprintf("nodes=%d lp-iters=%d proved=%d capped=%d cold=%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
-		s.Nodes, s.LPIters, s.Proved, s.NodeCapped, s.ColdFallbacks, 100*s.CacheHitRate(),
+		s.SolverNodes, s.SolverLPIters, s.SolverProved, s.SolverNodeCapped, s.SolverColdFallbacks, 100*s.CacheHitRate(),
 		s.PatchedCycles, s.RebuildFallbacks, s.ReusedSolves, s.WarmBasisReuses, s.IncumbentSeedHits)
 }
 
@@ -238,20 +272,7 @@ func Average(rs []Report) Report {
 		avg.RetriesExhausted += r.RetriesExhausted
 		avg.NodeDownSeconds += r.NodeDownSeconds / n
 		avg.FailureLostHours += r.FailureLostHours / n
-		avg.Solver.Nodes += r.Solver.Nodes
-		avg.Solver.LPIters += r.Solver.LPIters
-		avg.Solver.Proved += r.Solver.Proved
-		avg.Solver.NodeCapped += r.Solver.NodeCapped
-		avg.Solver.ColdFallbacks += r.Solver.ColdFallbacks
-		avg.Solver.CacheHits += r.Solver.CacheHits
-		avg.Solver.CacheMisses += r.Solver.CacheMisses
-		avg.Solver.PatchedCycles += r.Solver.PatchedCycles
-		avg.Solver.RebuildFallbacks += r.Solver.RebuildFallbacks
-		avg.Solver.RowsPatched += r.Solver.RowsPatched
-		avg.Solver.ColsPatched += r.Solver.ColsPatched
-		avg.Solver.WarmBasisReuses += r.Solver.WarmBasisReuses
-		avg.Solver.IncumbentSeedHits += r.Solver.IncumbentSeedHits
-		avg.Solver.ReusedSolves += r.Solver.ReusedSolves
+		avg.Solver.Add(r.Solver)
 	}
 	avg.SLOJobs = int(math.Round(float64(avg.SLOJobs) / n))
 	avg.BEJobs = int(math.Round(float64(avg.BEJobs) / n))
@@ -262,20 +283,9 @@ func Average(rs []Report) Report {
 	avg.SkippedStarts = int(math.Round(float64(avg.SkippedStarts) / n))
 	avg.Evictions = int(math.Round(float64(avg.Evictions) / n))
 	avg.RetriesExhausted = int(math.Round(float64(avg.RetriesExhausted) / n))
-	avg.Solver.Nodes = int(math.Round(float64(avg.Solver.Nodes) / n))
-	avg.Solver.LPIters = int(math.Round(float64(avg.Solver.LPIters) / n))
-	avg.Solver.Proved = int(math.Round(float64(avg.Solver.Proved) / n))
-	avg.Solver.NodeCapped = int(math.Round(float64(avg.Solver.NodeCapped) / n))
-	avg.Solver.ColdFallbacks = int(math.Round(float64(avg.Solver.ColdFallbacks) / n))
-	avg.Solver.CacheHits = int(math.Round(float64(avg.Solver.CacheHits) / n))
-	avg.Solver.CacheMisses = int(math.Round(float64(avg.Solver.CacheMisses) / n))
-	avg.Solver.PatchedCycles = int(math.Round(float64(avg.Solver.PatchedCycles) / n))
-	avg.Solver.RebuildFallbacks = int(math.Round(float64(avg.Solver.RebuildFallbacks) / n))
-	avg.Solver.RowsPatched = int(math.Round(float64(avg.Solver.RowsPatched) / n))
-	avg.Solver.ColsPatched = int(math.Round(float64(avg.Solver.ColsPatched) / n))
-	avg.Solver.WarmBasisReuses = int(math.Round(float64(avg.Solver.WarmBasisReuses) / n))
-	avg.Solver.IncumbentSeedHits = int(math.Round(float64(avg.Solver.IncumbentSeedHits) / n))
-	avg.Solver.ReusedSolves = int(math.Round(float64(avg.Solver.ReusedSolves) / n))
+	for _, c := range avg.Solver.fields() {
+		*c = int(math.Round(float64(*c) / n))
+	}
 	return avg
 }
 
@@ -294,23 +304,33 @@ func (r Report) FaultPanel() string {
 // determinism gate compares across invocations.
 func OutcomeDigest(res *simulator.Result) string {
 	h := sha256.New()
-	f := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
-	b := func(v bool) string {
-		if v {
-			return "1"
-		}
-		return "0"
-	}
 	for _, o := range res.Outcomes {
-		fmt.Fprintf(h, "%d|%s%s%s%s|%s|%s|%s|%s|%d|%s|%d|%s\n",
-			o.Job.ID, b(o.Started), b(o.Completed), b(o.Cancelled), b(o.Failed),
-			f(o.FirstStart), f(o.CompletionTime), f(o.ActualRuntime),
-			b(o.OnPreferred), o.Preemptions, f(o.WastedWork),
-			o.Evictions, f(o.LostToFailures))
+		writeFate(h, o)
 	}
 	fmt.Fprintf(h, "end=%s cycles=%d skipped=%d down=%s\n",
-		f(res.EndTime), res.Cycles, res.SkippedStarts, f(res.NodeDownSeconds))
+		hexf(res.EndTime), res.Cycles, res.SkippedStarts, hexf(res.NodeDownSeconds))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// writeFate writes one job's fate line, the unit every outcome digest
+// hashes: the digests are compared across deployments and shard counts, so
+// they share this one format.
+func writeFate(w io.Writer, o *simulator.Outcome) {
+	fmt.Fprintf(w, "%d|%s%s%s%s|%s|%s|%s|%s|%d|%s|%d|%s\n",
+		o.Job.ID, bit(o.Started), bit(o.Completed), bit(o.Cancelled), bit(o.Failed),
+		hexf(o.FirstStart), hexf(o.CompletionTime), hexf(o.ActualRuntime),
+		bit(o.OnPreferred), o.Preemptions, hexf(o.WastedWork),
+		o.Evictions, hexf(o.LostToFailures))
+}
+
+// hexf renders x exactly, as a hexadecimal float.
+func hexf(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
+
+func bit(v bool) string {
+	if v {
+		return "1"
+	}
+	return "0"
 }
 
 // JobsDigest hashes per-job fates alone, in OutcomeDigest's line format but
@@ -321,19 +341,8 @@ func OutcomeDigest(res *simulator.Result) string {
 // jobs' fates must be bitwise-identical.
 func JobsDigest(outs []*simulator.Outcome) string {
 	h := sha256.New()
-	f := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
-	b := func(v bool) string {
-		if v {
-			return "1"
-		}
-		return "0"
-	}
 	for _, o := range outs {
-		fmt.Fprintf(h, "%d|%s%s%s%s|%s|%s|%s|%s|%d|%s|%d|%s\n",
-			o.Job.ID, b(o.Started), b(o.Completed), b(o.Cancelled), b(o.Failed),
-			f(o.FirstStart), f(o.CompletionTime), f(o.ActualRuntime),
-			b(o.OnPreferred), o.Preemptions, f(o.WastedWork),
-			o.Evictions, f(o.LostToFailures))
+		writeFate(h, o)
 	}
 	fmt.Fprintf(h, "jobs=%d\n", len(outs))
 	return hex.EncodeToString(h.Sum(nil))
@@ -348,27 +357,16 @@ func JobsDigest(outs []*simulator.Outcome) string {
 // cross-shard divergence can be localized to the domain that drifted.
 func ShardOutcomeDigests(res *simulator.Result, n int, shardOf func(*job.Job) int) []string {
 	hs := make([]hashState, n)
-	f := func(x float64) string { return strconv.FormatFloat(x, 'x', -1, 64) }
-	b := func(v bool) string {
-		if v {
-			return "1"
-		}
-		return "0"
-	}
 	for _, o := range res.Outcomes {
 		sh := shardOf(o.Job)
 		if sh < 0 || sh >= n {
 			sh = 0
 		}
-		fmt.Fprintf(hs[sh].w(), "%d|%s%s%s%s|%s|%s|%s|%s|%d|%s|%d|%s\n",
-			o.Job.ID, b(o.Started), b(o.Completed), b(o.Cancelled), b(o.Failed),
-			f(o.FirstStart), f(o.CompletionTime), f(o.ActualRuntime),
-			b(o.OnPreferred), o.Preemptions, f(o.WastedWork),
-			o.Evictions, f(o.LostToFailures))
+		writeFate(hs[sh].w(), o)
 	}
 	out := make([]string, n)
 	for i := range hs {
-		fmt.Fprintf(hs[i].w(), "shard=%d/%d end=%s\n", i, n, f(res.EndTime))
+		fmt.Fprintf(hs[i].w(), "shard=%d/%d end=%s\n", i, n, hexf(res.EndTime))
 		out[i] = hex.EncodeToString(hs[i].w().Sum(nil))
 	}
 	return out

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -124,6 +125,26 @@ func TestAverage(t *testing.T) {
 	}
 	if z := Average(nil); z.SLOJobs != 0 {
 		t.Error("empty average should be zero")
+	}
+}
+
+// TestAverageEveryCounter sets every solver counter, found by reflection
+// rather than through the set's own field list, so a counter that drops out
+// of Average's sum or rounding fails here.
+func TestAverageEveryCounter(t *testing.T) {
+	filled := func(v int) Report {
+		var r Report
+		c := reflect.ValueOf(&r.Solver).Elem()
+		for i := 0; i < c.NumField(); i++ {
+			c.Field(i).SetInt(int64(v))
+		}
+		return r
+	}
+	avg := reflect.ValueOf(Average([]Report{filled(1), filled(2)}).Solver)
+	for i := 0; i < avg.NumField(); i++ {
+		if got := avg.Field(i).Int(); got != 2 { // math.Round(1.5)
+			t.Errorf("Average: Solver.%s = %d, want 2", avg.Type().Field(i).Name, got)
+		}
 	}
 }
 

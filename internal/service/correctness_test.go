@@ -85,7 +85,7 @@ func TestMetricsHammerDuringCycles(t *testing.T) {
 	if m.SchedCycles == 0 {
 		t.Error("SchedCycles = 0: metrics no longer reach the live scheduler stats")
 	}
-	if m.Proved+m.NodeCapped == 0 {
+	if m.SolverProved+m.SolverNodeCapped == 0 {
 		t.Error("solver_proved + solver_node_capped = 0: the first cycle's solve went uncounted")
 	}
 	if m.Counters.Completed != 8 {

@@ -1022,24 +1022,11 @@ type Metrics struct {
 	PredictorSHA string `json:"predictor_sha,omitempty"`
 
 	// Scheduler-side counters (zero for greedy baselines).
-	SchedCycles   int     `json:"sched_cycles"`
-	SolverNodes   int     `json:"solver_nodes"`
-	SolverLPIters int     `json:"solver_lp_iters"`
-	SolverStops           // how the solves ended
-	Starts        int     `json:"starts"`
-	Preemptions   int     `json:"preemptions"`
-	MaxVars       int     `json:"max_vars"`
-	MaxRows       int     `json:"max_rows"`
-	MeanCycleMS   float64 `json:"mean_cycle_ms"` // Scheduler.Cycle on Config.Clock, over the cycles this replica solved
-
-	// Incremental re-solve counters (DESIGN.md §12).
-	PatchedCycles     int `json:"patched_cycles"`
-	RebuildFallbacks  int `json:"rebuild_fallbacks"`
-	RowsPatched       int `json:"rows_patched"`
-	ColsPatched       int `json:"cols_patched"`
-	WarmBasisReuses   int `json:"warm_basis_reuses"`
-	IncumbentSeedHits int `json:"incumbent_seed_hits"`
-	ReusedSolves      int `json:"reused_solves"`
+	SchedCycles int     `json:"sched_cycles"`
+	MaxVars     int     `json:"max_vars"`
+	MaxRows     int     `json:"max_rows"`
+	MeanCycleMS float64 `json:"mean_cycle_ms"` // Scheduler.Cycle on Config.Clock, over the cycles this replica solved
+	metrics.SolverStats
 
 	// Shards carries each scheduling domain's counters when the scheduler
 	// is the cross-shard coordinator (DESIGN.md §13); the scalar scheduler
@@ -1047,29 +1034,12 @@ type Metrics struct {
 	Shards []ShardMetrics `json:"shards,omitempty"`
 }
 
-// SolverStops counts how the scheduler's solves ended (core.Stats).
-type SolverStops struct {
-	Proved        int `json:"solver_proved"`
-	NodeCapped    int `json:"solver_node_capped"`
-	ColdFallbacks int `json:"solver_cold_fallbacks"`
-}
-
-func solverStops(st core.Stats) SolverStops {
-	return SolverStops{st.SolverProved, st.SolverNodeCapped, st.SolverColdFallbacks}
-}
-
-// ShardMetrics is one scheduling domain's solver counters.
+// ShardMetrics is one scheduling domain's scheduler counters.
 type ShardMetrics struct {
-	Cycles        int `json:"cycles"`
-	SolverNodes   int `json:"solver_nodes"`
-	SolverLPIters int `json:"solver_lp_iters"`
-	SolverStops
-	Starts        int `json:"starts"`
-	Preemptions   int `json:"preemptions"`
-	MaxVars       int `json:"max_vars"`
-	MaxRows       int `json:"max_rows"`
-	PatchedCycles int `json:"patched_cycles"`
-	ReusedSolves  int `json:"reused_solves"`
+	Cycles  int `json:"cycles"`
+	MaxVars int `json:"max_vars"`
+	MaxRows int `json:"max_rows"`
+	metrics.SolverStats
 }
 
 // Metrics returns the current observability snapshot. Scheduler counters
@@ -1106,34 +1076,13 @@ func (s *Service) Metrics() Metrics {
 		Ready:           s.started && !s.draining && s.role == RoleLeader,
 		NodeDownSeconds: s.st.eng.NodeDownSeconds(s.st.CycleNow),
 		SchedCycles:     cs.Cycles,
-		SolverNodes:     cs.SolverNodes,
-		SolverLPIters:   cs.SolverLPIters,
-		SolverStops:     solverStops(cs),
-		Starts:          cs.Starts,
-		Preemptions:     cs.Preemptions,
 		MaxVars:         cs.MaxVars,
 		MaxRows:         cs.MaxRows,
-
-		PatchedCycles:     cs.PatchedCycles,
-		RebuildFallbacks:  cs.RebuildFallbacks,
-		RowsPatched:       cs.RowsPatched,
-		ColsPatched:       cs.ColsPatched,
-		WarmBasisReuses:   cs.WarmBasisReuses,
-		IncumbentSeedHits: cs.IncumbentSeedHits,
-		ReusedSolves:      cs.ReusedSolves,
+		SolverStats:     cs.SolverStats,
 	}
 	for _, st := range shardStats {
 		m.Shards = append(m.Shards, ShardMetrics{
-			Cycles:        st.Cycles,
-			SolverNodes:   st.SolverNodes,
-			SolverLPIters: st.SolverLPIters,
-			SolverStops:   solverStops(st),
-			Starts:        st.Starts,
-			Preemptions:   st.Preemptions,
-			MaxVars:       st.MaxVars,
-			MaxRows:       st.MaxRows,
-			PatchedCycles: st.PatchedCycles,
-			ReusedSolves:  st.ReusedSolves,
+			Cycles: st.Cycles, MaxVars: st.MaxVars, MaxRows: st.MaxRows, SolverStats: st.SolverStats,
 		})
 	}
 	if s.solves > 0 {

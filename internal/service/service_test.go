@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -142,7 +143,7 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("counters = %+v", m.Counters)
 	}
 	if m.Cycles == 0 || m.Running != 0 || m.Pending != 0 {
-		t.Fatalf("metrics = %+v", m)
+		t.Fatalf("metrics = %#v", m)
 	}
 }
 
@@ -170,7 +171,7 @@ func TestBackpressure429(t *testing.T) {
 	var m Metrics
 	getJSON(t, ts, "/v1/metrics", &m)
 	if m.Counters.Rejected != 1 || m.QueueLen != 2 {
-		t.Fatalf("metrics = %+v", m)
+		t.Fatalf("metrics = %#v", m)
 	}
 }
 
@@ -295,7 +296,7 @@ func TestCancelLifecycle(t *testing.T) {
 		t.Fatalf("job 2 is %q after the boundary, want cancelled", p)
 	}
 	if m := svc.Metrics(); m.Running != 0 || m.Counters.Cancelled != 2 {
-		t.Fatalf("metrics after cancel = %+v", m)
+		t.Fatalf("metrics after cancel = %#v", m)
 	}
 	// The freed nodes are usable again.
 	postJSON(t, ts, "/v1/jobs", jobRequest{ID: 3, Tasks: 16, Runtime: 1})
@@ -571,6 +572,42 @@ func TestChaosCrashFailsJobOut(t *testing.T) {
 		t.Fatalf("counters = %+v, want evicted=2 failed=1", m.Counters)
 	}
 	if m.Running != 0 || m.Pending != 0 {
-		t.Fatalf("failed-out job still in system: %+v", m)
+		t.Fatalf("failed-out job still in system: %#v", m)
 	}
+}
+
+// TestMetricsKeys pins /v1/metrics' JSON keys: the scheduler counters come
+// from the embedded counter set, and no key a client reads may go missing
+// (scripts/smoke_service.sh reads solver_nodes and mean_cycle_ms).
+func TestMetricsKeys(t *testing.T) {
+	b, err := json.Marshal(Metrics{Shards: []ShardMetrics{{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	var shards []map[string]json.RawMessage
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["shards"], &shards); err != nil || len(shards) != 1 {
+		t.Fatalf("shards: %v, %s", err, b)
+	}
+	check := func(where string, got map[string]json.RawMessage, keys string) {
+		for _, k := range strings.Fields(keys) {
+			if _, ok := got[k]; !ok {
+				t.Errorf("%s: key %q missing", where, k)
+			}
+		}
+	}
+	check("metrics", top, `uptime_seconds virtual_now time_scale cycles jobs queue_len queue_cap
+		pending running skipped_starts partitions free_nodes down_nodes node_down_seconds ready
+		role replica_id leader_id leader_epoch control shards
+		sched_cycles max_vars max_rows mean_cycle_ms
+		solver_nodes solver_lp_iters solver_proved solver_node_capped solver_cold_fallbacks
+		starts preemptions predictions alloc_failures deferrals cache_hits cache_misses
+		patched_cycles rebuild_fallbacks rows_patched cols_patched
+		warm_basis_reuses incumbent_seed_hits reused_solves`)
+	check("shards[0]", shards[0], `cycles max_vars max_rows
+		solver_nodes solver_lp_iters solver_proved solver_node_capped solver_cold_fallbacks
+		starts preemptions patched_cycles reused_solves`)
 }

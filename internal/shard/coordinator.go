@@ -326,51 +326,16 @@ func (c *Coordinator) logDecision(e core.DecisionEvent) {
 	c.cfg.OnDecision(e)
 }
 
-// Stats returns the combined scheduler statistics: shard counters summed
-// (work counters, caches, patch/reuse counters), maxima taken where a sum is
-// meaningless (model size, solve latency, worker-pool size), and
-// cycle-latency accounting replaced by the coordinator's own end-to-end
-// measurements — a coordinator cycle is one scheduling round, however many
-// shard solves ran inside it. Safe to call concurrently with a running
-// cycle, like core.Scheduler.Stats.
+// Stats returns the combined scheduler statistics: the shards' folded with
+// core.Stats.Add (counters summed, maxima taken), the coordinator's
+// cross-domain starts added, and cycle accounting replaced by the
+// coordinator's own end-to-end measurements — a coordinator cycle is one
+// scheduling round, however many shard solves ran inside it. Safe to call
+// concurrently with a running cycle, like core.Scheduler.Stats.
 func (c *Coordinator) Stats() core.Stats {
 	var out core.Stats
 	for _, sh := range c.shards {
-		st := sh.Stats()
-		out.SolveTime += st.SolveTime
-		if st.MaxSolveTime > out.MaxSolveTime {
-			out.MaxSolveTime = st.MaxSolveTime
-		}
-		out.PredictTime += st.PredictTime
-		if st.MaxPredictTime > out.MaxPredictTime {
-			out.MaxPredictTime = st.MaxPredictTime
-		}
-		out.Predictions += st.Predictions
-		if st.MaxVars > out.MaxVars {
-			out.MaxVars = st.MaxVars
-			out.LastModel = st.LastModel
-		}
-		if st.MaxRows > out.MaxRows {
-			out.MaxRows = st.MaxRows
-		}
-		out.Preemptions += st.Preemptions
-		out.Starts += st.Starts
-		out.AllocFailures += st.AllocFailures
-		out.Deferrals += st.Deferrals
-		out.SolverNodes += st.SolverNodes
-		out.SolverLPIters += st.SolverLPIters
-		out.SolverProved += st.SolverProved
-		out.SolverNodeCapped += st.SolverNodeCapped
-		out.SolverColdFallbacks += st.SolverColdFallbacks
-		out.CacheHits += st.CacheHits
-		out.CacheMisses += st.CacheMisses
-		out.PatchedCycles += st.PatchedCycles
-		out.RebuildFallbacks += st.RebuildFallbacks
-		out.RowsPatched += st.RowsPatched
-		out.ColsPatched += st.ColsPatched
-		out.WarmBasisReuses += st.WarmBasisReuses
-		out.IncumbentSeedHits += st.IncumbentSeedHits
-		out.ReusedSolves += st.ReusedSolves
+		out.Add(sh.Stats())
 	}
 	c.statsMu.Lock()
 	out.Cycles = c.cycles

@@ -65,9 +65,10 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== benchmarks run =="
-# One iteration of every solver and model-build benchmark, so none of them
-# stops compiling or running unnoticed (make bench measures them).
-go test -run '^$' -bench . -benchtime 1x ./internal/milp ./internal/core
+# One iteration of every solver, model-build and histogram benchmark, so
+# none of them stops compiling or running unnoticed (make bench measures the
+# cycle-path ones).
+go test -run '^$' -bench . -benchtime 1x ./internal/milp ./internal/core ./internal/histogram
 
 echo "== solver oracle =="
 # Pinned seed: 200 random scheduling-shaped MILPs, each solved cold, re-solved
@@ -115,7 +116,7 @@ echo "== figure determinism gate =="
 # Every figure, table and ablation is a function of (seed, scale): two runs
 # must print the same JSON once the measured latencies are taken out.
 go build -o "$WORK/3sigma-bench" ./cmd/3sigma-bench
-LATENCY='"(elapsed|MeanCycleTime|MaxCycleTime|MeanSolveTime|MaxSolveTime|MeanCycle|MaxCycle|MeanSolve|MaxSolve|PredictMax|PredictMean)":'
+LATENCY='"(elapsed|MeanCycleTime|MaxCycleTime|MeanSolveTime|MaxSolveTime|MeanCycle|MaxCycle|MeanSolve|MaxSolve|PredictMax)":'
 for RUN in 1 2; do
     "$WORK/3sigma-bench" -all -ablations -scale small -json | grep -vE "$LATENCY" >"$WORK/figs$RUN"
 done

@@ -51,7 +51,9 @@ type (
 	Report = metrics.Report
 	// Outcome records one job's fate in a simulation.
 	Outcome = simulator.Outcome
-	// SchedulerStats carries 3σSched-side latency and model-size counters.
+	// SchedulerStats carries 3σSched's measurements: its summable counters
+	// (the embedded metrics.SolverStats, also served by -json and
+	// /v1/metrics), cycle count, latencies and model sizes.
 	SchedulerStats = core.Stats
 	// Workload is a generated experiment input (pre-training history plus
 	// timed job submissions).
