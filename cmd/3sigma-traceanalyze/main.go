@@ -12,20 +12,11 @@ import (
 	"fmt"
 	"os"
 
+	"threesigma/internal/experiments"
 	"threesigma/internal/predictor"
 	"threesigma/internal/trace"
 	"threesigma/internal/workload"
-
-	"threesigma/internal/job"
 )
-
-type adapter struct{ p *predictor.Predictor }
-
-func (a adapter) EstimatePoint(j *job.Job) (float64, bool) {
-	e := a.p.Estimate(j)
-	return e.Point, !e.Novel
-}
-func (a adapter) ObservePoint(j *job.Job, rt float64) { a.p.Observe(j, rt) }
 
 func main() {
 	in := flag.String("in", "", "trace CSV file (from 3sigma-tracegen); empty generates from -env")
@@ -70,7 +61,7 @@ func main() {
 	fmt.Printf("Fig 2c: CoV by resources requested: %d groups, %4.0f%% with CoV > 1\n",
 		len(covR), trace.FractionAbove(covR, 1)*100)
 
-	h := trace.EstimateErrors(recs, adapter{predictor.New(predictor.Config{})})
+	h := trace.EstimateErrors(recs, experiments.PredictorAdapter{P: predictor.New(predictor.Config{})})
 	fmt.Printf("\nFig 2d: estimate errors over %d scored jobs\n", h.N)
 	fmt.Printf("  within 2x of actual: %5.1f%%   off by >=2x: %5.1f%%   mean |err|: %5.1f%%\n",
 		h.WithinFactor2*100, h.MisestimatedByFactor2()*100, h.MeanAbsPct)

@@ -18,7 +18,7 @@ func main() {
 	// hardest-to-predict workload) and train the predictor on it.
 	env := workload.HedgeFund()
 	recs := workload.GenerateTrace(env, 8000, 7)
-	p := threesigma.NewPredictor(threesigma.PredictorConfig{})
+	p := threesigma.NewPredictor()
 
 	// Replay the trace: estimate before observing, scoring accuracy online.
 	within2, scored := 0, 0

@@ -42,7 +42,7 @@ func main() {
 	fmt.Println(res.Report)
 
 	// Persist the predictor's history database and restore it elsewhere.
-	p := threesigma.NewPredictor(threesigma.PredictorConfig{})
+	p := threesigma.NewPredictor()
 	p.Train(w)
 	for _, o := range res.Outcomes {
 		if o.Completed {
@@ -55,7 +55,7 @@ func main() {
 	}
 	fmt.Printf("saved history database: %d bytes for %d jobs of history\n", db.Len(), len(w.Train)+len(w.Jobs))
 
-	restored := threesigma.NewPredictor(threesigma.PredictorConfig{})
+	restored := threesigma.NewPredictor()
 	if err := restored.Load(&db); err != nil {
 		log.Fatal(err)
 	}

@@ -91,21 +91,6 @@ type Config struct {
 	// machine's speed.
 	SolverMaxNodes int
 
-	// Utility shaping.
-	SLOWeight     float64 // per-node utility of an SLO job (default 8)
-	BEWeight      float64 // per-node utility of a BE job (default 1)
-	BEDecayWindow float64 // BE utility decay window, seconds (default 3600)
-	BEFloor       float64 // BE utility floor fraction (default 0.1)
-	UtilitySteps  int     // Eq. 1 integration grid (default 48)
-
-	// Over-estimate handling (§4.2.2–4.2.3).
-	OEThreshold float64 // adaptive enablement threshold (default 0.05)
-	OEExtFactor float64 // extension = factor × (deadline − submit) (default 1)
-
-	// Preemption costs: cost = BEWeight × tasks × (PreemptBase +
-	// elapsed/BEDecayWindow), so longer-running BE jobs are costlier to kill.
-	PreemptBase float64 // default 2.5
-
 	// NoWarmStart disables seeding each cycle's MILP with the previous
 	// cycle's plan (§4.3.6). Exists for the repository's own ablation
 	// benchmarks; production configurations leave it false.
@@ -164,6 +149,26 @@ type Config struct {
 	UtilityFn func(j *job.Job) job.Utility
 }
 
+// The utility shaping of §4.2–4.3. The paper's evaluation never varies
+// these, so neither can a Config.
+const (
+	sloWeight     = 8    // per-node utility of an SLO job
+	beWeight      = 1    // per-node utility of a BE job
+	beDecayWindow = 3600 // BE utility decay window, seconds
+	beFloor       = 0.1  // BE utility floor fraction
+	utilitySteps  = 48   // Eq. 1 integration grid
+
+	// Over-estimate handling (§4.2.2–4.2.3): the adaptive enablement
+	// threshold, and the extension as a multiple of (deadline − submit).
+	oeThreshold = 0.05
+	oeExtFactor = 1
+
+	// Preemption cost = beWeight × tasks × (preemptBase +
+	// elapsed/beDecayWindow), so longer-running BE jobs are costlier to
+	// kill (§4.3.5).
+	preemptBase = 2.5
+)
+
 func (c *Config) fill() {
 	if c.Slots <= 0 {
 		c.Slots = 6
@@ -180,38 +185,14 @@ func (c *Config) fill() {
 	if c.SolverMaxNodes <= 0 {
 		c.SolverMaxNodes = 48
 	}
-	if c.SLOWeight <= 0 {
-		c.SLOWeight = 8
-	}
-	if c.BEWeight <= 0 {
-		c.BEWeight = 1
-	}
-	if c.BEDecayWindow <= 0 {
-		c.BEDecayWindow = 3600
-	}
-	if c.BEFloor <= 0 {
-		c.BEFloor = 0.1
-	}
-	if c.UtilitySteps <= 0 {
-		c.UtilitySteps = 48
-	}
-	if c.OEThreshold <= 0 {
-		c.OEThreshold = 0.05
-	}
-	if c.OEExtFactor <= 0 {
-		c.OEExtFactor = 1
-	}
-	if c.PreemptBase <= 0 {
-		c.PreemptBase = 2.5
-	}
 }
 
 // Hopeless reports whether j is an SLO job that misses its deadline at now
 // even with the maximal over-estimate extension (§4.2): such a job has no
 // attainable utility left and is abandoned, by the scheduler and by the
 // shard coordinator for the cross-domain gangs it places itself.
-func (c *Config) Hopeless(j *job.Job, now float64) bool {
-	return j.HasDeadline() && now > j.Deadline+c.OEExtFactor*(j.Deadline-j.Submit)
+func Hopeless(j *job.Job, now float64) bool {
+	return j.HasDeadline() && now > j.Deadline+oeExtFactor*(j.Deadline-j.Submit)
 }
 
 // Estimator supplies runtime distributions to the scheduler and receives

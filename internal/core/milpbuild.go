@@ -267,7 +267,7 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 				continue
 			}
 			elapsed := r.Elapsed(now)
-			cost := cfg.BEWeight * float64(r.Job.Tasks) * (cfg.PreemptBase + elapsed/cfg.BEDecayWindow)
+			cost := beWeight * float64(r.Job.Tasks) * (preemptBase + elapsed/beDecayWindow)
 			v := b.addVar(modelKey{class: keyVarP, job: r.Job.ID}, milp.Binary, -cost)
 			b.addRow(modelKey{class: keyRowUbP, job: r.Job.ID}, []int{v}, []float64{1}, 1)
 			b.preempts = append(b.preempts, preemptVar{r: r, varIdx: v, surv: runSurv[i*slots : (i+1)*slots]})
@@ -344,7 +344,7 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 			// Eq. 1 at an immediate start (times[0] == now): the abandonment
 			// test below and the slot-0 option's utility are the same
 			// integral, taken once.
-			euNow := job.ExpectedUtility(od, util, now, cfg.UtilitySteps)
+			euNow := job.ExpectedUtility(od, util, now, utilitySteps)
 			if euNow > 1e-9 {
 				anyUtility = true
 			}
@@ -412,7 +412,7 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 				eu := euNow
 				if k > 0 {
 					eu = b.cached(&memo.eu[sc.space], grid0+int64(k), func() float64 {
-						return job.ExpectedUtility(od, util, start, cfg.UtilitySteps)
+						return job.ExpectedUtility(od, util, start, utilitySteps)
 					})
 				}
 				if eu <= 1e-9 {

@@ -84,10 +84,23 @@ func TestUnderestimateExponentialBumping(t *testing.T) {
 	s := New(uniformEstimator(50, 100), cfg)
 	j := &job.Job{ID: 1, Class: job.BestEffort, Submit: 0, Tasks: 1, Runtime: 10000}
 	r := &simulator.RunningJob{Job: j, Start: 0, Alloc: simulator.Alloc{1}, OnPreferred: true}
+	// survAt fills the running job's survival curve on buildModel's slot
+	// grid as of now.
+	b := &builder{s: s}
+	survAt := func(r *simulator.RunningJob, now float64) []float64 {
+		times := make([]float64, cfg.Slots)
+		grid0 := int64(math.Floor(now / cfg.SlotDur))
+		times[0] = now
+		for k := 1; k < len(times); k++ {
+			times[k] = float64(grid0+int64(k)) * cfg.SlotDur
+		}
+		surv := make([]float64, len(times))
+		s.runningSurvCurve(r, now, times, grid0, surv, b)
+		return surv
+	}
 	// Elapsed 150 > dist max 100: exhausted, UE kicks in.
-	sf := s.runningSurvival(r, 150)
-	if sf(0) != 1 {
-		t.Fatal("survival at dt=0 must be 1")
+	if surv := survAt(r, 150); surv[0] != 1 {
+		t.Fatal("survival at now must be 1")
 	}
 	st := s.ue[1]
 	if st == nil {
@@ -99,7 +112,7 @@ func TestUnderestimateExponentialBumping(t *testing.T) {
 	}
 	// Advance past the extension: bump count must grow and the extension
 	// double (2^bumps cycles).
-	s.runningSurvival(r, first+1)
+	survAt(r, first+1)
 	st = s.ue[1]
 	if st.bumps < 1 {
 		t.Fatalf("bumps = %d, want >= 1", st.bumps)
@@ -107,7 +120,7 @@ func TestUnderestimateExponentialBumping(t *testing.T) {
 	bumpsBefore := st.bumps
 	gap1 := st.extFinish - (first + 1)
 	nextNow := st.extFinish + 1
-	s.runningSurvival(r, nextNow)
+	survAt(r, nextNow)
 	if st.bumps <= bumpsBefore {
 		t.Fatal("bumps must keep increasing")
 	}
@@ -121,7 +134,7 @@ func TestUnderestimateExponentialBumping(t *testing.T) {
 	// A job within its distribution clears UE state.
 	r2 := &simulator.RunningJob{Job: j, Start: 0, Alloc: simulator.Alloc{1}, OnPreferred: true}
 	s.ue[1] = &ueState{bumps: 3, extFinish: 1}
-	s.runningSurvival(r2, 60) // elapsed 60 < max 100
+	survAt(r2, 60) // elapsed 60 < max 100
 	if _, ok := s.ue[1]; ok {
 		t.Error("UE state should clear when the distribution still has mass")
 	}

@@ -271,33 +271,6 @@ func runtimeFactor(j *job.Job) float64 {
 	return 1
 }
 
-// runningSurvival builds the residual survival function of a running job:
-// P(still holding resources dt seconds from now), applying the Eq. 2
-// conditional update and §4.2.1 under-estimate handling.
-func (s *Scheduler) runningSurvival(r *simulator.RunningJob, now float64) func(dt float64) float64 {
-	d := s.distFor(r.Job)
-	if !r.OnPreferred {
-		d = dist.NewScaled(d, runtimeFactor(r.Job))
-	}
-	elapsed := r.Elapsed(now)
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	cond := dist.NewConditional(d, elapsed)
-	if !cond.Exhausted() {
-		delete(s.ue, r.Job.ID)
-		return cond.SurvivalRemaining
-	}
-	// Distribution exhausted: the job ran longer than all history.
-	remaining := s.ueRemaining(r.Job.ID, now)
-	return func(dt float64) float64 {
-		if dt < remaining {
-			return 1
-		}
-		return 0
-	}
-}
-
 // ueRemaining returns the assumed residual runtime of a running job whose
 // distribution is exhausted: the §4.2.1 exponential finish-time extension
 // when under-estimate handling is on, one cycle interval otherwise.
@@ -319,12 +292,13 @@ func (s *Scheduler) ueRemaining(id job.ID, now float64) float64 {
 
 // runningSurvCurve fills surv[k] with a running job's residual survival at
 // the slot-grid times (surv[k] = P(still holding resources at times[k])),
-// the per-slot values runningSurvival would produce, computed the cheap way:
-// the Eq. 2 ratio S(times[k]−start)/S(now−start) has a `now`-dependent
-// denominator (one evaluation per cycle) and grid-anchored numerators that
-// repeat bitwise from cycle to cycle while the run persists, so the
-// numerators are memoized on the job's page alongside the pending-side
-// terms. The memo counters accumulate on b.
+// applying the Eq. 2 conditional update and §4.2.1 under-estimate handling.
+// It is computed the cheap way: the Eq. 2 ratio
+// S(times[k]−start)/S(now−start) has a `now`-dependent denominator (one
+// evaluation per cycle) and grid-anchored numerators that repeat bitwise
+// from cycle to cycle while the run persists, so the numerators are memoized
+// on the job's page alongside the pending-side terms. The memo counters
+// accumulate on b.
 func (s *Scheduler) runningSurvCurve(r *simulator.RunningJob, now float64, times []float64, grid0 int64, surv []float64, b *builder) {
 	d := s.distFor(r.Job)
 	memo := s.memo.forJob(r.Job.ID, s.distVer[r.Job.ID])
@@ -379,7 +353,7 @@ func (s *Scheduler) utilityFor(j *job.Job, d dist.Distribution, now float64) job
 		}
 	}
 	if j.HasDeadline() {
-		v := s.cfg.SLOWeight * float64(j.Tasks)
+		v := sloWeight * float64(j.Tasks)
 		oe := false
 		switch s.cfg.Policy.Overestimate {
 		case OEAlways:
@@ -390,12 +364,12 @@ func (s *Scheduler) utilityFor(j *job.Job, d dist.Distribution, now float64) job
 			// cannot fit that window, the distribution is likely skewed
 			// toward over-estimation.
 			window := j.Deadline - j.Submit
-			if d.CDF(window) < s.cfg.OEThreshold {
+			if d.CDF(window) < oeThreshold {
 				oe = true
 			}
 		}
 		if oe {
-			ext := s.cfg.OEExtFactor * (j.Deadline - j.Submit)
+			ext := oeExtFactor * (j.Deadline - j.Submit)
 			if ext < s.cfg.SlotDur {
 				ext = s.cfg.SlotDur
 			}
@@ -404,10 +378,10 @@ func (s *Scheduler) utilityFor(j *job.Job, d dist.Distribution, now float64) job
 		return job.StepUtility{Value: v, Deadline: j.Deadline}
 	}
 	return job.DecayUtility{
-		Value:  s.cfg.BEWeight * float64(j.Tasks),
+		Value:  beWeight * float64(j.Tasks),
 		Start:  j.Submit,
-		Window: s.cfg.BEDecayWindow,
-		Floor:  s.cfg.BEFloor,
+		Window: beDecayWindow,
+		Floor:  beFloor,
 	}
 }
 
@@ -424,7 +398,7 @@ func (s *Scheduler) selectPending(pending []*job.Job, now float64) []*job.Job {
 		if j.HasDeadline() {
 			// Drop hopeless SLO jobs; they would otherwise pin
 			// consideration slots.
-			if s.cfg.Hopeless(j, now) {
+			if Hopeless(j, now) {
 				s.abandon(j.ID, now)
 				continue
 			}

@@ -161,17 +161,14 @@ func RunScheduler(name string, sched simulator.Scheduler, jobs []*job.Job, clust
 		}
 		sched = coord
 	}
-	opts := simulator.Options{
+	sim, err := simulator.New(sched, jobs, simulator.Options{
 		Cluster:       cluster,
 		CycleInterval: cfg.CycleInterval,
 		DrainWindow:   cfg.DrainWindow,
+		RealCluster:   cfg.RealCluster,
 		Seed:          cfg.Seed,
 		Faults:        cfg.Faults,
-	}
-	if cfg.RealCluster {
-		opts.RuntimeJitter, opts.PlacementDelay = 0.04, 1.5
-	}
-	sim, err := simulator.New(sched, jobs, opts)
+	})
 	if err != nil {
 		return nil, err
 	}

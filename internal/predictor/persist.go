@@ -33,9 +33,8 @@ type predictorState struct {
 	Groups  []map[string]groupState `json:"groups"` // one map per feature, by value
 }
 
-// Save serializes the predictor's history sketches to w. The feature set
-// itself is configuration (functions), so Load must be called on a
-// predictor constructed with the same features in the same order.
+// Save serializes the predictor's history sketches to w, one map of
+// groups per feature in the order of features.
 func (p *Predictor) Save(w io.Writer) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -66,8 +65,7 @@ func (p *Predictor) Save(w io.Writer) error {
 }
 
 // Load replaces the predictor's history with a previously saved state. The
-// predictor must have been constructed with the same feature list (by
-// count and order).
+// state must hold one map of groups per feature.
 func (p *Predictor) Load(r io.Reader) error {
 	var st predictorState
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
@@ -76,9 +74,9 @@ func (p *Predictor) Load(r io.Reader) error {
 	if st.Version != persistVersion {
 		return fmt.Errorf("predictor: load: unsupported version %d", st.Version)
 	}
-	if len(st.Groups) != len(p.cfg.Features) {
+	if len(st.Groups) != len(features) {
 		return fmt.Errorf("predictor: load: %d feature groups, predictor has %d features",
-			len(st.Groups), len(p.cfg.Features))
+			len(st.Groups), len(features))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -89,7 +87,7 @@ func (p *Predictor) Load(r io.Reader) error {
 		// same error, and restore work is order-identical across runs.
 		for _, val := range sortedKeys(m) {
 			gs := m[val]
-			g := newGroup(&p.cfg)
+			g := newGroup()
 			h, err := histogram.FromState(gs.Hist)
 			if err != nil {
 				return fmt.Errorf("predictor: load: feature %d, group %q: %w", fi, val, err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestRoundTripEstimatePerFeatureGroup trains on a workload diverse enough
-// to populate every DefaultFeatures group with distinct histories, then
+// to populate every feature group with distinct histories, then
 // checks that Save→Load reproduces the full Estimate — winning expert,
 // point, sample count, and distribution quantiles — for probe jobs whose
 // only usable history lives in each individual feature group.
@@ -259,5 +260,49 @@ func TestLoadRepairsCorruptHistogram(t *testing.T) {
 	est := q.Estimate(mk("alice", "etl", 4))
 	if est.Novel || math.IsNaN(est.Point) || est.Point <= 0 {
 		t.Errorf("estimate after repair = %+v", est)
+	}
+}
+
+// TestLoadStreamWithNMAEDecay: testdata/save-decay.json is a Save stream
+// written when expert scores could decay, so every NMAE entry carries
+// "decay": 1. It loads into a predictor that answers every query as one fed
+// the same 40 observations does, and saves as that predictor saves.
+func TestLoadStreamWithNMAEDecay(t *testing.T) {
+	data, err := os.ReadFile("testdata/save-decay.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"decay":1`)) {
+		t.Fatal("the fixture carries no NMAE decay")
+	}
+	loaded := New(Config{})
+	if err := loaded.Load(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	fed := New(Config{})
+	for i := 0; i < 40; i++ {
+		fed.Observe(mk(fmt.Sprintf("u%d", i%2), fmt.Sprintf("app%d", i%3), 1+i%3), float64(50+(i*37)%200))
+	}
+	var a, b bytes.Buffer
+	if err := loaded.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("the loaded predictor saves differently from the fed one")
+	}
+	for _, j := range []*job.Job{mk("u0", "app0", 1), mk("u1", "app2", 3), mk("u1", "app1", 8), mk("new", "x", 1)} {
+		got, want := loaded.Estimate(j), fed.Estimate(j)
+		if got.Point != want.Point || got.Expert != want.Expert || got.Samples != want.Samples {
+			t.Errorf("%s/%s: loaded %v %s %d, fed %v %s %d", j.User, j.Name,
+				got.Point, got.Expert, got.Samples, want.Point, want.Expert, want.Samples)
+		}
+		for _, x := range []float64{60, 120, 240} {
+			if got.Dist.CDF(x) != want.Dist.CDF(x) {
+				t.Errorf("%s/%s: CDF(%v) loaded %v, fed %v", j.User, j.Name, x, got.Dist.CDF(x), want.Dist.CDF(x))
+			}
+		}
 	}
 }

@@ -57,9 +57,9 @@ func (e EstimatorKind) String() string {
 	return "unknown"
 }
 
-// Feature extracts one categorical attribute (or attribute combination)
+// feature extracts one categorical attribute (or attribute combination)
 // from a job.
-type Feature struct {
+type feature struct {
 	Name    string
 	Extract func(*job.Job) string
 }
@@ -74,53 +74,34 @@ func tasksBucket(k int) string {
 	return fmt.Sprintf("<=%d", b)
 }
 
-// DefaultFeatures returns the feature set used by the experiments: user,
-// job name, their combination, resources requested, user×resources,
-// priority, and a catch-all (the fallback when a job matches no history).
-func DefaultFeatures() []Feature {
-	return []Feature{
-		{"user", func(j *job.Job) string { return j.User }},
-		{"name", func(j *job.Job) string { return j.Name }},
-		{"user+name", func(j *job.Job) string { return j.User + "/" + j.Name }},
-		{"resources", func(j *job.Job) string { return tasksBucket(j.Tasks) }},
-		{"user+resources", func(j *job.Job) string { return j.User + "/" + tasksBucket(j.Tasks) }},
-		{"priority", func(j *job.Job) string { return fmt.Sprintf("p%d", j.Priority) }},
-		{"all", func(j *job.Job) string { return "*" }},
-	}
+// features is the feature set: user, job name, their combination,
+// resources requested, user×resources, priority, and a catch-all (the
+// fallback when a job matches no history).
+var features = []feature{
+	{"user", func(j *job.Job) string { return j.User }},
+	{"name", func(j *job.Job) string { return j.Name }},
+	{"user+name", func(j *job.Job) string { return j.User + "/" + j.Name }},
+	{"resources", func(j *job.Job) string { return tasksBucket(j.Tasks) }},
+	{"user+resources", func(j *job.Job) string { return j.User + "/" + tasksBucket(j.Tasks) }},
+	{"priority", func(j *job.Job) string { return fmt.Sprintf("p%d", j.Priority) }},
+	{"all", func(j *job.Job) string { return "*" }},
 }
 
-// Config tunes the predictor.
-type Config struct {
-	MaxBins   int     // histogram bin budget (default 80, as in the paper)
-	Alpha     float64 // rolling-estimate EWMA weight (default 0.6)
-	RecentK   int     // recent-window length (default 20)
-	NMAEDecay float64 // per-observation decay of expert scores (default 1: none)
-	// DefaultRuntime is the point estimate returned for jobs with no
-	// usable history at all (default 300 s).
-	DefaultRuntime float64
-	Features       []Feature // default: DefaultFeatures()
-}
+// The estimator constants of §4.1. The paper's evaluation never varies
+// them, so neither can a Config.
+const (
+	maxBins = histogram.DefaultMaxBins // histogram bin budget ("a maximum of 80 bins")
+	alpha   = 0.6                      // rolling-estimate EWMA weight
+	recentK = 20                       // recent-window length
 
-func (c *Config) fill() {
-	if c.MaxBins <= 0 {
-		c.MaxBins = histogram.DefaultMaxBins
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.6
-	}
-	if c.RecentK <= 0 {
-		c.RecentK = 20
-	}
-	if c.NMAEDecay <= 0 || c.NMAEDecay > 1 {
-		c.NMAEDecay = 1
-	}
-	if c.DefaultRuntime <= 0 {
-		c.DefaultRuntime = 300
-	}
-	if c.Features == nil {
-		c.Features = DefaultFeatures()
-	}
-}
+	// defaultRuntime is the point estimate returned for jobs with no
+	// usable history at all, in seconds.
+	defaultRuntime = 300
+)
+
+// Config is empty: 3σPredict has nothing to tune. It is kept, with New's
+// parameter, because bench/ passes it.
+type Config struct{}
 
 // group is the constant-memory sketch of one feature value's history.
 type group struct {
@@ -134,13 +115,13 @@ type group struct {
 	nmae    [numEstimators]*stats.NMAE
 }
 
-func newGroup(cfg *Config) *group {
+func newGroup() *group {
 	g := &group{
-		hist:   histogram.New(cfg.MaxBins),
-		recent: make([]float64, cfg.RecentK),
+		hist:   histogram.New(maxBins),
+		recent: make([]float64, recentK),
 	}
 	for i := range g.nmae {
-		g.nmae[i] = stats.NewNMAE(cfg.NMAEDecay)
+		g.nmae[i] = new(stats.NMAE)
 	}
 	return g
 }
@@ -170,7 +151,7 @@ func (g *group) recentValues() []float64 {
 
 // observe scores all estimators against the new runtime and then folds the
 // runtime into the sketch.
-func (g *group) observe(runtime, alpha float64) {
+func (g *group) observe(runtime float64) {
 	if g.count > 0 {
 		for k := 0; k < numEstimators; k++ {
 			if est := g.estimate(EstimatorKind(k)); !math.IsNaN(est) {
@@ -214,18 +195,16 @@ type Estimate struct {
 // Predictor is a 3σPredict instance. It is safe for concurrent use.
 type Predictor struct {
 	mu     sync.Mutex
-	cfg    Config
 	groups []map[string]*group // guarded by mu; one map per feature
 }
 
-// New returns a predictor with the given configuration.
-func New(cfg Config) *Predictor {
-	cfg.fill()
-	groups := make([]map[string]*group, len(cfg.Features))
+// New returns an empty predictor.
+func New(Config) *Predictor {
+	groups := make([]map[string]*group, len(features))
 	for i := range groups {
 		groups[i] = make(map[string]*group)
 	}
-	return &Predictor{cfg: cfg, groups: groups}
+	return &Predictor{groups: groups}
 }
 
 // Estimate produces the runtime distribution and point estimate for a job
@@ -244,7 +223,7 @@ func (p *Predictor) Estimate(j *job.Job) Estimate {
 	// has a scored NMAE yet).
 	var fbGroup *group
 	fbName := ""
-	for fi, f := range p.cfg.Features {
+	for fi, f := range features {
 		g, ok := p.groups[fi][f.Extract(j)]
 		if !ok || g.count == 0 {
 			continue
@@ -272,18 +251,17 @@ func (p *Predictor) Estimate(j *job.Job) Estimate {
 				Samples: fbGroup.count,
 			}
 		}
-		// No history at all: a broad default around the configured runtime.
-		d := p.cfg.DefaultRuntime
+		// No history at all: a broad default around defaultRuntime.
 		return Estimate{
-			Dist:   dist.NewUniform(0, 2*d),
-			Point:  d,
+			Dist:   dist.NewUniform(0, 2*defaultRuntime),
+			Point:  defaultRuntime,
 			Expert: "default",
 			Novel:  true,
 		}
 	}
 	pt := bestGroup.estimate(bestKind)
 	if math.IsNaN(pt) || pt <= 0 {
-		pt = p.cfg.DefaultRuntime
+		pt = defaultRuntime
 	}
 	return Estimate{
 		Dist:    dist.NewEmpirical(bestGroup.hist.Clone()),
@@ -302,14 +280,14 @@ func (p *Predictor) Observe(j *job.Job, runtime float64) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for fi, f := range p.cfg.Features {
+	for fi, f := range features {
 		v := f.Extract(j)
 		g, ok := p.groups[fi][v]
 		if !ok {
-			g = newGroup(&p.cfg)
+			g = newGroup()
 			p.groups[fi][v] = g
 		}
-		g.observe(runtime, p.cfg.Alpha)
+		g.observe(runtime)
 	}
 }
 

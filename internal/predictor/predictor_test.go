@@ -14,16 +14,16 @@ func mk(user, name string, tasks int) *job.Job {
 }
 
 func TestNovelJobGetsDefault(t *testing.T) {
-	p := New(Config{DefaultRuntime: 500})
+	p := New(Config{})
 	e := p.Estimate(mk("alice", "train", 4))
 	if !e.Novel {
 		t.Fatal("expected novel estimate")
 	}
-	if e.Point != 500 {
-		t.Errorf("Point = %v, want 500", e.Point)
+	if e.Point != defaultRuntime {
+		t.Errorf("Point = %v, want %v", e.Point, defaultRuntime)
 	}
-	if e.Dist.Max() != 1000 {
-		t.Errorf("default dist max = %v, want 1000", e.Dist.Max())
+	if e.Dist.Max() != 2*defaultRuntime {
+		t.Errorf("default dist max = %v, want %v", e.Dist.Max(), 2*defaultRuntime)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestExpertSelectionPrefersPredictiveFeature(t *testing.T) {
 }
 
 func TestRollingTracksDrift(t *testing.T) {
-	p := New(Config{NMAEDecay: 0.9})
+	p := New(Config{})
 	j := mk("dave", "drift", 1)
 	// Runtime drifts upward; the rolling estimator should win and the
 	// estimate should be closer to recent values than the global mean.
@@ -133,14 +133,14 @@ func TestObserveIgnoresInvalidRuntimes(t *testing.T) {
 }
 
 func TestConstantMemoryPerGroup(t *testing.T) {
-	p := New(Config{MaxBins: 40, RecentK: 10})
+	p := New(Config{})
 	j := mk("grace", "big", 1)
 	for i := 0; i < 100000; i++ {
 		p.Observe(j, float64(1+i%1000))
 	}
 	// 7 features, each one group for this job.
-	if got := p.GroupCount(); got != len(DefaultFeatures()) {
-		t.Errorf("GroupCount = %d, want %d", got, len(DefaultFeatures()))
+	if got := p.GroupCount(); got != len(features) {
+		t.Errorf("GroupCount = %d, want %d", got, len(features))
 	}
 	e := p.Estimate(j)
 	if e.Samples != 100000 {

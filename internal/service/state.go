@@ -213,7 +213,6 @@ type state struct {
 	Ops     []deferred[opPayload]     `json:"ops,omitempty"`
 
 	FaultIdx int                    `json:"fault_idx,omitempty"` // next unapplied chaos schedule event
-	Attempts map[job.ID]int         `json:"attempts,omitempty"`  // starts per job, for per-attempt crash draws
 	Desired  map[job.ID]*desiredRun `json:"desired,omitempty"`   // attempts the agents should be running
 }
 
@@ -228,7 +227,6 @@ func newState(e env, cluster simulator.Cluster) *state {
 	}
 	if e.inj != nil {
 		st.eng.SetRetryBudget(e.inj.MaxRetries())
-		st.Attempts = make(map[job.ID]int)
 	}
 	return st
 }
@@ -565,9 +563,7 @@ func (st *state) cycleDecide(now float64, preempts []job.ID, starts []simulator.
 		rt = math.Max(rt, 0.001)
 		crashAt := 0.0
 		if st.inj != nil {
-			att := st.Attempts[id]
-			st.Attempts[id] = att + 1
-			if frac, crashes := st.inj.CrashPoint(id, att); crashes {
+			if frac, crashes := st.inj.CrashPoint(id, run.Attempt); crashes {
 				crashAt = now + frac*rt
 			}
 		}
@@ -886,9 +882,6 @@ func (st *state) decode(data []byte) (*state, *staged, error) {
 	}
 	if fresh.Desired == nil {
 		fresh.Desired = make(map[job.ID]*desiredRun)
-	}
-	if fresh.Attempts == nil && st.inj != nil {
-		fresh.Attempts = make(map[job.ID]int)
 	}
 	return fresh, &staged{sched: w.Sched, pred: w.Predictor}, nil
 }

@@ -439,6 +439,71 @@ func TestLegacyCheckpointRecordReplays(t *testing.T) {
 	}
 }
 
+// TestParentSnapshotInstalls: testdata/snapshot-attempts.json is runScript's
+// first snapshot as the previous release wrote it, with an "attempts" map of
+// starts per job (the attempt index is read off the outcome now) and a
+// predictor stream whose NMAE entries carry "decay": 1 (expert scores no
+// longer decay). It installs on a logless replica, whose state then encodes
+// as this release's own snapshot at that seq, and the leader's log suffix
+// brings it to the uninterrupted run's outcome digest and predictor hash.
+// That digest is the previous release's: the crash injector drew every
+// attempt's fate with the same attempt index.
+func TestParentSnapshotInstalls(t *testing.T) {
+	const parentDigest = "44c31aa0c46ce01ee6c009dbb28f1a69d24457520924bfc22856ccbdc9267914"
+	data, err := os.ReadFile("testdata/snapshot-attempts.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"attempts":{`)) || !bytes.Contains(data, []byte(`"decay":1`)) {
+		t.Fatal("the fixture carries no attempts map or no NMAE decay")
+	}
+	l, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runScript(t, l, nil).Metrics()
+	if want.OutcomeDigest != parentDigest {
+		t.Errorf("uninterrupted run: digest %.12s, the previous release's %.12s", want.OutcomeDigest, parentDigest)
+	}
+	recs := l.Records()
+	var snap replog.Record
+	for _, rec := range recs {
+		if rec.Type == replog.TypeSnapshot {
+			snap = rec
+			break
+		}
+	}
+	old := snap
+	old.Data = data
+
+	svc := mustService(t, scriptConfig())
+	svc.mu.Lock()
+	if err := svc.installSnapshotLocked(old, false); err != nil {
+		svc.mu.Unlock()
+		t.Fatal(err)
+	}
+	enc, err := json.Marshal(svc.st)
+	if err != nil {
+		svc.mu.Unlock()
+		t.Fatal(err)
+	}
+	for _, rec := range recs[snap.Seq:] {
+		if err := svc.applyRecordLocked(rec); err != nil {
+			svc.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	svc.mu.Unlock()
+	if !bytes.Equal(enc, snap.Data) {
+		t.Errorf("the installed state encodes as %d bytes, this release's snapshot at seq %d is %d", len(enc), snap.Seq, len(snap.Data))
+	}
+	m := svc.Metrics()
+	if m.OutcomeDigest != want.OutcomeDigest || m.PredictorSHA != want.PredictorSHA || m.Cycles != want.Cycles || m.Control.Diverged != 0 {
+		t.Fatalf("after the suffix: digest %.12s sha %.12s cycle %d, %d divergences; leader has %.12s %.12s %d",
+			m.OutcomeDigest, m.PredictorSHA, m.Cycles, m.Control.Diverged, want.OutcomeDigest, want.PredictorSHA, want.Cycles)
+	}
+}
+
 // FuzzSnapshotHeader holds the in-sync follower's read of a snapshot
 // record's front to the full decode: it never panics, reads back what wire()
 // wrote, and whatever it accepts json.Unmarshal reads the same way — unless

@@ -32,9 +32,9 @@ import (
 	"threesigma/internal/simulator"
 )
 
-// DefaultRebalanceEvery is the default rebalancing period in coordinator
-// cycles.
-const DefaultRebalanceEvery = 25
+// rebalanceEvery is the load-rebalancing period in coordinator cycles
+// (DESIGN.md §13 measures it against no rebalancing).
+const rebalanceEvery = 25
 
 // spanState tracks one cross-domain job: its per-shard shadow (Class pinned
 // to SLO so no single shard tries to preempt a job it only partially sees)
@@ -58,10 +58,6 @@ type Coordinator struct {
 	shards   []*core.Scheduler
 	cfg      core.Config // proto configuration, defaults filled
 	est      core.Estimator
-
-	// RebalanceEvery is the load-rebalancing period in coordinator cycles
-	// (default DefaultRebalanceEvery; set before the first cycle).
-	RebalanceEvery int
 
 	owner     map[job.ID]int // shard index; spanShard for cross-domain jobs
 	shadows   map[job.ID]*job.Job
@@ -113,18 +109,17 @@ func NewCoordinator(proto *core.Scheduler, cluster simulator.Cluster, n int) (*C
 	}
 	cfg := proto.Config()
 	c := &Coordinator{
-		n:              n,
-		doms:           simulator.PartitionDomains(nParts, n),
-		cfg:            cfg,
-		est:            proto.Estimator(),
-		RebalanceEvery: DefaultRebalanceEvery,
-		owner:          make(map[job.ID]int),
-		shadows:        make(map[job.ID]*job.Job),
-		span:           make(map[job.ID]*spanState),
-		abandoned:      make(map[job.ID]bool),
-		subs:           make([]sub, n),
-		counts:         make([]int, n),
-		movable:        make([][]*job.Job, n),
+		n:         n,
+		doms:      simulator.PartitionDomains(nParts, n),
+		cfg:       cfg,
+		est:       proto.Estimator(),
+		owner:     make(map[job.ID]int),
+		shadows:   make(map[job.ID]*job.Job),
+		span:      make(map[job.ID]*spanState),
+		abandoned: make(map[job.ID]bool),
+		subs:      make([]sub, n),
+		counts:    make([]int, n),
+		movable:   make([][]*job.Job, n),
 	}
 	c.partDom = make([]int, nParts)
 	c.domNodes = make([]int, n)

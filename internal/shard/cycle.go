@@ -65,7 +65,7 @@ func (c *Coordinator) Cycle(st *simulator.State) simulator.Decision {
 
 	if c.n > 1 {
 		c.steal(st)
-		if c.RebalanceEvery > 0 && cyc%c.RebalanceEvery == 0 {
+		if cyc%rebalanceEvery == 0 {
 			c.rebalance(st)
 		}
 	}
@@ -292,7 +292,7 @@ func (c *Coordinator) placeSpanning(st *simulator.State, spanning []*job.Job, fr
 		if c.abandoned[j.ID] {
 			continue
 		}
-		if c.cfg.Hopeless(j, st.Now) {
+		if core.Hopeless(j, st.Now) {
 			c.abandoned[j.ID] = true
 			c.statsMu.Lock()
 			c.spanAbandons++

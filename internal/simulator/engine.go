@@ -55,10 +55,14 @@ type runEntry struct {
 
 // StartedRun describes a successfully launched attempt. RunID is the
 // attempt generation: completions carry it back so a completion raced by a
-// preemption (and restart) of the same job is recognized as stale.
+// preemption (and restart) of the same job is recognized as stale. Attempt
+// is the job's attempt index, 0 for its first start: every earlier attempt
+// ended in a preemption or an eviction (completion, cancel and fail-out end
+// the job), so it is the outcome's Preemptions + Evictions.
 type StartedRun struct {
 	Job         *job.Job
 	RunID       int64
+	Attempt     int
 	OnPreferred bool
 }
 
@@ -233,7 +237,7 @@ func (e *Engine) Start(a StartAction, startTime float64) (*StartedRun, bool) {
 		o.FirstStart = startTime
 	}
 	e.epoch++
-	return &StartedRun{Job: j, RunID: ri.runID, OnPreferred: onPref}, true
+	return &StartedRun{Job: j, RunID: ri.runID, Attempt: o.Preemptions + o.Evictions, OnPreferred: onPref}, true
 }
 
 // Preempt evicts a running job, losing its work: nodes are freed, wasted

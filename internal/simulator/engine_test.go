@@ -62,6 +62,37 @@ func TestEngineStartValidationCountsSkips(t *testing.T) {
 	}
 }
 
+// TestEngineAttemptIndex: each start's Attempt counts the job's earlier
+// attempts, which a preemption, a node-loss eviction and a crash each ended.
+func TestEngineAttemptIndex(t *testing.T) {
+	e := NewEngine(NewCluster(4, 1))
+	if err := e.Submit(mkJob(1, 0, 10, 2)); err != nil {
+		t.Fatal(err)
+	}
+	start := func(want int) *StartedRun {
+		t.Helper()
+		run, ok := e.Start(StartAction{Job: 1, Alloc: Alloc{2}}, 0)
+		if !ok || run.Attempt != want {
+			t.Fatalf("start: ok=%v attempt %v, want attempt %d", ok, run, want)
+		}
+		return run
+	}
+	start(0)
+	e.Preempt(1, 1)
+	start(1)
+	if _, _, _, err := e.FailNodes(0, 4, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RecoverNodes(0, 4, 3); err != nil {
+		t.Fatal(err)
+	}
+	run := start(2)
+	if _, ok := e.CrashRun(1, run.RunID, 4); !ok {
+		t.Fatal("crash of the live run refused")
+	}
+	start(3)
+}
+
 func TestEngineConservationAcrossLifecycle(t *testing.T) {
 	e := NewEngine(NewCluster(8, 2))
 	check := func(stage string, wantAlloc int) {

@@ -247,7 +247,7 @@ func (b *badScheduler) Cycle(st *State) Decision {
 func TestRuntimeJitterPerturbsCompletion(t *testing.T) {
 	g := newGreedyFIFO()
 	j := mkJob(1, 0, 1000, 2)
-	sim, err := New(g, []*job.Job{j}, Options{Cluster: NewCluster(4, 1), CycleInterval: 10, RuntimeJitter: 0.1, Seed: 3})
+	sim, err := New(g, []*job.Job{j}, Options{Cluster: NewCluster(4, 1), CycleInterval: 10, RealCluster: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +267,13 @@ func TestRuntimeJitterPerturbsCompletion(t *testing.T) {
 func TestPlacementDelayShiftsStart(t *testing.T) {
 	g := newGreedyFIFO()
 	j := mkJob(1, 0, 100, 2)
-	sim, err := New(g, []*job.Job{j}, Options{Cluster: NewCluster(4, 1), CycleInterval: 10, PlacementDelay: 2})
+	sim, err := New(g, []*job.Job{j}, Options{Cluster: NewCluster(4, 1), CycleInterval: 10, RealCluster: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := sim.Run()
-	if got := res.Outcomes[0].FirstStart; got != 2 {
-		t.Errorf("start = %v, want 2", got)
+	if got := res.Outcomes[0].FirstStart; got != placementDelay {
+		t.Errorf("start = %v, want %v", got, placementDelay)
 	}
 }
 

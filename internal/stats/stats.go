@@ -119,28 +119,18 @@ var ErrEmptyInput = errors.New("stats: empty input")
 
 // NMAE is a streaming normalized mean absolute error tracker. 3σPredict
 // scores each feature-value:estimator "expert" by the NMAE of its past
-// estimates (§4.1); the tracker is O(1) memory and supports exponential
-// decay so stale accuracy fades.
+// estimates (§4.1); the tracker is O(1) memory. The zero value is an empty
+// tracker.
 type NMAE struct {
 	sumAbsErr float64
 	sumActual float64
 	n         int
-	decay     float64 // multiplier in (0,1]; 1 = no decay
-}
-
-// NewNMAE returns a tracker whose accumulated error and mass decay by the
-// given factor on each observation. decay of 1 means a plain running NMAE.
-func NewNMAE(decay float64) *NMAE {
-	if decay <= 0 || decay > 1 {
-		decay = 1
-	}
-	return &NMAE{decay: decay}
 }
 
 // Observe records one (estimate, actual) pair.
 func (m *NMAE) Observe(estimate, actual float64) {
-	m.sumAbsErr = m.sumAbsErr*m.decay + math.Abs(estimate-actual)
-	m.sumActual = m.sumActual*m.decay + math.Abs(actual)
+	m.sumAbsErr += math.Abs(estimate - actual)
+	m.sumActual += math.Abs(actual)
 	m.n++
 }
 
@@ -156,24 +146,21 @@ func (m *NMAE) Value() float64 {
 // Count returns the number of observations recorded.
 func (m *NMAE) Count() int { return m.n }
 
-// NMAEState is a serializable snapshot of an NMAE tracker.
+// NMAEState is a serializable snapshot of an NMAE tracker. A snapshot
+// written when trackers could decay carries a "decay" key as well; it was
+// always 1 and is ignored.
 type NMAEState struct {
 	SumAbsErr float64 `json:"sum_abs_err"`
 	SumActual float64 `json:"sum_actual"`
 	N         int     `json:"n"`
-	Decay     float64 `json:"decay"`
 }
 
 // State captures the tracker's full state.
 func (m *NMAE) State() NMAEState {
-	return NMAEState{SumAbsErr: m.sumAbsErr, SumActual: m.sumActual, N: m.n, Decay: m.decay}
+	return NMAEState{SumAbsErr: m.sumAbsErr, SumActual: m.sumActual, N: m.n}
 }
 
 // NMAEFromState reconstructs a tracker from a snapshot.
 func NMAEFromState(s NMAEState) *NMAE {
-	m := NewNMAE(s.Decay)
-	m.sumAbsErr = s.SumAbsErr
-	m.sumActual = s.SumActual
-	m.n = s.N
-	return m
+	return &NMAE{sumAbsErr: s.SumAbsErr, sumActual: s.SumActual, n: s.N}
 }

@@ -72,7 +72,7 @@ func TestPercentileInterpolates(t *testing.T) {
 }
 
 func TestNMAE(t *testing.T) {
-	m := NewNMAE(1)
+	var m NMAE
 	if !math.IsInf(m.Value(), 1) {
 		t.Error("untrained NMAE should be +Inf")
 	}
@@ -86,31 +86,6 @@ func TestNMAE(t *testing.T) {
 	}
 	if m.Count() != 2 {
 		t.Errorf("Count = %d, want 2", m.Count())
-	}
-}
-
-func TestNMAEDecayPrefersRecent(t *testing.T) {
-	slow := NewNMAE(1)
-	fast := NewNMAE(0.5)
-	// Long stretch of bad estimates followed by good ones.
-	for i := 0; i < 50; i++ {
-		slow.Observe(0, 10)
-		fast.Observe(0, 10)
-	}
-	for i := 0; i < 10; i++ {
-		slow.Observe(10, 10)
-		fast.Observe(10, 10)
-	}
-	if fast.Value() >= slow.Value() {
-		t.Errorf("decayed NMAE %v should be below undecayed %v after recovery", fast.Value(), slow.Value())
-	}
-}
-
-func TestNMAEInvalidDecayFallsBack(t *testing.T) {
-	m := NewNMAE(-3)
-	m.Observe(5, 10)
-	if got := m.Value(); got != 0.5 {
-		t.Errorf("NMAE with invalid decay = %v, want 0.5", got)
 	}
 }
 

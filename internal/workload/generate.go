@@ -28,17 +28,13 @@ type Config struct {
 
 	ArrivalSCV float64 // squared CoV of inter-arrival times (default 4)
 
-	// PreferredFraction of the partitions is preferred by each SLO job
-	// (default 0.75); NonPrefFactor is the slowdown elsewhere (default 1.5).
-	PreferredFraction float64
-	NonPrefFactor     float64
+	// NonPrefFactor is an SLO job's slowdown off its preferred partitions
+	// (default 1.5).
+	NonPrefFactor float64
 
-	// PretrainJobs is the number of history jobs generated before the
-	// experiment window for predictor pre-training (default 8× the app
-	// count, drawn by app popularity). Ignored when PretrainPerApp > 0.
-	PretrainJobs int
 	// PretrainPerApp forces exactly n history samples per app (the Fig. 11
-	// SAMPLE-n workloads).
+	// SAMPLE-n workloads). 0 generates pretrainPerApp× the app count, drawn
+	// by app popularity.
 	PretrainPerApp int
 
 	// JobsPerHour, when > 0, fixes the arrival rate and scales runtimes to
@@ -74,18 +70,28 @@ func (c *Config) fill() {
 		c.SLOLoadShare = 0.5
 	}
 	if len(c.SlackChoices) == 0 {
-		c.SlackChoices = []float64{0.2, 0.4, 0.6, 0.8}
+		c.SlackChoices = slackChoices
 	}
 	if c.ArrivalSCV <= 0 {
 		c.ArrivalSCV = 4
 	}
-	if c.PreferredFraction <= 0 || c.PreferredFraction > 1 {
-		c.PreferredFraction = 0.75
-	}
 	if c.NonPrefFactor < 1 {
-		c.NonPrefFactor = 1.5
+		c.NonPrefFactor = nonPrefFactor
 	}
 }
+
+// The §5 workload constants that no experiment varies: the deadline-slack
+// menu an SLO job draws from, the fraction of partitions it prefers, and
+// its slowdown elsewhere (the defaults of Config's SlackChoices and
+// NonPrefFactor, and fixed for trace replays). Generated workloads carry
+// pretrainPerApp history jobs per app unless PretrainPerApp says otherwise.
+var slackChoices = []float64{0.2, 0.4, 0.6, 0.8}
+
+const (
+	preferredFraction = 0.75
+	nonPrefFactor     = 1.5
+	pretrainPerApp    = 8
+)
 
 // Workload is a generated experiment input.
 type Workload struct {
@@ -133,10 +139,7 @@ func Generate(cfg Config) *Workload {
 			}
 		}
 	} else {
-		n := cfg.PretrainJobs
-		if n <= 0 {
-			n = 8 * len(apps)
-		}
+		n := pretrainPerApp * len(apps)
 		for i := 0; i < n; i++ {
 			a := pickApp(apps, popTotal, rng)
 			id++
@@ -166,7 +169,7 @@ func Generate(cfg Config) *Workload {
 	var sloWork, beWork float64
 	var jobs []*job.Job
 	nParts := len(cfg.Cluster.Partitions)
-	prefCount := int(math.Round(cfg.PreferredFraction * float64(nParts)))
+	prefCount := int(math.Round(preferredFraction * float64(nParts)))
 	if prefCount < 1 {
 		prefCount = 1
 	}

@@ -25,16 +25,13 @@ type ReplayConfig struct {
 	SegmentStart float64
 	SegmentHours float64
 
-	// SLOFraction of the segment's jobs become SLO jobs (default 0.5), in
-	// submission order via deterministic striping.
-	SLOFraction float64
-
-	SlackChoices      []float64 // default {0.2, 0.4, 0.6, 0.8}
-	PreferredFraction float64   // default 0.75 of partitions
-	NonPrefFactor     float64   // default 1.5
-
 	Seed int64
 }
+
+// sloFraction of a replayed segment's jobs become SLO jobs, in submission
+// order via deterministic striping; they draw their slack, preferred
+// partitions and slowdown as generated workloads do.
+const sloFraction = 0.5
 
 func (c *ReplayConfig) fill() {
 	if c.Name == "" {
@@ -42,18 +39,6 @@ func (c *ReplayConfig) fill() {
 	}
 	if len(c.Cluster.Partitions) == 0 {
 		c.Cluster = simulator.NewCluster(256, 8)
-	}
-	if c.SLOFraction <= 0 || c.SLOFraction > 1 {
-		c.SLOFraction = 0.5
-	}
-	if len(c.SlackChoices) == 0 {
-		c.SlackChoices = []float64{0.2, 0.4, 0.6, 0.8}
-	}
-	if c.PreferredFraction <= 0 || c.PreferredFraction > 1 {
-		c.PreferredFraction = 0.75
-	}
-	if c.NonPrefFactor < 1 {
-		c.NonPrefFactor = 1.5
 	}
 }
 
@@ -69,7 +54,7 @@ func FromTrace(recs []trace.Record, cfg ReplayConfig) *Workload {
 
 	nodes := cfg.Cluster.TotalNodes()
 	nParts := len(cfg.Cluster.Partitions)
-	prefCount := int(math.Round(cfg.PreferredFraction * float64(nParts)))
+	prefCount := int(math.Round(preferredFraction * float64(nParts)))
 	if prefCount < 1 {
 		prefCount = 1
 	}
@@ -101,11 +86,11 @@ func FromTrace(recs []trace.Record, cfg ReplayConfig) *Workload {
 			Runtime: r.Runtime,
 		}
 		seen++
-		if float64(sloCount) < cfg.SLOFraction*float64(seen) {
+		if float64(sloCount) < sloFraction*float64(seen) {
 			sloCount++
 			j.Class = job.SLO
-			j.NonPrefFactor = cfg.NonPrefFactor
-			slack := cfg.SlackChoices[rng.Intn(len(cfg.SlackChoices))]
+			j.NonPrefFactor = nonPrefFactor
+			slack := slackChoices[rng.Intn(len(slackChoices))]
 			j.Deadline = j.Submit + j.Runtime*(1+slack)
 			if prefCount < nParts {
 				perm := rng.Perm(nParts)

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # ci.sh — the repository's verification gate: vet, the 3sigma-lint static
-# analyzer, build, the full test suite under the race detector, the
+# analyzer, build, one run of every example program, the full test suite
+# under the race detector, the
 # differential solver oracle, one run of every solver and model-build
 # benchmark, a fuzz
 # smoke pass over the histogram/distribution property targets and the control
@@ -60,6 +61,14 @@ echo "suppressions: $ALLOWS / $BUDGET"
 
 echo "== go build =="
 go build ./...
+
+echo "== examples =="
+# Every program under examples/ drives the public facade (sigma.go) end to
+# end; each must run to completion and exit 0.
+for EX in examples/*/; do
+    echo "$EX"
+    go run "./$EX" >/dev/null || { echo "FAIL: $EX exited non-zero"; exit 1; }
+done
 
 echo "== go test -race =="
 go test -race ./...

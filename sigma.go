@@ -60,10 +60,10 @@ type (
 	Workload = workload.Workload
 	// WorkloadConfig parameterizes workload generation (§5 defaults).
 	WorkloadConfig = workload.Config
-	// PredictorConfig tunes 3σPredict.
-	PredictorConfig = predictor.Config
-	// SchedulerConfig tunes 3σSched (plan-ahead window, solver node budget,
-	// utility weights, mis-estimate handling).
+	// SchedulerConfig tunes 3σSched: its policy (distributions,
+	// mis-estimate handling, preemption), plan-ahead window, cycle period,
+	// solver node budget and per-job utility hook. The utility weights and
+	// mis-estimate constants of §4.2–4.3 are fixed (DESIGN.md §11).
 	SchedulerConfig = core.Config
 	// Estimate is 3σPredict's answer for one job: a runtime distribution,
 	// the best point estimate, and the winning expert.
@@ -94,10 +94,10 @@ func NewCluster(nodes, partitions int) Cluster { return simulator.NewCluster(nod
 // scored by NMAE, returning empirical runtime distributions.
 type Predictor struct{ p *predictor.Predictor }
 
-// NewPredictor returns a predictor; the zero PredictorConfig selects the
-// paper's defaults (80 histogram bins, α = 0.6, recent window 20).
-func NewPredictor(cfg PredictorConfig) *Predictor {
-	return &Predictor{p: predictor.New(cfg)}
+// NewPredictor returns an empty predictor with the paper's fixed estimator
+// constants (80 histogram bins, α = 0.6, recent window 20; DESIGN.md §11).
+func NewPredictor() *Predictor {
+	return &Predictor{p: predictor.New(predictor.Config{})}
 }
 
 // Estimate returns the runtime distribution and point estimate for a job.
@@ -114,8 +114,7 @@ func (p *Predictor) Train(w *Workload) { experiments.Pretrain(p.p, w) }
 // history database) for reuse across processes.
 func (p *Predictor) Save(w io.Writer) error { return p.p.Save(w) }
 
-// Load restores history saved by Save into a predictor constructed with
-// the same feature configuration.
+// Load restores history saved by Save.
 func (p *Predictor) Load(r io.Reader) error { return p.p.Load(r) }
 
 // The system types and the run options the facade shares with

@@ -72,7 +72,7 @@ func TestNewSchedulerRequiresPredictor(t *testing.T) {
 }
 
 func TestPredictorFacade(t *testing.T) {
-	p := NewPredictor(PredictorConfig{})
+	p := NewPredictor()
 	j := &Job{ID: 1, User: "u", Name: "n", Tasks: 2}
 	for i := 0; i < 15; i++ {
 		p.Observe(j, 120)
@@ -91,7 +91,7 @@ func TestPredictorFacade(t *testing.T) {
 
 func TestPredictorTrainFromWorkload(t *testing.T) {
 	w := smallWorkload(4)
-	p := NewPredictor(PredictorConfig{})
+	p := NewPredictor()
 	p.Train(w)
 	novel := 0
 	for _, j := range w.Jobs[:10] {
@@ -166,7 +166,7 @@ func TestWorkloadFromTraceFacade(t *testing.T) {
 }
 
 func TestPredictorSaveLoadFacade(t *testing.T) {
-	p := NewPredictor(PredictorConfig{})
+	p := NewPredictor()
 	j := &Job{ID: 1, User: "u", Name: "app", Tasks: 2}
 	for i := 0; i < 10; i++ {
 		p.Observe(j, 300)
@@ -175,7 +175,7 @@ func TestPredictorSaveLoadFacade(t *testing.T) {
 	if err := p.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q := NewPredictor(PredictorConfig{})
+	q := NewPredictor()
 	if err := q.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
