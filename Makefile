@@ -43,13 +43,18 @@ check: lint
 	THREESIGMA_ORACLE_MODELS=200 THREESIGMA_ORACLE_SEED=1 \
 		$(GO) test -count=1 ./internal/check
 
-# fuzz runs each fuzz target for a short randomized pass (the regression
-# corpus under testdata/fuzz always runs as part of plain `make test`).
+# fuzz runs each fuzz target for a short randomized pass — the same six
+# targets scripts/ci.sh's fuzz smoke runs: the histogram and distribution
+# invariants, and the control plane's state machine and snapshot header (the
+# regression corpus under testdata/fuzz always runs as part of plain
+# `make test`).
 fuzz:
 	$(GO) test -fuzz '^FuzzHistogramInvariants$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzFromState$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzCDFAscending$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzConditional$$' -fuzztime 10s -run '^$$' ./internal/dist
+	$(GO) test -fuzz '^FuzzStateApply$$' -fuzztime 10s -run '^$$' ./internal/service
+	$(GO) test -fuzz '^FuzzSnapshotHeader$$' -fuzztime 10s -run '^$$' ./internal/service
 
 # verify is the CI gate: vet + lint + build + race-enabled tests + oracle +
 # fuzz smoke + determinism, pinned-outcome and service e2e gates.

@@ -517,6 +517,7 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 			s.stats.SolverProved++
 		}
 		s.stats.SolverColdFallbacks += sol.ColdFallbacks
+		s.stats.SolverCutoffs += sol.Cutoffs
 	}
 	s.statsMu.Unlock()
 	return dec

@@ -94,10 +94,13 @@ type SolverStats struct {
 	// counts in none): proved — the search ran out of open nodes, Status
 	// Optimal or Infeasible — or stopped unproved by the node budget.
 	// ColdFallbacks counts the non-root nodes solved cold because their
-	// parent's tableau could not be used (milp.Solution).
+	// parent's tableau could not be used, Cutoffs the children whose
+	// re-solve stopped once their bound fell to the incumbent
+	// (milp.Solution).
 	SolverProved        int `json:"solver_proved"`
 	SolverNodeCapped    int `json:"solver_node_capped"`
 	SolverColdFallbacks int `json:"solver_cold_fallbacks"`
+	SolverCutoffs       int `json:"solver_cutoffs"`
 
 	// Model-builder memoization counters (cross-cycle expected-utility and
 	// survival-term cache).
@@ -124,7 +127,7 @@ type SolverStats struct {
 func (s *SolverStats) fields() []*int {
 	return []*int{
 		&s.Predictions, &s.Starts, &s.Preemptions, &s.AllocFailures, &s.Deferrals,
-		&s.SolverNodes, &s.SolverLPIters, &s.SolverProved, &s.SolverNodeCapped, &s.SolverColdFallbacks,
+		&s.SolverNodes, &s.SolverLPIters, &s.SolverProved, &s.SolverNodeCapped, &s.SolverColdFallbacks, &s.SolverCutoffs,
 		&s.CacheHits, &s.CacheMisses,
 		&s.PatchedCycles, &s.RebuildFallbacks, &s.RowsPatched, &s.ColsPatched,
 		&s.WarmBasisReuses, &s.IncumbentSeedHits, &s.ReusedSolves,

@@ -51,9 +51,10 @@ type lpArena struct {
 	childX []float64 // the child's solution vector
 	slots  []lpSlot
 	// onChild, when set (tests), sees every child re-solved from its
-	// parent's tableau: the node, its expansion number, its result and
-	// objective constant; trace, when set, records the child's pivots.
-	onChild func(nd *bbNode, seq int, res lpResult, objConst float64, err error)
+	// parent's tableau: the node, its expansion number, its result,
+	// objective constant and the cutoff it was given; trace, when set,
+	// records the child's pivots.
+	onChild func(nd *bbNode, seq int, res lpResult, objConst, cutoff float64, err error)
 	trace   *[]pivotRec
 
 	// Branch-and-bound scratch.

@@ -20,6 +20,19 @@ import (
 // and Solution.ColdFallbacks counts it.
 var errColdStart = errors.New("milp: child needs a cold solve")
 
+// errCutoff reports that a child's LP bound fell to the cutoff before its
+// re-solve finished: the child cannot beat the incumbent, and solveIn prunes
+// it as it prunes a child whose optimum came out at or below the cutoff.
+// Solution.Cutoffs counts it.
+var errCutoff = errors.New("milp: child cut off at the incumbent")
+
+// cutoffMargin, relative to max(1, |cutoff|), is how far a child's bound
+// must fall below the cutoff to stop its re-solve. Reduced costs are
+// nonnegative only to within zeroTol and the optimum solveIn compares is
+// summed from x, not read off the tableau, so a bound exactly at the cutoff
+// is left to the full solve.
+const cutoffMargin = 1e-9
+
 // lpSlot is one saved optimal tableau. Slot d holds the tableau of the last
 // node at depth d that branched, tagged with that node's expansion number.
 // Under the deepest-first heap order, a node popped at depth d is a child
@@ -54,12 +67,37 @@ func (ar *lpArena) saveSlot(d, tag int, lp *simplexLP, objConst float64) {
 // result's x is the arena's (ar.childX), valid until the next child. The LP
 // it leaves in ar.child is nd's optimal tableau, for saveSlot. errColdStart
 // asks for a cold solve; the iterations spent before it are in the result.
-func (ar *lpArena) solveChild(m *Model, nd *bbNode) (lpResult, float64, error) {
+//
+// cutoff is the objective solveIn prunes at (gapTerm). The child's bound is
+// priced on the parent's tableau before the child gets a copy of it, and
+// again before each dual pivot; once it falls to the cutoff less
+// cutoffMargin the re-solve stops with errCutoff (DESIGN.md §6). Before
+// there is an incumbent gapTerm is NaN, to which no bound falls.
+func (ar *lpArena) solveChild(m *Model, nd *bbNode, cutoff float64) (lpResult, float64, error) {
 	d := nd.depth - 1
 	if d >= len(ar.slots) || ar.slots[d].tag != nd.parent {
 		return lpResult{}, 0, errColdStart
 	}
 	s := &ar.slots[d]
+	r := s.lp.basicRow(nd.v)
+	if r < 0 {
+		return lpResult{}, 0, errColdStart // a fractional variable is basic; this is not its parent's tableau
+	}
+	val := float64(nd.branch)
+	objConst := s.objConst
+	if nd.branch == 1 {
+		objConst += m.obj[nd.v]
+	}
+	lim := cutoff - cutoffMargin*math.Max(1, math.Abs(cutoff))
+	e, z, err := s.lp.priceFix(r, nd.v, val)
+	if err == nil && z+objConst <= lim {
+		err = errCutoff
+	}
+	if err != nil {
+		// Decided by the pivot-out alone, which counts as fixBasic's
+		// iteration: the tableau is neither copied nor taken.
+		return lpResult{iters: 1}, 0, err
+	}
 	lp := &ar.child
 	if nd.branch == 0 {
 		// nodeHeap pops the 0-branch after its sibling, so it is the slot's
@@ -71,14 +109,8 @@ func (ar *lpArena) solveChild(m *Model, nd *bbNode) (lpResult, float64, error) {
 	}
 	lp.iters, lp.trace = 0, ar.trace
 	lp.nz, lp.nzv = grow(&ar.nz, lp.stride), grow(&ar.nzv, lp.stride)
-	objConst := s.objConst
-	if nd.branch == 1 {
-		objConst += m.obj[nd.v]
-	}
-	err := lp.fixBasic(nd.v, float64(nd.branch))
-	if err == nil {
-		err = lp.dualSimplex(4 * (lp.m + 8))
-	}
+	lp.fixBasic(r, e, nd.v, val)
+	err = lp.dualSimplex(4*(lp.m+8), objConst, lim)
 	if err == nil && lp.iterate(200*(lp.m+lp.n+10), lp.artCol0) != nil {
 		err = errColdStart // unbounded or stalled: numeric trouble
 	}
@@ -101,56 +133,82 @@ func (lp *simplexLP) copyFrom(src *simplexLP) {
 	lp.cost = append(cost[:0], src.cost...)
 }
 
-// fixBasic fixes the basic variable v at val in an optimal tableau. v's
-// column is the unit column of its row r, so substituting v = val changes
-// only that row's rhs, to β_r − val, and drops the column. Row r is then left
-// without a basic variable; the dual ratio test over the row picks the
-// column that replaces v, among those whose entry has the sign of β_r − val
-// (so that column's value comes out nonnegative). ErrInfeasible when there
-// is no such column: the row then keeps v's value away from val for every
-// x ≥ 0. When it keeps it away by no more than feasTol — possible only with
-// an IntTol below feasTol — the cold solve judges (errColdStart), as in
-// dualSimplex.
-func (lp *simplexLP) fixBasic(v int, val float64) error {
-	r := -1
+// basicRow returns the row in which v is basic, -1 when v is nonbasic.
+func (lp *simplexLP) basicRow(v int) int {
 	for i, b := range lp.basis {
 		if b == v {
-			r = i
-			break
+			return i
 		}
 	}
-	if r < 0 {
-		return errColdStart // a fractional variable is basic; this is not its parent's tableau
+	return -1
+}
+
+// priceFix prices fixBasic's pivot-out without changing lp: v, basic in row
+// r of an optimal tableau, is fixed at val. v's column is the unit column of
+// r, so substituting v = val changes only that row's rhs, to β_r − val, and
+// drops the column. Row r is then left without a basic variable; the dual
+// ratio test over the row picks the column e that replaces v, among those
+// whose entry has the sign of β_r − val (so that column's value comes out
+// nonnegative). z is the objective zrow[cols] the pivot leaves, computed
+// with pivot's own arithmetic so that fixBasic leaves exactly z: as every
+// reduced cost stays nonnegative, z bounds the child's LP optimum.
+//
+// ErrInfeasible when there is no entering column: the row then keeps v's
+// value away from val for every x ≥ 0. When it keeps it away by no more
+// than feasTol — possible only with an IntTol below feasTol — the cold solve
+// judges (errColdStart), as in dualSimplex.
+//
+// Only the row's rhs, the objective and v's cost change before the ratio
+// test, and dualEnter reads none of them, so pricing on the parent's saved
+// tableau gives the verdict and e the child's copy would give.
+func (lp *simplexLP) priceFix(r, v int, val float64) (e int, z float64, err error) {
+	row := lp.row(r)
+	b := row[lp.w] - val
+	z = lp.zrow[lp.cols] - lp.cost[v]*val
+	s := 1.0
+	if b < 0 {
+		s = -1
 	}
+	if e = lp.dualEnter(r, s); e < 0 {
+		if math.Abs(b) <= feasTol {
+			return -1, 0, errColdStart // infeasible only within tolerance: let the cold solve judge
+		}
+		return -1, 0, ErrInfeasible
+	}
+	// pivot's reduced-cost update at the rhs position: forcePivot scales a
+	// nonzero rhs by 1/a, and a nonzero reduced cost f of e subtracts f times
+	// that.
+	if f := lp.zrow[e]; f != 0 && b != 0 {
+		z -= f * (b * (1 / row[lp.posOf[e]]))
+	}
+	return e, z, nil
+}
+
+// fixBasic carries out the pivot-out priceFix priced: v, basic in row r, is
+// fixed at val and column e replaces it. It counts one iteration.
+func (lp *simplexLP) fixBasic(r, e, v int, val float64) {
 	row := lp.row(r)
 	row[lp.w] -= val
 	lp.zrow[lp.cols] -= lp.cost[v] * val
 	lp.cost[v] = 0
-	s := 1.0
-	if row[lp.w] < 0 {
-		s = -1
-	}
 	lp.iters++
-	e := lp.dualEnter(r, s)
-	if e < 0 {
-		if math.Abs(row[lp.w]) <= feasTol {
-			return errColdStart // infeasible only within tolerance: let the cold solve judge
-		}
-		return ErrInfeasible
-	}
 	// v's dropped column has no nonzero left: the slot it takes over from
 	// e comes out all zero.
 	lp.pivot(r, e, 0)
-	return nil
 }
 
 // dualSimplex restores primal feasibility of a dual-feasible tableau: the
 // row with the most negative rhs leaves, and dualEnter picks the column that
 // enters. When the leaving row has no entering column its equation has no
 // solution with x ≥ 0 (ErrInfeasible). After maxIter pivots it gives up
-// (errColdStart).
-func (lp *simplexLP) dualSimplex(maxIter int) error {
+// (errColdStart). Before each pivot, and before it returns an optimum, it
+// holds the objective — an upper bound on the LP's optimum, which each dual
+// pivot lowers — plus objConst to lim: at or below it, errCutoff.
+func (lp *simplexLP) dualSimplex(maxIter int, objConst, lim float64) error {
 	for it := 0; ; it++ {
+		if lp.zrow[lp.cols]+objConst <= lim {
+			return errCutoff
+		}
 		leave, worst := -1, -zeroTol
 		for i := 0; i < lp.m; i++ {
 			if b := lp.tab[i*lp.stride+lp.w]; b < worst {

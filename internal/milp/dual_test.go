@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,18 +17,25 @@ type childCheck struct {
 // checkChildren solves m under opts and holds every child the search
 // re-solves from its parent's tableau to a cold solve of the same fixings:
 // the same infeasibility verdict, objectives within 1e-7·max(1, |obj|), and
-// an x (fixings patched in) that satisfies every row of m within feasTol.
-// It returns the solve, what it compared, and the first disagreement.
+// an x (fixings patched in) that satisfies every row of m within feasTol. A
+// child cut off at the incumbent is held to checkCutoff instead. It returns
+// the solve, what it compared, and the first disagreement.
 func checkChildren(m *Model, opts Options) (Solution, childCheck, error) {
 	var cc childCheck
 	var first error
 	ar, cold := &lpArena{}, &lpArena{}
-	ar.onChild = func(nd *bbNode, _ int, res lpResult, objC float64, err error) {
+	ar.onChild = func(nd *bbNode, _ int, res lpResult, objC, cutoff float64, err error) {
 		cc.children++
 		fail := func(format string, args ...any) {
 			if first == nil {
 				first = fmt.Errorf("child at depth %d fixing x%d=%d: %s", nd.depth, nd.v, nd.branch, fmt.Sprintf(format, args...))
 			}
+		}
+		if err == errCutoff {
+			if d := checkCutoff(cold, m, nd, cutoff); d != "" {
+				fail("%s", d)
+			}
+			return
 		}
 		cres, cobjC, cerr := solveRelaxationOpt(cold, m, nd.fixed, nil, false)
 		if err != nil || cerr != nil {
@@ -57,6 +65,23 @@ func checkChildren(m *Model, opts Options) (Solution, childCheck, error) {
 	return sol, cc, first
 }
 
+// checkCutoff holds a child that stopped at cutoff (errCutoff) to a cold
+// solve of its fixings on the arena cold: the cold LP must be infeasible, or
+// its optimum plus objective constant must not exceed the cutoff — solveIn
+// would have pruned the child after a full re-solve too. "" when it holds.
+func checkCutoff(cold *lpArena, m *Model, nd *bbNode, cutoff float64) string {
+	cres, cobjC, cerr := solveRelaxationOpt(cold, m, nd.fixed, nil, false)
+	switch {
+	case cerr == ErrInfeasible:
+		return ""
+	case cerr != nil:
+		return fmt.Sprintf("cut off at %v, cold solve %v", cutoff, cerr)
+	case cres.obj+cobjC > cutoff:
+		return fmt.Sprintf("cut off at %v, cold optimum %v", cutoff, cres.obj+cobjC)
+	}
+	return ""
+}
+
 // violatedRow names the first bound or row of m's relaxation that x breaks
 // by more than tol ("" when none does).
 func violatedRow(m *Model, x []float64, tol float64) string {
@@ -83,10 +108,12 @@ func violatedRow(m *Model, x []float64, tol float64) string {
 // the children do not, and exact-shares models with continuous variables —,
 // each searched at the default IntTol and at 1e-9, every child re-solved
 // from its parent's tableau agrees with a cold solve of its fixings, and
-// none falls back to a cold solve.
+// none falls back to a cold solve; every child cut off at the incumbent
+// would have been pruned after a full solve too.
 func TestWarmChildrenMatchCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7107))
 	var total childCheck
+	cutoffs := 0
 	for trial := 0; trial < 250; trial++ {
 		var m *Model
 		switch trial % 5 {
@@ -108,14 +135,15 @@ func TestWarmChildrenMatchCold(t *testing.T) {
 			if sol.ColdFallbacks != 0 {
 				t.Errorf("trial %d, IntTol %g: %d children fell back to a cold solve", trial, opts.IntTol, sol.ColdFallbacks)
 			}
+			cutoffs += sol.Cutoffs
 			total.children += cc.children
 			total.infeasible += cc.infeasible
 			total.worst = math.Max(total.worst, cc.worst)
 		}
 	}
-	t.Logf("%d children, %d infeasible, worst objective gap %.3g", total.children, total.infeasible, total.worst)
-	if total.children < 1000 || total.infeasible == 0 {
-		t.Fatalf("coverage: %+v — want many children, infeasible ones among them", total)
+	t.Logf("%d children, %d infeasible, %d cut off, worst objective gap %.3g", total.children, total.infeasible, cutoffs, total.worst)
+	if total.children < 1000 || total.infeasible == 0 || cutoffs == 0 {
+		t.Fatalf("coverage: %+v, %d cut off — want many children, infeasible and cut-off ones among them", total, cutoffs)
 	}
 }
 
@@ -135,12 +163,104 @@ func TestFixBasicWithinFeasTol(t *testing.T) {
 	}
 	ar.saveSlot(0, 1, &ar.lp, objC)
 	child := &bbNode{fixed: []int8{0}, depth: 1, v: v, branch: 0, parent: 1}
-	if _, _, err := ar.solveChild(&m, child); err != errColdStart {
+	if _, _, err := ar.solveChild(&m, child, math.Inf(-1)); err != errColdStart {
 		t.Errorf("warm re-solve of v = 0: %v, want %v", err, errColdStart)
 	}
 	if _, _, err := solveRelaxationOpt(ar, &m, child.fixed, nil, false); err != nil {
 		t.Errorf("cold solve of v = 0: %v, want feasible within feasTol", err)
 	}
+}
+
+// TestFirstBoundMatchesFixBasic: the pivot-out solveChild prices on the
+// parent's saved tableau is the one fixBasic then carries out on the child's
+// copy. For every binary basic in the root tableau of generated shapes,
+// fixed at 0 and at 1, priceFix leaves the parent's tableau untouched, gives
+// the verdict of the full-tableau reference's fixBasic (the pivot-out as it
+// was written before it was priced), and prices exactly — bit for bit — the
+// objective fixBasic leaves on a copy. The model of TestFixBasicWithinFeasTol
+// adds a verdict left to the cold solve.
+func TestFirstBoundMatchesFixBasic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7111))
+	var tight Model
+	v := tight.AddVar(Binary, -1, "v")
+	tight.AddLE("v >= 5e-7", []int{v}, []float64{-1}, -5e-7)
+	models := []*Model{&tight}
+	for trial := 0; trial < 120; trial++ {
+		switch trial % 4 {
+		case 0:
+			models = append(models, preemptShaped(rng, 3+rng.Intn(12), 2+rng.Intn(4), 1+rng.Intn(5), 1+rng.Intn(5), trial%8 == 0))
+		case 1:
+			models = append(models, mixedModel(rng, 2+rng.Intn(5), 2+rng.Intn(3)))
+		case 2:
+			models = append(models, randPacking(rng, 3+rng.Intn(8), 2+rng.Intn(4), 2+rng.Intn(6)))
+		default:
+			models = append(models, schedShapedModel(rng, 4+rng.Intn(12), 2+rng.Intn(4), 1+rng.Intn(5), 1+rng.Intn(4)))
+		}
+	}
+	verdicts := map[error]int{}
+	for i, m := range models {
+		fixed := freeFixing(m.NumVars())
+		ar := &lpArena{}
+		if _, _, err := solveRelaxationOpt(ar, m, fixed, nil, false); err != nil {
+			continue
+		}
+		ref, _, err := refNodeLP(m, fixed)
+		if err == nil {
+			_, err = ref.solve(nil)
+		}
+		if err != nil {
+			t.Fatalf("model %d: reference root %v", i, err)
+		}
+		parent := &ar.lp
+		before := &simplexLP{}
+		before.copyFrom(parent)
+		for r, v := range before.basis {
+			if v >= m.NumVars() || m.kinds[v] != Binary {
+				continue
+			}
+			for _, val := range []float64{0, 1} {
+				e, z, err := parent.priceFix(r, v, val)
+				if d := sameTableau(parent, before); d != "" {
+					t.Fatalf("model %d, x%d = %v: pricing changed the parent's %s", i, v, val, d)
+				}
+				if want := ref.clone().fixBasic(v, val); err != want {
+					t.Fatalf("model %d, x%d = %v: priced %v, reference fixBasic %v", i, v, val, err, want)
+				}
+				verdicts[err]++
+				if err != nil {
+					continue
+				}
+				child := &simplexLP{}
+				child.copyFrom(parent)
+				child.fixBasic(r, e, v, val)
+				if got := child.zrow[child.cols]; math.Float64bits(got) != math.Float64bits(z) {
+					t.Fatalf("model %d, x%d = %v: priced objective %v, fixBasic leaves %v", i, v, val, z, got)
+				}
+			}
+		}
+	}
+	t.Logf("verdicts: %v", verdicts)
+	if verdicts[nil] < 100 || verdicts[ErrInfeasible] == 0 || verdicts[errColdStart] == 0 {
+		t.Fatalf("coverage: %v — want many pivot-outs, infeasible ones and one left to the cold solve", verdicts)
+	}
+}
+
+// sameTableau names the first part of lp that differs from want ("" when
+// none does): the tableau, its column maps, basis, reduced costs and costs.
+func sameTableau(lp, want *simplexLP) string {
+	switch {
+	case !slices.Equal(lp.tab, want.tab):
+		return "tableau"
+	case !slices.Equal(lp.colVar, want.colVar) || !slices.Equal(lp.posOf, want.posOf):
+		return "column maps"
+	case !slices.Equal(lp.basis, want.basis):
+		return "basis"
+	case !slices.Equal(lp.zrow, want.zrow):
+		return "reduced costs"
+	case !slices.Equal(lp.cost, want.cost):
+		return "costs"
+	}
+	return ""
 }
 
 // TestColdFallback: a child whose parent's tableau is gone from its slot is
@@ -152,7 +272,7 @@ func TestColdFallback(t *testing.T) {
 		m := preemptShaped(rng, 4+rng.Intn(8), 2+rng.Intn(3), 1+rng.Intn(4), 1+rng.Intn(4), false)
 		want := solveIn(&lpArena{}, m, Options{})
 		ar := &lpArena{}
-		ar.onChild = func(*bbNode, int, lpResult, float64, error) {
+		ar.onChild = func(*bbNode, int, lpResult, float64, float64, error) {
 			for i := range ar.slots {
 				ar.slots[i].tag = -1 // every saved tableau lost
 			}

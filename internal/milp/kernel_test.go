@@ -310,14 +310,15 @@ func TestSparseSolveMatchesDenseSolve(t *testing.T) {
 
 // childCoverage counts what a child-path differential went through.
 type childCoverage struct {
-	children, infeasible int
-	branch               [2]int // children per branch value
-	pivotedOut           int    // children whose fixed variable left the basis
+	children, infeasible, cutoffs int
+	branch                        [2]int // children per branch value
+	pivotedOut                    int    // children whose fixed variable left the basis
 }
 
 func (c *childCoverage) add(o childCoverage) {
 	c.children += o.children
 	c.infeasible += o.infeasible
+	c.cutoffs += o.cutoffs
 	c.branch[0] += o.branch[0]
 	c.branch[1] += o.branch[1]
 	c.pivotedOut += o.pivotedOut
@@ -328,8 +329,10 @@ func (c *childCoverage) add(o childCoverage) {
 // parent's full tableau runs refLP.solveChild. A parent solved cold — the
 // root, or a cold fallback — gets a reference solved cold from its fixings.
 // The two must agree per diffRuns, and a fixed variable that left the basis
-// must leave its slot all zero. It returns the solve, the coverage and the
-// first disagreement.
+// must leave its slot all zero. A child cut off at the incumbent must have
+// pivoted a prefix of the reference's trace, one iteration per pivot (the
+// pivot-out's alone when it was priced without one), and pass checkCutoff.
+// It returns the solve, the coverage and the first disagreement.
 func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
 	var cov childCoverage
 	var first error
@@ -339,8 +342,8 @@ func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
 	}
 	refs := map[int]refNode{} // by expansion number
 	var trace []pivotRec
-	ar := &lpArena{trace: &trace}
-	ar.onChild = func(nd *bbNode, seq int, res lpResult, objC float64, err error) {
+	ar, cold := &lpArena{trace: &trace}, &lpArena{}
+	ar.onChild = func(nd *bbNode, seq int, res lpResult, objC, cutoff float64, err error) {
 		defer func() { trace = trace[:0] }()
 		fail := func(format string, args ...any) {
 			if first == nil {
@@ -374,8 +377,27 @@ func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
 		if nd.branch == 1 {
 			wantC += m.obj[nd.v]
 		}
+		if err == errCutoff {
+			cov.cutoffs++
+			if len(trace) > len(ref.trace) || !slices.Equal(trace, ref.trace[:len(trace)]) {
+				fail("cut off after pivots %v, reference %v", trace, ref.trace)
+			}
+			if res.iters != max(1, len(trace)) {
+				fail("cut off after %d iterations and %d pivots", res.iters, len(trace))
+			}
+			if d := checkCutoff(cold, m, nd, cutoff); d != "" {
+				fail("%s", d)
+			}
+			return
+		}
 		refs[seq] = refNode{ref, wantC}
 		lp := &ar.child
+		if len(trace) == 0 {
+			// The pivot-out found no entering column: it was priced on the
+			// parent's tableau, which the child never copied, and which
+			// still holds the basis the child stopped at.
+			lp = &ar.slots[nd.depth-1].lp
+		}
 		if d := diffRuns(lpRun{res, err, trace, lp.basis, objC}, lpRun{want, wantErr, ref.trace, ref.basis, wantC}); d != "" {
 			fail("%s", d)
 		}
@@ -399,7 +421,9 @@ func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
 // re-solves from its parent's tableau — by the fixed variable's pivot-out,
 // the dual simplex and the primal clean-up — replayed on the full tableau, on
 // scheduling-shaped models with preemption credits and must-run rows, at the
-// default IntTol and at 1e-9.
+// default IntTol and at 1e-9; a child cut off at the incumbent replays a
+// prefix of the reference's pivots and would have been pruned after a full
+// solve too.
 func TestWarmChildPivotsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7110))
 	var total childCoverage
@@ -414,8 +438,8 @@ func TestWarmChildPivotsIdentical(t *testing.T) {
 		}
 	}
 	t.Logf("%+v", total)
-	if total.children < 1000 || total.infeasible == 0 || total.branch[0] == 0 || total.branch[1] == 0 || total.pivotedOut == 0 {
-		t.Fatalf("coverage: %+v — want many children of both branches, infeasible ones, fixed variables pivoted out", total)
+	if total.children < 1000 || total.infeasible == 0 || total.cutoffs == 0 || total.branch[0] == 0 || total.branch[1] == 0 || total.pivotedOut == 0 {
+		t.Fatalf("coverage: %+v — want many children of both branches, infeasible and cut-off ones, fixed variables pivoted out", total)
 	}
 }
 

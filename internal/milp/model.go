@@ -3,7 +3,8 @@
 // only; a basic column is its row's unit vector and is left implicit) for the
 // root relaxation and depth-first branch-and-bound over binary variables
 // with dual re-solve of children (each child starts from its parent's
-// optimal tableau and runs the dual simplex), a greedy and a fix-and-solve
+// optimal tableau and runs the dual simplex, and stops as soon as its dual
+// bound falls to the incumbent), a greedy and a fix-and-solve
 // rounding heuristic, warm-start incumbent seeding, and a node budget that
 // returns the best incumbent found. The paper's contract is "query the
 // solver for the best solution found within a configurable fraction of its

@@ -81,6 +81,7 @@ type Solution struct {
 	Nodes         int     // branch-and-bound nodes explored
 	LPIters       int     // simplex pivots over all node relaxations
 	ColdFallbacks int     // non-root nodes solved cold instead of from their parent's tableau
+	Cutoffs       int     // children pruned when their bound fell to the incumbent mid re-solve (errCutoff)
 	Bound         float64 // best remaining upper bound at stop time
 	RootBasis     []int   // root relaxation's optimal basis (warm-start feed for the next solve)
 	WarmPivots    int     // crash pivots applied from Options.WarmBasis (0 = cold root solve)
@@ -255,14 +256,23 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 		var err error
 		if root {
 			res, objC, err = solveRelaxationOpt(ar, m, node.fixed, opts.WarmBasis, true)
-		} else if res, objC, err = ar.solveChild(m, node); err == errColdStart {
-			sol.ColdFallbacks++
-			sol.LPIters += res.iters
-			res, objC, err = solveRelaxationOpt(ar, m, node.fixed, nil, false)
 		} else {
-			lp = &ar.child
-			if ar.onChild != nil {
-				ar.onChild(node, seq, res, objC, err)
+			// A child whose re-solve stops at the cutoff (errCutoff) is
+			// pruned below like one whose optimum came out at or under it:
+			// it still counts as a node, and its pivots as iterations.
+			cutoff := gapTerm()
+			if res, objC, err = ar.solveChild(m, node, cutoff); err == errColdStart {
+				sol.ColdFallbacks++
+				sol.LPIters += res.iters
+				res, objC, err = solveRelaxationOpt(ar, m, node.fixed, nil, false)
+			} else {
+				if err == errCutoff {
+					sol.Cutoffs++
+				}
+				lp = &ar.child
+				if ar.onChild != nil {
+					ar.onChild(node, seq, res, objC, cutoff, err)
+				}
 			}
 		}
 		sol.LPIters += res.iters

@@ -77,8 +77,9 @@ func BenchmarkNodeLP(b *testing.B) {
 
 // BenchmarkWarmChild is one branch-and-bound child on the same model: the
 // 1-branch of the root's most fractional binary, re-solved from the root's
-// saved tableau — slot copy, fixBasic, dual simplex, clean-up. Bytes per op
-// are the tableau bytes the slot copy moves.
+// saved tableau — slot copy, fixBasic, dual simplex, clean-up — with no
+// incumbent to cut it off. Bytes per op are the tableau bytes the slot copy
+// moves.
 func BenchmarkWarmChild(b *testing.B) {
 	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
 	ar := &lpArena{}
@@ -95,7 +96,7 @@ func BenchmarkWarmChild(b *testing.B) {
 	b.SetBytes(int64(8 * len(ar.slots[0].lp.tab)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ar.solveChild(m, child); err != nil {
+		if _, _, err := ar.solveChild(m, child, math.Inf(-1)); err != nil {
 			b.Fatal(err)
 		}
 	}

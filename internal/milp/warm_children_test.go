@@ -17,10 +17,10 @@ import (
 // TestWarmChildrenMatchColdOnOracleModels runs the warm-vs-cold child
 // differential (milp.CheckWarmChildren) on the solver oracle's model
 // generator: its pinned corpus, 200 draws from seed 1, at the oracle's node
-// budget of 64.
+// budget of 64. Children cut off at the incumbent are among them.
 func TestWarmChildrenMatchColdOnOracleModels(t *testing.T) {
 	rng := stats.NewRand(1)
-	children, infeasible, worst := 0, 0, 0.0
+	children, infeasible, cutoffs, worst := 0, 0, 0, 0.0
 	for i := 0; i < 200; i++ {
 		m := check.GenModel(rng)
 		sol, c, inf, w, err := milp.CheckWarmChildren(m, milp.Options{MaxNodes: 64})
@@ -30,11 +30,11 @@ func TestWarmChildrenMatchColdOnOracleModels(t *testing.T) {
 		if sol.ColdFallbacks != 0 {
 			t.Errorf("model %d: %d children fell back to a cold solve", i, sol.ColdFallbacks)
 		}
-		children, infeasible, worst = children+c, infeasible+inf, math.Max(worst, w)
+		children, infeasible, cutoffs, worst = children+c, infeasible+inf, cutoffs+sol.Cutoffs, math.Max(worst, w)
 	}
-	t.Logf("%d children, %d infeasible, worst objective gap %.3g", children, infeasible, worst)
-	if children < 1000 || infeasible == 0 {
-		t.Fatalf("coverage: %d children, %d infeasible", children, infeasible)
+	t.Logf("%d children, %d infeasible, %d cut off, worst objective gap %.3g", children, infeasible, cutoffs, worst)
+	if children < 1000 || infeasible == 0 || cutoffs == 0 {
+		t.Fatalf("coverage: %d children, %d infeasible, %d cut off", children, infeasible, cutoffs)
 	}
 }
 
@@ -46,6 +46,7 @@ type captureModels struct {
 	*core.Scheduler
 	t                                   *testing.T
 	models, children, infeasible, colds int
+	cutoffs                             int
 	worst                               float64
 	traced                              milp.ChildTraceCoverage
 }
@@ -67,11 +68,12 @@ func (c *captureModels) Cycle(st *simulator.State) simulator.Decision {
 	}
 	c.traced.Children += tc.Children
 	c.traced.Infeasible += tc.Infeasible
+	c.traced.Cutoffs += tc.Cutoffs
 	c.traced.Branch0 += tc.Branch0
 	c.traced.Branch1 += tc.Branch1
 	c.traced.PivotedOut += tc.PivotedOut
 	c.models++
-	c.children, c.infeasible, c.colds = c.children+n, c.infeasible+inf, c.colds+sol.ColdFallbacks
+	c.children, c.infeasible, c.colds, c.cutoffs = c.children+n, c.infeasible+inf, c.colds+sol.ColdFallbacks, c.cutoffs+sol.Cutoffs
 	c.worst = math.Max(c.worst, w)
 	return dec
 }
@@ -104,16 +106,16 @@ func TestWarmChildrenMatchColdOnSchedulerModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run()
-	t.Logf("%d models, %d children, %d infeasible, %d cold fallbacks, worst objective gap %.3g",
-		c.models, c.children, c.infeasible, c.colds, c.worst)
+	t.Logf("%d models, %d children, %d infeasible, %d cut off, %d cold fallbacks, worst objective gap %.3g",
+		c.models, c.children, c.infeasible, c.cutoffs, c.colds, c.worst)
 	if c.colds != 0 {
 		t.Errorf("%d children fell back to a cold solve", c.colds)
 	}
-	if c.models < 100 || c.children < 1000 || c.infeasible == 0 {
-		t.Fatalf("coverage: %d models, %d children", c.models, c.children)
+	if c.models < 100 || c.children < 1000 || c.infeasible == 0 || c.cutoffs == 0 {
+		t.Fatalf("coverage: %d models, %d children, %d infeasible, %d cut off", c.models, c.children, c.infeasible, c.cutoffs)
 	}
 	t.Logf("against the full-tableau reference: %+v", c.traced)
-	if tc := c.traced; tc.Children != c.children || tc.Infeasible == 0 || tc.Branch0 == 0 || tc.Branch1 == 0 || tc.PivotedOut == 0 {
-		t.Fatalf("reference coverage: %+v — want every child, infeasible ones, both branches, fixed variables pivoted out", tc)
+	if tc := c.traced; tc.Children != c.children || tc.Infeasible == 0 || tc.Cutoffs == 0 || tc.Branch0 == 0 || tc.Branch1 == 0 || tc.PivotedOut == 0 {
+		t.Fatalf("reference coverage: %+v — want every child, infeasible and cut-off ones, both branches, fixed variables pivoted out", tc)
 	}
 }

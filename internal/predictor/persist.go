@@ -105,6 +105,7 @@ func (p *Predictor) Load(r io.Reader) error {
 			copy(g.recent, gs.Recent[:n])
 			g.rLen = n
 			g.rPos = gs.RPos % len(g.recent)
+			g.resort()
 			for i := range g.nmae {
 				g.nmae[i] = stats.NMAEFromState(gs.NMAE[i])
 			}

@@ -17,6 +17,8 @@ package predictor
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
 	"threesigma/internal/dist"
@@ -112,6 +114,7 @@ type group struct {
 	recent  []float64 // ring buffer
 	rPos    int
 	rLen    int
+	sorted  []float64 // the ring's values in ascending order, for EstMedian
 	nmae    [numEstimators]*stats.NMAE
 }
 
@@ -119,6 +122,7 @@ func newGroup() *group {
 	g := &group{
 		hist:   histogram.New(maxBins),
 		recent: make([]float64, recentK),
+		sorted: make([]float64, 0, recentK),
 	}
 	for i := range g.nmae {
 		g.nmae[i] = new(stats.NMAE)
@@ -136,7 +140,7 @@ func (g *group) estimate(kind EstimatorKind) float64 {
 	case EstAverage:
 		return g.sum / float64(g.count)
 	case EstMedian:
-		return stats.Median(g.recentValues())
+		return stats.SortedMedian(g.sorted)
 	case EstRolling:
 		return g.rolling
 	case EstRecentAvg:
@@ -147,6 +151,31 @@ func (g *group) estimate(kind EstimatorKind) float64 {
 
 func (g *group) recentValues() []float64 {
 	return g.recent[:g.rLen]
+}
+
+// push adds runtime to the recent window, evicting the oldest value once
+// the ring is full, and keeps the sorted companion in step: the evicted
+// value is deleted and the new one inserted in place, O(recentK) moves
+// instead of a sort per estimate.
+func (g *group) push(runtime float64) {
+	if g.rLen < len(g.recent) {
+		g.recent[g.rLen] = runtime
+		g.rLen++
+	} else {
+		old := g.recent[g.rPos]
+		i := sort.SearchFloat64s(g.sorted, old)
+		g.sorted = slices.Delete(g.sorted, i, i+1)
+		g.recent[g.rPos] = runtime
+		g.rPos = (g.rPos + 1) % len(g.recent)
+	}
+	i := sort.SearchFloat64s(g.sorted, runtime)
+	g.sorted = slices.Insert(g.sorted, i, runtime)
+}
+
+// resort rebuilds the sorted companion from the ring (after a load).
+func (g *group) resort() {
+	g.sorted = append(g.sorted[:0], g.recentValues()...)
+	sort.Float64s(g.sorted)
 }
 
 // observe scores all estimators against the new runtime and then folds the
@@ -166,13 +195,7 @@ func (g *group) observe(runtime float64) {
 	} else {
 		g.rolling = alpha*runtime + (1-alpha)*g.rolling
 	}
-	if g.rLen < len(g.recent) {
-		g.recent[g.rLen] = runtime
-		g.rLen++
-	} else {
-		g.recent[g.rPos] = runtime
-		g.rPos = (g.rPos + 1) % len(g.recent)
-	}
+	g.push(runtime)
 	g.hist.Add(runtime)
 }
 

@@ -1,8 +1,10 @@
 package predictor
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"threesigma/internal/job"
@@ -220,5 +222,60 @@ func TestEstimateErrorProfileImprovesWithHistory(t *testing.T) {
 	}
 	if stats.Median(late) > 0.5 {
 		t.Errorf("late median rel. error %v too high for recurring jobs", stats.Median(late))
+	}
+}
+
+// TestRecentMedianMatchesStatsMedian: the EstMedian estimate, read off the
+// sorted companion of the recent window, is stats.Median of the ring, bit
+// for bit, at every step of random streams — short ones that never fill the
+// ring, long ones that wrap it many times, streams with many repeated
+// values — and, after a Save/Load round trip part-way through, on the
+// loaded predictor as it keeps observing the same stream.
+func TestRecentMedianMatchesStatsMedian(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	checkGroups := func(step int, p *Predictor) {
+		t.Helper()
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for fi, m := range p.groups {
+			for _, val := range sortedKeys(m) {
+				g := m[val]
+				want := stats.Median(g.recentValues())
+				if got := g.estimate(EstMedian); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d, feature %d group %q: median %v, stats.Median %v of %v", step, fi, val, got, want, g.recentValues())
+				}
+			}
+		}
+	}
+	for stream := 0; stream < 40; stream++ {
+		n := 1 + rng.Intn(5*recentK)
+		draw := func() float64 { return 1 + 1000*rng.Float64() }
+		if stream%3 == 0 {
+			draw = func() float64 { return float64(1 + rng.Intn(4)) } // repeated values
+		}
+		p := New(Config{})
+		var q *Predictor
+		cut := rng.Intn(n)
+		for i := 0; i < n; i++ {
+			j := mk(fmt.Sprintf("u%d", rng.Intn(3)), "job", 1+rng.Intn(8))
+			rt := draw()
+			p.Observe(j, rt)
+			checkGroups(i, p)
+			if q != nil {
+				q.Observe(j, rt)
+				checkGroups(i, q)
+			}
+			if i == cut {
+				var buf bytes.Buffer
+				if err := p.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				q = New(Config{})
+				if err := q.Load(&buf); err != nil {
+					t.Fatal(err)
+				}
+				checkGroups(i, q)
+			}
+		}
 	}
 }

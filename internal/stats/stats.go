@@ -61,10 +61,21 @@ func Median(xs []float64) float64 {
 	}
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
+	return SortedMedian(cp)
+}
+
+// SortedMedian is Median of xs already in ascending order, read off in
+// place: the middle value, or the mean of the middle two. It returns 0 for
+// an empty slice.
+func SortedMedian(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
 	}
-	return (cp[n/2-1] + cp[n/2]) / 2
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
