@@ -1,9 +1,13 @@
 package predictor
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"threesigma/internal/histogram"
@@ -12,12 +16,41 @@ import (
 
 // The paper's 3σPredict keeps its sketches in a "runtime history database"
 // that survives across scheduler restarts (§6.5 measures its lookup
-// latency). This file provides the equivalent persistence: a JSON encoding
-// of every feature-value group's constant-size state.
+// latency). This file provides the equivalent persistence: Save writes every
+// feature-value group's constant-size state as one binary stream,
+//
+//	magic "3SPR", version byte 2
+//	uvarint feature count, then per feature in features order:
+//	  uvarint group count, then per group in ascending key order:
+//	    key        uvarint length, bytes
+//	    histogram  uvarint bin count, per bin centroid and count; min, max
+//	    count      uvarint
+//	    sum, rolling
+//	    recent     uvarint length, the ring's values in stored order;
+//	               uvarint rpos
+//	    NMAE × 4   sum of absolute errors, sum of actuals, uvarint n
+//
+// where every float is its IEEE-754 bits, eight bytes little-endian, so
+// every value round-trips exactly. A histogram's bin budget is not stored
+// (every group's is maxBins) and neither is its total, which FromState sums
+// from the bins. Load reads that stream, and also the JSON stream
+// (version 1) Save wrote before it, which is read but never written; the
+// two are told apart by their first bytes.
 
-// persistVersion guards the on-disk format.
-const persistVersion = 1
+// persistMagic opens a binary stream; persistVersion follows it.
+const (
+	persistMagic   = "3SPR"
+	persistVersion = 2
+	// jsonVersion is the legacy JSON stream's "version".
+	jsonVersion = 1
+)
 
+// minGroupBytes is the smallest encoding of a group: an empty key and
+// histogram, an empty ring, and every uvarint one byte long.
+const minGroupBytes = 1 + 1 + 2*8 + 1 + 2*8 + 2 + numEstimators*(2*8+1)
+
+// groupState is one group's saved state, as the legacy JSON stream spells
+// it and as the binary decoder hands it to restoreGroup.
 type groupState struct {
 	Hist    histogram.State                `json:"hist"`
 	Count   int                            `json:"count"`
@@ -28,58 +61,178 @@ type groupState struct {
 	NMAE    [numEstimators]stats.NMAEState `json:"nmae"`
 }
 
+// predictorState is the legacy JSON stream.
 type predictorState struct {
 	Version int                     `json:"version"`
 	Groups  []map[string]groupState `json:"groups"` // one map per feature, by value
 }
 
-// Save serializes the predictor's history sketches to w, one map of
-// groups per feature in the order of features.
+// Save serializes the predictor's history sketches to w as the binary
+// stream above, one run of groups per feature in the order of features.
 func (p *Predictor) Save(w io.Writer) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := predictorState{Version: persistVersion, Groups: make([]map[string]groupState, len(p.groups))}
-	for fi, m := range p.groups {
-		st.Groups[fi] = make(map[string]groupState, len(m))
-		for _, val := range sortedKeys(m) {
-			g := m[val]
-			gs := groupState{
-				Hist:    g.hist.Snapshot(),
-				Count:   g.count,
-				Sum:     g.sum,
-				Rolling: g.rolling,
-				Recent:  append([]float64(nil), g.recentValues()...),
-				RPos:    g.rPos,
-			}
-			for i := range g.nmae {
-				gs.NMAE[i] = g.nmae[i].State()
-			}
-			st.Groups[fi][val] = gs
-		}
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(&st); err != nil {
+	buf := p.appendState(nil)
+	p.mu.Unlock()
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("predictor: save: %w", err)
 	}
 	return nil
 }
 
-// Load replaces the predictor's history with a previously saved state. The
-// state must hold one map of groups per feature.
+// appendState appends the binary stream to buf. The caller holds p.mu.
+func (p *Predictor) appendState(buf []byte) []byte {
+	buf = append(buf, persistMagic...)
+	buf = append(buf, persistVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(p.groups)))
+	for _, m := range p.groups {
+		buf = binary.AppendUvarint(buf, uint64(len(m)))
+		for _, val := range sortedKeys(m) {
+			gs := m[val].state()
+			buf = appendGroup(buf, val, &gs)
+		}
+	}
+	return buf
+}
+
+// state is the group's saved state. Its ring slice aliases the group's.
+func (g *group) state() groupState {
+	gs := groupState{
+		Hist:    g.hist.Snapshot(),
+		Count:   g.count,
+		Sum:     g.sum,
+		Rolling: g.rolling,
+		Recent:  g.recentValues(),
+		RPos:    g.rPos,
+	}
+	for i := range g.nmae {
+		gs.NMAE[i] = g.nmae[i].State()
+	}
+	return gs
+}
+
+// appendGroup appends the encoding of the group saved as gs under key.
+func appendGroup(buf []byte, key string, gs *groupState) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = binary.AppendUvarint(buf, uint64(len(gs.Hist.Bins)))
+	for _, b := range gs.Hist.Bins {
+		buf = appendFloat(appendFloat(buf, b.Value), b.Count)
+	}
+	buf = appendFloat(appendFloat(buf, gs.Hist.Min), gs.Hist.Max)
+	buf = binary.AppendUvarint(buf, uint64(gs.Count))
+	buf = appendFloat(appendFloat(buf, gs.Sum), gs.Rolling)
+	buf = binary.AppendUvarint(buf, uint64(len(gs.Recent)))
+	for _, v := range gs.Recent {
+		buf = appendFloat(buf, v)
+	}
+	buf = binary.AppendUvarint(buf, uint64(gs.RPos))
+	for _, s := range gs.NMAE {
+		buf = appendFloat(appendFloat(buf, s.SumAbsErr), s.SumActual)
+		buf = binary.AppendUvarint(buf, uint64(s.N))
+	}
+	return buf
+}
+
+func appendFloat(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// Load replaces the predictor's history with a previously saved state,
+// all or nothing: a stream that fails to load leaves the predictor as it
+// was. The stream must hold one run of groups per feature.
 func (p *Predictor) Load(r io.Reader) error {
-	var st predictorState
-	if err := json.NewDecoder(r).Decode(&st); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return fmt.Errorf("predictor: load: %w", err)
 	}
-	if st.Version != persistVersion {
-		return fmt.Errorf("predictor: load: unsupported version %d", st.Version)
+	var groups []map[string]*group
+	if bytes.HasPrefix(data, []byte(persistMagic)) {
+		groups, err = loadBinary(data[len(persistMagic):])
+	} else {
+		groups, err = loadJSON(data)
 	}
-	if len(st.Groups) != len(features) {
-		return fmt.Errorf("predictor: load: %d feature groups, predictor has %d features",
-			len(st.Groups), len(features))
+	if err != nil {
+		return fmt.Errorf("predictor: load: %w", err)
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.groups = groups
+	p.mu.Unlock()
+	return nil
+}
+
+// loadBinary restores the groups of a binary stream, read past its magic.
+// Every length is checked against the bytes that remain before anything is
+// allocated for it, and the keys of a feature must ascend strictly, so a
+// predictor has exactly one stream.
+func loadBinary(data []byte) ([]map[string]*group, error) {
+	if len(data) == 0 {
+		return nil, errors.New("stream ends after its magic")
+	}
+	if data[0] != persistVersion {
+		return nil, fmt.Errorf("unsupported version %d", data[0])
+	}
+	r := reader{buf: data[1:]}
+	if nf := r.int(); r.err == nil && nf != len(features) {
+		return nil, fmt.Errorf("%d feature groups, predictor has %d features", nf, len(features))
+	}
+	groups := make([]map[string]*group, len(features))
+	var gs groupState // its slices are scratch, reused group to group
+	for fi := range groups {
+		n := r.length(minGroupBytes)
+		groups[fi] = make(map[string]*group, n)
+		prev := ""
+		for k := 0; k < n && r.err == nil; k++ {
+			key := string(r.bytes(r.length(1)))
+			gs.Hist.Bins = gs.Hist.Bins[:0]
+			for b := r.length(16); b > 0 && r.err == nil; b-- {
+				gs.Hist.Bins = append(gs.Hist.Bins, histogram.Bin{Value: r.float(), Count: r.float()})
+			}
+			gs.Hist.Min, gs.Hist.Max = r.float(), r.float()
+			gs.Count = r.int()
+			gs.Sum, gs.Rolling = r.float(), r.float()
+			gs.Recent = gs.Recent[:0]
+			for b := r.length(8); b > 0 && r.err == nil; b-- {
+				gs.Recent = append(gs.Recent, r.float())
+			}
+			gs.RPos = r.int()
+			for i := range gs.NMAE {
+				gs.NMAE[i] = stats.NMAEState{SumAbsErr: r.float(), SumActual: r.float(), N: r.int()}
+			}
+			if r.err != nil {
+				break
+			}
+			if k > 0 && key <= prev {
+				return nil, fmt.Errorf("feature %d: group %q follows %q", fi, key, prev)
+			}
+			g, err := restoreGroup(&gs)
+			if err != nil {
+				return nil, fmt.Errorf("feature %d, group %q: %w", fi, key, err)
+			}
+			groups[fi][key] = g
+			prev = key
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.buf) > 0 {
+		return nil, fmt.Errorf("%d bytes after the last group", len(r.buf))
+	}
+	return groups, nil
+}
+
+// loadJSON restores the groups of a legacy JSON stream.
+func loadJSON(data []byte) ([]map[string]*group, error) {
+	var st predictorState
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return nil, err
+	}
+	if st.Version != jsonVersion {
+		return nil, fmt.Errorf("unsupported version %d", st.Version)
+	}
+	if len(st.Groups) != len(features) {
+		return nil, fmt.Errorf("%d feature groups, predictor has %d features", len(st.Groups), len(features))
+	}
 	groups := make([]map[string]*group, len(st.Groups))
 	for fi, m := range st.Groups {
 		groups[fi] = make(map[string]*group, len(m))
@@ -87,33 +240,121 @@ func (p *Predictor) Load(r io.Reader) error {
 		// same error, and restore work is order-identical across runs.
 		for _, val := range sortedKeys(m) {
 			gs := m[val]
-			g := newGroup()
-			h, err := histogram.FromState(gs.Hist)
+			g, err := restoreGroup(&gs)
 			if err != nil {
-				return fmt.Errorf("predictor: load: feature %d, group %q: %w", fi, val, err)
-			}
-			g.hist = h
-			g.count = gs.Count
-			g.sum = gs.Sum
-			g.rolling = gs.Rolling
-			// Restore the recent ring buffer: values come back in logical
-			// order (oldest first when the buffer wrapped).
-			n := len(gs.Recent)
-			if n > len(g.recent) {
-				n = len(g.recent)
-			}
-			copy(g.recent, gs.Recent[:n])
-			g.rLen = n
-			g.rPos = gs.RPos % len(g.recent)
-			g.resort()
-			for i := range g.nmae {
-				g.nmae[i] = stats.NMAEFromState(gs.NMAE[i])
+				return nil, fmt.Errorf("feature %d, group %q: %w", fi, val, err)
 			}
 			groups[fi][val] = g
 		}
 	}
-	p.groups = groups
-	return nil
+	return groups, nil
+}
+
+// restoreGroup builds a group from its saved state: the one restore step
+// both stream versions share. The histogram goes through FromState's
+// validation and repair, with the predictor's bin budget whatever budget a
+// legacy stream names. What no repair makes safe is an error: a negative
+// count, rpos or NMAE n (a negative rpos indexes the ring on the next
+// Observe), or a recent value that is not finite (the sorted companion
+// could not find it to evict it). A ring saved longer than recentK keeps
+// its first recentK values.
+func restoreGroup(gs *groupState) (*group, error) {
+	if gs.Count < 0 || gs.RPos < 0 {
+		return nil, fmt.Errorf("negative count %d or rpos %d", gs.Count, gs.RPos)
+	}
+	for i, s := range gs.NMAE {
+		if s.N < 0 {
+			return nil, fmt.Errorf("estimator %d: negative NMAE n %d", i, s.N)
+		}
+	}
+	for _, v := range gs.Recent {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("recent runtime %v is not finite", v)
+		}
+	}
+	gs.Hist.MaxBins = maxBins
+	h, err := histogram.FromState(gs.Hist)
+	if err != nil {
+		return nil, err
+	}
+	g := &group{hist: h, count: gs.Count, sum: gs.Sum, rolling: gs.Rolling}
+	g.rLen = copy(g.recent[:], gs.Recent)
+	g.rPos = gs.RPos % recentK
+	g.resort()
+	for i := range g.nmae {
+		g.nmae[i] = stats.NMAEFromState(gs.NMAE[i])
+	}
+	return g, nil
+}
+
+// reader decodes a binary stream. The first failure sticks: every later
+// read returns zero, and err says what went wrong.
+type reader struct {
+	buf []byte
+	err error
+}
+
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+	r.buf = nil
+}
+
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 {
+		r.fail("truncated or overlong uvarint")
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+// int reads a uvarint that must fit an int.
+func (r *reader) int() int {
+	v := r.uvarint()
+	if v > math.MaxInt {
+		r.fail("uvarint %d overflows an int", v)
+		return 0
+	}
+	return int(v)
+}
+
+// length reads a count of items at least size bytes long each, and fails
+// unless that many fit in what remains.
+func (r *reader) length(size int) int {
+	v := r.uvarint()
+	if r.err == nil && v > uint64(len(r.buf)/size) {
+		r.fail("length %d exceeds the %d bytes that remain", v, len(r.buf))
+		return 0
+	}
+	return int(v)
+}
+
+func (r *reader) bytes(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	b := r.buf[:n] // length checked n against len(r.buf)
+	r.buf = r.buf[n:]
+	return b
+}
+
+func (r *reader) float() float64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf) < 8 {
+		r.fail("truncated float")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
+	r.buf = r.buf[8:]
+	return v
 }
 
 // sortedKeys returns m's keys sorted — the sort-keys idiom the detrange

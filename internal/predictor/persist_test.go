@@ -2,11 +2,13 @@ package predictor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -138,7 +140,7 @@ func TestRoundTripEstimatePerFeatureGroup(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsVersionMismatchOnRealPayload mutates the version field of
+// TestLoadRejectsVersionMismatchOnRealPayload mutates the version byte of
 // an otherwise-valid save and checks both the rejection and that the target
 // predictor's existing state survives the failed load untouched.
 func TestLoadRejectsVersionMismatchOnRealPayload(t *testing.T) {
@@ -146,29 +148,24 @@ func TestLoadRejectsVersionMismatchOnRealPayload(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		p.Observe(mk("alice", "etl", 4), 100+float64(i))
 	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
+	mutated := saveBytes(t, p)
+	if mutated[len(persistMagic)] != persistVersion {
+		t.Fatalf("the version byte is %d, want %d", mutated[len(persistMagic)], persistVersion)
 	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["version"] = json.RawMessage(fmt.Sprint(persistVersion + 1))
-	mutated, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mutated[len(persistMagic)]++
 
 	q := New(Config{})
 	q.Observe(mk("bob", "train", 16), 500)
-	before := q.Estimate(mk("bob", "train", 16))
+	before, beforeEst := saveBytes(t, q), q.Estimate(mk("bob", "train", 16))
 	if err := q.Load(bytes.NewReader(mutated)); err == nil {
-		t.Fatal("future persistVersion should be rejected")
+		t.Fatal("a future persistVersion should be rejected")
 	}
 	after := q.Estimate(mk("bob", "train", 16))
-	if after.Novel || after.Point != before.Point || after.Samples != before.Samples {
-		t.Errorf("failed load mutated predictor: %+v -> %+v", before, after)
+	if after.Novel || after.Point != beforeEst.Point || after.Samples != beforeEst.Samples {
+		t.Errorf("failed load mutated predictor: %+v -> %+v", beforeEst, after)
+	}
+	if !bytes.Equal(saveBytes(t, q), before) {
+		t.Error("failed load changed the predictor's Save bytes")
 	}
 }
 
@@ -182,6 +179,109 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 	if err := p.Load(strings.NewReader(`{"version":1,"groups":[]}`)); err == nil {
 		t.Error("feature-count mismatch should fail")
+	}
+	q := New(Config{})
+	q.Observe(mk("alice", "etl", 4), 100)
+	good := saveBytes(t, q)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"magic alone", []byte(persistMagic)},
+		{"no features", append([]byte(persistMagic), persistVersion)},
+		{"truncated", good[:len(good)-1]},
+		{"trailing byte", append(slices.Clone(good), 0)},
+		{"one feature", append([]byte(persistMagic), persistVersion, 1, 0)},
+		{"huge group count", append([]byte(persistMagic), persistVersion, byte(len(features)), 0xff, 0xff, 0xff, 0xff, 0x0f)},
+	} {
+		if err := p.Load(bytes.NewReader(c.data)); err == nil {
+			t.Errorf("%s: should fail", c.name)
+		}
+	}
+}
+
+// TestLoadRejectsNegativeRingPosition: a stream whose rpos, count or NMAE n
+// is negative fails to load, in either version, instead of loading a group
+// whose next Observe indexes its ring at -3. (A uvarint cannot be negative:
+// the binary stream spells one as a value no int holds.)
+func TestLoadRejectsNegativeRingPosition(t *testing.T) {
+	p := New(Config{})
+	for i := 0; i < 3*recentK; i++ {
+		p.Observe(mk("alice", "etl", 4), 100+float64(i))
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(*groupState)
+	}{
+		{"rpos", func(gs *groupState) { gs.RPos = -3 }},
+		{"count", func(gs *groupState) { gs.Count = -1 }},
+		{"nmae n", func(gs *groupState) { gs.NMAE[2].N = -5 }},
+	} {
+		st := stateOf(p)
+		for _, m := range st.Groups {
+			for _, k := range sortedKeys(m) {
+				gs := m[k]
+				c.damage(&gs)
+				m[k] = gs
+			}
+		}
+		legacy, err := json.Marshal(&st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, data := range [][]byte{legacy, encodeState(&st)} {
+			q := New(Config{})
+			if err := q.Load(bytes.NewReader(data)); err == nil {
+				t.Errorf("%s stream with a negative %s loaded", []string{"JSON", "binary"}[i], c.name)
+			}
+			q.Observe(mk("alice", "etl", 4), 100) // had rpos -3 loaded, the full ring would panic here
+		}
+	}
+}
+
+// TestJSONAndBinaryStreamsLoadAlike: a predictor's legacy JSON stream and
+// its binary stream load into predictors that save the same bytes and
+// answer every query alike.
+func TestJSONAndBinaryStreamsLoadAlike(t *testing.T) {
+	p := New(Config{})
+	rng := rand.New(rand.NewSource(5))
+	users := []string{"alice", "bob", "carol"}
+	for i := 0; i < 500; i++ {
+		j := &job.Job{User: users[rng.Intn(3)], Name: fmt.Sprintf("app%d", rng.Intn(6)),
+			Tasks: 1 + rng.Intn(40), Priority: rng.Intn(3)}
+		p.Observe(j, 30+rng.ExpFloat64()*200)
+	}
+	st := stateOf(p)
+	legacy, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, fromBinary := New(Config{}), New(Config{})
+	if err := fromJSON.Load(bytes.NewReader(legacy)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromBinary.Load(bytes.NewReader(saveBytes(t, p))); err != nil {
+		t.Fatal(err)
+	}
+	a, b := saveBytes(t, fromJSON), saveBytes(t, fromBinary)
+	if !bytes.Equal(a, b) || !bytes.Equal(b, saveBytes(t, p)) {
+		t.Fatalf("saves differ: from JSON %d bytes, from binary %d, original %d", len(a), len(b), len(saveBytes(t, p)))
+	}
+	if len(a) >= len(legacy)/2 {
+		t.Errorf("binary stream %d bytes, JSON %d: not under half", len(a), len(legacy))
+	}
+	for i := 0; i < 50; i++ {
+		j := &job.Job{User: users[rng.Intn(3)], Name: fmt.Sprintf("app%d", rng.Intn(8)),
+			Tasks: 1 + rng.Intn(60), Priority: rng.Intn(4)}
+		x, y := fromJSON.Estimate(j), fromBinary.Estimate(j)
+		if math.Float64bits(x.Point) != math.Float64bits(y.Point) || x.Expert != y.Expert || x.Samples != y.Samples || x.Novel != y.Novel {
+			t.Fatalf("job %d: from JSON %v %s %d, from binary %v %s %d", i, x.Point, x.Expert, x.Samples, y.Point, y.Expert, y.Samples)
+		}
+		for _, q := range []float64{0.1, 0.5, 0.9} {
+			if math.Float64bits(x.Dist.Quantile(q)) != math.Float64bits(y.Dist.Quantile(q)) {
+				t.Fatalf("job %d: q%.1f from JSON %v, from binary %v", i, q, x.Dist.Quantile(q), y.Dist.Quantile(q))
+			}
+		}
 	}
 }
 
@@ -202,21 +302,24 @@ func TestSaveEmptyPredictor(t *testing.T) {
 
 // TestLoadRepairsCorruptHistogram feeds Load a checkpoint whose histogram
 // bins were corrupted in the repairable ways a buggy writer can produce
-// through JSON (unsorted order, non-positive counts): Load must succeed and
-// hand every group a sketch that passes the full invariant verifier, with
-// the dead bins dropped — never a silently corrupt binary-search structure.
+// (unsorted order, non-positive counts), once as a legacy JSON stream and
+// once as a binary one: Load must succeed and hand every group a sketch
+// that passes the full invariant verifier, with the dead bins dropped —
+// never a silently corrupt binary-search structure.
 func TestLoadRepairsCorruptHistogram(t *testing.T) {
 	p := New(Config{})
 	for i := 0; i < 30; i++ {
 		p.Observe(mk("alice", "etl", 4), 100+float64(i%7)*30)
 	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	st := stateOf(p)
+	legacy, err := json.Marshal(&st)
+	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The JSON stream, corrupted as JSON.
 	var raw map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+	if err := json.Unmarshal(legacy, &raw); err != nil {
 		t.Fatal(err)
 	}
 	corrupted := 0
@@ -244,22 +347,40 @@ func TestLoadRepairsCorruptHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := New(Config{})
-	if err := q.Load(bytes.NewReader(mutated)); err != nil {
-		t.Fatalf("load repairable corruption: %v", err)
-	}
-	//lint:allow guardedfield single-goroutine white-box test; no concurrent access to q
-	for fi, m := range q.groups {
-		//lint:allow detrange independent per-group verification; order immaterial
-		for val, g := range m {
-			if err := check.VerifyHistogram(g.hist); err != nil {
-				t.Errorf("feature %d group %q: restored sketch corrupt: %v", fi, val, err)
+	// The same corruption on the binary stream.
+	for _, m := range st.Groups {
+		for _, k := range sortedKeys(m) {
+			gs := m[k]
+			bins := slices.Clone(gs.Hist.Bins)
+			if len(bins) < 2 {
+				continue
 			}
+			slices.Reverse(bins)
+			bins[0].Count = -3.5
+			gs.Hist.Bins = bins
+			m[k] = gs
 		}
 	}
-	est := q.Estimate(mk("alice", "etl", 4))
-	if est.Novel || math.IsNaN(est.Point) || est.Point <= 0 {
-		t.Errorf("estimate after repair = %+v", est)
+
+	for i, data := range [][]byte{mutated, encodeState(&st)} {
+		version := []string{"JSON", "binary"}[i]
+		q := New(Config{})
+		if err := q.Load(bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s: load repairable corruption: %v", version, err)
+		}
+		//lint:allow guardedfield single-goroutine white-box test; no concurrent access to q
+		for fi, m := range q.groups {
+			//lint:allow detrange independent per-group verification; order immaterial
+			for val, g := range m {
+				if err := check.VerifyHistogram(g.hist); err != nil {
+					t.Errorf("%s: feature %d group %q: restored sketch corrupt: %v", version, fi, val, err)
+				}
+			}
+		}
+		est := q.Estimate(mk("alice", "etl", 4))
+		if est.Novel || math.IsNaN(est.Point) || est.Point <= 0 {
+			t.Errorf("%s: estimate after repair = %+v", version, est)
+		}
 	}
 }
 
@@ -305,4 +426,95 @@ func TestLoadStreamWithNMAEDecay(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzPredictorLoad: arbitrary bytes never panic Load; a failed load leaves
+// the predictor's Save bytes as they were; a stream that loads saves as a
+// stream that loads back to the same bytes; and every group it restored
+// takes another observation and answers every estimator without panicking.
+func FuzzPredictorLoad(f *testing.F) {
+	p := New(Config{})
+	for i := 0; i < 3*recentK; i++ {
+		p.Observe(mk(fmt.Sprintf("u%d", i%2), "etl", 1+i%5), float64(40+(i*53)%300))
+	}
+	f.Add(saveBytes(f, p))
+	legacy, err := os.ReadFile("testdata/save-decay.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+	f.Add(saveBytes(f, New(Config{})))
+	f.Add([]byte(`{"version":1,"groups":[{},{},{},{},{},{},{"*":{"recent":[5,6],"rpos":-3}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q := New(Config{})
+		q.Observe(mk("bob", "train", 16), 500)
+		before := saveBytes(t, q)
+		if q.Load(bytes.NewReader(data)) != nil {
+			if !bytes.Equal(saveBytes(t, q), before) {
+				t.Fatal("a failed load changed the predictor")
+			}
+			return
+		}
+		once := saveBytes(t, q)
+		r := New(Config{})
+		if err := r.Load(bytes.NewReader(once)); err != nil {
+			t.Fatalf("a loaded predictor's save does not load: %v", err)
+		}
+		if twice := saveBytes(t, r); !bytes.Equal(once, twice) {
+			t.Fatalf("save, load, save: %d bytes, then %d", len(once), len(twice))
+		}
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		for _, m := range q.groups {
+			for _, val := range sortedKeys(m) {
+				g := m[val]
+				g.observe(100)
+				for k := 0; k < numEstimators; k++ {
+					g.estimate(EstimatorKind(k))
+				}
+			}
+		}
+	})
+}
+
+// saveBytes is p's Save stream.
+func saveBytes(t testing.TB, p *Predictor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// stateOf is p's state as the legacy JSON stream spells it: marshalled, the
+// stream Save wrote before the binary one.
+func stateOf(p *Predictor) predictorState {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := predictorState{Version: jsonVersion, Groups: make([]map[string]groupState, len(p.groups))}
+	for fi, m := range p.groups {
+		st.Groups[fi] = make(map[string]groupState, len(m))
+		for _, val := range sortedKeys(m) {
+			gs := m[val].state()
+			gs.Recent = slices.Clone(gs.Recent)
+			st.Groups[fi][val] = gs
+		}
+	}
+	return st
+}
+
+// encodeState is the binary stream of a state, which need not be one a
+// predictor could hold.
+func encodeState(st *predictorState) []byte {
+	buf := append([]byte(persistMagic), persistVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(st.Groups)))
+	for _, m := range st.Groups {
+		buf = binary.AppendUvarint(buf, uint64(len(m)))
+		for _, val := range sortedKeys(m) {
+			gs := m[val]
+			buf = appendGroup(buf, val, &gs)
+		}
+	}
+	return buf
 }

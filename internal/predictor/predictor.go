@@ -15,10 +15,9 @@
 package predictor
 
 import (
-	"fmt"
 	"math"
-	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"threesigma/internal/dist"
@@ -60,33 +59,33 @@ func (e EstimatorKind) String() string {
 }
 
 // feature extracts one categorical attribute (or attribute combination)
-// from a job.
+// from a job: Append appends the job's value of it to dst.
 type feature struct {
-	Name    string
-	Extract func(*job.Job) string
+	Name   string
+	Append func(dst []byte, j *job.Job) []byte
 }
 
-// tasksBucket groups the resources-requested attribute by power of two, so
-// jobs asking for similar node counts share history.
-func tasksBucket(k int) string {
+// tasksBucket appends the resources-requested attribute grouped by power of
+// two, so jobs asking for similar node counts share history.
+func tasksBucket(dst []byte, k int) []byte {
 	b := 1
 	for b < k {
 		b <<= 1
 	}
-	return fmt.Sprintf("<=%d", b)
+	return strconv.AppendInt(append(dst, "<="...), int64(b), 10)
 }
 
 // features is the feature set: user, job name, their combination,
 // resources requested, user×resources, priority, and a catch-all (the
 // fallback when a job matches no history).
 var features = []feature{
-	{"user", func(j *job.Job) string { return j.User }},
-	{"name", func(j *job.Job) string { return j.Name }},
-	{"user+name", func(j *job.Job) string { return j.User + "/" + j.Name }},
-	{"resources", func(j *job.Job) string { return tasksBucket(j.Tasks) }},
-	{"user+resources", func(j *job.Job) string { return j.User + "/" + tasksBucket(j.Tasks) }},
-	{"priority", func(j *job.Job) string { return fmt.Sprintf("p%d", j.Priority) }},
-	{"all", func(j *job.Job) string { return "*" }},
+	{"user", func(dst []byte, j *job.Job) []byte { return append(dst, j.User...) }},
+	{"name", func(dst []byte, j *job.Job) []byte { return append(dst, j.Name...) }},
+	{"user+name", func(dst []byte, j *job.Job) []byte { return append(append(append(dst, j.User...), '/'), j.Name...) }},
+	{"resources", func(dst []byte, j *job.Job) []byte { return tasksBucket(dst, j.Tasks) }},
+	{"user+resources", func(dst []byte, j *job.Job) []byte { return tasksBucket(append(append(dst, j.User...), '/'), j.Tasks) }},
+	{"priority", func(dst []byte, j *job.Job) []byte { return strconv.AppendInt(append(dst, 'p'), int64(j.Priority), 10) }},
+	{"all", func(dst []byte, j *job.Job) []byte { return append(dst, '*') }},
 }
 
 // The estimator constants of §4.1. The paper's evaluation never varies
@@ -105,29 +104,22 @@ const (
 // parameter, because bench/ passes it.
 type Config struct{}
 
-// group is the constant-memory sketch of one feature value's history.
+// group is the constant-memory sketch of one feature value's history. All
+// of it but the histogram is inline, one allocation per group.
 type group struct {
 	hist    *histogram.Histogram
 	count   int
 	sum     float64
 	rolling float64
-	recent  []float64 // ring buffer
+	recent  [recentK]float64 // ring buffer; the first rLen are live
 	rPos    int
 	rLen    int
-	sorted  []float64 // the ring's values in ascending order, for EstMedian
-	nmae    [numEstimators]*stats.NMAE
+	sorted  [recentK]float64 // the ring's rLen values in ascending order, for EstMedian
+	nmae    [numEstimators]stats.NMAE
 }
 
 func newGroup() *group {
-	g := &group{
-		hist:   histogram.New(maxBins),
-		recent: make([]float64, recentK),
-		sorted: make([]float64, 0, recentK),
-	}
-	for i := range g.nmae {
-		g.nmae[i] = new(stats.NMAE)
-	}
-	return g
+	return &group{hist: histogram.New(maxBins)}
 }
 
 // estimate returns the point estimate of one estimator kind from the
@@ -140,7 +132,7 @@ func (g *group) estimate(kind EstimatorKind) float64 {
 	case EstAverage:
 		return g.sum / float64(g.count)
 	case EstMedian:
-		return stats.SortedMedian(g.sorted)
+		return stats.SortedMedian(g.sorted[:g.rLen])
 	case EstRolling:
 		return g.rolling
 	case EstRecentAvg:
@@ -158,24 +150,28 @@ func (g *group) recentValues() []float64 {
 // value is deleted and the new one inserted in place, O(recentK) moves
 // instead of a sort per estimate.
 func (g *group) push(runtime float64) {
-	if g.rLen < len(g.recent) {
+	s := g.sorted[:g.rLen]
+	if g.rLen < recentK {
 		g.recent[g.rLen] = runtime
 		g.rLen++
 	} else {
-		old := g.recent[g.rPos]
-		i := sort.SearchFloat64s(g.sorted, old)
-		g.sorted = slices.Delete(g.sorted, i, i+1)
+		i := sort.SearchFloat64s(s, g.recent[g.rPos])
+		copy(s[i:], s[i+1:])
+		s = s[:len(s)-1]
 		g.recent[g.rPos] = runtime
-		g.rPos = (g.rPos + 1) % len(g.recent)
+		g.rPos = (g.rPos + 1) % recentK
 	}
-	i := sort.SearchFloat64s(g.sorted, runtime)
-	g.sorted = slices.Insert(g.sorted, i, runtime)
+	i := sort.SearchFloat64s(s, runtime)
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = runtime
 }
 
 // resort rebuilds the sorted companion from the ring (after a load).
 func (g *group) resort() {
-	g.sorted = append(g.sorted[:0], g.recentValues()...)
-	sort.Float64s(g.sorted)
+	s := g.sorted[:g.rLen]
+	copy(s, g.recentValues())
+	sort.Float64s(s)
 }
 
 // observe scores all estimators against the new runtime and then folds the
@@ -219,6 +215,14 @@ type Estimate struct {
 type Predictor struct {
 	mu     sync.Mutex
 	groups []map[string]*group // guarded by mu; one map per feature
+	key    []byte              // guarded by mu; scratch for a job's feature value
+}
+
+// lookup returns feature fi's group for j, and j's value of the feature in
+// p.key. Looking up m[string(b)] does not allocate.
+func (p *Predictor) lookup(fi int, j *job.Job) *group {
+	p.key = features[fi].Append(p.key[:0], j)
+	return p.groups[fi][string(p.key)]
 }
 
 // New returns an empty predictor.
@@ -247,8 +251,8 @@ func (p *Predictor) Estimate(j *job.Job) Estimate {
 	var fbGroup *group
 	fbName := ""
 	for fi, f := range features {
-		g, ok := p.groups[fi][f.Extract(j)]
-		if !ok || g.count == 0 {
+		g := p.lookup(fi, j)
+		if g == nil || g.count == 0 {
 			continue
 		}
 		if fbGroup == nil || g.count > fbGroup.count {
@@ -303,12 +307,11 @@ func (p *Predictor) Observe(j *job.Job, runtime float64) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for fi, f := range features {
-		v := f.Extract(j)
-		g, ok := p.groups[fi][v]
-		if !ok {
+	for fi := range features {
+		g := p.lookup(fi, j)
+		if g == nil {
 			g = newGroup()
-			p.groups[fi][v] = g
+			p.groups[fi][string(p.key)] = g
 		}
 		g.observe(runtime)
 	}

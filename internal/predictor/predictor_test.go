@@ -167,7 +167,7 @@ func TestTasksBucket(t *testing.T) {
 	cases := map[int]string{1: "<=1", 2: "<=2", 3: "<=4", 9: "<=16", 16: "<=16"}
 	//lint:allow detrange independent per-entry assertions; order immaterial
 	for k, want := range cases {
-		if got := tasksBucket(k); got != want {
+		if got := string(tasksBucket(nil, k)); got != want {
 			t.Errorf("tasksBucket(%d) = %q, want %q", k, got, want)
 		}
 	}

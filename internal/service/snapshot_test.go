@@ -459,6 +459,13 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 		"predictor stream": func(top map[string]json.RawMessage) {
 			top["predictor"] = json.RawMessage(`{"version":99,"groups":[]}`)
 		},
+		"truncated binary stream": func(top map[string]json.RawMessage) {
+			var stream []byte
+			if err := json.Unmarshal(top["predictor"], &stream); err != nil || len(stream) < 2 {
+				t.Fatalf("the snapshot carries no binary predictor stream (%d bytes): %v", len(stream), err)
+			}
+			top["predictor"], _ = json.Marshal(stream[:len(stream)/2])
+		},
 		"dists entry": func(top map[string]json.RawMessage) {
 			var sched map[string]json.RawMessage
 			if err := json.Unmarshal(top["sched"], &sched); err != nil {

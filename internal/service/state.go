@@ -750,7 +750,7 @@ type stateWire struct {
 	*plain
 	Engine    *simulator.EngineState `json:"engine"`
 	Sched     *core.SchedState       `json:"sched"`
-	Predictor json.RawMessage        `json:"predictor,omitempty"` // predictor.Save stream
+	Predictor predictorStream        `json:"predictor,omitempty"`
 	// Comps is never written: it is how decode recognizes a snapshot from
 	// before every service ran its tasks on an agent, whose live runs sit in
 	// the completion heap it encoded here and not in the desired map.
@@ -823,11 +823,27 @@ func snapshotHeader(data []byte) (epoch uint64, predSHA string, ok bool) {
 	return epoch, predSHA, true
 }
 
+// predictorStream is the predictor's Save stream as a snapshot carries it:
+// bytes, which encoding/json writes as a base64 string. A snapshot from
+// before the predictor saved a binary stream carries its JSON stream as an
+// object instead; decoding keeps that object's bytes, which predictor.Load
+// reads as they are.
+type predictorStream []byte
+
+// UnmarshalJSON reads either form.
+func (ps *predictorStream) UnmarshalJSON(data []byte) error {
+	if len(data) > 0 && data[0] == '{' {
+		*ps = append((*ps)[:0], data...)
+		return nil
+	}
+	return json.Unmarshal(data, (*[]byte)(ps))
+}
+
 // staged is the part of a decoded state that lives in env's scheduler and
 // predictor once adopted, and until then only here.
 type staged struct {
 	sched *core.SchedState
-	pred  json.RawMessage
+	pred  []byte
 }
 
 // decode reads an encoded state into a fresh value over st's env and checks

@@ -647,3 +647,38 @@ func FuzzStateApply(f *testing.F) {
 		}
 	})
 }
+
+// TestPredictorStreamReadsEveryForm: a snapshot's predictor field is read
+// as the bytes encoding/json wrote for it, and as its own bytes when it is
+// a legacy object.
+func TestPredictorStreamReadsEveryForm(t *testing.T) {
+	stream := []byte("3SPR\x02 any bytes \x00\xff")
+	enc, err := json.Marshal(predictorStream(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, in string
+		want     []byte
+	}{
+		{"base64", string(enc), stream},
+		{"legacy object", `{"version":1,"groups":[]}`, []byte(`{"version":1,"groups":[]}`)},
+		{"null", `null`, nil},
+	} {
+		var w struct {
+			P predictorStream `json:"predictor"`
+		}
+		if err := json.Unmarshal([]byte(`{"predictor":`+c.in+`}`), &w); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(w.P, c.want) {
+			t.Errorf("%s: read %q, want %q", c.name, w.P, c.want)
+		}
+	}
+	var w struct {
+		P predictorStream `json:"predictor"`
+	}
+	if err := json.Unmarshal([]byte(`{"predictor":"not base64!"}`), &w); err == nil {
+		t.Error("a string that is not base64 was read")
+	}
+}

@@ -172,6 +172,6 @@ func (m *NMAE) State() NMAEState {
 }
 
 // NMAEFromState reconstructs a tracker from a snapshot.
-func NMAEFromState(s NMAEState) *NMAE {
-	return &NMAE{sumAbsErr: s.SumAbsErr, sumActual: s.SumActual, n: s.N}
+func NMAEFromState(s NMAEState) NMAE {
+	return NMAE{sumAbsErr: s.SumAbsErr, sumActual: s.SumActual, n: s.N}
 }

@@ -94,6 +94,9 @@ go test -fuzz '^FuzzFromState$' -fuzztime 5s -run '^$' ./internal/histogram
 # The batched grid CDF (DESIGN.md §12) is the per-point CDF, bit for bit.
 go test -fuzz '^FuzzCDFAscending$' -fuzztime 5s -run '^$' ./internal/histogram
 go test -fuzz '^FuzzConditional$' -fuzztime 5s -run '^$' ./internal/dist
+# Arbitrary bytes never panic the predictor's Load; a failed load changes
+# nothing, and a stream that loads saves and loads back to the same bytes.
+go test -fuzz '^FuzzPredictorLoad$' -fuzztime 5s -run '^$' ./internal/predictor
 # The control plane's state machine: arbitrary log records never panic it, and
 # one it refuses leaves its encoding untouched (DESIGN.md §14).
 go test -fuzz '^FuzzStateApply$' -fuzztime 10s -run '^$' ./internal/service

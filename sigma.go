@@ -111,10 +111,15 @@ func (p *Predictor) Observe(j *Job, runtime float64) { p.p.Observe(j, runtime) }
 func (p *Predictor) Train(w *Workload) { experiments.Pretrain(p.p, w) }
 
 // Save serializes the predictor's history sketches (the paper's runtime
-// history database) for reuse across processes.
+// history database) for reuse across processes, as one versioned binary
+// stream: a magic and a version byte, then every feature's groups in key
+// order, each float as its IEEE-754 bits (internal/predictor/persist.go
+// spells out the layout).
 func (p *Predictor) Save(w io.Writer) error { return p.p.Save(w) }
 
-// Load restores history saved by Save.
+// Load restores history saved by Save, all or nothing. It also reads the
+// JSON stream Save wrote before the binary one: that stream is read, never
+// written.
 func (p *Predictor) Load(r io.Reader) error { return p.p.Load(r) }
 
 // The system types and the run options the facade shares with
