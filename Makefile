@@ -43,17 +43,18 @@ check: lint
 	THREESIGMA_ORACLE_MODELS=200 THREESIGMA_ORACLE_SEED=1 \
 		$(GO) test -count=1 ./internal/check
 
-# fuzz runs each fuzz target for a short randomized pass — the same seven
+# fuzz runs each fuzz target for a short randomized pass — the same eight
 # targets scripts/ci.sh's fuzz smoke runs: the histogram and distribution
-# invariants, the predictor's Load, and the control plane's state machine and
-# snapshot header (the regression corpus under testdata/fuzz always runs as
-# part of plain `make test`).
+# invariants, the predictor's Load, the decision log's Open, and the control
+# plane's state machine and snapshot header (the regression corpus under
+# testdata/fuzz always runs as part of plain `make test`).
 fuzz:
 	$(GO) test -fuzz '^FuzzHistogramInvariants$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzFromState$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzCDFAscending$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzConditional$$' -fuzztime 10s -run '^$$' ./internal/dist
 	$(GO) test -fuzz '^FuzzPredictorLoad$$' -fuzztime 10s -run '^$$' ./internal/predictor
+	$(GO) test -fuzz '^FuzzReplogOpen$$' -fuzztime 10s -run '^$$' ./internal/replog
 	$(GO) test -fuzz '^FuzzStateApply$$' -fuzztime 10s -run '^$$' ./internal/service
 	$(GO) test -fuzz '^FuzzSnapshotHeader$$' -fuzztime 10s -run '^$$' ./internal/service
 

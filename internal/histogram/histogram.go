@@ -393,8 +393,8 @@ func (h *Histogram) Snapshot() State {
 // The snapshot is validated and repaired before use: every query path
 // (AddWeighted, Sum, CDF) binary-searches h.bins assuming sorted order and
 // positive counts, so a corrupted or hand-edited checkpoint would otherwise
-// silently yield wrong CDFs. Bins with non-positive counts are dropped,
-// out-of-order bins are re-sorted (duplicate centroids merged), an
+// silently yield wrong CDFs. Bins with non-positive or subnormal counts are
+// dropped, out-of-order bins are re-sorted (duplicate centroids merged), an
 // over-budget bin list is merged down to MaxBins, and n/min/max are
 // recomputed from the surviving bins. Snapshots with non-finite centroids
 // or counts, or with counts whose sums are not finite, are irrecoverable and
@@ -408,8 +408,12 @@ func FromState(s State) (*Histogram, error) {
 		if math.IsNaN(b.Count) || math.IsInf(b.Count, 0) {
 			return nil, fmt.Errorf("histogram: snapshot bin %g has non-finite count %v", b.Value, b.Count)
 		}
-		if b.Count <= 0 {
-			continue // dead weight: drop rather than corrupt binary searches
+		// Dead weight is dropped rather than left to corrupt binary
+		// searches, and so is a count below the smallest normal float64:
+		// arithmetic on a subnormal keeps too few bits for CDF and
+		// Quantile to invert each other.
+		if b.Count < 0x1p-1022 {
+			continue
 		}
 		h.bins = append(h.bins, b)
 	}

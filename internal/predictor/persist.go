@@ -3,7 +3,6 @@ package predictor
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -33,38 +32,30 @@ import (
 // where every float is its IEEE-754 bits, eight bytes little-endian, so
 // every value round-trips exactly. A histogram's bin budget is not stored
 // (every group's is maxBins) and neither is its total, which FromState sums
-// from the bins. Load reads that stream, and also the JSON stream
-// (version 1) Save wrote before it, which is read but never written; the
-// two are told apart by their first bytes.
+// from the bins. Load reads that stream and nothing else: a build reads
+// the format it writes, and a stream of any other magic or version is
+// refused.
 
 // persistMagic opens a binary stream; persistVersion follows it.
 const (
 	persistMagic   = "3SPR"
 	persistVersion = 2
-	// jsonVersion is the legacy JSON stream's "version".
-	jsonVersion = 1
 )
 
 // minGroupBytes is the smallest encoding of a group: an empty key and
 // histogram, an empty ring, and every uvarint one byte long.
 const minGroupBytes = 1 + 1 + 2*8 + 1 + 2*8 + 2 + numEstimators*(2*8+1)
 
-// groupState is one group's saved state, as the legacy JSON stream spells
-// it and as the binary decoder hands it to restoreGroup.
+// groupState is one group's saved state, as appendGroup writes it and
+// loadBinary hands it to restoreGroup.
 type groupState struct {
-	Hist    histogram.State                `json:"hist"`
-	Count   int                            `json:"count"`
-	Sum     float64                        `json:"sum"`
-	Rolling float64                        `json:"rolling"`
-	Recent  []float64                      `json:"recent"`
-	RPos    int                            `json:"rpos"`
-	NMAE    [numEstimators]stats.NMAEState `json:"nmae"`
-}
-
-// predictorState is the legacy JSON stream.
-type predictorState struct {
-	Version int                     `json:"version"`
-	Groups  []map[string]groupState `json:"groups"` // one map per feature, by value
+	Hist    histogram.State
+	Count   int
+	Sum     float64
+	Rolling float64
+	Recent  []float64
+	RPos    int
+	NMAE    [numEstimators]stats.NMAEState
 }
 
 // Save serializes the predictor's history sketches to w as the binary
@@ -145,12 +136,10 @@ func (p *Predictor) Load(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("predictor: load: %w", err)
 	}
-	var groups []map[string]*group
-	if bytes.HasPrefix(data, []byte(persistMagic)) {
-		groups, err = loadBinary(data[len(persistMagic):])
-	} else {
-		groups, err = loadJSON(data)
+	if !bytes.HasPrefix(data, []byte(persistMagic)) {
+		return fmt.Errorf("predictor: load: stream does not begin with %q", persistMagic)
 	}
+	groups, err := loadBinary(data[len(persistMagic):])
 	if err != nil {
 		return fmt.Errorf("predictor: load: %w", err)
 	}
@@ -221,51 +210,16 @@ func loadBinary(data []byte) ([]map[string]*group, error) {
 	return groups, nil
 }
 
-// loadJSON restores the groups of a legacy JSON stream.
-func loadJSON(data []byte) ([]map[string]*group, error) {
-	var st predictorState
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return nil, err
-	}
-	if st.Version != jsonVersion {
-		return nil, fmt.Errorf("unsupported version %d", st.Version)
-	}
-	if len(st.Groups) != len(features) {
-		return nil, fmt.Errorf("%d feature groups, predictor has %d features", len(st.Groups), len(features))
-	}
-	groups := make([]map[string]*group, len(st.Groups))
-	for fi, m := range st.Groups {
-		groups[fi] = make(map[string]*group, len(m))
-		// Sorted so a state with several corrupt groups always reports the
-		// same error, and restore work is order-identical across runs.
-		for _, val := range sortedKeys(m) {
-			gs := m[val]
-			g, err := restoreGroup(&gs)
-			if err != nil {
-				return nil, fmt.Errorf("feature %d, group %q: %w", fi, val, err)
-			}
-			groups[fi][val] = g
-		}
-	}
-	return groups, nil
-}
-
-// restoreGroup builds a group from its saved state: the one restore step
-// both stream versions share. The histogram goes through FromState's
-// validation and repair, with the predictor's bin budget whatever budget a
-// legacy stream names. What no repair makes safe is an error: a negative
-// count, rpos or NMAE n (a negative rpos indexes the ring on the next
-// Observe), or a recent value that is not finite (the sorted companion
-// could not find it to evict it). A ring saved longer than recentK keeps
-// its first recentK values.
+// restoreGroup builds a group from its saved state. The histogram goes
+// through FromState's validation and repair, with the predictor's bin
+// budget. What no repair makes safe is an error: a recent value that is not
+// finite (the sorted companion could not find it to evict it), and a ring
+// Observe could never have left — longer than recentK, a position past its
+// end, or a position other than 0 before the ring is full (it stays 0 until
+// then). Counts are uvarints, so none is negative.
 func restoreGroup(gs *groupState) (*group, error) {
-	if gs.Count < 0 || gs.RPos < 0 {
-		return nil, fmt.Errorf("negative count %d or rpos %d", gs.Count, gs.RPos)
-	}
-	for i, s := range gs.NMAE {
-		if s.N < 0 {
-			return nil, fmt.Errorf("estimator %d: negative NMAE n %d", i, s.N)
-		}
+	if len(gs.Recent) > recentK || gs.RPos >= recentK || (gs.RPos != 0 && len(gs.Recent) < recentK) {
+		return nil, fmt.Errorf("ring of %d recent runtimes at position %d (ring size %d)", len(gs.Recent), gs.RPos, recentK)
 	}
 	for _, v := range gs.Recent {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -279,7 +233,7 @@ func restoreGroup(gs *groupState) (*group, error) {
 	}
 	g := &group{hist: h, count: gs.Count, sum: gs.Sum, rolling: gs.Rolling}
 	g.rLen = copy(g.recent[:], gs.Recent)
-	g.rPos = gs.RPos % recentK
+	g.rPos = gs.RPos
 	g.resort()
 	for i := range g.nmae {
 		g.nmae[i] = stats.NMAEFromState(gs.NMAE[i])

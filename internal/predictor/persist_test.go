@@ -3,13 +3,10 @@ package predictor
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"slices"
-	"strings"
 	"testing"
 
 	"threesigma/internal/check"
@@ -169,41 +166,52 @@ func TestLoadRejectsVersionMismatchOnRealPayload(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsBadInput: a stream Save could not have written fails to
+// load — garbage, a JSON stream (the format Save wrote before the binary
+// one), a damaged binary stream, a ring Observe could never leave — and
+// leaves the predictor as it was.
 func TestLoadRejectsBadInput(t *testing.T) {
-	p := New(Config{})
-	if err := p.Load(strings.NewReader("not json")); err == nil {
-		t.Error("garbage should fail")
+	target := func() *Predictor {
+		p := New(Config{})
+		p.Observe(mk("bob", "train", 16), 500)
+		return p
 	}
-	if err := p.Load(strings.NewReader(`{"version":99,"groups":[]}`)); err == nil {
-		t.Error("wrong version should fail")
-	}
-	if err := p.Load(strings.NewReader(`{"version":1,"groups":[]}`)); err == nil {
-		t.Error("feature-count mismatch should fail")
-	}
+	before := saveBytes(t, target())
 	q := New(Config{})
-	q.Observe(mk("alice", "etl", 4), 100)
+	for i := 0; i < recentK+3; i++ {
+		q.Observe(mk("alice", "etl", 4), 100+float64(i))
+	}
 	good := saveBytes(t, q)
+	ring := func(damage func(*groupState)) []byte { return damagedStream(q, damage) }
 	for _, c := range []struct {
 		name string
 		data []byte
 	}{
+		{"garbage", []byte("not json")},
+		{"JSON stream", []byte(`{"version":1,"groups":[{},{},{},{},{},{},{}]}`)},
 		{"magic alone", []byte(persistMagic)},
 		{"no features", append([]byte(persistMagic), persistVersion)},
 		{"truncated", good[:len(good)-1]},
 		{"trailing byte", append(slices.Clone(good), 0)},
 		{"one feature", append([]byte(persistMagic), persistVersion, 1, 0)},
 		{"huge group count", append([]byte(persistMagic), persistVersion, byte(len(features)), 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{"ring longer than recentK", ring(func(gs *groupState) { gs.Recent = append(slices.Clone(gs.Recent), 1) })},
+		{"rpos past the ring", ring(func(gs *groupState) { gs.RPos = recentK })},
+		{"rpos in a ring not full", ring(func(gs *groupState) { gs.Recent = gs.Recent[:recentK-1] })},
 	} {
+		p := target()
 		if err := p.Load(bytes.NewReader(c.data)); err == nil {
 			t.Errorf("%s: should fail", c.name)
+		} else if !bytes.Equal(saveBytes(t, p), before) {
+			t.Errorf("%s: a failed load changed the predictor", c.name)
 		}
 	}
 }
 
 // TestLoadRejectsNegativeRingPosition: a stream whose rpos, count or NMAE n
-// is negative fails to load, in either version, instead of loading a group
-// whose next Observe indexes its ring at -3. (A uvarint cannot be negative:
-// the binary stream spells one as a value no int holds.)
+// is negative fails to load instead of loading a group whose next Observe
+// indexes its ring at -3. (A uvarint cannot be negative: the stream spells
+// one as a value no int holds.)
 func TestLoadRejectsNegativeRingPosition(t *testing.T) {
 	p := New(Config{})
 	for i := 0; i < 3*recentK; i++ {
@@ -217,71 +225,11 @@ func TestLoadRejectsNegativeRingPosition(t *testing.T) {
 		{"count", func(gs *groupState) { gs.Count = -1 }},
 		{"nmae n", func(gs *groupState) { gs.NMAE[2].N = -5 }},
 	} {
-		st := stateOf(p)
-		for _, m := range st.Groups {
-			for _, k := range sortedKeys(m) {
-				gs := m[k]
-				c.damage(&gs)
-				m[k] = gs
-			}
+		q := New(Config{})
+		if err := q.Load(bytes.NewReader(damagedStream(p, c.damage))); err == nil {
+			t.Errorf("a stream with a negative %s loaded", c.name)
 		}
-		legacy, err := json.Marshal(&st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, data := range [][]byte{legacy, encodeState(&st)} {
-			q := New(Config{})
-			if err := q.Load(bytes.NewReader(data)); err == nil {
-				t.Errorf("%s stream with a negative %s loaded", []string{"JSON", "binary"}[i], c.name)
-			}
-			q.Observe(mk("alice", "etl", 4), 100) // had rpos -3 loaded, the full ring would panic here
-		}
-	}
-}
-
-// TestJSONAndBinaryStreamsLoadAlike: a predictor's legacy JSON stream and
-// its binary stream load into predictors that save the same bytes and
-// answer every query alike.
-func TestJSONAndBinaryStreamsLoadAlike(t *testing.T) {
-	p := New(Config{})
-	rng := rand.New(rand.NewSource(5))
-	users := []string{"alice", "bob", "carol"}
-	for i := 0; i < 500; i++ {
-		j := &job.Job{User: users[rng.Intn(3)], Name: fmt.Sprintf("app%d", rng.Intn(6)),
-			Tasks: 1 + rng.Intn(40), Priority: rng.Intn(3)}
-		p.Observe(j, 30+rng.ExpFloat64()*200)
-	}
-	st := stateOf(p)
-	legacy, err := json.Marshal(&st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, fromBinary := New(Config{}), New(Config{})
-	if err := fromJSON.Load(bytes.NewReader(legacy)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fromBinary.Load(bytes.NewReader(saveBytes(t, p))); err != nil {
-		t.Fatal(err)
-	}
-	a, b := saveBytes(t, fromJSON), saveBytes(t, fromBinary)
-	if !bytes.Equal(a, b) || !bytes.Equal(b, saveBytes(t, p)) {
-		t.Fatalf("saves differ: from JSON %d bytes, from binary %d, original %d", len(a), len(b), len(saveBytes(t, p)))
-	}
-	if len(a) >= len(legacy)/2 {
-		t.Errorf("binary stream %d bytes, JSON %d: not under half", len(a), len(legacy))
-	}
-	for i := 0; i < 50; i++ {
-		j := &job.Job{User: users[rng.Intn(3)], Name: fmt.Sprintf("app%d", rng.Intn(8)),
-			Tasks: 1 + rng.Intn(60), Priority: rng.Intn(4)}
-		x, y := fromJSON.Estimate(j), fromBinary.Estimate(j)
-		if math.Float64bits(x.Point) != math.Float64bits(y.Point) || x.Expert != y.Expert || x.Samples != y.Samples || x.Novel != y.Novel {
-			t.Fatalf("job %d: from JSON %v %s %d, from binary %v %s %d", i, x.Point, x.Expert, x.Samples, y.Point, y.Expert, y.Samples)
-		}
-		for _, q := range []float64{0.1, 0.5, 0.9} {
-			if math.Float64bits(x.Dist.Quantile(q)) != math.Float64bits(y.Dist.Quantile(q)) {
-				t.Fatalf("job %d: q%.1f from JSON %v, from binary %v", i, q, x.Dist.Quantile(q), y.Dist.Quantile(q))
-			}
-		}
+		q.Observe(mk("alice", "etl", 4), 100) // had rpos -3 loaded, the full ring would panic here
 	}
 }
 
@@ -300,131 +248,45 @@ func TestSaveEmptyPredictor(t *testing.T) {
 	}
 }
 
-// TestLoadRepairsCorruptHistogram feeds Load a checkpoint whose histogram
-// bins were corrupted in the repairable ways a buggy writer can produce
-// (unsorted order, non-positive counts), once as a legacy JSON stream and
-// once as a binary one: Load must succeed and hand every group a sketch
-// that passes the full invariant verifier, with the dead bins dropped —
-// never a silently corrupt binary-search structure.
+// TestLoadRepairsCorruptHistogram feeds Load a stream whose histogram bins
+// were corrupted in the repairable ways a buggy writer can produce
+// (unsorted order, non-positive counts): Load must succeed and hand every
+// group a sketch that passes the full invariant verifier, with the dead bins
+// dropped — never a silently corrupt binary-search structure.
 func TestLoadRepairsCorruptHistogram(t *testing.T) {
 	p := New(Config{})
 	for i := 0; i < 30; i++ {
 		p.Observe(mk("alice", "etl", 4), 100+float64(i%7)*30)
 	}
-	st := stateOf(p)
-	legacy, err := json.Marshal(&st)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The JSON stream, corrupted as JSON.
-	var raw map[string]any
-	if err := json.Unmarshal(legacy, &raw); err != nil {
-		t.Fatal(err)
-	}
 	corrupted := 0
-	for _, groups := range raw["groups"].([]any) {
-		//lint:allow detrange every multi-bin group is mutated the same way; order immaterial
-		for _, gv := range groups.(map[string]any) {
-			hist := gv.(map[string]any)["hist"].(map[string]any)
-			bins := hist["bins"].([]any)
-			if len(bins) < 2 {
-				continue
-			}
+	data := damagedStream(p, func(gs *groupState) {
+		if bins := gs.Hist.Bins; len(bins) >= 2 {
 			// Reverse the bin order and kill the first bin's count.
-			for i, j := 0, len(bins)-1; i < j; i, j = i+1, j-1 {
-				bins[i], bins[j] = bins[j], bins[i]
-			}
-			bins[0].(map[string]any)["count"] = -3.5
+			slices.Reverse(bins)
+			bins[0].Count = -3.5
 			corrupted++
 		}
-	}
+	})
 	if corrupted == 0 {
 		t.Fatal("test setup produced no multi-bin histograms to corrupt")
 	}
-	mutated, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// The same corruption on the binary stream.
-	for _, m := range st.Groups {
-		for _, k := range sortedKeys(m) {
-			gs := m[k]
-			bins := slices.Clone(gs.Hist.Bins)
-			if len(bins) < 2 {
-				continue
-			}
-			slices.Reverse(bins)
-			bins[0].Count = -3.5
-			gs.Hist.Bins = bins
-			m[k] = gs
-		}
+	q := New(Config{})
+	if err := q.Load(bytes.NewReader(data)); err != nil {
+		t.Fatalf("load repairable corruption: %v", err)
 	}
-
-	for i, data := range [][]byte{mutated, encodeState(&st)} {
-		version := []string{"JSON", "binary"}[i]
-		q := New(Config{})
-		if err := q.Load(bytes.NewReader(data)); err != nil {
-			t.Fatalf("%s: load repairable corruption: %v", version, err)
-		}
-		//lint:allow guardedfield single-goroutine white-box test; no concurrent access to q
-		for fi, m := range q.groups {
-			//lint:allow detrange independent per-group verification; order immaterial
-			for val, g := range m {
-				if err := check.VerifyHistogram(g.hist); err != nil {
-					t.Errorf("%s: feature %d group %q: restored sketch corrupt: %v", version, fi, val, err)
-				}
+	//lint:allow guardedfield single-goroutine white-box test; no concurrent access to q
+	for fi, m := range q.groups {
+		//lint:allow detrange independent per-group verification; order immaterial
+		for val, g := range m {
+			if err := check.VerifyHistogram(g.hist); err != nil {
+				t.Errorf("feature %d group %q: restored sketch corrupt: %v", fi, val, err)
 			}
 		}
-		est := q.Estimate(mk("alice", "etl", 4))
-		if est.Novel || math.IsNaN(est.Point) || est.Point <= 0 {
-			t.Errorf("%s: estimate after repair = %+v", version, est)
-		}
 	}
-}
-
-// TestLoadStreamWithNMAEDecay: testdata/save-decay.json is a Save stream
-// written when expert scores could decay, so every NMAE entry carries
-// "decay": 1. It loads into a predictor that answers every query as one fed
-// the same 40 observations does, and saves as that predictor saves.
-func TestLoadStreamWithNMAEDecay(t *testing.T) {
-	data, err := os.ReadFile("testdata/save-decay.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"decay":1`)) {
-		t.Fatal("the fixture carries no NMAE decay")
-	}
-	loaded := New(Config{})
-	if err := loaded.Load(bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	fed := New(Config{})
-	for i := 0; i < 40; i++ {
-		fed.Observe(mk(fmt.Sprintf("u%d", i%2), fmt.Sprintf("app%d", i%3), 1+i%3), float64(50+(i*37)%200))
-	}
-	var a, b bytes.Buffer
-	if err := loaded.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("the loaded predictor saves differently from the fed one")
-	}
-	for _, j := range []*job.Job{mk("u0", "app0", 1), mk("u1", "app2", 3), mk("u1", "app1", 8), mk("new", "x", 1)} {
-		got, want := loaded.Estimate(j), fed.Estimate(j)
-		if got.Point != want.Point || got.Expert != want.Expert || got.Samples != want.Samples {
-			t.Errorf("%s/%s: loaded %v %s %d, fed %v %s %d", j.User, j.Name,
-				got.Point, got.Expert, got.Samples, want.Point, want.Expert, want.Samples)
-		}
-		for _, x := range []float64{60, 120, 240} {
-			if got.Dist.CDF(x) != want.Dist.CDF(x) {
-				t.Errorf("%s/%s: CDF(%v) loaded %v, fed %v", j.User, j.Name, x, got.Dist.CDF(x), want.Dist.CDF(x))
-			}
-		}
+	est := q.Estimate(mk("alice", "etl", 4))
+	if est.Novel || math.IsNaN(est.Point) || est.Point <= 0 {
+		t.Errorf("estimate after repair = %+v", est)
 	}
 }
 
@@ -438,13 +300,20 @@ func FuzzPredictorLoad(f *testing.F) {
 		p.Observe(mk(fmt.Sprintf("u%d", i%2), "etl", 1+i%5), float64(40+(i*53)%300))
 	}
 	f.Add(saveBytes(f, p))
-	legacy, err := os.ReadFile("testdata/save-decay.json")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacy)
 	f.Add(saveBytes(f, New(Config{})))
-	f.Add([]byte(`{"version":1,"groups":[{},{},{},{},{},{},{"*":{"recent":[5,6],"rpos":-3}}]}`))
+	// A ring at position 3 that is not full, and one longer than recentK:
+	// neither is a ring Observe leaves.
+	for _, damage := range []func(*groupState){
+		func(gs *groupState) { gs.Recent, gs.RPos = gs.Recent[:5], 3 },
+		func(gs *groupState) { gs.Recent = append(slices.Clone(gs.Recent), 7) },
+	} {
+		st := stateOf(p)
+		m := st[len(st)-1]
+		gs := m["*"]
+		damage(&gs)
+		m["*"] = gs
+		f.Add(encodeState(st))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := New(Config{})
 		q.Observe(mk("bob", "train", 16), 500)
@@ -487,29 +356,47 @@ func saveBytes(t testing.TB, p *Predictor) []byte {
 	return buf.Bytes()
 }
 
-// stateOf is p's state as the legacy JSON stream spells it: marshalled, the
-// stream Save wrote before the binary one.
-func stateOf(p *Predictor) predictorState {
+// savedState is a predictor's saved groups, one map per feature, spelled
+// so that a test can damage them before encodeState writes them.
+type savedState []map[string]groupState
+
+// stateOf is p's state, its slices copies.
+func stateOf(p *Predictor) savedState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := predictorState{Version: jsonVersion, Groups: make([]map[string]groupState, len(p.groups))}
+	st := make(savedState, len(p.groups))
 	for fi, m := range p.groups {
-		st.Groups[fi] = make(map[string]groupState, len(m))
+		st[fi] = make(map[string]groupState, len(m))
 		for _, val := range sortedKeys(m) {
 			gs := m[val].state()
 			gs.Recent = slices.Clone(gs.Recent)
-			st.Groups[fi][val] = gs
+			gs.Hist.Bins = slices.Clone(gs.Hist.Bins)
+			st[fi][val] = gs
 		}
 	}
 	return st
 }
 
+// damagedStream is p's stream with every group's state passed through
+// damage first.
+func damagedStream(p *Predictor, damage func(*groupState)) []byte {
+	st := stateOf(p)
+	for _, m := range st {
+		for _, k := range sortedKeys(m) {
+			gs := m[k]
+			damage(&gs)
+			m[k] = gs
+		}
+	}
+	return encodeState(st)
+}
+
 // encodeState is the binary stream of a state, which need not be one a
 // predictor could hold.
-func encodeState(st *predictorState) []byte {
+func encodeState(st savedState) []byte {
 	buf := append([]byte(persistMagic), persistVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(st.Groups)))
-	for _, m := range st.Groups {
+	buf = binary.AppendUvarint(buf, uint64(len(st)))
+	for _, m := range st {
 		buf = binary.AppendUvarint(buf, uint64(len(m)))
 		for _, val := range sortedKeys(m) {
 			gs := m[val]

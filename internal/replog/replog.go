@@ -61,11 +61,6 @@ const (
 	// abandonments. Cycle records are derived state — a lost tail cycle is
 	// recomputed identically by the next leader.
 	TypeCycle = "cycle"
-	// TypeCheckpoint is legacy, skipped: logs written while the daemon also
-	// kept predictor checkpoint files hold these records (the predictor's
-	// sha256 at that point); nothing writes them now, and applying one
-	// changes no state.
-	TypeCheckpoint = "ckpt"
 	// TypeSnapshot carries the full serialized service state (engine,
 	// scheduler, predictor, admission queue, deferred inputs) at this point
 	// in the log. Replay starts at the most recent snapshot instead of
@@ -105,7 +100,7 @@ var genesisHash = hex.EncodeToString(make([]byte, sha256.Size))
 // base sequence (records 1..base are compacted away), and the raw 32-byte
 // hash of record base (the Prev the first retained record chains from).
 // The magic reads as a ~860 MB length prefix — far beyond MaxRecordBytes —
-// so it can never collide with a legacy headerless log's first record.
+// so it can never collide with an uncompacted log's first record.
 var headerMagic = []byte("3SRL")
 
 const (
@@ -165,8 +160,8 @@ type Log struct {
 
 // Open opens (or creates) the log at path, verifying the existing chain.
 // A torn final record — a crash mid-append — is truncated away; any other
-// corruption is an error. An empty path opens an in-memory log (tests,
-// replica-less runs).
+// corruption is an error, and leaves the file as it was. An empty path
+// opens an in-memory log (tests, replica-less runs).
 func Open(path string) (*Log, error) {
 	l := &Log{path: path, head: genesisHash}
 	if path == "" {
@@ -200,11 +195,14 @@ func Open(path string) (*Log, error) {
 }
 
 // loadLocked reads and verifies records from f, returning the byte offset of the
-// end of the last complete, chain-valid record. A partial trailing record
-// (short length prefix, short body, or JSON cut mid-stream) is treated as a
-// torn tail; a record that parses but fails chain verification is
-// corruption and errors out. A compacted log begins with a fixed-size
-// header naming the base sequence and the hash the chain resumes from.
+// end of the last complete, chain-valid record. A frame that ends at EOF
+// (a short length prefix or body) is a torn tail; a zero length or a body
+// that does not parse is one only when nothing but zero bytes follows it
+// (tornTail). Any other unreadable frame — an oversized length, a zero
+// length or garbled body with data behind it — is corruption, as is a
+// record that parses but fails chain verification. A compacted log begins
+// with a fixed-size header naming the base sequence and the hash the chain
+// resumes from.
 func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 	rd := bufio.NewReader(f)
 	if magic, perr := rd.Peek(len(headerMagic)); perr == nil && bytes.Equal(magic, headerMagic) {
@@ -227,8 +225,11 @@ func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 			return good, nil // clean EOF or torn length prefix
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > MaxRecordBytes {
-			return good, nil // garbage length: treat as torn tail
+		if n > MaxRecordBytes {
+			return 0, fmt.Errorf("replog: record at offset %d claims %d bytes, over MaxRecordBytes", good, n)
+		}
+		if n == 0 {
+			return tornTail(rd, good) // a zero-filled tail reads as zero lengths
 		}
 		body := make([]byte, n)
 		if _, err := io.ReadFull(rd, body); err != nil {
@@ -236,7 +237,7 @@ func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 		}
 		var rec Record
 		if err := json.Unmarshal(body, &rec); err != nil {
-			return good, nil // torn/garbled JSON tail
+			return tornTail(rd, good)
 		}
 		if rec.Seq != l.base+uint64(len(l.recs))+1 {
 			return 0, fmt.Errorf("replog: record %d out of sequence (want %d)", rec.Seq, l.base+uint64(len(l.recs))+1)
@@ -253,10 +254,28 @@ func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 	}
 }
 
-// MaxRecordBytes bounds one record; a length prefix beyond it is treated as
-// a torn tail rather than an allocation request, and appends refuse to
-// persist a record the loader could not read back. Exported so that the
-// replication endpoints can bound the bodies they read by the same number.
+// tornTail judges an unreadable frame that begins at offset start, with r
+// just past it. A crash mid-append leaves a prefix of what was written, and
+// a file system may extend a file with zeros it never wrote, so the frame
+// is a torn tail — the log ends at start — only when nothing but zero bytes
+// follows it. Anything else behind it is data no crash leaves after a torn
+// frame: corruption, which Open reports instead of truncating the records
+// that follow.
+func tornTail(r io.Reader, start int64) (int64, error) {
+	rest, err := io.ReadAll(r)
+	if err != nil {
+		return 0, err
+	}
+	if len(bytes.TrimLeft(rest, "\x00")) > 0 {
+		return 0, fmt.Errorf("replog: unreadable record at offset %d is followed by data", start)
+	}
+	return start, nil
+}
+
+// MaxRecordBytes bounds one record; a length prefix beyond it is never
+// taken as an allocation request, and appends refuse to persist a record
+// the loader could not read back. Exported so that the replication
+// endpoints can bound the bodies they read by the same number.
 const MaxRecordBytes = 16 << 20
 
 // Close closes the backing file.

@@ -1,15 +1,18 @@
 package replog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func mustAppend(t *testing.T, l *Log, epoch uint64, typ string, cycle int64, data any) Record {
+func mustAppend(t testing.TB, l *Log, epoch uint64, typ string, cycle int64, data any) Record {
 	t.Helper()
 	rec, err := l.Append(epoch, typ, cycle, data)
 	if err != nil {
@@ -117,32 +120,94 @@ func rebuild(t *testing.T, path string, r2 Record) {
 	l.Close()
 }
 
+// TestCorruptBodyRejectedOnOpen: damage inside a record that other records
+// follow is corruption, never a torn tail — Open fails and leaves the file
+// byte for byte as it was, instead of truncating the records behind it.
 func TestCorruptBodyRejectedOnOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decision.log")
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 1})
-	mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 2})
+	for id := 1; id <= 3; id++ {
+		mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": id})
+	}
 	l.Close()
-
-	// Flip a payload byte inside the first record: the stored hash no
-	// longer matches, which must surface as corruption, not a torn tail.
-	raw, err := os.ReadFile(path)
+	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := strings.Index(string(raw), `"id":1`)
-	if i < 0 {
-		t.Fatal("payload not found")
+	first := 4 + int(binary.BigEndian.Uint32(clean)) // the second record's offset
+
+	for _, c := range []struct {
+		name   string
+		damage func(raw []byte)
+	}{
+		// The stored hash no longer matches.
+		{"payload byte", func(raw []byte) { raw[strings.Index(string(raw), `"id":1`)+5] = '9' }},
+		// The first record no longer parses.
+		{"syntax-breaking flip", func(raw []byte) { raw[4] = 'x' }},
+		{"zero length", func(raw []byte) { binary.BigEndian.PutUint32(raw, 0) }},
+		{"oversized length", func(raw []byte) { binary.BigEndian.PutUint32(raw, MaxRecordBytes+1) }},
+		{"short length", func(raw []byte) { binary.BigEndian.PutUint32(raw, uint32(first-5)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			raw := slices.Clone(clean)
+			c.damage(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if l, err := Open(path); err == nil {
+				l.Close()
+				t.Fatalf("opened without error: len=%d", l.Len())
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, raw) {
+				t.Fatalf("the failed open changed the file: %d bytes, was %d (%v)", len(got), len(raw), err)
+			}
+		})
 	}
-	raw[i+5] = '9'
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+}
+
+// TestZeroFilledTailTruncatedOnOpen: a file system can extend a log with
+// zeros it never wrote. Zeros after the last record, and a record whose body
+// is cut short by them, are a torn tail: Open truncates them away.
+func TestZeroFilledTailTruncatedOnOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decision.log")
+	l, err := Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("corrupted record body opened without error")
+	mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 1})
+	keep := l.Head()
+	mustAppend(t, l, 1, TypeAdmit, 0, map[string]string{"pad": strings.Repeat("x", 100)})
+	l.Close()
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := 4 + int(binary.BigEndian.Uint32(clean))
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		len  uint64
+	}{
+		{"zeros after the log", append(slices.Clone(clean), make([]byte, 300)...), 2},
+		{"zeros over a body", append(slices.Clone(clean[:second+40]), make([]byte, len(clean)-second-40+300)...), 1},
+	} {
+		if err := os.WriteFile(path, c.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lt, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if lt.Len() != c.len || (c.len == 1 && lt.Head() != keep) {
+			t.Errorf("%s: len=%d, want %d", c.name, lt.Len(), c.len)
+		}
+		lt.Close()
+		if fi, err := os.Stat(path); err != nil || fi.Size() >= int64(len(c.raw)) {
+			t.Errorf("%s: the tail was not truncated", c.name)
+		}
 	}
 }
 
@@ -536,4 +601,76 @@ func TestSinceDeepCopies(t *testing.T) {
 	if again, _ := l.LastSnapshot(); string(again.Data) != orig {
 		t.Fatalf("mutating a LastSnapshot result corrupted the log: %q", again.Data)
 	}
+}
+
+// FuzzReplogOpen writes arbitrary bytes as a log file and opens it: Open
+// never panics; an Open that fails leaves the file's bytes as they were; a
+// log that opens re-opens at the same Len, Base and Head; and one Append
+// to it re-opens one record longer.
+func FuzzReplogOpen(f *testing.F) {
+	plain := filepath.Join(f.TempDir(), "plain.log")
+	l, err := Open(plain)
+	if err != nil {
+		f.Fatal(err)
+	}
+	mustAppend(f, l, 1, TypeAdmit, 0, map[string]int{"id": 1})
+	snap := mustAppend(f, l, 1, TypeSnapshot, 1, map[string]string{"state": "everything"})
+	mustAppend(f, l, 1, TypeCycle, 1, nil)
+	l.Close()
+	raw, err := os.ReadFile(plain)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	if l, err = Open(plain); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.Compact(snap.Seq); err != nil {
+		f.Fatal(err)
+	}
+	l.Close()
+	compacted, err := os.ReadFile(plain)
+	if err != nil || !bytes.HasPrefix(compacted, headerMagic) {
+		f.Fatalf("the compacted log has no header (%v)", err)
+	}
+	f.Add(compacted)
+	f.Add(compacted[:headerSize])
+	f.Add(compacted[:headerSize-8])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "decision.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(path)
+		if err != nil {
+			if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, data) {
+				t.Fatalf("a failed open (%v) changed the file: %d bytes, was %d", err, len(got), len(data))
+			}
+			return
+		}
+		n, base, head := l.Len(), l.Base(), l.Head()
+		l.Close()
+		reopen := func() *Log {
+			t.Helper()
+			l, err := Open(path)
+			if err != nil {
+				t.Fatalf("re-open: %v", err)
+			}
+			return l
+		}
+		l = reopen()
+		if l.Len() != n || l.Base() != base || l.Head() != head {
+			t.Fatalf("re-open: len %d base %d head %.8s, was %d %d %.8s", l.Len(), l.Base(), l.Head(), n, base, head)
+		}
+		if _, err := l.Append(l.LastEpoch(), TypeAdmit, 0, map[string]int{"id": 1}); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		l = reopen()
+		defer l.Close()
+		if l.Len() != n+1 {
+			t.Fatalf("after one append: len %d, want %d", l.Len(), n+1)
+		}
+	})
 }

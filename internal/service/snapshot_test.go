@@ -420,8 +420,9 @@ func TestSnapshotTakeoverHandsLiveRunsOver(t *testing.T) {
 
 // TestFailedSnapshotInstallChangesNothing: a snapshot a standby cannot
 // install — a predictor stream its predictor refuses, a cached distribution
-// the scheduler would refuse, live runs kept in a pre-agent completion heap —
-// must leave the standby as it was: its log not
+// the scheduler would refuse, a field this build does not write (an older
+// build's "comps" or "attempts", its predictor as a JSON object) — must
+// leave the standby as it was: its log not
 // reset to the snapshot, its state, scheduler and predictor untouched, one
 // divergence counted. (The log used to be reset before the payload was even
 // decoded, and the scheduler overwritten before the predictor was tried:
@@ -457,7 +458,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 
 	corrupt := map[string]func(top map[string]json.RawMessage){
 		"predictor stream": func(top map[string]json.RawMessage) {
-			top["predictor"] = json.RawMessage(`{"version":99,"groups":[]}`)
+			top["predictor"], _ = json.Marshal([]byte("3SPR\x63"))
 		},
 		"truncated binary stream": func(top map[string]json.RawMessage) {
 			var stream []byte
@@ -474,11 +475,16 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 			sched["dists"] = json.RawMessage(`{"2":{"kind":"no such distribution"}}`)
 			top["sched"], _ = json.Marshal(sched)
 		},
-		// A snapshot from before tasks ran on agents: its live run sits in
-		// the completion heap, and installed it would never complete.
+		// Fields older builds wrote and this one does not.
 		"pre-agent comps": func(top map[string]json.RawMessage) {
 			top["comps"] = json.RawMessage(`[{"id":1,"run_id":1,"at":5}]`)
 			delete(top, "desired")
+		},
+		"attempts": func(top map[string]json.RawMessage) {
+			top["attempts"] = json.RawMessage(`{"1":1}`)
+		},
+		"predictor JSON object": func(top map[string]json.RawMessage) {
+			top["predictor"] = json.RawMessage(`{"version":1,"groups":[{},{},{},{},{},{},{}]}`)
 		},
 	}
 	for name, damage := range corrupt {

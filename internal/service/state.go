@@ -23,6 +23,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -358,8 +359,6 @@ func (st *state) apply(rec replog.Record) ([]effect, error) {
 			return nil, err
 		}
 		st.emit(elected{replica: p.Replica, epoch: rec.Epoch, cycle: p.Cycle})
-	case replog.TypeCheckpoint:
-		// Legacy, from logs older than predictor_sha on snapshots: no state.
 	case replog.TypeCycle:
 		p, err := decodeAs[cyclePayload](rec)
 		if err != nil {
@@ -750,11 +749,7 @@ type stateWire struct {
 	*plain
 	Engine    *simulator.EngineState `json:"engine"`
 	Sched     *core.SchedState       `json:"sched"`
-	Predictor predictorStream        `json:"predictor,omitempty"`
-	// Comps is never written: it is how decode recognizes a snapshot from
-	// before every service ran its tasks on an agent, whose live runs sit in
-	// the completion heap it encoded here and not in the desired map.
-	Comps json.RawMessage `json:"comps,omitempty"`
+	Predictor []byte                 `json:"predictor,omitempty"` // the predictor's Save stream
 }
 
 // wire assembles the state's encoding. It fails when the scheduler cannot
@@ -823,22 +818,6 @@ func snapshotHeader(data []byte) (epoch uint64, predSHA string, ok bool) {
 	return epoch, predSHA, true
 }
 
-// predictorStream is the predictor's Save stream as a snapshot carries it:
-// bytes, which encoding/json writes as a base64 string. A snapshot from
-// before the predictor saved a binary stream carries its JSON stream as an
-// object instead; decoding keeps that object's bytes, which predictor.Load
-// reads as they are.
-type predictorStream []byte
-
-// UnmarshalJSON reads either form.
-func (ps *predictorStream) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '{' {
-		*ps = append((*ps)[:0], data...)
-		return nil
-	}
-	return json.Unmarshal(data, (*[]byte)(ps))
-}
-
 // staged is the part of a decoded state that lives in env's scheduler and
 // predictor once adopted, and until then only here.
 type staged struct {
@@ -851,22 +830,24 @@ type staged struct {
 // engine's cross-references, every cached distribution the scheduler would
 // import. It touches nothing — not st, not the scheduler, not the predictor:
 // a payload that fails here has changed no replica's mind about anything.
+// The decode is strict: a build reads what it writes, so a field this build
+// does not write is refused, not skipped (DESIGN.md §14).
 func (st *state) decode(data []byte) (*state, *staged, error) {
 	if _, ok := st.sched.(stateSnapshotter); !ok {
 		return nil, nil, fmt.Errorf("scheduler %T cannot import snapshot state", st.sched)
 	}
 	fresh := &state{env: st.env, predDirty: true}
 	w := stateWire{plain: (*plain)(fresh)}
-	if err := json.Unmarshal(data, &w); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
 		return nil, nil, fmt.Errorf("decode snapshot: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, nil, fmt.Errorf("decode snapshot: data after the state")
 	}
 	if w.Engine == nil || w.Sched == nil {
 		return nil, nil, fmt.Errorf("snapshot misses engine or scheduler state")
-	}
-	if len(w.Comps) > 0 {
-		// Installed, those runs would stay Running for good: no agent is
-		// told to start them, so none reports them done.
-		return nil, nil, fmt.Errorf("snapshot keeps its live runs in a completion heap (\"comps\"), not in \"desired\": written before tasks ran on agents")
 	}
 	var err error
 	if fresh.eng, err = simulator.EngineFromState(w.Engine); err != nil {

@@ -389,121 +389,6 @@ func TestSnapshotRecordChecksPredictorSHA(t *testing.T) {
 	t.Fatalf("no predictor sha divergence logged:\n%s", strings.Join(lines, "\n"))
 }
 
-// TestLegacyCheckpointRecordReplays: logs written while the daemon also kept
-// predictor checkpoint files hold "ckpt" records — the last one right after
-// the final cycle, flushed on Stop. A restart over such a log starts and
-// lands where the same log without the record does.
-func TestLegacyCheckpointRecordReplays(t *testing.T) {
-	l, err := replog.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runScript(t, l, nil).Metrics()
-	recs := l.Records()
-	var got [2]Metrics
-	for i, legacy := range []bool{false, true} {
-		cl, err := replog.Open("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if err := cl.AppendRecord(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if legacy {
-			last := recs[len(recs)-1]
-			payload := fmt.Sprintf(`{"cycle":%d,"predictor_sha":%q,"groups":1}`, last.Cycle, want.PredictorSHA)
-			if _, err := cl.Append(last.Epoch, replog.TypeCheckpoint, last.Cycle, json.RawMessage(payload)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cfg := scriptConfig()
-		cfg.Log = cl
-		svc, err := New(cfg)
-		if err != nil {
-			t.Fatalf("restart (legacy record: %v): %v", legacy, err)
-		}
-		got[i] = svc.Metrics()
-	}
-	plain, legacy := got[0], got[1]
-	if plain.OutcomeDigest != want.OutcomeDigest || plain.PredictorSHA != want.PredictorSHA {
-		t.Fatalf("restart: digest %.12s sha %.12s, leader has %.12s %.12s",
-			plain.OutcomeDigest, plain.PredictorSHA, want.OutcomeDigest, want.PredictorSHA)
-	}
-	if legacy.OutcomeDigest != plain.OutcomeDigest || legacy.PredictorSHA != plain.PredictorSHA ||
-		legacy.Cycles != plain.Cycles || legacy.Control.Diverged != 0 {
-		t.Fatalf("with a ckpt record: digest %.12s sha %.12s cycle %d, %d divergences; without: %.12s %.12s %d",
-			legacy.OutcomeDigest, legacy.PredictorSHA, legacy.Cycles, legacy.Control.Diverged,
-			plain.OutcomeDigest, plain.PredictorSHA, plain.Cycles)
-	}
-}
-
-// TestParentSnapshotInstalls: testdata/snapshot-attempts.json is runScript's
-// first snapshot as the previous release wrote it, with an "attempts" map of
-// starts per job (the attempt index is read off the outcome now) and a
-// predictor stream whose NMAE entries carry "decay": 1 (expert scores no
-// longer decay). It installs on a logless replica, whose state then encodes
-// as this release's own snapshot at that seq, and the leader's log suffix
-// brings it to the uninterrupted run's outcome digest and predictor hash.
-// That digest is the previous release's: the crash injector drew every
-// attempt's fate with the same attempt index.
-func TestParentSnapshotInstalls(t *testing.T) {
-	const parentDigest = "44c31aa0c46ce01ee6c009dbb28f1a69d24457520924bfc22856ccbdc9267914"
-	data, err := os.ReadFile("testdata/snapshot-attempts.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"attempts":{`)) || !bytes.Contains(data, []byte(`"decay":1`)) {
-		t.Fatal("the fixture carries no attempts map or no NMAE decay")
-	}
-	l, err := replog.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runScript(t, l, nil).Metrics()
-	if want.OutcomeDigest != parentDigest {
-		t.Errorf("uninterrupted run: digest %.12s, the previous release's %.12s", want.OutcomeDigest, parentDigest)
-	}
-	recs := l.Records()
-	var snap replog.Record
-	for _, rec := range recs {
-		if rec.Type == replog.TypeSnapshot {
-			snap = rec
-			break
-		}
-	}
-	old := snap
-	old.Data = data
-
-	svc := mustService(t, scriptConfig())
-	svc.mu.Lock()
-	if err := svc.installSnapshotLocked(old, false); err != nil {
-		svc.mu.Unlock()
-		t.Fatal(err)
-	}
-	enc, err := json.Marshal(svc.st)
-	if err != nil {
-		svc.mu.Unlock()
-		t.Fatal(err)
-	}
-	for _, rec := range recs[snap.Seq:] {
-		if err := svc.applyRecordLocked(rec); err != nil {
-			svc.mu.Unlock()
-			t.Fatal(err)
-		}
-	}
-	svc.mu.Unlock()
-	if !bytes.Equal(enc, snap.Data) {
-		t.Errorf("the installed state encodes as %d bytes, this release's snapshot at seq %d is %d", len(enc), snap.Seq, len(snap.Data))
-	}
-	m := svc.Metrics()
-	if m.OutcomeDigest != want.OutcomeDigest || m.PredictorSHA != want.PredictorSHA || m.Cycles != want.Cycles || m.Control.Diverged != 0 {
-		t.Fatalf("after the suffix: digest %.12s sha %.12s cycle %d, %d divergences; leader has %.12s %.12s %d",
-			m.OutcomeDigest, m.PredictorSHA, m.Cycles, m.Control.Diverged, want.OutcomeDigest, want.PredictorSHA, want.Cycles)
-	}
-}
-
 // FuzzSnapshotHeader holds the in-sync follower's read of a snapshot
 // record's front to the full decode: it never panics, reads back what wire()
 // wrote, and whatever it accepts json.Unmarshal reads the same way — unless
@@ -620,7 +505,7 @@ func FuzzStateApply(f *testing.F) {
 	f.Add(replog.TypeNodeOp, []byte(`{"kind":"reboot"}`))
 	f.Add(replog.TypeCycle, []byte(`{"now":2,"inputs_through":99,"comps":[{"id":1,"run_id":1,"at":-4},{"id":1,"run_id":1,"at":1.5,"crash":true}],"agent_ops":[{"fail":true,"partition":1,"nodes":99},{"partition":-1}],"abandons":[3,77],"preempts":[1,1],"starts":[{"Job":3,"Alloc":[1]},{"Job":3,"Alloc":[2,2]}],"engine_epoch":1}`))
 	f.Add(replog.TypeCycle, []byte(`{"now":-1e300}`))
-	f.Add(replog.TypeCheckpoint, []byte(`{"cycle":1,"predictor_sha":"beef"}`))
+	f.Add("ckpt", []byte(`{"cycle":1,"predictor_sha":"beef"}`)) // a retired type, refused like any unknown one
 	f.Add(replog.TypeElect, []byte(`{"replica":2,"cycle":1}`))
 	f.Add(replog.TypeSnapshot, []byte(`{"engine_epoch":7,"cycle":1}`))
 	f.Add(replog.TypeSnapshot, []byte(`{"engine_epoch":7,"predictor_sha":"beef","cycle":1}`))
@@ -646,39 +531,4 @@ func FuzzStateApply(f *testing.F) {
 			t.Fatalf("state after an accepted %q record does not encode: %v", typ, err)
 		}
 	})
-}
-
-// TestPredictorStreamReadsEveryForm: a snapshot's predictor field is read
-// as the bytes encoding/json wrote for it, and as its own bytes when it is
-// a legacy object.
-func TestPredictorStreamReadsEveryForm(t *testing.T) {
-	stream := []byte("3SPR\x02 any bytes \x00\xff")
-	enc, err := json.Marshal(predictorStream(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name, in string
-		want     []byte
-	}{
-		{"base64", string(enc), stream},
-		{"legacy object", `{"version":1,"groups":[]}`, []byte(`{"version":1,"groups":[]}`)},
-		{"null", `null`, nil},
-	} {
-		var w struct {
-			P predictorStream `json:"predictor"`
-		}
-		if err := json.Unmarshal([]byte(`{"predictor":`+c.in+`}`), &w); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !bytes.Equal(w.P, c.want) {
-			t.Errorf("%s: read %q, want %q", c.name, w.P, c.want)
-		}
-	}
-	var w struct {
-		P predictorStream `json:"predictor"`
-	}
-	if err := json.Unmarshal([]byte(`{"predictor":"not base64!"}`), &w); err == nil {
-		t.Error("a string that is not base64 was read")
-	}
 }

@@ -157,13 +157,11 @@ func (m *NMAE) Value() float64 {
 // Count returns the number of observations recorded.
 func (m *NMAE) Count() int { return m.n }
 
-// NMAEState is a serializable snapshot of an NMAE tracker. A snapshot
-// written when trackers could decay carries a "decay" key as well; it was
-// always 1 and is ignored.
+// NMAEState is a serializable snapshot of an NMAE tracker.
 type NMAEState struct {
-	SumAbsErr float64 `json:"sum_abs_err"`
-	SumActual float64 `json:"sum_actual"`
-	N         int     `json:"n"`
+	SumAbsErr float64
+	SumActual float64
+	N         int
 }
 
 // State captures the tracker's full state.

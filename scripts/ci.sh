@@ -97,6 +97,9 @@ go test -fuzz '^FuzzConditional$' -fuzztime 5s -run '^$' ./internal/dist
 # Arbitrary bytes never panic the predictor's Load; a failed load changes
 # nothing, and a stream that loads saves and loads back to the same bytes.
 go test -fuzz '^FuzzPredictorLoad$' -fuzztime 5s -run '^$' ./internal/predictor
+# Arbitrary bytes as a decision log file never panic Open; a failed open
+# leaves the file as it was, and a log that opens re-opens alike.
+go test -fuzz '^FuzzReplogOpen$' -fuzztime 5s -run '^$' ./internal/replog
 # The control plane's state machine: arbitrary log records never panic it, and
 # one it refuses leaves its encoding untouched (DESIGN.md §14).
 go test -fuzz '^FuzzStateApply$' -fuzztime 10s -run '^$' ./internal/service

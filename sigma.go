@@ -117,9 +117,9 @@ func (p *Predictor) Train(w *Workload) { experiments.Pretrain(p.p, w) }
 // spells out the layout).
 func (p *Predictor) Save(w io.Writer) error { return p.p.Save(w) }
 
-// Load restores history saved by Save, all or nothing. It also reads the
-// JSON stream Save wrote before the binary one: that stream is read, never
-// written.
+// Load restores history saved by Save, all or nothing. It reads the stream
+// this build's Save writes and refuses any other magic or version, the JSON
+// stream earlier builds wrote included, leaving the predictor as it was.
 func (p *Predictor) Load(r io.Reader) error { return p.p.Load(r) }
 
 // The system types and the run options the facade shares with
