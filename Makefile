@@ -43,16 +43,18 @@ check: lint
 	THREESIGMA_ORACLE_MODELS=200 THREESIGMA_ORACLE_SEED=1 \
 		$(GO) test -count=1 ./internal/check
 
-# fuzz runs each fuzz target for a short randomized pass — the same eight
+# fuzz runs each fuzz target for a short randomized pass — the same nine
 # targets scripts/ci.sh's fuzz smoke runs: the histogram and distribution
-# invariants, the predictor's Load, the decision log's Open, and the control
-# plane's state machine and snapshot header (the regression corpus under
-# testdata/fuzz always runs as part of plain `make test`).
+# invariants, the solver's greedy rounding against its full sort, the
+# predictor's Load, the decision log's Open, and the control plane's state
+# machine and snapshot header (the regression corpus under testdata/fuzz
+# always runs as part of plain `make test`).
 fuzz:
 	$(GO) test -fuzz '^FuzzHistogramInvariants$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzFromState$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzCDFAscending$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzConditional$$' -fuzztime 10s -run '^$$' ./internal/dist
+	$(GO) test -fuzz '^FuzzGreedyRound$$' -fuzztime 10s -run '^$$' ./internal/milp
 	$(GO) test -fuzz '^FuzzPredictorLoad$$' -fuzztime 10s -run '^$$' ./internal/predictor
 	$(GO) test -fuzz '^FuzzReplogOpen$$' -fuzztime 10s -run '^$$' ./internal/replog
 	$(GO) test -fuzz '^FuzzStateApply$$' -fuzztime 10s -run '^$$' ./internal/service
@@ -63,13 +65,14 @@ fuzz:
 verify:
 	./scripts/ci.sh
 
-# bench runs the cycle path's microbenchmarks at the largest model the
-# benchmark workloads reach (85 × 108): one node relaxation, one
+# bench runs the cycle path's microbenchmarks at about the largest model the
+# benchmark workloads reach (83 × 109 on sim-scale): one node relaxation, one
 # branch-and-bound child re-solved from its parent's tableau (MB/s counts the
-# tableau bytes it copies) and a budgeted cycle-sized solve in the solver, and
-# the model build — a quiet cycle and an arrival cycle — in the scheduler.
+# tableau bytes it copies), one greedy rounding of a root LP point and a
+# budgeted cycle-sized solve in the solver, and the model build — a quiet
+# cycle and an arrival cycle — in the scheduler.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkNodeLP|BenchmarkWarmChild|BenchmarkSolveSchedulingCycle' -benchmem ./internal/milp
+	$(GO) test -run '^$$' -bench 'BenchmarkNodeLP|BenchmarkWarmChild|BenchmarkGreedyRound|BenchmarkSolveSchedulingCycle' -benchmem ./internal/milp
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildModel' -benchmem ./internal/core
 
 # bench-fig1 reproduces the medium-scale Fig 1 end-to-end benchmark.

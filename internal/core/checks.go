@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"threesigma/internal/dist"
 	"threesigma/internal/job"
 	"threesigma/internal/simulator"
 )
@@ -53,10 +54,13 @@ func (s *Scheduler) checkOption(o *option) {
 }
 
 // checkMemo asserts cross-cycle memo coherence for one job: the page must
-// have been built from the job's current distribution version and its
+// have been built from the job's current distribution version, its
 // survival curves must span the full plan-ahead window (a stale or
-// truncated curve would be copied into option consumption coefficients).
-func (s *Scheduler) checkMemo(id job.ID, pg *memoPage, ver uint64) {
+// truncated curve would be copied into option consumption coefficients),
+// and each Eq. 1 grid it holds must be, bit for bit, the one its space
+// class's distribution ods[space] gives afresh (nil: a space this cycle
+// does not use).
+func (s *Scheduler) checkMemo(id job.ID, pg *memoPage, ver uint64, ods [2]dist.Distribution) {
 	if pg.ver != ver {
 		checkFailf("job %d: memo page version %d, distribution version %d", id, pg.ver, ver)
 	}
@@ -64,6 +68,14 @@ func (s *Scheduler) checkMemo(id job.ID, pg *memoPage, ver uint64) {
 		if surv != nil && len(surv) != s.cfg.Slots {
 			checkFailf("job %d space %d: memoized survival curve has %d samples, want %d slots",
 				id, space, len(surv), s.cfg.Slots)
+		}
+	}
+	for space, od := range ods {
+		if od == nil {
+			continue
+		}
+		if err := pg.grid[space].Check(od); err != nil {
+			checkFailf("job %d space %d: %v", id, space, err)
 		}
 	}
 }

@@ -146,6 +146,9 @@ type Config struct {
 	// expert user will be able to define the utility function on a
 	// job-by-job basis" (§3.1). Return nil to fall back to the default
 	// SLO/BE curves (with over-estimate handling still applied to them).
+	// It must be a function of the job: the scheduler asks it once per job
+	// and runtime distribution, and keeps the curve — and the Eq. 1 terms
+	// integrated from it — until the job's distribution is re-estimated.
 	UtilityFn func(j *job.Job) job.Utility
 }
 

@@ -50,10 +50,17 @@ type memoPage struct {
 	run       []slotTerm
 	runStart  uint64 // math.Float64bits of the run's start time
 	runOnPref bool   // run placed entirely on preferred resources
+	// grid[space] is the space class's Eq. 1 integration grid, its CDF
+	// taken once per upper limit: the slot-0 integral of every cycle and
+	// the grid-slot integrals read it, and while the limit stays the
+	// distribution's maximum (no horizon, or one that does not bind) it is
+	// never taken again.
+	grid [2]job.Grid
 	// slow is the job's distribution stretched by its off-preferred
-	// slowdown (runtimeFactor), util its built-in utility curve, adaptive
-	// over-estimate test included: functions of the job and its
-	// distribution alone. nil until first used.
+	// slowdown (runtimeFactor), util its utility curve — an
+	// administrator's UtilityFn or the built-in one, adaptive over-estimate
+	// test included: functions of the job and its distribution alone. nil
+	// until first used.
 	slow dist.Distribution
 	util job.Utility
 }

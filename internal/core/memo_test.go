@@ -60,7 +60,8 @@ func TestMemoCrossCycleEquivalence(t *testing.T) {
 }
 
 // TestMemoInvalidationOnDistUpdate checks that re-estimating a job's
-// distribution bumps its version and discards the memo page.
+// distribution bumps its version and discards the memo page, its Eq. 1
+// grids included.
 func TestMemoInvalidationOnDistUpdate(t *testing.T) {
 	s := New(uniformEstimator(100, 2000), testConfig())
 	slo, st := memoScenario(0)
@@ -70,9 +71,11 @@ func TestMemoInvalidationOnDistUpdate(t *testing.T) {
 	if s.Stats().CacheHits == 0 {
 		t.Fatal("expected hits on second build")
 	}
+	old, oldDist := s.memo.jobs[slo.ID], s.distFor(slo)
 
 	hits, misses := s.Stats().CacheHits, s.Stats().CacheMisses
-	s.setDist(slo.ID, dist.NewUniform(100, 2500))
+	newDist := dist.NewUniform(100, 2500)
+	s.setDist(slo.ID, newDist)
 	_, st2 := memoScenario(20)
 	s.buildModel(st2)
 	if s.Stats().CacheHits != hits {
@@ -80,6 +83,50 @@ func TestMemoInvalidationOnDistUpdate(t *testing.T) {
 	}
 	if s.Stats().CacheMisses <= misses {
 		t.Error("rebuild after dist update should record fresh misses")
+	}
+	// Each space class's grid is the new distribution's, taken afresh: the
+	// old page's grids fail against it, the new page's against the old one.
+	pg := s.memo.jobs[slo.ID]
+	for space, factor := range [2]float64{spacePref: 1, spaceAny: runtimeFactor(slo)} {
+		od, was := dist.NewScaled(newDist, factor), dist.NewScaled(oldDist, factor)
+		if err := pg.grid[space].Check(od); err != nil {
+			t.Errorf("space %d: grid after the re-estimate: %v", space, err)
+		}
+		if pg.grid[space].Check(was) == nil {
+			t.Errorf("space %d: grid after the re-estimate still fits the old distribution", space)
+		}
+		if old.grid[space].Check(od) == nil {
+			t.Errorf("space %d: grid before the re-estimate fits the new distribution", space)
+		}
+	}
+}
+
+// An administrator's UtilityFn is a function of the job: the builder asks
+// it once per job and distribution version, and the Eq. 1 terms it keeps
+// on the job's page come from that one curve.
+func TestUtilityFnAskedOncePerDistVersion(t *testing.T) {
+	cfg := testConfig()
+	calls := map[job.ID]int{}
+	cfg.UtilityFn = func(j *job.Job) job.Utility {
+		calls[j.ID]++
+		return job.StepUtility{Value: 5, Deadline: j.Submit + 2500}
+	}
+	s := New(uniformEstimator(100, 2000), cfg)
+	slo, _ := memoScenario(0)
+	for c := 0; c < 5; c++ {
+		_, st := memoScenario(float64(10 * c))
+		s.buildModel(st)
+	}
+	if calls[slo.ID] != 1 {
+		t.Fatalf("UtilityFn asked %d times over 5 cycles of one distribution, want 1", calls[slo.ID])
+	}
+	s.setDist(slo.ID, dist.NewUniform(100, 2500))
+	for c := 5; c < 10; c++ {
+		_, st := memoScenario(float64(10 * c))
+		s.buildModel(st)
+	}
+	if calls[slo.ID] != 2 {
+		t.Errorf("UtilityFn asked %d times over two distribution versions, want 2", calls[slo.ID])
 	}
 }
 

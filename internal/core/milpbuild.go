@@ -254,6 +254,9 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 		surv := runSurv[i*slots : (i+1)*slots]
 		s.runningSurvCurve(r, now, times, grid0, surv, b)
 		for p, n := range r.Alloc {
+			if n == 0 {
+				continue // subtracting 0·surv, a +0, changes no capacity's bits
+			}
 			for k := 0; k < slots; k++ {
 				capacity[p*slots+k] -= float64(n) * surv[k]
 			}
@@ -285,6 +288,9 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 		for i := range b.preempts {
 			pv := &b.preempts[i]
 			for p, n := range pv.r.Alloc {
+				if n == 0 {
+					continue
+				}
 				for k := 0; k < slots; k++ {
 					relaxedCap[p*slots+k] += float64(n) * pv.surv[k]
 				}
@@ -302,19 +308,12 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 	for _, j := range b.jobs {
 		d := s.distFor(j)
 		memo := s.memo.forJob(j.ID, s.distVer[j.ID])
-		if cfg.Checks {
-			s.checkMemo(j.ID, memo, s.distVer[j.ID])
+		// The utility curve is a function of the job and its distribution,
+		// so it stays on the page.
+		if memo.util == nil {
+			memo.util = s.utilityFor(j, d)
 		}
-		// The built-in utility curve is a function of the job and its
-		// distribution, so it stays on the page; an administrator's
-		// UtilityFn is asked every cycle.
 		util := memo.util
-		if util == nil {
-			util = s.utilityFor(j, d, now)
-			if cfg.UtilityFn == nil {
-				memo.util = util
-			}
-		}
 		type spaceChoice struct {
 			space  int8
 			factor float64
@@ -337,14 +336,23 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 		} else {
 			spaces = append(spaces, spaceChoice{spaceAny, 1})
 		}
+		if cfg.Checks {
+			var ods [2]dist.Distribution
+			for _, sc := range spaces {
+				ods[sc.space] = memo.scaled(d, sc.factor)
+			}
+			s.checkMemo(j.ID, memo, s.distVer[j.ID], ods)
+		}
 		b.jobVars = b.jobVars[:0]
 		anyUtility := false // any space has nonzero utility at an immediate start
 		for _, sc := range spaces {
 			od := memo.scaled(d, sc.factor)
+			grid := &memo.grid[sc.space]
 			// Eq. 1 at an immediate start (times[0] == now): the abandonment
 			// test below and the slot-0 option's utility are the same
-			// integral, taken once.
-			euNow := job.ExpectedUtility(od, util, now, utilitySteps)
+			// integral, taken once. It moves with now and is summed every
+			// cycle, over the page's grid.
+			euNow := grid.ExpectedUtility(od, util, now, utilitySteps)
 			if euNow > 1e-9 {
 				anyUtility = true
 			}
@@ -407,12 +415,12 @@ func (s *Scheduler) buildModel(st *simulator.State) *builder {
 				// (k >= 1) recur with bitwise-identical start times every
 				// cycle, so the Eq. 1 integration is memoized per
 				// (space, absolute grid slot); slot 0 starts at `now` and
-				// is integrated fresh every cycle (euNow).
+				// is summed afresh every cycle (euNow).
 				start := times[k]
 				eu := euNow
 				if k > 0 {
 					eu = b.cached(&memo.eu[sc.space], grid0+int64(k), func() float64 {
-						return job.ExpectedUtility(od, util, start, utilitySteps)
+						return grid.ExpectedUtility(od, util, start, utilitySteps)
 					})
 				}
 				if eu <= 1e-9 {

@@ -345,8 +345,10 @@ func (s *Scheduler) runningSurvCurve(r *simulator.RunningJob, now float64, times
 
 // utilityFor builds the job's utility curve, applying over-estimate
 // handling per policy (§4.2.2–4.2.3). A configured UtilityFn takes
-// precedence (per-job administrator-defined utilities, §3.1).
-func (s *Scheduler) utilityFor(j *job.Job, d dist.Distribution, now float64) job.Utility {
+// precedence (per-job administrator-defined utilities, §3.1). The builder
+// asks once per job and distribution version and keeps the curve on the
+// job's memo page.
+func (s *Scheduler) utilityFor(j *job.Job, d dist.Distribution) job.Utility {
 	if s.cfg.UtilityFn != nil {
 		if u := s.cfg.UtilityFn(j); u != nil {
 			return u

@@ -129,13 +129,13 @@ func TestAdaptiveOESkipsFeasibleJobs(t *testing.T) {
 	s := New(uniformEstimator(100, 200), cfg)
 	j := &job.Job{ID: 1, Class: job.SLO, Submit: 0, Deadline: 1000, Tasks: 1, Runtime: 150}
 	d := s.est.EstimateDist(j)
-	u := s.utilityFor(j, d, 0)
+	u := s.utilityFor(j, d)
 	if _, ok := u.(job.StepUtility); !ok {
 		t.Errorf("feasible job got %T, want plain StepUtility", u)
 	}
 	// And a hopeless one gets the extension.
 	hopeless := &job.Job{ID: 2, Class: job.SLO, Submit: 0, Deadline: 50, Tasks: 1, Runtime: 150}
-	u2 := s.utilityFor(hopeless, d, 0)
+	u2 := s.utilityFor(hopeless, d)
 	if _, ok := u2.(job.ExtendedStepUtility); !ok {
 		t.Errorf("hopeless job got %T, want ExtendedStepUtility", u2)
 	}

@@ -190,6 +190,35 @@ func (u DecayUtility) Horizon() float64 {
 // the distribution's support (plus exact handling of the step at a point
 // distribution). steps <= 0 selects a default of 64.
 func ExpectedUtility(d dist.Distribution, u Utility, startTime float64, steps int) float64 {
+	var g Grid
+	return g.ExpectedUtility(d, u, startTime, steps)
+}
+
+// gridInline is the largest step count a Grid holds without allocating.
+const gridInline = 64
+
+// Grid is the CDF half of Eq. 1's integral for one runtime distribution:
+// the CDF on the uniform grid 0, h, …, n·h with h = upper/n. It depends on
+// the distribution and the integration's upper limit alone — the
+// distribution's maximum, or the utility's horizon minus the start where
+// that binds — so a caller that integrates one distribution again keeps
+// its Grid, and Grid.ExpectedUtility recomputes the CDF only when the upper
+// limit (compared by math.Float64bits) or the step count moves. The zero
+// value is empty. A Grid serves one distribution: one that has changed
+// needs a new Grid.
+type Grid struct {
+	upper uint64 // math.Float64bits of the upper limit the CDF was taken to
+	n     int    // step count; 0 while empty
+	buf   [gridInline + 1]float64
+	big   []float64 // the CDF when n > gridInline
+}
+
+// ExpectedUtility is the package function ExpectedUtility for d, which
+// must be the distribution g has served so far, reusing g's CDF when its
+// upper limit is this integration's. The sum over the grid is the
+// package function's, term for term, so the result is bit for bit the
+// same.
+func (g *Grid) ExpectedUtility(d dist.Distribution, u Utility, startTime float64, steps int) float64 {
 	if steps <= 0 {
 		steps = 64
 	}
@@ -214,20 +243,7 @@ func ExpectedUtility(d dist.Distribution, u Utility, startTime float64, steps in
 	if h <= 0 {
 		return u.At(startTime) * d.CDF(0)
 	}
-	// The CDF on the grid 0, h, …, steps·h, in one batched pass (dist.CDFs),
-	// held on the stack for the usual grid sizes.
-	var buf [129]float64
-	var cdf []float64
-	if steps < len(buf) {
-		cdf = buf[:steps+1]
-	} else {
-		cdf = make([]float64, steps+1)
-	}
-	cdf[0] = 0
-	for i := 1; i <= steps; i++ {
-		cdf[i] = float64(i) * h
-	}
-	dist.CDFs(d, cdf, cdf)
+	cdf := g.fill(d, upper, steps)
 	// Mass exactly at 0 (possible for Point distributions) taken first so
 	// the grid increments below never double-count it.
 	prev := cdf[0]
@@ -241,4 +257,49 @@ func ExpectedUtility(d dist.Distribution, u Utility, startTime float64, steps in
 		prev = c
 	}
 	return e
+}
+
+// cdf returns the grid's storage for steps steps.
+func (g *Grid) cdf(steps int) []float64 {
+	if steps <= gridInline {
+		return g.buf[:steps+1]
+	}
+	if cap(g.big) < steps+1 {
+		g.big = make([]float64, steps+1)
+	}
+	return g.big[:steps+1]
+}
+
+// fill returns d's CDF on the grid 0, h, …, steps·h with h = upper/steps,
+// taken in one batched pass (dist.CDFs) unless g already holds it.
+func (g *Grid) fill(d dist.Distribution, upper float64, steps int) []float64 {
+	cdf := g.cdf(steps)
+	if key := math.Float64bits(upper); g.n != steps || g.upper != key {
+		h := upper / float64(steps)
+		cdf[0] = 0
+		for i := 1; i <= steps; i++ {
+			cdf[i] = float64(i) * h
+		}
+		dist.CDFs(d, cdf, cdf)
+		g.upper, g.n = key, steps
+	}
+	return cdf
+}
+
+// Check takes g's grid afresh from d and reports the first value that
+// differs from the one g holds, bit for bit: a Grid kept past a change of
+// its distribution fails it. An empty Grid passes.
+func (g *Grid) Check(d dist.Distribution) error {
+	if g.n == 0 {
+		return nil
+	}
+	var fresh Grid
+	want := fresh.fill(d, math.Float64frombits(g.upper), g.n)
+	for i, c := range g.cdf(g.n) {
+		if math.Float64bits(c) != math.Float64bits(want[i]) {
+			return fmt.Errorf("Eq. 1 grid (upper %g, %d steps): CDF[%d] is %g, %v gives %g",
+				math.Float64frombits(g.upper), g.n, i, c, d, want[i])
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package job
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -234,5 +235,75 @@ func TestExpectedUtilityNeverExceedsPeak(t *testing.T) {
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// A Grid kept across integrations of one distribution — the scheduler keeps
+// one per job and space class — gives bit for bit what a fresh integration
+// gives: at start times that move forward (each cycle's now) and jump to
+// later grid-aligned slots, for horizons that bind (the grid is taken again
+// whenever the limit moves) and horizons that do not (it is reused), and
+// for step counts stored inline and on the heap.
+func TestGridReuseMatchesFreshIntegration(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]float64, 300)
+	for i := range samples {
+		samples[i] = 30 + rng.ExpFloat64()*400
+	}
+	emp := dist.FromSamples(samples)
+	dists := []dist.Distribution{emp, dist.NewScaled(emp, 1.5), dist.NewNormal(500, 150)}
+	utils := []Utility{
+		StepUtility{Value: 3, Deadline: 900}, // binds
+		StepUtility{Value: 3, Deadline: 1e5}, // does not
+		ExtendedStepUtility{Value: 3, Deadline: 900, Extension: 600},
+		DecayUtility{Value: 2, Start: 0, Window: 1800, Floor: 0},    // binds
+		DecayUtility{Value: 2, Start: 0, Window: 1800, Floor: 0.25}, // no horizon
+	}
+	reused, retaken := 0, 0
+	for _, d := range dists {
+		for _, u := range utils {
+			for _, steps := range []int{48, 100} {
+				var g Grid
+				now := 0.0
+				for c := 0; c < 300; c++ {
+					now += 20 * rng.Float64()
+					slot := (math.Floor(now/60) + float64(1+rng.Intn(5))) * 60
+					for _, start := range []float64{now, slot} {
+						key, n := g.upper, g.n
+						got := g.ExpectedUtility(d, u, start, steps)
+						want := ExpectedUtility(d, u, start, steps)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%v, %+v, %d steps, start %g: kept grid gives %g, fresh %g", d, u, steps, start, got, want)
+						}
+						switch {
+						case g.upper != key || g.n != n:
+							retaken++
+						case n > 0:
+							reused++
+						}
+					}
+				}
+			}
+		}
+	}
+	if reused < 1000 || retaken < 1000 {
+		t.Errorf("grid reused %d times, taken again %d times: one path is barely exercised", reused, retaken)
+	}
+}
+
+// Check passes a Grid its own distribution gave and fails one kept past a
+// change of distribution.
+func TestGridCheck(t *testing.T) {
+	d, other := dist.NewUniform(100, 2000), dist.NewUniform(100, 2500)
+	var g Grid
+	if err := g.Check(d); err != nil {
+		t.Errorf("empty grid: %v", err)
+	}
+	g.ExpectedUtility(d, DecayUtility{Value: 1, Window: 600, Floor: 0.5}, 0, 48)
+	if err := g.Check(d); err != nil {
+		t.Errorf("grid of its own distribution: %v", err)
+	}
+	if err := g.Check(other); err == nil {
+		t.Error("a grid checked against another distribution passed")
 	}
 }

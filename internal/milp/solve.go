@@ -716,14 +716,10 @@ func (g *greedyCtx) round(m *Model, x []float64, fixed []int8) ([]float64, bool)
 			return nil, false
 		}
 	}
-	cands := g.cands[:0]
-	for v, val := range fixed {
-		if val < 0 {
-			cands = append(cands, greedyCand{v, x[v], m.obj[v]})
-		}
+	cands := g.shortList(m, x, fixed)
+	if cands == nil {
+		cands = g.fullList(m, x, fixed)
 	}
-	g.cands = cands
-	slices.SortFunc(cands, greedyCmp)
 	// Relaxing variables (negative objective, e.g. preemption indicators)
 	// that the LP chose enable placements that would otherwise violate
 	// capacity; apply them first when the LP leaned on them.
@@ -745,4 +741,63 @@ func (g *greedyCtx) round(m *Model, x []float64, fixed []int8) ([]float64, bool)
 		return nil, false
 	}
 	return g.out, true
+}
+
+// fullList returns every free binary, sorted by greedyCmp.
+func (g *greedyCtx) fullList(m *Model, x []float64, fixed []int8) []greedyCand {
+	cands := g.cands[:0]
+	for v, val := range fixed {
+		if val < 0 {
+			cands = append(cands, greedyCand{v, x[v], m.obj[v]})
+		}
+	}
+	g.cands = cands
+	slices.SortFunc(cands, greedyCmp)
+	return cands
+}
+
+// shortList returns the free binaries with LP value ≥ 1e-9 — the only ones
+// round can switch on — sorted by greedyCmp, in the order fullList puts
+// them in; nil when that order could differ. Both of round's loops act
+// only on the prefix of fullList's order that precedes the first value
+// below 1e-9, so the two lists give round the same output whenever that
+// prefix is this list.
+//
+// It is when every kept value compares strictly with every dropped one
+// (no value is NaN or within 1e-12 of the cut, so a kept value exceeds a
+// dropped one by more than greedyCmp's tie window) and greedyCmp orders
+// the kept candidates strictly and transitively (any two lie more than
+// 1e-12 apart, or have bit-equal values and ordered, unequal objectives).
+// Then pdqsort puts the kept candidates first, in their one sorted order,
+// whatever it does with the dropped ones: a partition sends the kept
+// candidates below its pivot before it and every dropped one after a kept
+// pivot, insertion sort moves a kept candidate ahead of every dropped
+// one, and heap sort extracts every dropped one before any kept one.
+// Ties and the window's intransitive near-ties have no one sorted order:
+// pdqsort arranges them by the whole slice, and may arrange them
+// differently on a shorter one. Both cases fall back to the full list.
+func (g *greedyCtx) shortList(m *Model, x []float64, fixed []int8) []greedyCand {
+	cands := g.cands[:0]
+	for v, f := range fixed {
+		if f >= 0 {
+			continue
+		}
+		val := x[v]
+		if !(math.Abs(val-1e-9) > 1e-12) { // near the cut, or NaN
+			g.cands = cands
+			return nil
+		}
+		if val >= 1e-9 {
+			cands = append(cands, greedyCand{v, val, m.obj[v]})
+		}
+	}
+	g.cands = cands
+	slices.SortFunc(cands, greedyCmp)
+	for i := 1; i < len(cands); i++ {
+		a, b := cands[i-1], cands[i]
+		if !(a.val-b.val > 1e-12 || math.Float64bits(a.val) == math.Float64bits(b.val) && a.obj > b.obj) {
+			return nil
+		}
+	}
+	return cands
 }

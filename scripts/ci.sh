@@ -11,8 +11,10 @@
 # of every figure and ablation must agree in everything but their latency
 # fields), a pinned-outcomes gate (the outcome
 # digest of one seeded simulation per fault arm — fault-free and under fault
-# injection — and the benchmark's exactly-repeating counters must equal the
-# committed scripts/pins.txt, and a short serve-group run must end correct
+# injection — and of a larger one that reaches the solver's node cap,
+# monolithic and sharded, and the benchmark's exactly-repeating counters
+# must equal the committed scripts/pins.txt, and a short serve-group run
+# must end correct
 # with no failed operation), a
 # sharded-domain digest gate (-shards 1 vs -shards 8 must agree bitwise on an
 # equivalence-partitioned workload, fault-free and under -faults light and
@@ -94,6 +96,9 @@ go test -fuzz '^FuzzFromState$' -fuzztime 5s -run '^$' ./internal/histogram
 # The batched grid CDF (DESIGN.md §12) is the per-point CDF, bit for bit.
 go test -fuzz '^FuzzCDFAscending$' -fuzztime 5s -run '^$' ./internal/histogram
 go test -fuzz '^FuzzConditional$' -fuzztime 5s -run '^$' ./internal/dist
+# Greedy rounding sorts only the binaries it can switch on; its output is
+# the full sort's, bit for bit.
+go test -fuzz '^FuzzGreedyRound$' -fuzztime 5s -run '^$' ./internal/milp
 # Arbitrary bytes never panic the predictor's Load; a failed load changes
 # nothing, and a stream that loads saves and loads back to the same bytes.
 go test -fuzz '^FuzzPredictorLoad$' -fuzztime 5s -run '^$' ./internal/predictor
@@ -150,7 +155,8 @@ echo "== pinned outcomes =="
 # (the scheduler has one model-build path, DESIGN.md §12, so there is no
 # second run to hold it against — the committed digest is the reference),
 # with its solver: line (nodes, LP iterations, and how the solves ended:
-# proved, node-capped, children solved cold),
+# proved, node-capped, children solved cold), the same two lines of a
+# 256-node run that reaches the node cap, monolithic and in 4 shards,
 # and, per sim workload of the benchmark, its correctness verdict and the
 # counters that repeat exactly on any host: solver work (LP iterations, B&B
 # nodes), patched cycles, starts, preemptions, cycles. A change that means to
@@ -163,6 +169,15 @@ for FAULTS in "" "-faults light"; do
         $FAULTS -digest | grep -e '^outcome digest:' -e '^solver:' >"$WORK/dig"
     [ "$(wc -l <"$WORK/dig")" -eq 2 ] || { echo "FAIL: no digest and solver lines emitted (faults='$FAULTS')"; exit 1; }
     sed -e "s/^outcome digest:/sim.digest.$TAG/" -e "s/^solver:/sim.solver.$TAG/" "$WORK/dig" >>"$WORK/pins"
+done
+# The 48-node run above never reaches the node cap, so it cannot see a
+# change to rounding or to the capped search; a 256-node run at load 1.4
+# does (152 capped solves monolithic), once monolithic and once in 4 shards.
+for SHARDS in 1 4; do
+    "$WORK/3sigma-sim" -env google -nodes 256 -partitions 8 -hours 0.5 -load 1.4 -cycle 5 -seed 5 \
+        -shards "$SHARDS" -digest | grep -e '^outcome digest:' -e '^solver:' >"$WORK/dig"
+    [ "$(wc -l <"$WORK/dig")" -eq 2 ] || { echo "FAIL: no digest and solver lines emitted (-shards $SHARDS)"; exit 1; }
+    sed -e "s/^outcome digest:/sim256.digest.shards$SHARDS/" -e "s/^solver:/sim256.solver.shards$SHARDS/" "$WORK/dig" >>"$WORK/pins"
 done
 for W in sim-e2e sim-scale; do
     LINE=$(go run ./bench -workload "$W" -seconds 2 -trace 1 | tail -n 1)

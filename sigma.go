@@ -62,8 +62,10 @@ type (
 	WorkloadConfig = workload.Config
 	// SchedulerConfig tunes 3σSched: its policy (distributions,
 	// mis-estimate handling, preemption), plan-ahead window, cycle period,
-	// solver node budget and per-job utility hook. The utility weights and
-	// mis-estimate constants of §4.2–4.3 are fixed (DESIGN.md §11).
+	// solver node budget and per-job utility hook. The hook (UtilityFn)
+	// must be a function of the job: it is asked once per job and runtime
+	// distribution, not every cycle. The utility weights and mis-estimate
+	// constants of §4.2–4.3 are fixed (DESIGN.md §11).
 	SchedulerConfig = core.Config
 	// Estimate is 3σPredict's answer for one job: a runtime distribution,
 	// the best point estimate, and the winning expert.
