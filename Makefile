@@ -43,12 +43,12 @@ check: lint
 	THREESIGMA_ORACLE_MODELS=200 THREESIGMA_ORACLE_SEED=1 \
 		$(GO) test -count=1 ./internal/check
 
-# fuzz runs each fuzz target for a short randomized pass — the same nine
+# fuzz runs each fuzz target for a short randomized pass — the same ten
 # targets scripts/ci.sh's fuzz smoke runs: the histogram and distribution
 # invariants, the solver's greedy rounding against its full sort, the
-# predictor's Load, the decision log's Open, and the control plane's state
-# machine and snapshot header (the regression corpus under testdata/fuzz
-# always runs as part of plain `make test`).
+# predictor's Load, the engine's outcome stream, the decision log's Open,
+# and the control plane's state machine and snapshot header (the regression
+# corpus under testdata/fuzz always runs as part of plain `make test`).
 fuzz:
 	$(GO) test -fuzz '^FuzzHistogramInvariants$$' -fuzztime 10s -run '^$$' ./internal/histogram
 	$(GO) test -fuzz '^FuzzFromState$$' -fuzztime 10s -run '^$$' ./internal/histogram
@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzConditional$$' -fuzztime 10s -run '^$$' ./internal/dist
 	$(GO) test -fuzz '^FuzzGreedyRound$$' -fuzztime 10s -run '^$$' ./internal/milp
 	$(GO) test -fuzz '^FuzzPredictorLoad$$' -fuzztime 10s -run '^$$' ./internal/predictor
+	$(GO) test -fuzz '^FuzzOutcomeStream$$' -fuzztime 10s -run '^$$' ./internal/simulator
 	$(GO) test -fuzz '^FuzzReplogOpen$$' -fuzztime 10s -run '^$$' ./internal/replog
 	$(GO) test -fuzz '^FuzzStateApply$$' -fuzztime 10s -run '^$$' ./internal/service
 	$(GO) test -fuzz '^FuzzSnapshotHeader$$' -fuzztime 10s -run '^$$' ./internal/service

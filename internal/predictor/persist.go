@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 
+	"threesigma/internal/binenc"
 	"threesigma/internal/histogram"
 	"threesigma/internal/stats"
 )
@@ -103,29 +104,24 @@ func (g *group) state() groupState {
 
 // appendGroup appends the encoding of the group saved as gs under key.
 func appendGroup(buf []byte, key string, gs *groupState) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
+	buf = binenc.AppendString(buf, key)
 	buf = binary.AppendUvarint(buf, uint64(len(gs.Hist.Bins)))
 	for _, b := range gs.Hist.Bins {
-		buf = appendFloat(appendFloat(buf, b.Value), b.Count)
+		buf = binenc.AppendFloat(binenc.AppendFloat(buf, b.Value), b.Count)
 	}
-	buf = appendFloat(appendFloat(buf, gs.Hist.Min), gs.Hist.Max)
+	buf = binenc.AppendFloat(binenc.AppendFloat(buf, gs.Hist.Min), gs.Hist.Max)
 	buf = binary.AppendUvarint(buf, uint64(gs.Count))
-	buf = appendFloat(appendFloat(buf, gs.Sum), gs.Rolling)
+	buf = binenc.AppendFloat(binenc.AppendFloat(buf, gs.Sum), gs.Rolling)
 	buf = binary.AppendUvarint(buf, uint64(len(gs.Recent)))
 	for _, v := range gs.Recent {
-		buf = appendFloat(buf, v)
+		buf = binenc.AppendFloat(buf, v)
 	}
 	buf = binary.AppendUvarint(buf, uint64(gs.RPos))
 	for _, s := range gs.NMAE {
-		buf = appendFloat(appendFloat(buf, s.SumAbsErr), s.SumActual)
+		buf = binenc.AppendFloat(binenc.AppendFloat(buf, s.SumAbsErr), s.SumActual)
 		buf = binary.AppendUvarint(buf, uint64(s.N))
 	}
 	return buf
-}
-
-func appendFloat(buf []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
 // Load replaces the predictor's history with a previously saved state,
@@ -160,34 +156,34 @@ func loadBinary(data []byte) ([]map[string]*group, error) {
 	if data[0] != persistVersion {
 		return nil, fmt.Errorf("unsupported version %d", data[0])
 	}
-	r := reader{buf: data[1:]}
-	if nf := r.int(); r.err == nil && nf != len(features) {
+	r := binenc.NewReader(data[1:])
+	if nf := r.Int(); r.Err() == nil && nf != len(features) {
 		return nil, fmt.Errorf("%d feature groups, predictor has %d features", nf, len(features))
 	}
 	groups := make([]map[string]*group, len(features))
 	var gs groupState // its slices are scratch, reused group to group
 	for fi := range groups {
-		n := r.length(minGroupBytes)
+		n := r.Length(minGroupBytes)
 		groups[fi] = make(map[string]*group, n)
 		prev := ""
-		for k := 0; k < n && r.err == nil; k++ {
-			key := string(r.bytes(r.length(1)))
+		for k := 0; k < n && r.Err() == nil; k++ {
+			key := string(r.Prefixed())
 			gs.Hist.Bins = gs.Hist.Bins[:0]
-			for b := r.length(16); b > 0 && r.err == nil; b-- {
-				gs.Hist.Bins = append(gs.Hist.Bins, histogram.Bin{Value: r.float(), Count: r.float()})
+			for b := r.Length(16); b > 0 && r.Err() == nil; b-- {
+				gs.Hist.Bins = append(gs.Hist.Bins, histogram.Bin{Value: r.Float(), Count: r.Float()})
 			}
-			gs.Hist.Min, gs.Hist.Max = r.float(), r.float()
-			gs.Count = r.int()
-			gs.Sum, gs.Rolling = r.float(), r.float()
+			gs.Hist.Min, gs.Hist.Max = r.Float(), r.Float()
+			gs.Count = r.Int()
+			gs.Sum, gs.Rolling = r.Float(), r.Float()
 			gs.Recent = gs.Recent[:0]
-			for b := r.length(8); b > 0 && r.err == nil; b-- {
-				gs.Recent = append(gs.Recent, r.float())
+			for b := r.Length(8); b > 0 && r.Err() == nil; b-- {
+				gs.Recent = append(gs.Recent, r.Float())
 			}
-			gs.RPos = r.int()
+			gs.RPos = r.Int()
 			for i := range gs.NMAE {
-				gs.NMAE[i] = stats.NMAEState{SumAbsErr: r.float(), SumActual: r.float(), N: r.int()}
+				gs.NMAE[i] = stats.NMAEState{SumAbsErr: r.Float(), SumActual: r.Float(), N: r.Int()}
 			}
-			if r.err != nil {
+			if r.Err() != nil {
 				break
 			}
 			if k > 0 && key <= prev {
@@ -201,11 +197,11 @@ func loadBinary(data []byte) ([]map[string]*group, error) {
 			prev = key
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	if len(r.buf) > 0 {
-		return nil, fmt.Errorf("%d bytes after the last group", len(r.buf))
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("%d bytes after the last group", r.Len())
 	}
 	return groups, nil
 }
@@ -239,76 +235,6 @@ func restoreGroup(gs *groupState) (*group, error) {
 		g.nmae[i] = stats.NMAEFromState(gs.NMAE[i])
 	}
 	return g, nil
-}
-
-// reader decodes a binary stream. The first failure sticks: every later
-// read returns zero, and err says what went wrong.
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-	r.buf = nil
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("truncated or overlong uvarint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-// int reads a uvarint that must fit an int.
-func (r *reader) int() int {
-	v := r.uvarint()
-	if v > math.MaxInt {
-		r.fail("uvarint %d overflows an int", v)
-		return 0
-	}
-	return int(v)
-}
-
-// length reads a count of items at least size bytes long each, and fails
-// unless that many fit in what remains.
-func (r *reader) length(size int) int {
-	v := r.uvarint()
-	if r.err == nil && v > uint64(len(r.buf)/size) {
-		r.fail("length %d exceeds the %d bytes that remain", v, len(r.buf))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	b := r.buf[:n] // length checked n against len(r.buf)
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *reader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
 }
 
 // sortedKeys returns m's keys sorted — the sort-keys idiom the detrange

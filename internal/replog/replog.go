@@ -4,12 +4,14 @@
 // train feeds, operator node ops, cycle decisions with their agent state
 // deltas, full-state snapshots, and leader elections.
 //
-// On disk a log is a stream of length-prefixed JSON records (4-byte
-// big-endian length, then the record's JSON bytes), each carrying the
-// sha256 of its predecessor plus its own sha256 over (prev || body), so a
-// record cannot be altered, dropped, or reordered without breaking every
-// hash that follows. Appends are fsync'd before they are acknowledged; a
-// torn tail left by a crash mid-write is detected and truncated on open.
+// On disk a log is a stream of length-prefixed binary frames (4-byte
+// big-endian length, then a fixed header and the record's payload bytes),
+// each record carrying the sha256 of its predecessor plus its own sha256
+// over (prev || body), so a record cannot be altered, dropped, or reordered
+// without breaking every hash that follows. Appends are fsync'd before they
+// are acknowledged; a torn tail left by a crash mid-write is detected and
+// truncated on open. Records cross the network as JSON (Record's tags);
+// the hash covers the record's fields, not either encoding.
 //
 // A log may be compacted: records at or below a full-state snapshot record
 // are dropped and replaced by a fixed-size header persisting the base
@@ -39,6 +41,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"threesigma/internal/binenc"
 )
 
 // Record types. The apply semantics live in internal/service; replog only
@@ -100,13 +104,29 @@ var genesisHash = hex.EncodeToString(make([]byte, sha256.Size))
 // base sequence (records 1..base are compacted away), and the raw 32-byte
 // hash of record base (the Prev the first retained record chains from).
 // The magic reads as a ~860 MB length prefix — far beyond MaxRecordBytes —
-// so it can never collide with an uncompacted log's first record.
+// so it can never collide with an uncompacted log's first record. Version 1
+// fronted JSON frames; this build writes and reads version 2 only.
 var headerMagic = []byte("3SRL")
 
 const (
-	headerVersion = 1
+	headerVersion = 2
 	headerSize    = 4 + 1 + 8 + sha256.Size
 )
+
+// A frame is a 4-byte big-endian length and a body of that many bytes:
+//
+//	version byte 2
+//	seq uvarint, epoch uvarint, cycle zig-zag varint
+//	type (uvarint length, bytes)
+//	prev, hash (the raw 32 bytes each)
+//	data (the rest of the body)
+//
+// A JSON-framed record, which older builds wrote, opens with '{' where the
+// version byte stands, and is refused by name.
+const frameVersion = 2
+
+// errJSONFrame reports a record in the retired encoding.
+var errJSONFrame = errors.New("replog: JSON-framed record, written by an older build; this build reads binary frames only")
 
 // bodyHash computes the record's chained hash from its identifying fields.
 // The hash deliberately covers the canonical field serialization rather
@@ -196,13 +216,14 @@ func Open(path string) (*Log, error) {
 
 // loadLocked reads and verifies records from f, returning the byte offset of the
 // end of the last complete, chain-valid record. A frame that ends at EOF
-// (a short length prefix or body) is a torn tail; a zero length or a body
-// that does not parse is one only when nothing but zero bytes follows it
-// (tornTail). Any other unreadable frame — an oversized length, a zero
-// length or garbled body with data behind it — is corruption, as is a
-// record that parses but fails chain verification. A compacted log begins
-// with a fixed-size header naming the base sequence and the hash the chain
-// resumes from.
+// (a short length prefix or body) is a torn tail. A zero length is one only
+// when nothing but zero bytes follows it, and so is a frame that does not
+// parse, is out of sequence or fails chain verification, when in addition
+// its body ends in a zero byte — the zeros a file system may leave where a
+// crash cut a write short (tornTail). Any other such frame, an oversized
+// length and a JSON frame are corruption. A compacted log begins with a
+// fixed-size header naming the base sequence and the hash the chain resumes
+// from.
 func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 	rd := bufio.NewReader(f)
 	if magic, perr := rd.Peek(len(headerMagic)); perr == nil && bytes.Equal(magic, headerMagic) {
@@ -213,7 +234,7 @@ func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 			return 0, fmt.Errorf("replog: short compaction header: %w", err)
 		}
 		if hdr[4] != headerVersion {
-			return 0, fmt.Errorf("replog: unsupported compaction header version %d", hdr[4])
+			return 0, fmt.Errorf("replog: unsupported compaction header version %d (this build reads %d)", hdr[4], headerVersion)
 		}
 		l.base = binary.BigEndian.Uint64(hdr[5:13])
 		l.head = hex.EncodeToString(hdr[13:headerSize])
@@ -235,23 +256,76 @@ func (l *Log) loadLocked(f *os.File) (good int64, err error) {
 		if _, err := io.ReadFull(rd, body); err != nil {
 			return good, nil // torn body
 		}
-		var rec Record
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return tornTail(rd, good)
+		if body[0] == '{' {
+			return 0, errJSONFrame
 		}
-		if rec.Seq != l.base+uint64(len(l.recs))+1 {
-			return 0, fmt.Errorf("replog: record %d out of sequence (want %d)", rec.Seq, l.base+uint64(len(l.recs))+1)
-		}
-		if err := rec.Verify(l.head); err != nil {
-			return 0, err
-		}
-		if len(l.recs) > 0 && rec.Epoch < l.recs[len(l.recs)-1].Epoch {
-			return 0, fmt.Errorf("replog: record %d epoch regressed (%d after %d)", rec.Seq, rec.Epoch, l.recs[len(l.recs)-1].Epoch)
+		rec, err := l.nextLocked(body)
+		if err != nil {
+			if body[n-1] != 0 {
+				return 0, err
+			}
+			if _, terr := tornTail(rd, good); terr != nil {
+				return 0, err
+			}
+			return good, nil
 		}
 		l.recs = append(l.recs, rec)
 		l.head = rec.Hash
 		good += int64(4 + n)
 	}
+}
+
+// nextLocked parses a frame body and checks that its record extends the
+// chain loaded so far.
+func (l *Log) nextLocked(body []byte) (Record, error) {
+	rec, err := parseFrame(body)
+	if err != nil {
+		return rec, err
+	}
+	if want := l.base + uint64(len(l.recs)) + 1; rec.Seq != want {
+		return rec, fmt.Errorf("replog: record %d out of sequence (want %d)", rec.Seq, want)
+	}
+	if err := rec.Verify(l.head); err != nil {
+		return rec, err
+	}
+	if len(l.recs) > 0 && rec.Epoch < l.recs[len(l.recs)-1].Epoch {
+		return rec, fmt.Errorf("replog: record %d epoch regressed (%d after %d)", rec.Seq, rec.Epoch, l.recs[len(l.recs)-1].Epoch)
+	}
+	return rec, nil
+}
+
+// appendFrame appends rec's frame body (without its length prefix).
+func appendFrame(buf []byte, rec *Record) ([]byte, error) {
+	prev, perr := hex.DecodeString(rec.Prev)
+	hash, herr := hex.DecodeString(rec.Hash)
+	if perr != nil || herr != nil || len(prev) != sha256.Size || len(hash) != sha256.Size {
+		return nil, fmt.Errorf("replog: record %d carries a malformed hash", rec.Seq)
+	}
+	buf = append(buf, frameVersion)
+	buf = binary.AppendUvarint(buf, rec.Seq)
+	buf = binary.AppendUvarint(buf, rec.Epoch)
+	buf = binary.AppendVarint(buf, rec.Cycle)
+	buf = binenc.AppendString(buf, rec.Type)
+	buf = append(append(buf, prev...), hash...)
+	return append(buf, rec.Data...), nil
+}
+
+// parseFrame reads a frame body. The record's Data aliases body.
+func parseFrame(body []byte) (Record, error) {
+	if body[0] != frameVersion {
+		return Record{}, fmt.Errorf("replog: unsupported frame version %d", body[0])
+	}
+	r := binenc.NewReader(body[1:])
+	rec := Record{Seq: r.Uvarint(), Epoch: r.Uvarint(), Cycle: r.Varint(), Type: string(r.Prefixed())}
+	prev, hash := r.Bytes(sha256.Size), r.Bytes(sha256.Size)
+	if r.Err() != nil {
+		return Record{}, fmt.Errorf("replog: frame header: %w", r.Err())
+	}
+	rec.Prev, rec.Hash = hex.EncodeToString(prev), hex.EncodeToString(hash)
+	if r.Len() > 0 {
+		rec.Data = r.Bytes(r.Len())
+	}
+	return rec, nil
 }
 
 // tornTail judges an unreadable frame that begins at offset start, with r
@@ -433,12 +507,13 @@ func (e *GapError) Error() string {
 }
 
 // frameRecords serializes records into the on-disk framing (length prefix +
-// JSON body), refusing any record the loader would treat as a torn tail.
+// frame body), refusing any record the loader could not read back.
 func frameRecords(recs []Record) (*bytes.Buffer, error) {
 	var buf bytes.Buffer
+	var body []byte
 	for i := range recs {
-		body, err := json.Marshal(&recs[i])
-		if err != nil {
+		var err error
+		if body, err = appendFrame(body[:0], &recs[i]); err != nil {
 			return nil, err
 		}
 		if len(body) > MaxRecordBytes {

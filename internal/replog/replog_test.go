@@ -2,11 +2,14 @@ package replog
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -122,15 +125,18 @@ func rebuild(t *testing.T, path string, r2 Record) {
 
 // TestCorruptBodyRejectedOnOpen: damage inside a record that other records
 // follow is corruption, never a torn tail — Open fails and leaves the file
-// byte for byte as it was, instead of truncating the records behind it.
+// byte for byte as it was, instead of truncating the records behind it. A
+// log in the retired JSON framing, or behind a version 1 compaction header,
+// is refused the same way, whatever follows it.
 func TestCorruptBodyRejectedOnOpen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "decision.log")
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var recs []Record
 	for id := 1; id <= 3; id++ {
-		mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": id})
+		recs = append(recs, mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": id}))
 	}
 	l.Close()
 	clean, err := os.ReadFile(path)
@@ -138,22 +144,66 @@ func TestCorruptBodyRejectedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := 4 + int(binary.BigEndian.Uint32(clean)) // the second record's offset
+	hashAt := bytes.Index(clean, rawHash(t, recs[0].Hash))
+	if hashAt < 0 || hashAt+sha256.Size > first {
+		t.Fatalf("the first frame does not hold its record's hash")
+	}
+	// The same records in the framing older builds wrote: length, JSON.
+	var jsonFramed []byte
+	for i := range recs {
+		body, err := json.Marshal(&recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonFramed = binary.BigEndian.AppendUint32(jsonFramed, uint32(len(body)))
+		jsonFramed = append(jsonFramed, body...)
+	}
+	oneJSON := jsonFramed[:4+binary.BigEndian.Uint32(jsonFramed)]
+	// A compacted log, its header turned back to version 1.
+	if l, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	snap := mustAppend(t, l, 1, TypeSnapshot, 1, map[string]string{"state": "everything"})
+	if err := l.Compact(snap.Seq); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	compacted, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(compacted, headerMagic) {
+		t.Fatalf("the compacted log has no header (%v)", err)
+	}
 
 	for _, c := range []struct {
 		name   string
-		damage func(raw []byte)
+		damage func(raw []byte) []byte
 	}{
 		// The stored hash no longer matches.
-		{"payload byte", func(raw []byte) { raw[strings.Index(string(raw), `"id":1`)+5] = '9' }},
+		{"payload byte", func(raw []byte) []byte {
+			raw[strings.Index(string(raw), `"id":1`)+5] = '9'
+			return raw
+		}},
+		{"stored hash byte", func(raw []byte) []byte { raw[hashAt] ^= 1; return raw }},
+		{"stored prev byte", func(raw []byte) []byte { raw[hashAt-1] ^= 1; return raw }},
 		// The first record no longer parses.
-		{"syntax-breaking flip", func(raw []byte) { raw[4] = 'x' }},
-		{"zero length", func(raw []byte) { binary.BigEndian.PutUint32(raw, 0) }},
-		{"oversized length", func(raw []byte) { binary.BigEndian.PutUint32(raw, MaxRecordBytes+1) }},
-		{"short length", func(raw []byte) { binary.BigEndian.PutUint32(raw, uint32(first-5)) }},
+		{"syntax-breaking flip", func(raw []byte) []byte { raw[4] = 'x'; return raw }}, // the frame version byte
+		{"type length past the frame", func(raw []byte) []byte {
+			raw[hashAt-sha256.Size-len(TypeAdmit)-1] = 0x7f
+			return raw
+		}},
+		{"zero length", func(raw []byte) []byte { binary.BigEndian.PutUint32(raw, 0); return raw }},
+		{"oversized length", func(raw []byte) []byte { binary.BigEndian.PutUint32(raw, MaxRecordBytes+1); return raw }},
+		{"short length", func(raw []byte) []byte { binary.BigEndian.PutUint32(raw, uint32(first-5)); return raw }},
+		// Retired encodings.
+		{"JSON frames", func([]byte) []byte { return slices.Clone(jsonFramed) }},
+		{"one JSON frame", func([]byte) []byte { return slices.Clone(oneJSON) }},
+		{"compaction header version 1", func([]byte) []byte {
+			raw := slices.Clone(compacted)
+			raw[len(headerMagic)] = 1
+			return raw
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			raw := slices.Clone(clean)
-			c.damage(raw)
+			raw := c.damage(slices.Clone(clean))
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -165,6 +215,64 @@ func TestCorruptBodyRejectedOnOpen(t *testing.T) {
 				t.Fatalf("the failed open changed the file: %d bytes, was %d (%v)", len(got), len(raw), err)
 			}
 		})
+	}
+}
+
+// rawHash is a hex record hash as the 32 bytes a frame stores.
+func rawHash(t *testing.T, h string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(h)
+	if err != nil || len(b) != sha256.Size {
+		t.Fatalf("malformed hash %q", h)
+	}
+	return b
+}
+
+// TestFramingNeverEntersAHash: a log on disk and one in memory fed the same
+// appends — plain and batched, replicated, empty and with payloads — have
+// the same head, and the disk log re-opens to it: the frame is how a record
+// is stored, never part of what it is.
+func TestFramingNeverEntersAHash(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decision.log")
+	disk, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []*Log{disk, mem} {
+		mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 1})
+		if _, err := l.AppendBatch(2, TypeTrain, -7, []any{map[string]float64{"runtime": 1.5}, nil}); err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, l, 1<<40, TypeCycle, 1<<33, map[string]string{"pad": strings.Repeat("x", 300)})
+	}
+	// A replicated record with no payload at all, chained on the same head.
+	rec := Record{Seq: 5, Epoch: 1 << 40, Type: TypeElect, Cycle: 9, Prev: mem.Head()}
+	rec.Hash = bodyHash(rec.Prev, rec.Seq, rec.Epoch, rec.Type, rec.Cycle, rec.Data)
+	for _, l := range []*Log{disk, mem} {
+		if err := l.AppendRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if disk.Head() != mem.Head() || disk.Len() != mem.Len() {
+		t.Fatalf("disk log at %d (%.8s), memory log at %d (%.8s)", disk.Len(), disk.Head(), mem.Len(), mem.Head())
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.Head() != mem.Head() || again.Len() != mem.Len() {
+		t.Fatalf("re-opened disk log at %d (%.8s), memory log at %d (%.8s)", again.Len(), again.Head(), mem.Len(), mem.Head())
+	}
+	if got, want := again.Records(), mem.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-opened records differ:\n got  %+v\n want %+v", got, want)
 	}
 }
 

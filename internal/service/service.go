@@ -310,6 +310,13 @@ type Service struct {
 	compactWake    chan struct{} // capacity 1: level-triggered, like followerConn.notify
 	compactDone    chan struct{} // closed when the compactor goroutine has exited
 
+	// logBase is the log's compaction base as this service has settled it:
+	// moved in the same hold of mu that counts the compaction (or installs
+	// the snapshot) that moved the log's, so /v1/metrics never shows a new
+	// log_base beside the old compactions count. The log's own base moves
+	// earlier, inside Compact, off mu.
+	logBase uint64 // guarded by mu
+
 	started   bool
 	stopped   bool // stop channel closed (Stop called)
 	stop      chan struct{}
@@ -1099,7 +1106,7 @@ func (s *Service) Metrics() Metrics {
 	m.Control = s.ctl
 	if s.log != nil {
 		m.LogLen = s.log.Len()
-		m.LogBase = s.log.Base()
+		m.LogBase = s.logBase
 		if h := s.log.Head(); len(h) >= 12 {
 			m.LogHead = h[:12]
 		}

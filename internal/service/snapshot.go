@@ -107,6 +107,7 @@ func (s *Service) settleCompaction(force bool) {
 		return
 	}
 	s.ctl.Compactions++
+	s.logBase = s.log.Base()
 }
 
 // installSnapshotLocked replaces the service's entire replay-relevant state
@@ -144,6 +145,7 @@ func (s *Service) installSnapshotLocked(rec replog.Record, resetLog bool) error 
 			return fmt.Errorf("reset log: %w", err)
 		}
 		s.pendingCompact = 0 // the log begins at this snapshot now
+		s.logBase = s.log.Base()
 	}
 	if err := fresh.adopt(staged); err != nil {
 		return err
@@ -154,7 +156,7 @@ func (s *Service) installSnapshotLocked(rec replog.Record, resetLog bool) error 
 		s.leaderEpoch = rec.Epoch
 	}
 	s.cfg.Logf("installed snapshot seq %d: cycle %d, %d outcomes, %d queued",
-		rec.Seq, fresh.Cycles, len(fresh.eng.Outcomes()), len(fresh.Queue))
+		rec.Seq, fresh.Cycles, fresh.eng.OutcomeCount(), len(fresh.Queue))
 	return nil
 }
 
@@ -169,6 +171,7 @@ func (s *Service) installSnapshotLocked(rec replog.Record, resetLog bool) error 
 func (s *Service) bootstrapReplay() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.logBase = s.log.Base()
 	recs := s.log.Records()
 	start, applied := 0, 0
 	for i := len(recs) - 1; i >= 0; i-- {
@@ -195,7 +198,7 @@ func (s *Service) bootstrapReplay() (int, error) {
 	applied += len(recs) - start
 	s.ctl.RecordsApplied += int64(applied)
 	s.cfg.Logf("applied %d log records: cycle %d, epoch %d, %d outcomes",
-		applied, s.st.Cycles, s.log.LastEpoch(), len(s.st.eng.Outcomes()))
+		applied, s.st.Cycles, s.log.LastEpoch(), s.st.eng.OutcomeCount())
 	return applied, nil
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"threesigma/internal/job"
 	"threesigma/internal/replog"
+	"threesigma/internal/simulator"
 )
 
 // TestQuorumAckMatrix pins waitReplicated's majority semantics for a
@@ -486,6 +487,16 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 		"predictor JSON object": func(top map[string]json.RawMessage) {
 			top["predictor"] = json.RawMessage(`{"version":1,"groups":[{},{},{},{},{},{},{}]}`)
 		},
+		// The engine's outcomes as older builds wrote them: JSON objects,
+		// not the binary outcome stream.
+		"JSON outcomes": func(top map[string]json.RawMessage) {
+			var eng map[string]json.RawMessage
+			if err := json.Unmarshal(top["engine"], &eng); err != nil {
+				t.Fatal(err)
+			}
+			eng["outcomes"] = json.RawMessage(`[{"Job":{"ID":1,"Name":"train","User":"alice","Tasks":4,"Runtime":2,"NonPrefFactor":1},"Started":true}]`)
+			top["engine"], _ = json.Marshal(eng)
+		},
 	}
 	for name, damage := range corrupt {
 		t.Run(name, func(t *testing.T) {
@@ -563,6 +574,70 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 				t.Errorf("the good snapshot did not install: %d installs, log at %d", m.Control.SnapshotInstalls, m.LogLen)
 			}
 		})
+	}
+}
+
+// TestSnapshotInstallReproducesOutcomeDigest: a snapshot whose engine holds
+// outcomes of every kind — completed on its preferred partition after a
+// preemption, cancelled, failed out of its retry budget, still pending; with
+// preferences, attributes and a negative ID — installs on a cold replica
+// with the donor's outcome digest. The outcomes are made on the donor's
+// engine directly: what is under test is the snapshot's outcome stream, not
+// how a service reaches those states.
+func TestSnapshotInstallReproducesOutcomeDigest(t *testing.T) {
+	dl, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sigmaConfig()
+	cfg.Log = dl
+	donor := mustService(t, cfg)
+	donor.mu.Lock()
+	donor.takeoverLocked(0)
+	eng := donor.st.eng
+	eng.SetRetryBudget(1)
+	for _, j := range []*job.Job{
+		{ID: -1, Name: "etl", User: "alice", Priority: 3, Submit: 0.5, Deadline: 700.25, Tasks: 2, Runtime: 300,
+			NonPrefFactor: 1.5, Preferred: []int{1}, Attrs: map[string]string{"user": "alice", "name": "etl"}},
+		{ID: 2, Name: "train", User: "bob", Class: job.BestEffort, Submit: 1, Tasks: 1, Runtime: 50, NonPrefFactor: 1},
+		{ID: 3, Name: "etl", User: "carol", Submit: 2, Deadline: 1e6, Tasks: 3, Runtime: 20, NonPrefFactor: 2},
+		{ID: 4, Name: "idle", User: "dave", Class: job.BestEffort, Submit: 3, Tasks: 1, Runtime: 1, NonPrefFactor: 1},
+	} {
+		if err := eng.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := func(id job.ID, alloc simulator.Alloc, now float64) int64 {
+		t.Helper()
+		run, ok := eng.Start(simulator.StartAction{Job: id, Alloc: alloc}, now)
+		if !ok {
+			t.Fatalf("job %d did not start", id)
+		}
+		return run.RunID
+	}
+	start(-1, simulator.Alloc{0, 2}, 10)
+	eng.Preempt(-1, 40)
+	if _, _, ok := eng.Complete(-1, start(-1, simulator.Alloc{0, 2}, 50), 350); !ok {
+		t.Fatal("job -1 did not complete")
+	}
+	start(2, simulator.Alloc{1, 0}, 60)
+	eng.Cancel(2, 70)
+	eng.CrashRun(3, start(3, simulator.Alloc{3, 0}, 80), 90)
+	if requeued, _ := eng.CrashRun(3, start(3, simulator.Alloc{3, 0}, 100), 110); requeued {
+		t.Fatal("job 3 was requeued past its retry budget")
+	}
+	donor.snapshotLocked()
+	donor.mu.Unlock()
+	want := donor.Metrics()
+	if want.Control.Snapshots != 1 {
+		t.Fatalf("the donor took %d snapshots, want 1", want.Control.Snapshots)
+	}
+
+	cold := sigmaConfig()
+	cold.Log = dl
+	got := mustService(t, cold).Metrics()
+	if got.OutcomeDigest != want.OutcomeDigest {
+		t.Fatalf("installed outcome digest %.12s, the donor has %.12s", got.OutcomeDigest, want.OutcomeDigest)
 	}
 }
 

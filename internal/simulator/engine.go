@@ -122,6 +122,10 @@ func (e *Engine) PendingCount() int { return len(e.pending) }
 // RunningCount returns the number of executing jobs.
 func (e *Engine) RunningCount() int { return len(e.running) }
 
+// OutcomeCount returns the number of outcome records: every job the engine
+// has admitted.
+func (e *Engine) OutcomeCount() int { return len(e.out) }
+
 // Idle reports whether no job is pending or running.
 func (e *Engine) Idle() bool { return len(e.pending) == 0 && len(e.running) == 0 }
 

@@ -1,9 +1,11 @@
 package simulator
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"threesigma/internal/binenc"
 	"threesigma/internal/job"
 )
 
@@ -16,7 +18,9 @@ import (
 // Jobs are serialized once, inside their Outcome records (every job the
 // engine has ever admitted has one); Pending and Running reference them by
 // ID and are re-linked on restore, preserving the engine's single-instance-
-// per-job aliasing without duplicating payloads.
+// per-job aliasing without duplicating payloads. The outcomes — the one part
+// that grows with every job ever admitted — are one binary stream
+// (appendOutcomes), which encoding/json writes as a base64 string.
 type EngineState struct {
 	Cluster     Cluster    `json:"cluster"`
 	Free        Alloc      `json:"free"`
@@ -24,7 +28,7 @@ type EngineState struct {
 	Pending     []job.ID   `json:"pending,omitempty"`
 	Running     []RunState `json:"running,omitempty"`
 	RunSeq      int64      `json:"run_seq"`
-	Outcomes    []*Outcome `json:"outcomes,omitempty"`
+	Outcomes    []byte     `json:"outcomes"`
 	Skipped     int        `json:"skipped,omitempty"`
 	Epoch       uint64     `json:"epoch"`
 	RetryBudget int        `json:"retry_budget,omitempty"`
@@ -68,7 +72,7 @@ func (e *Engine) ExportState() *EngineState {
 		})
 	}
 	sort.Slice(st.Running, func(i, k int) bool { return st.Running[i].Job < st.Running[k].Job })
-	st.Outcomes = e.Outcomes() // already copied and job-ID sorted
+	st.Outcomes = appendOutcomes(nil, e.Outcomes())
 	return st
 }
 
@@ -88,10 +92,11 @@ func EngineFromState(st *EngineState) (*Engine, error) {
 	e.retryBudget = st.RetryBudget
 	e.downSec = st.DownSec
 	e.downMark = st.DownMark
-	for _, o := range st.Outcomes {
-		if o == nil || o.Job == nil {
-			return nil, fmt.Errorf("simulator: engine state outcome without a job")
-		}
+	outs, err := decodeOutcomes(st.Outcomes)
+	if err != nil {
+		return nil, err
+	}
+	for _, o := range outs {
 		e.out[o.Job.ID] = o
 	}
 	for _, id := range st.Pending {
@@ -120,4 +125,173 @@ func EngineFromState(st *EngineState) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// The outcome stream: every outcome record the engine holds, with its job,
+//
+//	magic "3SOC", version byte 1, uvarint outcome count, then per outcome
+//	in strictly ascending job ID order:
+//	  job      ID varint; name, user (uvarint length, bytes); class byte;
+//	           priority varint; submit, deadline; tasks varint; runtime,
+//	           non-preferred factor; preferred (uvarint count, varints);
+//	           attrs (uvarint count, then key, value per pair in ascending
+//	           key order)
+//	  outcome  flags byte (started, completed, on preferred, cancelled,
+//	           failed from bit 0 up); first start, completion time, actual
+//	           runtime; preemptions varint; wasted work; evictions varint;
+//	           lost to failures
+//
+// where every float is its IEEE-754 bits (binenc), so every value comes back
+// exactly. Nothing may follow the last outcome. An empty Preferred or Attrs
+// decodes as nil, the one form of "none".
+const (
+	outcomesMagic   = "3SOC"
+	outcomesVersion = 1
+)
+
+// Outcome flag bits.
+const (
+	flagStarted = 1 << iota
+	flagCompleted
+	flagOnPreferred
+	flagCancelled
+	flagFailed
+	flagsKnown = flagStarted | flagCompleted | flagOnPreferred | flagCancelled | flagFailed
+)
+
+// minOutcomeBytes is the smallest encoding of an outcome: its eleven
+// varints, lengths, counts and single bytes one byte each, and its nine
+// floats.
+const minOutcomeBytes = 11 + 9*8
+
+// appendOutcomes appends the stream of outs, which must be sorted by job ID
+// (Engine.Outcomes' order).
+func appendOutcomes(buf []byte, outs []*Outcome) []byte {
+	buf = append(buf, outcomesMagic...)
+	buf = append(buf, outcomesVersion)
+	buf = binary.AppendUvarint(buf, uint64(len(outs)))
+	var keys []string
+	for _, o := range outs {
+		j := o.Job
+		buf = binary.AppendVarint(buf, int64(j.ID))
+		buf = binenc.AppendString(buf, j.Name)
+		buf = binenc.AppendString(buf, j.User)
+		buf = append(buf, byte(j.Class))
+		buf = binary.AppendVarint(buf, int64(j.Priority))
+		buf = binenc.AppendFloat(binenc.AppendFloat(buf, j.Submit), j.Deadline)
+		buf = binary.AppendVarint(buf, int64(j.Tasks))
+		buf = binenc.AppendFloat(binenc.AppendFloat(buf, j.Runtime), j.NonPrefFactor)
+		buf = binary.AppendUvarint(buf, uint64(len(j.Preferred)))
+		for _, p := range j.Preferred {
+			buf = binary.AppendVarint(buf, int64(p))
+		}
+		keys = keys[:0]
+		for k := range j.Attrs {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		buf = binary.AppendUvarint(buf, uint64(len(keys)))
+		for _, k := range keys {
+			buf = binenc.AppendString(binenc.AppendString(buf, k), j.Attrs[k])
+		}
+		var flags byte
+		for i, set := range [...]bool{o.Started, o.Completed, o.OnPreferred, o.Cancelled, o.Failed} {
+			if set {
+				flags |= 1 << i
+			}
+		}
+		buf = append(buf, flags)
+		buf = binenc.AppendFloat(buf, o.FirstStart)
+		buf = binenc.AppendFloat(buf, o.CompletionTime)
+		buf = binenc.AppendFloat(buf, o.ActualRuntime)
+		buf = binary.AppendVarint(buf, int64(o.Preemptions))
+		buf = binenc.AppendFloat(buf, o.WastedWork)
+		buf = binary.AppendVarint(buf, int64(o.Evictions))
+		buf = binenc.AppendFloat(buf, o.LostToFailures)
+	}
+	return buf
+}
+
+// decodeOutcomes reads an outcome stream, all or nothing: on any error it
+// returns no outcome. Every count is checked against the bytes that remain
+// before anything is allocated for it, and a stream that decodes is the
+// one appendOutcomes writes for what it decoded to, byte for byte. The
+// outcomes and their jobs live in two slabs, one allocation each; equal
+// strings share one copy.
+func decodeOutcomes(data []byte) ([]*Outcome, error) {
+	if len(data) < len(outcomesMagic)+1 || string(data[:len(outcomesMagic)]) != outcomesMagic {
+		return nil, fmt.Errorf("simulator: outcome stream does not begin with %q", outcomesMagic)
+	}
+	if v := data[len(outcomesMagic)]; v != outcomesVersion {
+		return nil, fmt.Errorf("simulator: unsupported outcome stream version %d", v)
+	}
+	r := binenc.NewReader(data[len(outcomesMagic)+1:])
+	n := r.Length(minOutcomeBytes)
+	slab := make([]Outcome, n)
+	jobs := make([]job.Job, n)
+	outs := make([]*Outcome, n)
+	strs := make(map[string]string)
+	intern := func(b []byte) string {
+		s, ok := strs[string(b)]
+		if !ok {
+			s = string(b)
+			strs[s] = s
+		}
+		return s
+	}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		j := &jobs[i]
+		j.ID = job.ID(r.Varint())
+		if i > 0 && j.ID <= jobs[i-1].ID {
+			r.Fail("job %d follows job %d", j.ID, jobs[i-1].ID)
+			break
+		}
+		j.Name = intern(r.Prefixed())
+		j.User = intern(r.Prefixed())
+		j.Class = job.Class(r.Byte())
+		j.Priority = r.SignedInt()
+		j.Submit, j.Deadline = r.Float(), r.Float()
+		j.Tasks = r.SignedInt()
+		j.Runtime, j.NonPrefFactor = r.Float(), r.Float()
+		if np := r.Length(1); np > 0 {
+			j.Preferred = make([]int, np)
+			for k := range j.Preferred {
+				j.Preferred[k] = r.SignedInt()
+			}
+		}
+		if na := r.Length(2); na > 0 {
+			j.Attrs = make(map[string]string, na)
+			prev := ""
+			for k := 0; k < na && r.Err() == nil; k++ {
+				key := intern(r.Prefixed())
+				if k > 0 && key <= prev {
+					r.Fail("job %d: attribute %q follows %q", j.ID, key, prev)
+				}
+				j.Attrs[key] = intern(r.Prefixed())
+				prev = key
+			}
+		}
+		o := &slab[i]
+		o.Job = j
+		flags := r.Byte()
+		if flags&^flagsKnown != 0 {
+			r.Fail("job %d: unknown outcome flags %#x", j.ID, flags)
+		}
+		o.Started, o.Completed = flags&flagStarted != 0, flags&flagCompleted != 0
+		o.OnPreferred, o.Cancelled = flags&flagOnPreferred != 0, flags&flagCancelled != 0
+		o.Failed = flags&flagFailed != 0
+		o.FirstStart, o.CompletionTime, o.ActualRuntime = r.Float(), r.Float(), r.Float()
+		o.Preemptions = r.SignedInt()
+		o.WastedWork = r.Float()
+		o.Evictions = r.SignedInt()
+		o.LostToFailures = r.Float()
+		outs[i] = o
+	}
+	if r.Err() != nil {
+		return nil, fmt.Errorf("simulator: outcome stream: %w", r.Err())
+	}
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("simulator: outcome stream: %d bytes after the last outcome", r.Len())
+	}
+	return outs, nil
 }

@@ -102,6 +102,9 @@ go test -fuzz '^FuzzGreedyRound$' -fuzztime 5s -run '^$' ./internal/milp
 # Arbitrary bytes never panic the predictor's Load; a failed load changes
 # nothing, and a stream that loads saves and loads back to the same bytes.
 go test -fuzz '^FuzzPredictorLoad$' -fuzztime 5s -run '^$' ./internal/predictor
+# Arbitrary bytes never panic the engine's outcome-stream decoder; a failed
+# decode yields nothing, and a stream that decodes re-encodes to its bytes.
+go test -fuzz '^FuzzOutcomeStream$' -fuzztime 5s -run '^$' ./internal/simulator
 # Arbitrary bytes as a decision log file never panic Open; a failed open
 # leaves the file as it was, and a log that opens re-opens alike.
 go test -fuzz '^FuzzReplogOpen$' -fuzztime 5s -run '^$' ./internal/replog
