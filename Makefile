@@ -92,8 +92,9 @@ smoke:
 	./scripts/smoke_service.sh
 
 # cluster-smoke runs the distributed control plane durability gate: leader
-# kill -9 failover under quorum acks + log compaction, a follower dead from
-# the start, and a cold restart from a compacted log — every arm's outcome
+# kill -9 failover under quorum acks + log compaction, a SIGTERMed leader
+# that hands over and rejoins, a follower dead from the start, and a cold
+# restart from a compacted log — every arm's outcome
 # digest compared byte-for-byte against an uninterrupted single-replica run
 # (DESIGN.md §14).
 cluster-smoke:

@@ -12,8 +12,11 @@
 //	               [-agents url=p0:p1,...] [-lease 2s] [-dead-rounds 3]
 //
 // SIGTERM or SIGINT drains the daemon: in-flight HTTP requests and the
-// current scheduling cycle finish, and the process exits 0. Cancels, trains
-// and node operations take effect at the next cycle boundary.
+// current scheduling cycle finish, one final cycle runs, and the process
+// exits 0. A leader of a replica group hands over first: its log reaches
+// every follower it can, and they elect a successor at once instead of
+// waiting out -lease. Cancels, trains and node operations take effect at the
+// next cycle boundary.
 //
 // The distributed control plane (DESIGN.md §14): -replog appends every
 // replay-relevant input and cycle decision to a hash-chained log, the one
@@ -22,7 +25,8 @@
 // stopped (-compact-every bounds the replay to the suffix behind the newest
 // snapshot); -replica/-peers forms a replica group with lease-based leader
 // election and synchronous input replication (kill -9 the leader and a warm
-// standby takes over within a lease); -agents runs the tasks on remote
+// standby takes over within a lease; SIGTERM it and one takes over at once);
+// -agents runs the tasks on remote
 // node-group agent daemons (cmd/3sigma-agentd) instead of the one agent the
 // daemon runs in its own process.
 package main

@@ -616,6 +616,18 @@ func (l *Log) Records() []Record {
 	return copyRecords(l.recs)
 }
 
+// Committed returns the retained chain itself, not a copy: the records and
+// their Data are the log's own and must not be modified. The view stays
+// what it was when taken — the log never writes into a committed record; it
+// appends past the view's end, where the slice is capped, and a compaction
+// or snapshot install replaces its slice whole. For a reader that reads and
+// drops the records, as bootstrap replay does; Records is the copy to keep.
+func (l *Log) Committed() []Record {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.recs[:len(l.recs):len(l.recs)]
+}
+
 // LastSnapshot returns the most recent TypeSnapshot record, or ok=false
 // when the log holds none. It is the record served to far-behind replicas
 // over GET /v1/replog/snapshot and the point bootstrap replay starts from.

@@ -711,6 +711,49 @@ func TestSinceDeepCopies(t *testing.T) {
 	}
 }
 
+// TestCommittedViewStaysPut: the uncopied view bootstrap replay reads holds
+// the records it was taken with through later appends, a compaction and a
+// snapshot install, on disk and in memory.
+func TestCommittedViewStaysPut(t *testing.T) {
+	for _, tc := range []struct{ name, path string }{
+		{"disk", filepath.Join(t.TempDir(), "v.log")},
+		{"memory", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := Open(tc.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 1})
+			mustAppend(t, l, 1, TypeSnapshot, 0, map[string]int{"s": 1})
+			mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 2})
+			view, want := l.Committed(), l.Records()
+			for i := 3; i < 40; i++ {
+				mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": i})
+			}
+			if err := l.Compact(2); err != nil {
+				t.Fatal(err)
+			}
+			donor, err := Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				mustAppend(t, donor, 1, TypeAdmit, 0, map[string]int{"id": -i})
+			}
+			snap := mustAppend(t, donor, 1, TypeSnapshot, 0, map[string]int{"s": 2})
+			if err := l.InstallSnapshot(snap); err != nil {
+				t.Fatal(err)
+			}
+			mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 99})
+			if !reflect.DeepEqual(view, want) {
+				t.Fatalf("the committed view moved:\n got  %+v\n want %+v", view, want)
+			}
+		})
+	}
+}
+
 // FuzzReplogOpen writes arbitrary bytes as a log file and opens it: Open
 // never panics; an Open that fails leaves the file's bytes as they were; a
 // log that opens re-opens at the same Len, Base and Head; and one Append

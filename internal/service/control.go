@@ -1,11 +1,15 @@
 // Leader election and log replication (DESIGN.md §14).
 //
 // Election is lease-based and deterministic: every replica polls its peers'
-// control status at lease/4; a follower that has heard from no leader for a
-// full lease takes over iff it is the best candidate among the replicas it
-// can see — most caught-up log first, lowest replica ID on ties. Takeover
+// control status at lease/4, all peers at once, the first time as it starts.
+// A follower takes over iff it can see a quorum, is the best candidate within
+// it — most caught-up log first, lowest replica ID on ties — and no leader
+// can still hold a lease: either it has heard from none for a full lease, or
+// every peer answered the poll and none reports itself leader. Takeover
 // bumps the epoch past every epoch the replica has seen and appends a
 // TypeElect record, so agents and followers fence out the deposed leader.
+// A leader that is stopped hands off (handOff): its tail reaches every
+// follower it can, and its last push tells them not to wait out its lease.
 //
 // Replication is push-based: the leader runs one sender goroutine per peer,
 // streaming log records in batches over POST /v1/replog/append. Senders are
@@ -24,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -40,6 +45,10 @@ type followerConn struct {
 	// notify wakes the sender after an append (capacity 1: a wake-up is
 	// level-triggered, coalescing bursts).
 	notify chan struct{}
+	// resign is closed by handOff, in the hold of mu that ends the term: the
+	// sender makes its last push, carrying Resign, and exits, closing done.
+	resign chan struct{}
+	done   chan struct{}
 
 	fmu    sync.Mutex
 	acked  uint64    // guarded by fmu; highest seq the peer confirmed
@@ -52,6 +61,8 @@ func newFollowerConn(id int, addr string, timeout time.Duration) *followerConn {
 		addr:   addr,
 		httpc:  &http.Client{Timeout: timeout},
 		notify: make(chan struct{}, 1),
+		resign: make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
@@ -265,6 +276,9 @@ type replAppendReq struct {
 	// cannot catch up record-by-record and fetches the snapshot instead.
 	Base    uint64          `json:"base,omitempty"`
 	Records []replog.Record `json:"records,omitempty"`
+	// Resign marks a stopped leader's last push, sent only to a follower
+	// that acked its whole log: the term is over, and its lease with it.
+	Resign bool `json:"resign,omitempty"`
 }
 
 type replAppendResp struct {
@@ -285,8 +299,11 @@ type replAppendResp struct {
 // by notifyFollowers, and padded with empty heartbeats at lease/2 so the
 // lease survives quiet stretches. A follower that answers Busy — mid-install
 // of a snapshot, mid-cycle as a deposed leader — is asked again on a doubling
-// back-off of 1 ms to lease/8, not left to the heartbeat.
+// back-off of 1 ms to lease/8, not left to the heartbeat. The sender outlives
+// Stop: a stopped leader's final cycle is pushed by it, and its term ends
+// with the resign push (handOff).
 func (s *Service) runSender(fc *followerConn, epoch uint64) {
+	defer close(fc.done)
 	hb := time.NewTicker(s.cfg.LeaseInterval / 2)
 	defer hb.Stop()
 	retry := time.NewTimer(time.Hour) // armed by a Busy answer only; stopped again at the first wake-up
@@ -295,12 +312,13 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 	var sent uint64
 	for {
 		select {
-		case <-s.stop:
+		case <-s.loopDone:
 			return
 		case <-fc.notify:
 			if sent == s.log.Len() {
 				continue // woken for records the last push already carried
 			}
+		case <-fc.resign:
 		case <-hb.C:
 		case <-retry.C:
 		}
@@ -308,12 +326,22 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 		stale := s.role != RoleLeader || s.leaderEpoch != epoch
 		s.mu.Unlock()
 		if stale {
+			select {
+			case <-fc.resign:
+				// Only a follower holding the whole log may skip the lease:
+				// one that does not would stand without records a quorum
+				// may hold.
+				if acked, _ := fc.progress(s.cfg.LeaseInterval); acked >= s.log.Len() {
+					s.pushBatch(fc, epoch, nil, true)
+				}
+			default:
+			}
 			return
 		}
 		busy := false
 		for {
 			batch := cutBatch(s.log.Since(sent, pushRecords))
-			resp, code, err := s.pushBatch(fc, epoch, batch)
+			resp, code, err := s.pushBatch(fc, epoch, batch, false)
 			if err != nil {
 				break // peer unreachable or non-protocol reply; heartbeat retries
 			}
@@ -398,9 +426,9 @@ func cutBatch(batch []replog.Record) []replog.Record {
 // errResponse, a proxy error page — is a transport-grade error: its body
 // must not be mistaken for an all-zero ack that would rewind the send
 // cursor and refresh the peer's liveness lease.
-func (s *Service) pushBatch(fc *followerConn, epoch uint64, batch []replog.Record) (*replAppendResp, int, error) {
+func (s *Service) pushBatch(fc *followerConn, epoch uint64, batch []replog.Record, resign bool) (*replAppendResp, int, error) {
 	body, err := json.Marshal(&replAppendReq{From: s.cfg.ReplicaID, Epoch: epoch,
-		Base: s.log.Base(), Records: batch})
+		Base: s.log.Base(), Records: batch, Resign: resign})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -482,87 +510,136 @@ type ctlStatus struct {
 	Head    string `json:"head,omitempty"`
 }
 
-// electionLoop is every replica's failure detector: poll peers at lease/4,
-// refresh the leader lease when one is visible, and stand for election when
-// the lease lapses and this replica is the best candidate it can see.
+// electionLoop is every replica's failure detector: poll peers as it starts
+// and at lease/4 after that — or at once when the leader resigns — refresh
+// the leader lease when one is visible, and stand for election when no
+// leader can hold a lease any more and this replica is the best candidate it
+// can see.
 func (s *Service) electionLoop() {
 	defer close(s.electDone)
 	httpc := &http.Client{Timeout: s.cfg.LeaseInterval / 4}
 	ticker := time.NewTicker(s.cfg.LeaseInterval / 4)
 	defer ticker.Stop()
 	for {
+		s.electionTick(httpc)
 		select {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			s.electionTick(httpc)
+		case <-s.electWake:
 		}
 	}
 }
 
-func (s *Service) electionTick(httpc *http.Client) {
-	// Poll peers off the lock (network).
-	type peerView struct {
-		id int
-		st ctlStatus
+// wakeElectionLocked runs an election tick now instead of at the next
+// lease/4 (non-blocking: the channel holds one level-triggered wake-up).
+func (s *Service) wakeElectionLocked() {
+	select {
+	case s.electWake <- struct{}{}:
+	default:
 	}
+}
+
+// pollPeers asks every peer for its control status, all at once, so a tick
+// costs one round trip however many peers time out. The answers come back
+// in replica ID order, whatever order they arrived in; a peer that did not
+// answer 200 with a status is absent.
+func (s *Service) pollPeers(httpc *http.Client) []peerView {
+	var ids []int
+	for id := range s.cfg.Peers {
+		if id != s.cfg.ReplicaID {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	got := make([]*ctlStatus, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := httpc.Get(s.cfg.Peers[id] + "/v1/control/status")
+			if err != nil {
+				return
+			}
+			defer resp.Body.Close()
+			var st ctlStatus
+			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&st) == nil {
+				got[i] = &st
+			}
+		}()
+	}
+	wg.Wait()
 	var views []peerView
-	for id, addr := range s.cfg.Peers {
-		if id == s.cfg.ReplicaID {
-			continue
+	for i, st := range got {
+		if st != nil {
+			views = append(views, peerView{id: ids[i], st: *st})
 		}
-		resp, err := httpc.Get(addr + "/v1/control/status")
-		if err != nil {
-			continue
-		}
-		var st ctlStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		views = append(views, peerView{id: id, st: st})
 	}
+	return views
+}
+
+type peerView struct {
+	id int
+	st ctlStatus
+}
+
+func (s *Service) electionTick(httpc *http.Client) {
+	polled := s.cfg.Clock.Now()
+	views := s.pollPeers(httpc) // network: off the lock
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// The leader this poll shows: the newest term, and within one term the
+	// lower replica ID (the duel rule below).
 	var maxEpoch uint64
-	for _, v := range views {
-		if v.st.Epoch > maxEpoch {
-			maxEpoch = v.st.Epoch
+	var lead *peerView
+	for i, v := range views {
+		maxEpoch = max(maxEpoch, v.st.Epoch)
+		if v.st.Role == string(RoleLeader) &&
+			(lead == nil || v.st.Epoch > lead.st.Epoch || (v.st.Epoch == lead.st.Epoch && v.id < lead.id)) {
+			lead = &views[i]
 		}
-		if v.st.Role == string(RoleLeader) && v.st.Epoch >= s.leaderEpoch {
-			if s.role == RoleLeader && s.cycleRec == nil &&
-				(v.st.Epoch > s.leaderEpoch ||
-					(v.st.Epoch == s.leaderEpoch && v.id < s.cfg.ReplicaID)) {
-				// A newer term always wins. At an equal epoch (two followers
-				// took over at E+1 across a symmetric partition) neither side
-				// ever mints a greater epoch, so the election rule's ID order
-				// breaks the tie: the lower replica ID keeps the term and the
-				// higher one steps down — deterministic, both sides agree.
-				s.stepDownLocked(v.st.Epoch, v.id)
-			}
-			if s.role == RoleFollower {
-				s.lastLeader = s.cfg.Clock.Now()
-				s.leaderID = v.id
-				if v.st.Epoch > s.leaderEpoch {
-					s.leaderEpoch = v.st.Epoch
-				}
+	}
+	if v := lead; v != nil && v.st.Epoch >= s.leaderEpoch {
+		if s.role == RoleLeader && s.cycleRec == nil &&
+			(v.st.Epoch > s.leaderEpoch ||
+				(v.st.Epoch == s.leaderEpoch && v.id < s.cfg.ReplicaID)) {
+			// A newer term always wins. At an equal epoch (two followers
+			// took over at E+1 across a symmetric partition) neither side
+			// ever mints a greater epoch, so the election rule's ID order
+			// breaks the tie: the lower replica ID keeps the term and the
+			// higher one steps down — deterministic, both sides agree.
+			s.stepDownLocked(v.st.Epoch, v.id)
+		}
+		if s.role == RoleFollower {
+			s.lastLeader = s.cfg.Clock.Now()
+			s.leaderID = v.id
+			if v.st.Epoch > s.leaderEpoch {
+				s.leaderEpoch = v.st.Epoch
 			}
 		}
 	}
 	if s.role != RoleFollower || s.stopped {
 		return
 	}
-	if s.cfg.Clock.Now().Sub(s.lastLeader) <= s.cfg.LeaseInterval {
+	// Wait out the lease only while some leader could still hold one. When
+	// every peer answered and none leads, none does: a live leader answers
+	// as one. That is a cold start, a whole-group restart, a leader that
+	// stepped down or resigned. A peer that did not answer may be a leader
+	// this replica cannot reach, and a push that landed while the poll was
+	// out comes from a leader the answers predate: then the lease runs out
+	// first.
+	noLeader := len(views) == len(s.cfg.Peers)-1 && lead == nil && s.lastLeader.Before(polled)
+	if !noLeader && s.cfg.Clock.Now().Sub(s.lastLeader) <= s.cfg.LeaseInterval {
 		return
 	}
-	// Lease lapsed: stand only from inside a visible quorum. Any two
-	// quorums intersect, so a candidate that can see Quorum replicas
-	// (itself included) is guaranteed to see at least one log holding every
-	// quorum-acknowledged record — and the longest-log rule below then
-	// keeps it from winning with less. A minority partition fails this
-	// check and can never elect, so it can never ack new writes either.
+	// Stand only from inside a visible quorum. Any two quorums intersect,
+	// so a candidate that can see Quorum replicas (itself included) is
+	// guaranteed to see at least one log holding every quorum-acknowledged
+	// record — and the longest-log rule below then keeps it from winning
+	// with less. A minority partition fails this check and can never
+	// elect, so it can never ack new writes either.
 	if 1+len(views) < s.cfg.Quorum {
 		return
 	}
@@ -579,9 +656,80 @@ func (s *Service) electionTick(httpc *http.Client) {
 	s.takeoverLocked(maxEpoch)
 }
 
+// handOff ends a stopped leader's term so that a successor can take over at
+// once and continue its log, not fork it. It runs on the loop goroutine
+// after the final cycle: the tail, that cycle included, is flushed to every
+// follower whose lease is live, waiting on their acks for at most lease/4;
+// then, in one hold of mu, the replica stops leading and tells each sender
+// to make its last push carry Resign to a follower that acked the whole
+// log. A follower the flush did not reach learns nothing and sees a crash.
+// Senders get another lease/4 to deliver before Stop goes on.
+func (s *Service) handOff() {
+	s.mu.Lock()
+	conns, end := s.followers, s.logLenLocked()
+	leading := s.role == RoleLeader && len(s.cfg.Peers) > 0
+	s.mu.Unlock()
+	if !leading {
+		return
+	}
+	// The final cycle has woken the senders already; wait for the acks.
+	bound := time.NewTimer(s.cfg.LeaseInterval / 4)
+	defer bound.Stop()
+	for flushed := false; !flushed; {
+		s.mu.Lock()
+		wake := s.ackWake // taken before the acks are read, as in waitReplicated
+		s.mu.Unlock()
+		flushed = true
+		now := s.cfg.Clock.Now()
+		for _, fc := range conns {
+			if acked, expires := fc.progress(s.cfg.LeaseInterval); acked < end && !now.After(expires) {
+				flushed = false
+			}
+		}
+		if !flushed {
+			select {
+			case <-wake:
+			case <-bound.C:
+				flushed = true // what is still short sees a crash
+			}
+		}
+	}
+	s.mu.Lock()
+	if s.role != RoleLeader {
+		s.mu.Unlock()
+		return // deposed meanwhile: the new term has its own senders
+	}
+	s.role = RoleFollower
+	s.leaderID = -1
+	s.followers = nil
+	s.wakeWaitersLocked()
+	for _, fc := range conns {
+		close(fc.resign)
+	}
+	epoch := s.leaderEpoch
+	s.mu.Unlock()
+	s.cfg.Logf("replica %d resigned at epoch %d (log seq %d)", s.cfg.ReplicaID, epoch, end)
+	last := time.NewTimer(s.cfg.LeaseInterval / 4)
+	defer last.Stop()
+	for _, fc := range conns {
+		select {
+		case <-fc.done:
+		case <-last.C:
+			return
+		}
+	}
+}
+
 // handleControlStatus serves GET /v1/control/status.
+// A stopped replica answers 503: it will not stand, its lease is over or
+// being handed off, and its log is no candidate's.
 func (s *Service) handleControlStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		writeErr(w, &SubmitError{Code: 503, Msg: "replica is stopping"})
+		return
+	}
 	st := ctlStatus{
 		Replica: s.cfg.ReplicaID,
 		Role:    string(s.role),
@@ -692,6 +840,13 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		writeErr(w, fmt.Errorf("append records: %w", err))
 		return
+	}
+	if req.Resign {
+		// The leader has stopped, and this replica holds its whole log: no
+		// lease to wait out, and an election tick now.
+		s.lastLeader = time.Time{}
+		s.leaderID = -1
+		s.wakeElectionLocked()
 	}
 	writeJSON(w, http.StatusOK, replAppendResp{Acked: s.log.Len()})
 }

@@ -401,6 +401,12 @@ func TestEqualEpochLeadersConverge(t *testing.T) {
 // replicated_gap set, no timeout burned.
 func TestErrorPushNotAnAck(t *testing.T) {
 	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/control/status" {
+			// Visible as a follower, so that 2 of 2 can elect: an error
+			// body is no status, as it is no ack.
+			writeJSON(w, http.StatusOK, ctlStatus{Replica: 1, Role: string(RoleFollower)})
+			return
+		}
 		writeJSON(w, http.StatusInternalServerError, errResponse{Error: "boom"})
 	}))
 	defer broken.Close()

@@ -318,10 +318,11 @@ type Service struct {
 	logBase uint64 // guarded by mu
 
 	started   bool
-	stopped   bool // stop channel closed (Stop called)
+	stopped   bool // guarded by mu; stop channel closed (Stop called)
 	stop      chan struct{}
-	loopDone  chan struct{}
+	loopDone  chan struct{} // closed when the loop has run the final cycle and the hand-off
 	electDone chan struct{}
+	electWake chan struct{} // capacity 1: a resign asks for an election tick now
 }
 
 // New builds a Service. A non-empty Config.Log is replayed into the state
@@ -352,6 +353,7 @@ func New(cfg Config) (*Service, error) {
 		stop:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		electDone: make(chan struct{}),
+		electWake: make(chan struct{}, 1),
 
 		// A snapshot is one record of up to replog.MaxRecordBytes: give the
 		// fetch several leases, and never less than ten seconds.
@@ -430,9 +432,11 @@ func (s *Service) IsLeader() bool {
 	return s.role == RoleLeader
 }
 
-// Stop drains the service: new submissions are refused and the in-flight
-// cycle finishes. It blocks until the loop has exited (or timeout elapses;
-// 0 means wait forever).
+// Stop drains the service: every input is refused from now on, the in-flight
+// cycle finishes and one final cycle runs. A leader in a replica group then
+// hands off (handOff): its log reaches every follower it can, and they elect
+// a successor without waiting out its lease. It blocks until the loop has
+// exited (or timeout elapses; 0 means wait forever).
 func (s *Service) Stop(timeout time.Duration) error {
 	s.mu.Lock()
 	if !s.started {
@@ -442,8 +446,8 @@ func (s *Service) Stop(timeout time.Duration) error {
 	already := s.stopped
 	s.stopped = true
 	s.draining = true
-	// No sender pushes past the stop: a submit still waiting for its quorum
-	// reports the gap now instead of when the followers' leases lapse.
+	// A submit still waiting for its quorum reports the gap now instead of
+	// when the followers' leases lapse; the hand-off does not wait for it.
 	s.wakeWaitersLocked()
 	s.mu.Unlock()
 	if !already {
@@ -478,10 +482,12 @@ func (s *Service) loop() {
 	for {
 		select {
 		case <-s.stop:
-			// One final cycle applies whatever is already admitted.
-			// Followers skip it: their state is the leader's replica.
+			// One final cycle applies whatever is already admitted, and
+			// the hand-off pushes it to the followers. Followers skip both:
+			// their state is the leader's replica.
 			if s.IsLeader() {
 				s.runCycle()
+				s.handOff()
 			}
 			s.mu.Lock()
 			c, cyc := s.st.Counters, s.st.Cycles
@@ -703,10 +709,15 @@ func (s *Service) submitLocked(j *job.Job) (uint64, error) {
 	return s.inputsLocked(replog.TypeAdmit, &admitPayload{Job: j})
 }
 
-// notLeaderLocked rejects mutations on a follower: clients are redirected to
-// the current leader (307 at the HTTP layer) or told to retry when no leader
-// is known yet.
+// notLeaderLocked rejects mutations on a follower and on a stopped replica:
+// clients are redirected to the current leader (307 at the HTTP layer) or
+// told to retry when no leader is known yet.
 func (s *Service) notLeaderLocked() error {
+	if s.stopped {
+		// Nothing logged after the final cycle would be applied or handed
+		// off: a successor's log could not continue this one.
+		return &SubmitError{Code: 503, Msg: "service is stopping"}
+	}
 	if len(s.cfg.Peers) == 0 || s.role == RoleLeader {
 		return nil
 	}

@@ -55,9 +55,9 @@ func (s *Service) wakeCompactorLocked() {
 
 // compactLoop owns log compaction for the life of the service, so that the
 // file rewrite never runs under s.mu and never twice at once. After Stop it
-// waits out the final cycle, which may append one more snapshot, and settles
-// whatever is pending unconditionally: the log a stopped replica leaves
-// begins at its newest snapshot.
+// waits out the final cycle, which may append one more snapshot, and the
+// hand-off that pushes it, and settles whatever is pending unconditionally:
+// the log a stopped replica leaves begins at its newest snapshot.
 func (s *Service) compactLoop() {
 	defer close(s.compactDone)
 	for {
@@ -172,7 +172,7 @@ func (s *Service) bootstrapReplay() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.logBase = s.log.Base()
-	recs := s.log.Records()
+	recs := s.log.Committed() // read once, here: no copy
 	start, applied := 0, 0
 	for i := len(recs) - 1; i >= 0; i-- {
 		if recs[i].Type != replog.TypeSnapshot {

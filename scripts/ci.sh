@@ -262,10 +262,12 @@ echo "== service e2e smoke =="
 echo "== cluster durability digest gate =="
 # Distributed control plane (DESIGN.md §14): agents own execution, replicas
 # mirror the decision log under majority-quorum acks with periodic
-# snapshot-based compaction. Four arms — uninterrupted reference, leader
-# kill -9 failover, a follower dead from the start (2 of 3 still acks,
-# zero lag timeouts), and a SIGTERM + cold boot from a compacted log —
-# must all land on byte-identical outcome digests and predictor SHAs.
+# snapshot-based compaction. Five arms — uninterrupted reference, leader
+# kill -9 failover, a SIGTERMed leader that hands over and is restarted
+# (every replica on the reference, no divergence), a follower dead from the
+# start (2 of 3 still acks, zero lag timeouts), and a SIGTERM + cold boot
+# from a compacted log — must all land on byte-identical outcome digests
+# and predictor SHAs.
 ./scripts/cluster_smoke.sh
 
 echo "CI OK"

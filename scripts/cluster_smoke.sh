@@ -1,14 +1,19 @@
 #!/usr/bin/env sh
 # cluster_smoke.sh — the distributed-control-plane acceptance gate
-# (DESIGN.md §14), four arms sharing one workload and one reference digest:
+# (DESIGN.md §14), five arms sharing one workload and one reference digest:
 #
 #   1. reference: 1 replica + 4 agentd node groups, uninterrupted.
 #   2. failover: a 3-replica group (majority quorum, log compaction on) has
 #      its leader kill -9ed mid-run; a warm standby takes over.
-#   3. follower-kill: the same group shape with one replica dead from the
+#   3. hand-off: a 3-replica group (majority quorum, no compaction) has its
+#      leader SIGTERMed mid-run — it hands its log and its term to the
+#      followers — and, once a successor leads, restarted over its own log;
+#      it must rejoin as a follower. All three replicas must reach the
+#      reference digests, and none may report a divergence.
+#   4. follower-kill: the failover arm's group with one replica dead from the
 #      start — the leader must keep accepting (2 of 3 is a quorum) with no
 #      replication-lag timeouts.
-#   4. compacted-restart: a single replica compacts its log, is SIGTERMed,
+#   5. compacted-restart: a single replica compacts its log, is SIGTERMed,
 #      and a cold process boots from the snapshot-headed log.
 #
 # Every arm's outcome digest and predictor SHA must be byte-identical to
@@ -54,11 +59,13 @@ start_agents() {
     done
 }
 
-# digest <addr> <outfile>: extract the outcome digest + predictor SHA.
+# digest <addr> <outfile>: extract the outcome digest + predictor SHA. It
+# fails when there is none, which ends the script unless the call is a
+# loop's condition.
 digest() {
     "$LOADGEN" -addr "$1" -metrics |
         sed -n 's/.*"outcome_digest":"\([^"]*\)".*"predictor_sha":"\([^"]*\)".*/\1 \2/p' >"$2"
-    [ -s "$2" ] || { echo "FAIL: no digest in $1/v1/metrics"; exit 1; }
+    [ -s "$2" ] || { echo "FAIL: no digest in $1/v1/metrics"; return 1; }
 }
 
 echo "-- reference run: 1 replica + 4 agents, uninterrupted"
@@ -140,6 +147,81 @@ if ! cmp -s "$WORK/ref.digest" "$WORK/failover.digest"; then
     exit 1
 fi
 echo "failover == uninterrupted, byte-for-byte"
+for P in $PIDS; do kill -TERM "$P" 2>/dev/null || true; done
+wait || true
+PIDS=""
+
+echo "-- hand-off run: 3 replicas + 4 agents, leader SIGTERMed mid-run and restarted"
+start_agents $((BASE + 80))
+PEERS=""
+for R in 0 1 2; do
+    PEERS="$PEERS${PEERS:+,}$R=http://127.0.0.1:$((BASE + 90 + R))"
+done
+# start_handoff_replica <R>: one replica of the group over its own log.
+# Without compaction: a replica that comes back below the leader's base
+# installs its snapshot, which would replace a forked tail unseen instead
+# of reporting it as a divergence.
+start_handoff_replica() {
+    "$SERVERD" -addr "127.0.0.1:$((BASE + 90 + $1))" $SD_ARGS \
+        -replog "$WORK/h$1.log" -replica "$1" -peers "$PEERS" -agents "$AGENTS" \
+        >>"$WORK/h$1-serverd.log" 2>&1 &
+    PIDS="$PIDS $!"
+}
+for R in 0 1 2; do
+    start_handoff_replica "$R"
+    [ "$R" = 0 ] && H0_PID=$!
+done
+HGROUP="http://127.0.0.1:$((BASE + 90)),http://127.0.0.1:$((BASE + 91)),http://127.0.0.1:$((BASE + 92))"
+i=0
+while [ "$("$LOADGEN" -addr "http://127.0.0.1:$((BASE + 90))" -readyz)" != "200" ]; do
+    i=$((i + 1))
+    [ $i -lt 100 ] || { echo "FAIL: no leader elected"; exit 1; }
+    sleep 0.1
+done
+"$LOADGEN" -addr "$HGROUP" -clients 2 $LG_ARGS >"$WORK/handoff-loadgen.out" 2>&1 &
+LG_PID=$!
+# SIGTERM the leader at the same point the failover arm kills it.
+i=0
+until grep -q "submitted" "$WORK/handoff-loadgen.out" 2>/dev/null; do
+    i=$((i + 1))
+    [ $i -lt 300 ] || { echo "FAIL: burst never finished submitting"; cat "$WORK/handoff-loadgen.out"; exit 1; }
+    sleep 0.1
+done
+sleep 1
+kill -TERM "$H0_PID"
+wait "$H0_PID" || { echo "FAIL: the SIGTERMed leader did not exit 0"; tail "$WORK/h0-serverd.log"; exit 1; }
+echo "leader (replica 0) stopped with SIGTERM"
+# Restart it only once a successor leads, so that it rejoins a log another
+# replica has continued.
+i=0
+until [ "$("$LOADGEN" -addr "http://127.0.0.1:$((BASE + 91))" -readyz)" = "200" ] ||
+    [ "$("$LOADGEN" -addr "http://127.0.0.1:$((BASE + 92))" -readyz)" = "200" ]; do
+    i=$((i + 1))
+    [ $i -lt 100 ] || { echo "FAIL: no follower took over from the stopped leader"; exit 1; }
+    sleep 0.1
+done
+echo "a successor leads; restarting replica 0 over its log"
+start_handoff_replica 0
+wait "$LG_PID" || { echo "FAIL: loadgen did not survive the hand-off"; cat "$WORK/handoff-loadgen.out"; exit 1; }
+cat "$WORK/handoff-loadgen.out"
+# Every replica, the restarted one included, must reach the reference.
+for R in 0 1 2; do
+    A="http://127.0.0.1:$((BASE + 90 + R))"
+    i=0
+    until digest "$A" "$WORK/handoff$R.digest" >/dev/null && cmp -s "$WORK/ref.digest" "$WORK/handoff$R.digest"; do
+        i=$((i + 1))
+        [ $i -lt 100 ] || {
+            echo "FAIL: replica $R diverged from the uninterrupted reference after the hand-off"
+            diff "$WORK/ref.digest" "$WORK/handoff$R.digest" || true
+            exit 1
+        }
+        sleep 0.1
+    done
+    "$LOADGEN" -addr "$A" -metrics | grep -q '"diverged":0' ||
+        { echo "FAIL: replica $R flagged divergences after the hand-off"; exit 1; }
+done
+echo "hand-off digests (3 replicas): $(cat "$WORK/handoff0.digest")"
+echo "hand-off == uninterrupted on every replica, byte-for-byte, no divergence"
 for P in $PIDS; do kill -TERM "$P" 2>/dev/null || true; done
 wait || true
 PIDS=""
