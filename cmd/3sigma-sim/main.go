@@ -128,8 +128,8 @@ func main() {
 				fmt.Printf("shard digest: %s %d/%d %s\n", sys, i, len(res.ShardDigests), d)
 			}
 			st := res.Stats
-			fmt.Printf("solver: %s nodes=%d lp-iters=%d proved=%d capped=%d cold=%d\n", sys,
-				st.SolverNodes, st.SolverLPIters, st.SolverProved, st.SolverNodeCapped, st.SolverColdFallbacks)
+			fmt.Printf("solver: %s nodes=%d lp-iters=%d work=%d proved=%d capped=%d cold=%d\n", sys,
+				st.SolverNodes, st.SolverLPIters, st.SolverLPWork, st.SolverProved, st.SolverNodeCapped, st.SolverColdFallbacks)
 		}
 		if res.Stats.Cycles > 0 {
 			fmt.Printf("%-14s %4d cycles, mean cycle %v, max solve %v, model <=%d vars / %d rows (%s)\n",

@@ -451,7 +451,7 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 	if reused {
 		sol = s.inc.lastSol
 		// Work counters describe *this* cycle's solver effort: none.
-		sol.Nodes, sol.LPIters = 0, 0
+		sol.Nodes, sol.LPIters, sol.Work = 0, 0, 0
 		sol.WarmPivots = 0
 		sol.SeedUsed = false
 	} else {
@@ -485,6 +485,7 @@ func (s *Scheduler) Cycle(st *simulator.State) simulator.Decision {
 	s.statsMu.Lock()
 	s.stats.SolverNodes += sol.Nodes
 	s.stats.SolverLPIters += sol.LPIters
+	s.stats.SolverLPWork += sol.Work
 	s.stats.Cycles++
 	s.stats.SolveTime += solveTime
 	if solveTime > s.stats.MaxSolveTime {

@@ -90,6 +90,7 @@ type SolverStats struct {
 
 	SolverNodes   int `json:"solver_nodes"`    // branch-and-bound nodes explored
 	SolverLPIters int `json:"solver_lp_iters"` // simplex pivots over all node relaxations
+	SolverLPWork  int `json:"solver_lp_work"`  // stored tableau entries the LP kernels touched (milp.Solution.Work)
 	// How each solve ended (a cycle answered with the previous solution
 	// counts in none): proved — the search ran out of open nodes, Status
 	// Optimal or Infeasible — or stopped unproved by the node budget.
@@ -127,7 +128,7 @@ type SolverStats struct {
 func (s *SolverStats) fields() []*int {
 	return []*int{
 		&s.Predictions, &s.Starts, &s.Preemptions, &s.AllocFailures, &s.Deferrals,
-		&s.SolverNodes, &s.SolverLPIters, &s.SolverProved, &s.SolverNodeCapped, &s.SolverColdFallbacks, &s.SolverCutoffs,
+		&s.SolverNodes, &s.SolverLPIters, &s.SolverLPWork, &s.SolverProved, &s.SolverNodeCapped, &s.SolverColdFallbacks, &s.SolverCutoffs,
 		&s.CacheHits, &s.CacheMisses,
 		&s.PatchedCycles, &s.RebuildFallbacks, &s.RowsPatched, &s.ColsPatched,
 		&s.WarmBasisReuses, &s.IncumbentSeedHits, &s.ReusedSolves,
@@ -154,8 +155,8 @@ func (s SolverStats) CacheHitRate() float64 {
 
 // String renders the solver counters as one diagnostic line.
 func (s SolverStats) String() string {
-	return fmt.Sprintf("nodes=%d lp-iters=%d proved=%d capped=%d cold=%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
-		s.SolverNodes, s.SolverLPIters, s.SolverProved, s.SolverNodeCapped, s.SolverColdFallbacks, 100*s.CacheHitRate(),
+	return fmt.Sprintf("nodes=%d lp-iters=%d work=%d proved=%d capped=%d cold=%d cache-hit=%.1f%% patched=%d fallbacks=%d reused=%d warm-basis=%d seed-hits=%d",
+		s.SolverNodes, s.SolverLPIters, s.SolverLPWork, s.SolverProved, s.SolverNodeCapped, s.SolverColdFallbacks, 100*s.CacheHitRate(),
 		s.PatchedCycles, s.RebuildFallbacks, s.ReusedSolves, s.WarmBasisReuses, s.IncumbentSeedHits)
 }
 

@@ -57,6 +57,12 @@ type lpArena struct {
 	onChild func(nd *bbNode, seq int, res lpResult, objConst, cutoff float64, err error)
 	trace   *[]pivotRec
 
+	// work counts the stored tableau entries the LP kernels touched since
+	// solveIn reset it (Solution.Work): assembly, copies, the rows each pivot
+	// scans and the entries it updates, ratio-test and leaving-row scans.
+	// Each kernel adds once per loop, never once per entry.
+	work int
+
 	// Branch-and-bound scratch.
 	open   nodeHeap
 	free   []*bbNode // recycled nodes, fixed vectors attached

@@ -124,6 +124,7 @@ func (ar *lpArena) solveChild(m *Model, nd *bbNode, cutoff float64) (lpResult, f
 // basis, reduced costs, costs) in lp's own storage, which grows only.
 func (lp *simplexLP) copyFrom(src *simplexLP) {
 	tab, colVar, posOf, basis, zrow, cost := lp.tab, lp.colVar, lp.posOf, lp.basis, lp.zrow, lp.cost
+	src.ar.work += len(src.tab)
 	*lp = *src
 	lp.tab = append(tab[:0], src.tab...)
 	lp.colVar = append(colVar[:0], src.colVar...)
@@ -215,6 +216,7 @@ func (lp *simplexLP) dualSimplex(maxIter int, objConst, lim float64) error {
 				leave, worst = i, b
 			}
 		}
+		lp.ar.work += lp.m
 		if leave < 0 {
 			return nil
 		}
@@ -244,6 +246,7 @@ func (lp *simplexLP) dualSimplex(maxIter int, objConst, lim float64) error {
 // over the variables, whose set bits are then walked in order.
 func (lp *simplexLP) dualEnter(r int, s float64) int {
 	row := lp.row(r)
+	lp.ar.work += lp.w
 	cand := growz(&lp.ar.cand, (lp.artCol0+63)/64)
 	for q, a := range row[:lp.w] {
 		if j := lp.colVar[q]; a*s > pivTol && j < lp.artCol0 {

@@ -212,12 +212,13 @@ func (lp *simplexLP) restore(warm []int) int {
 	saveIdx := grow(&lp.ar.saveIdx, lp.m+lp.stride) // basis, then colVar
 	copy(saveIdx, lp.basis)
 	copy(saveIdx[lp.m:], lp.colVar)
-	pivots := 0
+	pivots, scanned := 0, 0
 	for j := 0; j < lp.artCol0; j++ {
 		q := lp.posOf[j]
 		if !desired[j] || q < 0 {
 			continue // not wanted, or basic already
 		}
+		scanned++
 		leave := -1
 		best := restoreTol
 		for i := 0; i < lp.m; i++ {
@@ -234,10 +235,12 @@ func (lp *simplexLP) restore(warm []int) int {
 		lp.forcePivot(leave, j, 1)
 		pivots++
 	}
+	lp.ar.work += len(lp.tab) + (scanned+1)*lp.m // the snapshot, the column scans, the check below
 	for i := 0; i < lp.m; i++ {
 		if lp.tab[i*lp.stride+lp.w] < -feasTol {
 			// The restored basis is infeasible for this cycle's values:
 			// revert to the pristine slack basis and solve cold.
+			lp.ar.work += len(lp.tab)
 			copy(lp.tab, save)
 			copy(lp.basis, saveIdx)
 			copy(lp.colVar, saveIdx[lp.m:])
@@ -278,6 +281,7 @@ func (lp *simplexLP) forcePivot(r, e int, unit float64) ([]int32, []float64) {
 		k++
 	}
 	nz, nzv = nz[:k], nzv[:k]
+	updated := 0
 	for i := 0; i < lp.m; i++ {
 		f := lp.tab[i*lp.stride+p]
 		if f == 0 || i == r {
@@ -288,7 +292,9 @@ func (lp *simplexLP) forcePivot(r, e int, unit float64) ([]int32, []float64) {
 		for k, q := range nz {
 			ti[q] -= f * nzv[k]
 		}
+		updated++
 	}
+	lp.ar.work += len(row) + lp.m + updated*len(nz)
 	b := lp.basis[r]
 	lp.basis[r] = e
 	lp.colVar[p], lp.posOf[b], lp.posOf[e] = b, p, -1
@@ -306,6 +312,7 @@ func (lp *simplexLP) pivot(r, e int, unit float64) ([]int32, []float64) {
 			lp.zrow[lp.colVar[q]] -= f * nzv[k]
 		}
 		lp.zrow[e] = 0
+		lp.ar.work += len(nz)
 	}
 	return nz, nzv
 }
@@ -318,6 +325,7 @@ func (lp *simplexLP) initZ(c []float64) {
 		lp.zrow[j] = -c[j]
 	}
 	lp.zrow[lp.cols] = 0
+	priced := 0
 	for i, b := range lp.basis {
 		cb := c[b]
 		if cb == 0 {
@@ -329,7 +337,9 @@ func (lp *simplexLP) initZ(c []float64) {
 				lp.zrow[lp.colVar[q]] += cb * v
 			}
 		}
+		priced++
 	}
+	lp.ar.work += priced * lp.stride
 }
 
 // iterate runs primal simplex pivots until optimality. Columns with index
@@ -396,6 +406,7 @@ func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 				}
 			}
 		}
+		lp.ar.work += lp.m
 		if leave < 0 {
 			return ErrUnbounded
 		}
@@ -449,6 +460,7 @@ func (lp *simplexLP) purgeArtificials() {
 			continue
 		}
 		row := lp.row(i)
+		lp.ar.work += lp.w
 		done := false
 		for j := 0; j < lp.artCol0 && !done; j++ {
 			if q := lp.posOf[j]; q >= 0 && math.Abs(row[q]) > pivTol {

@@ -82,6 +82,7 @@ type Solution struct {
 	LPIters       int     // simplex pivots over all node relaxations
 	ColdFallbacks int     // non-root nodes solved cold instead of from their parent's tableau
 	Cutoffs       int     // children pruned when their bound fell to the incumbent mid re-solve (errCutoff)
+	Work          int     // stored tableau entries the LP kernels touched: a deterministic cost count (DESIGN.md §6)
 	Bound         float64 // best remaining upper bound at stop time
 	RootBasis     []int   // root relaxation's optimal basis (warm-start feed for the next solve)
 	WarmPivots    int     // crash pivots applied from Options.WarmBasis (0 = cold root solve)
@@ -189,6 +190,7 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 		opts.IntTol = 1e-6
 	}
 
+	ar.work = 0
 	var incumbent []float64
 	incObj := math.Inf(-1)
 	if opts.Seed != nil && m.Feasible(opts.Seed, feasTol) {
@@ -328,6 +330,7 @@ func solveIn(ar *lpArena, m *Model, opts Options) Solution {
 			heap.Push(open, ar.node(n, node.fixed, frac, val, lpObj, node.depth+1, seq))
 		}
 	}
+	sol.Work = ar.work
 	best := incObj
 	for _, nd := range *open {
 		if nd.bound > best {
@@ -476,6 +479,7 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 	// Pass 2, row by row: clear the tableau row, scatter every entry of the
 	// model row into it, then zero the fixed columns.
 	art := lp.artCol0
+	ar.work += rows * lp.stride
 	for i, ri := range keep[:rows] {
 		row := lp.row(i)
 		clear(row)
@@ -491,6 +495,7 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 		for k := lo; k < hi; k++ {
 			row[m.idx[k]] += sign * m.coef[k]
 		}
+		ar.work += hi - lo
 		for _, v := range fixedCols {
 			row[v] = 0
 		}

@@ -603,11 +603,11 @@ func TestMetricsKeys(t *testing.T) {
 		pending running skipped_starts partitions free_nodes down_nodes node_down_seconds ready
 		role replica_id leader_id leader_epoch control shards
 		sched_cycles max_vars max_rows mean_cycle_ms
-		solver_nodes solver_lp_iters solver_proved solver_node_capped solver_cold_fallbacks solver_cutoffs
+		solver_nodes solver_lp_iters solver_lp_work solver_proved solver_node_capped solver_cold_fallbacks solver_cutoffs
 		starts preemptions predictions alloc_failures deferrals cache_hits cache_misses
 		patched_cycles rebuild_fallbacks rows_patched cols_patched
 		warm_basis_reuses incumbent_seed_hits reused_solves`)
 	check("shards[0]", shards[0], `cycles max_vars max_rows
-		solver_nodes solver_lp_iters solver_proved solver_node_capped solver_cold_fallbacks solver_cutoffs
+		solver_nodes solver_lp_iters solver_lp_work solver_proved solver_node_capped solver_cold_fallbacks solver_cutoffs
 		starts preemptions patched_cycles reused_solves`)
 }
