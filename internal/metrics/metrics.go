@@ -89,7 +89,7 @@ type SolverStats struct {
 	Deferrals     int `json:"deferrals"`      // chosen options planned for a later slot
 
 	SolverNodes   int `json:"solver_nodes"`    // branch-and-bound nodes explored
-	SolverLPIters int `json:"solver_lp_iters"` // simplex pivots over all node relaxations
+	SolverLPIters int `json:"solver_lp_iters"` // simplex iterations (pivots and bound flips) over all node relaxations
 	SolverLPWork  int `json:"solver_lp_work"`  // stored tableau entries the LP kernels touched (milp.Solution.Work)
 	// How each solve ended (a cycle answered with the previous solution
 	// counts in none): proved — the search ran out of open nodes, Status

@@ -32,6 +32,8 @@ type lpArena struct {
 	zrow   []float64
 	basis  []int
 	cost   []float64
+	ub     []float64 // per-variable upper bounds
+	flip   []bool    // complement flags
 	p1     []float64 // phase-1 objective
 	wt     []float64 // Devex reference weights
 	nz     []int32   // pivot row's nonzero positions

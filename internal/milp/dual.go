@@ -12,7 +12,9 @@ import (
 // so fixing it changes that row's rhs and nothing else, and the parent's
 // reduced costs stay dual feasible. The child therefore needs no phase 1
 // and no rebuild from the model: one dual pivot takes the binary out of the
-// basis, and the dual simplex repairs whatever rhs values went negative.
+// basis, and the dual simplex repairs whatever rhs values went negative or
+// above their bounds. A binary branched on while nonbasic (at a fractional
+// upper bound) is substituted at its value in every row instead.
 
 // errColdStart reports that a child cannot be re-solved from its parent's
 // tableau: the slot holds another node's, or the dual simplex hit its
@@ -80,9 +82,6 @@ func (ar *lpArena) solveChild(m *Model, nd *bbNode, cutoff float64) (lpResult, f
 	}
 	s := &ar.slots[d]
 	r := s.lp.basicRow(nd.v)
-	if r < 0 {
-		return lpResult{}, 0, errColdStart // a fractional variable is basic; this is not its parent's tableau
-	}
 	val := float64(nd.branch)
 	objConst := s.objConst
 	if nd.branch == 1 {
@@ -121,9 +120,11 @@ func (ar *lpArena) solveChild(m *Model, nd *bbNode, cutoff float64) (lpResult, f
 }
 
 // copyFrom makes lp a copy of src (shape, tableau and its column maps,
-// basis, reduced costs, costs) in lp's own storage, which grows only.
+// basis, reduced costs, costs, bounds and complement flags) in lp's own
+// storage, which grows only.
 func (lp *simplexLP) copyFrom(src *simplexLP) {
 	tab, colVar, posOf, basis, zrow, cost := lp.tab, lp.colVar, lp.posOf, lp.basis, lp.zrow, lp.cost
+	ub, flip := lp.ub, lp.flip
 	src.ar.work += len(src.tab)
 	*lp = *src
 	lp.tab = append(tab[:0], src.tab...)
@@ -132,6 +133,8 @@ func (lp *simplexLP) copyFrom(src *simplexLP) {
 	lp.basis = append(basis[:0], src.basis...)
 	lp.zrow = append(zrow[:0], src.zrow...)
 	lp.cost = append(cost[:0], src.cost...)
+	lp.ub = append(ub[:0], src.ub...)
+	lp.flip = append(flip[:0], src.flip...)
 }
 
 // basicRow returns the row in which v is basic, -1 when v is nonbasic.
@@ -146,13 +149,18 @@ func (lp *simplexLP) basicRow(v int) int {
 
 // priceFix prices fixBasic's pivot-out without changing lp: v, basic in row
 // r of an optimal tableau, is fixed at val. v's column is the unit column of
-// r, so substituting v = val changes only that row's rhs, to β_r − val, and
-// drops the column. Row r is then left without a basic variable; the dual
-// ratio test over the row picks the column e that replaces v, among those
-// whose entry has the sign of β_r − val (so that column's value comes out
-// nonnegative). z is the objective zrow[cols] the pivot leaves, computed
-// with pivot's own arithmetic so that fixBasic leaves exactly z: as every
-// reduced cost stays nonnegative, z bounds the child's LP optimum.
+// r, so substituting v = val changes only that row's rhs, to β_r − t with
+// t = val (t = u − val when v is complemented, as the row then holds
+// u − v), and drops the column. Row r is then left without a basic
+// variable; the dual ratio test over the row picks the column e that
+// replaces v, among those whose entry has the sign of β_r − t (so that
+// column's value comes out nonnegative). z is the objective zrow[cols] the
+// pivot leaves, computed with pivot's own arithmetic so that fixBasic
+// leaves exactly z: as every reduced cost stays nonnegative, z bounds the
+// child's LP optimum.
+//
+// r < 0 prices the fixing of a nonbasic v (e = −1): its column times t
+// leaves every rhs, and z is the objective less d_v·t.
 //
 // ErrInfeasible when there is no entering column: the row then keeps v's
 // value away from val for every x ≥ 0. When it keeps it away by no more
@@ -163,8 +171,12 @@ func (lp *simplexLP) basicRow(v int) int {
 // test, and dualEnter reads none of them, so pricing on the parent's saved
 // tableau gives the verdict and e the child's copy would give.
 func (lp *simplexLP) priceFix(r, v int, val float64) (e int, z float64, err error) {
+	t := lp.fixValue(v, val)
+	if r < 0 {
+		return -1, lp.zrow[lp.cols] - lp.zrow[v]*t - lp.cost[v]*val, nil
+	}
 	row := lp.row(r)
-	b := row[lp.w] - val
+	b := row[lp.w] - t
 	z = lp.zrow[lp.cols] - lp.cost[v]*val
 	s := 1.0
 	if b < 0 {
@@ -185,23 +197,54 @@ func (lp *simplexLP) priceFix(r, v int, val float64) (e int, z float64, err erro
 	return e, z, nil
 }
 
-// fixBasic carries out the pivot-out priceFix priced: v, basic in row r, is
-// fixed at val and column e replaces it. It counts one iteration.
+// fixValue is the value the tableau's variable in v's place takes when v
+// is fixed at val: val, or u − val when v is complemented.
+func (lp *simplexLP) fixValue(v int, val float64) float64 {
+	if lp.flip[v] {
+		return lp.ub[v] - val
+	}
+	return val
+}
+
+// fixBasic carries out the fixing priceFix priced: v, basic in row r, is
+// fixed at val and column e replaces it; with r < 0, v is nonbasic and is
+// substituted out of every row. It counts one iteration.
 func (lp *simplexLP) fixBasic(r, e, v int, val float64) {
+	t := lp.fixValue(v, val)
+	lp.flip[v] = false
+	lp.iters++
+	if r < 0 {
+		if lp.trace != nil {
+			*lp.trace = append(*lp.trace, pivotRec{v, -1})
+		}
+		q := lp.posOf[v]
+		for i := 0; i < lp.m; i++ {
+			row := lp.tab[i*lp.stride : (i+1)*lp.stride]
+			if a := row[q]; a != 0 {
+				row[lp.w] -= a * t
+				row[q] = 0
+			}
+		}
+		lp.ar.work += lp.m
+		lp.zrow[lp.cols] = lp.zrow[lp.cols] - lp.zrow[v]*t - lp.cost[v]*val
+		lp.zrow[v], lp.cost[v] = 0, 0
+		return
+	}
 	row := lp.row(r)
-	row[lp.w] -= val
+	row[lp.w] -= t
 	lp.zrow[lp.cols] -= lp.cost[v] * val
 	lp.cost[v] = 0
-	lp.iters++
 	// v's dropped column has no nonzero left: the slot it takes over from
 	// e comes out all zero.
 	lp.pivot(r, e, 0)
 }
 
 // dualSimplex restores primal feasibility of a dual-feasible tableau: the
-// row with the most negative rhs leaves, and dualEnter picks the column that
-// enters. When the leaving row has no entering column its equation has no
-// solution with x ≥ 0 (ErrInfeasible). After maxIter pivots it gives up
+// row whose basic variable lies farthest outside its bounds leaves — one
+// above its bound has its row complemented first, so that it leaves at 0
+// like one below zero — and dualEnter picks the column that enters. When
+// the leaving row has no entering column its equation has no solution
+// within the bounds (ErrInfeasible). After maxIter pivots it gives up
 // (errColdStart). Before each pivot, and before it returns an optimum, it
 // holds the objective — an upper bound on the LP's optimum, which each dual
 // pivot lowers — plus objConst to lim: at or below it, errCutoff.
@@ -210,10 +253,15 @@ func (lp *simplexLP) dualSimplex(maxIter int, objConst, lim float64) error {
 		if lp.zrow[lp.cols]+objConst <= lim {
 			return errCutoff
 		}
-		leave, worst := -1, -zeroTol
+		leave, worst, up := -1, zeroTol, false
 		for i := 0; i < lp.m; i++ {
-			if b := lp.tab[i*lp.stride+lp.w]; b < worst {
-				leave, worst = i, b
+			b := lp.tab[i*lp.stride+lp.w]
+			if -b > worst {
+				leave, worst, up = i, -b, false
+			} else if lp.nBound > 0 {
+				if over := b - lp.ub[lp.basis[i]]; over > worst {
+					leave, worst, up = i, over, true
+				}
 			}
 		}
 		lp.ar.work += lp.m
@@ -224,9 +272,12 @@ func (lp *simplexLP) dualSimplex(maxIter int, objConst, lim float64) error {
 			return errColdStart
 		}
 		lp.iters++
+		if up {
+			lp.complementRow(leave)
+		}
 		e := lp.dualEnter(leave, -1)
 		if e < 0 {
-			if worst < -feasTol {
+			if worst > feasTol {
 				return ErrInfeasible
 			}
 			return errColdStart // infeasible only within tolerance: let the cold solve judge

@@ -194,7 +194,7 @@ func TestFirstBoundMatchesFixBasic(t *testing.T) {
 		case 2:
 			models = append(models, randPacking(rng, 3+rng.Intn(8), 2+rng.Intn(4), 2+rng.Intn(6)))
 		default:
-			models = append(models, schedShapedModel(rng, 4+rng.Intn(12), 2+rng.Intn(4), 1+rng.Intn(5), 1+rng.Intn(4)))
+			models = append(models, schedShapedModel(rng, 4+rng.Intn(12), 2+rng.Intn(4), 1+rng.Intn(5), 1+rng.Intn(4), 0, 0))
 		}
 	}
 	verdicts := map[error]int{}
@@ -310,7 +310,7 @@ func TestSlotsDoNotOutliveSolve(t *testing.T) {
 // each stored variable to its position and each basic one to -1, colVar
 // sends each position back.
 func TestSlotStoresNonbasicColumnsOnly(t *testing.T) {
-	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5, 0, 0)
 	ar := &lpArena{}
 	if sol := solveIn(ar, m, Options{MaxNodes: 48}); sol.Nodes < 2 {
 		t.Fatalf("%d nodes: the search did not branch", sol.Nodes)

@@ -10,12 +10,12 @@ func CheckWarmChildren(m *Model, opts Options) (sol Solution, children, infeasib
 
 // ChildTraceCoverage is childCoverage for the external tests.
 type ChildTraceCoverage struct {
-	Children, Infeasible, Cutoffs, Branch0, Branch1, PivotedOut int
+	Children, Infeasible, Cutoffs, Branch0, Branch1, PivotedOut, AtBound, Complements int
 }
 
 // CheckChildTraces is checkChildTraces (kernel_test.go) for the external
 // tests.
 func CheckChildTraces(m *Model, opts Options) (ChildTraceCoverage, error) {
 	_, c, err := checkChildTraces(m, opts)
-	return ChildTraceCoverage{c.children, c.infeasible, c.cutoffs, c.branch[0], c.branch[1], c.pivotedOut}, err
+	return ChildTraceCoverage{c.children, c.infeasible, c.cutoffs, c.branch[0], c.branch[1], c.pivotedOut, c.atBound, c.complements}, err
 }

@@ -21,6 +21,25 @@ import (
 // each test can assert it exercised what it claims to.
 type diffCoverage struct {
 	lps, phase1, infeasible, warmTaken, warmReverted, fixedOut int
+	// LPs with a bound; bound flips and rows complemented so that their
+	// basic variable leaves at its bound; warm restores taken that put
+	// variables at their bounds.
+	bounded, flips, complements, warmAtBound int
+}
+
+// traceSteps counts a trace's bound flips (and fixings of nonbasic
+// variables), its row complements, and its iterations: every record but a
+// row complement, which goes with the pivot after it.
+func traceSteps(trace []pivotRec) (flips, complements, iters int) {
+	for _, p := range trace {
+		switch {
+		case p.leave < 0:
+			flips++
+		case p.enter < 0:
+			complements++
+		}
+	}
+	return flips, complements, len(trace) - complements
 }
 
 // diffRelax solves one node relaxation with both implementations and fails
@@ -52,6 +71,12 @@ func diffRelax(t *testing.T, tag string, m *Model, fixed []int8, warm []int, cov
 	if lp.nArt > 0 {
 		cov.phase1++
 	}
+	if lp.nBound > 0 {
+		cov.bounded++
+	}
+	flips, complements, _ := traceSteps(gotTrace)
+	cov.flips += flips
+	cov.complements += complements
 	for _, f := range fixed {
 		if f >= 0 {
 			cov.fixedOut++
@@ -64,6 +89,9 @@ func diffRelax(t *testing.T, tag string, m *Model, fixed []int8, warm []int, cov
 		// means it forced them, found a negative rhs and reverted.
 		if got.warmed > 0 {
 			cov.warmTaken++
+			if slices.ContainsFunc(warm, func(v int) bool { return v < 0 }) {
+				cov.warmAtBound++
+			}
 		} else {
 			cov.warmReverted++
 		}
@@ -140,7 +168,7 @@ func hasStructural(basis []int, n int) bool {
 // twice so phase 1 meets redundant rows — the first pair 17 rows apart, where
 // the rhs perturbation repeats and the two tie exactly.
 func preemptShaped(rng *rand.Rand, jobs, opts, parts, slots int, mustRun bool) *Model {
-	base := schedShapedModel(rng, jobs, opts, parts, slots)
+	base := schedShapedModel(rng, jobs, opts, parts, slots, 0, 0)
 	// The credits are appended to rows that already exist, which the flat
 	// row storage cannot do in place: edit a copy of the rows (Rows() caps
 	// each slice, so append reallocates) and assemble the model at the end.
@@ -190,6 +218,39 @@ func preemptShaped(rng *rand.Rand, jobs, opts, parts, slots int, mustRun bool) *
 	return m
 }
 
+// withBoundedBinaries returns a copy of m with 1–3 binaries added, each with
+// a positive objective, a share of m's "cap" rows, and a one-entry row
+// c·y ≤ c·u with u drawn from {0.5, 1, 1.5, 1.75}: a bound that stays a row,
+// one at 1, and fractional ones above 1 (and below 2, which the search
+// would take for an integral value), at which the LP can leave y nonbasic
+// and the search then branches on it.
+func withBoundedBinaries(rng *rand.Rand, m *Model) *Model {
+	rows := m.Rows()
+	n := m.NumVars()
+	k := 1 + rng.Intn(3)
+	for y := n; y < n+k; y++ {
+		for ri := range rows {
+			if rows[ri].Name == "cap" && rng.Float64() < 0.3 {
+				r := &rows[ri]
+				r.Idx, r.Coef = append(r.Idx, y), append(r.Coef, 1+4*rng.Float64())
+			}
+		}
+		c, u := 1+2*rng.Float64(), []float64{0.5, 1, 1.5, 1.75}[rng.Intn(4)]
+		rows = append(rows, Row{Name: "bound", Idx: []int{y}, Coef: []float64{c}, RHS: c * u})
+	}
+	cp := &Model{}
+	for v := 0; v < n; v++ {
+		cp.AddVar(m.kinds[v], m.obj[v], m.VarName(v))
+	}
+	for y := n; y < n+k; y++ {
+		cp.AddVar(Binary, 1+10*rng.Float64(), "y")
+	}
+	for _, r := range rows {
+		cp.AddLE(r.Name, r.Idx, r.Coef, r.RHS)
+	}
+	return cp
+}
+
 // withRHS returns a copy of m whose capacity rows' right-hand sides are
 // scaled by f (the at-most-one and bound rows keep theirs).
 func withRHS(m *Model, f float64) *Model {
@@ -222,8 +283,8 @@ func TestSparseDensePivotsIdentical(t *testing.T) {
 		diffRelax(t, "warm, capacities nudged", withRHS(m, 0.9+0.2*rng.Float64()), free, cold.basis, &cov)
 		diffRelax(t, "warm, capacities cut", withRHS(m, 0.2), free, cold.basis, &cov)
 	}
-	if cov.warmTaken == 0 || cov.warmReverted == 0 {
-		t.Fatalf("coverage: %+v — want restores both taken and reverted", cov)
+	if cov.warmTaken == 0 || cov.warmReverted == 0 || cov.warmAtBound == 0 || cov.flips == 0 || cov.complements == 0 {
+		t.Fatalf("coverage: %+v — want restores both taken and reverted, some restoring bounds, bound flips and rows leaving at their bound", cov)
 	}
 }
 
@@ -264,8 +325,8 @@ func TestSparseDensePivotsIdenticalNegativeRHS(t *testing.T) {
 		}
 		diffRelax(t, "continuous", &m, freeFixing(n), nil, &cov)
 	}
-	if cov.phase1 == 0 || cov.infeasible == 0 {
-		t.Fatalf("coverage: %+v — want phase 1 and infeasible LPs", cov)
+	if cov.phase1 == 0 || cov.infeasible == 0 || cov.bounded == 0 {
+		t.Fatalf("coverage: %+v — want phase 1, infeasible and bounded LPs", cov)
 	}
 }
 
@@ -303,8 +364,8 @@ func TestSparseSolveMatchesDenseSolve(t *testing.T) {
 			fixed[v] = int8(1 - depth%3/2) // mostly up, as the solver dives
 		}
 	}
-	if cov.fixedOut == 0 || cov.phase1 == 0 || cov.infeasible == 0 {
-		t.Fatalf("coverage: %+v — want fixed-out columns, phase 1 and infeasible nodes", cov)
+	if cov.fixedOut == 0 || cov.phase1 == 0 || cov.infeasible == 0 || cov.flips == 0 {
+		t.Fatalf("coverage: %+v — want fixed-out columns, phase 1 and infeasible nodes, bound flips", cov)
 	}
 }
 
@@ -313,6 +374,8 @@ type childCoverage struct {
 	children, infeasible, cutoffs int
 	branch                        [2]int // children per branch value
 	pivotedOut                    int    // children whose fixed variable left the basis
+	atBound                       int    // children fixing a variable nonbasic at its bound
+	complements                   int    // rows complemented so that their basic variable leaves at its bound
 }
 
 func (c *childCoverage) add(o childCoverage) {
@@ -322,6 +385,8 @@ func (c *childCoverage) add(o childCoverage) {
 	c.branch[0] += o.branch[0]
 	c.branch[1] += o.branch[1]
 	c.pivotedOut += o.pivotedOut
+	c.atBound += o.atBound
+	c.complements += o.complements
 }
 
 // checkChildTraces solves m under opts and replays every child the search
@@ -330,7 +395,7 @@ func (c *childCoverage) add(o childCoverage) {
 // root, or a cold fallback — gets a reference solved cold from its fixings.
 // The two must agree per diffRuns, and a fixed variable that left the basis
 // must leave its slot all zero. A child cut off at the incumbent must have
-// pivoted a prefix of the reference's trace, one iteration per pivot (the
+// pivoted a prefix of the reference's trace, one iteration per step (the
 // pivot-out's alone when it was priced without one), and pass checkCutoff.
 // It returns the solve, the coverage and the first disagreement.
 func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
@@ -382,8 +447,8 @@ func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
 			if len(trace) > len(ref.trace) || !slices.Equal(trace, ref.trace[:len(trace)]) {
 				fail("cut off after pivots %v, reference %v", trace, ref.trace)
 			}
-			if res.iters != max(1, len(trace)) {
-				fail("cut off after %d iterations and %d pivots", res.iters, len(trace))
+			if _, _, steps := traceSteps(trace); res.iters != max(1, steps) {
+				fail("cut off after %d iterations and %d steps", res.iters, steps)
 			}
 			if d := checkCutoff(cold, m, nd, cutoff); d != "" {
 				fail("%s", d)
@@ -391,6 +456,11 @@ func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
 			return
 		}
 		refs[seq] = refNode{ref, wantC}
+		if len(trace) > 0 && trace[0] == (pivotRec{nd.v, -1}) {
+			cov.atBound++
+		}
+		_, complements, _ := traceSteps(trace)
+		cov.complements += complements
 		lp := &ar.child
 		if len(trace) == 0 {
 			// The pivot-out found no entering column: it was priced on the
@@ -418,17 +488,24 @@ func checkChildTraces(m *Model, opts Options) (Solution, childCoverage, error) {
 }
 
 // TestWarmChildPivotsIdentical is the children's arm: every child Solve
-// re-solves from its parent's tableau — by the fixed variable's pivot-out,
-// the dual simplex and the primal clean-up — replayed on the full tableau, on
-// scheduling-shaped models with preemption credits and must-run rows, at the
-// default IntTol and at 1e-9; a child cut off at the incumbent replays a
-// prefix of the reference's pivots and would have been pruned after a full
-// solve too.
+// re-solves from its parent's tableau — by the fixed variable's pivot-out
+// (or, for one nonbasic at its bound, its substitution), the dual simplex
+// and the primal clean-up — replayed on the full tableau, on
+// scheduling-shaped models with preemption credits and must-run rows, and
+// on 40 more with binaries bounded above 1, at the default IntTol and at
+// 1e-9; a child cut off at the incumbent replays a prefix of the
+// reference's pivots and would have been pruned after a full solve too.
 func TestWarmChildPivotsIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7110))
+	bounded := rand.New(rand.NewSource(7112))
 	var total childCoverage
-	for trial := 0; trial < 80; trial++ {
-		m := preemptShaped(rng, 3+rng.Intn(12), 2+rng.Intn(4), 1+rng.Intn(5), 1+rng.Intn(5), trial%4 == 0)
+	for trial := 0; trial < 120; trial++ {
+		var m *Model
+		if trial < 80 {
+			m = preemptShaped(rng, 3+rng.Intn(12), 2+rng.Intn(4), 1+rng.Intn(5), 1+rng.Intn(5), trial%4 == 0)
+		} else {
+			m = withBoundedBinaries(bounded, preemptShaped(bounded, 3+bounded.Intn(8), 2+bounded.Intn(3), 1+bounded.Intn(4), 1+bounded.Intn(4), trial%4 == 0))
+		}
 		for _, opts := range []Options{{MaxNodes: 64}, {MaxNodes: 64, IntTol: 1e-9}} {
 			_, cov, err := checkChildTraces(m, opts)
 			if err != nil {
@@ -438,8 +515,9 @@ func TestWarmChildPivotsIdentical(t *testing.T) {
 		}
 	}
 	t.Logf("%+v", total)
-	if total.children < 1000 || total.infeasible == 0 || total.cutoffs == 0 || total.branch[0] == 0 || total.branch[1] == 0 || total.pivotedOut == 0 {
-		t.Fatalf("coverage: %+v — want many children of both branches, infeasible and cut-off ones, fixed variables pivoted out", total)
+	if total.children < 1000 || total.infeasible == 0 || total.cutoffs == 0 || total.branch[0] == 0 || total.branch[1] == 0 || total.pivotedOut == 0 ||
+		total.atBound == 0 || total.complements == 0 {
+		t.Fatalf("coverage: %+v — want many children of both branches, infeasible and cut-off ones, fixed variables pivoted out and fixed at their bound, rows leaving at their bound", total)
 	}
 }
 
@@ -498,7 +576,7 @@ func mixedModel(rng *rand.Rand, groups, parts int) *Model {
 // A node relaxation allocates what it returns and nothing else: x, plus the
 // captured basis at the root. A 48-node Solve adds its incumbent.
 func TestNodeRelaxationAllocs(t *testing.T) {
-	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5, 0, 0)
 	fixed := freeFixing(m.NumVars())
 	ar := &lpArena{}
 	for _, c := range []struct {
@@ -518,7 +596,7 @@ func TestNodeRelaxationAllocs(t *testing.T) {
 }
 
 func TestSolveAllocs(t *testing.T) {
-	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5, 0, 0)
 	var sol Solution
 	got := testing.AllocsPerRun(20, func() {
 		sol = Solve(m, Options{MaxNodes: 48})

@@ -1,7 +1,8 @@
 // Package milp is a self-contained Mixed Integer Linear Programming solver:
-// a two-phase primal simplex over a condensed tableau (the nonbasic columns
-// only; a basic column is its row's unit vector and is left implicit) for the
-// root relaxation and depth-first branch-and-bound over binary variables
+// a two-phase bounded-variable primal simplex over a condensed tableau (the
+// nonbasic columns only; a basic column is its row's unit vector and is left
+// implicit) for the root relaxation and depth-first branch-and-bound over
+// binary variables
 // with dual re-solve of children (each child starts from its parent's
 // optimal tableau and runs the dual simplex, and stops as soon as its dual
 // bound falls to the incumbent), a greedy and a fix-and-solve
@@ -25,7 +26,10 @@
 //
 // Binary variables must be bounded above by some constraint row (in the
 // scheduling encoding every indicator appears in a "at most one option"
-// demand row, which provides that bound).
+// demand row, which provides that bound). A row that, at a node, is left with
+// one free entry — a binary with a positive coefficient — and whose perturbed
+// limit on that binary is at least 1 is not a tableau row: the simplex holds
+// it as the binary's upper bound, which describes the same LP (DESIGN.md §6).
 package milp
 
 import (

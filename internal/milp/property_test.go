@@ -94,7 +94,7 @@ func TestPropertyDeterministicWithoutDeadline(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		models = append(models,
 			randPacking(rng, 3+rng.Intn(6), 2+rng.Intn(3), 2+rng.Intn(5)),
-			schedShapedModel(rng, 6+rng.Intn(12), 3, 4, 3),
+			schedShapedModel(rng, 6+rng.Intn(12), 3, 4, 3, 0, 0),
 			mixedModel(rng, 2+rng.Intn(3), 2+rng.Intn(2)))
 	}
 	var capped, seeded int

@@ -3,18 +3,21 @@ package milp
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // refLP is the reference the production simplex is held to: the same
-// two-phase primal simplex, with the same child re-solve, over the full
-// tableau — every column stored, basic ones included, indexed by variable —
-// assembled from packed substituted rows and pivoted the plain way: every
-// row operation walks all cols+1 entries, zero or not. It shares nothing
-// with simplexLP but the tolerances, the errors and the result type, so a
-// differential run catches a slip in the condensed layout (a slot handed to
-// the wrong variable, a lost unit column), in the indexed kernel (a nonzero
-// left off the list, a stale list) and in the scatter-into-tableau node
-// assembly alike.
+// two-phase bounded-variable primal simplex, with the same child re-solve,
+// over the full tableau — every column stored, basic ones included, indexed
+// by variable — assembled from packed substituted rows and pivoted the plain
+// way: every row operation walks all cols+1 entries, zero or not, and a
+// bound flip or row complement walks the whole column or row. It shares
+// nothing with simplexLP but the tolerances, the errors and the result
+// type, so a differential run catches a slip in the condensed layout (a
+// slot handed to the wrong variable, a lost unit column), in the indexed
+// kernel (a nonzero left off the list, a stale list), in the bound logic (a
+// complement flag lost in a copy, a bound missed by a ratio test) and in
+// the scatter-into-tableau node assembly alike.
 type refLP struct {
 	m, n, cols, nArt, artCol0 int
 
@@ -22,13 +25,16 @@ type refLP struct {
 	zrow  []float64
 	basis []int
 	cost  []float64
+	ub    []float64 // per column, +Inf where there is no bound
+	flip  []bool    // complemented: the tableau holds ub − x in x's place
 	iters int
 	trace []pivotRec
 }
 
 // refRelaxation substitutes the fixings the way the solver did before the
-// tableau was filled directly — one packed Row per surviving model row —
-// and solves the result with refLP. The basis is always captured.
+// tableau was filled directly — one packed Row per surviving model row, a
+// one-entry row on a binary turned into its bound by newNodeLP's rule — and
+// solves the result with refLP. The basis is always captured.
 func refRelaxation(m *Model, fixed []int8, warm []int) (lpResult, float64, []pivotRec, error) {
 	lp, objConst, err := refNodeLP(m, fixed)
 	if err != nil {
@@ -51,6 +57,10 @@ func refNodeLP(m *Model, fixed []int8) (*refLP, float64, error) {
 		}
 		c[v] = 0
 	}
+	ub := make([]float64, len(c))
+	for v := range ub {
+		ub[v] = math.Inf(1)
+	}
 	var rows []Row
 	for ri, r := range m.Rows() {
 		rhs := r.RHS
@@ -72,12 +82,17 @@ func refNodeLP(m *Model, fixed []int8) (*refLP, float64, error) {
 			continue
 		}
 		// The anti-degeneracy perturbation relaxes the model row.
-		rows = append(rows, Row{RHS: rhs + perturb*float64(1+ri%17), Idx: idx, Coef: coef})
+		rhs += perturb * float64(1+ri%17)
+		if len(idx) == 1 && m.Kind(idx[0]) == Binary && coef[0] > 0 && rhs/coef[0] >= 1 {
+			ub[idx[0]] = math.Min(ub[idx[0]], rhs/coef[0])
+			continue
+		}
+		rows = append(rows, Row{RHS: rhs, Idx: idx, Coef: coef})
 	}
-	return newRefLP(c, rows), objConst, nil
+	return newRefLP(c, ub, rows), objConst, nil
 }
 
-func newRefLP(c []float64, rows []Row) *refLP {
+func newRefLP(c, ub []float64, rows []Row) *refLP {
 	m, n := len(rows), len(c)
 	lp := &refLP{m: m, n: n}
 	for _, r := range rows {
@@ -91,6 +106,12 @@ func newRefLP(c []float64, rows []Row) *refLP {
 	lp.basis = make([]int, m)
 	lp.cost = make([]float64, lp.cols)
 	copy(lp.cost, c)
+	lp.ub = make([]float64, lp.cols)
+	for j := range lp.ub {
+		lp.ub[j] = math.Inf(1)
+	}
+	copy(lp.ub, ub)
+	lp.flip = make([]bool, lp.cols)
 	art := lp.artCol0
 	for i, r := range rows {
 		row := make([]float64, lp.cols+1)
@@ -149,7 +170,8 @@ func (lp *refLP) solve(warm []int) (lpResult, error) {
 	return res, nil
 }
 
-// result reads the structural solution and the basis off the tableau.
+// result reads the structural solution and the basis — then ^v for each
+// nonbasic v at its bound — off the tableau.
 func (lp *refLP) result() lpResult {
 	x := make([]float64, lp.n)
 	for i, b := range lp.basis {
@@ -157,11 +179,20 @@ func (lp *refLP) result() lpResult {
 			x[b] = lp.tab[i][lp.cols]
 		}
 	}
+	basis := append([]int(nil), lp.basis...)
+	for v := 0; v < lp.n; v++ {
+		if lp.flip[v] {
+			x[v] = lp.ub[v] - x[v]
+			if !slices.Contains(lp.basis, v) {
+				basis = append(basis, ^v)
+			}
+		}
+	}
 	obj := 0.0
 	for j := 0; j < lp.n; j++ {
 		obj += lp.cost[j] * x[j]
 	}
-	return lpResult{x: x, obj: obj, iters: lp.iters, basis: append([]int(nil), lp.basis...)}
+	return lpResult{x: x, obj: obj, iters: lp.iters, basis: basis}
 }
 
 func (lp *refLP) restore(warm []int) int {
@@ -170,6 +201,8 @@ func (lp *refLP) restore(warm []int) int {
 	for _, v := range warm {
 		if v >= 0 && v < lp.artCol0 && !desired[v] {
 			desired[v] = true
+			cnt++
+		} else if v < 0 {
 			cnt++
 		}
 	}
@@ -208,9 +241,16 @@ func (lp *refLP) restore(warm []int) int {
 		basic[j] = true
 		pivots++
 	}
+	for _, e := range warm {
+		if v := ^e; e < 0 && v < lp.n && !basic[v] && !lp.flip[v] && lp.ub[v] < math.Inf(1) {
+			lp.flipColumn(v)
+			pivots++
+		}
+	}
 	for i := 0; i < lp.m; i++ {
-		if lp.tab[i][lp.cols] < -feasTol {
+		if b := lp.tab[i][lp.cols]; b < -feasTol || b > lp.ub[lp.basis[i]]+feasTol {
 			lp.tab, lp.basis = save, saveBasis
+			lp.flip = make([]bool, lp.cols)
 			return 0
 		}
 	}
@@ -255,13 +295,51 @@ func (lp *refLP) pivot(r, e int) {
 	}
 }
 
+// flipColumn moves nonbasic v to its other bound: its column changes sign
+// and each row's rhs drops by the entry times the bound.
+func (lp *refLP) flipColumn(v int) {
+	u := lp.ub[v]
+	for _, row := range lp.tab {
+		if a := row[v]; a != 0 {
+			row[lp.cols] -= a * u
+			row[v] = -a
+		}
+	}
+	lp.flip[v] = !lp.flip[v]
+}
+
+// complementRow makes row i's basic variable its complement: every entry
+// but the basic column's unit changes sign, and the rhs becomes the bound
+// less the old one.
+func (lp *refLP) complementRow(i int) {
+	lp.trace = append(lp.trace, pivotRec{-1, i})
+	row := lp.tab[i]
+	b := lp.basis[i]
+	for j := 0; j < lp.cols; j++ {
+		if j != b && row[j] != 0 {
+			row[j] = -row[j]
+		}
+	}
+	row[lp.cols] = lp.ub[b] - row[lp.cols]
+	lp.flip[b] = !lp.flip[b]
+}
+
 func (lp *refLP) initZ(c []float64) {
 	lp.zrow = make([]float64, lp.cols+1)
 	for j := 0; j < lp.cols; j++ {
 		lp.zrow[j] = -c[j]
 	}
+	for v := 0; v < lp.n; v++ {
+		if lp.flip[v] {
+			lp.zrow[v] = c[v]
+			lp.zrow[lp.cols] += c[v] * lp.ub[v]
+		}
+	}
 	for i, b := range lp.basis {
 		cb := c[b]
+		if lp.flip[b] {
+			cb = -cb
+		}
 		if cb == 0 {
 			continue
 		}
@@ -304,30 +382,54 @@ func (lp *refLP) iterate(maxIter, colLimit int) error {
 		if enter < 0 {
 			return nil
 		}
-		leave := -1
+		leave, toBound := -1, false
 		bestRatio := math.Inf(1)
 		bestPiv := 0.0
 		for i := 0; i < lp.m; i++ {
 			a := lp.tab[i][enter]
-			if a <= pivTol {
+			var ratio float64
+			up := false
+			switch {
+			case a > pivTol:
+				ratio = lp.tab[i][lp.cols] / a
+			case a < -pivTol && lp.ub[lp.basis[i]] < math.Inf(1):
+				a = -a
+				ratio = (lp.ub[lp.basis[i]] - lp.tab[i][lp.cols]) / a
+				up = true
+			default:
 				continue
 			}
-			ratio := lp.tab[i][lp.cols] / a
 			switch {
 			case ratio < bestRatio-1e-12:
-				bestRatio, bestPiv, leave = ratio, a, i
+				bestRatio, bestPiv, leave, toBound = ratio, a, i, up
 			case ratio < bestRatio+1e-12 && leave >= 0:
 				if bland {
 					if lp.basis[i] < lp.basis[leave] {
-						bestRatio, bestPiv, leave = ratio, a, i
+						bestRatio, bestPiv, leave, toBound = ratio, a, i, up
 					}
 				} else if a > bestPiv {
-					bestRatio, bestPiv, leave = ratio, a, i
+					bestRatio, bestPiv, leave, toBound = ratio, a, i, up
 				}
 			}
 		}
+		if u := lp.ub[enter]; u < bestRatio+1e-12 {
+			lp.trace = append(lp.trace, pivotRec{enter, -1})
+			lp.flipColumn(enter)
+			lp.zrow[lp.cols] -= lp.zrow[enter] * u
+			lp.zrow[enter] = -lp.zrow[enter]
+			if obj := lp.zrow[lp.cols]; obj > lastObj+1e-10 {
+				lastObj = obj
+				noImprove = 0
+			} else {
+				noImprove++
+			}
+			continue
+		}
 		if leave < 0 {
 			return ErrUnbounded
+		}
+		if toBound {
+			lp.complementRow(leave)
 		}
 		oldBasic := lp.basis[leave]
 		pivVal := lp.tab[leave][enter]
@@ -398,6 +500,8 @@ func (lp *refLP) clone() *refLP {
 	cp.zrow = append([]float64(nil), lp.zrow...)
 	cp.basis = append([]int(nil), lp.basis...)
 	cp.cost = append([]float64(nil), lp.cost...)
+	cp.ub = append([]float64(nil), lp.ub...)
+	cp.flip = append([]bool(nil), lp.flip...)
 	cp.iters, cp.trace = 0, nil
 	return &cp
 }
@@ -420,20 +524,30 @@ func (lp *refLP) solveChild(v int, val float64) (lpResult, error) {
 
 // fixBasic, dualSimplex and dualEnter are dual.go's child re-solve as it
 // read on the full tableau: v's unit column is zeroed in place, the dual
-// ratio test walks the whole row, and every pivot is the full-row one.
+// ratio test walks the whole row, and every pivot is the full-row one. A
+// nonbasic v is substituted out of every row at its fixed value.
 func (lp *refLP) fixBasic(v int, val float64) error {
-	r := -1
-	for i, b := range lp.basis {
-		if b == v {
-			r = i
-			break
-		}
+	t := val
+	if lp.flip[v] {
+		t = lp.ub[v] - val
 	}
+	lp.flip[v] = false
+	r := slices.Index(lp.basis, v)
 	if r < 0 {
-		return errColdStart
+		lp.iters++
+		lp.trace = append(lp.trace, pivotRec{v, -1})
+		for _, row := range lp.tab {
+			if a := row[v]; a != 0 {
+				row[lp.cols] -= a * t
+				row[v] = 0
+			}
+		}
+		lp.zrow[lp.cols] = lp.zrow[lp.cols] - lp.zrow[v]*t - lp.cost[v]*val
+		lp.zrow[v], lp.cost[v] = 0, 0
+		return nil
 	}
 	row := lp.tab[r]
-	row[lp.cols] -= val
+	row[lp.cols] -= t
 	lp.zrow[lp.cols] -= lp.cost[v] * val
 	lp.cost[v] = 0
 	row[v] = 0
@@ -455,10 +569,13 @@ func (lp *refLP) fixBasic(v int, val float64) error {
 
 func (lp *refLP) dualSimplex(maxIter int) error {
 	for it := 0; ; it++ {
-		leave, worst := -1, -zeroTol
+		leave, worst, up := -1, zeroTol, false
 		for i := 0; i < lp.m; i++ {
-			if b := lp.tab[i][lp.cols]; b < worst {
-				leave, worst = i, b
+			b := lp.tab[i][lp.cols]
+			if -b > worst {
+				leave, worst, up = i, -b, false
+			} else if over := b - lp.ub[lp.basis[i]]; over > worst {
+				leave, worst, up = i, over, true
 			}
 		}
 		if leave < 0 {
@@ -468,9 +585,12 @@ func (lp *refLP) dualSimplex(maxIter int) error {
 			return errColdStart
 		}
 		lp.iters++
+		if up {
+			lp.complementRow(leave)
+		}
 		e := lp.dualEnter(leave, -1)
 		if e < 0 {
-			if worst < -feasTol {
+			if worst > feasTol {
 				return ErrInfeasible
 			}
 			return errColdStart

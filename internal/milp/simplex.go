@@ -37,18 +37,32 @@ type lpResult struct {
 }
 
 // pivotRec records one simplex pivot (tests compare traces against the
-// full-row reference kernel).
+// full-row reference kernel). Two steps that are not pivots are recorded
+// too: leave −1 is a step that moved nonbasic enter without a pivot (a
+// bound flip, or a child's fixing of it), enter −1 the complementing of row
+// leave before its basic variable leaves at its bound.
 type pivotRec struct {
 	enter, leave int
 }
 
-// simplexLP is a two-phase primal simplex over a condensed row-major
-// tableau for
+// simplexLP is a two-phase bounded-variable primal simplex over a condensed
+// row-major tableau for
 //
-//	max c·x  s.t.  A·x <= b (b of any sign), x >= 0.
+//	max c·x  s.t.  A·x <= b (b of any sign), 0 <= x <= u.
 //
 // Rows with negative rhs are negated into >= rows, given a surplus column
-// and an artificial; phase 1 drives artificials to zero.
+// and an artificial; phase 1 drives artificials to zero. Only structurals
+// carry a finite upper bound u (newNodeLP turns one-entry rows on binaries
+// into bounds); every other variable has u = +Inf.
+//
+// A variable at its upper bound is held complemented: the tableau stores
+// x̄ = u − x in its place (its column, or its row while it is basic, is
+// negated, and its reduced cost is x̄'s), so every variable the tableau
+// stores ranges over [0, u] and sits at 0 while nonbasic. flip[v] marks a
+// complemented variable. A primal step whose entering variable reaches its
+// own bound first complements its column (a bound flip, no pivot); a basic
+// variable that reaches its bound has its row complemented and then leaves
+// at 0 as usual.
 //
 // A basic variable's column is the unit column of its row and carries no
 // information, so the tableau stores only the w = cols − m nonbasic columns
@@ -79,6 +93,9 @@ type simplexLP struct {
 	zrow    []float64 // reduced costs by variable, length cols+1 (last is the objective c_B·β)
 	basis   []int     // basis[i] = variable basic in row i
 	cost    []float64 // phase-2 cost per column (structural only nonzero)
+	ub      []float64 // upper bound per variable, +Inf when it has none
+	flip    []bool    // flip[v]: v is complemented, the tableau holds u − x in its place
+	nBound  int       // structurals with a finite bound (0: no bound logic runs)
 	artCol0 int       // first artificial column index
 	iters   int
 	trace   *[]pivotRec // optional pivot trace (tests)
@@ -152,17 +169,30 @@ func (lp *simplexLP) solve(maxIter int) (lpResult, error) {
 	res.warmed = warmed
 	if lp.wantBasis {
 		res.basis = append([]int(nil), lp.basis...)
+		for v := 0; v < lp.n; v++ {
+			if lp.flip[v] && lp.posOf[v] >= 0 {
+				res.basis = append(res.basis, ^v) // nonbasic at its bound
+			}
+		}
 	}
 	return res, nil
 }
 
 // result reads the optimal structural solution off the tableau into x,
-// which has length n and is overwritten.
+// which has length n and is overwritten: a basic variable's value is its
+// row's rhs, a nonbasic one's 0, and a complemented one's u less that.
 func (lp *simplexLP) result(x []float64) lpResult {
 	clear(x)
 	for i, b := range lp.basis {
 		if b < lp.n {
 			x[b] = lp.tab[i*lp.stride+lp.w]
+		}
+	}
+	if lp.nBound > 0 {
+		for v, f := range lp.flip[:lp.n] {
+			if f {
+				x[v] = lp.ub[v] - x[v]
+			}
 		}
 	}
 	obj := 0.0
@@ -186,10 +216,16 @@ const restoreTol = 1e-7
 // time-shifted re-solve), the restored basis is optimal or a pivot or two
 // away, and iterate terminates almost immediately.
 //
+// warm lists the basic variables, then ^v for each variable v that was
+// nonbasic at its upper bound (Solution.RootBasis); after the forced pivots
+// each such v still nonbasic is flipped to its bound, which counts as a
+// crash pivot as the pivot into v's bound row it stands for did.
+//
 // Forced pivots ignore feasibility, so the tableau and basis are snapshotted
-// first and the whole restore is reverted if any RHS entry comes out
-// negative (the previous basis is primal-infeasible for the new values) —
-// the solve then proceeds cold from the slack basis it started with.
+// first and the whole restore is reverted if any basic value comes out
+// negative or above its bound (the previous basis is primal-infeasible for
+// the new values) — the solve then proceeds cold from the slack basis it
+// started with.
 // Fully deterministic: columns enter in ascending index order, the pivot row
 // maximizes |element| with lowest-index tie-break, and the feasibility
 // verdict is a pure function of the (tableau, warm) pair.
@@ -201,6 +237,8 @@ func (lp *simplexLP) restore(warm []int) int {
 		// rows neutralized by a previous phase 1) are ignored.
 		if v >= 0 && v < lp.artCol0 && !desired[v] {
 			desired[v] = true
+			cnt++
+		} else if v < 0 {
 			cnt++
 		}
 	}
@@ -235,9 +273,15 @@ func (lp *simplexLP) restore(warm []int) int {
 		lp.forcePivot(leave, j, 1)
 		pivots++
 	}
+	for _, e := range warm {
+		if v := ^e; e < 0 && v < lp.n && lp.posOf[v] >= 0 && !lp.flip[v] && lp.ub[v] < math.Inf(1) {
+			lp.flipBound(v)
+			pivots++
+		}
+	}
 	lp.ar.work += len(lp.tab) + (scanned+1)*lp.m // the snapshot, the column scans, the check below
 	for i := 0; i < lp.m; i++ {
-		if lp.tab[i*lp.stride+lp.w] < -feasTol {
+		if b := lp.tab[i*lp.stride+lp.w]; b < -feasTol || b > lp.ub[lp.basis[i]]+feasTol {
 			// The restored basis is infeasible for this cycle's values:
 			// revert to the pristine slack basis and solve cold.
 			lp.ar.work += len(lp.tab)
@@ -245,6 +289,7 @@ func (lp *simplexLP) restore(warm []int) int {
 			copy(lp.basis, saveIdx)
 			copy(lp.colVar, saveIdx[lp.m:])
 			lp.indexColumns()
+			clear(lp.flip)
 			return 0
 		}
 	}
@@ -318,16 +363,29 @@ func (lp *simplexLP) pivot(r, e int, unit float64) ([]int32, []float64) {
 }
 
 // initZ recomputes the reduced-cost row for the given column costs by
-// pricing out the current basis: z_j = c_B·T_j − c_j.
+// pricing out the current basis: z_j = c_B·T_j − c_j. A complemented
+// variable costs −c_j, and the objective starts from what the complemented
+// variables contribute at their bounds, Σ c_j·u_j.
 func (lp *simplexLP) initZ(c []float64) {
 	lp.zrow = grow(&lp.ar.zrow, lp.cols+1)
 	for j := 0; j < lp.cols; j++ {
 		lp.zrow[j] = -c[j]
 	}
 	lp.zrow[lp.cols] = 0
+	if lp.nBound > 0 {
+		for v, f := range lp.flip[:lp.n] {
+			if f {
+				lp.zrow[v] = c[v]
+				lp.zrow[lp.cols] += c[v] * lp.ub[v]
+			}
+		}
+	}
 	priced := 0
 	for i, b := range lp.basis {
 		cb := c[b]
+		if lp.flip[b] {
+			cb = -cb
+		}
 		if cb == 0 {
 			continue
 		}
@@ -382,33 +440,58 @@ func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 			return nil // optimal
 		}
 		// Ratio test; ties broken on the larger pivot element for numeric
-		// stability (or smallest basis index under Bland's rule).
+		// stability (or smallest basis index under Bland's rule). A basic
+		// variable leaves at 0 when its entry is positive, at its bound when
+		// it is negative; the entering variable's own bound ends the step
+		// first when it is no farther than the nearest row.
 		pe := lp.posOf[enter]
-		leave := -1
+		leave, toBound := -1, false
 		bestRatio := math.Inf(1)
 		bestPiv := 0.0
 		for i := 0; i < lp.m; i++ {
 			a := lp.tab[i*lp.stride+pe]
-			if a <= pivTol {
+			var ratio float64
+			up := false
+			switch {
+			case a > pivTol:
+				ratio = lp.tab[i*lp.stride+lp.w] / a
+			case a < -pivTol && lp.nBound > 0 && lp.ub[lp.basis[i]] < math.Inf(1):
+				a = -a
+				ratio = (lp.ub[lp.basis[i]] - lp.tab[i*lp.stride+lp.w]) / a
+				up = true
+			default:
 				continue
 			}
-			ratio := lp.tab[i*lp.stride+lp.w] / a
 			switch {
 			case ratio < bestRatio-1e-12:
-				bestRatio, bestPiv, leave = ratio, a, i
+				bestRatio, bestPiv, leave, toBound = ratio, a, i, up
 			case ratio < bestRatio+1e-12 && leave >= 0:
 				if bland {
 					if lp.basis[i] < lp.basis[leave] {
-						bestRatio, bestPiv, leave = ratio, a, i
+						bestRatio, bestPiv, leave, toBound = ratio, a, i, up
 					}
 				} else if a > bestPiv {
-					bestRatio, bestPiv, leave = ratio, a, i
+					bestRatio, bestPiv, leave, toBound = ratio, a, i, up
 				}
 			}
 		}
 		lp.ar.work += lp.m
+		if u := lp.ub[enter]; u < bestRatio+1e-12 {
+			// Bound flip: no basis change, so the Devex weights stay.
+			if lp.trace != nil {
+				*lp.trace = append(*lp.trace, pivotRec{enter, -1})
+			}
+			lp.flipBound(enter)
+			lp.zrow[lp.cols] -= lp.zrow[enter] * u
+			lp.zrow[enter] = -lp.zrow[enter]
+			lastObj, noImprove = lp.progress(lastObj, noImprove)
+			continue
+		}
 		if leave < 0 {
 			return ErrUnbounded
+		}
+		if toBound {
+			lp.complementRow(leave)
 		}
 		oldBasic := lp.basis[leave]
 		pivVal := lp.tab[leave*lp.stride+pe]
@@ -439,16 +522,55 @@ func (lp *simplexLP) iterate(maxIter, colLimit int) error {
 				wt[j] = 1
 			}
 		}
-		// A pivot that raised the objective is progress; only a run of
-		// 4(m+8) pivots that did not hands pricing to Bland's rule.
-		if obj := lp.zrow[lp.cols]; obj > lastObj+1e-10 {
-			lastObj = obj
-			noImprove = 0
-		} else {
-			noImprove++
-		}
+		lastObj, noImprove = lp.progress(lastObj, noImprove)
 	}
 	return ErrIterLimit
+}
+
+// progress is iterate's stall detector: a step that raised the objective
+// above lastObj is progress; only a run of 4(m+8) steps that did not hands
+// pricing to Bland's rule.
+func (lp *simplexLP) progress(lastObj float64, noImprove int) (float64, int) {
+	if obj := lp.zrow[lp.cols]; obj > lastObj+1e-10 {
+		return obj, 0
+	}
+	return lastObj, noImprove + 1
+}
+
+// flipBound moves nonbasic v to its other bound by complementing its
+// column: each row's rhs drops by the entry times u and the entry changes
+// sign. The reduced-cost row is the caller's (restore runs before there is
+// one).
+func (lp *simplexLP) flipBound(v int) {
+	q, u := lp.posOf[v], lp.ub[v]
+	for i := 0; i < lp.m; i++ {
+		row := lp.tab[i*lp.stride : (i+1)*lp.stride]
+		if a := row[q]; a != 0 {
+			row[lp.w] -= a * u
+			row[q] = -a
+		}
+	}
+	lp.flip[v] = !lp.flip[v]
+	lp.ar.work += lp.m
+}
+
+// complementRow makes row i's basic variable b its complement u − b: the
+// row's entries change sign and its rhs becomes u less the old one. No
+// reduced cost changes, nor the objective.
+func (lp *simplexLP) complementRow(i int) {
+	if lp.trace != nil {
+		*lp.trace = append(*lp.trace, pivotRec{-1, i})
+	}
+	row := lp.row(i)
+	b := lp.basis[i]
+	for q, a := range row[:lp.w] {
+		if a != 0 {
+			row[q] = -a
+		}
+	}
+	row[lp.w] = lp.ub[b] - row[lp.w]
+	lp.flip[b] = !lp.flip[b]
+	lp.ar.work += lp.stride
 }
 
 // purgeArtificials pivots any artificial still basic (at value ~0) out of

@@ -61,12 +61,12 @@ type Options struct {
 	Seed []float64
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
-	// WarmBasis, when non-nil, is a previous optimum's basis (basis[i] =
-	// column basic in LP row i, slacks at NumVars+i) used to crash-start the
-	// root relaxation. The scheduler carries each cycle's root basis into the
-	// next cycle's solve when the model structure is unchanged (DESIGN.md
-	// §12). The crash is deterministic; a stale or mismatched basis degrades
-	// to extra simplex pivots, never to an incorrect result.
+	// WarmBasis, when non-nil, is a previous optimum's basis in the form of
+	// Solution.RootBasis, used to crash-start the root relaxation. The
+	// scheduler carries each cycle's root basis into the next cycle's solve
+	// when the model structure is unchanged (DESIGN.md §12). The crash is
+	// deterministic; a stale or mismatched basis degrades to extra simplex
+	// pivots, never to an incorrect result.
 	WarmBasis []int
 }
 
@@ -79,14 +79,20 @@ type Solution struct {
 	X             []float64  // length NumVars; binaries are exact 0/1
 	Objective     float64
 	Nodes         int     // branch-and-bound nodes explored
-	LPIters       int     // simplex pivots over all node relaxations
+	LPIters       int     // simplex iterations (pivots and bound flips) over all node relaxations
 	ColdFallbacks int     // non-root nodes solved cold instead of from their parent's tableau
 	Cutoffs       int     // children pruned when their bound fell to the incumbent mid re-solve (errCutoff)
 	Work          int     // stored tableau entries the LP kernels touched: a deterministic cost count (DESIGN.md §6)
 	Bound         float64 // best remaining upper bound at stop time
-	RootBasis     []int   // root relaxation's optimal basis (warm-start feed for the next solve)
-	WarmPivots    int     // crash pivots applied from Options.WarmBasis (0 = cold root solve)
-	SeedUsed      bool    // Options.Seed was feasible and installed as the initial incumbent
+	// RootBasis is the root relaxation's optimal basis, the warm-start feed
+	// for the next solve (Options.WarmBasis): RootBasis[i] is the variable
+	// basic in LP row i (the slack of LP row i is NumVars+i; rows that
+	// became bounds have none), and after those, ^v for each variable v
+	// nonbasic at its upper bound, in ascending v, so a restore lands on the
+	// optimum and not on the corner with every nonbasic variable at 0.
+	RootBasis  []int
+	WarmPivots int  // crash pivots applied from Options.WarmBasis, bound flips included (0 = cold root solve)
+	SeedUsed   bool // Options.Seed was feasible and installed as the initial incumbent
 }
 
 // Value returns X[v], or 0 when no solution is present.
@@ -390,12 +396,19 @@ func solveRelaxationOpt(ar *lpArena, m *Model, fixed []int8, warm []int, wantBas
 }
 
 // newNodeLP assembles a node's relaxation in ar: the fixings are substituted
-// straight into the tableau. The returned LP lives in ar and is valid until
-// the arena's next relaxation. Neither pass over the model's nonzeros tests
-// one against fixed[]: the fixings become 0/1 masks and a list of fixed
-// columns once per node. The stored tableau is the one a per-nonzero test
-// produces, bit for bit: b − c·0 is b, and a fixed column ends as 0 whether
-// it was skipped or scattered and then cleared (DESIGN.md §6).
+// straight into the tableau, and a row left with one free entry, on a
+// binary with a positive coefficient, whose perturbed rhs over that
+// coefficient is at least 1, becomes the binary's upper bound instead of a
+// tableau row (the tightest such row where there are several). The bound is
+// the row's own perturbed limit, so the LP is the one the row describes; a
+// bound below 1 stays a row, so that fixing the binary at 1 still meets a
+// row that proves the branch infeasible. The returned LP lives in ar and is
+// valid until the arena's next relaxation. Neither pass over the model's
+// nonzeros tests one against fixed[]: the fixings become 0/1 masks and a
+// list of fixed columns once per node. The stored tableau is the one a
+// per-nonzero test produces, bit for bit: b − c·0 is b, and a fixed column
+// ends as 0 whether it was skipped or scattered and then cleared (DESIGN.md
+// §6).
 func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error) {
 	n := m.NumVars()
 	// one[v] is 1 where v is fixed at 1, isFree[v] is 1 where v is free;
@@ -418,10 +431,15 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 	ar.fixedCols = fixedCols
 	// Pass 1: fold the fixed variables into each row's rhs. A row left with
 	// no free variable is trivially satisfied (dropped) or proves the node
-	// infeasible; the survivors size the tableau.
+	// infeasible; one left with one free binary may become its bound; the
+	// survivors size the tableau.
 	rhs := grow(&ar.rhs, len(m.rhs))
 	keep := grow(&ar.keep, len(m.rhs))
-	rows, nArt := 0, 0
+	ub := grow(&ar.ub, n)
+	for v := range ub {
+		ub[v] = math.Inf(1)
+	}
+	rows, nArt, nBound := 0, 0, 0
 	lo := 0
 	for ri, hi := range m.rowEnd {
 		b := m.rhs[ri]
@@ -431,6 +449,7 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 			b -= m.coef[k] * one[id]
 			nfree += isFree[id]
 		}
+		rowLo := lo
 		lo = hi
 		if nfree == 0 {
 			if b < -feasTol {
@@ -446,6 +465,19 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 		// it is assembled here or inherited from its parent's tableau
 		// (solveChild).
 		b += perturb * float64(1+ri%17)
+		if nfree == 1 {
+			k := rowLo
+			for isFree[m.idx[k]] == 0 {
+				k++
+			}
+			if v, c := m.idx[k], m.coef[k]; m.kinds[v] == Binary && c > 0 && b/c >= 1 {
+				if math.IsInf(ub[v], 1) {
+					nBound++
+				}
+				ub[v] = min(ub[v], b/c)
+				continue
+			}
+		}
 		if b < 0 {
 			nArt++ // one artificial per negative-rhs row
 		}
@@ -453,8 +485,13 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 		rows++
 	}
 	lp := &ar.lp
-	*lp = simplexLP{m: rows, n: n, nArt: nArt, ar: ar}
+	*lp = simplexLP{m: rows, n: n, nArt: nArt, nBound: nBound, ar: ar}
 	lp.cols = n + rows + nArt
+	for len(ub) < lp.cols {
+		ub = append(ub, math.Inf(1)) // slacks, surplus and artificial columns
+	}
+	ar.ub, lp.ub = ub, ub
+	lp.flip = growz(&ar.flip, lp.cols)
 	lp.artCol0 = n + rows
 	lp.w = n + nArt // the structurals and the surplus columns; slacks and artificials start basic
 	lp.stride = lp.w + 1

@@ -84,7 +84,7 @@ func TestSolveParallelMixedModels(t *testing.T) {
 // TestStopReason: Solution.Stopped says why the search ended — it ran out of
 // open nodes (proved) or of node budget.
 func TestStopReason(t *testing.T) {
-	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5, 0, 0)
 	for _, c := range []struct {
 		opts   Options
 		want   StopReason

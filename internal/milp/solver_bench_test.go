@@ -7,10 +7,15 @@ import (
 )
 
 // schedShapedModel builds a scheduler-shaped instance at a given size: jobs
-// × options binaries with demand rows, plus partition × slot capacity rows
-// in which each option appears only from its start slot on — the sparsity
-// pattern milpbuild.go generates.
-func schedShapedModel(rng *rand.Rand, jobs, opts, parts, slots int) *Model {
+// × opts binaries with demand rows, single one-option jobs (one binary, a
+// one-entry demand row), and running preemptible jobs (a binary P with a
+// negative objective, a one-entry ub_P row P ≤ 1, and a negative credit in
+// the capacity rows of its partition up to the slot it would run to), plus
+// partition × slot capacity rows in which each option appears only from its
+// start slot on — the sparsity pattern milpbuild.go generates. With single
+// = running = 0 it draws nothing for either, so a caller's model does not
+// depend on them.
+func schedShapedModel(rng *rand.Rand, jobs, opts, parts, slots, single, running int) *Model {
 	var m Model
 	type opt struct {
 		v    int
@@ -29,6 +34,19 @@ func schedShapedModel(rng *rand.Rand, jobs, opts, parts, slots int) *Model {
 		}
 		m.AddLE("demand", idx, coef, 1)
 	}
+	for j := 0; j < single; j++ {
+		v := m.AddVar(Binary, 1+rng.Float64()*10, "I")
+		options = append(options, opt{v: v, part: rng.Intn(parts), slot: 0})
+		m.AddLE("demand", []int{v}, []float64{1}, 1)
+	}
+	type run struct {
+		p, part, end int
+	}
+	var runs []run
+	for j := 0; j < running; j++ {
+		p := m.AddVar(Binary, -(0.5 + 4*rng.Float64()), "P")
+		runs = append(runs, run{p, rng.Intn(parts), 1 + rng.Intn(slots)})
+	}
 	for p := 0; p < parts; p++ {
 		for s := 0; s < slots; s++ {
 			var idx []int
@@ -40,10 +58,20 @@ func schedShapedModel(rng *rand.Rand, jobs, opts, parts, slots int) *Model {
 				idx = append(idx, o.v)
 				coef = append(coef, 1+rng.Float64()*4)
 			}
-			if len(idx) > 0 {
-				m.AddLE("cap", idx, coef, 4+rng.Float64()*20)
+			if len(idx) == 0 {
+				continue
 			}
+			for _, r := range runs {
+				if r.part == p && s < r.end {
+					idx = append(idx, r.p)
+					coef = append(coef, -(1 + rng.Float64()*4))
+				}
+			}
+			m.AddLE("cap", idx, coef, 4+rng.Float64()*20)
 		}
+	}
+	for _, r := range runs {
+		m.AddLE("ub_P", []int{r.p}, []float64{1}, 1)
 	}
 	return &m
 }
@@ -58,12 +86,21 @@ func freeFixing(n int) []int8 {
 }
 
 // BenchmarkNodeLP is one node relaxation — assembly into the arena's
-// tableau plus the simplex — at the largest model size the bench workloads
-// reach (85 variables × 108 rows).
+// tableau plus the simplex — at about the largest model size the bench
+// workloads reach (77 variables × 106 rows: 8 five-option jobs, 12
+// one-option jobs, 25 running preemptible ones). Its 37 one-entry demand
+// and ub_P rows and 4 one-entry cap rows leave the tableau as 39 bounds.
 func BenchmarkNodeLP(b *testing.B) {
-	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
-	if m.NumVars() != 85 || m.NumRows() != 108 {
-		b.Fatalf("model is %d × %d, want 85 × 108", m.NumVars(), m.NumRows())
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 8, 5, 13, 5, 12, 25)
+	if m.NumVars() != 77 || m.NumRows() != 106 {
+		b.Fatalf("model is %d × %d, want 77 × 106", m.NumVars(), m.NumRows())
+	}
+	lp, _, err := newNodeLP(&lpArena{}, m, freeFixing(m.NumVars()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if lp.m != 65 || lp.nBound != 39 {
+		b.Fatalf("root LP has %d rows and %d bounds, want 65 and 39", lp.m, lp.nBound)
 	}
 	fixed := freeFixing(m.NumVars())
 	ar := &lpArena{}
@@ -81,7 +118,7 @@ func BenchmarkNodeLP(b *testing.B) {
 // incumbent to cut it off. Bytes per op are the tableau bytes the slot copy
 // moves.
 func BenchmarkWarmChild(b *testing.B) {
-	m := schedShapedModel(rand.New(rand.NewSource(12)), 17, 5, 21, 5)
+	m := schedShapedModel(rand.New(rand.NewSource(12)), 8, 5, 13, 5, 12, 25)
 	ar := &lpArena{}
 	root, objC, err := solveRelaxationOpt(ar, m, freeFixing(m.NumVars()), nil, false)
 	if err != nil {
@@ -103,9 +140,14 @@ func BenchmarkWarmChild(b *testing.B) {
 }
 
 // BenchmarkSolveSchedulingCycle is the end-to-end hot path as 3σSched
-// invokes it: node-budgeted anytime solve on a cycle-sized model.
+// invokes it: node-budgeted anytime solve on a cycle-sized model in the row
+// mix of an average sim-e2e model (76 variables × 78 rows: 46 cap, 14
+// demand of which 10 one-option, 18 ub_P).
 func BenchmarkSolveSchedulingCycle(b *testing.B) {
-	m := schedShapedModel(rand.New(rand.NewSource(17)), 48, 12, 8, 6)
+	m := schedShapedModel(rand.New(rand.NewSource(17)), 4, 12, 8, 6, 10, 18)
+	if m.NumVars() != 76 || m.NumRows() != 78 {
+		b.Fatalf("model is %d × %d, want 76 × 78", m.NumVars(), m.NumRows())
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol := Solve(m, Options{MaxNodes: 48})

@@ -72,6 +72,8 @@ func (c *captureModels) Cycle(st *simulator.State) simulator.Decision {
 	c.traced.Branch0 += tc.Branch0
 	c.traced.Branch1 += tc.Branch1
 	c.traced.PivotedOut += tc.PivotedOut
+	c.traced.AtBound += tc.AtBound
+	c.traced.Complements += tc.Complements
 	c.models++
 	c.children, c.infeasible, c.colds, c.cutoffs = c.children+n, c.infeasible+inf, c.colds+sol.ColdFallbacks, c.cutoffs+sol.Cutoffs
 	c.worst = math.Max(c.worst, w)
@@ -115,7 +117,7 @@ func TestWarmChildrenMatchColdOnSchedulerModels(t *testing.T) {
 		t.Fatalf("coverage: %d models, %d children, %d infeasible, %d cut off", c.models, c.children, c.infeasible, c.cutoffs)
 	}
 	t.Logf("against the full-tableau reference: %+v", c.traced)
-	if tc := c.traced; tc.Children != c.children || tc.Infeasible == 0 || tc.Cutoffs == 0 || tc.Branch0 == 0 || tc.Branch1 == 0 || tc.PivotedOut == 0 {
-		t.Fatalf("reference coverage: %+v — want every child, infeasible and cut-off ones, both branches, fixed variables pivoted out", tc)
+	if tc := c.traced; tc.Children != c.children || tc.Infeasible == 0 || tc.Cutoffs == 0 || tc.Branch0 == 0 || tc.Branch1 == 0 || tc.PivotedOut == 0 || tc.Complements == 0 {
+		t.Fatalf("reference coverage: %+v — want every child, infeasible and cut-off ones, both branches, fixed variables pivoted out, rows leaving at their bound", tc)
 	}
 }

@@ -196,6 +196,13 @@ func (g *testGroup) stableCut(t *testing.T, followers ...int) []Metrics {
 // Before, the leader compacted in the same hold of the lock that appended
 // the snapshot — every follower fell below the base at every compaction,
 // answered Busy and fetched the whole snapshot back.
+//
+// The replicas' compaction counts need not agree: settleCompaction keeps one
+// pending snapshot record per replica, and a newer record replaces one not
+// yet settled — on the leader while a follower's ack is outstanding, on a
+// follower when its compactor runs late — so each replica may fold several
+// snapshots into one truncation. What every follower must show is that it
+// compacted, repeatedly, on its own.
 func TestInSyncFollowersCompactWithoutReinstalling(t *testing.T) {
 	g := newTestGroup(t, 3, func(i int, cfg *Config) { cfg.CompactEvery = 5 })
 	g.start(t)
@@ -207,8 +214,8 @@ func TestInSyncFollowersCompactWithoutReinstalling(t *testing.T) {
 		t.Fatalf("the stream crossed %d compactions of %d snapshots, want >= 3", lead.Compactions, lead.Snapshots)
 	}
 	for i, m := range cut[1:] {
-		if c := m.Control; c.Compactions != lead.Compactions || c.SnapshotInstalls != 0 || c.Diverged != 0 {
-			t.Errorf("follower %d: %d compactions (leader %d), %d snapshot installs, %d divergences",
+		if c := m.Control; c.Compactions < 3 || c.SnapshotInstalls != 0 || c.Diverged != 0 {
+			t.Errorf("follower %d: %d compactions (want >= 3; leader %d), %d snapshot installs, %d divergences",
 				i+1, c.Compactions, lead.Compactions, c.SnapshotInstalls, c.Diverged)
 		}
 	}

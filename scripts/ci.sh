@@ -99,6 +99,9 @@ go test -fuzz '^FuzzConditional$' -fuzztime 5s -run '^$' ./internal/dist
 # Greedy rounding sorts only the binaries it can switch on; its output is
 # the full sort's, bit for bit.
 go test -fuzz '^FuzzGreedyRound$' -fuzztime 5s -run '^$' ./internal/milp
+# The bounded-variable simplex solves the LP its one-entry rows describe:
+# relaxations equal the row form's, and Solve equals enumeration.
+go test -fuzz '^FuzzBoundedLP$' -fuzztime 5s -run '^$' ./internal/milp
 # Arbitrary bytes never panic the predictor's Load; a failed load changes
 # nothing, and a stream that loads saves and loads back to the same bytes.
 go test -fuzz '^FuzzPredictorLoad$' -fuzztime 5s -run '^$' ./internal/predictor
