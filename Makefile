@@ -93,7 +93,8 @@ smoke:
 
 # cluster-smoke runs the distributed control plane durability gate: leader
 # kill -9 failover under quorum acks + log compaction, a SIGTERMed leader
-# that hands over and rejoins, a follower dead from the start, and a cold
+# that hands over and rejoins, a follower dead from the start that later
+# catches up from an empty log through the leader's snapshot, and a cold
 # restart from a compacted log — every arm's outcome
 # digest compared byte-for-byte against an uninterrupted single-replica run
 # (DESIGN.md §14).

@@ -16,7 +16,8 @@ import (
 //	data[0]  1 + data[0]%10 binaries, then data[1]%4 continuous variables
 //	per variable  an objective byte, int8/8
 //	per binary    a bound byte — a one-entry row c·x ≤ c·u, c = 1 + b%8/8,
-//	              u ∈ {1, 0.5, 1.5, 1.75} by b/8%4 — and a fixing byte
+//	              u ∈ {1, 0.5, 1.5, 1.75, 2, 2.5, 3, 3.5} by b/8%8 — and a
+//	              fixing byte
 //	              (%4: 0 or 1 fixes it there, else it is free)
 //	per continuous  a cap byte: x ≤ (1 + b%8)/2
 //	then rows while bytes last (at most 32): a header byte (1 + h%8
@@ -26,8 +27,8 @@ import (
 // Every value is a multiple of 1/32, so a 0/1 assignment's row activities
 // are exact and every row either holds or fails by at least 1/32, and a
 // coefficient halves exactly (rowFormTwin). Every variable is bounded, so
-// every LP is, and every binary below 2: the search takes an LP value of 2
-// for an integral one, so the package asks rows to keep binaries lower.
+// every LP is; a binary's may reach 2 and beyond, where the search must
+// still branch (TestBinaryAtTwoIsBranchedOn).
 func decodeBounded(data []byte) (*Model, []int8, bool) {
 	if len(data) < 2 {
 		return nil, nil, false
@@ -50,7 +51,7 @@ func decodeBounded(data []byte) (*Model, []int8, bool) {
 	fixed := freeFixing(n)
 	for v := 0; v < nb; v++ {
 		b := data[2*v]
-		c, u := 1+float64(b%8)/8, []float64{1, 0.5, 1.5, 1.75}[b/8%4]
+		c, u := 1+float64(b%8)/8, []float64{1, 0.5, 1.5, 1.75, 2, 2.5, 3, 3.5}[b/8%8]
 		m.AddLE("bound", []int{v}, []float64{c}, c*u)
 		if f := data[2*v+1] % 4; f < 2 {
 			fixed[v] = int8(f)
@@ -224,6 +225,26 @@ func checkBounded(m *Model, fixed []int8) string {
 		return fmt.Sprintf("enumeration finds %v, Solve %v", best, sol.Objective)
 	}
 	return ""
+}
+
+// TestBinaryAtTwoIsBranchedOn: rows that let a binary reach 2 (x ≤ 2.5 and
+// x ≤ 2, so neither becomes its bound) put the LP optimum at x = 2, which
+// is no binary value. The search must branch on it, not take it for an
+// integral point that then fails Feasible and leaves Solve without an
+// incumbent: Infeasible, where x = y = 1 is worth 30.
+func TestBinaryAtTwoIsBranchedOn(t *testing.T) {
+	var m Model
+	x := m.AddVar(Binary, 6, "x")
+	y := m.AddVar(Binary, 24, "y")
+	m.AddLE("r", []int{x}, []float64{1}, 2.5)
+	m.AddLE("r", []int{x}, []float64{1}, 2)
+	m.AddLE("r", []int{y}, []float64{1}, 1)
+	if best, ok := enumerate(&m); !ok || best != 30 {
+		t.Fatalf("enumeration finds %v (feasible %v), want 30", best, ok)
+	}
+	if d := checkBounded(&m, freeFixing(m.NumVars())); d != "" {
+		t.Fatal(d)
+	}
 }
 
 // boundedSeeds are the fuzz corpus: small draws of the six trace tests'

@@ -256,7 +256,8 @@ func TestSolutionStatusString(t *testing.T) {
 
 func BenchmarkMILPSchedulingShape(b *testing.B) {
 	// A scheduling-shaped instance: 40 jobs × 12 options, 8 partitions × 6
-	// slots capacity rows. Representative of one 3σSched cycle.
+	// slots capacity rows, solved at the scheduler's node cap
+	// (core.Config.SolverMaxNodes, 48) as one 3σSched cycle would be.
 	rng := rand.New(rand.NewSource(7))
 	build := func() *Model {
 		var m Model
@@ -290,7 +291,7 @@ func BenchmarkMILPSchedulingShape(b *testing.B) {
 	mdl := build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol := Solve(mdl, Options{})
+		sol := Solve(mdl, Options{MaxNodes: 48})
 		if sol.X == nil {
 			b.Fatal("no solution")
 		}

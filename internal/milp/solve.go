@@ -554,15 +554,16 @@ func newNodeLP(ar *lpArena, m *Model, fixed []int8) (*simplexLP, float64, error)
 }
 
 // mostFractionalBinary returns the binary variable whose value is farthest
-// from integral (>tol), or -1 when all binaries are integral.
+// from {0, 1} (>tol), or -1 when every binary is within tol of 0 or 1. An LP
+// value past 1 — rows may let a binary reach 2 — is as far from a binary's
+// domain as it is from 1, not integral.
 func mostFractionalBinary(m *Model, x []float64, tol float64) int {
 	best, bestD := -1, tol
 	for v, k := range m.kinds {
 		if k != Binary {
 			continue
 		}
-		f := x[v] - math.Floor(x[v])
-		d := math.Min(f, 1-f)
+		d := math.Min(math.Abs(x[v]), math.Abs(x[v]-1))
 		if d > bestD {
 			best, bestD = v, d
 		}

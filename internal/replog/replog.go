@@ -591,10 +591,11 @@ func copyRecords(src []Record) []Record {
 }
 
 // Since returns a deep copy of the records with Seq > after, capped at
-// limit (0: no cap). This is the pull/catch-up read used by replication.
-// When after falls below the compaction base the missing records no longer
-// exist and Since returns nil: the caller must compare its cursor against
-// Base and install the snapshot instead.
+// limit (0: no cap). This is the read replication pushes from. When after
+// falls below the compaction base the missing records no longer exist and
+// Since returns nil: the caller must compare its cursor against Base and
+// read from the base instead, where the retained chain begins with its
+// snapshot.
 func (l *Log) Since(after uint64, limit int) []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -626,22 +627,6 @@ func (l *Log) Committed() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.recs[:len(l.recs):len(l.recs)]
-}
-
-// LastSnapshot returns the most recent TypeSnapshot record, or ok=false
-// when the log holds none. It is the record served to far-behind replicas
-// over GET /v1/replog/snapshot and the point bootstrap replay starts from.
-func (l *Log) LastSnapshot() (Record, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := len(l.recs) - 1; i >= 0; i-- {
-		if l.recs[i].Type == TypeSnapshot {
-			rec := l.recs[i]
-			rec.Data = append(json.RawMessage(nil), rec.Data...)
-			return rec, true
-		}
-	}
-	return Record{}, false
 }
 
 // Compact drops every record below keepSeq, which must name a TypeSnapshot
@@ -724,8 +709,8 @@ func (l *Log) retainedFromLocked(keepSeq uint64) ([]Record, error) {
 }
 
 // InstallSnapshot resets the log to hold exactly the given snapshot record,
-// as fetched from a leader whose compaction base has moved past this
-// replica's cursor. Everything the log held before is discarded; the chain
+// as pushed by a leader whose compaction base has moved past this replica's
+// log. Everything the log held before is discarded; the chain
 // resumes at the snapshot, whose body hash is verified before anything is
 // written. Installation only ever moves the log forward.
 func (l *Log) InstallSnapshot(rec Record) error {

@@ -536,9 +536,8 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatalf("reopened compacted log: base=%d len=%d head=%.8s, want %d/5/%.8s",
 			l2.Base(), l2.Len(), l2.Head(), snap.Seq-1, r5.Hash)
 	}
-	got, ok := l2.LastSnapshot()
-	if !ok || got.Seq != snap.Seq || got.Hash != snap.Hash {
-		t.Fatalf("LastSnapshot after reopen = %+v ok=%v", got, ok)
+	if got := l2.Committed()[0]; got.Seq != snap.Seq || got.Hash != snap.Hash || got.Type != TypeSnapshot {
+		t.Fatalf("reopened compacted log begins with %+v, want snapshot seq %d", got, snap.Seq)
 	}
 	// And the torn-tail discipline survives compaction: chop the tail and
 	// the log reopens at the snapshot chain minus the torn record.
@@ -618,7 +617,7 @@ func TestCompactRunsBesideAppends(t *testing.T) {
 }
 
 // TestInstallSnapshot covers the far-behind-standby path: a log (empty or
-// holding a stale prefix) resets to hold exactly the fetched snapshot and
+// holding a stale prefix) resets to hold exactly the pushed snapshot and
 // then accepts the leader's suffix records.
 func TestInstallSnapshot(t *testing.T) {
 	leader, err := Open("")
@@ -667,7 +666,7 @@ func TestInstallSnapshot(t *testing.T) {
 }
 
 // TestSinceDeepCopies is the aliasing regression: records returned by
-// Since/Records/LastSnapshot carry their own Data bytes. Before the fix the
+// Since/Records carry their own Data bytes. Before the fix the
 // RawMessage aliased the log's live backing array, so a caller (the
 // replication sender encoding on another goroutine) could observe payload
 // bytes mutated underneath it.
@@ -697,17 +696,6 @@ func TestSinceDeepCopies(t *testing.T) {
 		if got := string(l.Records()[0].Data); got != orig {
 			t.Fatalf("mutating a %s result corrupted the log: %q", name, got)
 		}
-	}
-	snap, ok := l.LastSnapshot()
-	if !ok {
-		t.Fatal("no snapshot")
-	}
-	orig := string(snap.Data)
-	for i := range snap.Data {
-		snap.Data[i] = 'x'
-	}
-	if again, _ := l.LastSnapshot(); string(again.Data) != orig {
-		t.Fatalf("mutating a LastSnapshot result corrupted the log: %q", again.Data)
 	}
 }
 

@@ -76,11 +76,10 @@ func (fc *followerConn) progress(lease time.Duration) (acked uint64, expires tim
 }
 
 const (
-	// maxReplBody bounds what the replication endpoints read from a peer: a
-	// push body and a fetched snapshot. One record is at most
-	// replog.MaxRecordBytes and a sender cuts its batches to that many
-	// payload bytes, so twice the record bound leaves room for the envelope
-	// and nothing honest is ever refused.
+	// maxReplBody bounds the push body a follower reads. One record — a
+	// snapshot among them — is at most replog.MaxRecordBytes and a sender
+	// cuts its batches to that many payload bytes, so twice the record bound
+	// leaves room for the envelope and nothing honest is ever refused.
 	maxReplBody = 2 * replog.MaxRecordBytes
 	// pushBudget and pushRecords cap one push: payload bytes (cutBatch) and
 	// records.
@@ -269,12 +268,8 @@ func (s *Service) startSendersLocked() {
 
 // Replication wire types (POST /v1/replog/append).
 type replAppendReq struct {
-	From  int    `json:"from"`
-	Epoch uint64 `json:"epoch"`
-	// Base is the leader's compaction base: records at or below it exist
-	// only inside the snapshot. A follower whose log ends at or below Base
-	// cannot catch up record-by-record and fetches the snapshot instead.
-	Base    uint64          `json:"base,omitempty"`
+	From    int             `json:"from"`
+	Epoch   uint64          `json:"epoch"`
 	Records []replog.Record `json:"records,omitempty"`
 	// Resign marks a stopped leader's last push, sent only to a follower
 	// that acked its whole log: the term is over, and its lease with it.
@@ -297,11 +292,19 @@ type replAppendResp struct {
 // runSender streams the log to one follower for the duration of a term.
 // Pushes are batched (pushRecords records, pushBudget payload bytes), woken
 // by notifyFollowers, and padded with empty heartbeats at lease/2 so the
-// lease survives quiet stretches. A follower that answers Busy — mid-install
-// of a snapshot, mid-cycle as a deposed leader — is asked again on a doubling
-// back-off of 1 ms to lease/8, not left to the heartbeat. The sender outlives
-// Stop: a stopped leader's final cycle is pushed by it, and its term ends
-// with the resign push (handOff).
+// lease survives quiet stretches. A follower that answers Busy — a deposed
+// leader mid-cycle — is asked again on a doubling back-off of 1 ms to
+// lease/8, not left to the heartbeat. The sender outlives Stop: a stopped
+// leader's final cycle is pushed by it, and its term ends with the resign
+// push (handOff).
+//
+// The send cursor starts at 0, so the first push of a term over a compacted
+// log carries nothing (Since has no records below the base): a probe, which
+// the follower answers with its log length. Once an answer in this term puts
+// the follower's log at or below the base, the records it needs next exist
+// only inside the snapshot the log begins with, and the sender pushes from
+// the base: the snapshot, then the suffix. An in-sync follower is never sent
+// the snapshot.
 func (s *Service) runSender(fc *followerConn, epoch uint64) {
 	defer close(fc.done)
 	hb := time.NewTicker(s.cfg.LeaseInterval / 2)
@@ -340,6 +343,7 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 		}
 		busy := false
 		for {
+			from := sent
 			batch := cutBatch(s.log.Since(sent, pushRecords))
 			resp, code, err := s.pushBatch(fc, epoch, batch, false)
 			if err != nil {
@@ -362,15 +366,18 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 					return
 				}
 			case resp.Want > 0:
-				sent = resp.Want - 1
-				continue // rewind and retry immediately
+				// Rewind and retry immediately — from the base if the
+				// follower's log ends at or below it.
+				if sent = max(resp.Want-1, s.log.Base()); sent != from {
+					continue
+				}
 			case code != http.StatusOK:
 				// A conflict without a usable cursor (e.g. the follower
 				// flagged divergence): not an ack — leave the send cursor and
 				// lastOK alone so the peer counts as lagging, and retry on
 				// the heartbeat.
 			default:
-				sent = resp.Acked
+				sent = max(resp.Acked, s.log.Base())
 				fc.fmu.Lock()
 				advanced := resp.Acked > fc.acked
 				if advanced {
@@ -384,10 +391,12 @@ func (s *Service) runSender(fc *followerConn, epoch uint64) {
 					s.wakeCompactorLocked()
 					s.mu.Unlock()
 				}
-				// The batch landed whole and the log has grown past it: push
-				// on. (A peer that acks short of what it was sent is not
-				// pushed at in a loop; the next wake-up tries again.)
-				if n := len(batch); n > 0 && sent >= batch[n-1].Seq && sent < s.log.Len() {
+				// The batch landed whole and the log has grown past it, or
+				// the follower is to be pushed from the base: push on. (A
+				// peer that acks short of what it was sent is not pushed at
+				// in a loop; the next wake-up tries again.)
+				if n := len(batch); n > 0 && sent >= batch[n-1].Seq && sent < s.log.Len() ||
+					sent > resp.Acked && sent != from {
 					continue
 				}
 			}
@@ -428,7 +437,7 @@ func cutBatch(batch []replog.Record) []replog.Record {
 // cursor and refresh the peer's liveness lease.
 func (s *Service) pushBatch(fc *followerConn, epoch uint64, batch []replog.Record, resign bool) (*replAppendResp, int, error) {
 	body, err := json.Marshal(&replAppendReq{From: s.cfg.ReplicaID, Epoch: epoch,
-		Base: s.log.Base(), Records: batch, Resign: resign})
+		Records: batch, Resign: resign})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -745,10 +754,12 @@ func (s *Service) handleControlStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplogAppend serves POST /v1/replog/append: the leader's push
-// channel. Records already in the log are acknowledged idempotently after a
-// hash check; new records append (gaps rewind the sender) and apply to the
-// in-memory replica. An append from a stale epoch returns 409 with the
-// current one; one from a newer epoch deposes a stale leader on the spot.
+// channel, and a replica's only way to catch up. Records already in the log
+// are acknowledged idempotently after a hash check; new records append (gaps
+// rewind the sender) and apply to the in-memory replica, and a snapshot
+// record that lands past the local log's next seq is installed in its place.
+// An append from a stale epoch returns 409 with the current one; one from a
+// newer epoch deposes a stale leader on the spot.
 func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 	var req replAppendReq
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplBody)).Decode(&req); err != nil {
@@ -789,15 +800,6 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 	if req.Epoch > s.leaderEpoch {
 		s.leaderEpoch = req.Epoch
 	}
-	if req.Base > s.log.Len() {
-		// The leader compacted past everything this replica holds: the
-		// records it needs next no longer exist individually. Fetch the
-		// snapshot in the background (one fetch at a time) and answer Busy
-		// until it is installed; the suffix then streams normally.
-		s.maybeFetchSnapshotLocked(req.From)
-		writeJSON(w, http.StatusServiceUnavailable, replAppendResp{Busy: true})
-		return
-	}
 	// A redelivered prefix (sender rewind) is acknowledged idempotently
 	// after a hash check; everything past the local chain appends and
 	// fsyncs as one group commit, then applies to the in-memory replica.
@@ -822,6 +824,19 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 		skip++
 	}
 	fresh := req.Records[skip:]
+	if len(fresh) > 0 && fresh[0].Type == replog.TypeSnapshot && fresh[0].Seq > s.log.Len()+1 {
+		// The leader compacted past everything this replica holds and pushed
+		// the snapshot its log begins with: install it — state and log, or
+		// neither — and append the rest of the batch behind it.
+		if err := s.installSnapshotLocked(fresh[0], true); err != nil {
+			s.ctl.Diverged++
+			s.cfg.Logf("DIVERGED: snapshot install: %v", err)
+			writeJSON(w, http.StatusConflict, replAppendResp{Epoch: s.leaderEpoch, Acked: s.log.Len()})
+			return
+		}
+		s.ctl.SnapshotInstalls++
+		fresh = fresh[1:]
+	}
 	n, err := s.log.AppendRecords(fresh)
 	s.ctl.RecordsApplied += int64(n)
 	for _, rec := range fresh[:n] {
@@ -852,7 +867,7 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplogGet serves GET /v1/replog: chain position, plus records on
-// request (?from=N&limit=M) for debugging and catch-up tooling.
+// request (?from=N&limit=M) for debugging.
 func (s *Service) handleReplogGet(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.log == nil {

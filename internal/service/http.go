@@ -111,7 +111,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/control/status", s.handleControlStatus)
 	mux.HandleFunc("POST /v1/replog/append", s.handleReplogAppend)
 	mux.HandleFunc("GET /v1/replog", s.handleReplogGet)
-	mux.HandleFunc("GET /v1/replog/snapshot", s.handleReplogSnapshot)
 	return mux
 }
 

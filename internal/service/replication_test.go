@@ -1,11 +1,15 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -237,6 +241,64 @@ func TestInSyncFollowersCompactWithoutReinstalling(t *testing.T) {
 	}
 }
 
+// TestTakeoverSendsNoSnapshotToAnInSyncFollower: a successor that takes over
+// a compacted log probes each follower before it pushes, and pushes from the
+// base only to one whose answer puts it at or below the base. A follower that
+// holds the whole log is never sent the snapshot the log begins with; a
+// sender that started every term at the base would send it to each of them.
+func TestTakeoverSendsNoSnapshotToAnInSyncFollower(t *testing.T) {
+	g := newTestGroup(t, 3, func(i int, cfg *Config) { cfg.CompactEvery = 5 })
+	g.start(t)
+	g.submitStream(t, 1, 12, 10*time.Millisecond)
+	g.stableCut(t, 1, 2)
+
+	// In front of replica 2: the pushes replica 1 sends it, and the snapshot
+	// records among them that replica 2 already holds.
+	var mu sync.Mutex
+	var pushes, resent int
+	inner := g.svcs[2].Handler()
+	g.late[2].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replog/append" {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var req replAppendReq
+			if json.Unmarshal(body, &req) == nil && req.From == 1 {
+				held := g.logs[2].Len()
+				mu.Lock()
+				pushes++
+				for _, rec := range req.Records {
+					if rec.Type == replog.TypeSnapshot && rec.Seq <= held {
+						resent++
+					}
+				}
+				mu.Unlock()
+			}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+
+	if err := g.svcs[0].Stop(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "replica 1 to take over", g.svcs[1].IsLeader)
+	if m := g.svcs[1].Metrics(); m.LogBase == 0 {
+		t.Fatal("replica 1 took over an uncompacted log")
+	}
+	waitUntil(t, 5*time.Second, "replica 2 to hold the successor's log", func() bool {
+		_, epoch, leader := g.svcs[2].Role()
+		_, want, _ := g.svcs[1].Role()
+		return leader == 1 && epoch == want && g.logs[2].Len() >= g.logs[1].Len()
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if pushes == 0 || resent != 0 {
+		t.Errorf("the successor pushed replica 2 %d times, %d snapshot records it held; want some pushes and no snapshot", pushes, resent)
+	}
+	if m := g.svcs[2].Metrics(); m.Control.SnapshotInstalls != 0 || m.Control.Diverged != 0 {
+		t.Errorf("replica 2: %d snapshot installs, %d divergences", m.Control.SnapshotInstalls, m.Control.Diverged)
+	}
+}
+
 // TestDownFollowerDelaysCompactionByOneLeaseAtMost: a follower that stops
 // acking holds a pending compaction back only until its lease lapses, and
 // when it returns — below the base by then — it rejoins through the snapshot
@@ -325,7 +387,7 @@ func TestStopSettlesPendingCompaction(t *testing.T) {
 	if err := svc.Stop(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := g.logs[0].LastSnapshot()
+	snap, ok := lastSnapshot(g.logs[0])
 	if !ok {
 		t.Fatal("no snapshot in the stopped leader's log")
 	}
@@ -445,7 +507,7 @@ func TestSnapshotEngineEpochLeadsThePayload(t *testing.T) {
 	svc.snapshotLocked()
 	want, wantSHA := svc.st.eng.Epoch(), predictorSHA(cfg.Predictor)
 	svc.mu.Unlock()
-	rec, ok := l.LastSnapshot()
+	rec, ok := lastSnapshot(l)
 	if !ok {
 		t.Fatal("no snapshot appended")
 	}

@@ -35,7 +35,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -291,12 +290,10 @@ type Service struct {
 	// depositions back off — a replication push or status poll that proves a
 	// newer epoch waits for the cycle (see handleReplogAppend) — and abandons
 	// out of the solve are collected into it.
-	cycleRec     *cyclePayload   // guarded by mu
-	agents       []*agentState   // immutable after New; agentState marks the fields mu guards
-	followers    []*followerConn // guarded by mu (appended on takeover); conns have own locks
-	ctl          ControlCounters // guarded by mu
-	snapFetching bool            // guarded by mu; a snapshot catch-up fetch is in flight
-	snapClient   *http.Client    // snapshot catch-up fetches (immutable)
+	cycleRec  *cyclePayload   // guarded by mu
+	agents    []*agentState   // immutable after New; agentState marks the fields mu guards
+	followers []*followerConn // guarded by mu (appended on takeover); conns have own locks
+	ctl       ControlCounters // guarded by mu
 
 	// ackWake is the quorum waiters' broadcast: closed and replaced by
 	// wakeWaitersLocked whenever something waitReplicated's verdict depends
@@ -345,19 +342,15 @@ func New(cfg Config) (*Service, error) {
 		agents = append(agents, newAgentState(c, c.Addr, c.Partitions))
 	}
 	s := &Service{
-		cfg:       cfg,
-		st:        newState(e, cfg.Cluster),
-		log:       cfg.Log,
-		leaderID:  -1,
-		agents:    agents,
-		stop:      make(chan struct{}),
-		loopDone:  make(chan struct{}),
-		electDone: make(chan struct{}),
-		electWake: make(chan struct{}, 1),
-
-		// A snapshot is one record of up to replog.MaxRecordBytes: give the
-		// fetch several leases, and never less than ten seconds.
-		snapClient:  &http.Client{Timeout: max(4*cfg.LeaseInterval, 10*time.Second)},
+		cfg:         cfg,
+		st:          newState(e, cfg.Cluster),
+		log:         cfg.Log,
+		leaderID:    -1,
+		agents:      agents,
+		stop:        make(chan struct{}),
+		loopDone:    make(chan struct{}),
+		electDone:   make(chan struct{}),
+		electWake:   make(chan struct{}, 1),
 		ackWake:     make(chan struct{}),
 		compactWake: make(chan struct{}, 1),
 		compactDone: make(chan struct{}),

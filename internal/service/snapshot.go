@@ -5,16 +5,14 @@
 // the log below it once every follower with a live lease holds the record,
 // so that compacting never pushes an in-sync follower below the base.
 // Warm restarts then replay from the snapshot instead of genesis, and a
-// replica whose catch-up cursor did fall below the compacted base — an empty
-// standby, one that was down — installs the snapshot fetched over
-// GET /v1/replog/snapshot before streaming the suffix.
+// replica whose log ends at or below the compacted base — an empty standby,
+// one that was down — is pushed the snapshot the leader's log begins with,
+// on the same channel as every other record, and installs it before the
+// suffix appends (handleReplogAppend).
 package service
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 
 	"threesigma/internal/replog"
 )
@@ -114,8 +112,8 @@ func (s *Service) settleCompaction(force bool) {
 // with the snapshot record's payload, validate-then-commit: a record that
 // cannot be installed leaves the state, the scheduler, the predictor and the
 // log exactly as they were. Used on two paths: bootstrap replay (the log
-// already holds the record) and a far-behind standby installing the snapshot
-// it fetched from the leader (resetLog: the chain restarts at the record).
+// already holds the record) and a far-behind replica installing the snapshot
+// the leader pushed it (resetLog: the chain restarts at the record).
 //
 // Everything that can be checked without side effects is checked by decode.
 // The predictor alone validates only by loading; its Load is all-or-nothing,
@@ -200,75 +198,4 @@ func (s *Service) bootstrapReplay() (int, error) {
 	s.cfg.Logf("applied %d log records: cycle %d, epoch %d, %d outcomes",
 		applied, s.st.Cycles, s.log.LastEpoch(), s.st.eng.OutcomeCount())
 	return applied, nil
-}
-
-// maybeFetchSnapshotLocked starts one background snapshot catch-up from the
-// leader at addr, if none is in flight. Called from handleReplogAppend when
-// the leader's compaction base has moved past this replica's log.
-func (s *Service) maybeFetchSnapshotLocked(from int) {
-	if s.snapFetching {
-		return
-	}
-	addr := s.cfg.Peers[from]
-	if addr == "" {
-		return
-	}
-	s.snapFetching = true
-	go s.fetchSnapshot(addr)
-}
-
-// fetchSnapshot pulls the leader's snapshot record and installs it: the
-// state, and the log's chain reset to the record, together or not at all.
-// Runs off s.mu; the leader's pushes answer Busy until the install lands.
-func (s *Service) fetchSnapshot(addr string) {
-	defer func() {
-		s.mu.Lock()
-		s.snapFetching = false
-		s.mu.Unlock()
-	}()
-	resp, err := s.snapClient.Get(addr + "/v1/replog/snapshot")
-	if err != nil {
-		s.cfg.Logf("snapshot fetch: %v", err)
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		s.cfg.Logf("snapshot fetch: leader answered %d", resp.StatusCode)
-		return
-	}
-	var rec replog.Record
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxReplBody)).Decode(&rec); err != nil {
-		s.cfg.Logf("snapshot fetch: decode: %v", err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil || rec.Seq <= s.log.Len() {
-		return // caught up (or past it) some other way while fetching
-	}
-	if err := s.installSnapshotLocked(rec, true); err != nil {
-		s.ctl.Diverged++
-		s.cfg.Logf("DIVERGED: snapshot install: %v", err)
-		return
-	}
-	s.ctl.SnapshotInstalls++
-}
-
-// handleReplogSnapshot serves GET /v1/replog/snapshot: the most recent
-// TypeSnapshot record, whole — a far-behind replica installs it and streams
-// the suffix from the leader's push channel.
-func (s *Service) handleReplogSnapshot(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	if s.log == nil {
-		s.mu.Unlock()
-		writeErr(w, &SubmitError{Code: 404, Msg: "no decision log configured"})
-		return
-	}
-	rec, ok := s.log.LastSnapshot()
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, &SubmitError{Code: 404, Msg: "no snapshot recorded yet"})
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -263,11 +264,11 @@ func TestCompactedWarmRestartDigestIdentical(t *testing.T) {
 }
 
 // TestEmptyStandbySnapshotCatchUp covers snapshot-based catch-up end to
-// end: a leader whose log is already compacted gains a brand-new empty
-// standby, whose cursor (0) falls below the compacted base — it must fetch
-// the snapshot over GET /v1/replog/snapshot, install it, stream the
-// suffix, converge to the leader's digests, and then survive the leader's
-// death as a fully functional successor.
+// end: a leader whose log is compacted twice over gains a brand-new empty
+// standby, two snapshots behind — the leader must push it the snapshot its
+// log begins with, in bodies under maxReplBody; the standby installs it,
+// appends the suffix, converges to the leader's digests, and then survives
+// the leader's death as a fully functional successor.
 func TestEmptyStandbySnapshotCatchUp(t *testing.T) {
 	dir := t.TempDir()
 	var late [2]*lateHandler
@@ -312,16 +313,28 @@ func TestEmptyStandbySnapshotCatchUp(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		waitPhase(t, tss[0], i, PhaseCompleted)
 	}
-	waitUntil(t, 5*time.Second, "leader to compact its log", func() bool {
-		return svc0.Metrics().LogBase > 0
+	waitUntil(t, 5*time.Second, "leader to compact its log twice", func() bool {
+		return svc0.Metrics().Control.Compactions >= 2
 	})
 	lead := svc0.Metrics()
 
 	// Phase 2: an empty standby joins. Record-by-record catch-up is
 	// impossible (its cursor is below the base) so it must install the
-	// snapshot and converge.
+	// snapshot and converge. Every push body it is sent is measured.
 	svc1 := mustService(t, mkCfg(1))
-	late[1].set(svc1.Handler())
+	var mu sync.Mutex
+	var largest int64
+	inner := svc1.Handler()
+	late[1].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replog/append" {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			mu.Lock()
+			largest = max(largest, int64(len(body)))
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
 	svc1.Start()
 	waitUntil(t, 10*time.Second, "standby to install the snapshot and converge", func() bool {
 		m := svc1.Metrics()
@@ -331,6 +344,11 @@ func TestEmptyStandbySnapshotCatchUp(t *testing.T) {
 	if m := svc1.Metrics(); m.Control.Diverged != 0 {
 		t.Fatalf("standby flagged %d divergences during catch-up", m.Control.Diverged)
 	}
+	mu.Lock()
+	if largest == 0 || largest >= maxReplBody {
+		t.Errorf("largest push body %d bytes, want under maxReplBody (%d)", largest, maxReplBody)
+	}
+	mu.Unlock()
 
 	// Phase 3: the leader dies; the snapshot-born standby takes over and
 	// schedules fresh work end to end.
@@ -350,6 +368,18 @@ func TestEmptyStandbySnapshotCatchUp(t *testing.T) {
 		t.Fatalf("post-failover submit: %d %s", resp.StatusCode, body)
 	}
 	waitPhase(t, tss[1], 9, PhaseCompleted)
+}
+
+// lastSnapshot returns the newest TypeSnapshot record l retains, or
+// ok=false when it holds none.
+func lastSnapshot(l *replog.Log) (replog.Record, bool) {
+	recs := l.Committed()
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Type == replog.TypeSnapshot {
+			return recs[i], true
+		}
+	}
+	return replog.Record{}, false
 }
 
 // TestSnapshotTakeoverHandsLiveRunsOver: a standby that installed a snapshot
@@ -385,7 +415,7 @@ func TestSnapshotTakeoverHandsLiveRunsOver(t *testing.T) {
 	lead.mu.Lock()
 	lead.snapshotLocked()
 	lead.mu.Unlock()
-	snap, ok := l.LastSnapshot()
+	snap, ok := lastSnapshot(l)
 	if !ok {
 		t.Fatal("the leader took no snapshot")
 	}
@@ -398,16 +428,12 @@ func TestSnapshotTakeoverHandsLiveRunsOver(t *testing.T) {
 		t.Fatalf("job 2 first started at %v on the leader, want 4 (the cycle job 1's nodes came free)", st.FirstStart)
 	}
 
-	donor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, snap)
-	}))
-	defer donor.Close()
 	cfg = sigmaConfig()
 	if cfg.Log, err = replog.Open(""); err != nil {
 		t.Fatal(err)
 	}
 	standby := mustService(t, cfg)
-	standby.fetchSnapshot(donor.URL)
+	push(t, standby, []replog.Record{snap})
 	standby.mu.Lock()
 	standby.takeoverLocked(0)
 	standby.mu.Unlock()
@@ -452,7 +478,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 	donor.mu.Lock()
 	donor.snapshotLocked()
 	donor.mu.Unlock()
-	good, ok := dl.LastSnapshot()
+	good, ok := lastSnapshot(dl)
 	if !ok {
 		t.Fatal("the donor took no snapshot")
 	}
@@ -520,14 +546,6 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serving := func(rec replog.Record) string {
-				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					writeJSON(w, http.StatusOK, rec)
-				}))
-				t.Cleanup(ts.Close)
-				return ts.URL
-			}
-
 			// A standby with a little state of its own, far behind the record.
 			sl, err := replog.Open(filepath.Join(t.TempDir(), "standby.log"))
 			if err != nil {
@@ -549,7 +567,9 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 			}
 			lenBefore, headBefore, shaBefore := sl.Len(), sl.Head(), predictorSHA(cfg.Predictor)
 
-			standby.fetchSnapshot(serving(bad))
+			if code, resp := pushOnce(t, standby, []replog.Record{bad}); code != http.StatusConflict || resp.Acked != lenBefore {
+				t.Errorf("push of the damaged snapshot answered %d, acked %d; want 409 and %d", code, resp.Acked, lenBefore)
+			}
 
 			after, err := json.Marshal(standby.st)
 			if err != nil {
@@ -568,7 +588,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 				t.Errorf("diverged = %d, installs = %d, want 1 and 0", m.Control.Diverged, m.Control.SnapshotInstalls)
 			}
 			// And the undamaged record still installs.
-			standby.fetchSnapshot(serving(good))
+			push(t, standby, []replog.Record{good})
 			if m := standby.Metrics(); m.Control.SnapshotInstalls != 1 || m.LogLen != good.Seq ||
 				m.OutcomeDigest != donor.Metrics().OutcomeDigest {
 				t.Errorf("the good snapshot did not install: %d installs, log at %d", m.Control.SnapshotInstalls, m.LogLen)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -67,15 +66,25 @@ func push(t *testing.T, svc *Service, recs []replog.Record) {
 	t.Helper()
 	for len(recs) > 0 {
 		n := min(7, len(recs))
-		body, _ := json.Marshal(&replAppendReq{From: 0, Epoch: recs[n-1].Epoch, Records: recs[:n]})
-		w := httptest.NewRecorder()
-		svc.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/replog/append", bytes.NewReader(body)))
-		var resp replAppendResp
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != 200 || resp.Acked != recs[n-1].Seq {
-			t.Fatalf("push through seq %d: %d %s", recs[n-1].Seq, w.Code, w.Body)
+		if code, resp := pushOnce(t, svc, recs[:n]); code != 200 || resp.Acked != recs[n-1].Seq {
+			t.Fatalf("push through seq %d: %d %+v", recs[n-1].Seq, code, resp)
 		}
 		recs = recs[n:]
 	}
+}
+
+// pushOnce posts one append of recs to svc, at the last record's epoch, and
+// returns the status and the decoded answer.
+func pushOnce(t *testing.T, svc *Service, recs []replog.Record) (int, replAppendResp) {
+	t.Helper()
+	body, _ := json.Marshal(&replAppendReq{From: 0, Epoch: recs[len(recs)-1].Epoch, Records: recs})
+	w := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/replog/append", bytes.NewReader(body)))
+	var resp replAppendResp
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("push through seq %d: %d %s", recs[len(recs)-1].Seq, w.Code, w.Body)
+	}
+	return w.Code, resp
 }
 
 // runScript drives one scripted input stream — submits (one landing
@@ -187,8 +196,8 @@ func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
 // for: runScript's input stream leaves the same state, outcome digest and
 // predictor hash on (i) the leader it drove, (ii) a follower pushed the
 // leader's records, (iii) a process restarted over the leader's log, (iv) a
-// standby that installed the leader's first snapshot and was pushed the
-// suffix, and (v) a leader driven through the same stream with no log at
+// standby pushed the leader's first snapshot, which it installs, and then
+// the suffix, and (v) a leader driven through the same stream with no log at
 // all, whose inputs are framed at seq 0 and drain at the next cycle top.
 func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	dir := t.TempDir()
@@ -240,15 +249,11 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	defer cfg.Log.Close()
 	paths["restart"] = mustService(t, cfg)
 
-	// (iv) A standby that fetches the first snapshot and is pushed the rest.
-	donor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, firstSnap)
-	}))
-	defer donor.Close()
+	// (iv) A standby that is pushed the first snapshot, then the rest.
 	cfg = scriptConfig()
 	cfg.Log = memLog()
 	standby := mustService(t, cfg)
-	standby.fetchSnapshot(donor.URL)
+	push(t, standby, []replog.Record{firstSnap})
 	if m := standby.Metrics(); m.Control.SnapshotInstalls != 1 || m.LogLen != firstSnap.Seq {
 		t.Fatalf("standby: %d installs, log at %d, want 1 and %d", m.Control.SnapshotInstalls, m.LogLen, firstSnap.Seq)
 	}

@@ -268,7 +268,8 @@ echo "== cluster durability digest gate =="
 # snapshot-based compaction. Five arms — uninterrupted reference, leader
 # kill -9 failover, a SIGTERMed leader that hands over and is restarted
 # (every replica on the reference, no divergence), a follower dead from the
-# start (2 of 3 still acks, zero lag timeouts), and a SIGTERM + cold boot
+# start (2 of 3 still acks, zero lag timeouts; it then joins over an empty
+# log and catches up through the leader's snapshot), and a SIGTERM + cold boot
 # from a compacted log — must all land on byte-identical outcome digests
 # and predictor SHAs.
 ./scripts/cluster_smoke.sh

@@ -12,7 +12,10 @@
 #      reference digests, and none may report a divergence.
 #   4. follower-kill: the failover arm's group with one replica dead from the
 #      start — the leader must keep accepting (2 of 3 is a quorum) with no
-#      replication-lag timeouts.
+#      replication-lag timeouts. Once the leader has compacted, the dead
+#      replica starts over an empty log, below the leader's base: it must
+#      catch up over the leader's push — snapshot first — to the reference
+#      digests, with a snapshot install and no divergence.
 #   5. compacted-restart: a single replica compacts its log, is SIGTERMed,
 #      and a cold process boots from the snapshot-headed log.
 #
@@ -260,6 +263,36 @@ fi
 "$LOADGEN" -addr "$FK" -metrics | grep -q '"repl_lag_timeouts":0' ||
     { echo "FAIL: dead follower caused replication-lag timeouts"; exit 1; }
 echo "follower-kill == uninterrupted, no lag timeouts"
+# Replica 2 comes up over an empty log once the leader has compacted: the
+# records it needs first exist only inside the leader's snapshot.
+i=0
+until "$LOADGEN" -addr "$FK" -metrics | grep -q '"compactions":[1-9]'; do
+    i=$((i + 1))
+    [ $i -lt 100 ] || { echo "FAIL: the follower-kill leader never compacted its log"; exit 1; }
+    sleep 0.1
+done
+"$SERVERD" -addr "127.0.0.1:$((BASE + 52))" $SD_ARGS \
+    -replog "$WORK/fk2.log" -replica 2 -peers "$PEERS" -agents "$AGENTS" \
+    -compact-every 12 \
+    >>"$WORK/fk2-serverd.log" 2>&1 &
+PIDS="$PIDS $!"
+FK2="http://127.0.0.1:$((BASE + 52))"
+i=0
+until digest "$FK2" "$WORK/fk2.digest" >/dev/null 2>&1 && cmp -s "$WORK/ref.digest" "$WORK/fk2.digest"; do
+    i=$((i + 1))
+    [ $i -lt 100 ] || {
+        echo "FAIL: replica 2 never caught up from an empty log to the reference"
+        diff "$WORK/ref.digest" "$WORK/fk2.digest" || true
+        exit 1
+    }
+    sleep 0.1
+done
+"$LOADGEN" -addr "$FK2" -metrics >"$WORK/fk2.metrics"
+grep -q '"snapshot_installs":[1-9]' "$WORK/fk2.metrics" ||
+    { echo "FAIL: replica 2 caught up without installing a snapshot"; exit 1; }
+grep -q '"diverged":0' "$WORK/fk2.metrics" ||
+    { echo "FAIL: replica 2 flagged divergences catching up"; exit 1; }
+echo "replica 2 caught up from an empty log through the snapshot == uninterrupted, no divergence"
 for P in $PIDS; do kill -TERM "$P" 2>/dev/null || true; done
 wait || true
 PIDS=""
