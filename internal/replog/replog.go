@@ -52,7 +52,8 @@ const (
 	// synchronously before the submission is acknowledged to the client).
 	TypeAdmit = "admit"
 	// TypeTrain carries a batch of predictor history records fed through
-	// /v1/train (external input).
+	// /v1/train (external input): a JSON array, one record per feed unless
+	// the feed outgrows MaxRecordBytes.
 	TypeTrain = "train"
 	// TypeCancel carries a job cancellation (external input).
 	TypeCancel = "cancel"
@@ -411,12 +412,12 @@ func (l *Log) Append(epoch uint64, typ string, cycle int64, data any) (Record, e
 }
 
 // AppendBatch chains and persists a run of same-type records with a single
-// write and fsync (group commit). A large batch — the /v1/train history
-// feed appends thousands of records in one request — costs one disk flush
-// instead of one per record, which is the difference between a sub-second
-// and a multi-second append on fsync-bound storage. All records are durable
-// when AppendBatch returns; a crash mid-write leaves a torn tail that Open
-// truncates back to the last complete record.
+// write and fsync (group commit): a batch costs one disk flush instead of
+// one per record. (A /v1/train history feed packs its thousands of
+// observations into one record, and into a batch of several only when it
+// outgrows MaxRecordBytes.) All records are durable when AppendBatch
+// returns; a crash mid-write leaves a torn tail that Open truncates back to
+// the last complete record.
 func (l *Log) AppendBatch(epoch uint64, typ string, cycle int64, payloads []any) ([]Record, error) {
 	raws := make([]json.RawMessage, len(payloads))
 	for i, p := range payloads {

@@ -454,6 +454,30 @@ func TestErrorPushNotAnAck(t *testing.T) {
 	}
 }
 
+// TestTrainReportsReplicationGap: with both followers down, a history feed
+// reaches only the leader's log. /v1/train still takes it — the feed is not
+// lost while the leader lives — but says so with "replicated_gap": true, as
+// POST /v1/jobs does for a submit.
+func TestTrainReportsReplicationGap(t *testing.T) {
+	g := newTestGroup(t, 3, nil)
+	g.start(t)
+	if tr := postTrain(t, g.tss[0], 50); tr.Trained != 50 || tr.ReplicatedGap {
+		t.Fatalf("feed with every follower up: %+v", tr)
+	}
+	for _, i := range []int{1, 2} {
+		g.late[i].set(nil)
+		if err := g.svcs[i].Stop(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr := postTrain(t, g.tss[0], 30); tr.Trained != 30 || !tr.ReplicatedGap {
+		t.Fatalf("feed with every follower down: %+v, want 30 trained and a gap", tr)
+	}
+	waitUntil(t, 5*time.Second, "the leader to observe both feeds", func() bool {
+		return g.svcs[0].Metrics().Counters.Trained == 80
+	})
+}
+
 // TestWaitReplicatedReportsGap pins the ack-durability contract: when a
 // live follower has not confirmed the record within SubmitSyncTimeout the
 // wait must say so (the admission is durable only on the leader) instead

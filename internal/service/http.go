@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -48,8 +49,37 @@ type jobResponse struct {
 	ReplicatedGap bool `json:"replicated_gap,omitempty"`
 }
 
+// trainResponse is the POST /v1/train answer. ReplicatedGap means what it
+// means in jobResponse: the observations are durable only on the leader
+// until replication catches up (see Service.TrainBatch).
+type trainResponse struct {
+	Trained       int  `json:"trained"`
+	ReplicatedGap bool `json:"replicated_gap,omitempty"`
+}
+
 type errResponse struct {
 	Error string `json:"error"`
+}
+
+// maxInputBody bounds a client request body: POST /v1/jobs, /v1/train,
+// /v1/predict and the operator endpoints. 8 MiB is some 40 times the
+// ~200 KB of the 2 560-observation history feed 3sigma-loadgen posts.
+const maxInputBody = 8 << 20
+
+// decodeBody decodes a request's JSON body, read through a maxInputBody
+// bound: a longer body is a 413, malformed JSON a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInputBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooBig):
+		return &SubmitError{Code: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("request body over %d bytes", tooBig.Limit)}
+	default:
+		return &SubmitError{Code: 400, Msg: "bad JSON: " + err.Error()}
+	}
 }
 
 var nextServerID atomic.Int64
@@ -148,8 +178,8 @@ type nodeOpRequest struct {
 func (s *Service) handleNodeOp(op func(partition, n int) (NodeOpResult, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req nodeOpRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &SubmitError{Code: 400, Msg: "bad JSON: " + err.Error()})
+		if err := decodeBody(w, r, &req); err != nil {
+			writeErr(w, err)
 			return
 		}
 		res, err := op(req.Partition, req.Nodes)
@@ -163,8 +193,8 @@ func (s *Service) handleNodeOp(op func(partition, n int) (NodeOpResult, error)) 
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, &SubmitError{Code: 400, Msg: "bad JSON: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	j, err := s.jobFromRequest(&req)
@@ -282,8 +312,8 @@ type resizeRequest struct {
 
 func (s *Service) handleResize(w http.ResponseWriter, r *http.Request) {
 	var req resizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, &SubmitError{Code: 400, Msg: "bad JSON: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	c, err := s.Resize(req.Partition, req.Delta)
@@ -329,8 +359,8 @@ type trainRequest struct {
 
 func (s *Service) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var req trainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, &SubmitError{Code: 400, Msg: "bad JSON: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	recs := make([]TrainRecord, 0, len(req.Jobs))
@@ -340,18 +370,18 @@ func (s *Service) handleTrain(w http.ResponseWriter, r *http.Request) {
 			Runtime: rec.Runtime,
 		})
 	}
-	trained, err := s.TrainBatch(recs)
+	trained, replicated, err := s.TrainBatch(recs)
 	if err != nil {
 		writeErrFor(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"trained": trained})
+	writeJSON(w, http.StatusOK, trainResponse{Trained: trained, ReplicatedGap: !replicated})
 }
 
 func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, &SubmitError{Code: 400, Msg: "bad JSON: " + err.Error()})
+	if err := decodeBody(w, r, &req); err != nil {
+		writeErr(w, err)
 		return
 	}
 	est := s.Predict(&job.Job{Name: req.Name, User: req.User, Tasks: req.Tasks, Priority: req.Priority})

@@ -557,6 +557,47 @@ func TestSnapshotFailureIsCounted(t *testing.T) {
 	}
 }
 
+// trainRecords counts the TypeTrain records a log retains.
+func trainRecords(l *replog.Log) int {
+	n := 0
+	for _, rec := range l.Since(l.Base(), 0) {
+		if rec.Type == replog.TypeTrain {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHistoryFeedIsOneReplicatedRecord: a 2 000-observation history feed
+// grows the leader's log by exactly one TypeTrain record, which reaches the
+// quorum, and the cycle boundary behind it observes every observation on
+// every replica alike: the same trained count and predictor SHA.
+func TestHistoryFeedIsOneReplicatedRecord(t *testing.T) {
+	g := newTestGroup(t, 3, nil)
+	g.start(t)
+	before := trainRecords(g.logs[0])
+	const n = 2000
+	if tr := postTrain(t, g.tss[0], n); tr.Trained != n || tr.ReplicatedGap {
+		t.Fatalf("feed: %+v", tr)
+	}
+	if got := trainRecords(g.logs[0]) - before; got != 1 {
+		t.Fatalf("the feed appended %d train records, want 1", got)
+	}
+	waitUntil(t, 5*time.Second, "the next cycle to observe the feed", func() bool {
+		return g.svcs[0].Metrics().Counters.Trained == n
+	})
+	cut := g.stableCut(t, 1, 2)
+	if cut[0].PredictorSHA == "" {
+		t.Fatal("the leader reports no predictor SHA")
+	}
+	for i, m := range cut[1:] {
+		if m.Counters.Trained != n || m.PredictorSHA != cut[0].PredictorSHA {
+			t.Errorf("follower %d: trained %d, predictor SHA %s; leader: %d, %s",
+				i+1, m.Counters.Trained, m.PredictorSHA, cut[0].Counters.Trained, cut[0].PredictorSHA)
+		}
+	}
+}
+
 // TestCutBatchBoundsAPush: a push carries at most pushBudget payload bytes —
 // so its body fits the maxReplBody the follower's handler reads — and always
 // at least one record, so a single large snapshot still gets through.

@@ -669,7 +669,14 @@ func (s *Service) Submit(j *job.Job) (replicated bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	return seq == 0 || len(s.cfg.Peers) == 0 || s.waitReplicated(seq), nil
+	return s.quorumDurable(seq), nil
+}
+
+// quorumDurable is the wait an accepted input's answer makes on its last
+// record: waitReplicated's verdict, vacuously true without a log (seq 0) or
+// peers.
+func (s *Service) quorumDurable(seq uint64) bool {
+	return seq == 0 || len(s.cfg.Peers) == 0 || s.waitReplicated(seq)
 }
 
 // submitLocked is Submit up to the quorum wait: validation against live
@@ -838,32 +845,27 @@ func (s *Service) Abandon(id job.ID) {
 	}
 }
 
-// Train feeds one completed historical job into the predictor (the paper's
-// pre-training step, exposed so a fresh daemon can be warmed from a trace).
-// It reports false when no predictor is configured. The observation defers
-// to the next cycle boundary (logged and replicated first) so it is ordered
-// against the scheduler's estimate reads identically on every replica.
-func (s *Service) Train(j *job.Job, runtime float64) bool {
-	n, err := s.TrainBatch([]TrainRecord{{Job: j, Runtime: runtime}})
-	return err == nil && n == 1
-}
-
 // TrainRecord is one predictor observation fed through TrainBatch.
 type TrainRecord struct {
 	Job     *job.Job
 	Runtime float64
 }
 
-// TrainBatch feeds a batch of history observations to the predictor at the
-// next cycle boundary. The whole batch is appended to the decision log as
-// one group commit (a single fsync) and replicated with a single wait on the
-// last record — the /v1/train warm-up feed carries thousands of
-// observations, and a per-record fsync + replication round trip would stall
-// it for seconds. Returns the number of observations taken; the error is the
-// follower rejection (307/503) when this replica is not the leader.
-func (s *Service) TrainBatch(recs []TrainRecord) (int, error) {
+// TrainBatch feeds completed historical jobs to the predictor — the paper's
+// pre-training step, so that a fresh daemon can be warmed from a trace. The
+// observations defer to the next cycle boundary, logged and replicated
+// first, so they are ordered against the scheduler's estimate reads alike on
+// every replica. The /v1/train warm-up feed carries thousands of them, so
+// they ride in as few TypeTrain records as trainBudget allows — one for
+// every feed this repo makes — appended as one group commit (a single
+// fsync) and replicated with a single wait on the last record. It returns
+// the number of observations taken and whether they reached a quorum (as
+// Submit reports it); the error is the follower rejection (307/503) when
+// this replica is not the leader, or a 413 for an observation no record can
+// hold.
+func (s *Service) TrainBatch(recs []TrainRecord) (trained int, replicated bool, err error) {
 	if s.cfg.Predictor == nil {
-		return 0, &SubmitError{Code: 404, Msg: "no predictor configured"}
+		return 0, false, &SubmitError{Code: 404, Msg: "no predictor configured"}
 	}
 	var valid []trainPayload
 	for _, r := range recs {
@@ -873,26 +875,57 @@ func (s *Service) TrainBatch(recs []TrainRecord) (int, error) {
 		}
 	}
 	if len(valid) == 0 {
-		return 0, nil
+		return 0, true, nil
+	}
+	payloads, err := packTrains(valid, trainBudget)
+	if err != nil {
+		return 0, false, err
 	}
 	s.mu.Lock()
-	err := s.notLeaderLocked()
+	err = s.notLeaderLocked()
 	var lastSeq uint64
 	if err == nil {
-		payloads := make([]any, len(valid))
-		for i := range valid {
-			payloads[i] = &valid[i]
-		}
 		lastSeq, err = s.inputsLocked(replog.TypeTrain, payloads...)
 	}
 	s.mu.Unlock()
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	if lastSeq > 0 {
-		s.waitReplicated(lastSeq)
+	return len(valid), s.quorumDurable(lastSeq), nil
+}
+
+// trainBudget bounds one TypeTrain record's payload: replog.MaxRecordBytes
+// less room for the frame header around it (about 100 bytes: version, seq,
+// epoch, cycle, type and two hashes).
+const trainBudget = replog.MaxRecordBytes - 1<<10
+
+// packTrains encodes observations as TypeTrain payloads — JSON arrays of
+// trainPayload — cut in order into as few non-empty arrays as keep each
+// within budget bytes. An observation too large for a record of its own is
+// refused with a 413.
+func packTrains(obs []trainPayload, budget int) ([]any, error) {
+	var out []any
+	arr := []byte{'['}
+	for i := range obs {
+		item, err := json.Marshal(&obs[i])
+		if err != nil {
+			return nil, &SubmitError{Code: 500, Msg: fmt.Sprintf("frame train record: %v", err)}
+		}
+		if len(item)+2 > budget {
+			return nil, &SubmitError{Code: 413, Msg: fmt.Sprintf(
+				"a history observation encodes to %d bytes, beyond the %d-byte record bound", len(item), budget)}
+		}
+		if len(arr) > 1 {
+			if len(arr)+1+len(item)+1 > budget {
+				out = append(out, json.RawMessage(append(arr, ']')))
+				arr = []byte{'['}
+			} else {
+				arr = append(arr, ',')
+			}
+		}
+		arr = append(arr, item...)
 	}
-	return len(valid), nil
+	return append(out, json.RawMessage(append(arr, ']'))), nil
 }
 
 // Resize grows or drains a cluster partition (operator API). Draining only

@@ -85,6 +85,29 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any) (*http.R
 	return resp, out.Bytes()
 }
 
+// historyFeed is a POST /v1/train body of n observations spread over a few
+// dozen (user, name) groups.
+func historyFeed(n int) map[string]any {
+	jobs := make([]map[string]any, n)
+	for i := range jobs {
+		jobs[i] = map[string]any{"name": fmt.Sprintf("job_%d", i%40), "user": fmt.Sprintf("user%d", i%7),
+			"tasks": 1 + i%8, "runtime": float64(10 + i%50)}
+	}
+	return map[string]any{"jobs": jobs}
+}
+
+// postTrain posts a history feed of n observations to ts and decodes the
+// 200 answer.
+func postTrain(t *testing.T, ts *httptest.Server, n int) trainResponse {
+	t.Helper()
+	resp, body := postJSON(t, ts, "/v1/train", historyFeed(n))
+	var tr trainResponse
+	if resp.StatusCode != 200 || json.Unmarshal(body, &tr) != nil {
+		t.Fatalf("train: %d %s", resp.StatusCode, body)
+	}
+	return tr
+}
+
 func getJSON(t *testing.T, ts *httptest.Server, path string, v any) int {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)
@@ -208,6 +231,35 @@ func TestSubmitValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad JSON = %d", resp.StatusCode)
+	}
+}
+
+// TestRequestBodiesAreBounded: the client endpoints read their bodies
+// through maxInputBody. A body past it is refused with 413 — before it is
+// decoded to the end, and without logging anything — while a history feed
+// ten times the one 3sigma-loadgen posts is taken whole.
+func TestRequestBodiesAreBounded(t *testing.T) {
+	svc, l, ts := handLed(t, sigmaConfig())
+	logged := l.Len()
+	huge := `{"name":"` + strings.Repeat("x", maxInputBody) + `"}`
+	for _, path := range []string{"/v1/jobs", "/v1/train"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+	if n := l.Len(); n != logged {
+		t.Fatalf("refused bodies logged %d records", n-logged)
+	}
+	if tr := postTrain(t, ts, 25600); tr.Trained != 25600 || tr.ReplicatedGap {
+		t.Fatalf("a 25 600-observation feed: %+v", tr)
+	}
+	if m := svc.Metrics(); m.LogLen != logged+1 {
+		t.Fatalf("the feed logged %d records, want 1", m.LogLen-logged)
 	}
 }
 

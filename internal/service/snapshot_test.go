@@ -558,7 +558,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 			if _, err := standby.Submit(&job.Job{ID: 9, Name: "train", User: "bob", Tasks: 2, Runtime: 3, Submit: 0.5, NonPrefFactor: 1}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := standby.TrainBatch([]TrainRecord{{Job: &job.Job{Name: "train", User: "bob", Tasks: 2}, Runtime: 3}}); err != nil {
+			if _, _, err := standby.TrainBatch([]TrainRecord{{Job: &job.Job{Name: "train", User: "bob", Tasks: 2}, Runtime: 3}}); err != nil {
 				t.Fatal(err)
 			}
 			before, err := json.Marshal(standby.st)

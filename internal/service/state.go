@@ -43,7 +43,9 @@ type admitPayload struct {
 	Job *job.Job `json:"job"`
 }
 
-// trainPayload is a TypeTrain record: one predictor observation.
+// trainPayload is one predictor observation. A TypeTrain record carries a
+// JSON array of them — a whole /v1/train batch, or as much of it as fits
+// one record — and each defers on its own under the record's seq.
 type trainPayload struct {
 	Name     string  `json:"name,omitempty"`
 	User     string  `json:"user,omitempty"`
@@ -152,10 +154,10 @@ type queuedJob struct {
 	*job.Job
 }
 
-// deferred is one input awaiting its cycle boundary: the record's
-// own payload beside its log seq (0 without a log; not encoded, as
-// queuedJob's), so a replica applies exactly the entries the leader's cycle
-// drained.
+// deferred is one input awaiting its cycle boundary: the record's own
+// payload — for a train record, one entry of its array — beside the
+// record's log seq (0 without a log; not encoded, as queuedJob's), so a
+// replica applies exactly the entries the leader's cycle drained.
 type deferred[P any] struct {
 	Seq uint64 `json:"-"`
 	In  P      `json:"in"`
@@ -325,17 +327,24 @@ func (st *state) apply(rec replog.Record) ([]effect, error) {
 			st.Counters.Accepted++
 		}
 	case replog.TypeTrain:
-		p, err := decodeAs[trainPayload](rec)
+		batch, err := decodeAs[[]trainPayload](rec)
 		if err != nil {
 			return nil, err
 		}
 		if st.pred == nil {
 			return nil, fmt.Errorf("train record %d: no predictor configured", rec.Seq)
 		}
-		if !(p.Runtime > 0) {
-			return nil, fmt.Errorf("train record %d: runtime %v is not positive", rec.Seq, p.Runtime)
+		if len(batch) == 0 {
+			return nil, fmt.Errorf("train record %d: no observations", rec.Seq)
 		}
-		st.Trains = append(st.Trains, deferred[trainPayload]{Seq: rec.Seq, In: p})
+		for i, p := range batch {
+			if !(p.Runtime > 0) {
+				return nil, fmt.Errorf("train record %d: observation %d: runtime %v is not positive", rec.Seq, i, p.Runtime)
+			}
+		}
+		for _, p := range batch {
+			st.Trains = append(st.Trains, deferred[trainPayload]{Seq: rec.Seq, In: p})
+		}
 	case replog.TypeCancel:
 		p, err := decodeAs[cancelPayload](rec)
 		if err != nil {

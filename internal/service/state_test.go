@@ -116,7 +116,7 @@ func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
 		for i := 0; i < 6; i++ {
 			recs = append(recs, TrainRecord{Job: &job.Job{Name: "train", User: "alice", Tasks: 4}, Runtime: float64(2 + i%3)})
 		}
-		_, err := lead.TrainBatch(recs)
+		_, _, err := lead.TrainBatch(recs)
 		must("train", err)
 	}
 	cfg := scriptConfig()
@@ -487,10 +487,119 @@ func fuzzState(t testing.TB) *state {
 	apply(replog.TypeCycle, &cyclePayload{Now: 1, InputsThrough: seq,
 		Starts: []simulator.StartAction{{Job: 1, Alloc: simulator.Alloc{4, 0}}}})
 	apply(replog.TypeAdmit, &admitPayload{Job: &job.Job{ID: 4, Tasks: 2, Runtime: 1, Submit: 9, NonPrefFactor: 1}})
-	apply(replog.TypeTrain, &trainPayload{Name: "train", User: "alice", Tasks: 4, Runtime: 3})
+	apply(replog.TypeTrain, []trainPayload{{Name: "train", User: "alice", Tasks: 4, Runtime: 3}, {Name: "etl", Runtime: 8}})
 	apply(replog.TypeCancel, &cancelPayload{ID: 2})
 	apply(replog.TypeNodeOp, &opPayload{Kind: opFail, Partition: 0, N: 2})
 	return st
+}
+
+// TestTrainRecordAppliesWholeOrNotAtAll: a TypeTrain record is an array of
+// observations. apply validates every entry before it defers any, so one bad
+// entry refuses the record and leaves the state as it was; an accepted
+// record defers each entry under its own seq, in order, and the cycle
+// boundary observes them all.
+func TestTrainRecordAppliesWholeOrNotAtAll(t *testing.T) {
+	for _, data := range []string{
+		`[{"name":"a","runtime":2},{"name":"b","runtime":0},{"name":"c","runtime":3}]`,
+		`[{"name":"a","runtime":2},null]`,
+		`[]`,
+		`null`,
+		`{"name":"a","runtime":2}`, // the one-observation form: no build writes it
+	} {
+		st := fuzzState(t)
+		before, _ := json.Marshal(st)
+		if _, err := st.apply(replog.Record{Seq: 50, Epoch: 1, Type: replog.TypeTrain, Cycle: st.Cycles, Data: []byte(data)}); err == nil {
+			t.Errorf("%s: accepted", data)
+		}
+		if after, _ := json.Marshal(st); !bytes.Equal(before, after) {
+			t.Errorf("%s: refused, and the state changed", data)
+		}
+	}
+	st := fuzzState(t)
+	pending, trained := len(st.Trains), st.Counters.Trained
+	data := `[{"name":"a","runtime":2},{"name":"b","user":"bob","tasks":3,"priority":1,"runtime":5},{"name":"c","runtime":3}]`
+	if _, err := st.apply(replog.Record{Seq: 50, Epoch: 1, Type: replog.TypeTrain, Cycle: st.Cycles, Data: []byte(data)}); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range st.Trains[pending:] {
+		if e.Seq != 50 {
+			t.Errorf("observation %q deferred under seq %d, want the record's 50", e.In.Name, e.Seq)
+		}
+		names = append(names, e.In.Name)
+	}
+	if strings.Join(names, ",") != "a,b,c" {
+		t.Fatalf("deferred %v, want a,b,c", names)
+	}
+	boundary, _ := json.Marshal(&cyclePayload{Now: st.CycleNow + 1, InputsThrough: 50})
+	if _, err := st.apply(replog.Record{Seq: 51, Epoch: 1, Type: replog.TypeCycle, Cycle: st.Cycles + 1, Data: boundary}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Counters.Trained, trained+int64(pending)+3; got != want || len(st.Trains) != 0 {
+		t.Fatalf("trained %d with %d still deferred, want %d and none", got, len(st.Trains), want)
+	}
+}
+
+// TestPackTrainsSplitsInOrder: a batch whose encoding exceeds the budget is
+// cut into several TypeTrain payloads — each within the budget, none empty,
+// no more than the budget forces, and in the batch's order. Through
+// TrainBatch, at the bound the service uses, a feed past one record lands as
+// several records the log takes and the next cycle observes whole.
+func TestPackTrainsSplitsInOrder(t *testing.T) {
+	var obs []trainPayload
+	for i := 0; i < 100; i++ {
+		obs = append(obs, trainPayload{Name: fmt.Sprintf("job_%d", i), Tasks: 1 + i%5, Runtime: float64(i + 1)})
+	}
+	for budget := 100; budget <= 500; budget++ { // every cut position, by some budget
+		payloads, err := packTrains(obs, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payloads) < 2 {
+			t.Fatalf("budget %d: %d payloads, want a split", budget, len(payloads))
+		}
+		var got []trainPayload
+		for k, p := range payloads {
+			raw := p.(json.RawMessage)
+			var part []trainPayload
+			if err := json.Unmarshal(raw, &part); err != nil || len(part) == 0 || len(raw) > budget {
+				t.Fatalf("budget %d, payload %d: %d bytes, %d observations, %v", budget, k, len(raw), len(part), err)
+			}
+			got = append(got, part...)
+			if k+1 < len(payloads) {
+				next, _ := json.Marshal(&obs[len(got)])
+				if len(raw)+1+len(next) <= budget {
+					t.Fatalf("budget %d: payload %d (%d bytes) was cut before an observation of %d bytes that fit it", budget, k, len(raw), len(next))
+				}
+			}
+		}
+		if a, b := fmt.Sprint(got), fmt.Sprint(obs); a != b {
+			t.Fatalf("budget %d: the payloads carry\n%s\nwant\n%s", budget, a, b)
+		}
+	}
+	const budget = 400
+	_, err := packTrains([]trainPayload{{Name: strings.Repeat("x", budget), Runtime: 1}}, budget)
+	if se, ok := err.(*SubmitError); !ok || se.Code != 413 {
+		t.Fatalf("an observation no record can hold: %v, want a 413", err)
+	}
+
+	svc, l, _ := handLed(t, sigmaConfig())
+	before := trainRecords(l)
+	name := strings.Repeat("n", 1<<20)
+	var recs []TrainRecord
+	for i := 0; i < 17; i++ { // 17 MiB of names: past one record's bound
+		recs = append(recs, TrainRecord{Job: &job.Job{Name: name, Tasks: 1 + i}, Runtime: float64(i + 1)})
+	}
+	if n, _, err := svc.TrainBatch(recs); err != nil || n != len(recs) {
+		t.Fatalf("TrainBatch: %d, %v", n, err)
+	}
+	if got := trainRecords(l) - before; got != 2 {
+		t.Fatalf("the feed appended %d train records, want 2", got)
+	}
+	svc.runCycle()
+	if n := svc.Metrics().Counters.Trained; n != int64(len(recs)) {
+		t.Fatalf("trained %d after the cycle, want %d", n, len(recs))
+	}
 }
 
 // FuzzStateApply throws arbitrary records at the state machine: apply never
@@ -502,8 +611,8 @@ func FuzzStateApply(f *testing.F) {
 	f.Add(replog.TypeAdmit, []byte(`{`))  // and its garbled payload
 	f.Add(replog.TypeAdmit, []byte(`{"job":{"ID":9,"Tasks":3,"Runtime":2,"Submit":1,"Preferred":[7,-1]}}`))
 	f.Add(replog.TypeAdmit, []byte(`{"job":{"ID":1,"Tasks":-3}}`))
-	f.Add(replog.TypeTrain, []byte(`{"name":"train","tasks":4,"runtime":2.5}`))
-	f.Add(replog.TypeTrain, []byte(`{"runtime":-1}`))
+	f.Add(replog.TypeTrain, []byte(`[{"name":"train","tasks":4,"runtime":2.5},{"user":"bob","priority":2,"runtime":40}]`))
+	f.Add(replog.TypeTrain, []byte(`[{"name":"train","runtime":2.5},{"runtime":-1},{"runtime":3}]`)) // refused whole
 	f.Add(replog.TypeCancel, []byte(`{"id":1}`))
 	f.Add(replog.TypeNodeOp, []byte(`{"kind":"resize","partition":1,"delta":-99}`))
 	f.Add(replog.TypeNodeOp, []byte(`{"kind":"drain","partition":9,"n":1}`))
@@ -516,6 +625,8 @@ func FuzzStateApply(f *testing.F) {
 	f.Add(replog.TypeSnapshot, []byte(`{"engine_epoch":7,"predictor_sha":"beef","cycle":1}`))
 	f.Add(replog.TypeSnapshot, []byte(`{"cycle":1}`))
 	f.Add("bogus", []byte(`null`))
+	f.Add(replog.TypeTrain, []byte(`[]`))
+	f.Add(replog.TypeTrain, []byte(`{"name":"train","tasks":4,"runtime":2.5}`)) // one observation, not an array: refused
 	f.Fuzz(func(t *testing.T, typ string, data []byte) {
 		st := fuzzState(t)
 		before, err := json.Marshal(st)

@@ -7,7 +7,8 @@
 # (-replog; -compact-every 5, so the restart installs the newest
 # snapshot and replays the suffix behind it): the restarted daemon must serve
 # bit-identical predictor estimates, report the same outcome digest and
-# predictor SHA on /v1/metrics, and count no divergence.
+# predictor SHA on /v1/metrics, and count no divergence. Before and after the
+# restart /v1/metrics "trained" must equal the history count loadgen fed.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -54,10 +55,23 @@ digests() {
         sed -n 's/.*"outcome_digest":"\([^"]*\)".*"predictor_sha":"\([^"]*\)".*/\1 \2/p'
 }
 
+# trained_matches <what>: /v1/metrics "trained" must equal the history count
+# batch 1's loadgen printed ("pre-trained daemon with N history records").
+trained_matches() {
+    TRAINED=$(metric trained)
+    [ -n "$FED" ] && [ "$TRAINED" = "$FED" ] ||
+        { echo "FAIL: trained=$TRAINED $1, want the $FED history records fed"; exit 1; }
+}
+
 echo "-- batch 1: replay against $ADDR"
 start_daemon
 "$LOADGEN" -addr "$ADDR" -wait 10s -nodes 64 -partitions 4 \
-    -hours 0.125 -jobs-per-hour 400 -load 0.7 -speedup 60 -seed 3 -timeout 150s
+    -hours 0.125 -jobs-per-hour 400 -load 0.7 -speedup 60 -seed 3 -timeout 150s \
+    >"$WORK/loadgen1.out" || { cat "$WORK/loadgen1.out"; exit 1; }
+cat "$WORK/loadgen1.out"
+FED=$(sed -n 's/^pre-trained daemon with \([0-9][0-9]*\) history records$/\1/p' "$WORK/loadgen1.out")
+trained_matches "after batch 1"
+echo "history feed observed whole: trained=$TRAINED"
 
 SOLVED=$(metric solver_nodes)
 [ "${SOLVED:-0}" -gt 0 ] || { echo "FAIL: solver_nodes=$SOLVED after batch 1"; exit 1; }
@@ -93,6 +107,8 @@ D2=$(digests)
 [ "$D1" = "$D2" ] || { echo "FAIL: digests changed across restart"; echo " before: $D1"; echo " after:  $D2"; exit 1; }
 DIVERGED=$(metric diverged)
 [ "$DIVERGED" = "0" ] || { echo "FAIL: diverged=$DIVERGED after the restart, want 0"; exit 1; }
+trained_matches "after the restart"
+echo "history feed survived restart: trained=$TRAINED"
 echo "outcome digest and predictor SHA survived restart, 0 divergences: $D2"
 
 echo "-- batch 2: replay against restarted daemon"
