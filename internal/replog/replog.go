@@ -10,8 +10,9 @@
 // over (prev || body), so a record cannot be altered, dropped, or reordered
 // without breaking every hash that follows. Appends are fsync'd before they
 // are acknowledged; a torn tail left by a crash mid-write is detected and
-// truncated on open. Records cross the network as JSON (Record's tags);
-// the hash covers the record's fields, not either encoding.
+// truncated on open. Records cross the network in the same frames
+// (AppendFrames, ParseFrames), so a frame is a record's one serialized
+// form; the hash covers the record's fields, not the frame.
 //
 // A log may be compacted: records at or below a full-state snapshot record
 // are dropped and replaced by a fixed-size header persisting the base
@@ -29,7 +30,6 @@
 package replog
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -40,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"threesigma/internal/binenc"
@@ -76,7 +77,9 @@ const (
 	TypeElect = "elect"
 )
 
-// Record is one entry of the decision log.
+// Record is one entry of the decision log. It is stored and replicated as
+// a frame (AppendFrames); its JSON form, hashes in hex, is for reading only
+// (GET /v1/replog).
 type Record struct {
 	// Seq is the record's 1-based position; the log is dense (no gaps)
 	// from the compaction base upward.
@@ -90,16 +93,22 @@ type Record struct {
 	Cycle int64 `json:"cycle,omitempty"`
 	// Data is the type-specific payload.
 	Data json.RawMessage `json:"data,omitempty"`
-	// Prev is the hex sha256 of the previous record (genesisHash for the
-	// first record).
-	Prev string `json:"prev"`
-	// Hash is the hex sha256 over Prev and the record's own body; it seals
-	// the chain up to and including this record.
-	Hash string `json:"hash"`
+	// Prev is the hash of the previous record (the zero Hash for the first
+	// record).
+	Prev Hash `json:"prev"`
+	// Hash is the sha256 over Prev and the record's own body; it seals the
+	// chain up to and including this record.
+	Hash Hash `json:"hash"`
 }
 
-// genesisHash anchors the chain: the first record's Prev.
-var genesisHash = hex.EncodeToString(make([]byte, sha256.Size))
+// Hash is a record's sha256. The zero Hash anchors the chain: it is the
+// first record's Prev. It prints, and encodes as JSON, in lowercase hex.
+type Hash [sha256.Size]byte
+
+func (h Hash) String() string { return hex.EncodeToString(h[:]) }
+
+// MarshalText encodes h as lowercase hex.
+func (h Hash) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, h[:]), nil }
 
 // Compaction header layout: magic, one version byte, the 8-byte big-endian
 // base sequence (records 1..base are compacted away), and the raw 32-byte
@@ -129,20 +138,20 @@ const frameVersion = 2
 // errJSONFrame reports a record in the retired encoding.
 var errJSONFrame = errors.New("replog: JSON-framed record, written by an older build; this build reads binary frames only")
 
-// bodyHash computes the record's chained hash from its identifying fields.
-// The hash deliberately covers the canonical field serialization rather
-// than the marshalled JSON bytes, so re-encoding a record (e.g. after a
-// replication hop) cannot change its identity.
-func bodyHash(prev string, seq, epoch uint64, typ string, cycle int64, data []byte) string {
+// bodyHash computes the record's chained hash from its identifying fields:
+// the sha256 of prevhex|seq|epoch|type|cycle| and the payload. The hash
+// covers this canonical field serialization, never an encoding of the
+// record, so no framing can change a record's identity.
+func bodyHash(prev Hash, seq, epoch uint64, typ string, cycle int64, data []byte) Hash {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%d|%d|%s|%d|", prev, seq, epoch, typ, cycle)
 	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil))
+	return Hash(h.Sum(nil))
 }
 
 // Verify checks the record's hash against prev. It returns nil when the
 // record extends the chain ending in prev.
-func (r *Record) Verify(prev string) error {
+func (r *Record) Verify(prev Hash) error {
 	if r.Prev != prev {
 		return fmt.Errorf("replog: record %d prev hash mismatch (chain has %.8s, record says %.8s)", r.Seq, prev, r.Prev)
 	}
@@ -176,7 +185,7 @@ type Log struct {
 	size int64    // guarded by mu; end offset of the last durable record
 	base uint64   // guarded by mu; highest compacted-away sequence number
 	recs []Record // guarded by mu; retained chain, recs[i].Seq == base+i+1
-	head string   // guarded by mu; hash of the last record (genesisHash when empty)
+	head Hash     // guarded by mu; hash of the last record (zero when empty)
 }
 
 // Open opens (or creates) the log at path, verifying the existing chain.
@@ -184,7 +193,7 @@ type Log struct {
 // corruption is an error, and leaves the file as it was. An empty path
 // opens an in-memory log (tests, replica-less runs).
 func Open(path string) (*Log, error) {
-	l := &Log{path: path, head: genesisHash}
+	l := &Log{path: path}
 	if path == "" {
 		return l, nil
 	}
@@ -192,13 +201,17 @@ func Open(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	good, err := l.loadLocked(f) //lint:allow lockedcall fresh Log: no other goroutine can hold it yet
+	data, err := os.ReadFile(path)
+	var good int64
+	if err == nil {
+		good, err = l.loadLocked(data) //lint:allow lockedcall fresh Log: no other goroutine can hold it yet
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	// Drop a torn tail so the next append extends a clean chain.
-	if fi, serr := f.Stat(); serr == nil && fi.Size() > good {
+	if int64(len(data)) > good {
 		if err := f.Truncate(good); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("replog: truncate torn tail of %s: %w", path, err)
@@ -215,65 +228,58 @@ func Open(path string) (*Log, error) {
 	return l, nil
 }
 
-// loadLocked reads and verifies records from f, returning the byte offset of the
-// end of the last complete, chain-valid record. A frame that ends at EOF
-// (a short length prefix or body) is a torn tail. A zero length is one only
-// when nothing but zero bytes follows it, and so is a frame that does not
-// parse, is out of sequence or fails chain verification, when in addition
-// its body ends in a zero byte — the zeros a file system may leave where a
-// crash cut a write short (tornTail). Any other such frame, an oversized
-// length and a JSON frame are corruption. A compacted log begins with a
-// fixed-size header naming the base sequence and the hash the chain resumes
-// from.
-func (l *Log) loadLocked(f *os.File) (good int64, err error) {
-	rd := bufio.NewReader(f)
-	if magic, perr := rd.Peek(len(headerMagic)); perr == nil && bytes.Equal(magic, headerMagic) {
-		var hdr [headerSize]byte
-		if _, err := io.ReadFull(rd, hdr[:]); err != nil {
+// loadLocked reads and verifies the records in data, a log file's bytes,
+// returning the offset of the end of the last complete, chain-valid record.
+// A frame that ends with the file (a short length prefix or body) is a torn
+// tail. A zero length is one only when nothing but zero bytes follows it,
+// and so is a frame that does not parse, is out of sequence or fails chain
+// verification, when in addition its body ends in a zero byte — the zeros a
+// file system may leave where a crash cut a write short (tornTail). Any
+// other such frame, an oversized length and a JSON frame are corruption. A
+// compacted log begins with a fixed-size header naming the base sequence
+// and the hash the chain resumes from. The records' Data alias data.
+func (l *Log) loadLocked(data []byte) (good int64, err error) {
+	rest := data
+	if bytes.HasPrefix(rest, headerMagic) {
+		if len(rest) < headerSize {
 			// Headers are only ever written via atomic rename; a short
 			// one is corruption, not a torn tail.
-			return 0, fmt.Errorf("replog: short compaction header: %w", err)
+			return 0, fmt.Errorf("replog: short compaction header (%d of %d bytes)", len(rest), headerSize)
 		}
-		if hdr[4] != headerVersion {
-			return 0, fmt.Errorf("replog: unsupported compaction header version %d (this build reads %d)", hdr[4], headerVersion)
+		if rest[4] != headerVersion {
+			return 0, fmt.Errorf("replog: unsupported compaction header version %d (this build reads %d)", rest[4], headerVersion)
 		}
-		l.base = binary.BigEndian.Uint64(hdr[5:13])
-		l.head = hex.EncodeToString(hdr[13:headerSize])
+		l.base = binary.BigEndian.Uint64(rest[5:13])
+		l.head = Hash(rest[13:headerSize])
+		rest = rest[headerSize:]
 		good = headerSize
 	}
-	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(rd, lenBuf[:]); err != nil {
-			return good, nil // clean EOF or torn length prefix
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n > MaxRecordBytes {
-			return 0, fmt.Errorf("replog: record at offset %d claims %d bytes, over MaxRecordBytes", good, n)
-		}
-		if n == 0 {
-			return tornTail(rd, good) // a zero-filled tail reads as zero lengths
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(rd, body); err != nil {
-			return good, nil // torn body
-		}
-		if body[0] == '{' {
-			return 0, errJSONFrame
+	for len(rest) > 0 {
+		body, next, err := splitFrame(rest)
+		switch {
+		case err == errShortFrame:
+			return good, nil // torn length prefix or body
+		case err == errZeroLength:
+			return tornTail(next, good) // a zero-filled tail reads as zero lengths
+		case err != nil:
+			return 0, fmt.Errorf("%w (offset %d)", err, good)
 		}
 		rec, err := l.nextLocked(body)
 		if err != nil {
-			if body[n-1] != 0 {
+			if body[len(body)-1] != 0 {
 				return 0, err
 			}
-			if _, terr := tornTail(rd, good); terr != nil {
+			if _, terr := tornTail(next, good); terr != nil {
 				return 0, err
 			}
 			return good, nil
 		}
 		l.recs = append(l.recs, rec)
 		l.head = rec.Hash
-		good += int64(4 + n)
+		good += int64(lenPrefix + len(body))
+		rest = next
 	}
+	return good, nil
 }
 
 // nextLocked parses a frame body and checks that its record extends the
@@ -295,20 +301,81 @@ func (l *Log) nextLocked(body []byte) (Record, error) {
 	return rec, nil
 }
 
-// appendFrame appends rec's frame body (without its length prefix).
-func appendFrame(buf []byte, rec *Record) ([]byte, error) {
-	prev, perr := hex.DecodeString(rec.Prev)
-	hash, herr := hex.DecodeString(rec.Hash)
-	if perr != nil || herr != nil || len(prev) != sha256.Size || len(hash) != sha256.Size {
-		return nil, fmt.Errorf("replog: record %d carries a malformed hash", rec.Seq)
+// lenPrefix is the size of a frame's big-endian length.
+const lenPrefix = 4
+
+// AppendFrames appends the frames of recs to buf — the bytes a log file
+// holds for them, and what ParseFrames reads back — refusing any record
+// the loader could not read.
+func AppendFrames(buf []byte, recs []Record) ([]byte, error) {
+	for i := range recs {
+		rec, at := &recs[i], len(buf)
+		buf = append(buf, 0, 0, 0, 0, frameVersion)
+		buf = binary.AppendUvarint(buf, rec.Seq)
+		buf = binary.AppendUvarint(buf, rec.Epoch)
+		buf = binary.AppendVarint(buf, rec.Cycle)
+		buf = binenc.AppendString(buf, rec.Type)
+		buf = append(append(buf, rec.Prev[:]...), rec.Hash[:]...)
+		buf = append(buf, rec.Data...)
+		n := len(buf) - at - lenPrefix
+		if n > MaxRecordBytes {
+			return nil, fmt.Errorf("replog: record %d is %d bytes, beyond the %d-byte record bound", rec.Seq, n, MaxRecordBytes)
+		}
+		binary.BigEndian.PutUint32(buf[at:], uint32(n))
 	}
-	buf = append(buf, frameVersion)
-	buf = binary.AppendUvarint(buf, rec.Seq)
-	buf = binary.AppendUvarint(buf, rec.Epoch)
-	buf = binary.AppendVarint(buf, rec.Cycle)
-	buf = binenc.AppendString(buf, rec.Type)
-	buf = append(append(buf, prev...), hash...)
-	return append(buf, rec.Data...), nil
+	return buf, nil
+}
+
+// ParseFrames reads a run of frames as AppendFrames writes them: every byte
+// of b must belong to a whole frame that parses. It does not check hashes;
+// AppendRecords checks them against the chain the records extend. The
+// records' Data alias b.
+func ParseFrames(b []byte) ([]Record, error) {
+	var recs []Record
+	for len(b) > 0 {
+		body, rest, err := splitFrame(b)
+		if err != nil {
+			return nil, err
+		}
+		rec, err := parseFrame(body)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+		b = rest
+	}
+	return recs, nil
+}
+
+var (
+	errShortFrame = errors.New("replog: frame cut short")
+	errZeroLength = errors.New("replog: zero-length frame")
+)
+
+// splitFrame cuts the frame at the front of b into its body, capped at its
+// end, and the bytes behind it. A length prefix or body that b ends inside
+// is errShortFrame, and a zero length errZeroLength with the bytes behind
+// the prefix; a length beyond MaxRecordBytes and a JSON frame are errors of
+// their own. Open and ParseFrames split alike and differ only in what they
+// forgive.
+func splitFrame(b []byte) (body, rest []byte, err error) {
+	if len(b) < lenPrefix {
+		return nil, nil, errShortFrame
+	}
+	n := int64(binary.BigEndian.Uint32(b))
+	switch {
+	case n > MaxRecordBytes:
+		return nil, nil, fmt.Errorf("replog: frame claims %d bytes, over MaxRecordBytes", n)
+	case n == 0:
+		return nil, b[lenPrefix:], errZeroLength
+	case int64(len(b)-lenPrefix) < n:
+		return nil, nil, errShortFrame
+	}
+	end := lenPrefix + int(n)
+	if b[lenPrefix] == '{' {
+		return nil, nil, errJSONFrame
+	}
+	return b[lenPrefix:end:end], b[end:], nil
 }
 
 // parseFrame reads a frame body. The record's Data aliases body.
@@ -322,25 +389,21 @@ func parseFrame(body []byte) (Record, error) {
 	if r.Err() != nil {
 		return Record{}, fmt.Errorf("replog: frame header: %w", r.Err())
 	}
-	rec.Prev, rec.Hash = hex.EncodeToString(prev), hex.EncodeToString(hash)
+	rec.Prev, rec.Hash = Hash(prev), Hash(hash)
 	if r.Len() > 0 {
 		rec.Data = r.Bytes(r.Len())
 	}
 	return rec, nil
 }
 
-// tornTail judges an unreadable frame that begins at offset start, with r
-// just past it. A crash mid-append leaves a prefix of what was written, and
-// a file system may extend a file with zeros it never wrote, so the frame
-// is a torn tail — the log ends at start — only when nothing but zero bytes
-// follows it. Anything else behind it is data no crash leaves after a torn
-// frame: corruption, which Open reports instead of truncating the records
-// that follow.
-func tornTail(r io.Reader, start int64) (int64, error) {
-	rest, err := io.ReadAll(r)
-	if err != nil {
-		return 0, err
-	}
+// tornTail judges an unreadable frame that begins at offset start, with rest
+// the bytes behind it. A crash mid-append leaves a prefix of what was
+// written, and a file system may extend a file with zeros it never wrote,
+// so the frame is a torn tail — the log ends at start — only when nothing
+// but zero bytes follows it. Anything else behind it is data no crash
+// leaves after a torn frame: corruption, which Open reports instead of
+// truncating the records that follow.
+func tornTail(rest []byte, start int64) (int64, error) {
 	if len(bytes.TrimLeft(rest, "\x00")) > 0 {
 		return 0, fmt.Errorf("replog: unreadable record at offset %d is followed by data", start)
 	}
@@ -384,8 +447,8 @@ func (l *Log) Base() uint64 {
 	return l.base
 }
 
-// Head returns the hash of the last record (the genesis hash when empty).
-func (l *Log) Head() string {
+// Head returns the hash of the last record (the zero Hash when empty).
+func (l *Log) Head() Hash {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.head
@@ -401,38 +464,36 @@ func (l *Log) LastEpoch() uint64 {
 	return l.recs[len(l.recs)-1].Epoch
 }
 
-// Append chains, persists (write + fsync), and returns a new record. The
-// record is durable when Append returns.
+// Append JSON-encodes data as the payload of a new record, then chains,
+// persists (write + fsync) and returns the record. The record is durable
+// when Append returns.
 func (l *Log) Append(epoch uint64, typ string, cycle int64, data any) (Record, error) {
-	recs, err := l.AppendBatch(epoch, typ, cycle, []any{data})
+	raw, err := json.Marshal(data)
+	if err != nil {
+		return Record{}, fmt.Errorf("replog: marshal %s payload: %w", typ, err)
+	}
+	recs, err := l.AppendBatch(epoch, typ, cycle, [][]byte{raw})
 	if err != nil {
 		return Record{}, err
 	}
 	return recs[0], nil
 }
 
-// AppendBatch chains and persists a run of same-type records with a single
-// write and fsync (group commit): a batch costs one disk flush instead of
-// one per record. (A /v1/train history feed packs its thousands of
+// AppendBatch chains and persists a run of same-type records, one per
+// encoded payload, with a single write and fsync (group commit): a batch
+// costs one disk flush instead of one per record. The records' Data are the
+// payloads themselves, not copies. (A /v1/train history feed packs its thousands of
 // observations into one record, and into a batch of several only when it
 // outgrows MaxRecordBytes.) All records are durable when AppendBatch
 // returns; a crash mid-write leaves a torn tail that Open truncates back to
 // the last complete record.
-func (l *Log) AppendBatch(epoch uint64, typ string, cycle int64, payloads []any) ([]Record, error) {
-	raws := make([]json.RawMessage, len(payloads))
-	for i, p := range payloads {
-		raw, err := json.Marshal(p)
-		if err != nil {
-			return nil, fmt.Errorf("replog: marshal %s payload: %w", typ, err)
-		}
-		raws[i] = raw
-	}
+func (l *Log) AppendBatch(epoch uint64, typ string, cycle int64, payloads [][]byte) ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	recs := make([]Record, 0, len(raws))
+	recs := make([]Record, 0, len(payloads))
 	head := l.head
 	seq := l.base + uint64(len(l.recs))
-	for _, raw := range raws {
+	for _, raw := range payloads {
 		seq++
 		rec := Record{Seq: seq, Epoch: epoch, Type: typ, Cycle: cycle, Data: raw, Prev: head}
 		rec.Hash = bodyHash(rec.Prev, rec.Seq, rec.Epoch, rec.Type, rec.Cycle, rec.Data)
@@ -507,27 +568,6 @@ func (e *GapError) Error() string {
 	return fmt.Sprintf("replog: out-of-sequence record %d (next is %d)", e.Got, e.Want)
 }
 
-// frameRecords serializes records into the on-disk framing (length prefix +
-// frame body), refusing any record the loader could not read back.
-func frameRecords(recs []Record) (*bytes.Buffer, error) {
-	var buf bytes.Buffer
-	var body []byte
-	for i := range recs {
-		var err error
-		if body, err = appendFrame(body[:0], &recs[i]); err != nil {
-			return nil, err
-		}
-		if len(body) > MaxRecordBytes {
-			return nil, fmt.Errorf("replog: record %d is %d bytes, beyond the %d-byte record bound", recs[i].Seq, len(body), MaxRecordBytes)
-		}
-		var lenBuf [4]byte
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(body)))
-		buf.Write(lenBuf[:])
-		buf.Write(body)
-	}
-	return &buf, nil
-}
-
 // persistAllLocked frames and writes the records in one write syscall and
 // flushes them with one fsync — the group commit underneath Append,
 // AppendBatch, and AppendRecords. On a short write or fsync failure the
@@ -539,7 +579,7 @@ func (l *Log) persistAllLocked(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	buf, err := frameRecords(recs)
+	buf, err := AppendFrames(nil, recs)
 	if err != nil {
 		return err
 	}
@@ -547,14 +587,14 @@ func (l *Log) persistAllLocked(recs []Record) error {
 		return nil
 	}
 	first, last := recs[0].Seq, recs[len(recs)-1].Seq
-	if _, err := l.f.Write(buf.Bytes()); err != nil {
+	if _, err := l.f.Write(buf); err != nil {
 		return errors.Join(fmt.Errorf("replog: append records %d..%d: %w", first, last, err), l.rollbackLocked())
 	}
 	//lint:allow lockedcall durability before ack: the record must be fsync'd inside the critical section, or an ack could precede persistence
 	if err := l.f.Sync(); err != nil {
 		return errors.Join(fmt.Errorf("replog: fsync records %d..%d: %w", first, last, err), l.rollbackLocked())
 	}
-	l.size += int64(buf.Len())
+	l.size += int64(len(buf))
 	return nil
 }
 
@@ -575,11 +615,11 @@ func (l *Log) rollbackLocked() error {
 // other goroutines; sharing the RawMessage backing array with the live log
 // would let one side observe the other's mutations. Committed records are
 // never mutated by the log itself, so sharing Data read-only would be sound
-// as long as every caller kept to it — but what it would save is small: on a
-// 1.67 MB serve-group snapshot the copy takes 1.0 ms, against 9.5 ms for the
-// JSON encoding of the same record that the sender does next, once per
-// follower per compaction (two seconds apart on that workload). The copy
-// stays, and with it a guarantee the type system cannot give a shared slice.
+// as long as every caller kept to it, and would save one copy of each pushed
+// payload: 1.0 ms for a 1.67 MB serve-group snapshot, once per follower per
+// compaction (two seconds apart on that workload). The copy stays, and with
+// it a guarantee the type system cannot give a shared slice; a reader that
+// needs only a hash takes it from HashAt, which copies nothing.
 func copyRecords(src []Record) []Record {
 	out := make([]Record, len(src))
 	copy(out, src)
@@ -608,6 +648,17 @@ func (l *Log) Since(after uint64, limit int) []Record {
 		out = out[:limit]
 	}
 	return copyRecords(out)
+}
+
+// HashAt returns the hash of the record at seq, and false when the log does
+// not hold that record (compacted away, or not yet appended).
+func (l *Log) HashAt(seq uint64) (Hash, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq <= l.base || seq > l.base+uint64(len(l.recs)) {
+		return Hash{}, false
+	}
+	return l.recs[seq-l.base-1].Hash, true
 }
 
 // Records returns a deep copy of the retained chain (everything above the
@@ -672,14 +723,14 @@ func (l *Log) Compact(keepSeq uint64) error {
 			discard(tmp)
 			return fmt.Errorf("replog: log closed during compaction to %d", keepSeq)
 		}
-		buf, err := frameRecords(tail)
-		if err == nil && buf.Len() > 0 {
-			if _, err = tmp.Write(buf.Bytes()); err == nil {
+		buf, err := AppendFrames(nil, tail)
+		if err == nil && len(buf) > 0 {
+			if _, err = tmp.Write(buf); err == nil {
 				err = tmp.Sync()
 			}
 		}
 		if err == nil {
-			err = l.swapInLocked(tmp, size+int64(buf.Len()))
+			err = l.swapInLocked(tmp, size+int64(len(buf)))
 		}
 		if err != nil {
 			discard(tmp)
@@ -749,17 +800,10 @@ func (l *Log) InstallSnapshot(rec Record) error {
 // writeCompacted writes a compaction header (base, resume hash) followed by
 // the given records to a fresh, fsync'd temp file next to the log, and
 // returns it open at its end with its size. It touches no guarded state.
-func (l *Log) writeCompacted(base uint64, prevHash string, recs []Record) (*os.File, int64, error) {
-	prev, err := hex.DecodeString(prevHash)
-	if err != nil || len(prev) != sha256.Size {
-		return nil, 0, fmt.Errorf("replog: rewrite with malformed resume hash %.8s", prevHash)
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], headerMagic)
-	hdr[4] = headerVersion
-	binary.BigEndian.PutUint64(hdr[5:13], base)
-	copy(hdr[13:headerSize], prev)
-	buf, err := frameRecords(recs)
+func (l *Log) writeCompacted(base uint64, prev Hash, recs []Record) (*os.File, int64, error) {
+	hdr := append(slices.Clone(headerMagic), headerVersion)
+	hdr = binary.BigEndian.AppendUint64(hdr, base)
+	buf, err := AppendFrames(append(hdr, prev[:]...), recs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -767,10 +811,7 @@ func (l *Log) writeCompacted(base uint64, prevHash string, recs []Record) (*os.F
 	if err != nil {
 		return nil, 0, err
 	}
-	if _, err = tmp.Write(hdr[:]); err == nil {
-		_, err = tmp.Write(buf.Bytes())
-	}
-	if err == nil {
+	if _, err = tmp.Write(buf); err == nil {
 		//lint:allow lockedcall a snapshot install rewrites the log under the lock on purpose (the replica serves nothing until it lands) and the file must be durable before the rename swaps it in; Compact calls this off every lock
 		err = tmp.Sync()
 	}
@@ -778,7 +819,7 @@ func (l *Log) writeCompacted(base uint64, prevHash string, recs []Record) (*os.F
 		discard(tmp)
 		return nil, 0, err
 	}
-	return tmp, int64(headerSize) + int64(buf.Len()), nil
+	return tmp, int64(len(buf)), nil
 }
 
 // swapInLocked renames the fully written tmp over the log's path and adopts

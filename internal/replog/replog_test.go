@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -33,7 +32,7 @@ func TestAppendChainsAndReopens(t *testing.T) {
 	r1 := mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 7})
 	r2 := mustAppend(t, l, 1, TypeCycle, 1, map[string]int{"k": 1})
 	r3 := mustAppend(t, l, 2, TypeElect, 1, map[string]int{"leader": 1})
-	if r1.Prev != genesisHash {
+	if r1.Prev != (Hash{}) {
 		t.Fatalf("first record prev = %s, want genesis", r1.Prev)
 	}
 	if r2.Prev != r1.Hash || r3.Prev != r2.Hash {
@@ -144,7 +143,7 @@ func TestCorruptBodyRejectedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := 4 + int(binary.BigEndian.Uint32(clean)) // the second record's offset
-	hashAt := bytes.Index(clean, rawHash(t, recs[0].Hash))
+	hashAt := bytes.Index(clean, recs[0].Hash[:])
 	if hashAt < 0 || hashAt+sha256.Size > first {
 		t.Fatalf("the first frame does not hold its record's hash")
 	}
@@ -218,14 +217,63 @@ func TestCorruptBodyRejectedOnOpen(t *testing.T) {
 	}
 }
 
-// rawHash is a hex record hash as the 32 bytes a frame stores.
-func rawHash(t *testing.T, h string) []byte {
-	t.Helper()
-	b, err := hex.DecodeString(h)
-	if err != nil || len(b) != sha256.Size {
-		t.Fatalf("malformed hash %q", h)
+// TestHashesHoldAcrossEncodings pins bodyHash on two chained records to
+// the hex it gave when hashes were hex strings, and the JSON a record
+// encodes to: a record's identity and its GET /v1/replog form do not depend
+// on how the hash is held.
+func TestHashesHoldAcrossEncodings(t *testing.T) {
+	const (
+		hex1 = "a3f410605a05ee0bd3bb739b0ede444dbfe77f9f694b8d2174ebee3b2bcde98e"
+		hex2 = "cc4fd749e07d98e778b4e457ac5783684746239a3f4f75035bf0c67025c47c82"
+	)
+	h1 := bodyHash(Hash{}, 1, 1, TypeAdmit, 0, []byte(`{"job":{"ID":7}}`))
+	h2 := bodyHash(h1, 2, 3, TypeCycle, -2, nil)
+	if h1.String() != hex1 || h2.String() != hex2 {
+		t.Fatalf("hashes moved: %s, %s", h1, h2)
 	}
-	return b
+	raw, err := json.Marshal(Record{Seq: 2, Epoch: 3, Type: TypeCycle, Cycle: -2, Prev: h1, Hash: h2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"seq":2,"epoch":3,"type":"cycle","cycle":-2,"prev":"` + hex1 + `","hash":"` + hex2 + `"}`; string(raw) != want {
+		t.Fatalf("record JSON\n got  %s\n want %s", raw, want)
+	}
+}
+
+// TestFramesRoundTrip: ParseFrames reads back exactly the records
+// AppendFrames wrote, and those frames are the bytes the log file holds.
+func TestFramesRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "decision.log")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 1})
+	mustAppend(t, l, 1<<40, TypeCycle, -1<<33, nil)
+	if _, err := l.AppendBatch(1<<40, TypeTrain, 3, [][]byte{[]byte(`[{"runtime":1}]`), nil}); err != nil {
+		t.Fatal(err)
+	}
+	recs := l.Records()
+	frames, err := AppendFrames(nil, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if onDisk, err := os.ReadFile(path); err != nil || !bytes.Equal(onDisk, frames) {
+		t.Fatalf("the log file is not its records' frames (%v)", err)
+	}
+	back, err := ParseFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, recs) {
+		t.Fatalf("frames parse back as\n%+v\nwant\n%+v", back, recs)
+	}
+	for _, cut := range []int{1, 3, len(frames) - 1} {
+		if _, err := ParseFrames(frames[:cut]); err == nil {
+			t.Errorf("frames cut to %d bytes parsed", cut)
+		}
+	}
 }
 
 // TestFramingNeverEntersAHash: a log on disk and one in memory fed the same
@@ -244,7 +292,7 @@ func TestFramingNeverEntersAHash(t *testing.T) {
 	}
 	for _, l := range []*Log{disk, mem} {
 		mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": 1})
-		if _, err := l.AppendBatch(2, TypeTrain, -7, []any{map[string]float64{"runtime": 1.5}, nil}); err != nil {
+		if _, err := l.AppendBatch(2, TypeTrain, -7, [][]byte{[]byte(`{"runtime":1.5}`), []byte("null")}); err != nil {
 			t.Fatal(err)
 		}
 		mustAppend(t, l, 1<<40, TypeCycle, 1<<33, map[string]string{"pad": strings.Repeat("x", 300)})

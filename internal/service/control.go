@@ -12,7 +12,10 @@
 // follower it can, and its last push tells them not to wait out its lease.
 //
 // Replication is push-based: the leader runs one sender goroutine per peer,
-// streaming log records in batches over POST /v1/replog/append. Senders are
+// streaming log records in batches over POST /v1/replog/append. A push body
+// is a small binary header followed by the records in the frames the
+// decision log stores them in: a record has one serialized form, on disk
+// and on the wire. Senders are
 // woken by notifyFollowers after every append and heartbeat at lease/2 so a
 // quiet leader still refreshes its lease. A follower acks its log length,
 // and the ack wakes whoever waits on it — a submit blocked in
@@ -24,7 +27,9 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"threesigma/internal/binenc"
 	"threesigma/internal/replog"
 )
 
@@ -79,7 +85,8 @@ const (
 	// maxReplBody bounds the push body a follower reads. One record — a
 	// snapshot among them — is at most replog.MaxRecordBytes and a sender
 	// cuts its batches to that many payload bytes, so twice the record bound
-	// leaves room for the envelope and nothing honest is ever refused.
+	// leaves room for the push header and the frames' own headers (about 100
+	// bytes a record), and nothing honest is ever refused.
 	maxReplBody = 2 * replog.MaxRecordBytes
 	// pushBudget and pushRecords cap one push: payload bytes (cutBatch) and
 	// records.
@@ -266,14 +273,55 @@ func (s *Service) startSendersLocked() {
 	}
 }
 
-// Replication wire types (POST /v1/replog/append).
+// replAppendReq is a push (POST /v1/replog/append). Its body is binary: a
+// version byte (pushVersion), From as a zig-zag varint, Epoch as a uvarint,
+// Resign as one byte (0 or 1), and then Records in the log's own frames
+// (replog.AppendFrames). The answer is a JSON replAppendResp.
 type replAppendReq struct {
-	From    int             `json:"from"`
-	Epoch   uint64          `json:"epoch"`
-	Records []replog.Record `json:"records,omitempty"`
+	From    int
+	Epoch   uint64
+	Records []replog.Record
 	// Resign marks a stopped leader's last push, sent only to a follower
 	// that acked its whole log: the term is over, and its lease with it.
-	Resign bool `json:"resign,omitempty"`
+	Resign bool
+}
+
+const pushVersion = 1
+
+// errJSONPush reports a push in the retired encoding: a JSON body, which an
+// older build sends.
+var errJSONPush = errors.New("JSON push body, sent by an older build; this build replicates binary frames only")
+
+// encode renders the push body.
+func (q *replAppendReq) encode() ([]byte, error) {
+	buf := binary.AppendVarint([]byte{pushVersion}, int64(q.From))
+	buf = binary.AppendUvarint(buf, q.Epoch)
+	resign := byte(0)
+	if q.Resign {
+		resign = 1
+	}
+	return replog.AppendFrames(append(buf, resign), q.Records)
+}
+
+// decodePush reads a push body as encode writes it, and nothing else: a
+// body that decodes re-encodes to the same bytes. The records' Data alias
+// body, and their hashes are checked where they are appended.
+func decodePush(body []byte) (replAppendReq, error) {
+	if len(body) > 0 && body[0] == '{' {
+		return replAppendReq{}, errJSONPush
+	}
+	r := binenc.NewReader(body)
+	version, from, epoch, resign := r.Byte(), r.SignedInt(), r.Uvarint(), r.Byte()
+	switch {
+	case version != pushVersion:
+		return replAppendReq{}, fmt.Errorf("push version %d (this build speaks %d)", version, pushVersion)
+	case r.Err() != nil:
+		return replAppendReq{}, fmt.Errorf("push header: %w", r.Err())
+	case resign > 1:
+		return replAppendReq{}, fmt.Errorf("push resign byte %d", resign)
+	}
+	recs, err := replog.ParseFrames(r.Bytes(r.Len()))
+	return replAppendReq{From: from, Epoch: epoch, Records: recs, Resign: resign == 1}, err
 }
 
 type replAppendResp struct {
@@ -436,12 +484,12 @@ func cutBatch(batch []replog.Record) []replog.Record {
 // must not be mistaken for an all-zero ack that would rewind the send
 // cursor and refresh the peer's liveness lease.
 func (s *Service) pushBatch(fc *followerConn, epoch uint64, batch []replog.Record, resign bool) (*replAppendResp, int, error) {
-	body, err := json.Marshal(&replAppendReq{From: s.cfg.ReplicaID, Epoch: epoch,
-		Records: batch, Resign: resign})
+	req := replAppendReq{From: s.cfg.ReplicaID, Epoch: epoch, Records: batch, Resign: resign}
+	body, err := req.encode()
 	if err != nil {
 		return nil, 0, err
 	}
-	httpResp, err := fc.httpc.Post(fc.addr+"/v1/replog/append", "application/json", bytes.NewReader(body))
+	httpResp, err := fc.httpc.Post(fc.addr+"/v1/replog/append", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -747,7 +795,7 @@ func (s *Service) handleControlStatus(w http.ResponseWriter, r *http.Request) {
 		Cycle:   s.st.Cycles,
 	}
 	if s.log != nil {
-		st.Head = s.log.Head()
+		st.Head = s.log.Head().String()
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
@@ -761,9 +809,13 @@ func (s *Service) handleControlStatus(w http.ResponseWriter, r *http.Request) {
 // An append from a stale epoch returns 409 with the current one; one from a
 // newer epoch deposes a stale leader on the spot.
 func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReplBody))
 	var req replAppendReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplBody)).Decode(&req); err != nil {
-		writeErr(w, &SubmitError{Code: 400, Msg: "bad JSON: " + err.Error()})
+	if err == nil {
+		req, err = decodePush(body)
+	}
+	if err != nil {
+		writeErr(w, &SubmitError{Code: 400, Msg: "bad push: " + err.Error()})
 		return
 	}
 	s.mu.Lock()
@@ -814,8 +866,7 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 			skip++
 			continue
 		}
-		have := s.log.Since(rec.Seq-1, 1)
-		if len(have) != 1 || have[0].Hash != rec.Hash {
+		if have, ok := s.log.HashAt(rec.Seq); !ok || have != rec.Hash {
 			s.ctl.Diverged++
 			s.cfg.Logf("DIVERGED: push seq %d conflicts with local record", rec.Seq)
 			writeJSON(w, http.StatusConflict, replAppendResp{Epoch: s.leaderEpoch, Acked: s.log.Len()})

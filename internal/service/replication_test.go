@@ -7,8 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -261,8 +264,7 @@ func TestTakeoverSendsNoSnapshotToAnInSyncFollower(t *testing.T) {
 		if r.URL.Path == "/v1/replog/append" {
 			body, _ := io.ReadAll(r.Body)
 			r.Body = io.NopCloser(bytes.NewReader(body))
-			var req replAppendReq
-			if json.Unmarshal(body, &req) == nil && req.From == 1 {
+			if req, err := decodePush(body); err == nil && req.From == 1 {
 				held := g.logs[2].Len()
 				mu.Lock()
 				pushes++
@@ -616,4 +618,164 @@ func TestCutBatchBoundsAPush(t *testing.T) {
 	if got := cutBatch(nil); len(got) != 0 {
 		t.Fatalf("an empty heartbeat grew to %d records", len(got))
 	}
+}
+
+// TestPushedFramesAreTheLeaders: records pushed through the append handler
+// land in the follower's log file as the very bytes the leader's file holds
+// for them. A record has one encoding, and no hop re-frames it.
+func TestPushedFramesAreTheLeaders(t *testing.T) {
+	dir := t.TempDir()
+	open := func(name string) *replog.Log {
+		l, err := replog.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l
+	}
+	ll, fl := open("leader.log"), open("follower.log")
+	cfg := sigmaConfig()
+	cfg.Log = ll
+	lead := mustService(t, cfg)
+	lead.mu.Lock()
+	lead.takeoverLocked(0)
+	lead.mu.Unlock()
+	for id := job.ID(1); id <= 4; id++ {
+		if _, err := lead.Submit(&job.Job{ID: id, Name: "train", User: "alice", Tasks: 2, Runtime: 3, Submit: 0.5, NonPrefFactor: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := lead.TrainBatch([]TrainRecord{{Job: &job.Job{Name: "train", User: "alice", Tasks: 2}, Runtime: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	lead.runCycle()
+	lead.runCycle()
+
+	fcfg := sigmaConfig()
+	fcfg.Log = fl
+	push(t, mustService(t, fcfg), ll.Records())
+	want, err := os.ReadFile(filepath.Join(dir, "leader.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "follower.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fl.Len() != ll.Len() || !bytes.Equal(got, want) {
+		t.Fatalf("the follower holds %d records in %d bytes, the leader %d in %d, and they differ",
+			fl.Len(), len(got), ll.Len(), len(want))
+	}
+}
+
+// TestRedeliveredPrefixIsHashChecked: a pushed record at a seq the
+// follower already holds is acknowledged only when its hash is the one held
+// there; another record at that seq is a divergence, answered 409, and the
+// log stays as it was.
+func TestRedeliveredPrefixIsHashChecked(t *testing.T) {
+	chain := func(user string) []replog.Record {
+		l, err := replog.Open("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := job.ID(1); id <= 3; id++ {
+			j := &job.Job{ID: id, Name: "train", User: user, Tasks: 2, Runtime: 3, Submit: 0.5, NonPrefFactor: 1}
+			if _, err := l.Append(1, replog.TypeAdmit, 0, &admitPayload{Job: j}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l.Records()
+	}
+	ours, fork := chain("alice"), chain("bob")
+	fl, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sigmaConfig()
+	cfg.Log = fl
+	follower := mustService(t, cfg)
+	push(t, follower, ours)
+	if code, resp := pushOnce(t, follower, ours[1:]); code != http.StatusOK || resp.Acked != 3 {
+		t.Fatalf("a redelivered prefix answered %d, acked %d; want 200 and 3", code, resp.Acked)
+	}
+	if code, resp := pushOnce(t, follower, fork[1:2]); code != http.StatusConflict || resp.Acked != 3 {
+		t.Fatalf("a forked record at a held seq answered %d, acked %d; want 409 and 3", code, resp.Acked)
+	}
+	if m := follower.Metrics(); m.Control.Diverged != 1 || fl.Head() != ours[2].Hash {
+		t.Fatalf("%d divergences, head %s; want 1 and %s", m.Control.Diverged, fl.Head(), ours[2].Hash)
+	}
+}
+
+// TestJSONPushRefusedByName: a push in the JSON encoding an older build
+// sends is refused with a 400 that names it, and the follower's log stays
+// as it was.
+func TestJSONPushRefusedByName(t *testing.T) {
+	ll, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ll.Append(1, replog.TypeAdmit, 0, &admitPayload{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sigmaConfig()
+	cfg.Log = fl
+	follower := mustService(t, cfg)
+	body, err := json.Marshal(map[string]any{"from": 0, "epoch": 1, "records": []replog.Record{rec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	follower.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/replog/append", bytes.NewReader(body)))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "JSON push body") {
+		t.Fatalf("a JSON push answered %d %s; want a 400 naming the JSON body", w.Code, w.Body)
+	}
+	if fl.Len() != 0 {
+		t.Fatalf("the refused push left the log at seq %d", fl.Len())
+	}
+}
+
+// FuzzPushBody throws arbitrary bytes at the follower's push decoder: it
+// never panics, and a body it decodes re-encodes to the very same bytes.
+func FuzzPushBody(f *testing.F) {
+	l, err := replog.Open("")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := l.Append(1, replog.TypeAdmit, 0, &admitPayload{Job: &job.Job{ID: 1, Tasks: 2, Runtime: 3}}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := l.Append(2, replog.TypeCycle, -1, nil); err != nil {
+		f.Fatal(err)
+	}
+	good, err := (&replAppendReq{From: 2, Epoch: 2, Records: l.Records(), Resign: true}).encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	heartbeat, err := (&replAppendReq{From: 0, Epoch: 1}).encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(heartbeat)
+	f.Add([]byte(`{"from":0,"epoch":1,"records":[]}`))                            // the retired JSON push
+	f.Add(good[:len(good)-5])                                                     // a truncated frame
+	f.Add(append(slices.Clone(heartbeat), 0xff, 0xff, 0xff, 0xff, 2, 1, 1, 0, 0)) // a length beyond any record
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodePush(body)
+		if err != nil {
+			return
+		}
+		again, err := req.encode()
+		if err != nil {
+			t.Fatalf("a decoded push does not encode: %v", err)
+		}
+		if !bytes.Equal(again, body) {
+			t.Fatalf("a decoded push re-encodes to other bytes:\n got  %x\n want %x", again, body)
+		}
+	})
 }

@@ -567,13 +567,22 @@ func (s *Service) runCycle() {
 	s.deliverDirectives(p.Now)
 }
 
-// inputsLocked is every leader-side input's way into the state: the records
-// are appended to the decision log as one group commit (a single fsync) —
-// or, without a log, framed as the records a log would have returned, at seq
-// 0 — and then applied by the very call a follower's push handler, bootstrap
-// replay and snapshot catch-up make. It returns the last record's seq for
-// the caller to wait on.
-func (s *Service) inputsLocked(typ string, payloads ...any) (uint64, error) {
+// inputLocked is inputsLocked for one payload, which it JSON-encodes.
+func (s *Service) inputLocked(typ string, payload any) (uint64, error) {
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return 0, &SubmitError{Code: 500, Msg: fmt.Sprintf("encode %s record: %v", typ, err)}
+	}
+	return s.inputsLocked(typ, data)
+}
+
+// inputsLocked is every leader-side input's way into the state: one record
+// per encoded payload, appended to the decision log as one group commit (a
+// single fsync) — or, without a log, the records a log would have returned,
+// at seq 0 — and then applied by the very call a follower's push handler,
+// bootstrap replay and snapshot catch-up make. It returns the last record's
+// seq for the caller to wait on.
+func (s *Service) inputsLocked(typ string, payloads ...[]byte) (uint64, error) {
 	var recs []replog.Record
 	if s.log != nil {
 		var err error
@@ -581,11 +590,7 @@ func (s *Service) inputsLocked(typ string, payloads ...any) (uint64, error) {
 			return 0, &SubmitError{Code: 500, Msg: fmt.Sprintf("append %s record: %v", typ, err)}
 		}
 	} else {
-		for _, p := range payloads {
-			data, err := json.Marshal(p)
-			if err != nil {
-				return 0, &SubmitError{Code: 500, Msg: fmt.Sprintf("frame %s record: %v", typ, err)}
-			}
+		for _, data := range payloads {
 			recs = append(recs, replog.Record{Type: typ, Cycle: s.st.Cycles, Data: data})
 		}
 	}
@@ -706,7 +711,7 @@ func (s *Service) submitLocked(j *job.Job) (uint64, error) {
 		return 0, &SubmitError{Code: 429, RetryAfter: s.cycleWall(),
 			Msg: fmt.Sprintf("admission queue full (%d)", s.cfg.QueueCap)}
 	}
-	return s.inputsLocked(replog.TypeAdmit, &admitPayload{Job: j})
+	return s.inputLocked(replog.TypeAdmit, &admitPayload{Job: j})
 }
 
 // notLeaderLocked rejects mutations on a follower and on a stopped replica:
@@ -826,7 +831,7 @@ func (s *Service) Cancel(id job.ID) error {
 			return &SubmitError{Code: 409, Msg: fmt.Sprintf("job %d already completed", id)}
 		}
 	}
-	_, err := s.inputsLocked(replog.TypeCancel, &cancelPayload{ID: id})
+	_, err := s.inputLocked(replog.TypeCancel, &cancelPayload{ID: id})
 	return err
 }
 
@@ -903,8 +908,8 @@ const trainBudget = replog.MaxRecordBytes - 1<<10
 // trainPayload — cut in order into as few non-empty arrays as keep each
 // within budget bytes. An observation too large for a record of its own is
 // refused with a 413.
-func packTrains(obs []trainPayload, budget int) ([]any, error) {
-	var out []any
+func packTrains(obs []trainPayload, budget int) ([][]byte, error) {
+	var out [][]byte
 	arr := []byte{'['}
 	for i := range obs {
 		item, err := json.Marshal(&obs[i])
@@ -917,7 +922,7 @@ func packTrains(obs []trainPayload, budget int) ([]any, error) {
 		}
 		if len(arr) > 1 {
 			if len(arr)+1+len(item)+1 > budget {
-				out = append(out, json.RawMessage(append(arr, ']')))
+				out = append(out, append(arr, ']'))
 				arr = []byte{'['}
 			} else {
 				arr = append(arr, ',')
@@ -925,7 +930,7 @@ func packTrains(obs []trainPayload, budget int) ([]any, error) {
 		}
 		arr = append(arr, item...)
 	}
-	return append(out, json.RawMessage(append(arr, ']'))), nil
+	return append(out, append(arr, ']')), nil
 }
 
 // Resize grows or drains a cluster partition (operator API). Draining only
@@ -1008,7 +1013,7 @@ func (s *Service) nodeOpLocked(op opPayload) (NodeOpResult, error) {
 			Msg: fmt.Sprintf("shrink partition %d by %d: only %d free", op.Partition, -op.Delta, f)}
 	}
 	res := NodeOpResult{Partition: op.Partition, Nodes: op.N, DownNodes: s.st.eng.DownNodes(), FreeNodes: free}
-	if _, err := s.inputsLocked(replog.TypeNodeOp, &op); err != nil {
+	if _, err := s.inputLocked(replog.TypeNodeOp, &op); err != nil {
 		return NodeOpResult{}, err
 	}
 	return res, nil
@@ -1144,9 +1149,7 @@ func (s *Service) Metrics() Metrics {
 	if s.log != nil {
 		m.LogLen = s.log.Len()
 		m.LogBase = s.logBase
-		if h := s.log.Head(); len(h) >= 12 {
-			m.LogHead = h[:12]
-		}
+		m.LogHead = s.log.Head().String()[:12]
 		m.Quorum = s.cfg.Quorum
 		m.ReplicatedSeq = s.minFollowerAckLocked()
 	}

@@ -73,11 +73,14 @@ func push(t *testing.T, svc *Service, recs []replog.Record) {
 	}
 }
 
-// pushOnce posts one append of recs to svc, at the last record's epoch, and
-// returns the status and the decoded answer.
+// pushOnce posts one append of recs to svc, at the last record's epoch, in
+// the body a sender encodes, and returns the status and the decoded answer.
 func pushOnce(t *testing.T, svc *Service, recs []replog.Record) (int, replAppendResp) {
 	t.Helper()
-	body, _ := json.Marshal(&replAppendReq{From: 0, Epoch: recs[len(recs)-1].Epoch, Records: recs})
+	body, err := (&replAppendReq{From: 0, Epoch: recs[len(recs)-1].Epoch, Records: recs}).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := httptest.NewRecorder()
 	svc.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/v1/replog/append", bytes.NewReader(body)))
 	var resp replAppendResp
@@ -559,8 +562,7 @@ func TestPackTrainsSplitsInOrder(t *testing.T) {
 			t.Fatalf("budget %d: %d payloads, want a split", budget, len(payloads))
 		}
 		var got []trainPayload
-		for k, p := range payloads {
-			raw := p.(json.RawMessage)
+		for k, raw := range payloads {
 			var part []trainPayload
 			if err := json.Unmarshal(raw, &part); err != nil || len(part) == 0 || len(raw) > budget {
 				t.Fatalf("budget %d, payload %d: %d bytes, %d observations, %v", budget, k, len(raw), len(part), err)

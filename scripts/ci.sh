@@ -114,6 +114,9 @@ go test -fuzz '^FuzzReplogOpen$' -fuzztime 5s -run '^$' ./internal/replog
 # The control plane's state machine: arbitrary log records never panic it, and
 # one it refuses leaves its encoding untouched (DESIGN.md §14).
 go test -fuzz '^FuzzStateApply$' -fuzztime 10s -run '^$' ./internal/service
+# Arbitrary bytes as a push body never panic the follower's decoder, and a
+# body that decodes re-encodes to the same bytes.
+go test -fuzz '^FuzzPushBody$' -fuzztime 5s -run '^$' ./internal/service
 # The in-sync follower's read of a snapshot record's two leading fields agrees
 # with json.Unmarshal and with what the leader wrote.
 go test -fuzz '^FuzzSnapshotHeader$' -fuzztime 5s -run '^$' ./internal/service
