@@ -79,7 +79,7 @@ func (h *Histogram) AddWeighted(v, w float64) {
 	if math.IsNaN(v) || w <= 0 {
 		return
 	}
-	h.prefix.Store(nil)
+	h.dropPrefix()
 	h.n += w
 	if v < h.min {
 		h.min = v
@@ -113,7 +113,7 @@ func (h *Histogram) mergeClosest() {
 	if best < 0 {
 		return
 	}
-	h.prefix.Store(nil)
+	h.dropPrefix()
 	a, b := h.bins[best], h.bins[best+1]
 	tot := a.Count + b.Count
 	v := (a.Value*a.Count + b.Value*b.Count) / tot
@@ -176,6 +176,17 @@ func (h *Histogram) Clone() *Histogram {
 		n:       h.n,
 		min:     h.min,
 		max:     h.max,
+	}
+}
+
+// dropPrefix drops the prefix table before bins change. Most histograms that
+// take observations never publish one (the predictor's live sketches are
+// queried through clones), so the store is made only when there is a table:
+// an atomic store on every insert is a measurable share of training.
+// Mutations never run beside queries, so the load cannot race a publish.
+func (h *Histogram) dropPrefix() {
+	if h.prefix.Load() != nil {
+		h.prefix.Store(nil)
 	}
 }
 
@@ -417,19 +428,23 @@ func FromState(s State) (*Histogram, error) {
 		}
 		h.bins = append(h.bins, b)
 	}
-	sort.SliceStable(h.bins, func(i, j int) bool { return h.bins[i].Value < h.bins[j].Value })
-	// Merge duplicate centroids (AddWeighted would otherwise split their
-	// mass unpredictably between equal-valued bins).
-	out := h.bins[:0]
-	for _, b := range h.bins {
-		//lint:allow floateq exact duplicate merge: AddWeighted splits mass unpredictably only between bit-identical centroids
-		if n := len(out); n > 0 && out[n-1].Value == b.Value {
-			out[n-1].Count += b.Count
-			continue
+	// Every stream Save writes ascends strictly already, so one pass spares
+	// a restart the sort of every sketch it loads.
+	if !ascending(h.bins) {
+		sort.SliceStable(h.bins, func(i, j int) bool { return h.bins[i].Value < h.bins[j].Value })
+		// Merge duplicate centroids (AddWeighted would otherwise split their
+		// mass unpredictably between equal-valued bins).
+		out := h.bins[:0]
+		for _, b := range h.bins {
+			//lint:allow floateq exact duplicate merge: AddWeighted splits mass unpredictably only between bit-identical centroids
+			if n := len(out); n > 0 && out[n-1].Value == b.Value {
+				out[n-1].Count += b.Count
+				continue
+			}
+			out = append(out, b)
 		}
-		out = append(out, b)
+		h.bins = out
 	}
-	h.bins = out
 	for len(h.bins) > h.maxBins {
 		h.mergeClosest()
 	}
@@ -455,6 +470,16 @@ func FromState(s State) (*Histogram, error) {
 		h.max = h.bins[len(h.bins)-1].Value
 	}
 	return h, nil
+}
+
+// ascending reports whether the bins' centroids ascend strictly.
+func ascending(bins []Bin) bool {
+	for i := 1; i < len(bins); i++ {
+		if !(bins[i-1].Value < bins[i].Value) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders a compact debug representation.

@@ -62,13 +62,18 @@ type groupState struct {
 // Save serializes the predictor's history sketches to w as the binary
 // stream above, one run of groups per feature in the order of features.
 func (p *Predictor) Save(w io.Writer) error {
-	p.mu.Lock()
-	buf := p.appendState(nil)
-	p.mu.Unlock()
-	if _, err := w.Write(buf); err != nil {
+	if _, err := w.Write(p.AppendSave(nil)); err != nil {
 		return fmt.Errorf("predictor: save: %w", err)
 	}
 	return nil
+}
+
+// AppendSave appends the stream Save writes to buf, for a caller that
+// embeds it in a buffer of its own.
+func (p *Predictor) AppendSave(buf []byte) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.appendState(buf)
 }
 
 // appendState appends the binary stream to buf. The caller holds p.mu.
@@ -132,6 +137,12 @@ func (p *Predictor) Load(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("predictor: load: %w", err)
 	}
+	return p.LoadBytes(data)
+}
+
+// LoadBytes is Load over a stream already in memory. Nothing the restored
+// predictor holds aliases data.
+func (p *Predictor) LoadBytes(data []byte) error {
 	if !bytes.HasPrefix(data, []byte(persistMagic)) {
 		return fmt.Errorf("predictor: load: stream does not begin with %q", persistMagic)
 	}

@@ -918,7 +918,8 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplogGet serves GET /v1/replog: chain position, plus records on
-// request (?from=N&limit=M) for debugging.
+// request (?from=N&limit=M) for debugging. A snapshot record's data is its
+// binary payload in base64.
 func (s *Service) handleReplogGet(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.log == nil {
@@ -938,7 +939,15 @@ func (s *Service) handleReplogGet(w http.ResponseWriter, r *http.Request) {
 		if limit <= 0 || limit > 1024 {
 			limit = 64
 		}
-		out["records"] = s.log.Since(from, limit)
+		recs := s.log.Since(from, limit)
+		for i := range recs {
+			if recs[i].Type == replog.TypeSnapshot {
+				// A snapshot payload is binary: it reads as a JSON string of
+				// its bytes in base64, every other payload as itself.
+				recs[i].Data, _ = json.Marshal([]byte(recs[i].Data))
+			}
+		}
+		out["records"] = recs
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)

@@ -491,8 +491,8 @@ func TestBlockedQuorumWaitReleasedAtOnce(t *testing.T) {
 // TestSnapshotEngineEpochLeadsThePayload pins what the in-sync follower's
 // cheap check rests on: an exported snapshot begins with the engine epoch and
 // the predictor hash, so reading them costs the same for a 1 KB payload and a
-// 4 MB one. A field moved ahead of them in stateWire fails here, not as a
-// silent loss of the check.
+// 4 MB one. A payload whose header does not lead it — an older build's JSON,
+// whatever its key order — is refused, not half read.
 func TestSnapshotEngineEpochLeadsThePayload(t *testing.T) {
 	l, err := replog.Open("")
 	if err != nil {
@@ -513,16 +513,17 @@ func TestSnapshotEngineEpochLeadsThePayload(t *testing.T) {
 	if !ok {
 		t.Fatal("no snapshot appended")
 	}
-	if got, sha, ok := snapshotHeader(rec.Data); !ok || got != want || want == 0 || sha != wantSHA {
+	if h, _, err := snapshotHeader(rec.Data); err != nil || h.epoch != want || want == 0 || h.predictorSHA() != wantSHA {
 		t.Fatalf("snapshotHeader = %d, %.12s, %v; the engine is at epoch %d, the predictor hashes to %.12s",
-			got, sha, ok, want, wantSHA)
+			h.epoch, h.predictorSHA(), err, want, wantSHA)
 	}
 	for _, bad := range []string{
 		`{"cycle":3,"engine_epoch":7,"predictor_sha":"ab"}`,
 		`{"engine_epoch":7,"cycle":3,"predictor_sha":"ab"}`,
 		`{"predictor_sha":"ab","engine_epoch":7}`,
+		`{"engine_epoch":7,"predictor_sha":"ab"}`,
 	} {
-		if _, _, ok := snapshotHeader([]byte(bad)); ok {
+		if _, _, err := snapshotHeader([]byte(bad)); err == nil {
 			t.Fatalf("read a header that does not lead the payload %s", bad)
 		}
 	}

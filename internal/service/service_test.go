@@ -63,7 +63,7 @@ func fastConfig(sched simulator.Scheduler) Config {
 	}
 }
 
-func mustService(t *testing.T, cfg Config) *Service {
+func mustService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

@@ -1,7 +1,10 @@
 // Full-state snapshots and log compaction (DESIGN.md §14): every
 // CompactEvery cycles the leader serializes its entire replay-relevant
 // state — engine, scheduler, predictor, admission queue, deferred inputs,
-// chaos cursor, desired-run map — into a TypeSnapshot record, and truncates
+// chaos cursor, desired-run map — into a TypeSnapshot record, a binary
+// envelope (state.go's wire): a header with the engine epoch and the
+// predictor's hash, the state's JSON, then the engine's outcome stream and
+// the predictor's stream as they are. It truncates
 // the log below it once every follower with a live lease holds the record,
 // so that compacting never pushes an in-sync follower below the base.
 // Warm restarts then replay from the snapshot instead of genesis, and a
@@ -24,12 +27,12 @@ import (
 // that can no longer compact.
 func (s *Service) snapshotLocked() {
 	w, err := s.st.wire()
-	var rec replog.Record
+	var recs []replog.Record
 	if err == nil {
-		rec, err = s.log.Append(s.leaderEpoch, replog.TypeSnapshot, s.st.Cycles, w)
+		recs, err = s.log.AppendBatch(s.leaderEpoch, replog.TypeSnapshot, s.st.Cycles, [][]byte{w})
 	}
 	if err == nil {
-		err = s.applyRecordLocked(rec)
+		err = s.applyRecordLocked(recs[0])
 	}
 	if err != nil {
 		s.ctl.SnapshotFailures++
@@ -128,9 +131,7 @@ func (s *Service) installSnapshotLocked(rec replog.Record, resetLog bool) error 
 	}
 	var undo []byte
 	if resetLog {
-		if undo, err = s.st.savePredictor(); err != nil {
-			return err
-		}
+		undo = s.st.savePredictor()
 	}
 	if err := fresh.loadPredictor(staged.pred); err != nil {
 		return err

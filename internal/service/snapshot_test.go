@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -448,7 +450,8 @@ func TestSnapshotTakeoverHandsLiveRunsOver(t *testing.T) {
 // TestFailedSnapshotInstallChangesNothing: a snapshot a standby cannot
 // install — a predictor stream its predictor refuses, a cached distribution
 // the scheduler would refuse, a field this build does not write (an older
-// build's "comps" or "attempts", its predictor as a JSON object) — must
+// build's "comps" or "attempts", its predictor as a JSON object), an older
+// build's whole JSON payload — must
 // leave the standby as it was: its log not
 // reset to the snapshot, its state, scheduler and predictor untouched, one
 // divergence counted. (The log used to be reset before the payload was even
@@ -483,56 +486,68 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 		t.Fatal("the donor took no snapshot")
 	}
 
-	corrupt := map[string]func(top map[string]json.RawMessage){
-		"predictor stream": func(top map[string]json.RawMessage) {
-			top["predictor"], _ = json.Marshal([]byte("3SPR\x63"))
-		},
-		"truncated binary stream": func(top map[string]json.RawMessage) {
-			var stream []byte
-			if err := json.Unmarshal(top["predictor"], &stream); err != nil || len(stream) < 2 {
-				t.Fatalf("the snapshot carries no binary predictor stream (%d bytes): %v", len(stream), err)
+	// Each damage rewrites the good payload; a rewrite that leaves its
+	// sections well-formed reseals them, so the predictor's hash and the
+	// header's epoch agree with what the sections say and only the damage
+	// itself is left to refuse.
+	state := func(damage func(top map[string]json.RawMessage)) func([]byte) []byte {
+		return func(payload []byte) []byte {
+			h, secs := snapshotParts(t, payload)
+			var top map[string]json.RawMessage
+			if err := json.Unmarshal(secs[0], &top); err != nil {
+				t.Fatal(err)
 			}
-			top["predictor"], _ = json.Marshal(stream[:len(stream)/2])
-		},
-		"dists entry": func(top map[string]json.RawMessage) {
+			damage(top)
+			secs[0] = mustJSON(t, top)
+			return resealSnapshot(h.epoch, secs)
+		}
+	}
+	section := func(i int, damage func([]byte) []byte) func([]byte) []byte {
+		return func(payload []byte) []byte {
+			h, secs := snapshotParts(t, payload)
+			secs[i] = damage(secs[i])
+			return resealSnapshot(h.epoch, secs)
+		}
+	}
+	corrupt := map[string]func(payload []byte) []byte{
+		"predictor stream": section(2, func([]byte) []byte { return []byte("3SPR\x63") }),
+		"truncated binary stream": section(2, func(stream []byte) []byte {
+			if len(stream) < 2 {
+				t.Fatalf("the snapshot carries no binary predictor stream (%d bytes)", len(stream))
+			}
+			return stream[:len(stream)/2]
+		}),
+		"dists entry": state(func(top map[string]json.RawMessage) {
 			var sched map[string]json.RawMessage
 			if err := json.Unmarshal(top["sched"], &sched); err != nil {
 				t.Fatal(err)
 			}
 			sched["dists"] = json.RawMessage(`{"2":{"kind":"no such distribution"}}`)
-			top["sched"], _ = json.Marshal(sched)
-		},
+			top["sched"] = mustJSON(t, sched)
+		}),
 		// Fields older builds wrote and this one does not.
-		"pre-agent comps": func(top map[string]json.RawMessage) {
+		"pre-agent comps": state(func(top map[string]json.RawMessage) {
 			top["comps"] = json.RawMessage(`[{"id":1,"run_id":1,"at":5}]`)
 			delete(top, "desired")
-		},
-		"attempts": func(top map[string]json.RawMessage) {
+		}),
+		"attempts": state(func(top map[string]json.RawMessage) {
 			top["attempts"] = json.RawMessage(`{"1":1}`)
-		},
-		"predictor JSON object": func(top map[string]json.RawMessage) {
-			top["predictor"] = json.RawMessage(`{"version":1,"groups":[{},{},{},{},{},{},{}]}`)
-		},
+		}),
+		"predictor JSON object": section(2, func([]byte) []byte {
+			return []byte(`{"version":1,"groups":[{},{},{},{},{},{},{}]}`)
+		}),
 		// The engine's outcomes as older builds wrote them: JSON objects,
 		// not the binary outcome stream.
-		"JSON outcomes": func(top map[string]json.RawMessage) {
-			var eng map[string]json.RawMessage
-			if err := json.Unmarshal(top["engine"], &eng); err != nil {
-				t.Fatal(err)
-			}
-			eng["outcomes"] = json.RawMessage(`[{"Job":{"ID":1,"Name":"train","User":"alice","Tasks":4,"Runtime":2,"NonPrefFactor":1},"Started":true}]`)
-			top["engine"], _ = json.Marshal(eng)
-		},
+		"JSON outcomes": section(1, func([]byte) []byte {
+			return []byte(`[{"Job":{"ID":1,"Name":"train","User":"alice","Tasks":4,"Runtime":2,"NonPrefFactor":1},"Started":true}]`)
+		}),
+		// The whole payload as older builds wrote it: one JSON object.
+		"JSON payload": func(payload []byte) []byte { return jsonSnapshot(t, payload) },
 	}
 	for name, damage := range corrupt {
 		t.Run(name, func(t *testing.T) {
 			// The same record with its payload damaged, re-sealed at the same
 			// sequence so that the log's own checks pass.
-			var top map[string]json.RawMessage
-			if err := json.Unmarshal(good.Data, &top); err != nil {
-				t.Fatal(err)
-			}
-			damage(top)
 			sealer, err := replog.Open("")
 			if err != nil {
 				t.Fatal(err)
@@ -542,10 +557,11 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			bad, err := sealer.Append(good.Epoch, replog.TypeSnapshot, good.Cycle, top)
+			sealed, err := sealer.AppendBatch(good.Epoch, replog.TypeSnapshot, good.Cycle, [][]byte{damage(good.Data)})
 			if err != nil {
 				t.Fatal(err)
 			}
+			bad := sealed[0]
 			// A standby with a little state of its own, far behind the record.
 			sl, err := replog.Open(filepath.Join(t.TempDir(), "standby.log"))
 			if err != nil {
@@ -561,7 +577,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 			if _, _, err := standby.TrainBatch([]TrainRecord{{Job: &job.Job{Name: "train", User: "bob", Tasks: 2}, Runtime: 3}}); err != nil {
 				t.Fatal(err)
 			}
-			before, err := json.Marshal(standby.st)
+			before, err := standby.st.wire()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -571,7 +587,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 				t.Errorf("push of the damaged snapshot answered %d, acked %d; want 409 and %d", code, resp.Acked, lenBefore)
 			}
 
-			after, err := json.Marshal(standby.st)
+			after, err := standby.st.wire()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -579,7 +595,7 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 				t.Errorf("log moved from seq %d (%.12s) to seq %d (%.12s)", lenBefore, headBefore, sl.Len(), sl.Head())
 			}
 			if !bytes.Equal(before, after) {
-				t.Errorf("state changed:\n%s\n%s", before, after)
+				t.Errorf("state changed: %d encoded bytes, then %d", len(before), len(after))
 			}
 			if sha := predictorSHA(cfg.Predictor); sha != shaBefore {
 				t.Errorf("predictor changed: %.12s -> %.12s", shaBefore, sha)
@@ -594,6 +610,91 @@ func TestFailedSnapshotInstallChangesNothing(t *testing.T) {
 				t.Errorf("the good snapshot did not install: %d installs, log at %d", m.Control.SnapshotInstalls, m.LogLen)
 			}
 		})
+	}
+}
+
+// TestJSONSnapshotFailsBootstrap: a log whose snapshot record holds the
+// JSON payload older builds wrote does not start a replica; the error says
+// what the payload is, and nothing of it is half read.
+func TestJSONSnapshotFailsBootstrap(t *testing.T) {
+	dl, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, dl, nil)
+	good, ok := lastSnapshot(dl)
+	if !ok {
+		t.Fatal("the script appended no snapshot")
+	}
+	path := filepath.Join(t.TempDir(), "old.log")
+	l, err := replog.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch(good.Epoch, replog.TypeSnapshot, good.Cycle, [][]byte{jsonSnapshot(t, good.Data)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = replog.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cfg := scriptConfig()
+	cfg.Log = l
+	if _, err := New(cfg); !errors.Is(err, errJSONSnapshot) {
+		t.Fatalf("a replica over a JSON snapshot record started with %v; want the JSON payload refused by name", err)
+	}
+}
+
+// TestReplogGetServesSnapshotsAsBase64: GET /v1/replog over a range that
+// holds snapshot records is valid JSON. A snapshot's data is a JSON string,
+// its binary payload in base64; every other record's data is its payload
+// as it is.
+func TestReplogGetServesSnapshotsAsBase64(t *testing.T) {
+	l, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := runScript(t, l, nil)
+	want := l.Records()
+	w := httptest.NewRecorder()
+	lead.Handler().ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/v1/replog?from=0&limit=%d", len(want)), nil))
+	if w.Code != http.StatusOK || !json.Valid(w.Body.Bytes()) {
+		t.Fatalf("GET /v1/replog: %d, valid JSON %v", w.Code, json.Valid(w.Body.Bytes()))
+	}
+	var got struct {
+		Records []struct {
+			Seq  uint64          `json:"seq"`
+			Type string          `json:"type"`
+			Data json.RawMessage `json:"data"`
+		} `json:"records"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Records) != len(want) {
+		t.Fatalf("%d records served, the log holds %d", len(got.Records), len(want))
+	}
+	snaps := 0
+	for i, rec := range got.Records {
+		if rec.Seq != want[i].Seq || rec.Type != want[i].Type {
+			t.Fatalf("record %d served as seq %d %q, the log has seq %d %q", i, rec.Seq, rec.Type, want[i].Seq, want[i].Type)
+		}
+		data := []byte(rec.Data)
+		if rec.Type == replog.TypeSnapshot {
+			snaps++
+			if err := json.Unmarshal(rec.Data, &data); err != nil {
+				t.Fatalf("snapshot seq %d: data is not a base64 string: %v", rec.Seq, err)
+			}
+		}
+		if !bytes.Equal(data, want[i].Data) {
+			t.Fatalf("seq %d (%s): served data differs from the log's payload", rec.Seq, rec.Type)
+		}
+	}
+	if snaps == 0 {
+		t.Fatal("the range held no snapshot record")
 	}
 }
 

@@ -13,20 +13,24 @@
 // divergence — it returns as effects for the shell (service.go, control.go,
 // reconcile.go, snapshot.go) to carry out under the one mutex it owns.
 //
-// A snapshot record's payload is this type's own JSON encoding (MarshalJSON,
-// decode), so there is no second description of the state to keep in step.
+// A snapshot record's payload is this type's own encoding (wire, decode), so
+// there is no second description of the state to keep in step.
 package service
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
+	"threesigma/internal/binenc"
 	"threesigma/internal/core"
 	"threesigma/internal/dist"
 	"threesigma/internal/faults"
@@ -200,6 +204,10 @@ type state struct {
 	// recomputed only after an observation marked it dirty.
 	predSHA   string
 	predDirty bool
+	// The predictor section's size in the last snapshot wire wrote: the
+	// next one reserves that much and an eighth more, so appending the
+	// stream copies nothing unless the history grew past that.
+	predBytes int
 
 	Cycles   int64    `json:"cycle"`
 	CycleNow float64  `json:"cycle_now"` // logical time of the in-flight/last cycle
@@ -378,19 +386,19 @@ func (st *state) apply(rec replog.Record) ([]effect, error) {
 		// The state a snapshot record describes is the state held when it is
 		// applied in log order — an in-sync replica installs nothing. It
 		// checks its engine epoch and predictor hash against the export —
-		// reading those two leading fields, not the megabytes behind them —
-		// and lets its own log be compacted at the same point, so retention
+		// reading the payload's header, not the megabytes behind it — and
+		// lets its own log be compacted at the same point, so retention
 		// converges across the group. (Bootstrap replay and standby catch-up
 		// install snapshots through decode, never here.)
-		epoch, sha, ok := snapshotHeader(rec.Data)
-		if !ok {
-			return nil, fmt.Errorf("snapshot record %d: payload does not begin with the engine epoch and predictor sha", rec.Seq)
+		h, _, err := snapshotHeader(rec.Data)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot record %d: %w", rec.Seq, err)
 		}
-		if epoch != st.eng.Epoch() {
-			st.emit(divergence(fmt.Sprintf("engine epoch %d != snapshot %d at seq %d", st.eng.Epoch(), epoch, rec.Seq)))
+		if h.epoch != st.eng.Epoch() {
+			st.emit(divergence(fmt.Sprintf("engine epoch %d != snapshot %d at seq %d", st.eng.Epoch(), h.epoch, rec.Seq)))
 		}
 		if st.pred != nil {
-			if got := st.predictorSHA(); got != sha {
+			if got, sha := st.predictorSHA(), h.predictorSHA(); got != sha {
 				st.emit(divergence(fmt.Sprintf("predictor sha %.12s != snapshot %.12s at seq %d", got, sha, rec.Seq)))
 			}
 		}
@@ -717,8 +725,7 @@ func (st *state) applyOp(op opPayload, now float64) error {
 
 // predictorSHA hashes the predictor's serialized history. Two replicas that
 // observed the same jobs in the same order hash identically — the warmness
-// signal every snapshot record carries (stateWire.PredictorSHA) and
-// /v1/metrics reports.
+// signal every snapshot record's header carries and /v1/metrics reports.
 func predictorSHA(p *predictor.Predictor) string {
 	h := sha256.New()
 	if err := p.Save(h); err != nil {
@@ -741,29 +748,56 @@ func (st *state) predictorSHA() string {
 // plain is state without its methods, so that encoding it does not recurse.
 type plain state
 
-// stateWire is state's JSON encoding, and so a TypeSnapshot record's
-// payload: the state's own tagged fields between a header — the engine
-// epoch and the predictor hash, first, where an in-sync follower reads them
-// without scanning the megabytes behind (snapshotHeader) — and the exported
-// forms of what state holds by reference. Replaying the log suffix on top of
-// a decoded state must reproduce the donor replica's outcome digest and
-// predictor SHA byte for byte, so everything outcome-relevant is here;
-// performance-only state (scheduler memo, incremental model, stats) is
-// rebuilt cold, and the agent outboxes are refilled from the desired map.
-// Map keys are sorted by encoding/json, so two replicas with equal state
-// produce byte-identical encodings.
+// A TypeSnapshot record's payload is the state's own encoding (wire,
+// decode), a binary envelope:
+//
+//	magic "3SSN", version byte 1
+//	engine epoch uvarint
+//	predictor presence byte (0 or 1), then the raw 32-byte sha256 of the
+//	  predictor section (zeros without a predictor)
+//	three sections, each a 4-byte big-endian length and that many bytes:
+//	  state      stateWire as JSON
+//	  outcomes   the engine's outcome stream (magic "3SOC")
+//	  predictor  the predictor's Save stream (magic "3SPR"; empty without one)
+//
+// Nothing follows the predictor section. The header is what an in-sync
+// follower checks (snapshotHeader), read at fixed offsets past the epoch
+// without touching the megabytes behind it. The two binary streams ride as
+// they are: a decode slices them out of the record, and no JSON scanner
+// passes over them. A state has one encoding: decode refuses a payload that
+// wire would not write back byte for byte. A JSON payload, which older
+// builds wrote, opens with '{' where the magic stands and is refused by
+// name.
+const (
+	snapshotMagic   = "3SSN"
+	snapshotVersion = 1
+)
+
+// errJSONSnapshot reports a snapshot payload in the retired encoding.
+var errJSONSnapshot = errors.New("JSON snapshot payload, written by an older build; this build reads binary snapshots only")
+
+// snapshotSections names the envelope's sections, in order.
+var snapshotSections = [...]string{"state", "outcomes", "predictor"}
+
+// stateWire is the envelope's state section: the state's own tagged fields
+// and the exported forms of the engine — less its outcomes, which have a
+// section of their own — and of the scheduler. Replaying the log suffix on
+// top of a decoded state must reproduce the donor replica's outcome digest
+// and predictor SHA byte for byte, so everything outcome-relevant is in the
+// envelope; performance-only state (scheduler memo, incremental model,
+// stats) is rebuilt cold, and the agent outboxes are refilled from the
+// desired map. Map keys are sorted by encoding/json, so two replicas with
+// equal state produce byte-identical encodings.
 type stateWire struct {
-	EngineEpoch  uint64 `json:"engine_epoch"`
-	PredictorSHA string `json:"predictor_sha"` // predictorSHA's value; empty without a predictor
 	*plain
-	Engine    *simulator.EngineState `json:"engine"`
-	Sched     *core.SchedState       `json:"sched"`
-	Predictor []byte                 `json:"predictor,omitempty"` // the predictor's Save stream
+	Engine *simulator.EngineState `json:"engine"`
+	Sched  *core.SchedState       `json:"sched"`
 }
 
-// wire assembles the state's encoding. It fails when the scheduler cannot
+// wire encodes the state as a snapshot payload. The predictor's stream is
+// appended in place, and hashed there. It fails when the scheduler cannot
 // export its own (Config.fill rejects CompactEvery for such a scheduler).
-func (st *state) wire() (*stateWire, error) {
+func (st *state) wire() ([]byte, error) {
 	snap, ok := st.sched.(stateSnapshotter)
 	if !ok {
 		return nil, fmt.Errorf("scheduler %T has no exportable state", st.sched)
@@ -772,82 +806,154 @@ func (st *state) wire() (*stateWire, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &stateWire{plain: (*plain)(st), Engine: st.eng.ExportState(), Sched: sst}
-	w.EngineEpoch = w.Engine.Epoch
-	if w.Predictor, err = st.savePredictor(); err != nil {
-		return nil, err
+	eng := st.eng.ExportState()
+	js, err := json.Marshal(&stateWire{plain: (*plain)(st), Engine: eng, Sched: sst})
+	if err != nil {
+		return nil, fmt.Errorf("encode snapshot state: %w", err)
 	}
+	buf := make([]byte, 0, 64+len(js)+len(eng.Outcomes)+st.predBytes+st.predBytes/8)
+	buf = append(buf, snapshotMagic...)
+	buf = append(buf, snapshotVersion)
+	buf = binary.AppendUvarint(buf, eng.Epoch)
+	presence := len(buf)
+	buf = append(buf, 0)
+	buf = append(buf, make([]byte, sha256.Size)...)
+	buf = appendSection(buf, js)
+	buf = appendSection(buf, eng.Outcomes)
+	buf = append(buf, 0, 0, 0, 0)
+	at := len(buf)
 	if st.pred != nil {
+		buf = st.pred.AppendSave(buf)
 		// The bytes predictorSHA hashes, so the cache is refreshed for free.
-		sum := sha256.Sum256(w.Predictor)
-		w.PredictorSHA = hex.EncodeToString(sum[:])
-		st.predSHA, st.predDirty = w.PredictorSHA, false
+		sum := sha256.Sum256(buf[at:])
+		buf[presence] = 1
+		copy(buf[presence+1:], sum[:])
+		st.predSHA, st.predDirty = hex.EncodeToString(sum[:]), false
+		st.predBytes = len(buf) - at
 	}
-	return w, nil
+	binary.BigEndian.PutUint32(buf[at-4:], uint32(len(buf)-at))
+	return buf, nil
 }
 
-// MarshalJSON encodes the state. (A caller about to hand megabytes to an
-// encoder of its own passes it wire() instead: encoding/json re-validates
-// whatever a MarshalJSON returns, a second pass over all of it.)
-func (st *state) MarshalJSON() ([]byte, error) {
-	w, err := st.wire()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(w)
+// appendSection appends one envelope section: its length, then its bytes.
+func appendSection(buf, sec []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(buf, uint32(len(sec))), sec...)
 }
 
 // savePredictor is the predictor's Save stream (nil without a predictor).
-func (st *state) savePredictor() ([]byte, error) {
+func (st *state) savePredictor() []byte {
 	if st.pred == nil {
-		return nil, nil
+		return nil
 	}
-	var buf bytes.Buffer
-	if err := st.pred.Save(&buf); err != nil {
-		return nil, fmt.Errorf("serialize predictor: %w", err)
-	}
-	return buf.Bytes(), nil
+	return st.pred.AppendSave(nil)
 }
 
-// snapshotHeader reads the engine epoch and the predictor hash off the
-// front of an encoded state: its first two fields, by stateWire's
-// declaration order. ok is false for a payload that does not begin with
-// both.
-func snapshotHeader(data []byte) (epoch uint64, predSHA string, ok bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
-		return 0, "", false
+// snapHeader is a snapshot payload's header.
+type snapHeader struct {
+	epoch uint64
+	pred  bool // the payload carries a predictor
+	sha   [sha256.Size]byte
+}
+
+// predictorSHA is the header's predictor hash in hex, as predictorSHA
+// writes it; empty without a predictor.
+func (h snapHeader) predictorSHA() string {
+	if !h.pred {
+		return ""
 	}
-	if t, err := dec.Token(); err != nil || t != "engine_epoch" || dec.Decode(&epoch) != nil {
-		return 0, "", false
+	return hex.EncodeToString(h.sha[:])
+}
+
+// snapshotHeader reads a payload's header and returns the bytes after it,
+// without reading its sections.
+func snapshotHeader(data []byte) (h snapHeader, rest []byte, err error) {
+	if len(data) > 0 && data[0] == '{' {
+		return h, nil, errJSONSnapshot
 	}
-	if t, err := dec.Token(); err != nil || t != "predictor_sha" || dec.Decode(&predSHA) != nil {
-		return 0, "", false
+	if len(data) < len(snapshotMagic)+1 || string(data[:len(snapshotMagic)]) != snapshotMagic {
+		return h, nil, fmt.Errorf("snapshot payload does not begin with %q", snapshotMagic)
 	}
-	return epoch, predSHA, true
+	if v := data[len(snapshotMagic)]; v != snapshotVersion {
+		return h, nil, fmt.Errorf("unsupported snapshot payload version %d", v)
+	}
+	r := binenc.NewReader(data[len(snapshotMagic)+1:])
+	h.epoch = r.Uvarint()
+	switch b := r.Byte(); b {
+	case 0, 1:
+		h.pred = b == 1
+	default:
+		r.Fail("predictor presence byte %d", b)
+	}
+	copy(h.sha[:], r.Bytes(sha256.Size))
+	if r.Err() != nil {
+		return h, nil, fmt.Errorf("snapshot header: %w", r.Err())
+	}
+	if !h.pred && h.sha != [sha256.Size]byte{} {
+		return h, nil, errors.New("snapshot header: a predictor hash without a predictor")
+	}
+	return h, data[len(data)-r.Len():], nil
+}
+
+// splitSnapshot reads a payload's header and slices out its three
+// sections, copying nothing. Each section is capped at its end.
+func splitSnapshot(data []byte) (h snapHeader, secs [len(snapshotSections)][]byte, err error) {
+	h, rest, err := snapshotHeader(data)
+	if err != nil {
+		return h, secs, err
+	}
+	for i, name := range snapshotSections {
+		if len(rest) < 4 {
+			return h, secs, fmt.Errorf("snapshot %s section: length cut short", name)
+		}
+		n := binary.BigEndian.Uint32(rest)
+		rest = rest[4:]
+		if uint64(n) > uint64(len(rest)) {
+			return h, secs, fmt.Errorf("snapshot %s section: %d bytes, %d remain", name, n, len(rest))
+		}
+		secs[i], rest = rest[:n:n], rest[n:]
+	}
+	if len(rest) > 0 {
+		return h, secs, fmt.Errorf("snapshot: %d bytes after the predictor section", len(rest))
+	}
+	return h, secs, nil
 }
 
 // staged is the part of a decoded state that lives in env's scheduler and
 // predictor once adopted, and until then only here.
 type staged struct {
 	sched *core.SchedState
-	pred  []byte
+	pred  []byte // the predictor's stream, a slice of the payload
 }
 
-// decode reads an encoded state into a fresh value over st's env and checks
-// everything in it that can be checked without the predictor: the JSON, the
-// engine's cross-references, every cached distribution the scheduler would
-// import. It touches nothing — not st, not the scheduler, not the predictor:
-// a payload that fails here has changed no replica's mind about anything.
+// decode reads a snapshot payload into a fresh value over st's env and
+// checks everything in it that can be checked without the predictor: the
+// envelope, the predictor section against its hash, the JSON, the engine's
+// cross-references, every cached distribution the scheduler would import.
+// It touches nothing — not st, not the scheduler, not the predictor: a
+// payload that fails here has changed no replica's mind about anything.
 // The decode is strict: a build reads what it writes, so a field this build
-// does not write is refused, not skipped (DESIGN.md §14).
+// does not write is refused, not skipped, and so is a state section that
+// wire would write otherwise (DESIGN.md §14).
 func (st *state) decode(data []byte) (*state, *staged, error) {
 	if _, ok := st.sched.(stateSnapshotter); !ok {
 		return nil, nil, fmt.Errorf("scheduler %T cannot import snapshot state", st.sched)
 	}
+	h, secs, err := splitSnapshot(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("decode snapshot: %w", err)
+	}
+	js, outs, pred := secs[0], secs[1], secs[2]
+	switch {
+	case h.pred != (len(pred) > 0):
+		return nil, nil, fmt.Errorf("decode snapshot: predictor presence %v beside a %d-byte predictor section", h.pred, len(pred))
+	case h.pred != (st.pred != nil):
+		return nil, nil, fmt.Errorf("decode snapshot: the snapshot carries a predictor: %v; this replica has one: %v", h.pred, st.pred != nil)
+	case h.pred && sha256.Sum256(pred) != h.sha:
+		return nil, nil, fmt.Errorf("decode snapshot: the predictor section does not hash to the header's sha")
+	}
 	fresh := &state{env: st.env, predDirty: true}
 	w := stateWire{plain: (*plain)(fresh)}
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(bytes.NewReader(js))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&w); err != nil {
 		return nil, nil, fmt.Errorf("decode snapshot: %w", err)
@@ -858,15 +964,33 @@ func (st *state) decode(data []byte) (*state, *staged, error) {
 	if w.Engine == nil || w.Sched == nil {
 		return nil, nil, fmt.Errorf("snapshot misses engine or scheduler state")
 	}
-	var err error
+	if w.Engine.Epoch != h.epoch {
+		return nil, nil, fmt.Errorf("decode snapshot: header epoch %d, engine epoch %d", h.epoch, w.Engine.Epoch)
+	}
+	w.Engine.Outcomes = outs
 	if fresh.eng, err = simulator.EngineFromState(w.Engine); err != nil {
 		return nil, nil, fmt.Errorf("restore engine: %w", err)
 	}
+	// The scheduler's state as it will export it once imported: every
+	// distribution rebuilt once and snapshotted again, the abandoned
+	// markers sorted.
+	sched := &core.SchedState{UE: w.Sched.UE, Planned: w.Sched.Planned}
 	for id, ds := range w.Sched.Dists {
-		if _, err := dist.FromState(ds); err != nil {
+		d, err := dist.FromState(ds)
+		if err == nil {
+			ds, err = dist.Snapshot(d)
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("restore scheduler: job %d distribution: %w", id, err)
 		}
+		if sched.Dists == nil {
+			sched.Dists = make(map[job.ID]dist.State, len(w.Sched.Dists))
+		}
+		sched.Dists[id] = ds
 	}
+	sched.Abandoned = slices.Clone(w.Sched.Abandoned)
+	slices.Sort(sched.Abandoned)
+	sched.Abandoned = slices.Compact(sched.Abandoned)
 	fresh.queued = make(map[job.ID]*job.Job, len(fresh.Queue))
 	for _, q := range fresh.Queue {
 		if q.Job == nil {
@@ -879,6 +1003,9 @@ func (st *state) decode(data []byte) (*state, *staged, error) {
 			return nil, nil, fmt.Errorf("snapshot desires no run for job %d", id)
 		}
 	}
+	if canon, err := json.Marshal(&stateWire{plain: (*plain)(fresh), Engine: w.Engine, Sched: sched}); err != nil || !bytes.Equal(canon, js) {
+		return nil, nil, fmt.Errorf("decode snapshot: the state section is not in the form this build writes")
+	}
 	// Empty maps are omitted from the encoding.
 	if fresh.Gone == nil {
 		fresh.Gone = make(map[job.ID]bool)
@@ -889,7 +1016,7 @@ func (st *state) decode(data []byte) (*state, *staged, error) {
 	if fresh.Desired == nil {
 		fresh.Desired = make(map[job.ID]*desiredRun)
 	}
-	return fresh, &staged{sched: w.Sched, pred: w.Predictor}, nil
+	return fresh, &staged{sched: sched, pred: pred}, nil
 }
 
 // loadPredictor replaces the predictor's history with a Save stream, all or
@@ -899,7 +1026,7 @@ func (st *state) loadPredictor(stream []byte) error {
 	if st.pred == nil || len(stream) == 0 {
 		return nil
 	}
-	if err := st.pred.Load(bytes.NewReader(stream)); err != nil {
+	if err := st.pred.LoadBytes(stream); err != nil {
 		return fmt.Errorf("restore predictor: %w", err)
 	}
 	st.predDirty = true

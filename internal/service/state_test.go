@@ -2,8 +2,12 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -40,13 +44,14 @@ func scriptConfig() Config {
 func encode(t *testing.T, svc *Service) []byte {
 	t.Helper()
 	svc.mu.Lock()
-	raw, err := json.Marshal(svc.st)
+	raw, err := svc.st.wire()
 	svc.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
+	h, secs := snapshotParts(t, raw)
 	var top, sched map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &top); err != nil {
+	if err := json.Unmarshal(secs[0], &top); err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(top["sched"], &sched); err != nil {
@@ -55,9 +60,66 @@ func encode(t *testing.T, svc *Service) []byte {
 	for _, k := range []string{"planned", "ue", "abandoned"} {
 		delete(sched, k)
 	}
-	top["sched"], _ = json.Marshal(sched)
-	out, _ := json.Marshal(top)
-	return out
+	top["sched"] = mustJSON(t, sched)
+	secs[0] = mustJSON(t, top)
+	return resealSnapshot(h.epoch, secs)
+}
+
+// snapshotParts reads a snapshot payload's header and sections.
+func snapshotParts(t testing.TB, payload []byte) (snapHeader, [len(snapshotSections)][]byte) {
+	t.Helper()
+	h, secs, err := splitSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, secs
+}
+
+// resealSnapshot lays secs out as wire does, under a header at epoch whose
+// predictor presence and hash are the predictor section's.
+func resealSnapshot(epoch uint64, secs [len(snapshotSections)][]byte) []byte {
+	buf := binary.AppendUvarint(append([]byte(snapshotMagic), snapshotVersion), epoch)
+	if len(secs[2]) > 0 {
+		sum := sha256.Sum256(secs[2])
+		buf = append(append(buf, 1), sum[:]...)
+	} else {
+		buf = append(buf, make([]byte, 1+sha256.Size)...)
+	}
+	for _, sec := range secs {
+		buf = appendSection(buf, sec)
+	}
+	return buf
+}
+
+// jsonSnapshot is a snapshot payload as older builds wrote it, its key
+// order aside: one JSON object, the header's fields among the state's, and
+// both binary streams as base64 strings.
+func jsonSnapshot(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	h, secs := snapshotParts(t, payload)
+	var top, eng map[string]json.RawMessage
+	if err := json.Unmarshal(secs[0], &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["engine"], &eng); err != nil {
+		t.Fatal(err)
+	}
+	eng["outcomes"] = mustJSON(t, secs[1])
+	top["engine"] = mustJSON(t, eng)
+	top["engine_epoch"] = mustJSON(t, h.epoch)
+	top["predictor_sha"] = mustJSON(t, h.predictorSHA())
+	top["predictor"] = mustJSON(t, secs[2])
+	return mustJSON(t, top)
+}
+
+// mustJSON is v's JSON encoding.
+func mustJSON(t testing.TB, v any) json.RawMessage {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // push feeds records to a replica the way a leader's sender does: through
@@ -97,7 +159,7 @@ func pushOnce(t *testing.T, svc *Service, recs []replog.Record) (int, replAppend
 // snapshots) and on the agents given (none: the service's own local agent),
 // and returns the leader. It is cycled by hand: no ticker decides which cycle
 // an input lands in, and no compactor truncates the log.
-func runScript(t *testing.T, l *replog.Log, agents []*agent.Client) *Service {
+func runScript(t testing.TB, l *replog.Log, agents []*agent.Client) *Service {
 	t.Helper()
 	var lead *Service
 	cycle := 0
@@ -378,9 +440,15 @@ func TestSnapshotRecordChecksPredictorSHA(t *testing.T) {
 	if d := follower.ctl.Diverged; d != 0 {
 		t.Fatalf("the leader's own snapshot record: %d divergences, want 0", d)
 	}
+	h, rest, err := snapshotHeader(snap.Data)
+	if err != nil || h.predictorSHA() != own {
+		t.Fatalf("the leader's snapshot header names predictor %.12s (%v); the follower's hashes to %.12s", h.predictorSHA(), err, own)
+	}
+	// The same record under a header whose predictor hash is all zeros
+	// (the record's own hash is not re-checked on this path).
 	forged := snap
-	forged.Data = bytes.Replace(snap.Data, []byte(`"predictor_sha":"`+own+`"`),
-		[]byte(`"predictor_sha":"`+strings.Repeat("0", len(own))+`"`), 1)
+	forged.Data = bytes.Clone(snap.Data)
+	clear(forged.Data[len(forged.Data)-len(rest)-sha256.Size : len(forged.Data)-len(rest)])
 	if err := follower.applyRecordLocked(forged); err != nil {
 		t.Fatal(err)
 	}
@@ -398,20 +466,18 @@ func TestSnapshotRecordChecksPredictorSHA(t *testing.T) {
 }
 
 // FuzzSnapshotHeader holds the in-sync follower's read of a snapshot
-// record's front to the full decode: it never panics, reads back what wire()
-// wrote, and whatever it accepts json.Unmarshal reads the same way — unless
-// the payload names a header key again further on, where encoding/json keeps
-// the last value and the header reader, by design, looks no further than the
-// front.
+// record's header: it never panics, reads back what wire() wrote, refuses
+// an older build's JSON payload by name, and a header it accepts has one
+// encoding — written back from what it read, it is the payload's front.
 func FuzzSnapshotHeader(f *testing.F) {
 	st := fuzzState(f)
-	enc, err := json.Marshal(st)
+	enc, err := st.wire()
 	if err != nil {
 		f.Fatal(err)
 	}
-	if epoch, sha, ok := snapshotHeader(enc); !ok || epoch != st.eng.Epoch() || sha != predictorSHA(st.pred) {
+	if h, _, err := snapshotHeader(enc); err != nil || h.epoch != st.eng.Epoch() || h.predictorSHA() != predictorSHA(st.pred) {
 		f.Fatalf("snapshotHeader(wire()) = %d, %.12s, %v; want %d, %.12s",
-			epoch, sha, ok, st.eng.Epoch(), predictorSHA(st.pred))
+			h.epoch, h.predictorSHA(), err, st.eng.Epoch(), predictorSHA(st.pred))
 	}
 	f.Add(enc)
 	f.Add([]byte(`{"engine_epoch":7,"predictor_sha":"ab","cycle":1}`))
@@ -420,47 +486,94 @@ func FuzzSnapshotHeader(f *testing.F) {
 	f.Add([]byte(`{"engine_epoch":-7,"predictor_sha":"ab"}`))
 	f.Add([]byte(`{"engine_epoch":7,"cycle":1}`))
 	f.Add([]byte(`{"cycle":1,"engine_epoch":7,"predictor_sha":"ab"}`))
+	// The binary header: with and without a predictor, an epoch in a
+	// longer varint than its shortest, a presence byte past 1, a hash
+	// without a predictor, a header cut short, another version.
+	var secs [len(snapshotSections)][]byte
+	f.Add(resealSnapshot(7, secs))
+	secs[2] = []byte("3SPR")
+	f.Add(resealSnapshot(1<<40, secs))
+	f.Add([]byte("3SSN\x01\x87\x80\x00\x00"))
+	f.Add(append([]byte("3SSN\x01\x07\x02"), make([]byte, sha256.Size)...))
+	f.Add(append([]byte("3SSN\x01\x07\x00\xab"), make([]byte, sha256.Size-1)...))
+	f.Add([]byte("3SSN\x01\x07\x01\xab"))
+	f.Add(append([]byte("3SSN\x02\x07\x00"), make([]byte, sha256.Size)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, sha, ok := snapshotHeader(data)
-		if !ok {
+		h, rest, err := snapshotHeader(data)
+		if len(data) > 0 && data[0] == '{' && !errors.Is(err, errJSONSnapshot) {
+			t.Fatalf("a JSON payload read as %v", err)
+		}
+		if err != nil {
 			return
 		}
-		var full struct {
-			EngineEpoch  uint64 `json:"engine_epoch"`
-			PredictorSHA string `json:"predictor_sha"`
+		front := binary.AppendUvarint(append([]byte(snapshotMagic), snapshotVersion), h.epoch)
+		if h.pred {
+			front = append(append(front, 1), h.sha[:]...)
+		} else {
+			front = append(front, make([]byte, 1+sha256.Size)...)
 		}
-		if json.Unmarshal(data, &full) != nil || repeatsHeaderKey(data) {
-			return
-		}
-		if full.EngineEpoch != epoch || full.PredictorSHA != sha {
-			t.Fatalf("snapshotHeader read %d, %q; json.Unmarshal reads %d, %q",
-				epoch, sha, full.EngineEpoch, full.PredictorSHA)
+		if !bytes.Equal(data[:len(data)-len(rest)], front) {
+			t.Fatalf("snapshotHeader read %d, %q from a header that writes back otherwise", h.epoch, h.predictorSHA())
 		}
 	})
 }
 
-// repeatsHeaderKey reports whether an object names the snapshot header's
-// keys, under encoding/json's case folding, more than once between them.
-func repeatsHeaderKey(data []byte) bool {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if _, err := dec.Token(); err != nil {
-		return false
+// FuzzSnapshotDecode throws arbitrary payloads at a snapshot install's
+// decode: it never panics, and a payload that decodes, and whose predictor
+// stream loads, re-encodes through wire to the same bytes — a state has one
+// encoding, and decode refuses every other.
+func FuzzSnapshotDecode(f *testing.F) {
+	l, err := replog.Open("")
+	if err != nil {
+		f.Fatal(err)
 	}
-	n := 0
-	for dec.More() {
-		t, err := dec.Token()
+	runScript(f, l, nil)
+	snap, ok := lastSnapshot(l)
+	if !ok {
+		f.Fatal("the script appended no snapshot")
+	}
+	real := []byte(snap.Data)
+	if _, sg, err := fuzzState(f).decode(real); err != nil || len(sg.pred) == 0 {
+		f.Fatalf("the script's snapshot does not decode, or carries no predictor: %v", err)
+	}
+	f.Add(real)
+	// Cut at the end of the header and of each section but the last.
+	_, rest, err := snapshotHeader(real)
+	if err != nil {
+		f.Fatal(err)
+	}
+	at := len(real) - len(rest)
+	_, secs := snapshotParts(f, real)
+	for _, sec := range secs[:len(secs)-1] {
+		f.Add(real[:at])
+		at += 4 + len(sec)
+	}
+	f.Add(real[:at])
+	// A state section that claims more bytes than the payload holds.
+	over := bytes.Clone(real)
+	binary.BigEndian.PutUint32(over[len(real)-len(rest):], math.MaxUint32)
+	f.Add(over)
+	f.Add([]byte(jsonSnapshot(f, real)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := fuzzState(t)
+		fresh, sg, err := st.decode(data)
 		if err != nil {
-			return false
+			return
 		}
-		if k, _ := t.(string); strings.EqualFold(k, "engine_epoch") || strings.EqualFold(k, "predictor_sha") {
-			n++
+		if err := fresh.loadPredictor(sg.pred); err != nil {
+			return
 		}
-		var v json.RawMessage
-		if dec.Decode(&v) != nil {
-			return false
+		if err := fresh.adopt(sg); err != nil {
+			t.Fatalf("a decoded state does not adopt: %v", err)
 		}
-	}
-	return n > 2
+		again, err := fresh.wire()
+		if err != nil {
+			t.Fatalf("a decoded state does not encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("decode, then wire: %d bytes from %d", len(again), len(data))
+		}
+	})
 }
 
 // fuzzState is a small live state — jobs queued, pending and running, a
@@ -510,11 +623,11 @@ func TestTrainRecordAppliesWholeOrNotAtAll(t *testing.T) {
 		`{"name":"a","runtime":2}`, // the one-observation form: no build writes it
 	} {
 		st := fuzzState(t)
-		before, _ := json.Marshal(st)
+		before, _ := st.wire()
 		if _, err := st.apply(replog.Record{Seq: 50, Epoch: 1, Type: replog.TypeTrain, Cycle: st.Cycles, Data: []byte(data)}); err == nil {
 			t.Errorf("%s: accepted", data)
 		}
-		if after, _ := json.Marshal(st); !bytes.Equal(before, after) {
+		if after, _ := st.wire(); !bytes.Equal(before, after) {
 			t.Errorf("%s: refused, and the state changed", data)
 		}
 	}
@@ -629,14 +742,26 @@ func FuzzStateApply(f *testing.F) {
 	f.Add("bogus", []byte(`null`))
 	f.Add(replog.TypeTrain, []byte(`[]`))
 	f.Add(replog.TypeTrain, []byte(`{"name":"train","tasks":4,"runtime":2.5}`)) // one observation, not an array: refused
+	// The snapshot seeds above in the binary envelope, and a real one.
+	var secs [len(snapshotSections)][]byte
+	secs[0] = []byte(`{"cycle":1}`)
+	f.Add(replog.TypeSnapshot, resealSnapshot(7, secs))
+	secs[2] = []byte("3SPR")
+	f.Add(replog.TypeSnapshot, resealSnapshot(7, secs))
+	f.Add(replog.TypeSnapshot, []byte("3SSN\x01"))
+	real, err := fuzzState(f).wire()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(replog.TypeSnapshot, real)
 	f.Fuzz(func(t *testing.T, typ string, data []byte) {
 		st := fuzzState(t)
-		before, err := json.Marshal(st)
+		before, err := st.wire()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.apply(replog.Record{Seq: 50, Epoch: 1, Type: typ, Cycle: st.Cycles + 1, Data: data}); err != nil {
-			if after, _ := json.Marshal(st); !bytes.Equal(before, after) {
+			if after, _ := st.wire(); !bytes.Equal(before, after) {
 				t.Fatalf("a refused %q record changed the state:\n%s\n%s", typ, before, after)
 			}
 			return
@@ -645,7 +770,7 @@ func FuzzStateApply(f *testing.F) {
 		if _, err := st.apply(replog.Record{Seq: 51, Epoch: 1, Type: replog.TypeCycle, Cycle: st.Cycles + 1, Data: boundary}); err != nil {
 			t.Fatalf("the cycle after an accepted %q record: %v", typ, err)
 		}
-		if _, err := json.Marshal(st); err != nil {
+		if _, err := st.wire(); err != nil {
 			t.Fatalf("state after an accepted %q record does not encode: %v", typ, err)
 		}
 	})

@@ -20,7 +20,8 @@ import (
 // ID and are re-linked on restore, preserving the engine's single-instance-
 // per-job aliasing without duplicating payloads. The outcomes — the one part
 // that grows with every job ever admitted — are one binary stream
-// (appendOutcomes), which encoding/json writes as a base64 string.
+// (appendOutcomes), which the JSON form leaves out: a snapshot carries it
+// beside the rest, as it is.
 type EngineState struct {
 	Cluster     Cluster    `json:"cluster"`
 	Free        Alloc      `json:"free"`
@@ -28,7 +29,7 @@ type EngineState struct {
 	Pending     []job.ID   `json:"pending,omitempty"`
 	Running     []RunState `json:"running,omitempty"`
 	RunSeq      int64      `json:"run_seq"`
-	Outcomes    []byte     `json:"outcomes"`
+	Outcomes    []byte     `json:"-"`
 	Skipped     int        `json:"skipped,omitempty"`
 	Epoch       uint64     `json:"epoch"`
 	RetryBudget int        `json:"retry_budget,omitempty"`
@@ -78,7 +79,8 @@ func (e *Engine) ExportState() *EngineState {
 
 // EngineFromState reconstructs an engine from an exported state. Pending
 // and running jobs are re-linked to the job instances carried by their
-// Outcome records; a dangling reference is corruption and errors out.
+// Outcome records; a dangling reference is corruption and errors out, and
+// so are running jobs out of ExportState's ascending order.
 func EngineFromState(st *EngineState) (*Engine, error) {
 	e := NewEngine(Cluster{Partitions: append([]int(nil), st.Cluster.Partitions...)})
 	if len(st.Free) != len(e.cluster.Partitions) || len(st.Down) != len(e.cluster.Partitions) {
@@ -106,7 +108,10 @@ func EngineFromState(st *EngineState) (*Engine, error) {
 		}
 		e.pending = append(e.pending, o.Job)
 	}
-	for _, r := range st.Running {
+	for i, r := range st.Running {
+		if i > 0 && r.Job <= st.Running[i-1].Job {
+			return nil, fmt.Errorf("simulator: running job %d follows job %d", r.Job, st.Running[i-1].Job)
+		}
 		o, ok := e.out[r.Job]
 		if !ok {
 			return nil, fmt.Errorf("simulator: running job %d has no outcome record", r.Job)

@@ -56,19 +56,25 @@ func TestEngineStateRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The JSON form leaves the outcome stream out; it travels beside it.
 	var back EngineState
 	if err := json.Unmarshal(enc, &back); err != nil {
 		t.Fatal(err)
 	}
+	back.Outcomes = st.Outcomes
 	r, err := EngineFromState(&back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := json.Marshal(r.ExportState())
+	again := r.ExportState()
+	out, err := json.Marshal(again)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out, enc) {
 		t.Errorf("the restored engine exports differently:\n got  %s\n want %s", out, enc)
+	}
+	if !bytes.Equal(again.Outcomes, st.Outcomes) {
+		t.Errorf("the restored engine exports %d outcome bytes, want %d", len(again.Outcomes), len(st.Outcomes))
 	}
 }

@@ -117,9 +117,13 @@ go test -fuzz '^FuzzStateApply$' -fuzztime 10s -run '^$' ./internal/service
 # Arbitrary bytes as a push body never panic the follower's decoder, and a
 # body that decodes re-encodes to the same bytes.
 go test -fuzz '^FuzzPushBody$' -fuzztime 5s -run '^$' ./internal/service
-# The in-sync follower's read of a snapshot record's two leading fields agrees
-# with json.Unmarshal and with what the leader wrote.
+# The in-sync follower's read of a snapshot record's header never panics,
+# reads what the leader wrote, refuses an older build's JSON payload by name,
+# and accepts a header only in the one form it is written in.
 go test -fuzz '^FuzzSnapshotHeader$' -fuzztime 5s -run '^$' ./internal/service
+# Arbitrary bytes as a snapshot payload never panic its decode, and a payload
+# that decodes re-encodes to the same bytes.
+go test -fuzz '^FuzzSnapshotDecode$' -fuzztime 5s -run '^$' ./internal/service
 
 echo "== fault determinism gate =="
 # Same seed, same fault schedule => bit-identical outcomes, byte-for-byte.
