@@ -18,17 +18,19 @@
 // waiting out -lease. Cancels, trains and node operations take effect at the
 // next cycle boundary.
 //
-// The distributed control plane (DESIGN.md §14): -replog appends every
-// replay-relevant input and cycle decision to a hash-chained log, the one
-// thing a restart reads: restarted with the same -replog, the daemon resumes
-// warm and bit-identical — outcomes, scheduler and predictor as they were
-// stopped (-compact-every bounds the replay to the suffix behind the newest
-// snapshot); -replica/-peers forms a replica group with lease-based leader
+// The distributed control plane (DESIGN.md §14): every replay-relevant
+// input and cycle decision is appended to a hash-chained log. -replog puts
+// it in a file, the one thing a restart reads: restarted with the same
+// -replog, the daemon resumes warm and bit-identical — outcomes, scheduler
+// and predictor as they were stopped (-compact-every bounds the replay to
+// the suffix behind the newest snapshot). Without -replog the log is kept in
+// memory and forgets the records each cycle has applied, and a restart is
+// cold. -replica/-peers forms a replica group with lease-based leader
 // election and synchronous input replication (kill -9 the leader and a warm
 // standby takes over within a lease; SIGTERM it and one takes over at once);
-// -agents runs the tasks on remote
-// node-group agent daemons (cmd/3sigma-agentd) instead of the one agent the
-// daemon runs in its own process.
+// -agents runs the tasks on remote node-group agent daemons
+// (cmd/3sigma-agentd) instead of the one agent the daemon runs in its own
+// process.
 package main
 
 import (
@@ -91,7 +93,7 @@ func main() {
 	chaos := flag.String("chaos", "", "chaos injection spec: preset (light, heavy) or k=v list, e.g. seed=7,mtbf=1800,mttr=300,crash=0.05 (virtual-time schedule; see internal/faults)")
 	drainGrace := flag.Duration("drain-grace", time.Second, "time between withdrawing readiness (/readyz 503) and closing the listener on SIGTERM")
 	shards := flag.Int("shards", 1, "number of scheduling domains; >1 runs per-shard MILP solves under the cross-shard coordinator (DESIGN.md §13)")
-	replogPath := flag.String("replog", "", "decision log path; replayed on restart for a warm bit-identical resume")
+	replogPath := flag.String("replog", "", "decision log path; replayed on restart for a warm bit-identical resume (empty: an in-memory log that forgets applied records, and a cold restart)")
 	replica := flag.Int("replica", 0, "this replica's ID within -peers")
 	peersSpec := flag.String("peers", "", "replica group spec id=url,... (e.g. 0=http://h0:8334,1=http://h1:8334); empty: single replica")
 	agentsSpec := flag.String("agents", "", "agent spec url=p0:p1,... running the tasks on 3sigma-agentd daemons; empty: one in-process agent owning every partition")

@@ -172,7 +172,7 @@ type logFile interface {
 	Close() error
 }
 
-// Log is a file-backed decision log. Safe for concurrent use.
+// Log is a decision log, file-backed or in memory. Safe for concurrent use.
 type Log struct {
 	path string // backing file path ("" for an in-memory log)
 
@@ -181,7 +181,7 @@ type Log struct {
 	cmu sync.Mutex
 
 	mu   sync.Mutex
-	f    logFile  // guarded by mu; nil for an in-memory log
+	f    logFile  // guarded by mu; nil for an in-memory log and after Close
 	size int64    // guarded by mu; end offset of the last durable record
 	base uint64   // guarded by mu; highest compacted-away sequence number
 	recs []Record // guarded by mu; retained chain, recs[i].Seq == base+i+1
@@ -191,7 +191,8 @@ type Log struct {
 // Open opens (or creates) the log at path, verifying the existing chain.
 // A torn final record — a crash mid-append — is truncated away; any other
 // corruption is an error, and leaves the file as it was. An empty path
-// opens an in-memory log (tests, replica-less runs).
+// opens an in-memory log: a follower's or a test's, or the one a service
+// opens for itself when it is given none.
 func Open(path string) (*Log, error) {
 	l := &Log{path: path}
 	if path == "" {
@@ -416,7 +417,11 @@ func tornTail(rest []byte, start int64) (int64, error) {
 // endpoints can bound the bodies they read by the same number.
 const MaxRecordBytes = 16 << 20
 
-// Close closes the backing file.
+// errClosed refuses a write to a file-backed log after Close.
+var errClosed = errors.New("replog: log is closed")
+
+// Close closes the backing file; every later write to a file-backed log
+// fails. An in-memory log has nothing to close.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -576,15 +581,15 @@ func (e *GapError) Error() string {
 // successful append would interleave with them — the file then fails chain
 // verification on reopen instead of presenting a clean torn tail.
 func (l *Log) persistAllLocked(recs []Record) error {
+	if l.path != "" && l.f == nil {
+		return errClosed
+	}
 	if len(recs) == 0 {
 		return nil
 	}
 	buf, err := AppendFrames(nil, recs)
-	if err != nil {
+	if err != nil || l.path == "" {
 		return err
-	}
-	if l.f == nil {
-		return nil
 	}
 	first, last := recs[0].Seq, recs[len(recs)-1].Seq
 	if _, err := l.f.Write(buf); err != nil {
@@ -681,6 +686,24 @@ func (l *Log) Committed() []Record {
 	return l.recs[:len(l.recs):len(l.recs)]
 }
 
+// Forget drops every record but the last from an in-memory log that nobody
+// reads records from: no follower, no restart. Len, Head, LastEpoch and the
+// chain hold, and reads below the kept record come back empty, as below a
+// compaction base (though no snapshot stands there). A file-backed log,
+// whose records a restart reads, refuses.
+func (l *Log) Forget() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.path != "" {
+		return fmt.Errorf("replog: forget on file-backed log %s", l.path)
+	}
+	if n := len(l.recs); n > 1 {
+		l.base += uint64(n - 1)
+		l.recs = []Record{l.recs[n-1]}
+	}
+	return nil
+}
+
 // Compact drops every record below keepSeq, which must name a TypeSnapshot
 // record (the state the dropped prefix is subsumed by). The file is
 // rewritten atomically — header plus retained records into a temp file,
@@ -696,7 +719,7 @@ func (l *Log) Compact(keepSeq uint64) error {
 	defer l.cmu.Unlock()
 
 	l.mu.Lock()
-	base, n, onDisk := l.base, len(l.recs), l.f != nil
+	base, n, onDisk := l.base, len(l.recs), l.path != ""
 	retained, err := l.retainedFromLocked(keepSeq)
 	l.mu.Unlock()
 	if err != nil || retained == nil {
@@ -781,7 +804,10 @@ func (l *Log) InstallSnapshot(rec Record) error {
 		return fmt.Errorf("replog: snapshot %d does not advance log of length %d", rec.Seq, end)
 	}
 	recs := []Record{rec}
-	if l.f != nil {
+	if l.path != "" {
+		if l.f == nil {
+			return errClosed
+		}
 		tmp, size, err := l.writeCompacted(rec.Seq-1, rec.Prev, recs)
 		if err != nil {
 			return err

@@ -713,6 +713,114 @@ func TestInstallSnapshot(t *testing.T) {
 	standby.Close()
 }
 
+// TestClosedFileLogRefusesWrites: once a file-backed log is closed, every
+// write errors and leaves the log and its file as they were, instead of
+// reporting success for a record no file holds.
+func TestClosedFileLogRefusesWrites(t *testing.T) {
+	donor, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := mustAppend(t, donor, 1, TypeAdmit, 0, map[string]int{"id": 1})
+	anchor := mustAppend(t, donor, 1, TypeSnapshot, 0, map[string]string{"state": "early"})
+	next := mustAppend(t, donor, 1, TypeCycle, 1, nil)
+	snap := mustAppend(t, donor, 1, TypeSnapshot, 1, map[string]string{"state": "full"})
+
+	path := filepath.Join(t.TempDir(), "closed.log")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendRecords([]Record{first, anchor}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		write func() error
+	}{
+		{"Append", func() error { _, err := l.Append(1, TypeCycle, 1, nil); return err }},
+		{"AppendBatch", func() error {
+			_, err := l.AppendBatch(1, TypeAdmit, 1, [][]byte{[]byte(`{"id":2}`)})
+			return err
+		}},
+		{"AppendRecords", func() error { _, err := l.AppendRecords([]Record{next}); return err }},
+		{"InstallSnapshot", func() error { return l.InstallSnapshot(snap) }},
+		{"Compact", func() error { return l.Compact(anchor.Seq) }},
+	} {
+		name, write := tc.name, tc.write
+		if err := write(); err == nil {
+			t.Errorf("%s on a closed log reported success", name)
+		}
+		if l.Len() != 2 || l.Base() != 0 || l.Head() != anchor.Hash {
+			t.Fatalf("after %s: len %d base %d head %.8s, want 2, 0 and %.8s", name, l.Len(), l.Base(), l.Head(), anchor.Hash)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, raw) {
+			t.Fatalf("%s on a closed log changed its file", name)
+		}
+	}
+	if left, _ := filepath.Glob(path + ".compact*"); len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
+	}
+}
+
+// TestForget: an in-memory log that forgets keeps its last record, and with
+// it Len, Head, LastEpoch and the chain; reads below that record come back
+// empty. A file-backed log refuses.
+func TestForget(t *testing.T) {
+	l, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		mustAppend(t, l, 1, TypeAdmit, 0, map[string]int{"id": i})
+	}
+	last := mustAppend(t, l, 2, TypeCycle, 1, nil)
+	for i := 0; i < 2; i++ { // the second call finds nothing to drop
+		if err := l.Forget(); err != nil {
+			t.Fatal(err)
+		}
+		if l.Len() != 5 || l.Head() != last.Hash || l.LastEpoch() != 2 {
+			t.Fatalf("call %d: len %d head %.8s epoch %d, want 5 %.8s 2", i+1, l.Len(), l.Head(), l.LastEpoch(), last.Hash)
+		}
+		if recs := l.Records(); len(recs) != 1 || recs[0].Hash != last.Hash {
+			t.Fatalf("call %d: holds %d records, want the last one only", i+1, len(recs))
+		}
+	}
+	if recs := l.Since(2, 0); recs != nil {
+		t.Fatalf("Since below the kept record returned %d records", len(recs))
+	}
+	if _, ok := l.HashAt(4); ok {
+		t.Fatal("HashAt found a forgotten record")
+	}
+	if h, ok := l.HashAt(5); !ok || h != last.Hash {
+		t.Fatal("HashAt lost the kept record")
+	}
+	if next := mustAppend(t, l, 2, TypeAdmit, 1, nil); next.Prev != last.Hash || next.Seq != 6 {
+		t.Fatalf("append after Forget: seq %d prev %.8s, want 6 %.8s", next.Seq, next.Prev, last.Hash)
+	}
+
+	f, err := Open(filepath.Join(t.TempDir(), "kept.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mustAppend(t, f, 1, TypeAdmit, 0, nil)
+	mustAppend(t, f, 1, TypeCycle, 1, nil)
+	if err := f.Forget(); err == nil {
+		t.Fatal("a file-backed log forgot its records")
+	}
+	if recs := f.Records(); len(recs) != 2 || f.Base() != 0 {
+		t.Fatalf("a refused Forget left %d records at base %d, want 2 at 0", len(recs), f.Base())
+	}
+}
+
 // TestSinceDeepCopies is the aliasing regression: records returned by
 // Since/Records carry their own Data bytes. Before the fix the
 // RawMessage aliased the log's live backing array, so a caller (the

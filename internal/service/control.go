@@ -219,23 +219,14 @@ func (s *Service) minFollowerAckLocked() uint64 {
 // replica has seen (its own, its log's, and maxSeen from peer polls), and a
 // TypeElect record pins the transition into the chain. Callers hold s.mu.
 func (s *Service) takeoverLocked(maxSeen uint64) {
-	epoch := s.leaderEpoch
-	if s.log != nil && s.log.LastEpoch() > epoch {
-		epoch = s.log.LastEpoch()
-	}
-	if maxSeen > epoch {
-		epoch = maxSeen
-	}
-	s.leaderEpoch = epoch + 1
+	s.leaderEpoch = max(s.leaderEpoch, s.log.LastEpoch(), maxSeen) + 1
 	s.leaderID = s.cfg.ReplicaID
 	s.role = RoleLeader
 	s.ctl.Elections++
 	s.wakeWaitersLocked() // a waiter left over from an earlier term counts against the new senders
-	if s.log != nil {
-		if _, err := s.log.Append(s.leaderEpoch, replog.TypeElect, s.st.Cycles,
-			&electPayload{Replica: s.cfg.ReplicaID, Cycle: s.st.Cycles}); err != nil {
-			s.cfg.Logf("append elect record: %v", err)
-		}
+	if _, err := s.log.Append(s.leaderEpoch, replog.TypeElect, s.st.Cycles,
+		&electPayload{Replica: s.cfg.ReplicaID, Cycle: s.st.Cycles}); err != nil {
+		s.cfg.Logf("append elect record: %v", err)
 	}
 	s.startSendersLocked()
 	// Announce the term: the followers learn their leader from its first
@@ -243,14 +234,7 @@ func (s *Service) takeoverLocked(maxSeen uint64) {
 	// poll, the next cycle record and the first heartbeat.
 	s.notifyFollowersLocked()
 	s.cfg.Logf("replica %d leading at epoch %d (cycle %d, log seq %d)",
-		s.cfg.ReplicaID, s.leaderEpoch, s.st.Cycles, s.logLenLocked())
-}
-
-func (s *Service) logLenLocked() uint64 {
-	if s.log == nil {
-		return 0
-	}
-	return s.log.Len()
+		s.cfg.ReplicaID, s.leaderEpoch, s.st.Cycles, s.log.Len())
 }
 
 // startSendersLocked spawns one replication sender per peer. A fresh conn
@@ -704,7 +688,7 @@ func (s *Service) electionTick(httpc *http.Client) {
 	// (it holds acknowledged inputs this replica may lack), lowest replica
 	// ID breaks ties. Deterministic: every live replica ranks the same set
 	// the same way.
-	mySeq := s.logLenLocked()
+	mySeq := s.log.Len()
 	for _, v := range views {
 		if v.st.Seq > mySeq || (v.st.Seq == mySeq && v.id < s.cfg.ReplicaID) {
 			return
@@ -723,7 +707,7 @@ func (s *Service) electionTick(httpc *http.Client) {
 // Senders get another lease/4 to deliver before Stop goes on.
 func (s *Service) handOff() {
 	s.mu.Lock()
-	conns, end := s.followers, s.logLenLocked()
+	conns, end := s.followers, s.log.Len()
 	leading := s.role == RoleLeader && len(s.cfg.Peers) > 0
 	s.mu.Unlock()
 	if !leading {
@@ -791,11 +775,9 @@ func (s *Service) handleControlStatus(w http.ResponseWriter, r *http.Request) {
 		Replica: s.cfg.ReplicaID,
 		Role:    string(s.role),
 		Epoch:   s.leaderEpoch,
-		Seq:     s.logLenLocked(),
+		Seq:     s.log.Len(),
 		Cycle:   s.st.Cycles,
-	}
-	if s.log != nil {
-		st.Head = s.log.Head().String()
+		Head:    s.log.Head().String(),
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
@@ -807,7 +789,7 @@ func (s *Service) handleControlStatus(w http.ResponseWriter, r *http.Request) {
 // rewind the sender) and apply to the in-memory replica, and a snapshot
 // record that lands past the local log's next seq is installed in its place.
 // An append from a stale epoch returns 409 with the current one; one from a
-// newer epoch deposes a stale leader on the spot.
+// newer epoch deposes a stale leader on the spot, unless it leads no group.
 func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReplBody))
 	var req replAppendReq
@@ -820,10 +802,6 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil {
-		writeJSON(w, http.StatusConflict, replAppendResp{Epoch: s.leaderEpoch})
-		return
-	}
 	if req.Epoch < s.leaderEpoch {
 		writeJSON(w, http.StatusConflict, replAppendResp{Epoch: s.leaderEpoch})
 		return
@@ -836,11 +814,13 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusServiceUnavailable, replAppendResp{Busy: true})
 			return
 		}
-		s.deposeIfStaleLocked(req.Epoch, req.From)
-		if s.role == RoleLeader && req.Epoch == s.leaderEpoch && req.From < s.cfg.ReplicaID {
-			// Equal-epoch dueling leaders: the lower replica ID keeps the
-			// term (see electionTick); accept its push as our new leader.
-			s.stepDownLocked(req.Epoch, req.From)
+		if len(s.cfg.Peers) > 0 { // without peers, no election would make it lead again
+			s.deposeIfStaleLocked(req.Epoch, req.From)
+			if s.role == RoleLeader && req.Epoch == s.leaderEpoch && req.From < s.cfg.ReplicaID {
+				// Equal-epoch dueling leaders: the lower replica ID keeps the
+				// term (see electionTick); accept its push as our new leader.
+				s.stepDownLocked(req.Epoch, req.From)
+			}
 		}
 		if s.role == RoleLeader {
 			writeJSON(w, http.StatusConflict, replAppendResp{Epoch: s.leaderEpoch, Leader: true})
@@ -922,11 +902,6 @@ func (s *Service) handleReplogAppend(w http.ResponseWriter, r *http.Request) {
 // binary payload in base64.
 func (s *Service) handleReplogGet(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	if s.log == nil {
-		s.mu.Unlock()
-		writeErr(w, &SubmitError{Code: 404, Msg: "no decision log configured"})
-		return
-	}
 	out := map[string]any{
 		"len":        s.log.Len(),
 		"head":       s.log.Head(),

@@ -707,6 +707,34 @@ func TestRedeliveredPrefixIsHashChecked(t *testing.T) {
 	}
 }
 
+// TestPeerlessLeaderIsNotDeposedByAPush: a leader without peers, over the log
+// it was given or the one New opened, answers a push from a newer epoch with
+// 409 and keeps leading and cycling. A deposed one would accept submits and
+// never cycle again: no election runs without peers.
+func TestPeerlessLeaderIsNotDeposedByAPush(t *testing.T) {
+	donor, err := replog.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := donor.Append(9, replog.TypeElect, 0, &electPayload{Replica: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	given, _, _ := handLed(t, sigmaConfig())
+	owned := mustService(t, sigmaConfig())
+	owned.mu.Lock()
+	owned.takeoverLocked(0)
+	owned.mu.Unlock()
+	for _, svc := range []*Service{given, owned} {
+		code, resp := pushOnce(t, svc, []replog.Record{rec})
+		svc.runCycle()
+		if role, epoch, _ := svc.Role(); code != 409 || !resp.Leader || role != RoleLeader || epoch != 1 || svc.Metrics().Cycles != 1 {
+			t.Errorf("push from epoch 9: %d %+v; then %s at epoch %d, %d cycles; want 409 leader, leader at 1, 1 cycle",
+				code, resp, role, epoch, svc.Metrics().Cycles)
+		}
+	}
+}
+
 // TestJSONPushRefusedByName: a push in the JSON encoding an older build
 // sends is refused with a 400 that names it, and the follower's log stays
 // as it was.

@@ -16,15 +16,15 @@
 // cancels, trains and operator node actions are validated on arrival and
 // take effect at the next cycle boundary. Every such input and every cycle
 // decision is a record — appended to an append-only hash-chained log
-// (internal/replog) when Config.Log is set, synchronously replicated to
-// standby replicas and replayed on restart — so a warm standby that takes
-// over after a leader kill -9 resumes with a bitwise-identical outcome
-// digest, and a restarted daemon predicts exactly as the one that was
-// stopped: the log, with its snapshot records, is the one way state persists
-// (without it a restart is cold). The service is a pure reconciler that
-// diffs desired against actual state and issues idempotent epoch-fenced
-// directives (reconcile.go) — to one agent in its own process, or to remote
-// agent daemons (Config.Agents).
+// (internal/replog), synchronously replicated to standby replicas and
+// replayed on restart — so a warm standby that takes over after a leader
+// kill -9 resumes with a bitwise-identical outcome digest, and a restarted
+// daemon predicts exactly as the one that was stopped: the log, with its
+// snapshot records, is the one way state persists (given no Config.Log, the
+// service keeps one in memory, and a restart is cold). The service is a pure
+// reconciler that diffs desired against actual state and issues idempotent
+// epoch-fenced directives (reconcile.go) — to one agent in its own process,
+// or to remote agent daemons (Config.Agents).
 //
 // Everything the replicas must agree on is one value, state (state.go),
 // changed only by applying log records and running cycles through its
@@ -89,10 +89,11 @@ type Config struct {
 
 	// --- distributed control plane (DESIGN.md §14) ---
 
-	// Log, when non-nil, records every replay-relevant input and cycle
-	// decision in an append-only hash-chained log. On New, a non-empty log
-	// is replayed into the engine/scheduler/predictor before the service
-	// starts (warm restart).
+	// Log records every replay-relevant input and cycle decision in an
+	// append-only hash-chained log. On New, a non-empty log is replayed into
+	// the engine/scheduler/predictor before the service starts (warm
+	// restart). Nil: New opens an in-memory log of its own, which keeps no
+	// more than the records since the last cycle (DESIGN.md §14).
 	Log *replog.Log
 
 	// ReplicaID identifies this replica in Peers; Peers maps every replica
@@ -280,11 +281,11 @@ type Service struct {
 	solves    int64         // guarded by mu
 
 	// Distributed control plane (DESIGN.md §14).
-	log         *replog.Log
-	role        Role      // guarded by mu
-	leaderEpoch uint64    // guarded by mu; current leader epoch (ours when leading)
-	leaderID    int       // guarded by mu; last known leader replica (-1 unknown)
-	lastLeader  time.Time // guarded by mu; Clock time of last leader contact
+	log         *replog.Log // Config.Log, or the in-memory log New opened
+	role        Role        // guarded by mu
+	leaderEpoch uint64      // guarded by mu; current leader epoch (ours when leading)
+	leaderID    int         // guarded by mu; last known leader replica (-1 unknown)
+	lastLeader  time.Time   // guarded by mu; Clock time of last leader contact
 	// cycleRec is the cycle record the leader is building: non-nil while the
 	// state sits between a cycle's top and its decision. Until it lands,
 	// depositions back off — a replication push or status poll that proves a
@@ -355,7 +356,10 @@ func New(cfg Config) (*Service, error) {
 		compactWake: make(chan struct{}, 1),
 		compactDone: make(chan struct{}),
 	}
-	if s.log != nil && s.log.Len() > 0 {
+	if cfg.Log == nil {
+		s.log, _ = replog.Open("") // in memory: cannot fail
+	}
+	if s.log.Len() > 0 {
 		if _, err := s.bootstrapReplay(); err != nil {
 			return nil, fmt.Errorf("service: replay decision log: %w", err)
 		}
@@ -365,7 +369,7 @@ func New(cfg Config) (*Service, error) {
 
 // Start launches the scheduling loop. It may be called once. A replica with
 // Peers starts as a follower and joins leader election; otherwise the
-// service leads immediately (bumping the log epoch when a log is attached).
+// service leads immediately, bumping the log epoch.
 func (s *Service) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -521,9 +525,7 @@ func (s *Service) runCycle() {
 		s.mu.Unlock() // deposed between the tick and here
 		return
 	}
-	if s.log != nil {
-		p.InputsThrough = s.log.Len()
-	}
+	p.InputsThrough = s.log.Len()
 	s.cycleRec = p
 	snap, fx := s.st.cycleTop(p)
 	s.runEffectsLocked(fx)
@@ -543,17 +545,19 @@ func (s *Service) runCycle() {
 	s.runEffectsLocked(s.st.cycleDecide(p.Now, p.Preempts, p.Starts))
 	p.EngineEpoch = s.st.eng.Epoch()
 	s.cycleRec = nil
-	if s.log != nil {
-		if _, err := s.log.Append(s.leaderEpoch, replog.TypeCycle, s.st.Cycles, p); err != nil {
-			s.cfg.Logf("append cycle record: %v", err)
-		}
-		// Snapshot on the cycle boundary, in the same hold of the lock as
-		// the cycle record: the snapshot captures exactly the state that
-		// record left behind. Compacting below it waits for the followers
-		// (settleCompaction).
-		if s.cfg.CompactEvery > 0 && s.st.Cycles%s.cfg.CompactEvery == 0 {
-			s.snapshotLocked()
-		}
+	if _, err := s.log.Append(s.leaderEpoch, replog.TypeCycle, s.st.Cycles, p); err != nil {
+		s.cfg.Logf("append cycle record: %v", err)
+	}
+	if s.cfg.Log == nil {
+		// New's own log: all applied, read by nobody else, and in memory, so
+		// Forget never refuses.
+		_ = s.log.Forget()
+	}
+	// Snapshot on the cycle boundary, in the same hold of the lock as the
+	// cycle record: the snapshot captures exactly the state that record left
+	// behind. Compacting below it waits for the followers (settleCompaction).
+	if s.cfg.CompactEvery > 0 && s.st.Cycles%s.cfg.CompactEvery == 0 {
+		s.snapshotLocked()
 	}
 	// Every cycle re-examines an unsettled compaction: a follower that held
 	// it back may have let its lease lapse since, which no ack announces.
@@ -578,21 +582,13 @@ func (s *Service) inputLocked(typ string, payload any) (uint64, error) {
 
 // inputsLocked is every leader-side input's way into the state: one record
 // per encoded payload, appended to the decision log as one group commit (a
-// single fsync) — or, without a log, the records a log would have returned,
-// at seq 0 — and then applied by the very call a follower's push handler,
-// bootstrap replay and snapshot catch-up make. It returns the last record's
-// seq for the caller to wait on.
+// single fsync), and then applied by the very call a follower's push
+// handler, bootstrap replay and snapshot catch-up make. It returns the last
+// record's seq for the caller to wait on.
 func (s *Service) inputsLocked(typ string, payloads ...[]byte) (uint64, error) {
-	var recs []replog.Record
-	if s.log != nil {
-		var err error
-		if recs, err = s.log.AppendBatch(s.leaderEpoch, typ, s.st.Cycles, payloads); err != nil {
-			return 0, &SubmitError{Code: 500, Msg: fmt.Sprintf("append %s record: %v", typ, err)}
-		}
-	} else {
-		for _, data := range payloads {
-			recs = append(recs, replog.Record{Type: typ, Cycle: s.st.Cycles, Data: data})
-		}
+	recs, err := s.log.AppendBatch(s.leaderEpoch, typ, s.st.Cycles, payloads)
+	if err != nil {
+		return 0, &SubmitError{Code: 500, Msg: fmt.Sprintf("append %s record: %v", typ, err)}
 	}
 	for _, rec := range recs {
 		if err := s.applyRecordLocked(rec); err != nil {
@@ -661,12 +657,11 @@ func (e *SubmitError) Error() string { return e.Msg }
 // SubmitSyncTimeout (and excludes followers whose liveness lease has
 // lapsed), so an accepted job may exist only on the leader's log. The
 // returned replicated flag reports the distinction — true when every live
-// follower acknowledged the admission (vacuously true without a log or
-// peers), false when the wait timed out or the replica was deposed
-// mid-wait. HTTP clients see a false flag as "replicated_gap": true in the
-// 202 body; durability-sensitive clients should resubmit after a failover
-// (a duplicate ID is rejected with 409, which redelivery treats as
-// delivered).
+// follower acknowledged the admission (vacuously true without peers), false
+// when the wait timed out or the replica was deposed mid-wait. HTTP clients
+// see a false flag as "replicated_gap": true in the 202 body;
+// durability-sensitive clients should resubmit after a failover (a duplicate
+// ID is rejected with 409, which redelivery treats as delivered).
 func (s *Service) Submit(j *job.Job) (replicated bool, err error) {
 	s.mu.Lock()
 	seq, err := s.submitLocked(j)
@@ -678,10 +673,9 @@ func (s *Service) Submit(j *job.Job) (replicated bool, err error) {
 }
 
 // quorumDurable is the wait an accepted input's answer makes on its last
-// record: waitReplicated's verdict, vacuously true without a log (seq 0) or
-// peers.
+// record: waitReplicated's verdict, vacuously true without peers.
 func (s *Service) quorumDurable(seq uint64) bool {
-	return seq == 0 || len(s.cfg.Peers) == 0 || s.waitReplicated(seq)
+	return len(s.cfg.Peers) == 0 || s.waitReplicated(seq)
 }
 
 // submitLocked is Submit up to the quorum wait: validation against live
@@ -1146,13 +1140,11 @@ func (s *Service) Metrics() Metrics {
 	m.LeaderID = s.leaderID
 	m.LeaderEpoch = s.leaderEpoch
 	m.Control = s.ctl
-	if s.log != nil {
-		m.LogLen = s.log.Len()
-		m.LogBase = s.logBase
-		m.LogHead = s.log.Head().String()[:12]
-		m.Quorum = s.cfg.Quorum
-		m.ReplicatedSeq = s.minFollowerAckLocked()
-	}
+	m.LogLen = s.log.Len()
+	m.LogBase = s.logBase
+	m.LogHead = s.log.Head().String()[:12]
+	m.Quorum = s.cfg.Quorum
+	m.ReplicatedSeq = s.minFollowerAckLocked()
 	for _, as := range s.agents {
 		if as.dead {
 			m.AgentsDead++

@@ -283,6 +283,52 @@ func handLed(t *testing.T, cfg Config) (*Service, *replog.Log, *httptest.Server)
 	return svc, l, ts
 }
 
+// TestOwnedLogIsBounded: a single replica given no log runs over one New
+// opens in memory, which after every cycle holds no more than that cycle's
+// record and the inputs logged since the previous one, while its length
+// counts every record and the log endpoints serve it like any other.
+func TestOwnedLogIsBounded(t *testing.T) {
+	svc := mustService(t, sigmaConfig())
+	svc.mu.Lock()
+	svc.takeoverLocked(0)
+	svc.mu.Unlock()
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+
+	postTrain(t, ts, 400)
+	id := 0
+	lastCycle := svc.log.Len()
+	for cycle := 1; cycle <= 50; cycle++ {
+		for i := 0; i < 4; i++ {
+			id++
+			if _, err := svc.Submit(&job.Job{ID: job.ID(id), Name: "train", User: "alice", Tasks: 1 + id%3,
+				Runtime: float64(1 + id%3), Submit: float64(cycle - 1), NonPrefFactor: 1}); err != nil {
+				t.Fatalf("submit %d: %v", id, err)
+			}
+		}
+		svc.runCycle()
+		n, held := svc.log.Len(), len(svc.log.Records())
+		if want := uint64(1 + 1 + id + cycle); n != want { // elect, train, submits, cycles
+			t.Fatalf("cycle %d: log len %d, want %d", cycle, n, want)
+		}
+		if held > 1+int(n-lastCycle) {
+			t.Fatalf("cycle %d: log holds %d records, %d appended since the last cycle record", cycle, held, n-lastCycle)
+		}
+		lastCycle = n
+	}
+
+	var rl struct {
+		Len uint64 `json:"len"`
+	}
+	if code := getJSON(t, ts, "/v1/replog", &rl); code != 200 || rl.Len != svc.log.Len() {
+		t.Fatalf("GET /v1/replog: %d, len %d, want 200 and %d", code, rl.Len, svc.log.Len())
+	}
+	var st ctlStatus
+	if code := getJSON(t, ts, "/v1/control/status", &st); code != 200 || st.Head == "" {
+		t.Fatalf("GET /v1/control/status: %d, head %q", code, st.Head)
+	}
+}
+
 func deleteJob(t *testing.T, ts *httptest.Server, id int) int {
 	t.Helper()
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%d", ts.URL, id), nil)

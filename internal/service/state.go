@@ -144,7 +144,7 @@ type stateSnapshotter interface {
 type remover interface{ JobRemoved(id job.ID) }
 
 // queuedJob is one accepted job awaiting its admission cycle, tagged with its
-// admit record's log seq (0 without a log): a cycle admits only jobs its
+// admit record's log seq (0 if decoded): a cycle admits only jobs its
 // InputsThrough watermark covers, so a submit that lands while the leader is
 // solving enters the engine in the next cycle on every replica, not one
 // cycle early on those that apply the admit record before the cycle record.
@@ -160,8 +160,8 @@ type queuedJob struct {
 
 // deferred is one input awaiting its cycle boundary: the record's own
 // payload — for a train record, one entry of its array — beside the
-// record's log seq (0 without a log; not encoded, as queuedJob's), so a
-// replica applies exactly the entries the leader's cycle drained.
+// record's log seq (0 if decoded, as queuedJob's), so a replica applies
+// exactly the entries the leader's cycle drained.
 type deferred[P any] struct {
 	Seq uint64 `json:"-"`
 	In  P      `json:"in"`
@@ -595,7 +595,7 @@ func (st *state) cycleDecide(now float64, preempts []job.ID, starts []simulator.
 
 // drainInputs applies deferred inputs with log seq <= through, in
 // type-phase order (trains, cancels, ops) and log order within each type —
-// the same order on every replica. A zero seq (no log) always drains.
+// the same order on every replica. A zero seq (decoded) always drains.
 func (st *state) drainInputs(now float64, through uint64) {
 	for _, e := range takeThrough(&st.Trains, through) {
 		st.observe(e.In)
@@ -611,7 +611,7 @@ func (st *state) drainInputs(now float64, through uint64) {
 }
 
 // takeThrough splits off the prefix of entries with seq <= through (entries
-// are appended in seq order; zero seqs always qualify).
+// are appended in seq order; decoded zero seqs always qualify).
 func takeThrough[P any](pend *[]deferred[P], through uint64) []deferred[P] {
 	n := 0
 	for n < len(*pend) && (*pend)[n].Seq <= through {

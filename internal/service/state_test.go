@@ -155,10 +155,10 @@ func pushOnce(t *testing.T, svc *Service, recs []replog.Record) (int, replAppend
 // runScript drives one scripted input stream — submits (one landing
 // mid-solve), two train batches, a cancel of a queued and of a running job,
 // fail / recover / drain / resize, an abandon out of the solve, chaos crashes
-// — through a leader's public API, over the log l (nil: no log, and so no
-// snapshots) and on the agents given (none: the service's own local agent),
-// and returns the leader. It is cycled by hand: no ticker decides which cycle
-// an input lands in, and no compactor truncates the log.
+// — through a leader's public API, over the log l (nil: the log New opens,
+// and so no snapshots) and on the agents given (none: the service's own
+// local agent), and returns the leader. It is cycled by hand: no ticker
+// decides which cycle an input lands in, and no compactor truncates the log.
 func runScript(t testing.TB, l *replog.Log, agents []*agent.Client) *Service {
 	t.Helper()
 	var lead *Service
@@ -262,8 +262,8 @@ func runScript(t testing.TB, l *replog.Log, agents []*agent.Client) *Service {
 // predictor hash on (i) the leader it drove, (ii) a follower pushed the
 // leader's records, (iii) a process restarted over the leader's log, (iv) a
 // standby pushed the leader's first snapshot, which it installs, and then
-// the suffix, and (v) a leader driven through the same stream with no log at
-// all, whose inputs are framed at seq 0 and drain at the next cycle top.
+// the suffix, and (v) a leader driven through the same stream over the log
+// New opened, which keeps only its last record and counts every other.
 func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	dir := t.TempDir()
 	l, err := replog.Open(filepath.Join(dir, "leader.log"))
@@ -276,10 +276,13 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	wantEnc := encode(t, lead)
 	recs := l.Records()
 	var firstSnap replog.Record
+	snaps := uint64(0)
 	for _, rec := range recs {
 		if rec.Type == replog.TypeSnapshot {
-			firstSnap = rec
-			break
+			if snaps == 0 {
+				firstSnap = rec
+			}
+			snaps++
 		}
 	}
 
@@ -325,8 +328,13 @@ func TestOneLogOneStateOnEveryPath(t *testing.T) {
 	push(t, standby, recs[firstSnap.Seq:])
 	paths["standby"] = standby
 
-	// (v) A leader without a log.
-	paths["logless"] = runScript(t, nil, nil)
+	// (v) A leader over the log New opened: every record the leader logged
+	// but its snapshots, of which it holds the last cycle record only.
+	owned := runScript(t, nil, nil)
+	if n, held := owned.log.Len(), len(owned.log.Records()); n != l.Len()-snaps || held != 1 {
+		t.Errorf("owned log: len %d holding %d records, want %d holding 1", n, held, l.Len()-snaps)
+	}
+	paths["owned"] = owned
 
 	for name, svc := range paths {
 		m := svc.Metrics()
