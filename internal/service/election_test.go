@@ -60,6 +60,7 @@ func (g *testGroup) startAll(t *testing.T, replicas ...int) {
 		svc.Start()
 		t.Cleanup(func() { svc.Stop(5 * time.Second) })
 	}
+	t.Cleanup(g.stopLeaderFirst)
 }
 
 // TestColdGroupElectsInOnePoll: nobody holds a lease in a group that has

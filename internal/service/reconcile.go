@@ -148,8 +148,8 @@ func (s *Service) round(as *agentState, now float64, flush bool) (*agent.Reconci
 // (surfaced as node ops so followers replay the same capacity transitions),
 // and heals desired/actual drift by re-queueing lost starts and evicting
 // orphaned tasks.
-func (s *Service) reconcileAgents(now float64) ([]compEv, []agentOpEv) {
-	var comps []compEv
+func (s *Service) reconcileAgents(now float64) ([]simulator.RunEnd, []agentOpEv) {
+	var comps []simulator.RunEnd
 	var agentOps []agentOpEv
 	for _, as := range s.agents {
 		resp, err := s.round(as, now, false)
@@ -182,14 +182,7 @@ func (s *Service) reconcileAgents(now float64) ([]compEv, []agentOpEv) {
 		}
 		s.mu.Unlock()
 	}
-	// Deterministic merge across agents: events apply in (time, id) order.
-	sort.Slice(comps, func(i, k int) bool {
-		//lint:allow floateq exact tie-break: equal-bits event times fall through to the id order
-		if comps[i].At != comps[k].At {
-			return comps[i].At < comps[k].At
-		}
-		return comps[i].ID < comps[k].ID
-	})
+	// The cycle transition orders the events (simulator.Transition.Apply).
 	return comps, agentOps
 }
 
@@ -205,8 +198,8 @@ func (s *Service) partitionOpsLocked(ops []agentOpEv, as *agentState) []agentOpE
 // absorbLocked folds a phase-A response into the cycle: the agent's fresh
 // lifecycle events are appended to comps, and its actual state is diffed
 // against desired.
-func (s *Service) absorbLocked(comps []compEv, as *agentState, now float64, resp *agent.ReconcileResponse) []compEv {
-	// Fold only the events due by this cycle's logical now. The agent's
+func (s *Service) absorbLocked(comps []simulator.RunEnd, as *agentState, now float64, resp *agent.ReconcileResponse) []simulator.RunEnd {
+	// Fold only the events in this cycle's window (simulator.Due). The agent's
 	// clock is a high-water mark across leaderships: a leader resuming at
 	// cycle j after a crash at cycle k>j sees events the dead leader's
 	// reconciles already fired for cycles (j, k]. Folding one early would
@@ -221,13 +214,13 @@ func (s *Service) absorbLocked(comps []compEv, as *agentState, now float64, resp
 		if ev.Seq <= as.appliedSeq {
 			continue
 		}
-		if fenced || ev.At > now {
+		if fenced || !simulator.Due(ev.At, now) {
 			fenced = true
 			continue
 		}
 		as.appliedSeq = ev.Seq
 		s.ctl.EventsApplied++
-		comps = append(comps, compEv{ID: ev.Job, RunID: ev.RunID, At: ev.At, Crash: ev.Kind == agent.EventCrashed})
+		comps = append(comps, simulator.RunEnd{ID: ev.Job, RunID: ev.RunID, At: ev.At, Crash: ev.Kind == agent.EventCrashed})
 	}
 
 	// Diff desired against the agent's actual state.

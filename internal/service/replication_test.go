@@ -85,6 +85,7 @@ func (g *testGroup) start(t *testing.T) {
 			svc.Stop(5 * time.Second)
 		}
 	})
+	t.Cleanup(g.stopLeaderFirst)
 	waitUntil(t, 5*time.Second, "replica 0 to lead and the others to follow it", func() bool {
 		for i, svc := range g.svcs {
 			role, _, lid := svc.Role()
@@ -94,6 +95,21 @@ func (g *testGroup) start(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// stopLeaderFirst stops the group at the end of a test, the current leader
+// first. Registered after every other cleanup, it runs before any of them:
+// a leader stopped after its followers would wait out its hand-off bound
+// for acks that their closed logs refuse.
+func (g *testGroup) stopLeaderFirst() {
+	for _, svc := range g.svcs {
+		if svc.IsLeader() {
+			svc.Stop(5 * time.Second)
+		}
+	}
+	for _, svc := range g.svcs {
+		svc.Stop(5 * time.Second)
+	}
 }
 
 // submitStream posts jobs first..last to the leader, one every gap, each

@@ -14,11 +14,14 @@
 // reconcile.go, snapshot.go) to carry out under the one mutex it owns.
 //
 // A snapshot record's payload is this type's own encoding (wire, decode), so
-// there is no second description of the state to keep in step.
+// there is no second description of the state to keep in step — nor of the
+// cycle: its window and starts run through the simulator's own
+// simulator.Transition, in the simulator's order (DESIGN.md §7).
 package service
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -26,9 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
-	"sort"
 
 	"threesigma/internal/binenc"
 	"threesigma/internal/core"
@@ -85,15 +86,6 @@ type electPayload struct {
 	Cycle   int64 `json:"cycle"`
 }
 
-// compEv is one execution event an agent reported: a completion or a
-// fault-injected crash of the attempt (ID, RunID), at an exact virtual time.
-type compEv struct {
-	ID    job.ID  `json:"id"`
-	RunID int64   `json:"run_id"`
-	At    float64 `json:"at"`
-	Crash bool    `json:"crash,omitempty"`
-}
-
 // agentOpEv is an agent-liveness transition the leader observed: a dead
 // agent's partition failing (all provisioned nodes) or a returning agent's
 // partition recovering. Recorded so followers mirror the wall-timing
@@ -111,7 +103,7 @@ type agentOpEv struct {
 type cyclePayload struct {
 	Now           float64                 `json:"now"`
 	InputsThrough uint64                  `json:"inputs_through"`
-	Comps         []compEv                `json:"comps,omitempty"`
+	Comps         []simulator.RunEnd      `json:"comps,omitempty"` // the runs the agents saw end
 	AgentOps      []agentOpEv             `json:"agent_ops,omitempty"`
 	Abandons      []job.ID                `json:"abandons,omitempty"`
 	Preempts      []job.ID                `json:"preempts,omitempty"`
@@ -124,11 +116,13 @@ type cyclePayload struct {
 // env is what a state runs against and does not own or encode: the
 // scheduler and predictor the daemon was configured with (mutated in place —
 // their exported state rides in the encoding), the chaos injector (an
-// immutable schedule and pure per-attempt draws).
+// immutable schedule and pure per-attempt draws), and the cycle transition
+// the simulator runs too, over the two.
 type env struct {
 	sched simulator.Scheduler
 	pred  *predictor.Predictor
 	inj   *faults.Injector
+	tr    *simulator.Transition
 }
 
 // stateSnapshotter is the scheduler capability snapshots require:
@@ -138,10 +132,6 @@ type stateSnapshotter interface {
 	ExportState() (*core.SchedState, error)
 	ImportState(*core.SchedState) error
 }
-
-// remover is implemented by schedulers that keep per-job state which must
-// be dropped when a job is cancelled (core.Scheduler.JobRemoved).
-type remover interface{ JobRemoved(id job.ID) }
 
 // queuedJob is one accepted job awaiting its admission cycle, tagged with its
 // admit record's log seq (0 if decoded): a cycle admits only jobs its
@@ -228,6 +218,7 @@ type state struct {
 }
 
 func newState(e env, cluster simulator.Cluster) *state {
+	e.tr = &simulator.Transition{Sched: e.sched, Inj: e.inj}
 	st := &state{
 		env:       e,
 		eng:       simulator.NewEngine(cluster),
@@ -438,65 +429,44 @@ func (st *state) applyCycle(rec replog.Record, p *cyclePayload) {
 // --- the cycle ---
 
 // cycleTop is the first half of a cycle at logical time p.Now: deferred
-// inputs the watermark covers, admission, execution events, the chaos
-// schedule, agent-liveness node ops, and the JobRemoved sweep — in this
-// exact order, so every replica drives the engine and scheduler through an
-// identical mutation sequence. The execution events are what the leader's
-// agents reported, read from p. It returns the engine snapshot the solver
-// plans on. Taking one resets the engine's change counters, so every replica
-// takes it, solver or not.
+// inputs the watermark covers; the cycle window — the jobs admission
+// releases, the ends the leader's agents reported (read from p), the chaos
+// schedule — through the simulator's transition, in its order (DESIGN.md
+// §7); agent-liveness node ops; the JobRemoved sweep. It returns the engine
+// snapshot the solver plans on, which every replica takes, solver or not.
 func (st *state) cycleTop(p *cyclePayload) (*simulator.State, []effect) {
 	now := p.Now
 	st.CycleNow = now
 	st.drainInputs(now, p.InputsThrough)
-	st.admit(now, p.InputsThrough)
 
-	// Execution events. Stale entries (preempted or cancelled runs) drop;
-	// crash entries kill the attempt through the engine's failure path.
-	for _, c := range p.Comps {
-		if c.Crash {
-			requeued, ok := st.eng.CrashRun(c.ID, c.RunID, c.At)
-			if !ok {
-				continue
-			}
-			st.retire(c.ID, false)
-			st.Counters.Evicted++
-			if !requeued {
-				st.Counters.FailedOut++
-				st.Removed = append(st.Removed, c.ID)
-			}
-			continue
-		}
-		j, base, ok := st.eng.Complete(c.ID, c.RunID, c.At)
-		if !ok {
-			continue
-		}
-		st.retire(c.ID, false)
-		st.Counters.Completed++
-		st.sched.JobCompleted(j, base, c.At)
-		st.predDirty = true // the completion's runtime just reached the predictor
-	}
-
-	// Replay the chaos schedule up to virtual now: node failures evict
-	// running jobs (retry-budget exhaustion is terminal) and recoveries
-	// return capacity before the snapshot is taken.
+	var evs []faults.Event
 	if st.inj != nil {
-		evs := st.inj.Events()
-		for st.FaultIdx < len(evs) && evs[st.FaultIdx].Time <= now {
-			ev := evs[st.FaultIdx]
-			st.FaultIdx++
-			switch ev.Kind {
-			case faults.NodeFail:
-				if n, evicted, exhausted, _ := st.failNodes(ev.Partition, ev.Nodes, now); n > 0 {
-					st.logf("chaos: partition %d lost %d nodes (%d jobs requeued, %d failed out)",
-						ev.Partition, n, len(evicted), len(exhausted))
-				}
-			case faults.NodeRecover:
-				if n, _ := st.eng.RecoverNodes(ev.Partition, ev.Nodes, now); n > 0 {
-					st.logf("chaos: partition %d recovered %d nodes", ev.Partition, n)
-				}
-			}
-		}
+		evs = st.inj.Events()[st.FaultIdx:]
+		evs = evs[:simulator.DueFaults(evs, now)]
+		st.FaultIdx += len(evs)
+	}
+	done := st.tr.Apply(st.eng, st.admit(now, p.InputsThrough), evs, p.Comps)
+	for _, id := range done.Refused {
+		// The leader checked it at enqueue; a record that got here some
+		// other way is refused for good.
+		st.logf("admit job %d: refused by the engine", id)
+		st.Gone[id] = true
+	}
+	for _, id := range done.Completed {
+		st.retire(id, false)
+	}
+	for _, id := range done.Crashed {
+		st.retire(id, false)
+	}
+	for _, id := range done.Evicted {
+		st.retire(id, true) // agents that survive the failure kill the orphaned task
+	}
+	st.Counters.Completed += int64(len(done.Completed))
+	st.Counters.Evicted += int64(len(done.Crashed) + len(done.Evicted))
+	st.Counters.FailedOut += int64(len(done.FailedOut))
+	st.predDirty = st.predDirty || len(done.Completed) > 0 // their runtimes just reached the predictor
+	if len(evs) > 0 {
+		st.logf("chaos: %d node events, %d runs evicted, %d jobs failed out", len(evs), len(done.Evicted), len(done.FailedOut))
 	}
 
 	// Agent-liveness transitions (dead agent = its partitions fail; a
@@ -514,46 +484,30 @@ func (st *state) cycleTop(p *cyclePayload) (*simulator.State, []effect) {
 	}
 
 	// Scheduler-side cleanup for jobs that left the engine since the last
-	// cycle other than by completing.
-	if rm, ok := st.sched.(remover); ok {
-		for _, id := range st.Removed {
-			rm.JobRemoved(id)
-		}
-	}
+	// cycle other than by completing or running out of retries in the window.
+	st.tr.Removed(st.Removed)
 	st.Removed = st.Removed[:0]
 	return st.eng.Snapshot(now), st.effects()
 }
 
-// admit moves queued jobs into the engine in (Submit, ID) order, holding
-// back future submissions, so the cycle at which a job enters the scheduler
-// depends only on its stamp and on which cycle's input watermark first
-// covers its admit record — a job logged while the leader was solving cycle
-// k waits for cycle k+1 wherever the record is applied.
-func (st *state) admit(now float64, through uint64) {
+// admit releases queued jobs into the cycle window in (Submit, ID) order,
+// holding back future submissions, so the cycle at which a job enters the
+// scheduler depends only on its stamp and on which cycle's input watermark
+// first covers its admit record — a job logged while the leader was solving
+// cycle k waits for cycle k+1 wherever the record is applied.
+func (st *state) admit(now float64, through uint64) (due []*job.Job) {
 	queue := st.Queue
 	st.Queue = nil
-	sort.SliceStable(queue, func(i, k int) bool {
-		//lint:allow floateq exact tie-break: equal-bits submit stamps fall through to the ID order
-		if queue[i].Submit != queue[k].Submit {
-			return queue[i].Submit < queue[k].Submit
-		}
-		return queue[i].ID < queue[k].ID
-	})
+	slices.SortStableFunc(queue, func(a, b queuedJob) int { return cmp.Or(cmp.Compare(a.Submit, b.Submit), cmp.Compare(a.ID, b.ID)) })
 	for _, q := range queue {
-		if !(q.Submit <= now && q.Seq <= through) {
+		if !(simulator.Arrived(q.Submit, now) && q.Seq <= through) {
 			st.Queue = append(st.Queue, q)
 			continue
 		}
 		delete(st.queued, q.ID)
-		if err := st.eng.Submit(q.Job); err != nil {
-			// The leader checked it at enqueue; a record that got here some
-			// other way is refused for good.
-			st.logf("admit job %d: %v", q.ID, err)
-			st.Gone[q.ID] = true
-			continue
-		}
-		st.sched.JobSubmitted(q.Job, now)
+		due = append(due, q.Job)
 	}
+	return due
 }
 
 // cycleDecide is the second half of a cycle: a decision — fresh from the
@@ -567,25 +521,13 @@ func (st *state) cycleDecide(now float64, preempts []job.ID, starts []simulator.
 		}
 	}
 	for _, a := range starts {
-		run, ok := st.eng.Start(a, now)
+		run, due, crashAt, ok := st.tr.Launch(st.eng, a, now)
 		if !ok {
 			continue
 		}
-		id := run.Job.ID
-		rt := run.EffectiveRuntime(run.Job.Runtime)
-		if st.inj != nil {
-			rt *= st.inj.Slowdown(id)
-		}
-		rt = math.Max(rt, 0.001)
-		crashAt := 0.0
-		if st.inj != nil {
-			if frac, crashes := st.inj.CrashPoint(id, run.Attempt); crashes {
-				crashAt = now + frac*rt
-			}
-		}
-		d := &desiredRun{RunID: run.RunID, Alloc: a.Alloc.Clone(), Due: now + rt, CrashAt: crashAt}
-		st.Desired[id] = d
-		st.emit(startRun{id: id, run: d})
+		d := &desiredRun{RunID: run.RunID, Alloc: a.Alloc.Clone(), Due: due, CrashAt: crashAt}
+		st.Desired[run.Job.ID] = d
+		st.emit(startRun{id: run.Job.ID, run: d})
 	}
 	st.Cycles++
 	return st.effects()

@@ -21,9 +21,9 @@ func sortOutcomes(os []*Outcome) {
 // simulator (Sim) and the online scheduling daemon (internal/service): it
 // owns free-node accounting, the pending queue, running allocations, and
 // per-job outcome records, and enforces the same validation rules for both.
-// Callers advance time however they like — Sim through its event heap, the
-// daemon by cycle index — and hand the Engine absolute times; the Engine
-// itself is clockless.
+// Both drive it through the one cycle Transition — Sim from its own event
+// queues, the daemon from its log — and hand the Engine absolute times; the
+// Engine itself is clockless.
 //
 // The Engine is not safe for concurrent use; callers serialize access.
 type Engine struct {

@@ -189,7 +189,8 @@ func TestFaultOutcomesDeterministic(t *testing.T) {
 }
 
 // TestEventOrderingDeterministic: two runs with identical inputs produce
-// identical outcomes (the event heap breaks time ties by sequence).
+// identical outcomes (a cycle window breaks time ties by event kind and
+// launch order).
 func TestEventOrderingDeterministic(t *testing.T) {
 	build := func() *Result {
 		g := newGreedyFIFO()

@@ -77,13 +77,6 @@ func (g *greedyFIFO) Cycle(st *State) Decision {
 	return d
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func mkJob(id int64, submit, runtime float64, tasks int) *job.Job {
 	return &job.Job{ID: job.ID(id), Class: job.BestEffort, Submit: submit, Runtime: runtime, Tasks: tasks, NonPrefFactor: 1.5}
 }

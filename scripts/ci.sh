@@ -29,6 +29,8 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
 
 echo "== go vet =="
 go vet ./...
@@ -73,7 +75,12 @@ for EX in examples/*/; do
 done
 
 echo "== go test -race =="
-go test -race ./...
+# Through the test-time report: what a plain run prints, then each package's
+# time and the ten slowest tests. It reports; no time fails the gate.
+STATUS=0
+go test -race -json ./... >"$WORK/test.json" || STATUS=$?
+go run ./scripts/testtime <"$WORK/test.json" || STATUS=1
+[ "$STATUS" -eq 0 ] || { echo "FAIL: go test -race"; exit 1; }
 
 echo "== benchmarks run =="
 # One iteration of every solver, model-build and histogram benchmark, so
@@ -129,8 +136,6 @@ echo "== fault determinism gate =="
 # Same seed, same fault schedule => bit-identical outcomes, byte-for-byte.
 # The solver's node cap is its only limit, so no wall-clock noise reaches a
 # scheduling decision.
-WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
 go build -o "$WORK/3sigma-sim" ./cmd/3sigma-sim
 SIM_ARGS="-env google -nodes 48 -partitions 4 -hours 0.05 -load 1.2 -seed 5 \
     -faults light -digest"
